@@ -25,6 +25,7 @@ __all__ = [
     "spectral_radius",
     "solve_discrete_lyapunov",
     "h2_norm",
+    "modal_h2_norms",
     "solve_dare_kalman",
     "loop_margins",
 ]
@@ -172,13 +173,25 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
         raise UnstableSystemError(f"spectral radius {rho:.6g} >= 1")
     P = scipy.linalg.solve_discrete_lyapunov(A, Q)
     P = 0.5 * (P + P.T)
-    resid = np.linalg.norm(A @ P @ A.T - P + Q)
-    bound = 1e-9 * (np.linalg.norm(Q) + np.linalg.norm(P))
-    if resid > max(bound, 1e-300):
+    resid, bound = _lyapunov_residual(A, P, Q)
+    if resid > bound:
         raise NumericalError(
             f"Lyapunov residual {resid:.3e} exceeds bound {bound:.3e}"
         )
     return P
+
+
+def _lyapunov_residual(A, P, Q):
+    """||A P A^T - P + Q|| and the bound 1e-9 (||Q|| + ||P||) it must meet."""
+    resid = np.linalg.norm(A @ P @ A.T - P + Q)
+    bound = 1e-9 * (np.linalg.norm(Q) + np.linalg.norm(P))
+    return resid, max(bound, 1e-300)
+
+
+def _h2_from_gramian(sys: DtStateSpace, P: np.ndarray) -> float:
+    val = float(np.trace(sys.C @ P @ sys.C.T) + np.trace(sys.D @ sys.D.T))
+    # tiny negative values can appear through cancellation
+    return math.sqrt(max(val, 0.0))
 
 
 def h2_norm(sys: DtStateSpace) -> float:
@@ -195,12 +208,45 @@ def h2_norm(sys: DtStateSpace) -> float:
     """
     if sys.n == 0:
         return float(np.linalg.norm(sys.D, "fro"))
-    if spectral_radius(sys.A) >= 1.0:
+    return _h2_from_gramian(sys, solve_discrete_lyapunov(sys.A, sys.B @ sys.B.T))
+
+
+def modal_h2_norms(systems, values: np.ndarray, vectors: np.ndarray) -> list:
+    """H2 norms of stable systems sharing one state matrix A = V diag(lam) V^-1.
+
+    ``values`` and ``vectors`` are ``np.linalg.eig(A)``.  Each Gramian is
+    the diagonalised solution of the Stein equation A P A^T - P + B B^T = 0,
+
+        P = V (B~ B~^H ./ (1 - lam lam^H)) V^H,   B~ = V^-1 B,
+
+    and is accepted only if it meets the residual bound of
+    solve_discrete_lyapunov.  A system whose Gramian misses that bound, or
+    every system when V is singular or ||V||_1 ||V^-1||_1 > 1e8, is solved
+    by :func:`h2_norm` (Schur/bilinear) instead.
+
+    Raises
+    ------
+    UnstableSystemError
+        If any eigenvalue is on or outside the unit circle.
+    """
+    if values.size and np.max(np.abs(values)) >= 1.0:
         raise UnstableSystemError("H2 norm undefined for an unstable system")
-    P = solve_discrete_lyapunov(sys.A, sys.B @ sys.B.T)
-    val = float(np.trace(sys.C @ P @ sys.C.T) + np.trace(sys.D @ sys.D.T))
-    # tiny negative values can appear through cancellation
-    return math.sqrt(max(val, 0.0))
+    try:
+        V_inv = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        V_inv = None
+    if V_inv is None or np.linalg.norm(vectors, 1) * np.linalg.norm(V_inv, 1) > 1e8:
+        return [h2_norm(sys) for sys in systems]
+    V_h = vectors.conj().T
+    denom = 1.0 - values[:, np.newaxis] * values.conj()[np.newaxis, :]
+    out = []
+    for sys in systems:
+        Bt = V_inv @ sys.B
+        P = (vectors @ ((Bt @ Bt.conj().T) / denom) @ V_h).real
+        P = 0.5 * (P + P.T)
+        resid, bound = _lyapunov_residual(sys.A, P, sys.B @ sys.B.T)
+        out.append(_h2_from_gramian(sys, P) if resid <= bound else h2_norm(sys))
+    return out
 
 
 def _as_cov(X, dim: int, name: str) -> np.ndarray:

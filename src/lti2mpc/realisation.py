@@ -25,11 +25,11 @@ from .linalg import (
     EigenStructure,
     LoopMargins,
     NumericalError,
+    UnstableSystemError,
     eig_paired,
-    h2_norm,
     loop_margins,
+    modal_h2_norms,
     solve_dare_kalman,
-    spectral_radius,
 )
 from .statespace import DtStateSpace
 
@@ -252,16 +252,26 @@ def riccati_residual(A_cl: np.ndarray, T: np.ndarray) -> float:
     return float(np.linalg.norm(left @ A_cl @ right))
 
 
-def _null_basis(T: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the right null space of T, deterministic sign."""
-    n_K, n = T.shape
-    _, sv, vh = np.linalg.svd(T)
+def _t_svd(T: np.ndarray):
+    """One SVD of T, shared by everything a split needs from it.
+
+    Returns (sv, T_perp, T_pinv): the singular values for the rank test,
+    an orthonormal basis of the right null space of T with a deterministic
+    sign (largest-magnitude entry of each column positive), and pinv(T)
+    with numpy's default cutoff.
+    """
+    n_K = T.shape[0]
+    u, sv, vh = np.linalg.svd(T)
     basis = vh[n_K:].T
     for j in range(basis.shape[1]):
         k = int(np.argmax(np.abs(basis[:, j])))
         if basis[k, j] < 0:
             basis[:, j] = -basis[:, j]
-    return basis
+    r = sv.size
+    big = sv > 1e-15 * sv.max(initial=0.0)
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=big)
+    T_pinv = vh[:r].T @ (inv[:, np.newaxis] * u[:, :r].T)
+    return sv, basis, T_pinv
 
 
 def design_free_poles(
@@ -282,7 +292,11 @@ def design_free_poles(
     n_K, n = T.shape
     if n_K >= n:
         return np.zeros((0, n_K))
-    Tp = _null_basis(T)
+    return _free_pole_gain(G, K, _t_svd(T)[1], Qn, Rn)
+
+
+def _free_pole_gain(G, K, Tp, Qn, Rn) -> np.ndarray:
+    """design_free_poles on a given T-perp basis (n_K < n)."""
     A_shift = G.A + G.B @ K.D @ G.C
     A_red = Tp.T @ A_shift @ Tp
     C_red = K.B @ G.C @ Tp
@@ -307,10 +321,6 @@ def _undetectable_modes(A: np.ndarray, C: np.ndarray) -> list:
     return out
 
 
-def _t_dagger(T: np.ndarray, T_perp: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.linalg.pinv(T) + T_perp @ X
-
-
 def build_realisation(
     form: str,
     G: DtStateSpace,
@@ -328,16 +338,20 @@ def build_realisation(
     form needs a strictly proper controller (loop-shift the feedthrough
     away first).
     """
-    n_K, n = T.shape
-    if G.n != n or K.n != n_K:
+    if G.n != T.shape[1] or K.n != T.shape[0]:
         raise ValueError("T shape does not match the (G, K) dimensions")
-    sv = np.linalg.svd(T, compute_uv=False)
+    return _build(form, G, K, T, _t_svd(T), X, choice)
+
+
+def _build(form, G, K, T, t_svd, X, choice) -> ObserverRealisation:
+    """build_realisation on a given ``_t_svd(T)``."""
+    n_K, n = T.shape
+    sv, T_perp, T_pinv = t_svd
     if sv[-1] <= 1e-8 * sv[0]:
         raise ValueError("T is rank deficient")
     A_cl = closed_loop_matrix(G, K)
     resid = riccati_residual(A_cl, T)
 
-    T_perp = _null_basis(T)
     if X is None:
         X = np.zeros((n - n_K, n_K))
     X = np.asarray(X, dtype=float).reshape(n - n_K, n_K)
@@ -353,7 +367,7 @@ def build_realisation(
         if np.linalg.cond(K.A) > 1e12:
             raise ValueError("filter form needs a nonsingular controller A_K")
         K_c = K.D @ G.C + K.C @ T
-        K_f = np.linalg.solve(G.A, _t_dagger(T, T_perp, X) @ K.B - G.B @ K.D)
+        K_f = np.linalg.solve(G.A, (T_pinv + T_perp @ X) @ K.B - G.B @ K.D)
     elif form == "predictor":
         if np.linalg.norm(K.D) > 0.0:
             raise ValueError(
@@ -361,7 +375,7 @@ def build_realisation(
                 "loop-shift the feedthrough into the plant first"
             )
         K_c = K.C @ T
-        K_f = _t_dagger(T, T_perp, X) @ K.B
+        K_f = (T_pinv + T_perp @ X) @ K.B
     else:
         raise ValueError(f"unknown form {form!r}")
 
@@ -488,13 +502,13 @@ def _noise_system(r, G, K) -> DtStateSpace:
     return DtStateSpace(Ae, r.K_f, C, np.zeros((G.n_y, G.n_y)), G.Ts)
 
 
-def _dist_system(r, G, K, variant: str = "estimate") -> DtStateSpace:
+def _dist_system(r, G, K) -> DtStateSpace:
     """Disturbance-to-estimate map used for the h2_dist score.
 
     The error dynamics are driven through the designated disturbance-state
     channels (identity injection on those rows); the output is the full
     estimate deviation, which carries a direct -I feedthrough on the same
-    rows for the "estimate" variant.
+    rows.
     """
     n = G.n
     Ae = _error_dynamics(r, G, K)
@@ -504,14 +518,11 @@ def _dist_system(r, G, K, variant: str = "estimate") -> DtStateSpace:
         D = np.zeros((n, n))
     else:
         E = np.zeros((n, len(dist)))
+        D = np.zeros((n, len(dist)))
         for j, s in enumerate(dist):
             E[s, j] = 1.0
-        D = np.zeros((n, len(dist)))
-        if variant == "estimate":
-            for j, s in enumerate(dist):
-                D[s, j] = -1.0
-    B = Ae @ E if variant == "estimate_lagged" else E
-    return DtStateSpace(Ae, B, np.eye(n), D, G.Ts)
+            D[s, j] = -1.0
+    return DtStateSpace(Ae, E, np.eye(n), D, G.Ts)
 
 
 def score_realisation(
@@ -519,20 +530,23 @@ def score_realisation(
     G: DtStateSpace,
     K: DtStateSpace,
     margin_cut: int | None = None,
-    dist_variant: str = "estimate",
 ) -> RealisationScore:
     """H2 quality metrics of one realisation (smaller is better).
 
     h2_noise is the norm of the map from the measured output to its own
     estimate; h2_dist is the norm of the disturbance-to-estimate map.  An
     unstable observer gets infinite scores rather than an error so that a
-    search can rank past it.
+    search can rank past it.  Both maps run on the error dynamics Ae, so
+    one eigendecomposition of Ae gives the stability test and both
+    Gramians (see :func:`~lti2mpc.linalg.modal_h2_norms`, which checks
+    each Gramian's Lyapunov residual and falls back to the Schur solver).
     """
-    Ae = _error_dynamics(r, G, K)
-    if spectral_radius(Ae) >= 1.0:
+    noise = _noise_system(r, G, K)
+    dist = _dist_system(r, G, K)
+    try:
+        h2n, h2d = modal_h2_norms((noise, dist), *np.linalg.eig(noise.A))
+    except UnstableSystemError:
         return RealisationScore(math.inf, math.inf, math.inf, None, stable=False)
-    h2n = h2_norm(_noise_system(r, G, K))
-    h2d = h2_norm(_dist_system(r, G, K, dist_variant))
     margins = None
     if margin_cut is not None:
         margins = loop_margins(margin_loop(r, G, margin_cut), feedback_sign=1)
@@ -546,11 +560,9 @@ def _evaluate_choice(args):
     if not res.feasible:
         return (idx, None, res.reason)
     try:
-        if K.n < G.n:
-            X = design_free_poles(G, K, res.T, Qn, Rn, form)
-        else:
-            X = None
-        real = build_realisation(form, G, K, res.T, X, choice)
+        t_svd = _t_svd(res.T)
+        X =_free_pole_gain(G, K, t_svd[1], Qn, Rn) if K.n < G.n else None
+        real = _build(form, G, K, res.T, t_svd, X, choice)
     except (ValueError, NumericalError) as exc:
         return (idx, None, str(exc))
     score = score_realisation(real, G, K, margin_cut)

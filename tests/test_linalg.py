@@ -76,6 +76,12 @@ def test_h2_scalar_lag():
     assert_allclose(h2_norm(sys), np.sqrt(4.0 / 3.0), rtol=1e-10)
 
 
+def test_h2_rejects_unstable():
+    sys = DtStateSpace([[0.5, 1.0], [0.0, 1.1]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]], 1.0)
+    with pytest.raises(UnstableSystemError):
+        h2_norm(sys)
+
+
 def test_h2_static_gain_is_frobenius_norm():
     D = np.array([[1.0, 2.0], [0.0, 2.0]])
     sys = DtStateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), D, 1.0)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lti2mpc.linalg import eig_paired, spectral_radius
+from lti2mpc import linalg
+from lti2mpc.linalg import UnstableSystemError, eig_paired, h2_norm, spectral_radius
 from lti2mpc.models import (
     pendulum_controller,
     pendulum_plant,
@@ -19,13 +20,18 @@ from lti2mpc.models import (
     satellite_plant,
 )
 from lti2mpc.realisation import (
+    ObserverRealisation,
     RealisationChoice,
+    _dist_system,
+    _noise_system,
+    _t_svd,
     build_realisation,
     check_decoupling,
     closed_loop_matrix,
     design_free_poles,
     enumerate_choices,
     realisation_controller,
+    score_realisation,
     search_realisations,
     solve_T,
     verify_equivalence,
@@ -265,6 +271,117 @@ def test_design_free_poles_quiet_measurements_keep_reduced_dynamics():
     A_red = Tp.T @ G.A @ Tp
     got = np.sort_complex(np.linalg.eigvals(A_red - X @ (K.B @ G.C @ Tp)))
     assert_allclose(got, np.sort_complex(np.linalg.eigvals(A_red)), atol=1e-3)
+
+
+# -- shared factorisations -----------------------------------------------------
+
+def _oracle_null_basis(T):
+    """Null basis of T by its own SVD, largest-magnitude entry positive."""
+    basis = np.linalg.svd(T)[2][T.shape[0]:].T
+    for j in range(basis.shape[1]):
+        k = int(np.argmax(np.abs(basis[:, j])))
+        if basis[k, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return basis
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 4), (3, 5), (3, 3)])
+def test_t_svd_matches_null_basis_and_pinv(shape):
+    rng = np.random.default_rng(25)
+    for _ in range(5):
+        T = 10.0 ** rng.uniform(-2, 3) * rng.standard_normal(shape)
+        sv, T_perp, T_pinv = _t_svd(T)
+        assert_allclose(sv, np.linalg.svd(T, compute_uv=False), rtol=1e-12)
+        assert T_perp.shape == (shape[1], shape[1] - shape[0])
+        assert_allclose(T_perp, _oracle_null_basis(T), rtol=0, atol=1e-12)
+        P = np.linalg.pinv(T)
+        assert_allclose(T_pinv, P, rtol=0, atol=1e-12 * np.abs(P).max())
+
+
+def _with_disturbance_states(G, states):
+    return DtStateSpace(G.A, G.B, G.C, G.D, G.Ts, disturbance_states=states)
+
+
+def _scored_random_realisations():
+    """(realisation, G, K) over random predictor- and filter-form pairs."""
+    rng = np.random.default_rng(26)
+    out = []
+    for _ in range(10):
+        n_K = int(rng.integers(1, 4))
+        G, K = _random_stable_pair(rng, 3, n_K)
+        A_cl = closed_loop_matrix(G, K)
+        eig = eig_paired(A_cl)
+        for c in enumerate_choices(eig, 3, n_K):
+            res = solve_T(A_cl, c, eig)
+            if res.feasible:
+                X = rng.standard_normal((3 - n_K, n_K)) if n_K < 3 else None
+                out.append((build_realisation("predictor", G, K, res.T, X, c), G, K))
+    for _ in range(8):
+        G, K0 = _random_stable_pair(rng, 2, 1, strictly_proper_K=False)
+        K = add_dipole(K0, W=50.0)
+        A_cl = closed_loop_matrix(G, K)
+        if spectral_radius(A_cl) >= 1.0 or np.linalg.cond(G.A) > 1e10:
+            continue
+        eig = eig_paired(A_cl)
+        for c in enumerate_choices(eig, G.n, K.n):
+            res = solve_T(A_cl, c, eig)
+            if res.feasible:
+                out.append((build_realisation("filter", G, K, res.T, choice=c), G, K))
+    return out
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Systems the modal scorer hands on to the Schur/bilinear h2_norm."""
+    calls = []
+    monkeypatch.setattr(linalg, "h2_norm", lambda sys: calls.append(sys) or h2_norm(sys))
+    return calls
+
+
+def test_modal_scores_match_lyapunov_h2_norms(fallbacks):
+    checked = {"filter": 0, "predictor": 0}
+    for r, G, K in _scored_random_realisations():
+        for Gs in (G, _with_disturbance_states(G, (0,))):
+            s = score_realisation(r, Gs, K)
+            if not s.stable:
+                continue
+            assert_allclose(s.h2_noise, h2_norm(_noise_system(r, Gs, K)), rtol=1e-10)
+            assert_allclose(s.h2_dist, h2_norm(_dist_system(r, Gs, K)), rtol=1e-10)
+            assert s.product == s.h2_noise * s.h2_dist
+            checked[r.form] += 1
+    assert checked["predictor"] >= 20 and checked["filter"] >= 8
+    assert not fallbacks  # every Gramian came from the eigendecomposition
+
+
+def _hand_realisation(A):
+    """Predictor-form realisation with K_f = 0, so its error dynamics are A."""
+    n = A.shape[0]
+    G = DtStateSpace(A, np.ones((n, 1)), np.eye(1, n), [[0.0]], 1.0)
+    K = DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    r = ObserverRealisation(form="predictor", T=np.ones((1, n)), T_perp=np.zeros((n, 0)),
+                            X=np.zeros((0, 1)), K_c=np.zeros((1, n)),
+                            K_f=np.zeros((n, 1)), choice=None, riccati_residual=0.0)
+    return r, G, K
+
+
+def test_defective_error_dynamics_fall_back_to_lyapunov(fallbacks):
+    A = np.array([[0.5, 1.0], [0.0, 0.5]])  # Jordan block: V is singular to working precision
+    r, G, K = _hand_realisation(A)
+    s = score_realisation(r, G, K)
+    assert len(fallbacks) == 2  # noise and disturbance maps, both by the Schur path
+    assert s.stable
+    assert s.h2_noise == h2_norm(_noise_system(r, G, K))
+    assert s.h2_dist == h2_norm(_dist_system(r, G, K))
+
+
+def test_unstable_error_dynamics_score_infinite():
+    r, G, K = _hand_realisation(np.array([[1.2, 0.3], [0.0, 0.4]]))
+    s = score_realisation(r, G, K)
+    assert not s.stable
+    assert s.h2_noise == s.h2_dist == s.product == np.inf
+    lam, V = np.linalg.eig(G.A)
+    with pytest.raises(UnstableSystemError):
+        linalg.modal_h2_norms([_noise_system(r, G, K)], lam, V)
 
 
 # -- pinned case studies -----------------------------------------------------

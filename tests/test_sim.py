@@ -1,11 +1,13 @@
 """Closed-loop simulation harness: plants, scenarios, traces, CSV export."""
 
 import csv
+import time
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from lti2mpc import sim
 from lti2mpc.models import (
     SATELLITE_TS,
     pendulum_controller,
@@ -157,6 +159,30 @@ def test_unconstrained_predictor_mpc_matches_the_baseline_loop():
                              controller=mpc, x0=x0))
     assert np.max(np.abs(base.u - test.u)) < 1e-9
     assert np.max(np.abs(base.y - test.y)) < 1e-9
+
+
+@pytest.mark.parametrize("form", ["filter", "predictor"])
+def test_qp_ms_times_the_mpc_step_alone(monkeypatch, form):
+    def slow(fn):
+        def wrapped(*args):
+            time.sleep(0.05)
+            return fn(*args)
+        return wrapped
+
+    for name in ("filter_measurement_update", "filter_time_update", "predictor_observer_step"):
+        monkeypatch.setattr(sim, name, slow(getattr(sim, name)))
+    if form == "filter":
+        G, K, plant, D_K = satellite_plant(), add_dipole(satellite_controller(), W=50.0), "satellite", None
+    else:
+        G, K = loop_shift(pendulum_plant(), pendulum_controller())
+        plant, D_K = pendulum_plant(), pendulum_controller().D
+    real = search_realisations(G, K, form=form, rank_by="noise").ranked[0][0]
+    mpc = MpcController(realisation=real, design_model=G,
+                        config=MpcConfig(N=15, cost=matching_cost(real.K_c)), D_K=D_K)
+    tr = simulate(Scenario(name="m", plant=plant, duration=4 * G.Ts, controller=mpc,
+                           x0=np.full(G.n, 0.01)))
+    assert len(tr) >= 4
+    assert np.all(tr.qp_ms > 0.0) and np.all(tr.qp_ms < 25.0)
 
 
 def test_deterministic_transfer_lag_keeps_the_loops_close(traces):
