@@ -62,13 +62,13 @@ from .models import (
 )
 from .mpc import MpcConfig, effect_weight, matching_cost
 from .realisation import (
+    _FORMS,
     ObserverRealisation,
+    _form,
     closed_loop_matrix,
-    realisation_controller,
     riccati_residual,
     search_realisations,
     verify_equivalence,
-    _error_dynamics,
 )
 from .sim import (
     BaselineController,
@@ -162,9 +162,6 @@ class ProjectConfig:
     scenarios: dict
     verify_gains: dict | None
 
-    def builtin_name(self):
-        return self.plant if isinstance(self.plant, str) else None
-
 
 def parse_config(raw: dict) -> ProjectConfig:
     if not isinstance(raw, dict):
@@ -190,7 +187,7 @@ def parse_config(raw: dict) -> ProjectConfig:
               "rank_by": "product", "margin_cut": None, "forced_S": None}
     merged.update(base)
     merged.update(pipeline)
-    if merged["form"] not in ("filter", "predictor"):
+    if merged["form"] not in _FORMS:
         raise ConfigError("pipeline.form must be 'filter' or 'predictor'")
     if merged["rank_by"] not in ("product", "noise"):
         raise ConfigError("pipeline.rank_by must be 'product' or 'noise'")
@@ -204,11 +201,17 @@ def parse_config(raw: dict) -> ProjectConfig:
     if not isinstance(scenarios, dict):
         raise ConfigError("scenarios must be an object of named entries")
 
+    vg = raw.get("verify_gains")
+    if vg is not None:
+        if not isinstance(vg, dict):
+            raise ConfigError("verify_gains must be an object")
+        if vg.get("form", merged["form"]) not in _FORMS:
+            raise ConfigError("verify_gains.form must be 'filter' or 'predictor'")
+
     return ProjectConfig(
         plant=plant, controller=controller,
         Ts=float(raw["Ts"]) if "Ts" in raw else None,
-        pipeline=merged, mpc=mpc, scenarios=scenarios,
-        verify_gains=raw.get("verify_gains"),
+        pipeline=merged, mpc=mpc, scenarios=scenarios, verify_gains=vg,
     )
 
 
@@ -381,7 +384,7 @@ def cmd_realise(cfg: ProjectConfig, out_path, workers) -> int:
             "product": score.product,
             "stable": score.stable,
             "riccati_residual": r.riccati_residual,
-            "error_poles": _poles_json(_error_dynamics(r, G_d, K_d)),
+            "error_poles": _poles_json(_form(r.form).noise_system(r, G_d, K_d).A),
             "K_c": r.K_c.tolist(),
             "K_f": r.K_f.tolist(),
             "T": r.T.tolist(),
@@ -553,19 +556,21 @@ def _summary_path(out_path):
 
 
 def _verify_one(label, r, G_d, K_d, lines) -> bool:
-    K_obs = realisation_controller(r, G_d, K_d)
-    resid = verify_equivalence(K_obs, K_d)
+    form = _form(r.form)
+    resid = verify_equivalence(form.controller(r, G_d, K_d), K_d)
     ok = resid <= 1e-6
     checks = [f"equivalence residual {resid:.3e}"]
     if r.T is not None and r.T.size:
         rres = riccati_residual(closed_loop_matrix(G_d, K_d), r.T)
         checks.append(f"riccati residual {rres:.3e}")
         ok = ok and rres <= 1e-6
-    if r.form == "filter":
-        gap = float(np.max(np.abs(r.K_c @ r.K_f - K_d.D)))
+    gap = form.feedthrough_gap(r, K_d)
+    if gap is not None:
+        gap = float(np.max(np.abs(gap)))
         checks.append(f"K_c K_f feedthrough gap {gap:.3e}")
         ok = ok and gap <= 1e-6 * (1.0 + float(np.max(np.abs(K_d.D))))
-    stable = spectral_radius(_error_dynamics(r, G_d, K_d)) < 1.0
+    # the noise map's state matrix is the observer error dynamics
+    stable = spectral_radius(form.noise_system(r, G_d, K_d).A) < 1.0
     checks.append("error dynamics stable" if stable else
                   "error dynamics UNSTABLE")
     ok = ok and stable

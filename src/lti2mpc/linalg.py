@@ -70,9 +70,6 @@ class EigenStructure:
     def n(self) -> int:
         return len(self.values)
 
-    def is_real(self, i: int) -> bool:
-        return self.pair_index[i] is None
-
 
 def eig_paired(M: np.ndarray) -> EigenStructure:
     """Eigendecomposition of a real square matrix with deterministic ordering.
@@ -273,8 +270,7 @@ def solve_dare_kalman(A, C, Qn, Rn, max_iter: int = 200):
 
         P = A P A^T + Qn - A P C^T (C P C^T + Rn)^-1 C P A^T
 
-    by a structure-preserving doubling iteration, falling back to the plain
-    Riccati recursion if doubling breaks down, and returns
+    by a structure-preserving doubling iteration and returns
 
         L = A P C^T (C P C^T + Rn)^-1
 
@@ -297,8 +293,8 @@ def solve_dare_kalman(A, C, Qn, Rn, max_iter: int = 200):
     Raises
     ------
     NumericalError
-        If neither iteration reaches relative residual 1e-8 within
-        ``max_iter`` steps.
+        If the doubling iteration breaks down or does not reach relative
+        residual 1e-8 within ``max_iter`` steps.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -314,8 +310,8 @@ def solve_dare_kalman(A, C, Qn, Rn, max_iter: int = 200):
         raise ValueError("Rn must be positive definite") from exc
 
     P = _dare_doubling(A, C, Qn, Rn, max_iter)
-    if P is None or _dare_residual(P, A, C, Qn, Rn) > 1e-8:
-        P = _dare_fixed_point(A, C, Qn, Rn, max_iter)
+    if P is None:
+        raise NumericalError("Kalman DARE doubling iteration broke down")
     resid = _dare_residual(P, A, C, Qn, Rn)
     if resid > 1e-8:
         raise NumericalError(
@@ -350,20 +346,6 @@ def _dare_doubling(A, C, Qn, Rn, max_iter):
         if step <= 1e-10 * max(1.0, np.linalg.norm(Hk)):
             return Hk
     return Hk
-
-
-def _dare_fixed_point(A, C, Qn, Rn, max_iter):
-    """Plain Riccati recursion, P_{k+1} = Ricc(P_k), starting from Qn."""
-    P = Qn.copy()
-    for _ in range(max_iter):
-        S = C @ P @ C.T + Rn
-        K = np.linalg.solve(S.T, (A @ P @ C.T).T).T
-        P_next = A @ P @ A.T - K @ (A @ P @ C.T).T + Qn
-        P_next = 0.5 * (P_next + P_next.T)
-        if np.linalg.norm(P_next - P) <= 1e-10 * max(1.0, np.linalg.norm(P_next)):
-            return P_next
-        P = P_next
-    return P
 
 
 @dataclass

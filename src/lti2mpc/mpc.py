@@ -173,10 +173,6 @@ class CondensedQp:
     # prestabilised variant only: data to recover u from eta
     prestab: dict = field(default_factory=dict)
 
-    @property
-    def n_dec(self):
-        return self.N * self.n_u + self.n_slack
-
     def f(self, x0, x_r=None, w=None) -> np.ndarray:
         out = self.f_x @ np.asarray(x0, float).ravel()
         if x_r is not None:

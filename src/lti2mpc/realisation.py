@@ -31,7 +31,8 @@ from .linalg import (
     modal_h2_norms,
     solve_dare_kalman,
 )
-from .statespace import DtStateSpace
+from .runtime import filter_measurement_update, filter_time_update, predictor_observer_step
+from .statespace import DtStateSpace, unobservable_modes
 
 __all__ = [
     "RealisationChoice",
@@ -275,7 +276,7 @@ def _t_svd(T: np.ndarray):
 
 
 def design_free_poles(
-    G: DtStateSpace, K: DtStateSpace, T: np.ndarray, Qn=1.0, Rn=1e7, form: str = "filter"
+    G: DtStateSpace, K: DtStateSpace, T: np.ndarray, Qn=1.0, Rn=1e7
 ) -> np.ndarray:
     """Free observer poles via a Kalman design on the T-perp subspace.
 
@@ -300,25 +301,126 @@ def _free_pole_gain(G, K, Tp, Qn, Rn) -> np.ndarray:
     A_shift = G.A + G.B @ K.D @ G.C
     A_red = Tp.T @ A_shift @ Tp
     C_red = K.B @ G.C @ Tp
-    bad = _undetectable_modes(A_red, C_red)
+    marginal = [lam for lam in np.linalg.eigvals(A_red) if abs(lam) >= 1.0 - 1e-9]
+    bad = unobservable_modes(A_red, C_red, marginal)
     if bad:
         raise NumericalError(
             "free-pole design: reduced pair undetectable at modes "
-            + ", ".join(f"{m:.4f}" for m in bad)
+            + ", ".join(f"{complex(marginal[i]):.4f}" for i in bad)
         )
     return solve_dare_kalman(A_red, C_red, Qn, Rn)
 
 
-def _undetectable_modes(A: np.ndarray, C: np.ndarray) -> list:
-    out = []
-    scale = max(np.linalg.norm(A), 1.0)
-    for lam in np.linalg.eigvals(A):
-        if abs(lam) < 1.0 - 1e-9:
-            continue
-        M = np.vstack([lam * np.eye(A.shape[0]) - A, C])
-        if np.linalg.svd(M, compute_uv=False)[-1] <= 1e-8 * scale:
-            out.append(complex(lam))
-    return out
+class _FilterForm:
+    """The control reads x-hat(k|k): the measurement enters the estimate
+    within the same step."""
+
+    def check(self, G, K):
+        k0 = K.D + K.C @ np.linalg.solve(-K.A, K.B)
+        if np.linalg.norm(k0) > 1e-6 * (1.0 + np.linalg.norm(K.D)):
+            raise ValueError(
+                "filter form needs K(0) = 0; add a dipole to the controller"
+            )
+        if np.linalg.cond(G.A) > 1e12:
+            raise ValueError("filter form needs a nonsingular plant A")
+        if np.linalg.cond(K.A) > 1e12:
+            raise ValueError("filter form needs a nonsingular controller A_K")
+
+    def gains(self, G, K, T, T_dagger):
+        K_c = K.D @ G.C + K.C @ T
+        K_f = np.linalg.solve(G.A, T_dagger @ K.B - G.B @ K.D)
+        return K_c, K_f
+
+    def feedthrough_gap(self, r, K):
+        return r.K_c @ r.K_f - K.D
+
+    def noise_system(self, r, G, K):
+        A, C = G.A, G.C
+        ImKfC = np.eye(G.n) - r.K_f @ C
+        return DtStateSpace(A @ ImKfC, A @ r.K_f, C @ ImKfC, C @ r.K_f, G.Ts)
+
+    def controller(self, r, G, K):
+        A, B, C = G.A, G.B, G.C
+        ImKfC = np.eye(G.n) - r.K_f @ C
+        Ac = (A + B @ r.K_c) @ ImKfC
+        Bc = (A + B @ r.K_c) @ r.K_f
+        return DtStateSpace(Ac, Bc, r.K_c @ ImKfC, r.K_c @ r.K_f, G.Ts)
+
+    def margin_loop(self, r, G, cut):
+        A, C, n = G.A, G.C, G.n
+        A_ol = np.block([[A, np.zeros((n, n))], [A @ r.K_f @ C, A @ (np.eye(n) - r.K_f @ C)]])
+        C_ol = np.hstack(
+            [r.K_c @ r.K_f @ C, r.K_c @ (np.eye(n) - r.K_f @ C)]
+        )[cut : cut + 1]
+        return A_ol, C_ol
+
+    def estimate(self, obs, y):
+        return filter_measurement_update(obs, y)
+
+    def advance(self, obs, u, y):
+        filter_time_update(obs, u)
+
+
+class _PredictorForm:
+    """The control reads x-hat(k|k-1) and the observer advances in one
+    shot; margin loops expect the already loop-shifted plant."""
+
+    def check(self, G, K):
+        if np.linalg.norm(K.D) > 0.0:
+            raise ValueError(
+                "predictor form needs a strictly proper controller; "
+                "loop-shift the feedthrough into the plant first"
+            )
+
+    def gains(self, G, K, T, T_dagger):
+        return K.C @ T, T_dagger @ K.B
+
+    def feedthrough_gap(self, r, K):
+        return None
+
+    def noise_system(self, r, G, K):
+        A_shift = G.A + G.B @ K.D @ G.C
+        Ae = A_shift - r.K_f @ G.C
+        return DtStateSpace(Ae, r.K_f, G.C, np.zeros((G.n_y, G.n_y)), G.Ts)
+
+    def controller(self, r, G, K):
+        A, B, C = G.A, G.B, G.C
+        A_shift = A + B @ K.D @ C
+        Ac = A_shift - r.K_f @ C + B @ r.K_c
+        Dc = np.zeros((r.K_c.shape[0], r.K_f.shape[1]))
+        return DtStateSpace(Ac, r.K_f, r.K_c, Dc, G.Ts)
+
+    def margin_loop(self, r, G, cut):
+        A, C, n = G.A, G.C, G.n
+        A_ol = np.block([[A, np.zeros((n, n))], [r.K_f @ C, A - r.K_f @ C]])
+        C_ol = np.hstack([np.zeros((1, n)), r.K_c[cut : cut + 1]])
+        return A_ol, C_ol
+
+    def estimate(self, obs, y):
+        return obs.x_hat.copy()
+
+    def advance(self, obs, u, y):
+        predictor_observer_step(obs, u, y)
+
+
+# Everything that differs between the two observer forms, keyed by
+# ObserverRealisation.form.  Each entry gives: check(G, K), the form's
+# preconditions; gains(G, K, T, T_dagger) -> (K_c, K_f); feedthrough_gap,
+# K_c K_f - D_K where the form makes it zero (else None); noise_system,
+# the measured-output-to-estimate map, whose state matrix is the observer
+# error dynamics; controller, the observer-based controller from y to u;
+# margin_loop -> (A_ol, C_ol); and, for the simulation, estimate(obs, y),
+# the estimate the control step reads, and advance(obs, u, y), the
+# observer update once u is known.
+_FORMS = {"filter": _FilterForm(), "predictor": _PredictorForm()}
+
+
+def _form(name):
+    """The filter- or predictor-form formulas, by ``ObserverRealisation.form``."""
+    try:
+        return _FORMS[name]
+    except KeyError:
+        raise ValueError(f"unknown form {name!r}") from None
 
 
 def build_realisation(
@@ -340,45 +442,25 @@ def build_realisation(
     """
     if G.n != T.shape[1] or K.n != T.shape[0]:
         raise ValueError("T shape does not match the (G, K) dimensions")
-    return _build(form, G, K, T, _t_svd(T), X, choice)
+    A_cl = closed_loop_matrix(G, K)
+    return _build(form, G, K, T, _t_svd(T), X, choice, A_cl, riccati_residual(A_cl, T))
 
 
-def _build(form, G, K, T, t_svd, X, choice) -> ObserverRealisation:
-    """build_realisation on a given ``_t_svd(T)``."""
+def _build(form, G, K, T, t_svd, X, choice, A_cl, resid) -> ObserverRealisation:
+    """build_realisation on a given ``_t_svd(T)``, closed-loop matrix and
+    Riccati residual."""
+    f = _form(form)
     n_K, n = T.shape
     sv, T_perp, T_pinv = t_svd
     if sv[-1] <= 1e-8 * sv[0]:
         raise ValueError("T is rank deficient")
-    A_cl = closed_loop_matrix(G, K)
-    resid = riccati_residual(A_cl, T)
 
     if X is None:
         X = np.zeros((n - n_K, n_K))
     X = np.asarray(X, dtype=float).reshape(n - n_K, n_K)
 
-    if form == "filter":
-        k0 = K.D + K.C @ np.linalg.solve(-K.A, K.B)
-        if np.linalg.norm(k0) > 1e-6 * (1.0 + np.linalg.norm(K.D)):
-            raise ValueError(
-                "filter form needs K(0) = 0; add a dipole to the controller"
-            )
-        if np.linalg.cond(G.A) > 1e12:
-            raise ValueError("filter form needs a nonsingular plant A")
-        if np.linalg.cond(K.A) > 1e12:
-            raise ValueError("filter form needs a nonsingular controller A_K")
-        K_c = K.D @ G.C + K.C @ T
-        K_f = np.linalg.solve(G.A, (T_pinv + T_perp @ X) @ K.B - G.B @ K.D)
-    elif form == "predictor":
-        if np.linalg.norm(K.D) > 0.0:
-            raise ValueError(
-                "predictor form needs a strictly proper controller; "
-                "loop-shift the feedthrough into the plant first"
-            )
-        K_c = K.C @ T
-        K_f = (T_pinv + T_perp @ X) @ K.B
-    else:
-        raise ValueError(f"unknown form {form!r}")
-
+    f.check(G, K)
+    K_c, K_f = f.gains(G, K, T, T_pinv + T_perp @ X)
     r = ObserverRealisation(
         form=form,
         T=T,
@@ -406,8 +488,9 @@ def _check_realisation(r, G, K, A_cl):
             1.0, np.linalg.norm(r.T)
         ):
             raise NumericalError("T_perp basis failed orthogonality checks")
-    if r.form == "filter":
-        err = np.linalg.norm(r.K_c @ r.K_f - K.D)
+    gap = _form(r.form).feedthrough_gap(r, K)
+    if gap is not None:
+        err = np.linalg.norm(gap)
         if err > 1e-8 * (1.0 + np.linalg.norm(K.D)):
             raise NumericalError(f"K_c K_f - D_K = {err:.2e}, expected 0")
 
@@ -416,20 +499,7 @@ def realisation_controller(
     r: ObserverRealisation, G: DtStateSpace, K: DtStateSpace
 ) -> DtStateSpace:
     """The observer-based controller as an n-state system from y to u."""
-    A, B, C = G.A, G.B, G.C
-    if r.form == "filter":
-        ImKfC = np.eye(G.n) - r.K_f @ C
-        Ac = (A + B @ r.K_c) @ ImKfC
-        Bc = (A + B @ r.K_c) @ r.K_f
-        Cc = r.K_c @ ImKfC
-        Dc = r.K_c @ r.K_f
-    else:
-        A_shift = A + B @ K.D @ C
-        Ac = A_shift - r.K_f @ C + B @ r.K_c
-        Bc = r.K_f
-        Cc = r.K_c
-        Dc = np.zeros((r.K_c.shape[0], r.K_f.shape[1]))
-    return DtStateSpace(Ac, Bc, Cc, Dc, G.Ts)
+    return _form(r.form).controller(r, G, K)
 
 
 def margin_loop(
@@ -442,22 +512,9 @@ def margin_loop(
     return is the controller output on the same channel, so closing
     signal = L(signal) recovers the nominal loop (critical point +1).
     """
-    A, C = G.A, G.C
+    A_ol, C_ol = _form(r.form).margin_loop(r, G, cut_input)
     b = G.B[:, cut_input : cut_input + 1]
-    n = G.n
-    if r.form == "filter":
-        A_ol = np.block([[A, np.zeros((n, n))], [A @ r.K_f @ C, A @ (np.eye(n) - r.K_f @ C)]])
-        C_ol = np.hstack(
-            [r.K_c @ r.K_f @ C, r.K_c @ (np.eye(n) - r.K_f @ C)]
-        )[cut_input : cut_input + 1]
-    else:
-        A_shift = A  # predictor path expects the already-shifted plant
-        A_ol = np.block(
-            [[A, np.zeros((n, n))], [r.K_f @ C, A_shift - r.K_f @ C]]
-        )
-        C_ol = np.hstack([np.zeros((1, n)), r.K_c[cut_input : cut_input + 1]])
-    B_ol = np.vstack([b, b])
-    return DtStateSpace(A_ol, B_ol, C_ol, np.zeros((1, 1)), G.Ts)
+    return DtStateSpace(A_ol, np.vstack([b, b]), C_ol, np.zeros((1, 1)), G.Ts)
 
 
 def verify_equivalence(
@@ -477,41 +534,15 @@ def verify_equivalence(
     return err
 
 
-def _error_dynamics(r: ObserverRealisation, G: DtStateSpace, K: DtStateSpace):
-    """State matrix of the observer error dynamics for either form."""
-    A, C = G.A, G.C
-    if r.form == "filter":
-        return A @ (np.eye(G.n) - r.K_f @ C)
-    A_shift = A + G.B @ K.D @ C
-    return A_shift - r.K_f @ C
-
-
-def _noise_system(r, G, K) -> DtStateSpace:
-    """Measured output to its own estimate, through the observer.
-
-    A good observer keeps the norm of this map small: measurement noise
-    then barely reaches the estimated outputs.  The filter form carries a
-    C K_f feedthrough because the measurement enters the estimate within
-    the same step; the predictor form is strictly proper.
-    """
-    A, C = G.A, G.C
-    if r.form == "filter":
-        ImKfC = np.eye(G.n) - r.K_f @ C
-        return DtStateSpace(A @ ImKfC, A @ r.K_f, C @ ImKfC, C @ r.K_f, G.Ts)
-    Ae = _error_dynamics(r, G, K)
-    return DtStateSpace(Ae, r.K_f, C, np.zeros((G.n_y, G.n_y)), G.Ts)
-
-
-def _dist_system(r, G, K) -> DtStateSpace:
+def _dist_system(G, Ae) -> DtStateSpace:
     """Disturbance-to-estimate map used for the h2_dist score.
 
-    The error dynamics are driven through the designated disturbance-state
+    The error dynamics Ae are driven through the designated disturbance-state
     channels (identity injection on those rows); the output is the full
     estimate deviation, which carries a direct -I feedthrough on the same
     rows.
     """
     n = G.n
-    Ae = _error_dynamics(r, G, K)
     dist = tuple(G.disturbance_states)
     if not dist:
         E = np.eye(n)
@@ -541,8 +572,8 @@ def score_realisation(
     Gramians (see :func:`~lti2mpc.linalg.modal_h2_norms`, which checks
     each Gramian's Lyapunov residual and falls back to the Schur solver).
     """
-    noise = _noise_system(r, G, K)
-    dist = _dist_system(r, G, K)
+    noise = _form(r.form).noise_system(r, G, K)
+    dist = _dist_system(G, noise.A)
     try:
         h2n, h2d = modal_h2_norms((noise, dist), *np.linalg.eig(noise.A))
     except UnstableSystemError:
@@ -561,8 +592,8 @@ def _evaluate_choice(args):
         return (idx, None, res.reason)
     try:
         t_svd = _t_svd(res.T)
-        X =_free_pole_gain(G, K, t_svd[1], Qn, Rn) if K.n < G.n else None
-        real = _build(form, G, K, res.T, t_svd, X, choice)
+        X = _free_pole_gain(G, K, t_svd[1], Qn, Rn) if K.n < G.n else None
+        real = _build(form, G, K, res.T, t_svd, X, choice, A_cl, res.residual)
     except (ValueError, NumericalError) as exc:
         return (idx, None, str(exc))
     score = score_realisation(real, G, K, margin_cut)
@@ -583,7 +614,8 @@ def search_realisations(
     """Enumerate, solve, build and score every admissible realisation.
 
     forced_S defaults to the closed-loop modes that are uncontrollable
-    from the plant input (those cannot leave the state-feedback set).
+    from the plant input (those cannot leave the state-feedback set).  An
+    unknown ``form`` raises ValueError before any split is solved.
     Results are sorted ascending by the chosen metric ("product" or
     "noise"), ties broken by the S index tuple; with ``workers`` > 1 the
     choices are evaluated in parallel and merged back in choice order, so
@@ -591,10 +623,12 @@ def search_realisations(
     """
     if rank_by not in ("product", "noise"):
         raise ValueError("rank_by must be 'product' or 'noise'")
+    _form(form)
     A_cl = closed_loop_matrix(G, K)
     eig = eig_paired(A_cl)
     if forced_S is None:
-        forced_S = _uncontrollable_closed_loop_modes(A_cl, G, eig)
+        B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
+        forced_S = unobservable_modes(A_cl.T, B_cl.T, eig.values)
     choices = enumerate_choices(eig, G.n, K.n, forced_S)
 
     jobs = [
@@ -624,19 +658,6 @@ def search_realisations(
     key = (lambda rs: rs[1].product) if rank_by == "product" else (lambda rs: rs[1].h2_noise)
     result.ranked.sort(key=lambda rs: (key(rs), rs[0].choice.state_feedback_set))
     return result
-
-
-def _uncontrollable_closed_loop_modes(A_cl, G, eig) -> list:
-    """Indices of closed-loop eigenvalues uncontrollable from the plant input."""
-    m = A_cl.shape[0]
-    B_cl = np.vstack([G.B, np.zeros((m - G.n, G.n_u))])
-    scale = max(np.linalg.norm(A_cl), 1.0)
-    out = []
-    for i, lam in enumerate(eig.values):
-        M = np.hstack([lam * np.eye(m) - A_cl, B_cl])
-        if np.linalg.svd(M, compute_uv=False)[-1] <= 1e-8 * scale:
-            out.append(i)
-    return out
 
 
 def check_decoupling(M: np.ndarray, blocks) -> float:

@@ -1,8 +1,7 @@
 """Online controller machinery.
 
-Observer stepping in both forms, the reference prefilters, the per-sample
-MPC control step, and the multi-rate schedule that buys the QP a fixed
-fraction of the sampling period to run in.
+Observer stepping in both forms, the reference prefilters and the
+per-sample MPC control step.
 
 The filter observer splits each sample into a measurement update (gives
 x-hat(k|k), from which the control is computed) and a time update (needs
@@ -26,11 +25,11 @@ __all__ = [
     "Prefilter",
     "MpcStepResult",
     "make_observer",
-    "filter_observer_step",
+    "filter_measurement_update",
+    "filter_time_update",
     "predictor_observer_step",
     "build_prefilter",
     "mpc_step",
-    "multirate_schedule",
 ]
 
 
@@ -50,10 +49,6 @@ class ObserverState:
     form: str
     x_hat: np.ndarray
     x_corr: np.ndarray | None = None
-
-    @property
-    def n(self):
-        return self.A.shape[0]
 
 
 def make_observer(realisation, G: DtStateSpace, x0=None) -> ObserverState:
@@ -93,16 +88,6 @@ def filter_time_update(s: ObserverState, u) -> np.ndarray:
     return s.x_hat
 
 
-def filter_observer_step(s: ObserverState, u_prev, y_now) -> np.ndarray:
-    """One-call wrapper: finish the previous sample with u_prev (if one is
-    pending), then measurement-update with y_now and return x-hat(k|k)."""
-    if s.x_corr is not None:
-        if u_prev is None:
-            raise ValueError("previous control input needed to advance")
-        filter_time_update(s, u_prev)
-    return filter_measurement_update(s, y_now)
-
-
 def predictor_observer_step(s: ObserverState, u_now, y_now) -> np.ndarray:
     """x-hat(k+1|k) = (A - K_f C) x-hat(k|k-1) + B u(k) + K_f y(k)."""
     if s.form != "predictor":
@@ -139,10 +124,6 @@ class Prefilter:
         x_r = self.sys.C @ self.x + self.sys.D @ r
         self.x = self.sys.A @ self.x + self.sys.B @ r
         return x_r
-
-    @property
-    def state(self):
-        return self.x
 
 
 def build_prefilter(
@@ -243,24 +224,3 @@ def mpc_step(
         u = np.clip(u, lo, hi)
     return MpcStepResult(u=u, solution=sol, fallback=True, slack_max=0.0)
 
-
-def multirate_schedule(form: str, N_div: int):
-    """Per-period event plan for deterministic input transfer.
-
-    The measurement is sampled and processed at k Ts, but the resulting
-    input is only presented to the plant at k Ts + Ts/N_div, so the QP has
-    a guaranteed computation window of one subdivision.  The time update
-    runs once the output is out, using that same input.
-    """
-    if form != "filter":
-        raise ValueError("the multi-rate schedule assumes the filter form")
-    if int(N_div) != N_div or N_div < 2:
-        raise ValueError("N_div must be an integer >= 2")
-    frac = 1.0 / N_div
-    return (
-        (0.0, "sample"),
-        (0.0, "measurement-update"),
-        (0.0, "qp-start"),
-        (frac, "output"),
-        (frac, "time-update"),
-    )

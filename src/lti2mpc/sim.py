@@ -26,16 +26,8 @@ from .models import (
     satellite_plant_ct,
 )
 from .mpc import MpcConfig, build_condensed_qp, effect_weight, matching_cost
-from .realisation import search_realisations
-from .runtime import (
-    Prefilter,
-    build_prefilter,
-    filter_measurement_update,
-    filter_time_update,
-    make_observer,
-    mpc_step,
-    predictor_observer_step,
-)
+from .realisation import _form, search_realisations
+from .runtime import Prefilter, build_prefilter, make_observer, mpc_step
 from .statespace import DtStateSpace, add_dipole, c2d_zoh, loop_shift
 
 __all__ = [
@@ -110,9 +102,9 @@ class MpcController:
     disturbance-augmented plant for the filter form, the loop-shifted plant
     for the predictor form.  D_K is the original controller feedthrough
     when loop-shifting is used (the runtime then wires
-    u_plant = u_mpc + D_K y and subtracts D_K r from the command).  N_div
-    activates the deterministic-transfer lag of one Ts/N_div subdivision
-    (filter form only).
+    u_plant = u_mpc + D_K y and subtracts D_K r from the command, in
+    either form).  N_div activates the deterministic-transfer lag of one
+    Ts/N_div subdivision (filter form only).
     """
 
     realisation: object
@@ -265,7 +257,6 @@ class _SatelliteTruth:
         else:
             d = c2d_zoh(ct, Ts)
             self.pieces = ((d.A, d.B),)
-        self.n = 3
 
     def step(self, x, u_prev, u_now):
         xp, d = x[:2].copy(), x[2]
@@ -296,24 +287,15 @@ def simulate(scenario: Scenario) -> Trace:
     # plant-side setup -----------------------------------------------------
     if scenario.plant == "satellite":
         N_div = ctrl.N_div if is_mpc else None
-        truth = _SatelliteTruth(Ts, N_div)
+        advance = _SatelliteTruth(Ts, N_div).step
         n_x, n_y, n_u = 3, 1, 2
         C_true = satellite_plant().C
-
-        def measure(x):
-            return C_true @ x
-
-        def advance(x, u_prev, u_now):
-            return truth.step(x, u_prev, u_now)
 
     elif scenario.plant == "pendulum":
         n_x, n_y, n_u = 4, 2, 1
         C_true = pendulum_plant().C
         nsub = 20
         h = Ts / nsub
-
-        def measure(x):
-            return C_true @ x
 
         def advance(x, u_prev, u_now):
             # the commanded force is held over the whole period
@@ -324,9 +306,6 @@ def simulate(scenario: Scenario) -> Trace:
         n_x, n_y, n_u = G_true.n, G_true.n_y, G_true.n_u
         C_true = G_true.C
 
-        def measure(x):
-            return C_true @ x
-
         def advance(x, u_prev, u_now):
             return G_true.A @ x + G_true.B @ u_now
 
@@ -336,7 +315,7 @@ def simulate(scenario: Scenario) -> Trace:
         qp = build_condensed_qp(G_d, ctrl.config)
         obs = make_observer(ctrl.realisation, G_d)
         K_c = np.atleast_2d(ctrl.realisation.K_c)
-        form = ctrl.realisation.form
+        form = _form(ctrl.realisation.form)
         D_K = None if ctrl.D_K is None else np.atleast_2d(ctrl.D_K)
         pre: Prefilter | None = None
         if ctrl.prefilter_kind is not None:
@@ -387,7 +366,7 @@ def simulate(scenario: Scenario) -> Trace:
             x = x + dist[d_idx][1]
             d_idx += 1
 
-        y = measure(x)
+        y = C_true @ x
         if sigma is not None:
             y = y + sigma * rng.standard_normal(n_y)
         r = refs(t) if refs is not None else np.zeros(n_r)
@@ -397,36 +376,20 @@ def simulate(scenario: Scenario) -> Trace:
             u_cmd = K.C @ xi + K.D @ e
             xi = K.A @ xi + K.B @ e
             ST.append("")
-            obj, nact, slack_row = 0.0, 0, np.zeros(0)
-            x_hat_row = np.zeros(0)
-            x_ref_row = np.zeros(0)
+            obj, nact = 0.0, 0
         else:
             x_ref = pre.step(r) if pre is not None else None
-            if form == "filter":
-                xc = filter_measurement_update(obs, y)
-                t_solve = time.perf_counter()
-                res = mpc_step(qp, xc,
-                               x_r=x_ref if ctrl.config.tracking == "reference" else None,
-                               w=r if ctrl.config.known_input is not None else None,
-                               fallback_gain=K_c, u_bounds=ctrl.config.u_bounds)
-                MS[k] = 1e3 * (time.perf_counter() - t_solve)
-                u_cmd = res.u
-                filter_time_update(obs, u_cmd)
-                x_hat_row = xc
-            else:
-                x_prior = obs.x_hat.copy()
-                t_solve = time.perf_counter()
-                res = mpc_step(qp, x_prior,
-                               x_r=x_ref if ctrl.config.tracking == "reference" else None,
-                               w=r if ctrl.config.known_input is not None else None,
-                               fallback_gain=K_c, u_bounds=ctrl.config.u_bounds)
-                MS[k] = 1e3 * (time.perf_counter() - t_solve)
-                v = res.u
-                u_cmd = v - D_K @ r if D_K is not None else v
-                predictor_observer_step(obs, u_cmd, y)
-                if D_K is not None:
-                    u_cmd = u_cmd + D_K @ y
-                x_hat_row = x_prior
+            x_hat_row = form.estimate(obs, y)
+            t_solve = time.perf_counter()
+            res = mpc_step(qp, x_hat_row,
+                           x_r=x_ref if ctrl.config.tracking == "reference" else None,
+                           w=r if ctrl.config.known_input is not None else None,
+                           fallback_gain=K_c, u_bounds=ctrl.config.u_bounds)
+            MS[k] = 1e3 * (time.perf_counter() - t_solve)
+            u_cmd = res.u - D_K @ r if D_K is not None else res.u
+            form.advance(obs, u_cmd, y)
+            if D_K is not None:
+                u_cmd = u_cmd + D_K @ y
             x_ref_row = x_ref if x_ref is not None else np.zeros(n_xh)
             IT[k] = 0 if res.solution is None else res.solution.iterations
             ST.append(res.status)
@@ -462,12 +425,9 @@ def simulate(scenario: Scenario) -> Trace:
             k += 1
             break
 
-    if diverged:
-        sl = slice(0, k)
-        return Trace(T[sl], Y[sl], U[sl], UA[sl], X[sl], XH[sl], XR[sl],
-                     ST[:k], OBJ[sl], NACT[sl], SL[sl], IT[sl], MS[sl],
-                     diverged=True)
-    return Trace(T, Y, U, UA, X, XH, XR, ST, OBJ, NACT, SL, IT, MS)
+    n = k if diverged else steps
+    return Trace(T[:n], Y[:n], U[:n], UA[:n], X[:n], XH[:n], XR[:n], ST[:n],
+                 OBJ[:n], NACT[:n], SL[:n], IT[:n], MS[:n], diverged=diverged)
 
 
 # -- canned experiments ------------------------------------------------------

@@ -303,49 +303,25 @@ def augment_disturbances(G, channels):
     C = np.hstack([G.C, np.zeros((G.n_y, nd))])
     aug = DtStateSpace(A, B, C, G.D.copy(), G.Ts,
                        disturbance_states=tuple(range(n, n + nd)))
-    ok, bad = _pbh_observable(aug.A, aug.C)
-    if not ok:
-        raise ValueError(f"disturbance augmentation loses observability at mode {bad:.6g}")
+    modes = np.linalg.eigvals(aug.A)
+    bad = unobservable_modes(aug.A, aug.C, modes)
+    if bad:
+        raise ValueError(
+            f"disturbance augmentation loses observability at mode {modes[bad[0]]:.6g}")
     return aug
 
 
-def _pbh_observable(A, C, tol_scale=1e-8):
-    """PBH test: (C, A) observable iff [A - lam I; C] has full column rank at every eigenvalue."""
-    n = A.shape[0]
-    if n == 0:
-        return True, None
-    tol = tol_scale * max(np.linalg.norm(A), 1.0)
-    for lam in np.linalg.eigvals(A):
-        M = np.vstack([A - lam * np.eye(n), C])
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= tol:
-            return False, lam
-    return True, None
+def unobservable_modes(A, C, values=None) -> list:
+    """PBH test: indices i at which [values[i] I - A; C] loses column rank.
 
-
-def check_observability(sys):
-    ok, _ = _pbh_observable(sys.A, sys.C)
-    return ok
-
-
-def check_controllability(sys):
-    ok, _ = _pbh_observable(sys.A.T, sys.B.T)
-    return ok
-
-
-def uncontrollable_modes(sys, tol_scale=1e-8):
-    """Eigenvalue indices of A that fail the PBH controllability test.
-
-    Index positions refer to np.linalg.eigvals(A) order is not stable, so this
-    returns the eigenvalues themselves; callers match them by value.
+    ``values`` defaults to the eigenvalues of A, so the result names the
+    unobservable modes of (C, A); by duality ``unobservable_modes(A.T, B.T)``
+    names the uncontrollable modes of (A, B).  Rank loss means a smallest
+    singular value at most 1e-8 max(||A||, 1).
     """
-    A, B = sys.A, sys.B
-    n = A.shape[0]
-    tol = tol_scale * max(np.linalg.norm(A), 1.0)
-    bad = []
-    for lam in np.linalg.eigvals(A):
-        M = np.hstack([A - lam * np.eye(n), B])
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[min(M.shape) - 1] <= tol:
-            bad.append(lam)
-    return bad
+    if values is None:
+        values = np.linalg.eigvals(A)
+    I = np.eye(A.shape[0])
+    tol = 1e-8 * max(np.linalg.norm(A), 1.0)
+    return [i for i, lam in enumerate(values)
+            if np.linalg.svd(np.vstack([lam * I - A, C]), compute_uv=False)[-1] <= tol]

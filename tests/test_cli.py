@@ -78,8 +78,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
         "plant": {"kind": "discrete", "A": [[1.0, 0.0]], "B": [[1.0]],
                   "C": [[1.0]], "D": [[0.0]], "Ts": 1.0}})
     assert main(["realise", "--config", cfg]) == 2
+    # an unknown form for externally supplied gains
+    cfg = _write(tmp_path, "vg.json", {
+        "plant": "satellite",
+        "verify_gains": {"form": "bogus", "K_c": [[0.0]], "K_f": [[0.0]]}})
+    assert main(["verify", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    assert "verify_gains.form" in err
 
 
 def test_simulate_writes_trace_and_summary(tmp_path):

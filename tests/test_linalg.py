@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import companion
 
+from lti2mpc import linalg
 from lti2mpc.linalg import (
     NumericalError,
     UnstableSystemError,
@@ -128,6 +129,12 @@ def test_dare_gain_stabilises_error_dynamics():
 def test_dare_rejects_indefinite_measurement_noise():
     with pytest.raises((ValueError, NumericalError)):
         solve_dare_kalman(np.array([[0.5]]), np.array([[1.0]]), 1.0, np.array([[-1.0]]))
+
+
+def test_dare_doubling_breakdown_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(linalg, "_dare_doubling", lambda *args: None)
+    with pytest.raises(NumericalError, match="broke down"):
+        solve_dare_kalman(np.array([[0.5]]), np.array([[1.0]]), 1.0, 1.0)
 
 
 # -- loop margins ------------------------------------------------------------

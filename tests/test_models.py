@@ -17,7 +17,7 @@ from lti2mpc.models import (
     satellite_plant,
     scale_surrogate,
 )
-from lti2mpc.statespace import add_dipole, feedback, uncontrollable_modes
+from lti2mpc.statespace import add_dipole, feedback, unobservable_modes
 
 
 def _sorted(vals):
@@ -101,4 +101,4 @@ def test_scale_surrogate_shape():
     ev = np.linalg.eigvals(cl.A)
     assert spectral_radius(cl.A) < 0.985
     assert np.sum(np.abs(ev.imag) < 1e-9) == 20
-    assert len(uncontrollable_modes(cl)) == 10
+    assert len(unobservable_modes(cl.A.T, cl.B.T)) == 10  # uncontrollable modes

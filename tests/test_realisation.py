@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lti2mpc import linalg
-from lti2mpc.linalg import UnstableSystemError, eig_paired, h2_norm, spectral_radius
+from lti2mpc import linalg, realisation
+from lti2mpc.linalg import (
+    NumericalError,
+    UnstableSystemError,
+    eig_paired,
+    h2_norm,
+    spectral_radius,
+)
 from lti2mpc.models import (
     pendulum_controller,
     pendulum_plant,
@@ -23,7 +29,8 @@ from lti2mpc.realisation import (
     ObserverRealisation,
     RealisationChoice,
     _dist_system,
-    _noise_system,
+    _form,
+    _free_pole_gain,
     _t_svd,
     build_realisation,
     check_decoupling,
@@ -265,12 +272,22 @@ def test_design_free_poles_quiet_measurements_keep_reduced_dynamics():
         res = solve_T(A_cl, c, eig)
         if res.feasible:
             break
-    X = design_free_poles(G, K, res.T, Qn=1.0, Rn=1e7, form="predictor")
+    X = design_free_poles(G, K, res.T, Qn=1.0, Rn=1e7)
     assert np.linalg.norm(X) < 1e-3
     Tp = np.linalg.svd(res.T)[2][2:].T  # null basis of T
     A_red = Tp.T @ G.A @ Tp
     got = np.sort_complex(np.linalg.eigvals(A_red - X @ (K.B @ G.C @ Tp)))
     assert_allclose(got, np.sort_complex(np.linalg.eigvals(A_red)), atol=1e-3)
+
+
+def test_free_pole_gain_rejects_an_undetectable_reduced_pair():
+    # on T_perp = span(e1, e2) the reduced pair is (diag(1, 0.5), [0 1]):
+    # the integrator at 1 never reaches the measurement
+    G = DtStateSpace(np.diag([1.0, 0.5, 0.2]), np.ones((3, 1)), [[0.0, 1.0, 1.0]],
+                     [[0.0]], 1.0)
+    K = DtStateSpace([[0.3]], [[1.0]], [[0.5]], [[0.0]], 1.0)
+    with pytest.raises(NumericalError, match="undetectable at modes 1.0000"):
+        _free_pole_gain(G, K, np.eye(3)[:, :2], 1.0, 1e7)
 
 
 # -- shared factorisations -----------------------------------------------------
@@ -345,8 +362,9 @@ def test_modal_scores_match_lyapunov_h2_norms(fallbacks):
             s = score_realisation(r, Gs, K)
             if not s.stable:
                 continue
-            assert_allclose(s.h2_noise, h2_norm(_noise_system(r, Gs, K)), rtol=1e-10)
-            assert_allclose(s.h2_dist, h2_norm(_dist_system(r, Gs, K)), rtol=1e-10)
+            noise = _form(r.form).noise_system(r, Gs, K)
+            assert_allclose(s.h2_noise, h2_norm(noise), rtol=1e-10)
+            assert_allclose(s.h2_dist, h2_norm(_dist_system(Gs, noise.A)), rtol=1e-10)
             assert s.product == s.h2_noise * s.h2_dist
             checked[r.form] += 1
     assert checked["predictor"] >= 20 and checked["filter"] >= 8
@@ -370,8 +388,8 @@ def test_defective_error_dynamics_fall_back_to_lyapunov(fallbacks):
     s = score_realisation(r, G, K)
     assert len(fallbacks) == 2  # noise and disturbance maps, both by the Schur path
     assert s.stable
-    assert s.h2_noise == h2_norm(_noise_system(r, G, K))
-    assert s.h2_dist == h2_norm(_dist_system(r, G, K))
+    assert s.h2_noise == h2_norm(_form(r.form).noise_system(r, G, K))
+    assert s.h2_dist == h2_norm(_dist_system(G, G.A))
 
 
 def test_unstable_error_dynamics_score_infinite():
@@ -381,7 +399,7 @@ def test_unstable_error_dynamics_score_infinite():
     assert s.h2_noise == s.h2_dist == s.product == np.inf
     lam, V = np.linalg.eig(G.A)
     with pytest.raises(UnstableSystemError):
-        linalg.modal_h2_norms([_noise_system(r, G, K)], lam, V)
+        linalg.modal_h2_norms([_form(r.form).noise_system(r, G, K)], lam, V)
 
 
 # -- pinned case studies -----------------------------------------------------
@@ -414,6 +432,43 @@ def test_satellite_search_ranks_by_product():
         # feedthrough identity holds for every realisation
         assert_allclose(r.K_c @ r.K_f, K.D, rtol=1e-8, atol=1e-8)
         assert verify_equivalence(realisation_controller(r, G, K), K) < 1e-8
+
+
+def _default_forced_S(monkeypatch, G, K, form):
+    """forced_S that search_realisations hands to enumerate_choices."""
+    seen = []
+
+    def spy(eig, n, n_K, forced_S=()):
+        seen.append(list(forced_S))
+        return []
+
+    monkeypatch.setattr(realisation, "enumerate_choices", spy)
+    with pytest.raises(NumericalError, match="no feasible realisation"):
+        search_realisations(G, K, form=form)
+    return seen[0]
+
+
+def test_default_forced_S_is_the_input_uncontrollable_modes(monkeypatch):
+    G = satellite_plant()
+    K = add_dipole(satellite_controller(), W=50.0)
+    forced = _default_forced_S(monkeypatch, G, K, "filter")
+    assert forced == [5]
+    assert_allclose(eig_paired(closed_loop_matrix(G, K)).values[5], 1.0, atol=1e-12)
+    Gs, Ks = loop_shift(pendulum_plant(), pendulum_controller())
+    assert _default_forced_S(monkeypatch, Gs, Ks, "predictor") == []
+
+
+def test_unknown_form_fails_before_any_split_is_solved(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solve_T ran")
+
+    monkeypatch.setattr(realisation, "solve_T", no_solve)
+    G = satellite_plant()
+    K = add_dipole(satellite_controller(), W=50.0)
+    with pytest.raises(ValueError, match="unknown form 'bogus'"):
+        search_realisations(G, K, form="bogus")
+    with pytest.raises(ValueError, match="unknown form 'bogus'"):
+        build_realisation("bogus", G, K, np.ones((K.n, G.n)))
 
 
 def test_satellite_best_injection_gain_pinned():

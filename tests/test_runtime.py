@@ -11,11 +11,9 @@ from lti2mpc.runtime import (
     ObserverState,
     build_prefilter,
     filter_measurement_update,
-    filter_observer_step,
     filter_time_update,
     make_observer,
     mpc_step,
-    multirate_schedule,
     predictor_observer_step,
 )
 from lti2mpc.statespace import DtStateSpace, loop_shift
@@ -49,13 +47,11 @@ def test_filter_observer_with_zero_gain_is_a_pure_model_rollout():
     for _ in range(20):
         u = rng.standard_normal(1)
         y = rng.standard_normal(1)
-        xc = filter_observer_step(obs, None if _ == 0 else u_prev, y)
+        xc = filter_measurement_update(obs, y)
         npt.assert_allclose(xc, x_model, atol=1e-12)
+        filter_time_update(obs, u)
         x_model = G.A @ x_model + G.B @ u
-        u_prev = u
-    # the pending time update is finished by the next call, so track it here
-    filter_time_update(obs, u_prev)
-    npt.assert_allclose(obs.x_hat, x_model, atol=1e-12)
+        npt.assert_allclose(obs.x_hat, x_model, atol=1e-12)
 
 
 def test_filter_observer_with_identity_gain_snaps_to_the_measurement():
@@ -76,10 +72,9 @@ def test_filter_time_update_requires_a_measurement_first():
         filter_time_update(obs, np.array([0.0]))
     filter_measurement_update(obs, np.array([1.0]))
     filter_time_update(obs, np.array([0.0]))
-    # u_prev is mandatory once a time update is pending
-    filter_measurement_update(obs, np.array([1.0]))
+    # the time update consumes the pending measurement update
     with pytest.raises(ValueError):
-        filter_observer_step(obs, None, np.array([1.0]))
+        filter_time_update(obs, np.array([0.0]))
 
 
 def test_predictor_observer_with_deadbeat_gain():
@@ -155,7 +150,7 @@ def test_shaped_prefilter_invariants_hold_along_a_trajectory():
     rng = np.random.default_rng(3)
     for _ in range(40):
         r = rng.standard_normal(2)
-        x_pre = pre.state.copy()
+        x_pre = pre.x.copy()
         x_r = pre.step(r)
         npt.assert_allclose(L1 @ x_r, L2 @ r, atol=1e-9)
         npt.assert_allclose(K_c @ x_r, K_c @ x_pre, atol=1e-9)
@@ -267,25 +262,3 @@ def test_mpc_step_reports_active_set_size_and_slack():
     assert res.active_count > 0
     assert res.slack_max > 0.0  # the output bound cannot be met from here
 
-
-# -- the multi-rate schedule -------------------------------------------------
-
-
-def test_multirate_schedule_event_plan():
-    plan = multirate_schedule("filter", 10)
-    assert plan == (
-        (0.0, "sample"),
-        (0.0, "measurement-update"),
-        (0.0, "qp-start"),
-        (0.1, "output"),
-        (0.1, "time-update"),
-    )
-    offsets = [t for t, _ in plan]
-    assert offsets == sorted(offsets)
-
-
-def test_multirate_schedule_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        multirate_schedule("predictor", 10)
-    with pytest.raises(ValueError):
-        multirate_schedule("filter", 1)

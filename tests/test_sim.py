@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lti2mpc import sim
+from lti2mpc import realisation
 from lti2mpc.models import (
     SATELLITE_TS,
     pendulum_controller,
@@ -170,7 +170,8 @@ def test_qp_ms_times_the_mpc_step_alone(monkeypatch, form):
         return wrapped
 
     for name in ("filter_measurement_update", "filter_time_update", "predictor_observer_step"):
-        monkeypatch.setattr(sim, name, slow(getattr(sim, name)))
+        # the form table in realisation is what steps the observer
+        monkeypatch.setattr(realisation, name, slow(getattr(realisation, name)))
     if form == "filter":
         G, K, plant, D_K = satellite_plant(), add_dipole(satellite_controller(), W=50.0), "satellite", None
     else:

@@ -12,11 +12,10 @@ from lti2mpc.statespace import (
     augment_disturbances,
     c2d_tustin,
     c2d_zoh,
-    check_observability,
     feedback,
     loop_shift,
     series,
-    uncontrollable_modes,
+    unobservable_modes,
 )
 
 
@@ -179,7 +178,7 @@ def test_augment_disturbances_records_states():
     # the disturbance integrates into the plant through the named column
     assert_allclose(Ga.A[:2, 2], G.B[:, 0], atol=1e-14)
     assert_allclose(Ga.A[2, :], [0.0, 0.0, 1.0], atol=1e-14)
-    assert check_observability(Ga)
+    assert unobservable_modes(Ga.A, Ga.C) == []
 
 
 def test_augment_disturbances_rejects_unobservable_growth():
@@ -192,9 +191,12 @@ def test_augment_disturbances_rejects_unobservable_growth():
 
 def test_uncontrollable_modes_of_diagonal_pair():
     sys = DtStateSpace(np.diag([0.5, 0.9]), [[1.0], [0.0]], np.eye(2), np.zeros((2, 1)), 1.0)
-    modes = uncontrollable_modes(sys)
-    assert len(modes) == 1
-    assert_allclose(modes[0], 0.9, atol=1e-10)
+    lam = np.linalg.eigvals(sys.A)
+    bad = unobservable_modes(sys.A.T, sys.B.T, lam)  # PBH duality
+    assert len(bad) == 1
+    assert_allclose(lam[bad[0]], 0.9, atol=1e-10)
+    # C = I observes every mode
+    assert unobservable_modes(sys.A, sys.C) == []
 
 
 def test_strictly_proper_flag():
