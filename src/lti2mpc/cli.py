@@ -531,6 +531,7 @@ def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed,
             "max_iterations": int(np.max(iters)),
             "mean_solve_ms": float(np.mean(ms)),
             "max_solve_ms": float(np.max(ms)),
+            "warm_start_hits": int(np.count_nonzero(tr.qp_warm[is_mpc])),
         }
     base_sc = _baseline_counterpart(sc)
     if base_sc is not None and len(tr):

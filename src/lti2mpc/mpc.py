@@ -19,9 +19,11 @@ same problem and the tests hold them to each other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .qp import QpFactor, factor_qp
 from .statespace import DtStateSpace
 
 __all__ = [
@@ -153,9 +155,11 @@ class CondensedQp:
     """Dense QP  min 1/2 x'Hx + f'x  s.t.  A_ineq x <= b.
 
     The decision vector is [u_0 .. u_{N-1}, s_1 .. s_N] (inputs then
-    slacks).  H and A_ineq are fixed; f and b are affine in the current
-    state estimate, the reference state and the known input, with the
-    matrices below precomputed so each control step is a few mat-vecs.
+    slacks).  H and A_ineq are fixed, and so is their QP factor, computed
+    on first use and shared by every control step; f and b are affine in
+    the current state estimate, the reference state and the known input,
+    with the matrices below precomputed so each control step is a few
+    mat-vecs.
     """
 
     H: np.ndarray
@@ -172,6 +176,10 @@ class CondensedQp:
     variant: str = "direct"
     # prestabilised variant only: data to recover u from eta
     prestab: dict = field(default_factory=dict)
+
+    @cached_property
+    def factor(self) -> QpFactor:
+        return factor_qp(self.H, self.A_ineq)
 
     def f(self, x0, x_r=None, w=None) -> np.ndarray:
         out = self.f_x @ np.asarray(x0, float).ravel()

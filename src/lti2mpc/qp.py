@@ -2,16 +2,33 @@
 
     min 1/2 x'Hx + f'x   s.t.   A x <= b
 
-Starts from the unconstrained minimiser (always dual feasible), then pulls
-in the most violated constraint one at a time, taking the exact dual step
-that either activates it or drops a blocking constraint from the working
-set.  Each intermediate iterate is the optimum of a relaxed problem, so no
-phase-1 is needed and infeasibility is detected as dual unboundedness.
+The dual method of Goldfarb & Idnani (1983): start from a dual feasible
+point, then pull in the most violated constraint one at a time, taking the
+exact dual step that either activates it or drops a blocking constraint
+from the working set.  Each intermediate iterate is the optimum of a
+relaxed problem, so no phase-1 is needed and infeasibility is detected as
+dual unboundedness.
 
-The Cholesky factor of H is computed once; the working-set geometry lives
-in a QR factorisation of L^-1 N that is updated one column at a time
-(scipy.linalg.qr_insert / qr_delete), never refactorised.  All ties are
-broken by lowest constraint index, so the solve path is deterministic.
+H and A enter the iteration only through a QpFactor: L = chol(H) and
+G = L^-1 N with N = -A' (column j of G is row j's normal in the metric of
+H).  H and A are checked for finite values once, when the factor is built;
+a caller that solves a sequence of QPs sharing H and A, such as the
+condensed MPC problem at every control step, builds the factor once and
+passes it in, so each solve checks only f and b.  The working-set geometry
+lives in a QR factorisation of the active columns of G that is updated one
+column at a time (scipy.linalg.qr_insert / qr_delete), never refactorised
+inside the loop.
+
+Warm start (the online active-set idea of Ferreau, Bock & Diehl 2008,
+qpOASES): given a guessed working set, typically the previous control
+step's active set, the equality-constrained QP on it is solved from one QR
+of its columns of G.  Rows whose R diagonal shows linear dependence are
+dropped, then rows with negative multipliers, re-solving until every
+multiplier is >= 0.  That point is dual feasible, so the dual loop
+continues from it unchanged; when the guess was already optimal it takes
+no step.  A cold solve is the same code with an empty guess, which starts
+from the unconstrained minimiser.  All ties are broken by lowest
+constraint index, so the solve path is deterministic.
 
 On exit with status "optimal" the iterate satisfies the KKT conditions
     H x* + f + A_act' lam = 0,   lam >= 0,   A x* <= b,
@@ -20,71 +37,155 @@ with the active set and multipliers reported in matching order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, qr_delete, qr_insert, solve_triangular
 
-__all__ = ["QpSolution", "solve_qp"]
+__all__ = ["QpFactor", "QpSolution", "factor_qp", "solve_qp"]
+
+# a column of G counts as dependent on the working set when the part of it
+# outside the working set's span has squared norm below this share of its own
+_DEP_TOL = 1e-13
+
+
+@dataclass(frozen=True)
+class QpFactor:
+    """Factors shared by every QP with the same H and A.
+
+    L is the lower Cholesky factor of H; G = L^-1 (-A'), one column per
+    constraint row (zero columns when there are no constraints).
+    """
+
+    L: np.ndarray
+    G: np.ndarray
 
 
 @dataclass
 class QpSolution:
+    """Result of one solve.
+
+    ``iterations`` counts the dual steps taken after the warm start (all of
+    them for a cold solve); ``warm_start`` is true when a non-empty guessed
+    working set was already optimal, so no row was dropped from it and no
+    dual step followed the equality solve.
+    """
+
     x_star: np.ndarray
     objective: float
     status: str  # "optimal" | "infeasible" | "iteration-limit"
     iterations: int
     active_set: tuple = ()
     multipliers: np.ndarray | None = None
+    warm_start: bool = False
 
 
 def _objective(H, f, x):
     return float(0.5 * x @ H @ x + f @ x)
 
 
-def solve_qp(H, f, A=None, b=None, max_iter: int | None = None) -> QpSolution:
-    """Solve the inequality-constrained QP; H must be positive definite."""
+def factor_qp(H, A=None) -> QpFactor:
+    """Factor H (positive definite) and the constraint rows A once."""
+    H = np.atleast_2d(np.asarray(H, float))
+    d = H.shape[0]
+    if H.shape != (d, d):
+        raise ValueError("H must be square")
+    A = (np.zeros((0, d)) if A is None or np.size(A) == 0
+         else np.atleast_2d(np.asarray(A, float)))
+    if A.shape[1] != d:
+        raise ValueError("constraint dimensions disagree")
+    if not (np.isfinite(H).all() and np.isfinite(A).all()):
+        raise ValueError("H and A must be finite")
+    L = np.tril(cho_factor(H, lower=True, check_finite=False)[0])
+    return QpFactor(L, solve_triangular(L, -A.T, lower=True, check_finite=False))
+
+
+def _guess(warm, m) -> list:
+    """Warm-start rows in the given order, repeats removed."""
+    rows = [operator.index(i) for i in warm]
+    if any(not 0 <= i < m for i in rows):
+        raise ValueError(f"warm-start row out of range for {m} constraints")
+    return list(dict.fromkeys(rows))
+
+
+def solve_qp(H, f, A=None, b=None, max_iter: int | None = None, *,
+             factor: QpFactor | None = None, warm=()) -> QpSolution:
+    """Solve the inequality-constrained QP; H must be positive definite.
+
+    ``factor`` must be ``factor_qp(H, A)``; it is built here when omitted.
+    ``warm`` is a guessed working set (row indices of A).
+    """
     H = np.atleast_2d(np.asarray(H, float))
     f = np.asarray(f, float).ravel()
     d = f.size
     if H.shape != (d, d):
         raise ValueError("H and f dimensions disagree")
-    c, low = cho_factor(H, lower=True)
-    L = np.tril(c)
-    x = cho_solve((c, low), -f)
-
     if A is None or np.size(A) == 0:
+        A, m = None, 0
+    else:
+        A = np.atleast_2d(np.asarray(A, float))
+        b = np.asarray(b, float).ravel()
+        m = A.shape[0]
+        if A.shape[1] != d or b.size != m:
+            raise ValueError("constraint dimensions disagree")
+    if factor is None:
+        factor = factor_qp(H, A)
+    elif factor.L.shape != (d, d) or factor.G.shape != (d, m):
+        raise ValueError("factor does not match H and A")
+    if not np.isfinite(f).all() or (m and not np.isfinite(b).all()):
+        raise ValueError("f and b must be finite")
+    active = _guess(warm, m)
+    guessed = len(active)
+    L, G = factor.L, factor.G
+    x = cho_solve((L, True), -f, check_finite=False)
+
+    if A is None:
         return QpSolution(x, _objective(H, f, x), "optimal", 0)
-    A = np.atleast_2d(np.asarray(A, float))
-    b = np.asarray(b, float).ravel()
-    m = A.shape[0]
-    if A.shape[1] != d or b.size != m:
-        raise ValueError("constraint dimensions disagree")
     if max_iter is None:
         max_iter = 50 * (d + m)
 
     # internal >= form: n_j' x >= beta_j with n_j = -a_j, beta_j = -b_j
     tol_feas = 1e-10 * (1.0 + np.max(np.abs(b)))
 
-    active: list[int] = []
-    lam = np.zeros(0)
-    Q = np.eye(d)
-    R = np.zeros((d, 0))
     iters = 0
+    # warm start: x is still the unconstrained minimiser x0; on a working
+    # set W the equality optimum is x0 + L^-T G_W lam with
+    # G_W'G_W lam = A_W x0 - b_W
+    while active:
+        G_w = G[:, active]
+        Q, R = qr(G_w, check_finite=False)
+        q = len(active)
+        dep = np.flatnonzero(np.diag(R) ** 2 <= _DEP_TOL * np.maximum(
+            np.sum(G_w[:, :d] ** 2, axis=0), 1e-300))
+        if dep.size or q > d:
+            active.pop(int(dep[0]) if dep.size else d)
+            continue
+        viol = A[active] @ x - b[active]
+        lam = solve_triangular(
+            R[:q], solve_triangular(R[:q], viol, trans="T", check_finite=False),
+            check_finite=False)
+        if np.all(lam >= 0.0):
+            x = x + solve_triangular(L, G_w @ lam, lower=True, trans="T",
+                                     check_finite=False)
+            break
+        active = [j for j, lam_j in zip(active, lam) if lam_j >= 0.0]
+    if not active:
+        lam, Q, R = np.zeros(0), np.eye(d), np.zeros((d, 0))
 
     def insert_col(u):
         nonlocal Q, R
         if R.shape[1] == 0:
-            Q, R = qr(u.reshape(-1, 1), mode="full")
+            Q, R = qr(u.reshape(-1, 1), mode="full", check_finite=False)
         else:
-            Q, R = qr_insert(Q, R, u, R.shape[1], which="col")
+            Q, R = qr_insert(Q, R, u, R.shape[1], which="col", check_finite=False)
 
     def delete_col(k):
         nonlocal Q, R
         if R.shape[1] == 1:
             Q, R = np.eye(d), np.zeros((d, 0))
         else:
-            Q, R = qr_delete(Q, R, k, which="col")
+            Q, R = qr_delete(Q, R, k, which="col", check_finite=False)
 
     while True:
         viol = A @ x - b
@@ -92,14 +193,14 @@ def solve_qp(H, f, A=None, b=None, max_iter: int | None = None) -> QpSolution:
             viol[active] = -np.inf
         p = int(np.argmax(viol))
         if viol[p] <= tol_feas:
-            lam_full = lam.copy()
             return QpSolution(
                 x, _objective(H, f, x), "optimal", iters,
-                tuple(active), lam_full,
+                tuple(active), lam.copy(),
+                warm_start=guessed > 0 and iters == 0 and len(active) == guessed,
             )
 
         n_p = -A[p]
-        g = solve_triangular(L, n_p, lower=True)
+        g = G[:, p]
         lam_p = 0.0
 
         while True:
@@ -110,17 +211,17 @@ def solve_qp(H, f, A=None, b=None, max_iter: int | None = None) -> QpSolution:
             q = len(active)
             if q:
                 w1 = Q[:, :q].T @ g
-                r = solve_triangular(R[:q, :], w1, lower=False)
+                r = solve_triangular(R[:q, :], w1, lower=False, check_finite=False)
                 z = solve_triangular(L, Q[:, q:] @ (Q[:, q:].T @ g),
-                                     lower=True, trans="T")
+                                     lower=True, trans="T", check_finite=False)
             else:
                 r = np.zeros(0)
-                z = solve_triangular(L, g, lower=True, trans="T")
+                z = solve_triangular(L, g, lower=True, trans="T", check_finite=False)
 
             # n_p'z = ||Q2'g||^2 exactly, so ||g||^2 is its natural scale
             denom = float(n_p @ z)
             s_p = float(n_p @ x + b[p])  # n_p'x - beta_p, negative while violated
-            has_step = denom > 1e-13 * max(float(g @ g), 1e-300)
+            has_step = denom > _DEP_TOL * max(float(g @ g), 1e-300)
 
             # dual blocking length
             t1, k_block = np.inf, -1

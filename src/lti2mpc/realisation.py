@@ -75,7 +75,6 @@ class TSolveResult:
 
     feasible: bool
     T: np.ndarray | None
-    cond_U1: float
     residual: float
     reason: str = ""
 
@@ -235,15 +234,15 @@ def solve_T(A_cl: np.ndarray, choice: RealisationChoice, eig: EigenStructure) ->
     U2 = U[n:, :]
     cond = float(np.linalg.cond(U1))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
-        return TSolveResult(False, None, cond, math.inf, "U1 ill conditioned")
+        return TSolveResult(False, None, math.inf, "U1 ill conditioned")
     T = np.linalg.solve(U1.T, U2.T).T
     resid = riccati_residual(A_cl, T)
     bound = _RESID_TOL * np.linalg.norm(A_cl)
     if resid > bound:
         return TSolveResult(
-            False, None, cond, resid, f"residual {resid:.2e} above {bound:.2e}"
+            False, None, resid, f"residual {resid:.2e} above {bound:.2e}"
         )
-    return TSolveResult(True, T, cond, resid)
+    return TSolveResult(True, T, resid)
 
 
 def riccati_residual(A_cl: np.ndarray, T: np.ndarray) -> float:

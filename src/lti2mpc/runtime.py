@@ -198,8 +198,12 @@ def mpc_step(
     w=None,
     fallback_gain: np.ndarray | None = None,
     u_bounds=None,
+    warm=(),
 ) -> MpcStepResult:
     """Solve the parametric QP at the current estimate and return u(0).
+
+    ``warm`` is the guessed working set, normally the previous step's
+    active set; the QP factor is the one cached on ``qp``.
 
     A non-optimal solve falls back to the saturated unconstrained law
     u = K_c (x - x_r) clipped to the input bounds, with the result flagged
@@ -209,7 +213,7 @@ def mpc_step(
     f = qp.f(x_hat, x_r=x_r, w=w)
     A = qp.A_ineq if qp.A_ineq.shape[0] else None
     b = qp.b(x_hat, w=w) if A is not None else None
-    sol = solve_qp(qp.H, f, A, b)
+    sol = solve_qp(qp.H, f, A, b, factor=qp.factor, warm=warm)
     if sol.status == "optimal":
         u = qp.input_sequence(sol.x_star, x0=x_hat, w=w)[0]
         smax = float(np.max(qp.slack_values(sol.x_star), initial=0.0))

@@ -26,7 +26,7 @@ from .models import (
     satellite_plant_ct,
 )
 from .mpc import MpcConfig, build_condensed_qp, effect_weight, matching_cost
-from .realisation import _form, search_realisations
+from .realisation import SearchResult, _form, search_realisations
 from .runtime import Prefilter, build_prefilter, make_observer, mpc_step
 from .statespace import DtStateSpace, add_dipole, c2d_zoh, loop_shift
 
@@ -157,6 +157,7 @@ class Trace:
     slack: np.ndarray
     qp_iters: np.ndarray = None
     qp_ms: np.ndarray = None  # wall time of mpc_step alone, observer excluded
+    qp_warm: np.ndarray = None  # the previous step's active set was optimal
     diverged: bool = False
 
     def __post_init__(self):
@@ -164,6 +165,8 @@ class Trace:
             self.qp_iters = np.zeros(self.t.size, dtype=int)
         if self.qp_ms is None:
             self.qp_ms = np.zeros(self.t.size)
+        if self.qp_warm is None:
+            self.qp_warm = np.zeros(self.t.size, dtype=bool)
 
     def __len__(self):
         return self.t.size
@@ -358,6 +361,8 @@ def simulate(scenario: Scenario) -> Trace:
     SL = np.zeros((steps, n_slack_q))
     IT = np.zeros(steps, dtype=int)
     MS = np.zeros(steps)
+    QW = np.zeros(steps, dtype=bool)
+    warm = ()  # working-set guess: the last optimal step's active set
     diverged = False
 
     for k in range(steps):
@@ -384,14 +389,17 @@ def simulate(scenario: Scenario) -> Trace:
             res = mpc_step(qp, x_hat_row,
                            x_r=x_ref if ctrl.config.tracking == "reference" else None,
                            w=r if ctrl.config.known_input is not None else None,
-                           fallback_gain=K_c, u_bounds=ctrl.config.u_bounds)
+                           fallback_gain=K_c, u_bounds=ctrl.config.u_bounds,
+                           warm=warm)
             MS[k] = 1e3 * (time.perf_counter() - t_solve)
+            warm = res.solution.active_set if res.status == "optimal" else ()
             u_cmd = res.u - D_K @ r if D_K is not None else res.u
             form.advance(obs, u_cmd, y)
             if D_K is not None:
                 u_cmd = u_cmd + D_K @ y
             x_ref_row = x_ref if x_ref is not None else np.zeros(n_xh)
             IT[k] = 0 if res.solution is None else res.solution.iterations
+            QW[k] = res.solution is not None and res.solution.warm_start
             ST.append(res.status)
             obj = res.solution.objective if res.solution is not None else np.nan
             nact = res.active_count
@@ -427,17 +435,18 @@ def simulate(scenario: Scenario) -> Trace:
 
     n = k if diverged else steps
     return Trace(T[:n], Y[:n], U[:n], UA[:n], X[:n], XH[:n], XR[:n], ST[:n],
-                 OBJ[:n], NACT[:n], SL[:n], IT[:n], MS[:n], diverged=diverged)
+                 OBJ[:n], NACT[:n], SL[:n], IT[:n], MS[:n], QW[:n],
+                 diverged=diverged)
 
 
 # -- canned experiments ------------------------------------------------------
 
-def _satellite_mpc(rank: int, cost_kind: str, u_bound=None, y_bound=None,
-                   N_div=10, N=15):
-    """Satellite MPC controller using the rank-th best realisation (1-based)."""
+def _satellite_mpc(found: SearchResult, rank: int, cost_kind: str,
+                   u_bound=None, y_bound=None, N_div=10, N=15):
+    """Satellite MPC controller using the rank-th best realisation (1-based)
+    of ``found``, the product-ranked filter-form search of the satellite
+    loop with the W = 50 dipole."""
     G = satellite_plant()
-    K1 = add_dipole(satellite_controller(), W=50.0)
-    found = search_realisations(G, K1, form="filter", rank_by="product")
     real = found.ranked[rank - 1][0]
     if cost_kind == "matching":
         cost = matching_cost(real.K_c)
@@ -456,12 +465,12 @@ def _satellite_mpc(rank: int, cost_kind: str, u_bound=None, y_bound=None,
                          N_div=N_div)
 
 
-def _pendulum_mpc(bounded: bool, N=15):
-    """Pendulum MPC controller on the best noise-ranked realisation."""
+def _pendulum_mpc(found: SearchResult, bounded: bool, N=15):
+    """Pendulum MPC controller on the best realisation of ``found``, the
+    noise-ranked predictor-form search of the loop-shifted pendulum loop."""
     G = pendulum_plant()
     K = pendulum_controller()
-    Gs, Ks = loop_shift(G, K)
-    found = search_realisations(Gs, Ks, form="predictor", rank_by="noise")
+    Gs, _ = loop_shift(G, K)
     real = found.ranked[0][0]
     inf = np.inf
     cfg = MpcConfig(
@@ -486,44 +495,48 @@ def _pendulum_mpc(bounded: bool, N=15):
 def scenario_library() -> dict:
     """The named experiments: satellite Cases 1-5 and pendulum Cases 1-2."""
     dist = ((0.0, np.array([0.0, 0.0, SATELLITE_DIST_TORQUE])),)
+    K_sat = add_dipole(satellite_controller(), W=50.0)
+    sat = search_realisations(satellite_plant(), K_sat, form="filter",
+                              rank_by="product")
+    pend = search_realisations(*loop_shift(pendulum_plant(), pendulum_controller()),
+                               form="predictor", rank_by="noise")
     lib = {}
     lib["satellite-baseline"] = Scenario(
         name="satellite-baseline", plant="satellite", duration=40.0,
-        controller=BaselineController(add_dipole(satellite_controller(), W=50.0)),
-        disturbances=dist,
+        controller=BaselineController(K_sat), disturbances=dist,
     )
     lib["satellite-case-1"] = Scenario(
         name="satellite-case-1", plant="satellite", duration=40.0,
-        controller=_satellite_mpc(1, "matching"), disturbances=dist,
+        controller=_satellite_mpc(sat, 1, "matching"), disturbances=dist,
     )
     lib["satellite-case-2"] = Scenario(
         name="satellite-case-2", plant="satellite", duration=40.0,
-        controller=_satellite_mpc(1, "matching", u_bound=0.11),
+        controller=_satellite_mpc(sat, 1, "matching", u_bound=0.11),
         disturbances=dist,
     )
     lib["satellite-case-3"] = Scenario(
         name="satellite-case-3", plant="satellite", duration=40.0,
-        controller=_satellite_mpc(1, "effect", u_bound=0.11),
+        controller=_satellite_mpc(sat, 1, "effect", u_bound=0.11),
         disturbances=dist,
     )
     lib["satellite-case-4"] = Scenario(
         name="satellite-case-4", plant="satellite", duration=40.0,
-        controller=_satellite_mpc(3, "matching", u_bound=1.0, y_bound=0.01),
+        controller=_satellite_mpc(sat, 3, "matching", u_bound=1.0, y_bound=0.01),
         disturbances=dist,
     )
     lib["satellite-case-5"] = Scenario(
         name="satellite-case-5", plant="satellite", duration=40.0,
-        controller=_satellite_mpc(1, "effect", u_bound=0.15, y_bound=0.01),
+        controller=_satellite_mpc(sat, 1, "effect", u_bound=0.15, y_bound=0.01),
         disturbances=dist,
         faults=((3.0, 0, 0.0),),
     )
     step_ref = ReferenceProgram(((0.0, np.array([1.0, 0.0])),))
     lib["pendulum-case-1"] = Scenario(
         name="pendulum-case-1", plant="pendulum", duration=20.0,
-        controller=_pendulum_mpc(bounded=False), references=step_ref,
+        controller=_pendulum_mpc(pend, bounded=False), references=step_ref,
     )
     lib["pendulum-case-2"] = Scenario(
         name="pendulum-case-2", plant="pendulum", duration=20.0,
-        controller=_pendulum_mpc(bounded=True), references=step_ref,
+        controller=_pendulum_mpc(pend, bounded=True), references=step_ref,
     )
     return lib

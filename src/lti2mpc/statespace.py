@@ -22,8 +22,8 @@ def _as_matrix(M, rows=None, cols=None, name="matrix"):
 
 
 @dataclass(frozen=True)
-class CtStateSpace:
-    """Continuous-time state-space model (A, B, C, D)."""
+class _StateSpace:
+    """Matrices (A, B, C, D), validated and stored as finite float arrays."""
 
     A: np.ndarray
     B: np.ndarray
@@ -57,45 +57,24 @@ class CtStateSpace:
 
 
 @dataclass(frozen=True)
-class DtStateSpace:
+class CtStateSpace(_StateSpace):
+    """Continuous-time state-space model (A, B, C, D)."""
+
+
+@dataclass(frozen=True)
+class DtStateSpace(_StateSpace):
     """Discrete-time state-space model (A, B, C, D) with sample time Ts."""
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
     Ts: float = 1.0
     # optional bookkeeping: indices of states that model constant disturbances
     # (set by augment_disturbances, used by realisation scoring)
     disturbance_states: tuple = field(default=())
 
     def __post_init__(self):
-        A = _as_matrix(self.A, name="A")
-        n = A.shape[0]
-        if A.shape[1] != n:
-            raise ValueError("A must be square")
-        B = _as_matrix(self.B, rows=n, name="B")
-        C = _as_matrix(self.C, cols=n, name="C")
-        D = _as_matrix(self.D, rows=C.shape[0], cols=B.shape[1], name="D")
+        super().__post_init__()
         if not self.Ts > 0:
             raise ValueError("Ts must be positive")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
         object.__setattr__(self, "disturbance_states", tuple(self.disturbance_states))
-
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def n_u(self):
-        return self.B.shape[1]
-
-    @property
-    def n_y(self):
-        return self.C.shape[0]
 
     def freq_response(self, w_ts):
         """Evaluate the transfer matrix at z = exp(j*w*Ts).

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import brute_force_qp
-from lti2mpc.qp import solve_qp
+from lti2mpc.qp import factor_qp, solve_qp
 
 
 def assert_kkt(H, f, A, b, sol):
@@ -84,18 +84,24 @@ def test_duplicate_constraints_are_harmless():
     assert_kkt(H, f, A, b, sol)
 
 
-def test_matches_exhaustive_oracle():
-    rng = np.random.default_rng(31)
-    solved = 0
-    for _ in range(300):
+def _oracle_instances(count=300, seed=31):
+    """Small random QPs, biased so most are feasible but constraints bind
+    often."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         d = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
         M = rng.standard_normal((d, d))
         H = M @ M.T + 0.3 * np.eye(d)
         f = rng.standard_normal(d)
         A = rng.standard_normal((m, d))
-        # bias b so most problems are feasible but constraints bind often
         b = A @ rng.standard_normal(d) * 0.3 + rng.uniform(-0.2, 0.6, m)
+        yield H, f, A, b
+
+
+def test_matches_exhaustive_oracle():
+    solved = 0
+    for H, f, A, b in _oracle_instances():
         sol = solve_qp(H, f, A, b)
         ref = brute_force_qp(H, f, A, b)
         if ref is None:
@@ -129,3 +135,104 @@ def test_rejects_bad_shapes():
         solve_qp(np.eye(2), np.zeros(3))
     with pytest.raises(ValueError):
         solve_qp(np.eye(2), np.zeros(2), np.zeros((1, 3)), np.zeros(1))
+
+
+def _warm_guesses(rng, m, optimal):
+    """Random subsets (often infeasible together or with negative
+    multipliers), guesses with repeated rows, the optimal set, and the
+    optimal set padded with extra rows."""
+    guesses = [tuple(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+               for _ in range(3)]
+    guesses.append(tuple(rng.integers(0, m, size=m + 2)))
+    guesses.append(optimal)
+    guesses.append(optimal + tuple(rng.integers(0, m, size=2)))
+    return [g for g in guesses if g]
+
+
+def test_warm_start_matches_the_oracle_and_the_cold_solve():
+    rng = np.random.default_rng(41)
+    hits = dropped = infeasible = 0
+    for i, (H, f, A, b) in enumerate(_oracle_instances()):
+        if i % 3 == 0 and A.shape[0] >= 2:
+            # a repeated row and a row that is the sum of two others
+            A = np.vstack([A, A[0], A[0] + A[1]])
+            b = np.concatenate([b, b[:1], [b[0] + b[1] + rng.uniform(-0.1, 0.1)]])
+        cold = solve_qp(H, f, A, b)
+        ref = brute_force_qp(H, f, A, b)
+        for guess in _warm_guesses(rng, A.shape[0], cold.active_set):
+            sol = solve_qp(H, f, A, b, warm=guess)
+            if ref is None:
+                assert cold.status == sol.status == "infeasible"
+                infeasible += 1
+                continue
+            assert sol.status == "optimal"
+            assert_allclose(sol.x_star, cold.x_star, rtol=1e-9, atol=1e-9)
+            assert_allclose(sol.x_star, ref[0], rtol=1e-9, atol=1e-9)
+            assert_allclose(sol.objective, ref[1], rtol=1e-9, atol=1e-9)
+            assert_kkt(H, f, A, b, sol)
+            hits += sol.warm_start
+            dropped += (not sol.warm_start) and sol.iterations == 0
+    assert hits >= 350 and dropped >= 500 and infeasible >= 100
+
+
+def test_warm_start_drops_dependent_rows_and_negative_multipliers():
+    # three copies of x1 <= 1: only one can stay in the working set
+    H, f = np.eye(2), np.array([-3.0, 0.0])
+    A = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    b = np.ones(3)
+    sol = solve_qp(H, f, A, b, warm=(2, 1, 0, 2))
+    assert sol.status == "optimal" and sol.active_set == (2,)
+    assert sol.warm_start is False and sol.iterations == 0
+    assert_allclose(sol.x_star, [1.0, 0.0], atol=1e-12)
+    assert_kkt(H, f, A, b, sol)
+    # x1 >= -1 is slack at the optimum x = (1, 0): held active it would
+    # need a negative multiplier, so the guess falls back to the cold start
+    A, b = np.array([[-1.0, 0.0]]), np.array([1.0])
+    sol = solve_qp(H, np.array([-1.0, 0.0]), A, b, warm=(0,))
+    assert sol.active_set == () and not sol.warm_start and sol.iterations == 0
+    assert_allclose(sol.x_star, [1.0, 0.0], atol=1e-12)
+    # the optimal set is a hit
+    A, b = np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 2.0, 0.0, 0.0])
+    sol = solve_qp(2.0 * np.eye(2), np.array([-10.0, -10.0]), A, b, warm=(1, 0))
+    assert sol.warm_start and sol.iterations == 0 and sol.active_set == (1, 0)
+    assert_allclose(sol.x_star, [1.0, 2.0], atol=1e-12)
+    # a contradictory guess still ends in the infeasibility verdict
+    sol = solve_qp(np.eye(1), np.zeros(1), np.array([[1.0], [-1.0]]),
+                   np.array([-2.0, 1.0]), warm=(0, 1))
+    assert sol.status == "infeasible"
+
+
+def test_shared_factor_gives_the_same_solution():
+    rng = np.random.default_rng(42)
+    M = rng.standard_normal((6, 6))
+    H = M @ M.T + 0.5 * np.eye(6)
+    A = rng.standard_normal((9, 6))
+    factor = factor_qp(H, A)
+    for _ in range(20):
+        f = rng.standard_normal(6)
+        b = rng.uniform(-0.1, 0.5, 9)
+        own, shared = solve_qp(H, f, A, b), solve_qp(H, f, A, b, factor=factor)
+        assert own.active_set == shared.active_set
+        assert np.array_equal(own.x_star, shared.x_star)
+
+
+def test_bad_warm_rows_and_non_finite_data_raise():
+    H, f = np.eye(2), np.zeros(2)
+    A, b = np.eye(2), np.ones(2)
+    for warm in [(2,), (-1,), (0, 5)]:
+        with pytest.raises(ValueError, match="warm-start row"):
+            solve_qp(H, f, A, b, warm=warm)
+    with pytest.raises(ValueError, match="warm-start row"):
+        solve_qp(H, f, warm=(0,))
+    factor = factor_qp(H, A)
+    for bad_f, bad_b in [([np.nan, 0.0], b), (f, [1.0, np.inf])]:
+        with pytest.raises(ValueError, match="finite"):
+            solve_qp(H, bad_f, A, bad_b)
+        with pytest.raises(ValueError, match="finite"):
+            solve_qp(H, bad_f, A, bad_b, factor=factor)
+    with pytest.raises(ValueError, match="finite"):
+        solve_qp(H, [np.inf, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        factor_qp([[1.0, np.nan], [np.nan, 1.0]], A)
+    with pytest.raises(ValueError, match="factor does not match"):
+        solve_qp(H, f, A[:1], b[:1], factor=factor)

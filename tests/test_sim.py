@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lti2mpc import realisation
+from lti2mpc import realisation, runtime, sim
 from lti2mpc.models import (
     SATELLITE_TS,
     pendulum_controller,
@@ -17,6 +17,7 @@ from lti2mpc.models import (
     satellite_plant,
 )
 from lti2mpc.mpc import MpcConfig, matching_cost
+from lti2mpc.qp import solve_qp
 from lti2mpc.realisation import search_realisations
 from lti2mpc.sim import (
     BaselineController,
@@ -326,3 +327,35 @@ def test_scenario_library_names(library):
         "satellite-case-4", "satellite-case-5",
         "pendulum-case-1", "pendulum-case-2",
     }
+
+
+def test_scenario_library_runs_one_search_per_loop(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return search_realisations(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "search_realisations", spy)
+    scenario_library()
+    assert len(calls) == 2
+    assert sorted(c["form"] for c in calls) == ["filter", "predictor"]
+
+
+def test_warm_started_replays_match_cold_solves(monkeypatch, library, traces):
+    def cold(H, f, A=None, b=None, max_iter=None, *, factor=None, warm=()):
+        return solve_qp(H, f, A, b, max_iter, factor=factor)
+
+    monkeypatch.setattr(runtime, "solve_qp", cold)
+    hits = warm_iters = cold_iters = 0
+    for name, warm in traces.items():
+        ref = simulate(library[name])
+        scale = max(float(np.max(np.abs(ref.u_applied))), 1e-300)
+        assert np.max(np.abs(warm.u_applied - ref.u_applied)) <= 1e-9 * scale, name
+        assert warm.qp_status == ref.qp_status, name
+        assert np.array_equal(warm.qp_nact, ref.qp_nact), name
+        assert not ref.qp_warm.any()
+        hits += int(warm.qp_warm.sum())
+        warm_iters += int(warm.qp_iters.sum())
+        cold_iters += int(ref.qp_iters.sum())
+    assert hits >= 100 and warm_iters < cold_iters

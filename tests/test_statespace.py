@@ -203,3 +203,29 @@ def test_strictly_proper_flag():
     rng = np.random.default_rng(15)
     assert _random_dt(rng, 2, 1, 1, strictly_proper=True).is_strictly_proper()
     assert not DtStateSpace([[0.0]], [[1.0]], [[1.0]], [[0.1]], 1.0).is_strictly_proper()
+
+
+@pytest.mark.parametrize("cls, extra", [(CtStateSpace, ()), (DtStateSpace, (0.5,))])
+def test_state_space_validation_is_shared_and_the_kinds_stay_apart(cls, extra):
+    sys_ = cls([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]], *extra)
+    assert (sys_.n, sys_.n_u, sys_.n_y) == (2, 1, 1)
+    assert sys_.A.dtype == float
+    with pytest.raises(ValueError, match="square"):
+        cls(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 3)), np.zeros((1, 1)), *extra)
+    with pytest.raises(ValueError, match="B: expected 2 rows"):
+        cls(np.eye(2), np.zeros((3, 1)), np.zeros((1, 2)), np.zeros((1, 1)), *extra)
+    with pytest.raises(ValueError, match="D: expected 1 cols"):
+        cls(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 2)), *extra)
+    with pytest.raises(ValueError, match="non-finite"):
+        cls([[np.nan]], [[1.0]], [[1.0]], [[0.0]], *extra)
+    other = DtStateSpace if cls is CtStateSpace else CtStateSpace
+    assert not isinstance(sys_, other)
+
+
+def test_discrete_sample_time_must_be_positive_and_kinds_do_not_mix():
+    with pytest.raises(ValueError, match="Ts"):
+        DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 0.0)
+    ct = CtStateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    dt = DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    with pytest.raises(ValueError, match="mixed"):
+        series(ct, dt)
