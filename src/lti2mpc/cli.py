@@ -8,9 +8,10 @@ verify      check realisation invariants and controller equivalence
 discretise  emit the discrete-time plant/controller matrices as JSON
 
 Flags: --config <path>, --scenario <name>, --out <path>, --seed <u64>,
---parallel <n>.  Exit codes: 0 success, 1 domain error (no feasible
-realisation, unstable loop, unknown scenario, failed verification),
-2 config error (unreadable file, bad JSON, bad dimensions, unknown keys).
+--parallel <n> (accepted and ignored).  Exit codes: 0 success, 1 domain
+error (no feasible realisation, unstable loop, unknown scenario, failed
+verification), 2 config error (unreadable file, bad JSON, bad
+dimensions, unknown keys).
 
 Config schema (all sections optional unless a command needs them):
 
@@ -350,7 +351,7 @@ def _write_json(doc: dict, out_path):
             fh.write(text + "\n")
 
 
-def _run_search(cfg: ProjectConfig, G_d, K_d, workers):
+def _run_search(cfg: ProjectConfig, G_d, K_d):
     pl = cfg.pipeline
     A_cl = closed_loop_matrix(G_d, K_d)
     rho = spectral_radius(A_cl)
@@ -366,13 +367,13 @@ def _run_search(cfg: ProjectConfig, G_d, K_d, workers):
         G_d, K_d, form=pl["form"],
         forced_S=None if forced is None else tuple(forced),
         Qn=float(pl["Qn"]), Rn=float(pl["Rn"]), rank_by=pl["rank_by"],
-        margin_cut=pl["margin_cut"], workers=workers,
+        margin_cut=pl["margin_cut"],
     )
 
 
-def cmd_realise(cfg: ProjectConfig, out_path, workers) -> int:
+def cmd_realise(cfg: ProjectConfig, out_path) -> int:
     G, K0, G_d, K_d = build_problem(cfg)
-    found = _run_search(cfg, G_d, K_d, workers)
+    found = _run_search(cfg, G_d, K_d)
     rows = []
     for rank, (r, score) in enumerate(found.ranked, start=1):
         row = {
@@ -414,13 +415,12 @@ def cmd_realise(cfg: ProjectConfig, out_path, workers) -> int:
     return 0
 
 
-def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict,
-                     workers) -> Scenario:
+def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict) -> Scenario:
     """MPC loop on the config's own plant/controller (regulation only)."""
     if "duration" not in spec:
         raise ConfigError(f"custom scenario {name!r} needs a 'duration'")
     G, K0, G_d, K_d = build_problem(cfg)
-    found = _run_search(cfg, G_d, K_d, workers)
+    found = _run_search(cfg, G_d, K_d)
     if not found.ranked:
         raise DomainError(f"custom scenario {name!r}: no feasible realisation")
     real = found.ranked[0][0]
@@ -438,7 +438,7 @@ def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict,
     )
 
 
-def _resolve_scenario(cfg: ProjectConfig, name: str, workers) -> Scenario:
+def _resolve_scenario(cfg: ProjectConfig, name: str) -> Scenario:
     lib = scenario_library()
     spec = cfg.scenarios.get(name)
     if spec is None:
@@ -452,7 +452,7 @@ def _resolve_scenario(cfg: ProjectConfig, name: str, workers) -> Scenario:
         raise ConfigError(f"scenario {name!r}: unknown keys {sorted(unknown)}")
     base = spec.get("base")
     if base is None:
-        return _custom_scenario(cfg, name, spec, workers)
+        return _custom_scenario(cfg, name, spec)
     if base not in lib:
         raise DomainError(f"scenario {name!r}: unknown base {base!r}")
     sc = lib[base]
@@ -493,13 +493,12 @@ def _bound_violation(vals, bounds):
                         initial=0.0))
 
 
-def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed,
-                 workers=None) -> int:
+def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed) -> int:
     if scenario_name is None:
         raise ConfigError("simulate needs --scenario")
     if out_path is None:
         raise ConfigError("simulate needs --out for the CSV trace")
-    sc = _resolve_scenario(cfg, scenario_name, workers)
+    sc = _resolve_scenario(cfg, scenario_name)
     if seed is not None:
         sc = dataclasses.replace(sc, seed=int(seed))
     tr = simulate(sc)
@@ -565,7 +564,7 @@ def _verify_one(label, r, G_d, K_d, lines) -> bool:
         rres = riccati_residual(closed_loop_matrix(G_d, K_d), r.T)
         checks.append(f"riccati residual {rres:.3e}")
         ok = ok and rres <= 1e-6
-    gap = form.feedthrough_gap(r, K_d)
+    gap = form.feedthrough_gap(r.K_c, r.K_f, K_d)
     if gap is not None:
         gap = float(np.max(np.abs(gap)))
         checks.append(f"K_c K_f feedthrough gap {gap:.3e}")
@@ -579,7 +578,7 @@ def _verify_one(label, r, G_d, K_d, lines) -> bool:
     return ok
 
 
-def cmd_verify(cfg: ProjectConfig, out_path, workers) -> int:
+def cmd_verify(cfg: ProjectConfig, out_path) -> int:
     G, K0, G_d, K_d = build_problem(cfg)
     lines: list = []
     all_ok = True
@@ -598,7 +597,7 @@ def cmd_verify(cfg: ProjectConfig, out_path, workers) -> int:
             raise ConfigError(f"verify_gains is missing {exc}") from None
         all_ok = _verify_one("supplied gains", r, G_d, K_d, lines)
     else:
-        found = _run_search(cfg, G_d, K_d, workers)
+        found = _run_search(cfg, G_d, K_d)
         if not found.ranked:
             raise DomainError("no feasible realisation to verify")
         for rank, (r, _score) in enumerate(found.ranked, start=1):
@@ -659,18 +658,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output path (report JSON / trace CSV)")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument("--parallel", type=int,
-                        help="worker processes for the realisation search")
+                        help="accepted and ignored: the realisation search "
+                             "runs as stacked kernels in one process")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
         if args.command == "realise":
-            return cmd_realise(cfg, args.out, args.parallel)
+            return cmd_realise(cfg, args.out)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.scenario, args.out, args.seed,
-                                args.parallel)
+            return cmd_simulate(cfg, args.scenario, args.out, args.seed)
         if args.command == "verify":
-            return cmd_verify(cfg, args.out, args.parallel)
+            return cmd_verify(cfg, args.out)
         return cmd_discretise(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

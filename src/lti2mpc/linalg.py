@@ -179,10 +179,12 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _lyapunov_residual(A, P, Q):
-    """||A P A^T - P + Q|| and the bound 1e-9 (||Q|| + ||P||) it must meet."""
-    resid = np.linalg.norm(A @ P @ A.T - P + Q)
-    bound = 1e-9 * (np.linalg.norm(Q) + np.linalg.norm(P))
-    return resid, max(bound, 1e-300)
+    """||A P A^T - P + Q|| and the bound 1e-9 (||Q|| + ||P||) it must meet;
+    on stacks (leading axes) one pair per member."""
+    fro = lambda M: np.linalg.norm(M, axis=(-2, -1))
+    resid = fro(A @ P @ np.swapaxes(A, -1, -2) - P + Q)
+    bound = 1e-9 * (fro(Q) + fro(P))
+    return resid, np.maximum(bound, 1e-300)
 
 
 def _h2_from_gramian(sys: DtStateSpace, P: np.ndarray) -> float:
@@ -228,21 +230,57 @@ def modal_h2_norms(systems, values: np.ndarray, vectors: np.ndarray) -> list:
     """
     if values.size and np.max(np.abs(values)) >= 1.0:
         raise UnstableSystemError("H2 norm undefined for an unstable system")
-    try:
-        V_inv = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError:
-        V_inv = None
-    if V_inv is None or np.linalg.norm(vectors, 1) * np.linalg.norm(V_inv, 1) > 1e8:
-        return [h2_norm(sys) for sys in systems]
-    V_h = vectors.conj().T
-    denom = 1.0 - values[:, np.newaxis] * values.conj()[np.newaxis, :]
-    out = []
-    for sys in systems:
-        Bt = V_inv @ sys.B
-        P = (vectors @ ((Bt @ Bt.conj().T) / denom) @ V_h).real
-        P = 0.5 * (P + P.T)
-        resid, bound = _lyapunov_residual(sys.A, P, sys.B @ sys.B.T)
-        out.append(_h2_from_gramian(sys, P) if resid <= bound else h2_norm(sys))
+    maps = [(s.B[np.newaxis], s.C[np.newaxis], s.D[np.newaxis]) for s in systems]
+    A = systems[0].A[np.newaxis]
+    return list(_modal_h2_stack(A, maps, values[np.newaxis], vectors[np.newaxis],
+                                systems[0].Ts)[0])
+
+
+def _modal_h2_stack(A, maps, values, vectors, Ts) -> np.ndarray:
+    """modal_h2_norms on a stack: member i of every map has state matrix
+    A[i] with ``values[i], vectors[i] = np.linalg.eig(A[i])``.
+
+    ``maps`` is a sequence of (B, C, D) stacks with the leading axis of A
+    (or broadcastable to it).  Returns a (k, len(maps)) array whose rows
+    are the H2 norms of member i, inf where A[i] has an eigenvalue on or
+    outside the unit circle.  Members that fail the conditioning gate or a
+    Gramian residual check fall back, one by one, to :func:`h2_norm` on a
+    system with sample time Ts.
+    """
+    k, n = values.shape
+    out = np.full((k, len(maps)), np.inf)
+    maps = [tuple(np.broadcast_to(M, (k,) + M.shape[-2:]) for M in m) for m in maps]
+    stable = np.flatnonzero(np.max(np.abs(values), axis=1, initial=0.0) < 1.0)
+    V = vectors[stable]
+    V_inv = _solve_each(V, np.broadcast_to(np.eye(n), V.shape))  # NaN if singular
+    norm1 = lambda M: np.abs(M).sum(axis=1).max(axis=1, initial=0.0)
+    modal = norm1(V) * norm1(V_inv) <= 1e8
+    members, V, V_inv = stable[modal], V[modal], V_inv[modal]
+    lam = values[members]
+    V_h = V.conj().transpose(0, 2, 1)
+    denom = 1.0 - lam[:, :, np.newaxis] * lam.conj()[:, np.newaxis, :]
+    Am = A[members]
+    done = np.zeros(out.shape, dtype=bool)
+    for j, (B, C, D) in enumerate(maps):
+        Bm, Cm, Dm = B[members], C[members], D[members]
+        Bt = V_inv @ Bm
+        P = (V @ ((Bt @ Bt.conj().transpose(0, 2, 1)) / denom) @ V_h).real
+        P = 0.5 * (P + P.transpose(0, 2, 1))
+        resid, bound = _lyapunov_residual(Am, P, Bm @ Bm.transpose(0, 2, 1))
+        val = (np.trace(Cm @ P @ Cm.transpose(0, 2, 1), axis1=1, axis2=2)
+               + np.trace(Dm @ Dm.transpose(0, 2, 1), axis1=1, axis2=2))
+        # tiny negative values can appear through cancellation
+        out[members, j] = np.sqrt(np.maximum(val, 0.0))
+        done[members, j] = resid <= bound
+    for i in stable[~done[stable].all(axis=1)]:
+        for j, (B, C, D) in enumerate(maps):
+            if done[i, j]:
+                continue
+            try:
+                out[i, j] = h2_norm(DtStateSpace(A[i], B[i], C[i], D[i], Ts))
+            except UnstableSystemError:
+                out[i] = np.inf
+                break
     return out
 
 
@@ -255,12 +293,6 @@ def _as_cov(X, dim: int, name: str) -> np.ndarray:
     if X.shape != (dim, dim):
         raise ValueError(f"{name} must be scalar or {dim}x{dim}, got {X.shape}")
     return 0.5 * (X + X.T)
-
-
-def _dare_residual(P, A, C, Qn, Rn) -> float:
-    S = C @ P @ C.T + Rn
-    F = A @ P @ A.T - P + Qn - A @ P @ C.T @ np.linalg.solve(S, C @ P @ A.T)
-    return float(np.linalg.norm(F)) / max(1.0, float(np.linalg.norm(P)))
 
 
 def solve_dare_kalman(A, C, Qn, Rn, max_iter: int = 200):
@@ -298,10 +330,24 @@ def solve_dare_kalman(A, C, Qn, Rn, max_iter: int = 200):
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = A.shape[0]
-    ny = C.shape[0]
-    if C.shape[1] != n:
-        raise ValueError(f"C has {C.shape[1]} columns, expected {n}")
+    L, errors = _kalman_gains(A[np.newaxis], C[np.newaxis], Qn, Rn, max_iter)
+    if errors[0] is not None:
+        raise errors[0]
+    return L[0]
+
+
+def _kalman_gains(A, C, Qn, Rn, max_iter: int = 200):
+    """solve_dare_kalman on a stack of pairs A (k, n, n), C (k, ny, n).
+
+    Returns (L, errors): the (k, n, ny) gains and, per member, None or the
+    NumericalError solve_dare_kalman raises for it (that member's gain is
+    then meaningless).  Bad covariances raise ValueError for the whole
+    stack.
+    """
+    k, n = A.shape[:2]
+    ny = C.shape[1]
+    if C.shape[2] != n:
+        raise ValueError(f"C has {C.shape[2]} columns, expected {n}")
     Qn = _as_cov(Qn, n, "Qn")
     Rn = _as_cov(Rn, ny, "Rn")
     try:
@@ -310,42 +356,77 @@ def solve_dare_kalman(A, C, Qn, Rn, max_iter: int = 200):
         raise ValueError("Rn must be positive definite") from exc
 
     P = _dare_doubling(A, C, Qn, Rn, max_iter)
-    if P is None:
-        raise NumericalError("Kalman DARE doubling iteration broke down")
-    resid = _dare_residual(P, A, C, Qn, Rn)
-    if resid > 1e-8:
-        raise NumericalError(
-            f"Kalman DARE iteration did not converge, relative residual {resid:.3e}"
-        )
-    S = C @ P @ C.T + Rn
-    return np.linalg.solve(S.T, (A @ P @ C.T).T).T
+    errors = [None] * k
+    L = np.full((k, n, ny), np.nan)
+    live = np.flatnonzero(np.isfinite(P).all(axis=(1, 2)))
+    for i in np.setdiff1d(np.arange(k), live):
+        errors[i] = NumericalError("Kalman DARE doubling iteration broke down")
+    P, A, C = P[live], A[live], C[live]
+    At, Ct = A.transpose(0, 2, 1), C.transpose(0, 2, 1)
+    S = C @ P @ Ct + Rn
+    APCt = A @ P @ Ct
+    F = A @ P @ At - P + Qn - APCt @ _solve_each(S, C @ P @ At)
+    resid = np.linalg.norm(F, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(P, axis=(1, 2)))
+    for i, r in zip(live, resid):
+        if not r <= 1e-8:
+            errors[i] = NumericalError(
+                f"Kalman DARE iteration did not converge, relative residual {r:.3e}"
+            )
+    L[live] = _solve_each(S.transpose(0, 2, 1), APCt.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return L, errors
 
 
 def _dare_doubling(A, C, Qn, Rn, max_iter):
-    """Doubling iteration on the dual DARE; returns P or None on breakdown."""
-    n = A.shape[0]
+    """Doubling iteration on the dual DARE for a stack of pairs.
+
+    Returns the (k, n, n) stack of P.  Each member stops at the iteration
+    where its own step falls below 1e-10 max(1, ||P||), so it equals a
+    one-member solve; a member whose iteration breaks down (a singular or
+    non-finite step, or ||P|| overflowing) is NaN.
+    """
+    k, n = A.shape[:2]
     eye = np.eye(n)
-    Ak = A.T.copy()
-    Gk = C.T @ np.linalg.solve(Rn, C)
-    Hk = Qn.copy()
-    for _ in range(max_iter):
-        try:
-            W = np.linalg.solve(eye + Gk @ Hk, np.hstack([Ak, Gk]))
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(W)):
-            return None
-        WA = W[:, :n]
-        WG = W[:, n:]
-        A_next = Ak @ WA
-        G_next = Gk + Ak @ WG @ Ak.T
-        H_next = Hk + Ak.T @ Hk @ WA
-        H_next = 0.5 * (H_next + H_next.T)
-        step = np.linalg.norm(H_next - Hk)
-        Ak, Gk, Hk = A_next, 0.5 * (G_next + G_next.T), H_next
-        if step <= 1e-10 * max(1.0, np.linalg.norm(Hk)):
-            return Hk
-    return Hk
+    P = np.full((k, n, n), np.nan)
+    live = np.arange(k)
+    Ak = A.transpose(0, 2, 1).copy()
+    Gk = C.transpose(0, 2, 1) @ np.linalg.solve(Rn, C)
+    Hk = np.repeat(Qn[np.newaxis], k, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is a breakdown
+        for _ in range(max_iter):
+            W = _solve_each(eye + Gk @ Hk, np.concatenate([Ak, Gk], axis=2))
+            ok = np.isfinite(W).all(axis=(1, 2))
+            live, Ak, Gk, Hk, W = live[ok], Ak[ok], Gk[ok], Hk[ok], W[ok]
+            WA = W[:, :, :n]
+            WG = W[:, :, n:]
+            A_next = Ak @ WA
+            G_next = Gk + Ak @ WG @ Ak.transpose(0, 2, 1)
+            H_next = Hk + Ak.transpose(0, 2, 1) @ Hk @ WA
+            H_next = 0.5 * (H_next + H_next.transpose(0, 2, 1))
+            step = np.linalg.norm(H_next - Hk, axis=(1, 2))
+            Ak, Gk, Hk = A_next, 0.5 * (G_next + G_next.transpose(0, 2, 1)), H_next
+            size = np.linalg.norm(Hk, axis=(1, 2))
+            done = step <= 1e-10 * np.maximum(1.0, size)
+            converged = done & np.isfinite(size)
+            P[live[converged]] = Hk[converged]
+            live, Ak, Gk, Hk = live[~done], Ak[~done], Gk[~done], Hk[~done]
+            if not live.size:
+                break
+    P[live] = Hk
+    return P
+
+
+def _solve_each(M, B):
+    """np.linalg.solve on stacks, NaN for the members whose M is singular."""
+    try:
+        return np.linalg.solve(M, B)
+    except np.linalg.LinAlgError:
+        X = np.full(B.shape, np.nan)
+        for i in range(len(M)):
+            try:
+                X[i] = np.linalg.solve(M[i], B[i])
+            except np.linalg.LinAlgError:
+                pass
+        return X
 
 
 @dataclass

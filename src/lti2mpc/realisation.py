@@ -15,8 +15,8 @@ scores realisations by H2 norms, and verifies controller equivalence.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +25,10 @@ from .linalg import (
     EigenStructure,
     LoopMargins,
     NumericalError,
-    UnstableSystemError,
+    _kalman_gains,
+    _modal_h2_stack,
     eig_paired,
     loop_margins,
-    modal_h2_norms,
-    solve_dare_kalman,
 )
 from .runtime import filter_measurement_update, filter_time_update, predictor_observer_step
 from .statespace import DtStateSpace, unobservable_modes
@@ -197,28 +196,40 @@ def enumerate_choices(
     return choices
 
 
-def _real_basis(eig: EigenStructure, indices) -> np.ndarray:
-    """Stack the selected eigenvectors as a real basis of the invariant
-    subspace, replacing each conjugate pair by (Re u, Im u)."""
-    cols = []
-    seen = set()
-    for i in indices:
-        if i in seen:
-            continue
-        j = eig.pair_index[i]
+def _real_eigenbasis(eig: EigenStructure):
+    """Real basis of the whole spectrum, and the eigenvalue each column spans.
+
+    A real eigenvalue contributes its eigenvector; a conjugate pair
+    contributes (Re u, Im u) of the member with positive imaginary part,
+    both owned by the pair's lower index.  Columns are in index order, so
+    the columns owned by a sorted index set form, in order, the real basis
+    of its invariant subspace (see :func:`_columns`).
+    """
+    cols, owner = [], []
+    for i, j in enumerate(eig.pair_index):
         if j is None:
             cols.append(eig.vectors[:, i].real)
-            seen.add(i)
-        else:
-            if j not in set(indices):
-                raise ValueError(
-                    f"conjugate pair ({i}, {j}) split by the selection"
-                )
+            owner.append(i)
+        elif i < j:
             u = eig.vectors[:, i if eig.values[i].imag > 0 else j]
-            cols.append(u.real)
-            cols.append(u.imag)
-            seen.update((i, j))
-    return np.column_stack(cols)
+            cols += [u.real, u.imag]
+            owner += [i, i]
+    return np.column_stack(cols), np.array(owner)
+
+
+def _columns(eig: EigenStructure, owner, selections) -> np.ndarray:
+    """(k, n) indices of the real-eigenbasis columns spanning each of k
+    equally sized index selections."""
+    sizes = [len(indices) for indices in selections]
+    chosen = np.zeros((len(selections), eig.n), dtype=bool)
+    chosen[np.repeat(np.arange(len(sizes)), sizes),
+           np.fromiter(itertools.chain.from_iterable(selections), int, sum(sizes))] = True
+    partner = [i if j is None else j for i, j in enumerate(eig.pair_index)]
+    split = np.argwhere(chosen & ~chosen[:, partner])
+    if split.size:
+        i = int(split[0, 1])
+        raise ValueError(f"conjugate pair ({i}, {partner[i]}) split by the selection")
+    return np.nonzero(chosen[:, owner])[1].reshape(len(selections), -1)
 
 
 def solve_T(A_cl: np.ndarray, choice: RealisationChoice, eig: EigenStructure) -> TSolveResult:
@@ -228,49 +239,73 @@ def solve_T(A_cl: np.ndarray, choice: RealisationChoice, eig: EigenStructure) ->
     The split is declared infeasible when U1 is ill conditioned (> 1e10)
     or the residual of [-T I] A_cl [I; T] exceeds 1e-8 ||A_cl||.
     """
-    n = len(choice.state_feedback_set)
-    U = _real_basis(eig, choice.state_feedback_set)
-    U1 = U[:n, :]
-    U2 = U[n:, :]
-    cond = float(np.linalg.cond(U1))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        return TSolveResult(False, None, math.inf, "U1 ill conditioned")
-    T = np.linalg.solve(U1.T, U2.T).T
-    resid = riccati_residual(A_cl, T)
+    basis, owner = _real_eigenbasis(eig)
+    U = basis.T[_columns(eig, owner, [choice.state_feedback_set])].transpose(0, 2, 1)
+    T, resid, reasons = _solve_T_stack(A_cl, U)
+    if reasons[0]:
+        return TSolveResult(False, None, float(resid[0]), reasons[0])
+    return TSolveResult(True, T[0], float(resid[0]))
+
+
+def _solve_T_stack(A_cl: np.ndarray, U: np.ndarray):
+    """solve_T on a stack of invariant-subspace bases U (k, n + n_K, n).
+
+    Returns (T, residual, reasons): the (k, n_K, n) solutions (NaN where
+    U1 is ill conditioned), their Riccati residuals (inf there) and, per
+    member, "" or why the split is infeasible.
+    """
+    k, m, n = U.shape
+    U1, U2 = U[:, :n], U[:, n:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sv = np.linalg.svd(U1, compute_uv=False)
+        cond = sv[:, 0] / sv[:, -1]
+    ok = np.isfinite(cond) & (cond <= _COND_LIMIT)
+    T = np.full((k, m - n, n), np.nan)
+    resid = np.full(k, math.inf)
+    T[ok] = np.linalg.solve(
+        U1[ok].transpose(0, 2, 1), U2[ok].transpose(0, 2, 1)
+    ).transpose(0, 2, 1)
+    resid[ok] = _riccati_residuals(A_cl, T[ok])
     bound = _RESID_TOL * np.linalg.norm(A_cl)
-    if resid > bound:
-        return TSolveResult(
-            False, None, resid, f"residual {resid:.2e} above {bound:.2e}"
-        )
-    return TSolveResult(True, T, resid)
+    reasons = [
+        "" if r <= bound else f"residual {r:.2e} above {bound:.2e}" for r in resid
+    ]
+    for i in np.flatnonzero(~ok):
+        reasons[i] = "U1 ill conditioned"
+    return T, resid, reasons
 
 
 def riccati_residual(A_cl: np.ndarray, T: np.ndarray) -> float:
-    n_K, n = T.shape
-    left = np.hstack([-T, np.eye(n_K)])
-    right = np.vstack([np.eye(n), T])
-    return float(np.linalg.norm(left @ A_cl @ right))
+    return float(_riccati_residuals(A_cl, T[np.newaxis])[0])
 
 
-def _t_svd(T: np.ndarray):
-    """One SVD of T, shared by everything a split needs from it.
+def _riccati_residuals(A_cl, T) -> np.ndarray:
+    """||[-T I] A_cl [I; T]|| for each member of a stack T (k, n_K, n)."""
+    k, n_K, n = T.shape
+    left = np.concatenate([-T, np.broadcast_to(np.eye(n_K), (k, n_K, n_K))], axis=2)
+    right = np.concatenate([np.broadcast_to(np.eye(n), (k, n, n)), T], axis=1)
+    return np.linalg.norm(left @ A_cl @ right, axis=(1, 2))
+
+
+def _t_svds(T: np.ndarray):
+    """One SVD per member of a stack T (k, n_K, n), shared by everything a
+    split needs from it.
 
     Returns (sv, T_perp, T_pinv): the singular values for the rank test,
-    an orthonormal basis of the right null space of T with a deterministic
-    sign (largest-magnitude entry of each column positive), and pinv(T)
-    with numpy's default cutoff.
+    an orthonormal basis of the right null space of each T with a
+    deterministic sign (largest-magnitude entry of each column positive),
+    and pinv(T) with numpy's default cutoff.
     """
-    n_K = T.shape[0]
+    n_K = T.shape[1]
     u, sv, vh = np.linalg.svd(T)
-    basis = vh[n_K:].T
-    for j in range(basis.shape[1]):
-        k = int(np.argmax(np.abs(basis[:, j])))
-        if basis[k, j] < 0:
-            basis[:, j] = -basis[:, j]
-    r = sv.size
-    big = sv > 1e-15 * sv.max(initial=0.0)
+    basis = vh[:, n_K:].transpose(0, 2, 1)
+    lead = np.argmax(np.abs(basis), axis=1)[:, np.newaxis]
+    basis = np.where(np.take_along_axis(basis, lead, axis=1) < 0, -basis, basis)
+    big = sv > 1e-15 * sv.max(axis=1, initial=0.0, keepdims=True)
     inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=big)
-    T_pinv = vh[:r].T @ (inv[:, np.newaxis] * u[:, :r].T)
+    T_pinv = vh[:, :n_K].transpose(0, 2, 1) @ (
+        inv[:, :, np.newaxis] * u[:, :, :n_K].transpose(0, 2, 1)
+    )
     return sv, basis, T_pinv
 
 
@@ -292,25 +327,50 @@ def design_free_poles(
     n_K, n = T.shape
     if n_K >= n:
         return np.zeros((0, n_K))
-    return _free_pole_gain(G, K, _t_svd(T)[1], Qn, Rn)
+    X, errors = _free_pole_gains(G, K, _t_svds(T[np.newaxis])[1], Qn, Rn)
+    if errors[0] is not None:
+        raise errors[0]
+    return X[0]
 
 
-def _free_pole_gain(G, K, Tp, Qn, Rn) -> np.ndarray:
-    """design_free_poles on a given T-perp basis (n_K < n)."""
+def _free_pole_gains(G, K, T_perp, Qn, Rn):
+    """design_free_poles on a stack of T-perp bases (k, n, n - n_K).
+
+    Returns (X, errors): the (k, n - n_K, n_K) gains and, per member, None
+    or the error design_free_poles raises for it -- NumericalError for an
+    undetectable reduced pair or a failed DARE, ValueError for bad
+    covariances.
+    """
     A_shift = G.A + G.B @ K.D @ G.C
-    A_red = Tp.T @ A_shift @ Tp
-    C_red = K.B @ G.C @ Tp
-    marginal = [lam for lam in np.linalg.eigvals(A_red) if abs(lam) >= 1.0 - 1e-9]
-    bad = unobservable_modes(A_red, C_red, marginal)
-    if bad:
-        raise NumericalError(
-            "free-pole design: reduced pair undetectable at modes "
-            + ", ".join(f"{complex(marginal[i]):.4f}" for i in bad)
-        )
-    return solve_dare_kalman(A_red, C_red, Qn, Rn)
+    A_red = T_perp.transpose(0, 2, 1) @ A_shift @ T_perp
+    C_red = K.B @ G.C @ T_perp
+    errors = [None] * len(T_perp)
+    for i, values in enumerate(np.linalg.eigvals(A_red)):
+        marginal = [lam for lam in values if abs(lam) >= 1.0 - 1e-9]
+        bad = unobservable_modes(A_red[i], C_red[i], marginal) if marginal else []
+        if bad:
+            errors[i] = NumericalError(
+                "free-pole design: reduced pair undetectable at modes "
+                + ", ".join(f"{complex(marginal[j]):.4f}" for j in bad)
+            )
+    X = np.full((len(T_perp), C_red.shape[2], C_red.shape[1]), np.nan)
+    live = [i for i, e in enumerate(errors) if e is None]
+    if live:
+        try:
+            X[live], dare_errors = _kalman_gains(A_red[live], C_red[live], Qn, Rn)
+        except ValueError as exc:
+            dare_errors = [exc] * len(live)
+        for i, e in zip(live, dare_errors):
+            errors[i] = e
+    return X, errors
 
 
-class _FilterForm:
+class _Form:
+    def noise_system(self, r, G, K):
+        return DtStateSpace(*self.noise_matrices(G, K, r.K_f), G.Ts)
+
+
+class _FilterForm(_Form):
     """The control reads x-hat(k|k): the measurement enters the estimate
     within the same step."""
 
@@ -330,13 +390,13 @@ class _FilterForm:
         K_f = np.linalg.solve(G.A, T_dagger @ K.B - G.B @ K.D)
         return K_c, K_f
 
-    def feedthrough_gap(self, r, K):
-        return r.K_c @ r.K_f - K.D
+    def feedthrough_gap(self, K_c, K_f, K):
+        return K_c @ K_f - K.D
 
-    def noise_system(self, r, G, K):
+    def noise_matrices(self, G, K, K_f):
         A, C = G.A, G.C
-        ImKfC = np.eye(G.n) - r.K_f @ C
-        return DtStateSpace(A @ ImKfC, A @ r.K_f, C @ ImKfC, C @ r.K_f, G.Ts)
+        ImKfC = np.eye(G.n) - K_f @ C
+        return A @ ImKfC, A @ K_f, C @ ImKfC, C @ K_f
 
     def controller(self, r, G, K):
         A, B, C = G.A, G.B, G.C
@@ -360,7 +420,7 @@ class _FilterForm:
         filter_time_update(obs, u)
 
 
-class _PredictorForm:
+class _PredictorForm(_Form):
     """The control reads x-hat(k|k-1) and the observer advances in one
     shot; margin loops expect the already loop-shifted plant."""
 
@@ -374,13 +434,13 @@ class _PredictorForm:
     def gains(self, G, K, T, T_dagger):
         return K.C @ T, T_dagger @ K.B
 
-    def feedthrough_gap(self, r, K):
+    def feedthrough_gap(self, K_c, K_f, K):
         return None
 
-    def noise_system(self, r, G, K):
+    def noise_matrices(self, G, K, K_f):
         A_shift = G.A + G.B @ K.D @ G.C
-        Ae = A_shift - r.K_f @ G.C
-        return DtStateSpace(Ae, r.K_f, G.C, np.zeros((G.n_y, G.n_y)), G.Ts)
+        Ae = A_shift - K_f @ G.C
+        return Ae, K_f, G.C, np.zeros(K_f.shape[:-2] + (G.n_y, G.n_y))
 
     def controller(self, r, G, K):
         A, B, C = G.A, G.B, G.C
@@ -404,13 +464,16 @@ class _PredictorForm:
 
 # Everything that differs between the two observer forms, keyed by
 # ObserverRealisation.form.  Each entry gives: check(G, K), the form's
-# preconditions; gains(G, K, T, T_dagger) -> (K_c, K_f); feedthrough_gap,
-# K_c K_f - D_K where the form makes it zero (else None); noise_system,
-# the measured-output-to-estimate map, whose state matrix is the observer
-# error dynamics; controller, the observer-based controller from y to u;
+# preconditions; gains(G, K, T, T_dagger) -> (K_c, K_f);
+# feedthrough_gap(K_c, K_f, K), K_c K_f - D_K where the form makes it zero
+# (else None); noise_matrices(G, K, K_f) -> (A, B, C, D) of the
+# measured-output-to-estimate map, whose state matrix is the observer
+# error dynamics, and noise_system, that map as a system; controller, the
+# observer-based controller from y to u;
 # margin_loop -> (A_ol, C_ol); and, for the simulation, estimate(obs, y),
 # the estimate the control step reads, and advance(obs, u, y), the
-# observer update once u is known.
+# observer update once u is known.  gains, feedthrough_gap and
+# noise_matrices also take stacks (a leading axis on T, T_dagger, K_c, K_f).
 _FORMS = {"filter": _FilterForm(), "predictor": _PredictorForm()}
 
 
@@ -420,6 +483,24 @@ def _form(name):
         return _FORMS[name]
     except KeyError:
         raise ValueError(f"unknown form {name!r}") from None
+
+
+def _check_orders(G, K):
+    """An observer realisation needs n_K <= n (T is n_K x n of full row rank)."""
+    if K.n > G.n:
+        raise ValueError(
+            f"controller order {K.n} exceeds plant order {G.n}; an observer "
+            "realisation needs n_K <= n, so augment the plant first"
+        )
+
+
+def _form_error(f, G, K):
+    """The ValueError of the form's preconditions on (G, K), or None."""
+    try:
+        f.check(G, K)
+    except ValueError as exc:
+        return exc
+    return None
 
 
 def build_realisation(
@@ -437,61 +518,82 @@ def build_realisation(
 
     The filter form needs K(0) = 0 and nonsingular A and A_K; the predictor
     form needs a strictly proper controller (loop-shift the feedthrough
-    away first).
+    away first).  A controller of higher order than the plant is refused.
     """
+    f = _form(form)
+    _check_orders(G, K)
     if G.n != T.shape[1] or K.n != T.shape[0]:
         raise ValueError("T shape does not match the (G, K) dimensions")
-    A_cl = closed_loop_matrix(G, K)
-    return _build(form, G, K, T, _t_svd(T), X, choice, A_cl, riccati_residual(A_cl, T))
-
-
-def _build(form, G, K, T, t_svd, X, choice, A_cl, resid) -> ObserverRealisation:
-    """build_realisation on a given ``_t_svd(T)``, closed-loop matrix and
-    Riccati residual."""
-    f = _form(form)
     n_K, n = T.shape
-    sv, T_perp, T_pinv = t_svd
-    if sv[-1] <= 1e-8 * sv[0]:
-        raise ValueError("T is rank deficient")
-
     if X is None:
         X = np.zeros((n - n_K, n_K))
     X = np.asarray(X, dtype=float).reshape(n - n_K, n_K)
-
-    f.check(G, K)
-    K_c, K_f = f.gains(G, K, T, T_pinv + T_perp @ X)
-    r = ObserverRealisation(
-        form=form,
-        T=T,
-        T_perp=T_perp,
-        X=X,
-        K_c=K_c,
-        K_f=K_f,
-        choice=choice,
-        riccati_residual=resid,
+    A_cl = closed_loop_matrix(G, K)
+    T = T[np.newaxis]
+    (out,) = _build_stack(
+        form, G, K, T, _t_svds(T), X[np.newaxis], _riccati_residuals(A_cl, T),
+        _RESID_TOL * np.linalg.norm(A_cl), _form_error(f, G, K), [choice],
     )
-    _check_realisation(r, G, K, A_cl)
-    return r
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
-def _check_realisation(r, G, K, A_cl):
-    """Verify the ObserverRealisation invariants; raise on violation."""
-    bound = _RESID_TOL * np.linalg.norm(A_cl)
-    if r.riccati_residual > bound:
-        raise NumericalError(
-            f"Riccati residual {r.riccati_residual:.2e} above {bound:.2e}"
+def _build_stack(form, G, K, T, t_svd, X, resid, bound, form_error, choices) -> list:
+    """build_realisation on a stack of Riccati solutions T (k, n_K, n).
+
+    ``t_svd`` is ``_t_svds(T)``, X the (k, n - n_K, n_K) free-pole gains,
+    ``resid`` the Riccati residuals, ``bound`` the residual bound and
+    ``form_error`` the form's precondition error (or None).  Returns, per
+    member, the ObserverRealisation or the error build_realisation raises:
+    rank deficiency first, then the form's preconditions, then the
+    invariant checks.
+    """
+    f = _FORMS[form]
+    sv, T_perp, T_pinv = t_svd
+    out = [
+        ValueError("T is rank deficient") if deficient else form_error
+        for deficient in sv[:, -1] <= 1e-8 * sv[:, 0]
+    ]
+    live = [i for i, e in enumerate(out) if e is None]
+    if not live:
+        return out
+    T, T_perp, X, resid = T[live], T_perp[live], X[live], resid[live]
+    K_c, K_f = f.gains(G, K, T, T_pinv[live] + T_perp @ X)
+    errors = _check_stack(f, K, T, T_perp, K_c, K_f, resid, bound)
+    for m, i in enumerate(live):
+        out[i] = errors[m] or ObserverRealisation(
+            form=form,
+            T=T[m].copy(),
+            T_perp=T_perp[m].copy(),
+            X=X[m].copy(),
+            K_c=K_c[m].copy(),
+            K_f=K_f[m].copy(),
+            choice=choices[i],
+            riccati_residual=float(resid[m]),
         )
-    if r.T_perp.size:
-        ortho = np.linalg.norm(r.T_perp.T @ r.T_perp - np.eye(r.T_perp.shape[1]))
-        if ortho > 1e-10 or np.linalg.norm(r.T @ r.T_perp) > 1e-10 * max(
-            1.0, np.linalg.norm(r.T)
-        ):
-            raise NumericalError("T_perp basis failed orthogonality checks")
-    gap = _form(r.form).feedthrough_gap(r, K)
+    return out
+
+
+def _check_stack(f, K, T, T_perp, K_c, K_f, resid, bound) -> list:
+    """The ObserverRealisation invariants of each stacked member: None, or
+    the NumericalError of the first check it fails."""
+    fro = lambda M: np.linalg.norm(M, axis=(1, 2))
+    errors = [
+        NumericalError(f"Riccati residual {r:.2e} above {bound:.2e}") if r > bound else None
+        for r in resid
+    ]
+    if T_perp.shape[2]:
+        ortho = fro(T_perp.transpose(0, 2, 1) @ T_perp - np.eye(T_perp.shape[2]))
+        null = fro(T @ T_perp)
+        for i in np.flatnonzero((ortho > 1e-10) | (null > 1e-10 * np.maximum(1.0, fro(T)))):
+            errors[i] = errors[i] or NumericalError("T_perp basis failed orthogonality checks")
+    gap = f.feedthrough_gap(K_c, K_f, K)
     if gap is not None:
-        err = np.linalg.norm(gap)
-        if err > 1e-8 * (1.0 + np.linalg.norm(K.D)):
-            raise NumericalError(f"K_c K_f - D_K = {err:.2e}, expected 0")
+        err = fro(gap)
+        for i in np.flatnonzero(err > 1e-8 * (1.0 + np.linalg.norm(K.D))):
+            errors[i] = errors[i] or NumericalError(f"K_c K_f - D_K = {err[i]:.2e}, expected 0")
+    return errors
 
 
 def realisation_controller(
@@ -533,8 +635,8 @@ def verify_equivalence(
     return err
 
 
-def _dist_system(G, Ae) -> DtStateSpace:
-    """Disturbance-to-estimate map used for the h2_dist score.
+def _dist_injection(G):
+    """(E, D) of the disturbance-to-estimate map used for the h2_dist score.
 
     The error dynamics Ae are driven through the designated disturbance-state
     channels (identity injection on those rows); the output is the full
@@ -544,15 +646,13 @@ def _dist_system(G, Ae) -> DtStateSpace:
     n = G.n
     dist = tuple(G.disturbance_states)
     if not dist:
-        E = np.eye(n)
-        D = np.zeros((n, n))
-    else:
-        E = np.zeros((n, len(dist)))
-        D = np.zeros((n, len(dist)))
-        for j, s in enumerate(dist):
-            E[s, j] = 1.0
-            D[s, j] = -1.0
-    return DtStateSpace(Ae, E, np.eye(n), D, G.Ts)
+        return np.eye(n), np.zeros((n, n))
+    E = np.zeros((n, len(dist)))
+    D = np.zeros((n, len(dist)))
+    for j, s in enumerate(dist):
+        E[s, j] = 1.0
+        D[s, j] = -1.0
+    return E, D
 
 
 def score_realisation(
@@ -571,11 +671,26 @@ def score_realisation(
     Gramians (see :func:`~lti2mpc.linalg.modal_h2_norms`, which checks
     each Gramian's Lyapunov residual and falls back to the Schur solver).
     """
-    noise = _form(r.form).noise_system(r, G, K)
-    dist = _dist_system(G, noise.A)
-    try:
-        h2n, h2d = modal_h2_norms((noise, dist), *np.linalg.eig(noise.A))
-    except UnstableSystemError:
+    h2 = _h2_scores(_form(r.form), G, K, r.K_f[np.newaxis])
+    return _score(r, G, h2[0], margin_cut)
+
+
+def _h2_scores(f, G, K, K_f) -> np.ndarray:
+    """(h2_noise, h2_dist) rows for a stack of injection gains K_f, inf
+    where the error dynamics are unstable."""
+    Ae, B, C, D = f.noise_matrices(G, K, K_f)
+    E, D_dist = _dist_injection(G)
+    values = np.empty(Ae.shape[:2], dtype=complex)
+    vectors = np.empty(Ae.shape, dtype=complex)
+    for i, A in enumerate(Ae):  # stacking does not speed up LAPACK's eig
+        values[i], vectors[i] = np.linalg.eig(A)
+    maps = [(B, C, D), (E, np.eye(G.n), D_dist)]
+    return _modal_h2_stack(Ae, maps, values, vectors, G.Ts)
+
+
+def _score(r, G, h2, margin_cut) -> RealisationScore:
+    h2n, h2d = float(h2[0]), float(h2[1])
+    if not math.isfinite(h2n):
         return RealisationScore(math.inf, math.inf, math.inf, None, stable=False)
     margins = None
     if margin_cut is not None:
@@ -583,20 +698,62 @@ def score_realisation(
     return RealisationScore(h2n, h2d, h2n * h2d, margins)
 
 
-def _evaluate_choice(args):
-    """Solve, build and score one choice; used by the parallel search."""
-    (idx, choice, A_cl, eig, G, K, form, Qn, Rn, margin_cut) = args
-    res = solve_T(A_cl, choice, eig)
-    if not res.feasible:
-        return (idx, None, res.reason)
-    try:
-        t_svd = _t_svd(res.T)
-        X = _free_pole_gain(G, K, t_svd[1], Qn, Rn) if K.n < G.n else None
-        real = _build(form, G, K, res.T, t_svd, X, choice, A_cl, res.residual)
-    except (ValueError, NumericalError) as exc:
-        return (idx, None, str(exc))
-    score = score_realisation(real, G, K, margin_cut)
-    return (idx, (real, score), "")
+# Splits per stacked chunk of the search: enough to pay the Python
+# overhead once per chunk, few enough to keep each chunk's stacks at a
+# few MB (on the 21-state surrogate, 256 raised the peak resident memory
+# of a search by ~10 MB over 64, at the same speed).
+_CHUNK = 64
+
+
+class _Search:
+    """The constants of one search over (G, K), and the stacked kernel that
+    solves, designs, builds and scores its splits a chunk at a time."""
+
+    def __init__(self, G, K, form, Qn, Rn, margin_cut):
+        self.G, self.K, self.form = G, K, form
+        self.Qn, self.Rn, self.margin_cut = Qn, Rn, margin_cut
+        self.A_cl = closed_loop_matrix(G, K)
+        self.eig = eig_paired(self.A_cl)
+        self.basis, self.owner = _real_eigenbasis(self.eig)
+        self.bound = _RESID_TOL * np.linalg.norm(self.A_cl)
+        self.form_error = _form_error(_FORMS[form], G, K)
+
+    def evaluate(self, choices) -> list:
+        """Per choice, (ObserverRealisation, RealisationScore) or the
+        reason the split was rejected."""
+        G, K = self.G, self.K
+        cols = _columns(self.eig, self.owner, [c.state_feedback_set for c in choices])
+        T, resid, out = _solve_T_stack(self.A_cl, self.basis.T[cols].transpose(0, 2, 1))
+        live = np.array([i for i, reason in enumerate(out) if not reason], dtype=int)
+        if not live.size:
+            return out
+        T, resid = T[live], resid[live]
+        t_svd = _t_svds(T)
+        if K.n < G.n:
+            X, errors = _free_pole_gains(G, K, t_svd[1], self.Qn, self.Rn)
+        else:
+            X, errors = np.zeros((live.size, 0, K.n)), [None] * live.size
+        for i, e in zip(live, errors):
+            if e is not None:
+                out[i] = str(e)
+        keep = [m for m, e in enumerate(errors) if e is None]
+        live = live[keep]
+        built = _build_stack(
+            self.form, G, K, T[keep], [a[keep] for a in t_svd], X[keep], resid[keep],
+            self.bound, self.form_error, [choices[i] for i in live],
+        )
+        realisations = []
+        for i, b in zip(live, built):
+            if isinstance(b, Exception):
+                out[i] = str(b)
+            else:
+                realisations.append((i, b))
+        if realisations:
+            K_f = np.stack([r.K_f for _, r in realisations])
+            h2 = _h2_scores(_FORMS[self.form], G, K, K_f)
+            for (i, r), row in zip(realisations, h2):
+                out[i] = (r, _score(r, G, row, self.margin_cut))
+        return out
 
 
 def search_realisations(
@@ -614,39 +771,30 @@ def search_realisations(
 
     forced_S defaults to the closed-loop modes that are uncontrollable
     from the plant input (those cannot leave the state-feedback set).  An
-    unknown ``form`` raises ValueError before any split is solved.
-    Results are sorted ascending by the chosen metric ("product" or
-    "noise"), ties broken by the S index tuple; with ``workers`` > 1 the
-    choices are evaluated in parallel and merged back in choice order, so
-    the outcome is identical to the sequential run.
+    unknown ``form``, or a controller of higher order than the plant,
+    raises ValueError before any split is solved.  The splits are
+    evaluated in stacked chunks in this process; ``workers`` is accepted
+    for compatibility and ignored.  Results are sorted ascending by the
+    chosen metric ("product" or "noise"), ties broken by the S index tuple.
     """
     if rank_by not in ("product", "noise"):
         raise ValueError("rank_by must be 'product' or 'noise'")
     _form(form)
-    A_cl = closed_loop_matrix(G, K)
-    eig = eig_paired(A_cl)
+    _check_orders(G, K)
+    search = _Search(G, K, form, Qn, Rn, margin_cut)
     if forced_S is None:
         B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
-        forced_S = unobservable_modes(A_cl.T, B_cl.T, eig.values)
-    choices = enumerate_choices(eig, G.n, K.n, forced_S)
-
-    jobs = [
-        (i, c, A_cl, eig, G, K, form, Qn, Rn, margin_cut)
-        for i, c in enumerate(choices)
-    ]
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_evaluate_choice, jobs, chunksize=64))
-    else:
-        outcomes = [_evaluate_choice(j) for j in jobs]
-    outcomes.sort(key=lambda t: t[0])
+        forced_S = unobservable_modes(search.A_cl.T, B_cl.T, search.eig.values)
+    choices = enumerate_choices(search.eig, G.n, K.n, forced_S)
 
     result = SearchResult()
-    for idx, built, reason in outcomes:
-        if built is None:
-            result.rejected.append((choices[idx], reason))
-        else:
-            result.ranked.append(built)
+    for start in range(0, len(choices), _CHUNK):
+        chunk = choices[start : start + _CHUNK]
+        for choice, outcome in zip(chunk, search.evaluate(chunk)):
+            if isinstance(outcome, str):
+                result.rejected.append((choice, outcome))
+            else:
+                result.ranked.append(outcome)
     if not result.ranked:
         counts: dict = {}
         for _, reason in result.rejected:

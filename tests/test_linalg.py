@@ -132,7 +132,8 @@ def test_dare_rejects_indefinite_measurement_noise():
 
 
 def test_dare_doubling_breakdown_is_a_numerical_error(monkeypatch):
-    monkeypatch.setattr(linalg, "_dare_doubling", lambda *args: None)
+    # a member whose doubling iteration breaks down comes back as NaN
+    monkeypatch.setattr(linalg, "_dare_doubling", lambda A, *args: np.full(A.shape, np.nan))
     with pytest.raises(NumericalError, match="broke down"):
         solve_dare_kalman(np.array([[0.5]]), np.array([[1.0]]), 1.0, 1.0)
 

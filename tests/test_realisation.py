@@ -24,14 +24,17 @@ from lti2mpc.models import (
     pendulum_plant,
     satellite_controller,
     satellite_plant,
+    scale_surrogate,
 )
 from lti2mpc.realisation import (
     ObserverRealisation,
     RealisationChoice,
-    _dist_system,
+    _dist_injection,
     _form,
-    _free_pole_gain,
-    _t_svd,
+    _free_pole_gains,
+    _h2_scores,
+    _score,
+    _t_svds,
     build_realisation,
     check_decoupling,
     closed_loop_matrix,
@@ -43,7 +46,7 @@ from lti2mpc.realisation import (
     solve_T,
     verify_equivalence,
 )
-from lti2mpc.statespace import DtStateSpace, add_dipole, loop_shift
+from lti2mpc.statespace import DtStateSpace, add_dipole, loop_shift, unobservable_modes
 
 
 def _scalar(a, b, c, d=0.0, Ts=1.0):
@@ -143,6 +146,11 @@ def test_enumerate_keeps_conjugate_pairs_together():
     assert len(choices) == 2
     pair_idx = tuple(sorted(i for i in range(4) if abs(eig.values[i].imag) > 1e-12))
     assert pair_idx in sets
+    # a hand-made split that separates the pair has no real basis
+    real_idx = tuple(i for i in range(4) if i not in pair_idx)
+    half = RealisationChoice((pair_idx[0], real_idx[0]), (pair_idx[1], real_idx[1]))
+    with pytest.raises(ValueError, match="conjugate pair .* split by the selection"):
+        solve_T(M, half, eig)
 
 
 def test_enumerate_fuses_repeated_eigenvalues():
@@ -286,8 +294,9 @@ def test_free_pole_gain_rejects_an_undetectable_reduced_pair():
     G = DtStateSpace(np.diag([1.0, 0.5, 0.2]), np.ones((3, 1)), [[0.0, 1.0, 1.0]],
                      [[0.0]], 1.0)
     K = DtStateSpace([[0.3]], [[1.0]], [[0.5]], [[0.0]], 1.0)
-    with pytest.raises(NumericalError, match="undetectable at modes 1.0000"):
-        _free_pole_gain(G, K, np.eye(3)[:, :2], 1.0, 1e7)
+    _, (err,) = _free_pole_gains(G, K, np.eye(3)[np.newaxis, :, :2], 1.0, 1e7)
+    assert isinstance(err, NumericalError)
+    assert "undetectable at modes 1.0000" in str(err)
 
 
 # -- shared factorisations -----------------------------------------------------
@@ -305,14 +314,19 @@ def _oracle_null_basis(T):
 @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (3, 5), (3, 3)])
 def test_t_svd_matches_null_basis_and_pinv(shape):
     rng = np.random.default_rng(25)
-    for _ in range(5):
-        T = 10.0 ** rng.uniform(-2, 3) * rng.standard_normal(shape)
-        sv, T_perp, T_pinv = _t_svd(T)
+    Ts = np.stack([10.0 ** rng.uniform(-2, 3) * rng.standard_normal(shape) for _ in range(5)])
+    for T, sv, T_perp, T_pinv in zip(Ts, *_t_svds(Ts)):
         assert_allclose(sv, np.linalg.svd(T, compute_uv=False), rtol=1e-12)
         assert T_perp.shape == (shape[1], shape[1] - shape[0])
         assert_allclose(T_perp, _oracle_null_basis(T), rtol=0, atol=1e-12)
         P = np.linalg.pinv(T)
         assert_allclose(T_pinv, P, rtol=0, atol=1e-12 * np.abs(P).max())
+
+
+def _dist_system(G, Ae):
+    """The disturbance-to-estimate map whose norm is h2_dist."""
+    E, D = _dist_injection(G)
+    return DtStateSpace(Ae, E, np.eye(G.n), D, G.Ts)
 
 
 def _with_disturbance_states(G, states):
@@ -460,9 +474,9 @@ def test_default_forced_S_is_the_input_uncontrollable_modes(monkeypatch):
 
 def test_unknown_form_fails_before_any_split_is_solved(monkeypatch):
     def no_solve(*args):
-        raise AssertionError("solve_T ran")
+        raise AssertionError("a split was solved")
 
-    monkeypatch.setattr(realisation, "solve_T", no_solve)
+    monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
     G = satellite_plant()
     K = add_dipole(satellite_controller(), W=50.0)
     with pytest.raises(ValueError, match="unknown form 'bogus'"):
@@ -521,6 +535,219 @@ def test_pendulum_search_ranks_by_noise():
         assert_allclose(sorted(np.abs(np.imag(extra))), [im, im], atol=2e-3)
         assert_allclose(np.real(extra), [re, re], atol=2e-3)
         assert verify_equivalence(realisation_controller(r, Gs, Ks), Ks) < 1e-8
+
+
+# -- refusals made once per search ---------------------------------------------
+
+def test_controller_of_higher_order_than_the_plant_is_refused(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a split was solved")
+
+    monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
+    G, K = _random_stable_pair(np.random.default_rng(27), 2, 3)
+    for call in (lambda: search_realisations(G, K, form="predictor"),
+                 lambda: build_realisation("predictor", G, K, np.ones((3, 2)))):
+        with pytest.raises(ValueError, match="controller order 3 exceeds plant order 2") as exc:
+            call()
+        assert "augment the plant" in str(exc.value)
+
+
+def _per_split_reasons(G, K, form):
+    """Why each split is rejected when it is solved, designed and built on
+    its own through the public one-split calls."""
+    A_cl = closed_loop_matrix(G, K)
+    eig = eig_paired(A_cl)
+    B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
+    reasons = []
+    for c in enumerate_choices(eig, G.n, K.n, unobservable_modes(A_cl.T, B_cl.T, eig.values)):
+        res = solve_T(A_cl, c, eig)
+        if not res.feasible:
+            reasons.append(res.reason)
+            continue
+        try:
+            X = design_free_poles(G, K, res.T) if K.n < G.n else None
+            build_realisation(form, G, K, res.T, X, c)
+        except (ValueError, NumericalError) as exc:
+            reasons.append(str(exc))
+    return reasons
+
+
+def test_filter_form_check_runs_once_and_rejects_like_the_per_split_path(monkeypatch):
+    G = satellite_plant()
+    K = satellite_controller()  # no dipole: K(0) != 0
+    reasons = _per_split_reasons(G, K, "filter")
+    assert reasons and all(r.startswith("filter form needs K(0) = 0") for r in reasons)
+    counts = {r: reasons.count(r) for r in sorted(set(reasons))}
+    expect = "no feasible realisation: " + "; ".join(f"{v} x {k}" for k, v in counts.items())
+
+    calls = []
+    check = _form("filter").check
+    monkeypatch.setattr(_form("filter"), "check", lambda G, K: calls.append(1) or check(G, K))
+    with pytest.raises(NumericalError) as exc:
+        search_realisations(G, K, form="filter")
+    assert str(exc.value) == expect
+    assert len(calls) == 1
+
+
+# -- the stacked kernel against one-member calls ----------------------------------
+
+def _per_split_doubling(A, C, Qn, Rn):
+    """Kalman predictor gain by one doubling iteration per pair, as the
+    search ran it before the stacked kernel."""
+    n = A.shape[0]
+    Ak, Gk, Hk = A.T.copy(), C.T @ np.linalg.solve(Rn, C), Qn.copy()
+    for _ in range(200):
+        W = np.linalg.solve(np.eye(n) + Gk @ Hk, np.hstack([Ak, Gk]))
+        WA, WG = W[:, :n], W[:, n:]
+        G_next = Gk + Ak @ WG @ Ak.T
+        H_next = Hk + Ak.T @ Hk @ WA
+        H_next = 0.5 * (H_next + H_next.T)
+        step = np.linalg.norm(H_next - Hk)
+        Ak, Gk, Hk = Ak @ WA, 0.5 * (G_next + G_next.T), H_next
+        if step <= 1e-10 * max(1.0, np.linalg.norm(Hk)):
+            break
+    S = C @ Hk @ C.T + Rn
+    return np.linalg.solve(S.T, (A @ Hk @ C.T).T).T
+
+
+def test_stacked_dare_freezes_each_member_and_isolates_a_breakdown():
+    rng = np.random.default_rng(28)
+    A = [0.9 * rng.standard_normal((4, 4)) for _ in range(5)]
+    A[2] = 0.05 * A[2]  # converges in fewer doublings than its neighbours
+    A.insert(3, 2.0 * np.eye(4))  # undetectable and unstable: the doubling overflows
+    A = np.stack(A)
+    C = rng.standard_normal((len(A), 2, 4))
+    C[3] = 0.0
+    L, errors = linalg._kalman_gains(A, C, 1.0, 1e2)
+    assert isinstance(errors[3], NumericalError) and "broke down" in str(errors[3])
+    with pytest.raises(NumericalError, match="broke down"):
+        linalg.solve_dare_kalman(A[3], C[3], 1.0, 1e2)
+    for i in (0, 1, 2, 4, 5):
+        assert errors[i] is None
+        one = linalg.solve_dare_kalman(A[i], C[i], 1.0, 1e2)
+        assert_allclose(L[i], one, rtol=0, atol=1e-12 * np.abs(one).max())
+        ref = _per_split_doubling(A[i], C[i], np.eye(4), 1e2 * np.eye(2))
+        assert_allclose(L[i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_stacked_scores_match_one_member_calls(fallbacks):
+    # predictor form with C = I and A_shift = A, so K_f = A - Ae sets each
+    # member's error dynamics Ae
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((2, 2))
+    G = DtStateSpace(A, np.ones((2, 1)), np.eye(2), np.zeros((2, 1)), 1.0,
+                     disturbance_states=(1,))
+    K = DtStateSpace([[0.5]], np.ones((1, 2)), [[1.0]], [[0.0, 0.0]], 1.0)
+    ordinary = [rng.uniform(0.2, 0.8) * np.linalg.qr(rng.standard_normal((2, 2)))[0]
+                for _ in range(4)]
+    defective = np.array([[0.5, 1.0], [0.0, 0.5]])
+    unstable = np.array([[1.2, 0.3], [0.0, 0.4]])
+    Ae = np.stack(ordinary[:2] + [defective, unstable] + ordinary[2:])
+    K_f = A - Ae
+    stacked = _h2_scores(_form("predictor"), G, K, K_f)
+    assert len(fallbacks) == 2  # the defective member's noise and disturbance maps
+
+    for i, gain in enumerate(K_f):
+        r = ObserverRealisation(form="predictor", T=np.ones((1, 2)), T_perp=np.zeros((2, 0)),
+                                X=np.zeros((0, 1)), K_c=np.zeros((1, 2)), K_f=gain,
+                                choice=None, riccati_residual=0.0)
+        s, one = _score(r, G, stacked[i], None), score_realisation(r, G, K)
+        assert s.stable == one.stable == (i != 3)
+        if i == 3:
+            assert s.h2_noise == s.h2_dist == s.product == np.inf
+            continue
+        assert_allclose([s.h2_noise, s.h2_dist], [one.h2_noise, one.h2_dist], rtol=1e-12)
+        noise = _form("predictor").noise_system(r, G, K)
+        assert_allclose(s.h2_noise, h2_norm(noise), rtol=1e-10)
+        assert_allclose(s.h2_dist, h2_norm(_dist_system(G, noise.A)), rtol=1e-10)
+    assert stacked[2, 0] == h2_norm(DtStateSpace(defective, K_f[2], np.eye(2), np.zeros((2, 2)), 1.0))
+
+
+def _per_split_basis(eig, indices):
+    """Real basis of the selected invariant subspace, one split at a time,
+    as the search built it before the stacked kernel."""
+    cols, seen = [], set()
+    for i in indices:
+        if i in seen:
+            continue
+        j = eig.pair_index[i]
+        if j is None:
+            cols.append(eig.vectors[:, i].real)
+            seen.add(i)
+        else:
+            u = eig.vectors[:, i if eig.values[i].imag > 0 else j]
+            cols += [u.real, u.imag]
+            seen.update((i, j))
+    return np.column_stack(cols)
+
+
+def _per_split_modal_h2(Ae, maps):
+    """H2 norms from one diagonalisation of Ae, per split (no fallbacks)."""
+    lam, V = np.linalg.eig(Ae)
+    if np.max(np.abs(lam)) >= 1.0:
+        return [np.inf] * len(maps)
+    V_inv = np.linalg.inv(V)
+    denom = 1.0 - lam[:, np.newaxis] * lam.conj()[np.newaxis, :]
+    out = []
+    for B, C, D in maps:
+        Bt = V_inv @ B
+        P = (V @ ((Bt @ Bt.conj().T) / denom) @ V.conj().T).real
+        P = 0.5 * (P + P.T)
+        out.append(np.sqrt(max(np.trace(C @ P @ C.T) + np.trace(D @ D.T), 0.0)))
+    return out
+
+
+def _per_split_search(G, K, forced_S, Qn=1.0, Rn=1e7):
+    """The predictor-form search on one split at a time: ranked
+    (S, h2_noise, h2_dist, product) rows and (S, reason) rejections."""
+    A_cl = closed_loop_matrix(G, K)
+    eig = eig_paired(A_cl)
+    n, n_K = G.n, K.n
+    bound = 1e-8 * np.linalg.norm(A_cl)
+    rows, rejected = [], []
+    for c in enumerate_choices(eig, n, n_K, forced_S):
+        U = _per_split_basis(eig, c.state_feedback_set)
+        U1, U2 = U[:n], U[n:]
+        cond = np.linalg.cond(U1)
+        if not np.isfinite(cond) or cond > 1e10:
+            rejected.append((c.state_feedback_set, "U1 ill conditioned"))
+            continue
+        T = np.linalg.solve(U1.T, U2.T).T
+        resid = np.linalg.norm(np.hstack([-T, np.eye(n_K)]) @ A_cl @ np.vstack([np.eye(n), T]))
+        if resid > bound:
+            rejected.append((c.state_feedback_set, f"residual {resid:.2e} above {bound:.2e}"))
+            continue
+        Tp = _oracle_null_basis(T)
+        X = _per_split_doubling(Tp.T @ G.A @ Tp, K.B @ G.C @ Tp,
+                                Qn * np.eye(n - n_K), Rn * np.eye(n_K))
+        K_f = (np.linalg.pinv(T) + Tp @ X) @ K.B
+        Ae = G.A - K_f @ G.C
+        h2n, h2d = _per_split_modal_h2(
+            Ae, [(K_f, G.C, np.zeros((G.n_y, G.n_y))), (np.eye(n), np.eye(n), np.zeros((n, n)))])
+        rows.append((c.state_feedback_set, h2n, h2d, h2n * h2d))
+    rows.sort(key=lambda row: (row[3], row[0]))
+    return rows, rejected
+
+
+def test_smoke_surrogate_search_matches_the_per_split_reference():
+    G, K = scale_surrogate(0)
+    assert not G.disturbance_states and not np.any(K.D)
+    A_cl = closed_loop_matrix(G, K)
+    eig = eig_paired(A_cl)
+    B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
+    forced = set(unobservable_modes(A_cl.T, B_cl.T, eig.values))
+    pairs = sorted((abs(eig.values[i]), i) for i in range(eig.n)
+                   if eig.pair_index[i] is not None and eig.values[i].imag > 0)
+    for _, i in pairs[:4]:  # the four smallest-modulus pairs stay in S
+        forced.update((i, eig.pair_index[i]))
+    out = search_realisations(G, K, form="predictor", rank_by="product", forced_S=sorted(forced))
+    rows, rejected = _per_split_search(G, K, sorted(forced))
+    assert len(out.ranked) + len(out.rejected) == 170
+    assert len(rows) == len(out.ranked) >= 10
+    assert [(c.state_feedback_set, reason) for c, reason in out.rejected] == rejected
+    assert [r.choice.state_feedback_set for r, _ in out.ranked] == [row[0] for row in rows]
+    for (_, s), row in zip(out.ranked, rows):
+        assert_allclose([s.h2_noise, s.h2_dist, s.product], row[1:], rtol=1e-9)
 
 
 # -- structure check ---------------------------------------------------------
