@@ -495,18 +495,14 @@ def loop_margins(L: DtStateSpace, feedback_sign: int = 1) -> LoopMargins:
     tol_w = 1e-4 / Ts
 
     # crossings of the negative real axis: Im == 0 with Re < 0
-    gm_candidates = []
     im = resp.imag
     on_axis = (np.abs(im) <= 1e-9 * (1.0 + mag)) & (resp.real < 0.0)
-    for i in np.nonzero(on_axis)[0]:
-        if mag[i] > 0.0:
-            gm_candidates.append(mag[i])
+    gm_candidates = list(mag[on_axis & (mag > 0.0)])
     f_im = lambda w: response(w).imag
-    for i in range(len(grid) - 1):
-        if on_axis[i] or on_axis[i + 1]:
-            continue
-        if im[i] == 0.0 or (im[i] > 0) == (im[i + 1] > 0):
-            continue
+    # sign changes of Im between grid points, neither end on the axis
+    sign_change = (~on_axis[:-1] & ~on_axis[1:] & (im[:-1] != 0.0)
+                   & ((im[:-1] > 0) != (im[1:] > 0)))
+    for i in np.nonzero(sign_change)[0]:
         w_c = _bisect_root(f_im, grid[i], grid[i + 1], im[i], tol_w)
         r = response(w_c)
         if r.real < 0.0:
@@ -518,17 +514,12 @@ def loop_margins(L: DtStateSpace, feedback_sign: int = 1) -> LoopMargins:
     # unity-magnitude crossings
     log_mag = np.where(mag > 0.0, np.log(np.maximum(mag, 1e-300)), -np.inf)
     f_mag = lambda w: math.log(max(abs(response(w)), 1e-300))
-    crossings = []
-    for i in range(len(grid) - 1):
-        a, b = log_mag[i], log_mag[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            crossings.append(grid[i])
-            continue
-        if (a > 0) == (b > 0):
-            continue
-        crossings.append(_bisect_root(f_mag, grid[i], grid[i + 1], a, tol_w))
+    a, b = log_mag[:-1], log_mag[1:]
+    # a grid point exactly at unity magnitude is itself a crossing
+    candidate = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | ((a > 0) != (b > 0)))
+    crossings = [grid[i] if a[i] == 0.0
+                 else _bisect_root(f_mag, grid[i], grid[i + 1], a[i], tol_w)
+                 for i in np.nonzero(candidate)[0]]
     unity_crossing_found = bool(crossings)
 
     phase_margin = math.inf

@@ -41,7 +41,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, qr_delete, qr_insert, solve_triangular
+from scipy.linalg import cho_factor, qr_delete, qr_insert
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 __all__ = ["QpFactor", "QpSolution", "factor_qp", "solve_qp"]
 
@@ -98,7 +99,27 @@ def factor_qp(H, A=None) -> QpFactor:
     if not (np.isfinite(H).all() and np.isfinite(A).all()):
         raise ValueError("H and A must be finite")
     L = np.tril(cho_factor(H, lower=True, check_finite=False)[0])
-    return QpFactor(L, solve_triangular(L, -A.T, lower=True, check_finite=False))
+    return QpFactor(L, _tri_solve(L, -A.T, lower=True))
+
+
+def _tri_solve(T, v, lower=False, trans=0):
+    """x with T x = v (T' x = v when trans=1), T triangular, by LAPACK dtrtrs.
+
+    scipy.linalg.solve_triangular without its wrapper: the same call, so the
+    same bits.  dtrtrs reads Fortran order, so a C-ordered T goes in as its
+    transpose with the triangle and the transposition flipped.
+    """
+    if v.size == 0:
+        return np.empty(v.shape)
+    if T.flags.f_contiguous:
+        x, info = dtrtrs(T, v, lower=lower, trans=trans)
+    else:
+        x, info = dtrtrs(T.T, v, lower=not lower, trans=1 - trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular triangular factor at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
 
 
 def _guess(warm, m) -> list:
@@ -138,7 +159,9 @@ def solve_qp(H, f, A=None, b=None, max_iter: int | None = None, *,
     active = _guess(warm, m)
     guessed = len(active)
     L, G = factor.L, factor.G
-    x = cho_solve((L, True), -f, check_finite=False)
+    x, info = dpotrs(L, -f, lower=True) if d else (np.zeros(0), 0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
 
     if A is None:
         return QpSolution(x, _objective(H, f, x), "optimal", 0)
@@ -154,7 +177,7 @@ def solve_qp(H, f, A=None, b=None, max_iter: int | None = None, *,
     # G_W'G_W lam = A_W x0 - b_W
     while active:
         G_w = G[:, active]
-        Q, R = qr(G_w, check_finite=False)
+        Q, R = np.linalg.qr(G_w, mode="complete")
         q = len(active)
         dep = np.flatnonzero(np.diag(R) ** 2 <= _DEP_TOL * np.maximum(
             np.sum(G_w[:, :d] ** 2, axis=0), 1e-300))
@@ -162,12 +185,9 @@ def solve_qp(H, f, A=None, b=None, max_iter: int | None = None, *,
             active.pop(int(dep[0]) if dep.size else d)
             continue
         viol = A[active] @ x - b[active]
-        lam = solve_triangular(
-            R[:q], solve_triangular(R[:q], viol, trans="T", check_finite=False),
-            check_finite=False)
+        lam = _tri_solve(R[:q], _tri_solve(R[:q], viol, trans=1))
         if np.all(lam >= 0.0):
-            x = x + solve_triangular(L, G_w @ lam, lower=True, trans="T",
-                                     check_finite=False)
+            x = x + _tri_solve(L, G_w @ lam, lower=True, trans=1)
             break
         active = [j for j, lam_j in zip(active, lam) if lam_j >= 0.0]
     if not active:
@@ -176,7 +196,7 @@ def solve_qp(H, f, A=None, b=None, max_iter: int | None = None, *,
     def insert_col(u):
         nonlocal Q, R
         if R.shape[1] == 0:
-            Q, R = qr(u.reshape(-1, 1), mode="full", check_finite=False)
+            Q, R = np.linalg.qr(u.reshape(-1, 1), mode="complete")
         else:
             Q, R = qr_insert(Q, R, u, R.shape[1], which="col", check_finite=False)
 
@@ -211,12 +231,11 @@ def solve_qp(H, f, A=None, b=None, max_iter: int | None = None, *,
             q = len(active)
             if q:
                 w1 = Q[:, :q].T @ g
-                r = solve_triangular(R[:q, :], w1, lower=False, check_finite=False)
-                z = solve_triangular(L, Q[:, q:] @ (Q[:, q:].T @ g),
-                                     lower=True, trans="T", check_finite=False)
+                r = _tri_solve(R[:q, :], w1)
+                z = _tri_solve(L, Q[:, q:] @ (Q[:, q:].T @ g), lower=True, trans=1)
             else:
                 r = np.zeros(0)
-                z = solve_triangular(L, g, lower=True, trans="T", check_finite=False)
+                z = _tri_solve(L, g, lower=True, trans=1)
 
             # n_p'z = ||Q2'g||^2 exactly, so ||g||^2 is its natural scale
             denom = float(n_p @ z)

@@ -486,7 +486,12 @@ def _form(name):
 
 
 def _check_orders(G, K):
-    """An observer realisation needs n_K <= n (T is n_K x n of full row rank)."""
+    """An observer realisation needs 1 <= n_K <= n (T is n_K x n of full row rank)."""
+    if K.n == 0:
+        raise ValueError(
+            "the controller is static (no states); an observer realisation "
+            "needs a dynamic controller, n_K >= 1"
+        )
     if K.n > G.n:
         raise ValueError(
             f"controller order {K.n} exceeds plant order {G.n}; an observer "
@@ -518,7 +523,8 @@ def build_realisation(
 
     The filter form needs K(0) = 0 and nonsingular A and A_K; the predictor
     form needs a strictly proper controller (loop-shift the feedthrough
-    away first).  A controller of higher order than the plant is refused.
+    away first).  A static controller, or one of higher order than the
+    plant, is refused.
     """
     f = _form(form)
     _check_orders(G, K)
@@ -627,12 +633,9 @@ def verify_equivalence(
     w_ts = np.logspace(-4, math.log10(math.pi), n_freq)
     R1 = K_obs.freq_response(w_ts)
     R0 = K0.freq_response(w_ts)
-    err = 0.0
-    for k in range(n_freq):
-        num = np.linalg.norm(R1[k] - R0[k], 2)
-        den = 1.0 + np.linalg.norm(R0[k], 2)
-        err = max(err, num / den)
-    return err
+    num = np.linalg.norm(R1 - R0, 2, axis=(1, 2))
+    den = 1.0 + np.linalg.norm(R0, 2, axis=(1, 2))
+    return max([0.0, *(num / den)])
 
 
 def _dist_injection(G):
@@ -771,10 +774,10 @@ def search_realisations(
 
     forced_S defaults to the closed-loop modes that are uncontrollable
     from the plant input (those cannot leave the state-feedback set).  An
-    unknown ``form``, or a controller of higher order than the plant,
-    raises ValueError before any split is solved.  The splits are
-    evaluated in stacked chunks in this process; ``workers`` is accepted
-    for compatibility and ignored.  Results are sorted ascending by the
+    unknown ``form``, a static controller, or a controller of higher order
+    than the plant raises ValueError before any split is solved.  The
+    splits are evaluated in stacked chunks in this process; ``workers`` is
+    accepted for compatibility and ignored.  Results are sorted ascending by the
     chosen metric ("product" or "noise"), ties broken by the S index tuple.
     """
     if rank_by not in ("product", "noise"):

@@ -10,6 +10,7 @@ capture.  Everything is deterministic given the scenario seeds.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 
@@ -205,11 +206,15 @@ def pendulum_dynamics(state, force) -> np.ndarray:
     theta = 0:  xdd = (m l w^2 s - m g s c + u)/(M + m s^2),
     thdd = (g s - xdd c)/l."""
     _, xd, th, thd = state
+    return np.array(_pendulum_rhs(xd, th, thd, force))
+
+
+def _pendulum_rhs(xd, th, thd, force):
+    """pendulum_dynamics on scalars: (xd, xdd, thd, thdd)."""
     M, m, l, g = _PEND.cart_mass, _PEND.pend_mass, _PEND.length, _PEND.gravity
-    s, c = np.sin(th), np.cos(th)
+    s, c = math.sin(th), math.cos(th)
     xdd = (m * l * thd * thd * s - m * g * s * c + force) / (M + m * s * s)
-    thdd = (g * s - xdd * c) / l
-    return np.array([xd, xdd, thd, thdd])
+    return xd, xdd, thd, (g * s - xdd * c) / l
 
 
 def pendulum_energy(state) -> float:
@@ -222,13 +227,22 @@ def pendulum_energy(state) -> float:
 
 
 def _rk4(x, u, h, nsub):
+    """nsub classical RK4 steps of pendulum_dynamics with the force held at u,
+    on Python floats; each stage and the update x + h/6 (k1 + 2 k2 + 2 k3 + k4)
+    are evaluated in the order numpy would evaluate them on arrays.  The cart
+    position enters no stage, so only the other three states are staged."""
+    p, v, th, w = (float(s) for s in x)
+    h2, h6 = 0.5 * h, h / 6.0
     for _ in range(nsub):
-        k1 = pendulum_dynamics(x, u)
-        k2 = pendulum_dynamics(x + 0.5 * h * k1, u)
-        k3 = pendulum_dynamics(x + 0.5 * h * k2, u)
-        k4 = pendulum_dynamics(x + h * k3, u)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+        a1, b1, c1, d1 = _pendulum_rhs(v, th, w, u)
+        a2, b2, c2, d2 = _pendulum_rhs(v + h2 * b1, th + h2 * c1, w + h2 * d1, u)
+        a3, b3, c3, d3 = _pendulum_rhs(v + h2 * b2, th + h2 * c2, w + h2 * d2, u)
+        a4, b4, c4, d4 = _pendulum_rhs(v + h * b3, th + h * c3, w + h * d3, u)
+        p += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        v += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        th += h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        w += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+    return np.array([p, v, th, w])
 
 
 def inject_fault(u_applied: np.ndarray, t: float, faults) -> np.ndarray:

@@ -9,6 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
+# frequencies per stacked solve in DtStateSpace.freq_response
+_FREQ_CHUNK = 256
+
 
 def _as_matrix(M, rows=None, cols=None, name="matrix"):
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -86,16 +89,21 @@ class DtStateSpace(_StateSpace):
         Returns
         -------
         Array of shape (len(w_ts), n_y, n_u), complex.
+
+        The grid is solved _FREQ_CHUNK frequencies at a time, as one stacked
+        ``solve`` of (zI - A) X = B per chunk, which bounds the memory of a
+        long grid.
         """
         w_ts = np.atleast_1d(np.asarray(w_ts, dtype=float))
         out = np.empty((w_ts.size, self.n_y, self.n_u), dtype=complex)
+        if self.n == 0:
+            out[:] = self.D
+            return out
         I = np.eye(self.n)
-        for i, wt in enumerate(w_ts):
-            z = np.exp(1j * wt)
-            if self.n == 0:
-                out[i] = self.D
-            else:
-                out[i] = self.C @ np.linalg.solve(z * I - self.A, self.B) + self.D
+        for s in range(0, w_ts.size, _FREQ_CHUNK):
+            z = np.exp(1j * w_ts[s:s + _FREQ_CHUNK])
+            out[s:s + _FREQ_CHUNK] = self.C @ np.linalg.solve(
+                z[:, None, None] * I - self.A, self.B) + self.D
         return out
 
     def is_strictly_proper(self, tol=0.0):

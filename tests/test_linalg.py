@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from scipy.linalg import companion
 
 from lti2mpc import linalg
 from lti2mpc.linalg import (
+    LoopMargins,
     NumericalError,
     UnstableSystemError,
     eig_paired,
@@ -14,7 +17,14 @@ from lti2mpc.linalg import (
     solve_discrete_lyapunov,
     spectral_radius,
 )
-from lti2mpc.statespace import DtStateSpace
+from lti2mpc.models import (
+    pendulum_controller,
+    pendulum_plant,
+    satellite_controller,
+    satellite_plant,
+)
+from lti2mpc.realisation import margin_loop, search_realisations
+from lti2mpc.statespace import DtStateSpace, add_dipole, loop_shift
 
 
 def test_eig_paired_orders_by_modulus_then_angle():
@@ -165,3 +175,138 @@ def test_margins_require_siso():
     L = DtStateSpace(np.eye(2) * 0.1, np.eye(2), np.eye(2), np.zeros((2, 2)), 1.0)
     with pytest.raises(ValueError):
         loop_margins(L)
+
+
+def _loop_margins_reference(L, feedback_sign):
+    """loop_margins with its grid scans written as plain loops over the
+    intervals, one skip rule at a time."""
+    Ts = L.Ts
+    w_nyq = math.pi / Ts
+
+    def response(w):
+        return complex(-feedback_sign * L.freq_response(np.array([w * Ts]))[0, 0, 0])
+
+    grid = np.logspace(math.log10(w_nyq) - 6, math.log10(w_nyq), 2401)
+    grid[-1] = w_nyq * (1.0 - 1e-9)
+    resp = -feedback_sign * L.freq_response(grid * Ts)[:, 0, 0]
+    mag = np.abs(resp)
+    im = resp.imag
+    tol_w = 1e-4 / Ts
+
+    gm_candidates = []
+    on_axis = (np.abs(im) <= 1e-9 * (1.0 + mag)) & (resp.real < 0.0)
+    for i in range(len(grid)):
+        if on_axis[i] and mag[i] > 0.0:
+            gm_candidates.append(mag[i])
+    for i in range(len(grid) - 1):
+        if on_axis[i] or on_axis[i + 1]:
+            continue
+        if im[i] == 0.0 or (im[i] > 0) == (im[i + 1] > 0):
+            continue
+        r = response(linalg._bisect_root(lambda w: response(w).imag,
+                                         grid[i], grid[i + 1], im[i], tol_w))
+        if r.real < 0.0:
+            gm_candidates.append(abs(r))
+    gm_candidates = [m for m in gm_candidates if m < 1.0]
+
+    log_mag = np.where(mag > 0.0, np.log(np.maximum(mag, 1e-300)), -np.inf)
+    crossings = []
+    for i in range(len(grid) - 1):
+        a, b = log_mag[i], log_mag[i + 1]
+        if not (np.isfinite(a) and np.isfinite(b)):
+            continue
+        if a == 0.0:
+            crossings.append(grid[i])
+            continue
+        if (a > 0) == (b > 0):
+            continue
+        crossings.append(linalg._bisect_root(
+            lambda w: math.log(max(abs(response(w)), 1e-300)),
+            grid[i], grid[i + 1], a, tol_w))
+
+    pm, dm_min, crossover = math.inf, math.inf, math.nan
+    for w_c in crossings:
+        r = response(w_c)
+        margin = (math.atan2(r.imag, r.real) + math.pi) % (2.0 * math.pi)
+        dm = margin / (w_c * Ts)
+        if dm < dm_min:
+            pm, dm_min, crossover = margin, dm, w_c
+    return LoopMargins(
+        gain_margin=1.0 / max(gm_candidates) if gm_candidates else math.inf,
+        phase_margin=pm, delay_margin=dm_min, crossover_frequency=crossover,
+        phase_crossing_found=bool(gm_candidates), unity_crossing_found=bool(crossings))
+
+
+class _GridLoop:
+    """A SISO 'loop' whose response on loop_margins' 2401-point grid is
+    given point by point, and is OFF_GRID at every single frequency a
+    bisection or a crossing asks for.
+
+    Exact zeros and exact unit magnitudes on grid points make each skip
+    rule of the crossing scans the only rule that decides its interval.
+    An interval that is wrongly bisected finds OFF_GRID, a negative-real
+    candidate of magnitude ~0.8 (gain margin 1.25 instead of 2) and a
+    unity crossing where the loop below has none.
+    """
+
+    n_u = n_y = 1
+    Ts = 1.0
+    OFF_GRID = -0.8 + 0.01j
+
+    def __init__(self, grid_response):
+        self.grid_response = grid_response
+
+    def freq_response(self, w_ts):
+        w_ts = np.atleast_1d(w_ts)
+        if w_ts.size == 1:
+            return np.full((1, 1, 1), self.OFF_GRID)
+        assert w_ts.size == self.grid_response.size
+        return self.grid_response.reshape(-1, 1, 1)
+
+
+def _phase_scan_loop():
+    # |L| = 0.42 except at two points; Im < 0 below 100, exactly 0 at 100
+    # (Re > 0, so not on the axis), > 0 above
+    resp = np.where(np.arange(2401) < 100, 0.3 - 0.3j, 0.3 + 0.3j)
+    resp[100] = 0.3
+    # on the negative real axis, Im changing sign on both sides
+    resp[1000] = -0.5 - 1e-12j
+    # magnitude exactly 1, the only unity crossing
+    resp[2000] = 1j
+    return _GridLoop(resp)
+
+
+def _magnitude_scan_loop():
+    # |L| = 2 except one exact zero: log|L| is -inf there, finite above 1 on
+    # both sides, so no interval holds a unity crossing
+    resp = np.full(2401, 2.0 + 0j)
+    resp[1500] = 0.0
+    return _GridLoop(resp)
+
+
+def test_margin_scan_skip_rules_on_exact_grid_points():
+    grid = np.logspace(math.log10(math.pi) - 6, math.log10(math.pi), 2401)
+    L = _phase_scan_loop()
+    m = loop_margins(L, feedback_sign=-1)
+    assert m == _loop_margins_reference(L, -1)
+    assert m.gain_margin == 2.0 and m.phase_crossing_found
+    assert m.crossover_frequency == grid[2000] and m.unity_crossing_found
+    L = _magnitude_scan_loop()
+    m = loop_margins(L, feedback_sign=-1)
+    assert m == _loop_margins_reference(L, -1)
+    assert not (m.phase_crossing_found or m.unity_crossing_found)
+
+
+def _realised_margin_loops():
+    sat = search_realisations(satellite_plant(), add_dipole(satellite_controller(), W=50.0),
+                              form="filter", rank_by="product", margin_cut=0)
+    Gs, Ks = loop_shift(pendulum_plant(), pendulum_controller())
+    pend = search_realisations(Gs, Ks, form="predictor", rank_by="noise", margin_cut=0)
+    return ([margin_loop(r, satellite_plant(), 0) for r, _ in sat.ranked[:4]]
+            + [margin_loop(r, Gs, 0) for r, _ in pend.ranked])
+
+
+def test_margin_scan_matches_the_loop_reference_on_realised_loops():
+    for L in _realised_margin_loops():
+        for sign in (1, -1):
+            assert loop_margins(L, sign) == _loop_margins_reference(L, sign)

@@ -552,6 +552,20 @@ def test_controller_of_higher_order_than_the_plant_is_refused(monkeypatch):
         assert "augment the plant" in str(exc.value)
 
 
+@pytest.mark.parametrize("form", ["filter", "predictor"])
+def test_static_controller_is_refused(monkeypatch, form):
+    def no_solve(*args):
+        raise AssertionError("a split was solved")
+
+    monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
+    G = _scalar(0.5, 1.0, 1.0)
+    K = DtStateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-0.3]], 1.0)
+    for call in (lambda: search_realisations(G, K, form=form),
+                 lambda: build_realisation(form, G, K, np.ones((0, 1)))):
+        with pytest.raises(ValueError, match="controller is static"):
+            call()
+
+
 def _per_split_reasons(G, K, form):
     """Why each split is rejected when it is solved, designed and built on
     its own through the public one-split calls."""

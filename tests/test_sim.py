@@ -85,6 +85,32 @@ def test_pendulum_energy_is_conserved_by_the_integrator():
     assert drift <= 1e-6
 
 
+def _rk4_on_arrays(x, u, h, nsub):
+    """Reference: classical RK4 on 4-element arrays of pendulum_dynamics."""
+    for _ in range(nsub):
+        k1 = pendulum_dynamics(x, u)
+        k2 = pendulum_dynamics(x + 0.5 * h * k1, u)
+        k3 = pendulum_dynamics(x + 0.5 * h * k2, u)
+        k4 = pendulum_dynamics(x + h * k3, u)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def test_rk4_matches_the_array_reference_over_a_swing():
+    # 200 control steps of 20 substeps under a varying force: the cart
+    # swings the pendulum through large angles
+    h = 0.1 / 20.0
+    x = x_ref = np.array([0.0, 0.0, 0.3, 0.0])
+    theta_max = 0.0
+    for k in range(200):
+        u = 5.0 * np.sin(0.37 * k)
+        x, x_ref = _rk4(x, u, h, 20), _rk4_on_arrays(x_ref, u, h, 20)
+        assert isinstance(x, np.ndarray) and x.shape == (4,)
+        npt.assert_allclose(x, x_ref, rtol=1e-15, atol=1e-15)
+        theta_max = max(theta_max, abs(x_ref[2]))
+    assert theta_max > 1.0
+
+
 def test_inject_fault_locks_channels_from_the_fault_time():
     faults = ((3.0, 0, 0.0), (5.0, 1, -0.2))
     u = np.array([0.4, 0.6])

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from lti2mpc import statespace
 from lti2mpc.linalg import spectral_radius
 from lti2mpc.statespace import (
     CtStateSpace,
@@ -93,6 +94,40 @@ def test_series_composes_frequency_responses():
     R2 = g2.freq_response(w)
     for i in range(len(w)):
         assert_allclose(R[i], R2[i] @ R1[i], rtol=1e-9, atol=1e-11)
+
+
+def _freq_response_per_point(sys, w_ts):
+    """Reference: one solve of (zI - A) X = B per frequency."""
+    w_ts = np.atleast_1d(np.asarray(w_ts, dtype=float))
+    out = np.empty((w_ts.size, sys.n_y, sys.n_u), dtype=complex)
+    for i, wt in enumerate(w_ts):
+        if sys.n == 0:
+            out[i] = sys.D
+        else:
+            z = np.exp(1j * wt)
+            out[i] = sys.C @ np.linalg.solve(z * np.eye(sys.n) - sys.A, sys.B) + sys.D
+    return out
+
+
+@pytest.mark.parametrize("n, n_u, n_y, w_ts", [
+    (0, 2, 3, np.linspace(0.0, np.pi, 7)),           # static gain
+    (4, 1, 1, 0.3),                                  # scalar frequency
+    (5, 2, 3, np.linspace(1e-3, np.pi, 40)),         # MIMO
+    # 600 points: three chunks, the last one partial
+    (6, 1, 1, np.logspace(-4, np.log10(np.pi), 2 * statespace._FREQ_CHUNK + 88)),
+])
+def test_freq_response_matches_a_per_point_solve(n, n_u, n_y, w_ts):
+    rng = np.random.default_rng(n)
+    if n == 0:
+        sys = DtStateSpace(np.zeros((0, 0)), np.zeros((0, n_u)), np.zeros((n_y, 0)),
+                           rng.standard_normal((n_y, n_u)), 1.0)
+    else:
+        sys = _random_dt(rng, n, n_u, n_y)
+    got = sys.freq_response(w_ts)
+    ref = _freq_response_per_point(sys, w_ts)
+    assert got.shape == ref.shape == (np.size(w_ts), n_y, n_u)
+    assert got.dtype == complex
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_feedback_scalar_positive_closure():
