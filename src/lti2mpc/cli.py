@@ -72,6 +72,7 @@ from .realisation import (
     verify_equivalence,
 )
 from .sim import (
+    _FAMILIES,
     BaselineController,
     MpcController,
     Scenario,
@@ -438,13 +439,19 @@ def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict) -> Scenario:
     )
 
 
+def _library_scenario(name: str) -> Scenario | None:
+    """The library scenario ``name`` or None, building only its plant's family."""
+    family = name.split("-")[0]
+    return scenario_library(family).get(name) if family in _FAMILIES else None
+
+
 def _resolve_scenario(cfg: ProjectConfig, name: str) -> Scenario:
-    lib = scenario_library()
     spec = cfg.scenarios.get(name)
     if spec is None:
-        if name in lib:
-            return lib[name]
-        raise DomainError(f"unknown scenario {name!r}")
+        sc = _library_scenario(name)
+        if sc is None:
+            raise DomainError(f"unknown scenario {name!r}")
+        return sc
     if not isinstance(spec, dict):
         raise ConfigError(f"scenario {name!r} must be an object")
     unknown = set(spec) - {"base", "duration", "seed", "noise_sigma", "x0"}
@@ -453,9 +460,9 @@ def _resolve_scenario(cfg: ProjectConfig, name: str) -> Scenario:
     base = spec.get("base")
     if base is None:
         return _custom_scenario(cfg, name, spec)
-    if base not in lib:
+    sc = _library_scenario(str(base))
+    if sc is None:
         raise DomainError(f"scenario {name!r}: unknown base {base!r}")
-    sc = lib[base]
     overrides = {}
     if "duration" in spec:
         overrides["duration"] = float(spec["duration"])

@@ -25,7 +25,6 @@ __all__ = [
     "spectral_radius",
     "solve_discrete_lyapunov",
     "h2_norm",
-    "modal_h2_norms",
     "solve_dare_kalman",
     "loop_margins",
 ]
@@ -210,69 +209,62 @@ def h2_norm(sys: DtStateSpace) -> float:
     return _h2_from_gramian(sys, solve_discrete_lyapunov(sys.A, sys.B @ sys.B.T))
 
 
-def modal_h2_norms(systems, values: np.ndarray, vectors: np.ndarray) -> list:
-    """H2 norms of stable systems sharing one state matrix A = V diag(lam) V^-1.
-
-    ``values`` and ``vectors`` are ``np.linalg.eig(A)``.  Each Gramian is
-    the diagonalised solution of the Stein equation A P A^T - P + B B^T = 0,
-
-        P = V (B~ B~^H ./ (1 - lam lam^H)) V^H,   B~ = V^-1 B,
-
-    and is accepted only if it meets the residual bound of
-    solve_discrete_lyapunov.  A system whose Gramian misses that bound, or
-    every system when V is singular or ||V||_1 ||V^-1||_1 > 1e8, is solved
-    by :func:`h2_norm` (Schur/bilinear) instead.
-
-    Raises
-    ------
-    UnstableSystemError
-        If any eigenvalue is on or outside the unit circle.
-    """
-    if values.size and np.max(np.abs(values)) >= 1.0:
-        raise UnstableSystemError("H2 norm undefined for an unstable system")
-    maps = [(s.B[np.newaxis], s.C[np.newaxis], s.D[np.newaxis]) for s in systems]
-    A = systems[0].A[np.newaxis]
-    return list(_modal_h2_stack(A, maps, values[np.newaxis], vectors[np.newaxis],
-                                systems[0].Ts)[0])
+# Doublings after which a member the Stein iteration has not certified goes
+# to the eigenvalue test and the Schur/bilinear solver: 2^40 terms of the
+# series, enough for a normal A of spectral radius up to about 1 - 1e-10.
+_STEIN_MAX_DOUBLINGS = 40
 
 
-def _modal_h2_stack(A, maps, values, vectors, Ts) -> np.ndarray:
-    """modal_h2_norms on a stack: member i of every map has state matrix
-    A[i] with ``values[i], vectors[i] = np.linalg.eig(A[i])``.
+def _h2_stack(A, maps, Ts) -> np.ndarray:
+    """H2 norms of systems that share their state matrix, on a stack.
 
     ``maps`` is a sequence of (B, C, D) stacks with the leading axis of A
-    (or broadcastable to it).  Returns a (k, len(maps)) array whose rows
-    are the H2 norms of member i, inf where A[i] has an eigenvalue on or
-    outside the unit circle.  Members that fail the conditioning gate or a
-    Gramian residual check fall back, one by one, to :func:`h2_norm` on a
-    system with sample time Ts.
+    (k, n, n), or broadcastable to it.  Returns the (k, len(maps)) norms,
+    inf where A[i] has an eigenvalue on or outside the unit circle.
+
+    A member's Gramians come from one squared Smith iteration on
+    A P A^T - P + B B^T = 0 (the G = 0 case of :func:`_dare_doubling`):
+    P <- P + A_s P A_s^T, then A_s <- A_s^2, from P = B B^T and A_s = A.
+    A member stops once ||A_s||_F < 1, which proves A stable, and every
+    Gramian's last step is below 1e-10 ||P||.  A Gramian that misses the
+    residual bound of solve_discrete_lyapunov goes alone to :func:`h2_norm`
+    (Schur/bilinear).  A member not certified within _STEIN_MAX_DOUBLINGS
+    doublings, or whose iterates overflow, is judged by its eigenvalues:
+    unstable ones score inf, stable ones go to h2_norm.
     """
-    k, n = values.shape
-    out = np.full((k, len(maps)), np.inf)
+    k = len(A)
     maps = [tuple(np.broadcast_to(M, (k,) + M.shape[-2:]) for M in m) for m in maps]
-    stable = np.flatnonzero(np.max(np.abs(values), axis=1, initial=0.0) < 1.0)
-    V = vectors[stable]
-    V_inv = _solve_each(V, np.broadcast_to(np.eye(n), V.shape))  # NaN if singular
-    norm1 = lambda M: np.abs(M).sum(axis=1).max(axis=1, initial=0.0)
-    modal = norm1(V) * norm1(V_inv) <= 1e8
-    members, V, V_inv = stable[modal], V[modal], V_inv[modal]
-    lam = values[members]
-    V_h = V.conj().transpose(0, 2, 1)
-    denom = 1.0 - lam[:, :, np.newaxis] * lam.conj()[:, np.newaxis, :]
-    Am = A[members]
+    Q = np.stack([B @ B.transpose(0, 2, 1) for B, _, _ in maps], axis=1)
+    fro2 = lambda M: np.einsum("...ij,...ij->...", M, M)  # squared Frobenius norms
+
+    def double(state):
+        A_s, P = state
+        step = A_s[:, np.newaxis] @ P @ A_s.transpose(0, 2, 1)[:, np.newaxis]
+        P = P + step
+        A_s = A_s @ A_s
+        a2, p2 = fro2(A_s), fro2(P)
+        converged = (a2 < 1.0) & (fro2(step) <= 1e-20 * p2).all(axis=1)
+        finite = np.isfinite(a2) & np.isfinite(p2).all(axis=1)
+        return (A_s, P), np.where(finite, converged, -1)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is a breakdown
+        (_, P), status = _freeze_each((A, Q), double, _STEIN_MAX_DOUBLINGS)
+    P = 0.5 * (P + P.transpose(0, 1, 3, 2))
+
+    out = np.full((k, len(maps)), np.inf)
     done = np.zeros(out.shape, dtype=bool)
-    for j, (B, C, D) in enumerate(maps):
-        Bm, Cm, Dm = B[members], C[members], D[members]
-        Bt = V_inv @ Bm
-        P = (V @ ((Bt @ Bt.conj().transpose(0, 2, 1)) / denom) @ V_h).real
-        P = 0.5 * (P + P.transpose(0, 2, 1))
-        resid, bound = _lyapunov_residual(Am, P, Bm @ Bm.transpose(0, 2, 1))
-        val = (np.trace(Cm @ P @ Cm.transpose(0, 2, 1), axis1=1, axis2=2)
+    certified = np.flatnonzero(status == 1)
+    resid, bound = _lyapunov_residual(A[certified, np.newaxis], P[certified], Q[certified])
+    done[certified] = resid <= bound
+    for j, (_, C, D) in enumerate(maps):
+        Cm, Dm, Pm = C[certified], D[certified], P[certified, j]
+        val = (np.trace(Cm @ Pm @ Cm.transpose(0, 2, 1), axis1=1, axis2=2)
                + np.trace(Dm @ Dm.transpose(0, 2, 1), axis1=1, axis2=2))
         # tiny negative values can appear through cancellation
-        out[members, j] = np.sqrt(np.maximum(val, 0.0))
-        done[members, j] = resid <= bound
-    for i in stable[~done[stable].all(axis=1)]:
+        out[certified, j] = np.sqrt(np.maximum(val, 0.0))
+    rest = np.flatnonzero(status != 1)
+    rest = rest[np.abs(np.linalg.eigvals(A[rest])).max(axis=1, initial=0.0) < 1.0]
+    for i in np.union1d(certified[~done[certified].all(axis=1)], rest):
         for j, (B, C, D) in enumerate(maps):
             if done[i, j]:
                 continue
@@ -384,35 +376,56 @@ def _dare_doubling(A, C, Qn, Rn, max_iter):
     one-member solve; a member whose iteration breaks down (a singular or
     non-finite step, or ||P|| overflowing) is NaN.
     """
-    k, n = A.shape[:2]
+    n = A.shape[1]
     eye = np.eye(n)
-    P = np.full((k, n, n), np.nan)
-    live = np.arange(k)
-    Ak = A.transpose(0, 2, 1).copy()
+
+    def double(state):
+        Ak, Gk, Hk = state
+        W = _solve_each(eye + Gk @ Hk, np.concatenate([Ak, Gk], axis=2))
+        WA, WG = W[:, :, :n], W[:, :, n:]
+        A_next = Ak @ WA
+        G_next = Gk + Ak @ WG @ Ak.transpose(0, 2, 1)
+        H_next = Hk + Ak.transpose(0, 2, 1) @ Hk @ WA
+        H_next = 0.5 * (H_next + H_next.transpose(0, 2, 1))
+        step = np.linalg.norm(H_next - Hk, axis=(1, 2))
+        size = np.linalg.norm(H_next, axis=(1, 2))
+        done = step <= 1e-10 * np.maximum(1.0, size)
+        broken = ~np.isfinite(W).all(axis=(1, 2)) | (done & ~np.isfinite(size))
+        state = (A_next, 0.5 * (G_next + G_next.transpose(0, 2, 1)), H_next)
+        return state, np.where(broken, -1, done)
+
     Gk = C.transpose(0, 2, 1) @ np.linalg.solve(Rn, C)
-    Hk = np.repeat(Qn[np.newaxis], k, axis=0)
+    Hk = np.repeat(Qn[np.newaxis], len(A), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is a breakdown
-        for _ in range(max_iter):
-            W = _solve_each(eye + Gk @ Hk, np.concatenate([Ak, Gk], axis=2))
-            ok = np.isfinite(W).all(axis=(1, 2))
-            live, Ak, Gk, Hk, W = live[ok], Ak[ok], Gk[ok], Hk[ok], W[ok]
-            WA = W[:, :, :n]
-            WG = W[:, :, n:]
-            A_next = Ak @ WA
-            G_next = Gk + Ak @ WG @ Ak.transpose(0, 2, 1)
-            H_next = Hk + Ak.transpose(0, 2, 1) @ Hk @ WA
-            H_next = 0.5 * (H_next + H_next.transpose(0, 2, 1))
-            step = np.linalg.norm(H_next - Hk, axis=(1, 2))
-            Ak, Gk, Hk = A_next, 0.5 * (G_next + G_next.transpose(0, 2, 1)), H_next
-            size = np.linalg.norm(Hk, axis=(1, 2))
-            done = step <= 1e-10 * np.maximum(1.0, size)
-            converged = done & np.isfinite(size)
-            P[live[converged]] = Hk[converged]
-            live, Ak, Gk, Hk = live[~done], Ak[~done], Gk[~done], Hk[~done]
-            if not live.size:
-                break
-    P[live] = Hk
+        (_, _, P), status = _freeze_each((A.transpose(0, 2, 1), Gk, Hk), double, max_iter)
+    P[status == -1] = np.nan
     return P
+
+
+def _freeze_each(state, step, max_iter):
+    """Iterate ``step`` on a tuple of stacks, retiring each member as it finishes.
+
+    ``step(state)`` returns the next state and, per member, 0 (go on), 1
+    (converged) or -1 (broken down).  Returns each member's state when it
+    retired, or after ``max_iter`` steps with status 0, and its status.
+    """
+    final = tuple(np.empty_like(s) for s in state)
+    status = np.zeros(len(state[0]), dtype=int)
+    live = np.arange(len(status))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        state, now = step(state)
+        out = now != 0
+        if out.any():
+            status[live] = now
+            for f, s in zip(final, state):
+                f[live[out]] = s[out]
+            live = live[~out]
+            state = tuple(s[~out] for s in state)
+    for f, s in zip(final, state):
+        f[live] = s
+    return final, status
 
 
 def _solve_each(M, B):

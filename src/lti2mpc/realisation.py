@@ -25,8 +25,8 @@ from .linalg import (
     EigenStructure,
     LoopMargins,
     NumericalError,
+    _h2_stack,
     _kalman_gains,
-    _modal_h2_stack,
     eig_paired,
     loop_margins,
 )
@@ -177,21 +177,21 @@ def enumerate_choices(
             f"forced-S block of size {len(base)} exceeds |S| = {n}"
         )
 
-    choices = []
+    # a split takes m_s of the free atoms of each size s, with sum s m_s = need
+    by_size: dict = {}
+    for a in free_atoms:
+        by_size.setdefault(len(a), []).append(a)
+    sizes = sorted(by_size)
     all_idx = set(range(eig.n))
-
-    def rec(pos, picked, size):
-        if size == need:
-            s = tuple(sorted(base + [i for a in picked for i in a]))
-            o = tuple(sorted(all_idx - set(s)))
-            choices.append(RealisationChoice(s, o))
-            return
-        if pos == len(free_atoms) or size > need:
-            return
-        rec(pos + 1, picked + [free_atoms[pos]], size + len(free_atoms[pos]))
-        rec(pos + 1, picked, size)
-
-    rec(0, [], 0)
+    choices = []
+    for counts in itertools.product(*(range(len(by_size[s]) + 1) for s in sizes)):
+        if sum(s * m for s, m in zip(sizes, counts)) != need:
+            continue
+        for picked in itertools.product(
+            *(itertools.combinations(by_size[s], m) for s, m in zip(sizes, counts))
+        ):
+            s = sorted(base + [i for group in picked for a in group for i in a])
+            choices.append(RealisationChoice(tuple(s), tuple(sorted(all_idx.difference(s)))))
     choices.sort(key=lambda c: c.state_feedback_set)
     return choices
 
@@ -627,15 +627,21 @@ def margin_loop(
 def verify_equivalence(
     K_obs: DtStateSpace, K0: DtStateSpace, n_freq: int = 200
 ) -> float:
-    """Max relative transfer-function deviation on a log frequency grid."""
+    """Max relative transfer-function deviation on a log frequency grid;
+    inf when a response overflows, so the deviation is not a number."""
     if (K_obs.n_u, K_obs.n_y) != (K0.n_u, K0.n_y):
         raise ValueError("systems have different I/O dimensions")
     w_ts = np.logspace(-4, math.log10(math.pi), n_freq)
-    R1 = K_obs.freq_response(w_ts)
-    R0 = K0.freq_response(w_ts)
-    num = np.linalg.norm(R1 - R0, 2, axis=(1, 2))
-    den = 1.0 + np.linalg.norm(R0, 2, axis=(1, 2))
-    return max([0.0, *(num / den)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        R1 = K_obs.freq_response(w_ts)
+        R0 = K0.freq_response(w_ts)
+        gap = R1 - R0
+        if not (np.isfinite(gap).all() and np.isfinite(R0).all()):
+            return math.inf  # an overflowed response matches nothing
+        ratios = np.linalg.norm(gap, 2, axis=(1, 2)) / (1.0 + np.linalg.norm(R0, 2, axis=(1, 2)))
+    if np.isnan(ratios).any():
+        return math.inf
+    return max([0.0, *ratios])
 
 
 def _dist_injection(G):
@@ -670,9 +676,8 @@ def score_realisation(
     estimate; h2_dist is the norm of the disturbance-to-estimate map.  An
     unstable observer gets infinite scores rather than an error so that a
     search can rank past it.  Both maps run on the error dynamics Ae, so
-    one eigendecomposition of Ae gives the stability test and both
-    Gramians (see :func:`~lti2mpc.linalg.modal_h2_norms`, which checks
-    each Gramian's Lyapunov residual and falls back to the Schur solver).
+    one squared Smith doubling on the powers of Ae proves stability and
+    gives both Gramians (see :func:`_h2_scores`).
     """
     h2 = _h2_scores(_form(r.form), G, K, r.K_f[np.newaxis])
     return _score(r, G, h2[0], margin_cut)
@@ -680,15 +685,12 @@ def score_realisation(
 
 def _h2_scores(f, G, K, K_f) -> np.ndarray:
     """(h2_noise, h2_dist) rows for a stack of injection gains K_f, inf
-    where the error dynamics are unstable."""
+    where the error dynamics are unstable; both Gramians of a member advance
+    on the same powers of its Ae, each residual-checked against Ae with a
+    Schur fallback (see :func:`~lti2mpc.linalg._h2_stack`)."""
     Ae, B, C, D = f.noise_matrices(G, K, K_f)
     E, D_dist = _dist_injection(G)
-    values = np.empty(Ae.shape[:2], dtype=complex)
-    vectors = np.empty(Ae.shape, dtype=complex)
-    for i, A in enumerate(Ae):  # stacking does not speed up LAPACK's eig
-        values[i], vectors[i] = np.linalg.eig(A)
-    maps = [(B, C, D), (E, np.eye(G.n), D_dist)]
-    return _modal_h2_stack(Ae, maps, values, vectors, G.Ts)
+    return _h2_stack(Ae, [(B, C, D), (E, np.eye(G.n), D_dist)], G.Ts)
 
 
 def _score(r, G, h2, margin_cut) -> RealisationScore:

@@ -506,51 +506,59 @@ def _pendulum_mpc(found: SearchResult, bounded: bool, N=15):
     )
 
 
-def scenario_library() -> dict:
-    """The named experiments: satellite Cases 1-5 and pendulum Cases 1-2."""
-    dist = ((0.0, np.array([0.0, 0.0, SATELLITE_DIST_TORQUE])),)
-    K_sat = add_dipole(satellite_controller(), W=50.0)
-    sat = search_realisations(satellite_plant(), K_sat, form="filter",
-                              rank_by="product")
-    pend = search_realisations(*loop_shift(pendulum_plant(), pendulum_controller()),
-                               form="predictor", rank_by="noise")
+_FAMILIES = ("satellite", "pendulum")  # each library scenario's name starts with one
+
+
+def scenario_library(family: str | None = None) -> dict:
+    """The named experiments: satellite Cases 1-5 and pendulum Cases 1-2;
+    ``family`` ("satellite" or "pendulum") builds one plant's, with one search."""
+    if family not in (None, *_FAMILIES):
+        raise ValueError(f"unknown scenario family {family!r}")
     lib = {}
-    lib["satellite-baseline"] = Scenario(
-        name="satellite-baseline", plant="satellite", duration=40.0,
-        controller=BaselineController(K_sat), disturbances=dist,
-    )
-    lib["satellite-case-1"] = Scenario(
-        name="satellite-case-1", plant="satellite", duration=40.0,
-        controller=_satellite_mpc(sat, 1, "matching"), disturbances=dist,
-    )
-    lib["satellite-case-2"] = Scenario(
-        name="satellite-case-2", plant="satellite", duration=40.0,
-        controller=_satellite_mpc(sat, 1, "matching", u_bound=0.11),
-        disturbances=dist,
-    )
-    lib["satellite-case-3"] = Scenario(
-        name="satellite-case-3", plant="satellite", duration=40.0,
-        controller=_satellite_mpc(sat, 1, "effect", u_bound=0.11),
-        disturbances=dist,
-    )
-    lib["satellite-case-4"] = Scenario(
-        name="satellite-case-4", plant="satellite", duration=40.0,
-        controller=_satellite_mpc(sat, 3, "matching", u_bound=1.0, y_bound=0.01),
-        disturbances=dist,
-    )
-    lib["satellite-case-5"] = Scenario(
-        name="satellite-case-5", plant="satellite", duration=40.0,
-        controller=_satellite_mpc(sat, 1, "effect", u_bound=0.15, y_bound=0.01),
-        disturbances=dist,
-        faults=((3.0, 0, 0.0),),
-    )
-    step_ref = ReferenceProgram(((0.0, np.array([1.0, 0.0])),))
-    lib["pendulum-case-1"] = Scenario(
-        name="pendulum-case-1", plant="pendulum", duration=20.0,
-        controller=_pendulum_mpc(pend, bounded=False), references=step_ref,
-    )
-    lib["pendulum-case-2"] = Scenario(
-        name="pendulum-case-2", plant="pendulum", duration=20.0,
-        controller=_pendulum_mpc(pend, bounded=True), references=step_ref,
-    )
+    if family in (None, "satellite"):
+        dist = ((0.0, np.array([0.0, 0.0, SATELLITE_DIST_TORQUE])),)
+        K_sat = add_dipole(satellite_controller(), W=50.0)
+        sat = search_realisations(satellite_plant(), K_sat, form="filter",
+                                  rank_by="product")
+        lib["satellite-baseline"] = Scenario(
+            name="satellite-baseline", plant="satellite", duration=40.0,
+            controller=BaselineController(K_sat), disturbances=dist,
+        )
+        lib["satellite-case-1"] = Scenario(
+            name="satellite-case-1", plant="satellite", duration=40.0,
+            controller=_satellite_mpc(sat, 1, "matching"), disturbances=dist,
+        )
+        lib["satellite-case-2"] = Scenario(
+            name="satellite-case-2", plant="satellite", duration=40.0,
+            controller=_satellite_mpc(sat, 1, "matching", u_bound=0.11),
+            disturbances=dist,
+        )
+        lib["satellite-case-3"] = Scenario(
+            name="satellite-case-3", plant="satellite", duration=40.0,
+            controller=_satellite_mpc(sat, 1, "effect", u_bound=0.11),
+            disturbances=dist,
+        )
+        lib["satellite-case-4"] = Scenario(
+            name="satellite-case-4", plant="satellite", duration=40.0,
+            controller=_satellite_mpc(sat, 3, "matching", u_bound=1.0, y_bound=0.01),
+            disturbances=dist,
+        )
+        lib["satellite-case-5"] = Scenario(
+            name="satellite-case-5", plant="satellite", duration=40.0,
+            controller=_satellite_mpc(sat, 1, "effect", u_bound=0.15, y_bound=0.01),
+            disturbances=dist,
+            faults=((3.0, 0, 0.0),),
+        )
+    if family in (None, "pendulum"):
+        pend = search_realisations(*loop_shift(pendulum_plant(), pendulum_controller()),
+                                   form="predictor", rank_by="noise")
+        step_ref = ReferenceProgram(((0.0, np.array([1.0, 0.0])),))
+        lib["pendulum-case-1"] = Scenario(
+            name="pendulum-case-1", plant="pendulum", duration=20.0,
+            controller=_pendulum_mpc(pend, bounded=False), references=step_ref,
+        )
+        lib["pendulum-case-2"] = Scenario(
+            name="pendulum-case-2", plant="pendulum", duration=20.0,
+            controller=_pendulum_mpc(pend, bounded=True), references=step_ref,
+        )
     return lib

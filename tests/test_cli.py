@@ -175,6 +175,38 @@ def test_verify_flags_perturbed_gains(tmp_path, capsys):
     assert rep["passed"] is False
 
 
+def test_verify_fails_gains_whose_responses_overflow(tmp_path, capsys):
+    # K_obs = (0.5, 1e200, -1e200, 0) against K = (0.5, 1e200, 1e200, 0):
+    # both responses overflow, so the deviation is not a number
+    cfg = _write(tmp_path, "big.json", {
+        "plant": {"kind": "discrete", "A": [[0.5]], "B": [[0.0]], "C": [[0.0]],
+                  "D": [[0.0]], "Ts": 1.0},
+        "controller": {"kind": "discrete", "A": [[0.5]], "B": [[1e200]],
+                       "C": [[1e200]], "D": [[0.0]], "Ts": 1.0},
+        "pipeline": {"form": "predictor"},
+        "verify_gains": {"K_c": [[-1e200]], "K_f": [[1e200]]},
+    })
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("FAIL supplied gains: equivalence residual inf")
+    assert json.loads(out.read_text())["passed"] is False
+
+
+def test_simulate_runs_only_the_scenario_family_search(tmp_path, monkeypatch):
+    import lti2mpc.sim as sim
+
+    searches = []
+    search = sim.search_realisations
+    monkeypatch.setattr(sim, "search_realisations",
+                        lambda *a, **kw: searches.append(kw["form"]) or search(*a, **kw))
+    cfg = _write(tmp_path, "sat.json", {"plant": "satellite"})
+    out = tmp_path / "case1.csv"
+    assert main(["simulate", "--config", cfg, "--scenario", "satellite-case-1",
+                 "--out", str(out)]) == 0
+    assert searches == ["filter"]  # the satellite search alone
+
+
 def test_discretise_builtin_pendulum_matches_the_bundled_models(tmp_path):
     cfg = _write(tmp_path, "pend.json", {"plant": "pendulum"})
     out = tmp_path / "disc.json"

@@ -170,6 +170,81 @@ def test_enumerate_honours_forced_modes():
     assert forced[0] in choices[0].state_feedback_set
 
 
+def _recursive_choices(eig, n, n_K, forced_S=()):
+    """enumerate_choices as a recursion over the free atoms that copies the
+    picked list at every level, as it was first written."""
+    forced = set(forced_S)
+    atoms = realisation._value_groups(eig)
+    free = [a for a in atoms if not forced & set(a)]
+    base = [i for a in atoms if forced & set(a) for i in a]
+    need = n - len(base)
+    out = []
+
+    def rec(pos, picked, size):
+        if size == need:
+            s = tuple(sorted(base + [i for a in picked for i in a]))
+            out.append(RealisationChoice(s, tuple(sorted(set(range(eig.n)) - set(s)))))
+            return
+        if pos == len(free) or size > need:
+            return
+        rec(pos + 1, picked + [free[pos]], size + len(free[pos]))
+        rec(pos + 1, picked, size)
+
+    rec(0, [], 0)
+    out.sort(key=lambda c: c.state_feedback_set)
+    return out
+
+
+def _random_spectrum(rng):
+    """A real matrix with distinct reals and conjugate pairs, and at random a
+    double real, a triple real and a double pair (fused blocks), in a random
+    orthogonal basis."""
+    blocks = []
+    for _ in range(rng.integers(1, 4)):
+        blocks.append([[rng.uniform(-0.9, 0.9)]])
+    for _ in range(rng.integers(1, 4)):
+        r, w = rng.uniform(0.1, 0.9), rng.uniform(0.1, 3.0)
+        blocks.append([[r * np.cos(w), r * np.sin(w)], [-r * np.sin(w), r * np.cos(w)]])
+    lam = rng.uniform(-0.9, 0.9)
+    blocks += [[[lam]]] * int(rng.integers(0, 3)) + [[[-0.95]]] * 3 * int(rng.integers(0, 2))
+    if rng.integers(0, 2):
+        blocks += [[[0.3, 0.4], [-0.4, 0.3]]] * 2
+    M = np.zeros((0, 0))
+    for b in blocks:
+        M = np.block([[M, np.zeros((len(M), len(b)))], [np.zeros((len(b), len(M))), np.array(b)]])
+    Q = np.linalg.qr(rng.standard_normal(M.shape))[0]
+    return eig_paired(Q @ M @ Q.T)
+
+
+def test_iterative_enumeration_matches_the_recursive_one():
+    G, K = scale_surrogate(0)
+    A_cl = closed_loop_matrix(G, K)
+    eig = eig_paired(A_cl)
+    B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
+    uncontrollable = unobservable_modes(A_cl.T, B_cl.T, eig.values)
+    pairs = [i for i in range(eig.n) if eig.pair_index[i] is not None]
+    for forced in (sorted(set(uncontrollable) | set(pairs[:k])) for k in (4, 8)):
+        expect = _recursive_choices(eig, G.n, K.n, forced)
+        assert len(expect) > 100
+        assert enumerate_choices(eig, G.n, K.n, forced) == expect
+    rng = np.random.default_rng(31)
+    fused = 0
+    for _ in range(40):
+        eig = _random_spectrum(rng)
+        fused += any(len(a) > 2 or (len(a) == 2 and eig.pair_index[a[0]] is None)
+                     for a in realisation._value_groups(eig))
+        forced = rng.choice(eig.n, size=rng.integers(0, 3), replace=False).tolist()
+        for n in range(eig.n + 1):
+            expect = _recursive_choices(eig, n, eig.n - n, forced)
+            try:
+                got = enumerate_choices(eig, n, eig.n - n, forced)
+            except ValueError as exc:  # the forced block alone is larger than S
+                assert "exceeds" in str(exc) and not expect
+                continue
+            assert got == expect
+    assert fused >= 20
+
+
 def test_overlapping_split_rejected():
     with pytest.raises(ValueError):
         RealisationChoice((0, 1), (1, 2))
@@ -241,6 +316,14 @@ def test_equivalence_check_catches_a_wrong_gain():
     A_obs = G.A + G.B @ r.K_c - np.array([[1.1 * r.K_f[0, 0]]]) @ G.C
     wrong = DtStateSpace(A_obs, [[1.1 * r.K_f[0, 0]]], r.K_c, [[0.0]], 1.0)
     assert verify_equivalence(wrong, K) > 1e-3
+
+
+def test_equivalence_check_fails_overflowing_responses():
+    # opposite signs, but both responses overflow to inf and inf - inf is NaN
+    K0 = _scalar(0.5, 1e200, 1e200)
+    K_obs = _scalar(0.5, 1e200, -1e200)
+    assert verify_equivalence(K_obs, K0) == np.inf
+    assert verify_equivalence(_scalar(0.5, 1.0, -1.0), _scalar(0.5, 1.0, 1.0)) > 1.0
 
 
 # -- free observer poles -----------------------------------------------------
@@ -363,13 +446,13 @@ def _scored_random_realisations():
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Systems the modal scorer hands on to the Schur/bilinear h2_norm."""
+    """Systems the doubling scorer hands on to the Schur/bilinear h2_norm."""
     calls = []
     monkeypatch.setattr(linalg, "h2_norm", lambda sys: calls.append(sys) or h2_norm(sys))
     return calls
 
 
-def test_modal_scores_match_lyapunov_h2_norms(fallbacks):
+def test_doubling_scores_match_lyapunov_h2_norms(fallbacks):
     checked = {"filter": 0, "predictor": 0}
     for r, G, K in _scored_random_realisations():
         for Gs in (G, _with_disturbance_states(G, (0,))):
@@ -382,7 +465,7 @@ def test_modal_scores_match_lyapunov_h2_norms(fallbacks):
             assert s.product == s.h2_noise * s.h2_dist
             checked[r.form] += 1
     assert checked["predictor"] >= 20 and checked["filter"] >= 8
-    assert not fallbacks  # every Gramian came from the eigendecomposition
+    assert not fallbacks  # every Gramian came from the Stein doubling
 
 
 def _hand_realisation(A):
@@ -396,14 +479,15 @@ def _hand_realisation(A):
     return r, G, K
 
 
-def test_defective_error_dynamics_fall_back_to_lyapunov(fallbacks):
-    A = np.array([[0.5, 1.0], [0.0, 0.5]])  # Jordan block: V is singular to working precision
+def test_defective_error_dynamics_score_by_doubling(fallbacks):
+    # a Jordan block has no eigenbasis; the doubling needs none
+    A = np.array([[0.5, 1.0], [0.0, 0.5]])
     r, G, K = _hand_realisation(A)
     s = score_realisation(r, G, K)
-    assert len(fallbacks) == 2  # noise and disturbance maps, both by the Schur path
+    assert not fallbacks
     assert s.stable
-    assert s.h2_noise == h2_norm(_form(r.form).noise_system(r, G, K))
-    assert s.h2_dist == h2_norm(_dist_system(G, G.A))
+    assert_allclose(s.h2_noise, h2_norm(_form(r.form).noise_system(r, G, K)), rtol=1e-10)
+    assert_allclose(s.h2_dist, h2_norm(_dist_system(G, G.A)), rtol=1e-10)
 
 
 def test_unstable_error_dynamics_score_infinite():
@@ -411,9 +495,38 @@ def test_unstable_error_dynamics_score_infinite():
     s = score_realisation(r, G, K)
     assert not s.stable
     assert s.h2_noise == s.h2_dist == s.product == np.inf
-    lam, V = np.linalg.eig(G.A)
     with pytest.raises(UnstableSystemError):
-        linalg.modal_h2_norms([_form(r.form).noise_system(r, G, K)], lam, V)
+        h2_norm(_form(r.form).noise_system(r, G, K))
+
+
+def test_unexcited_unstable_mode_still_scores_infinite(fallbacks):
+    # K_f = 0 and E = e_0 never reach state 1, whose mode 1.5 is unstable:
+    # both Gramians stay finite, so only the powers of Ae can tell
+    A = np.array([[0.5, 0.3], [0.0, 1.5]])
+    r, G, K = _hand_realisation(A)
+    G = _with_disturbance_states(G, (0,))
+    E, _ = _dist_injection(G)
+    assert not np.any([(np.linalg.matrix_power(A, j) @ E)[1] for j in range(8)])
+    s = score_realisation(r, G, K)
+    assert not s.stable
+    assert s.h2_noise == s.h2_dist == s.product == np.inf
+    assert not fallbacks
+
+
+def test_error_dynamics_past_the_doubling_cap_take_the_eigenvalue_path(fallbacks, monkeypatch):
+    # 2^40 doublings leave (1 - 1e-13)^(2^40) ~ 0.9 of the slow mode: not certified
+    A = np.array([[1.0 - 1e-13, 0.3], [0.0, 0.5]])
+    r, G, K = _hand_realisation(A)
+    spectra = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: spectra.append(M) or eigvals(M))
+    s = score_realisation(r, G, K)
+    assert any(M.ndim == 3 and np.array_equal(M[0], A) for M in spectra)
+    assert len(fallbacks) == 2  # noise and disturbance maps, both by the Schur path
+    assert s.stable
+    assert s.h2_noise == h2_norm(_form(r.form).noise_system(r, G, K))
+    assert s.h2_dist == h2_norm(_dist_system(G, G.A))
+    assert s.h2_dist > 1e5  # the slow mode's Gramian is about 1 / (2e-13)
 
 
 # -- pinned case studies -----------------------------------------------------
@@ -659,7 +772,7 @@ def test_stacked_scores_match_one_member_calls(fallbacks):
     Ae = np.stack(ordinary[:2] + [defective, unstable] + ordinary[2:])
     K_f = A - Ae
     stacked = _h2_scores(_form("predictor"), G, K, K_f)
-    assert len(fallbacks) == 2  # the defective member's noise and disturbance maps
+    assert not fallbacks  # the defective member scores by doubling too
 
     for i, gain in enumerate(K_f):
         r = ObserverRealisation(form="predictor", T=np.ones((1, 2)), T_perp=np.zeros((2, 0)),
@@ -674,7 +787,9 @@ def test_stacked_scores_match_one_member_calls(fallbacks):
         noise = _form("predictor").noise_system(r, G, K)
         assert_allclose(s.h2_noise, h2_norm(noise), rtol=1e-10)
         assert_allclose(s.h2_dist, h2_norm(_dist_system(G, noise.A)), rtol=1e-10)
-    assert stacked[2, 0] == h2_norm(DtStateSpace(defective, K_f[2], np.eye(2), np.zeros((2, 2)), 1.0))
+    assert_allclose(
+        stacked[2, 0],
+        h2_norm(DtStateSpace(defective, K_f[2], np.eye(2), np.zeros((2, 2)), 1.0)), rtol=1e-10)
 
 
 def _per_split_basis(eig, indices):
