@@ -7,11 +7,10 @@ simulate    run a named scenario, write a CSV trace plus a JSON summary
 verify      check realisation invariants and controller equivalence
 discretise  emit the discrete-time plant/controller matrices as JSON
 
-Flags: --config <path>, --scenario <name>, --out <path>, --seed <u64>,
---parallel <n> (accepted and ignored).  Exit codes: 0 success, 1 domain
-error (no feasible realisation, unstable loop, unknown scenario, failed
-verification), 2 config error (unreadable file, bad JSON, bad
-dimensions, unknown keys).
+Flags: --config <path>, --scenario <name>, --out <path>, --seed <u64>.
+Exit codes: 0 success, 1 domain error (no feasible realisation, unstable
+loop, unknown scenario, failed verification), 2 config error (unreadable
+file, bad JSON, bad dimensions, unknown keys, options the search refuses).
 
 Config schema (all sections optional unless a command needs them):
 
@@ -21,8 +20,9 @@ Config schema (all sections optional unless a command needs them):
                 "A": [[...]], "B": [[...]], "C": [[...]], "D": [[...]],
                 "Ts": 0.25},
       "controller": same shape as plant,
-      "Ts": 0.25,                    # used when discretising matrices
-      "pipeline": {"form": "filter"|"predictor", "dipole_W": 50.0,
+      "Ts": 0.25,                    # used when discretising matrices;
+                                     # a built-in's own Ts if given with one
+      "pipeline": {"form": "filter"|"predictor", "dipole_W": 100.0,
                    "loop_shift": false, "disturbance_channels": [0],
                    "Qn": 1.0, "Rn": 1e7, "rank_by": "product"|"noise",
                    "margin_cut": 0},
@@ -35,9 +35,9 @@ Config schema (all sections optional unless a command needs them):
                        "T": [[...]]}        # optional external gains check
     }
 
-Built-in names select the bundled models along with their standard
-pipeline defaults (satellite: filter form with a W=50 dipole, product
-ranking; pendulum: predictor form with loop shifting, noise ranking).
+A built-in name selects a case study of ``models.CASE_STUDIES``: its
+models, its sample time and, as pipeline defaults, its conditioning
+(dipole or loop shift), observer form, ranking and margin cut.
 """
 
 from __future__ import annotations
@@ -45,22 +45,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
-from .linalg import UnstableSystemError, spectral_radius
-from .models import (
-    PENDULUM_TS,
-    SATELLITE_TS,
-    pendulum_controller,
-    pendulum_controller_ct,
-    pendulum_plant,
-    pendulum_plant_ct,
-    satellite_controller,
-    satellite_plant,
-    satellite_plant_ct,
-)
+from .linalg import NumericalError, UnstableSystemError, spectral_radius
+from .models import CASE_STUDIES, condition_loop
 from .mpc import MpcConfig, effect_weight, matching_cost
 from .realisation import (
     _FORMS,
@@ -72,7 +63,6 @@ from .realisation import (
     verify_equivalence,
 )
 from .sim import (
-    _FAMILIES,
     BaselineController,
     MpcController,
     Scenario,
@@ -82,11 +72,9 @@ from .sim import (
 from .statespace import (
     CtStateSpace,
     DtStateSpace,
-    add_dipole,
     augment_disturbances,
     c2d_tustin,
     c2d_zoh,
-    loop_shift,
 )
 
 __all__ = ["ConfigError", "DomainError", "load_config", "main"]
@@ -100,19 +88,15 @@ class DomainError(RuntimeError):
     """Well-formed request that cannot be satisfied: exit code 1."""
 
 
-_PIPELINE_KEYS = {"form", "dipole_W", "loop_shift", "disturbance_channels",
-                  "Qn", "Rn", "rank_by", "margin_cut", "forced_S"}
+_PIPELINE_DEFAULTS = {"form": "filter", "dipole_W": None, "loop_shift": False,
+                      "disturbance_channels": None, "Qn": 1.0, "Rn": 1e7,
+                      "rank_by": "product", "margin_cut": None, "forced_S": None}
+# the pipeline defaults a built-in name sets from its CASE_STUDIES entry
+_CASE_STUDY_KEYS = ("form", "dipole_W", "loop_shift", "rank_by", "margin_cut")
 _MPC_KEYS = {"N", "cost", "W", "Q1", "R1", "u_bounds", "y_bounds", "x_bounds",
              "soft_output_weight", "tracking"}
 _TOP_KEYS = {"plant", "controller", "Ts", "pipeline", "mpc", "scenarios",
              "verify_gains"}
-
-_BUILTIN_PIPELINE = {
-    "satellite": {"form": "filter", "dipole_W": 50.0, "loop_shift": False,
-                  "rank_by": "product", "margin_cut": 0},
-    "pendulum": {"form": "predictor", "dipole_W": None, "loop_shift": True,
-                 "rank_by": "noise", "margin_cut": 0},
-}
 
 
 def _matrix(obj, name) -> np.ndarray:
@@ -128,7 +112,7 @@ def _matrix(obj, name) -> np.ndarray:
 def _parse_system(obj, what):
     """Return a builtin name or a state-space object."""
     if isinstance(obj, str):
-        if obj not in ("satellite", "pendulum"):
+        if obj not in CASE_STUDIES:
             raise ConfigError(f"unknown built-in {what} {obj!r}")
         return obj
     if not isinstance(obj, dict):
@@ -139,10 +123,7 @@ def _parse_system(obj, what):
     missing = [k for k in ("A", "B", "C", "D") if k not in obj]
     if missing:
         raise ConfigError(f"{what} is missing matrices {missing}")
-    A = _matrix(obj["A"], f"{what}.A")
-    B = _matrix(obj["B"], f"{what}.B")
-    C = _matrix(obj["C"], f"{what}.C")
-    D = _matrix(obj["D"], f"{what}.D")
+    A, B, C, D = (_matrix(obj[k], f"{what}.{k}") for k in "ABCD")
     try:
         if kind == "continuous":
             return CtStateSpace(A, B, C, D)
@@ -178,16 +159,22 @@ def parse_config(raw: dict) -> ProjectConfig:
     if controller is None:
         raise ConfigError("config needs a 'controller'")
     controller = _parse_system(controller, "controller")
+    try:
+        Ts = float(raw["Ts"]) if "Ts" in raw else None
+    except (TypeError, ValueError):
+        raise ConfigError("Ts must be a number") from None
+    for what, name in (("plant", plant), ("controller", controller)):
+        if isinstance(name, str) and Ts not in (None, CASE_STUDIES[name].Ts):
+            raise ConfigError(f"built-in {what} {name!r} runs at Ts "
+                              f"{CASE_STUDIES[name].Ts}, not {Ts}")
 
     pipeline = dict(raw.get("pipeline", {}))
-    unknown = set(pipeline) - _PIPELINE_KEYS
+    unknown = set(pipeline) - set(_PIPELINE_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown pipeline keys {sorted(unknown)}")
-    base = _BUILTIN_PIPELINE.get(plant if isinstance(plant, str) else "", {})
-    merged = {"form": "filter", "dipole_W": None, "loop_shift": False,
-              "disturbance_channels": None, "Qn": 1.0, "Rn": 1e7,
-              "rank_by": "product", "margin_cut": None, "forced_S": None}
-    merged.update(base)
+    merged = dict(_PIPELINE_DEFAULTS)
+    if isinstance(plant, str):
+        merged.update((k, getattr(CASE_STUDIES[plant], k)) for k in _CASE_STUDY_KEYS)
     merged.update(pipeline)
     if merged["form"] not in _FORMS:
         raise ConfigError("pipeline.form must be 'filter' or 'predictor'")
@@ -212,7 +199,7 @@ def parse_config(raw: dict) -> ProjectConfig:
 
     return ProjectConfig(
         plant=plant, controller=controller,
-        Ts=float(raw["Ts"]) if "Ts" in raw else None,
+        Ts=Ts,
         pipeline=merged, mpc=mpc, scenarios=scenarios, verify_gains=vg,
     )
 
@@ -230,10 +217,8 @@ def load_config(path) -> ProjectConfig:
 
 def _resolve_plant(cfg: ProjectConfig) -> DtStateSpace:
     p = cfg.plant
-    if p == "satellite":
-        return satellite_plant()
-    if p == "pendulum":
-        return pendulum_plant()
+    if isinstance(p, str):
+        return CASE_STUDIES[p].plant()
     if isinstance(p, CtStateSpace):
         Ts = cfg.Ts
         if Ts is None:
@@ -247,10 +232,8 @@ def _resolve_plant(cfg: ProjectConfig) -> DtStateSpace:
 
 def _resolve_controller(cfg: ProjectConfig) -> DtStateSpace:
     k = cfg.controller
-    if k == "satellite":
-        return satellite_controller()
-    if k == "pendulum":
-        return pendulum_controller()
+    if isinstance(k, str):
+        return CASE_STUDIES[k].controller()
     if isinstance(k, CtStateSpace):
         Ts = cfg.Ts
         if Ts is None:
@@ -260,23 +243,19 @@ def _resolve_controller(cfg: ProjectConfig) -> DtStateSpace:
 
 
 def build_problem(cfg: ProjectConfig):
-    """Resolve (truth plant, original controller, design plant, design
-    controller) after dipole/loop-shift conditioning."""
+    """Resolve (truth plant, baseline controller, design plant, design
+    controller) after dipole/loop-shift conditioning (see
+    :func:`~lti2mpc.models.condition_loop`)."""
     G = _resolve_plant(cfg)
     K0 = _resolve_controller(cfg)
     if G.Ts != K0.Ts:
         raise ConfigError(
             f"plant Ts {G.Ts} and controller Ts {K0.Ts} differ")
     pl = cfg.pipeline
-    if pl["loop_shift"] and pl["dipole_W"]:
-        raise ConfigError("choose either loop_shift or dipole_W, not both")
-    if pl["loop_shift"]:
-        G_d, K_d = loop_shift(G, K0)
-    elif pl["dipole_W"]:
-        G_d, K_d = G, add_dipole(K0, W=float(pl["dipole_W"]))
-    else:
-        G_d, K_d = G, K0
-    return G, K0, G_d, K_d
+    try:
+        return (G, *condition_loop(G, K0, pl["dipole_W"], pl["loop_shift"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _mpc_config(cfg: ProjectConfig, G_d: DtStateSpace, K_c) -> MpcConfig:
@@ -352,29 +331,28 @@ def _write_json(doc: dict, out_path):
             fh.write(text + "\n")
 
 
-def _run_search(cfg: ProjectConfig, G_d, K_d):
+def _run_search(cfg: ProjectConfig, G_d, K_d, margin_cut):
+    """The configured search of (G_d, K_d); an unstable loop or no feasible
+    split is a DomainError, any option the search refuses a ConfigError."""
     pl = cfg.pipeline
-    A_cl = closed_loop_matrix(G_d, K_d)
-    rho = spectral_radius(A_cl)
-    # poles exactly on the circle are legitimate (disturbance integrators
-    # are uncontrollable closed-loop modes at z = 1); reject strict growth
-    if rho > 1.0 + 1e-9:
-        raise DomainError(
-            "the closed loop of the supplied plant and controller is "
-            f"unstable (spectral radius {rho:.4f}); realisation requires "
-            "a stabilising controller")
     forced = pl["forced_S"]
-    return search_realisations(
-        G_d, K_d, form=pl["form"],
-        forced_S=None if forced is None else tuple(forced),
-        Qn=float(pl["Qn"]), Rn=float(pl["Rn"]), rank_by=pl["rank_by"],
-        margin_cut=pl["margin_cut"],
-    )
+    try:
+        return search_realisations(
+            G_d, K_d, form=pl["form"],
+            forced_S=None if forced is None else tuple(forced),
+            Qn=float(pl["Qn"]), Rn=float(pl["Rn"]), rank_by=pl["rank_by"],
+            margin_cut=margin_cut,
+        )
+    # UnstableSystemError is a ValueError, so it is caught first
+    except (UnstableSystemError, NumericalError) as exc:
+        raise DomainError(str(exc)) from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_realise(cfg: ProjectConfig, out_path) -> int:
-    G, K0, G_d, K_d = build_problem(cfg)
-    found = _run_search(cfg, G_d, K_d)
+    _, _, G_d, K_d = build_problem(cfg)
+    found = _run_search(cfg, G_d, K_d, cfg.pipeline["margin_cut"])
     rows = []
     for rank, (r, score) in enumerate(found.ranked, start=1):
         row = {
@@ -411,8 +389,6 @@ def cmd_realise(cfg: ProjectConfig, out_path) -> int:
         "config": _config_echo(cfg),
     }
     _write_json(report, out_path)
-    if not found.ranked:
-        raise DomainError("no feasible realisation for any eigenvalue split")
     return 0
 
 
@@ -420,29 +396,35 @@ def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict) -> Scenario:
     """MPC loop on the config's own plant/controller (regulation only)."""
     if "duration" not in spec:
         raise ConfigError(f"custom scenario {name!r} needs a 'duration'")
-    G, K0, G_d, K_d = build_problem(cfg)
-    found = _run_search(cfg, G_d, K_d)
-    if not found.ranked:
-        raise DomainError(f"custom scenario {name!r}: no feasible realisation")
-    real = found.ranked[0][0]
+    G, K_base, G_d, K_d = build_problem(cfg)
+    real = _run_search(cfg, G_d, K_d, None).ranked[0][0]
     ctrl = MpcController(
         realisation=real, design_model=G_d,
         config=_mpc_config(cfg, G_d, real.K_c),
-        D_K=K0.D if cfg.pipeline["loop_shift"] else None,
+        D_K=K_base.D if cfg.pipeline["loop_shift"] else None,
     )
-    return Scenario(
-        name=name, plant=G, duration=float(spec["duration"]), controller=ctrl,
-        seed=int(spec.get("seed", 0)),
-        x0=None if "x0" not in spec else np.asarray(spec["x0"], float),
-        noise_sigma=(None if "noise_sigma" not in spec
-                     else np.asarray(spec["noise_sigma"], float)),
-    )
+    return Scenario(name=name, plant=G, controller=ctrl, **_scenario_fields(name, spec))
+
+
+def _vector(v):
+    return np.asarray(v, float)
+
+
+_SCENARIO_FIELDS = {"duration": float, "seed": int, "noise_sigma": _vector, "x0": _vector}
+
+
+def _scenario_fields(name: str, spec: dict) -> dict:
+    """The Scenario fields a config entry sets."""
+    try:
+        return {k: conv(spec[k]) for k, conv in _SCENARIO_FIELDS.items() if k in spec}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"scenario {name!r}: {exc}") from None
 
 
 def _library_scenario(name: str) -> Scenario | None:
     """The library scenario ``name`` or None, building only its plant's family."""
     family = name.split("-")[0]
-    return scenario_library(family).get(name) if family in _FAMILIES else None
+    return scenario_library(family).get(name) if family in CASE_STUDIES else None
 
 
 def _resolve_scenario(cfg: ProjectConfig, name: str) -> Scenario:
@@ -454,7 +436,7 @@ def _resolve_scenario(cfg: ProjectConfig, name: str) -> Scenario:
         return sc
     if not isinstance(spec, dict):
         raise ConfigError(f"scenario {name!r} must be an object")
-    unknown = set(spec) - {"base", "duration", "seed", "noise_sigma", "x0"}
+    unknown = set(spec) - {"base", *_SCENARIO_FIELDS}
     if unknown:
         raise ConfigError(f"scenario {name!r}: unknown keys {sorted(unknown)}")
     base = spec.get("base")
@@ -463,29 +445,16 @@ def _resolve_scenario(cfg: ProjectConfig, name: str) -> Scenario:
     sc = _library_scenario(str(base))
     if sc is None:
         raise DomainError(f"scenario {name!r}: unknown base {base!r}")
-    overrides = {}
-    if "duration" in spec:
-        overrides["duration"] = float(spec["duration"])
-    if "seed" in spec:
-        overrides["seed"] = int(spec["seed"])
-    if "noise_sigma" in spec:
-        overrides["noise_sigma"] = np.asarray(spec["noise_sigma"], float)
-    if "x0" in spec:
-        overrides["x0"] = np.asarray(spec["x0"], float)
-    return dataclasses.replace(sc, name=name, **overrides)
+    return dataclasses.replace(sc, name=name, **_scenario_fields(name, spec))
 
 
 def _baseline_counterpart(sc: Scenario) -> Scenario | None:
-    if isinstance(sc.controller, BaselineController):
+    """A built-in MPC scenario rerun with its case study's baseline controller."""
+    if isinstance(sc.controller, BaselineController) or not isinstance(sc.plant, str):
         return None
-    if sc.plant == "satellite":
-        K = add_dipole(satellite_controller(), W=50.0)
-    elif sc.plant == "pendulum":
-        K = pendulum_controller()
-    else:
-        return None
+    _, K_base, _, _ = CASE_STUDIES[sc.plant].loop()
     return dataclasses.replace(
-        sc, name=sc.name + "-baseline", controller=BaselineController(K))
+        sc, name=sc.name + "-baseline", controller=BaselineController(K_base))
 
 
 def _bound_violation(vals, bounds):
@@ -518,12 +487,9 @@ def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed) -> int:
         "steps": len(tr),
         "diverged": tr.diverged,
         "max_constraint_violation": {
-            "input": _bound_violation(
-                tr.u_applied, None if mpc_cfg is None else mpc_cfg.u_bounds),
-            "output": _bound_violation(
-                tr.y, None if mpc_cfg is None else mpc_cfg.y_bounds),
-            "state": _bound_violation(
-                tr.x, None if mpc_cfg is None else mpc_cfg.x_bounds),
+            what: _bound_violation(vals, getattr(mpc_cfg, f"{v}_bounds", None))
+            for what, v, vals in (("input", "u", tr.u_applied), ("output", "y", tr.y),
+                                  ("state", "x", tr.x))
         },
         "max_slack": float(np.max(tr.slack, initial=0.0)),
         "fallback_steps": int(sum(1 for s in tr.qp_status if s == "fallback")),
@@ -557,20 +523,19 @@ def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed) -> int:
 
 def _summary_path(out_path):
     s = str(out_path)
-    if s.endswith(".csv"):
-        return s[:-4] + ".summary.json"
-    return s + ".summary.json"
+    return (s[:-4] if s.endswith(".csv") else s) + ".summary.json"
 
 
 def _verify_one(label, r, G_d, K_d, lines) -> bool:
+    """Check realisation r of (G_d, K_d), reading the Riccati residual it
+    carries when it has a T."""
     form = _form(r.form)
     resid = verify_equivalence(form.controller(r, G_d, K_d), K_d)
     ok = resid <= 1e-6
     checks = [f"equivalence residual {resid:.3e}"]
-    if r.T is not None and r.T.size:
-        rres = riccati_residual(closed_loop_matrix(G_d, K_d), r.T)
-        checks.append(f"riccati residual {rres:.3e}")
-        ok = ok and rres <= 1e-6
+    if r.T.size:
+        checks.append(f"riccati residual {r.riccati_residual:.3e}")
+        ok = ok and r.riccati_residual <= 1e-6
     gap = form.feedthrough_gap(r.K_c, r.K_f, K_d)
     if gap is not None:
         gap = float(np.max(np.abs(gap)))
@@ -586,27 +551,28 @@ def _verify_one(label, r, G_d, K_d, lines) -> bool:
 
 
 def cmd_verify(cfg: ProjectConfig, out_path) -> int:
-    G, K0, G_d, K_d = build_problem(cfg)
+    _, _, G_d, K_d = build_problem(cfg)
     lines: list = []
     all_ok = True
     if cfg.verify_gains is not None:
         vg = cfg.verify_gains
         try:
-            r = ObserverRealisation(
-                form=vg.get("form", cfg.pipeline["form"]),
-                T=_matrix(vg["T"], "verify_gains.T") if "T" in vg else np.zeros((0, 0)),
-                T_perp=np.zeros((G_d.n, 0)), X=np.zeros((0, 0)),
-                K_c=_matrix(vg["K_c"], "verify_gains.K_c"),
-                K_f=_matrix(vg["K_f"], "verify_gains.K_f"),
-                choice=None, riccati_residual=float("nan"),
-            )
+            T = _matrix(vg["T"], "verify_gains.T") if "T" in vg else np.zeros((0, 0))
+            K_c, K_f = (_matrix(vg[k], f"verify_gains.{k}") for k in ("K_c", "K_f"))
         except KeyError as exc:
             raise ConfigError(f"verify_gains is missing {exc}") from None
-        all_ok = _verify_one("supplied gains", r, G_d, K_d, lines)
+        try:  # the one Riccati residual of supplied gains; mis-shaped gains are refused
+            r = ObserverRealisation(
+                form=vg.get("form", cfg.pipeline["form"]), T=T,
+                T_perp=np.zeros((G_d.n, 0)), X=np.zeros((0, 0)), K_c=K_c, K_f=K_f,
+                choice=None, riccati_residual=(
+                    riccati_residual(closed_loop_matrix(G_d, K_d), T) if T.size else math.nan),
+            )
+            all_ok = _verify_one("supplied gains", r, G_d, K_d, lines)
+        except ValueError as exc:
+            raise ConfigError(f"verify_gains: {exc}") from None
     else:
-        found = _run_search(cfg, G_d, K_d)
-        if not found.ranked:
-            raise DomainError("no feasible realisation to verify")
+        found = _run_search(cfg, G_d, K_d, None)
         for rank, (r, _score) in enumerate(found.ranked, start=1):
             label = f"rank {rank} S={list(r.choice.state_feedback_set)}"
             all_ok = _verify_one(label, r, G_d, K_d, lines) and all_ok
@@ -621,33 +587,24 @@ def cmd_verify(cfg: ProjectConfig, out_path) -> int:
 
 
 def cmd_discretise(cfg: ProjectConfig, out_path) -> int:
-    def convert(spec, what, how, Ts_default):
-        if spec == "satellite":
-            sys_ct = satellite_plant_ct() if what == "plant" else None
-            if sys_ct is None:
-                return {"method": "none",
-                        **_system_json(satellite_controller())}
-            return {"method": "zoh",
-                    **_system_json(c2d_zoh(sys_ct, cfg.Ts or SATELLITE_TS))}
-        if spec == "pendulum":
-            if what == "plant":
-                return {"method": "zoh",
-                        **_system_json(c2d_zoh(pendulum_plant_ct(),
-                                               cfg.Ts or PENDULUM_TS))}
-            return {"method": "tustin",
-                    **_system_json(c2d_tustin(pendulum_controller_ct(),
-                                              cfg.Ts or PENDULUM_TS))}
+    def convert(spec, what, how):
+        Ts = cfg.Ts
+        if isinstance(spec, str):  # a built-in: its continuous source, if any
+            case = CASE_STUDIES[spec]
+            Ts = case.Ts
+            source = case.plant_ct if what == "plant" else case.controller_ct
+            spec = source() if source else case.controller()
         if isinstance(spec, CtStateSpace):
-            if cfg.Ts is None:
+            if Ts is None:
                 raise ConfigError(f"continuous {what} needs a top-level Ts")
             conv = c2d_zoh if how == "zoh" else c2d_tustin
-            return {"method": how, **_system_json(conv(spec, cfg.Ts))}
+            return {"method": how, **_system_json(conv(spec, Ts))}
         return {"method": "none", **_system_json(spec)}
 
     report = {
         "command": "discretise",
-        "plant": convert(cfg.plant, "plant", "zoh", None),
-        "controller": convert(cfg.controller, "controller", "tustin", None),
+        "plant": convert(cfg.plant, "plant", "zoh"),
+        "controller": convert(cfg.controller, "controller", "tustin"),
     }
     _write_json(report, out_path)
     return 0
@@ -664,9 +621,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", help="scenario name for simulate")
     parser.add_argument("--out", help="output path (report JSON / trace CSV)")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
-    parser.add_argument("--parallel", type=int,
-                        help="accepted and ignored: the realisation search "
-                             "runs as stacked kernels in one process")
     args = parser.parse_args(argv)
 
     try:

@@ -4,22 +4,26 @@ Three families live here: a satellite attitude-control loop with redundant
 torque pairs and a constant-disturbance state, an inverted pendulum on a
 cart with a two-channel lead-lag stabiliser, and a synthetic
 block-structured plant/controller pair large enough to exercise the
-realisation search at scale.
+realisation search at scale.  ``CASE_STUDIES`` states, once, how each of
+the first two is built, conditioned, realised and ranked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .statespace import (
     CtStateSpace,
     DtStateSpace,
+    add_dipole,
     augment_disturbances,
     c2d_tustin,
     c2d_zoh,
 )
+from .statespace import loop_shift as _loop_shift
 
 __all__ = [
     "SATELLITE_TS",
@@ -32,6 +36,9 @@ __all__ = [
     "pendulum_plant",
     "pendulum_controller_ct",
     "pendulum_controller",
+    "CaseStudy",
+    "CASE_STUDIES",
+    "condition_loop",
     "scale_surrogate",
 ]
 
@@ -141,6 +148,65 @@ def pendulum_controller_ct() -> CtStateSpace:
 def pendulum_controller(Ts: float = PENDULUM_TS) -> DtStateSpace:
     """Bilinear discretisation of :func:`pendulum_controller_ct`."""
     return c2d_tustin(pendulum_controller_ct(), Ts)
+
+
+def condition_loop(G: DtStateSpace, K: DtStateSpace, dipole_W=None,
+                   loop_shift: bool = False):
+    """Condition the loop (G, K) for realisation: (K_base, G_d, K_d).
+
+    K_base is the controller the baseline runs against the true plant: K
+    with a W = ``dipole_W`` dipole ahead of it (zero gain at z = 0, as the
+    filter form needs), or K itself.  (G_d, K_d) is the design pair the
+    search realises: (G, K_base), or with ``loop_shift`` the pair with K's
+    feedthrough moved into the plant (as the predictor form needs).
+    Raises ValueError when both are asked for.
+    """
+    if loop_shift and dipole_W:
+        raise ValueError("choose either loop_shift or dipole_W, not both")
+    if dipole_W:
+        K = add_dipole(K, W=float(dipole_W))
+    return (K, *_loop_shift(G, K)) if loop_shift else (K, G, K)
+
+
+@dataclass(frozen=True)
+class CaseStudy:
+    """One built-in case study, from the baseline loop to its ranking.
+
+    ``plant``/``controller`` build the discrete loop at ``Ts``; their
+    continuous sources are discretised by ZOH (plant) and Tustin
+    (controller), and a controller without one is discrete by design.
+    The loop is conditioned by ``dipole_W`` or ``loop_shift`` (see
+    :func:`condition_loop`), realised in ``form``, ranked by ``rank_by``,
+    and its report's loop margins are cut on input ``margin_cut``.
+    Constructors, not systems: the table does no numerics until asked.
+    """
+
+    plant: Callable[[], DtStateSpace]
+    controller: Callable[[], DtStateSpace]
+    plant_ct: Callable[[], CtStateSpace]
+    controller_ct: Callable[[], CtStateSpace] | None
+    Ts: float
+    dipole_W: float | None
+    loop_shift: bool
+    form: str
+    rank_by: str
+    margin_cut: int
+
+    def loop(self):
+        """(G, K_base, G_d, K_d): the plant and :func:`condition_loop`."""
+        G = self.plant()
+        return (G, *condition_loop(G, self.controller(), self.dipole_W, self.loop_shift))
+
+
+CASE_STUDIES = {
+    "satellite": CaseStudy(
+        satellite_plant, satellite_controller, satellite_plant_ct, None, SATELLITE_TS,
+        dipole_W=50.0, loop_shift=False, form="filter", rank_by="product", margin_cut=0),
+    "pendulum": CaseStudy(
+        pendulum_plant, pendulum_controller, pendulum_plant_ct, pendulum_controller_ct,
+        PENDULUM_TS, dipole_W=None, loop_shift=True, form="predictor", rank_by="noise",
+        margin_cut=0),
+}
 
 
 def _place_1_2(a: float, poles: np.ndarray):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .linalg import (
     EigenStructure,
     LoopMargins,
     NumericalError,
+    UnstableSystemError,
     _h2_stack,
     _kalman_gains,
     eig_paired,
@@ -776,17 +778,30 @@ def search_realisations(
 
     forced_S defaults to the closed-loop modes that are uncontrollable
     from the plant input (those cannot leave the state-feedback set).  An
-    unknown ``form``, a static controller, or a controller of higher order
-    than the plant raises ValueError before any split is solved.  The
-    splits are evaluated in stacked chunks in this process; ``workers`` is
-    accepted for compatibility and ignored.  Results are sorted ascending by the
+    unknown ``form``, a static controller, a controller of higher order
+    than the plant, or a ``margin_cut`` that is not an input channel raises
+    ValueError before any split is solved; a closed loop with a pole
+    outside the unit circle raises UnstableSystemError, and no feasible
+    split NumericalError.  The splits are evaluated in stacked chunks in
+    this process; ``workers`` is accepted and ignored (the perfbench
+    workloads pass it).  Results are sorted ascending by the
     chosen metric ("product" or "noise"), ties broken by the S index tuple.
     """
     if rank_by not in ("product", "noise"):
         raise ValueError("rank_by must be 'product' or 'noise'")
+    if margin_cut is not None and not 0 <= margin_cut < G.n_u:
+        raise ValueError(f"margin_cut {margin_cut} is not an input channel of "
+                         f"the {G.n_u}-input plant")
     _form(form)
     _check_orders(G, K)
     search = _Search(G, K, form, Qn, Rn, margin_cut)
+    rho = float(np.max(np.abs(search.eig.values)))
+    # poles exactly on the circle are legitimate (disturbance integrators
+    # are uncontrollable closed-loop modes at z = 1); reject strict growth
+    if rho > 1.0 + 1e-9:
+        raise UnstableSystemError(
+            f"the closed loop of the plant and controller is unstable (spectral "
+            f"radius {rho:.4f}); realisation requires a stabilising controller")
     if forced_S is None:
         B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
         forced_S = unobservable_modes(search.A_cl.T, B_cl.T, search.eig.values)
@@ -801,9 +816,7 @@ def search_realisations(
             else:
                 result.ranked.append(outcome)
     if not result.ranked:
-        counts: dict = {}
-        for _, reason in result.rejected:
-            counts[reason] = counts.get(reason, 0) + 1
+        counts = Counter(reason for _, reason in result.rejected)
         detail = "; ".join(f"{v} x {k}" for k, v in sorted(counts.items()))
         raise NumericalError(f"no feasible realisation: {detail}")
 

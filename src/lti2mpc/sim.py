@@ -16,20 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    PENDULUM_TS,
-    PendulumParams,
-    SATELLITE_TS,
-    pendulum_controller,
-    pendulum_plant,
-    satellite_controller,
-    satellite_plant,
-    satellite_plant_ct,
-)
+from .models import CASE_STUDIES, PendulumParams, satellite_plant_ct
 from .mpc import MpcConfig, build_condensed_qp, effect_weight, matching_cost
-from .realisation import SearchResult, _form, search_realisations
+from .realisation import _form, search_realisations
 from .runtime import Prefilter, build_prefilter, make_observer, mpc_step
-from .statespace import DtStateSpace, add_dipole, c2d_zoh, loop_shift
+from .statespace import DtStateSpace, c2d_zoh
 
 __all__ = [
     "ReferenceProgram",
@@ -122,10 +113,9 @@ class MpcController:
 @dataclass
 class Scenario:
     name: str
-    plant: object  # "satellite" | "pendulum" | DtStateSpace
+    plant: object  # a CASE_STUDIES name or a DtStateSpace
     duration: float
     controller: object  # BaselineController | MpcController
-    Ts: float | None = None
     x0: np.ndarray | None = None
     references: ReferenceProgram | None = None
     disturbances: tuple = ()  # (time, state-jump vector) pairs
@@ -134,12 +124,8 @@ class Scenario:
     faults: tuple = ()  # (time, actuator index, locked value)
 
     def sample_time(self) -> float:
-        if self.plant == "satellite":
-            return SATELLITE_TS
-        if self.plant == "pendulum":
-            return PENDULUM_TS
-        if self.Ts is not None:
-            return self.Ts
+        if isinstance(self.plant, str):
+            return CASE_STUDIES[self.plant].Ts
         return self.plant.Ts
 
 
@@ -301,16 +287,14 @@ def simulate(scenario: Scenario) -> Trace:
     ctrl = scenario.controller
     is_mpc = isinstance(ctrl, MpcController)
 
-    # plant-side setup -----------------------------------------------------
+    # plant-side setup: a built-in's design model sizes and measures its truth
+    G_true: DtStateSpace = (CASE_STUDIES[scenario.plant].plant()
+                            if isinstance(scenario.plant, str) else scenario.plant)
+    n_x, n_y, n_u, C_true = G_true.n, G_true.n_y, G_true.n_u, G_true.C
     if scenario.plant == "satellite":
-        N_div = ctrl.N_div if is_mpc else None
-        advance = _SatelliteTruth(Ts, N_div).step
-        n_x, n_y, n_u = 3, 1, 2
-        C_true = satellite_plant().C
+        advance = _SatelliteTruth(Ts, ctrl.N_div if is_mpc else None).step
 
     elif scenario.plant == "pendulum":
-        n_x, n_y, n_u = 4, 2, 1
-        C_true = pendulum_plant().C
         nsub = 20
         h = Ts / nsub
 
@@ -319,10 +303,6 @@ def simulate(scenario: Scenario) -> Trace:
             return _rk4(x, float(u_now[0]), h, nsub)
 
     else:
-        G_true: DtStateSpace = scenario.plant
-        n_x, n_y, n_u = G_true.n, G_true.n_y, G_true.n_u
-        C_true = G_true.C
-
         def advance(x, u_prev, u_now):
             return G_true.A @ x + G_true.B @ u_now
 
@@ -455,37 +435,35 @@ def simulate(scenario: Scenario) -> Trace:
 
 # -- canned experiments ------------------------------------------------------
 
-def _satellite_mpc(found: SearchResult, rank: int, cost_kind: str,
-                   u_bound=None, y_bound=None, N_div=10, N=15):
-    """Satellite MPC controller using the rank-th best realisation (1-based)
-    of ``found``, the product-ranked filter-form search of the satellite
-    loop with the W = 50 dipole."""
-    G = satellite_plant()
-    real = found.ranked[rank - 1][0]
-    if cost_kind == "matching":
-        cost = matching_cost(real.K_c)
-    elif cost_kind == "effect":
-        cost = matching_cost(real.K_c, effect_weight(G, 1e3, 1e-3))
-    else:
-        raise ValueError(f"unknown cost kind {cost_kind!r}")
+def _case_search(name: str):
+    """(G, K_base, G_d) of built-in ``name`` and the search of its design
+    pair, conditioned, realised and ranked as ``CASE_STUDIES`` says."""
+    case = CASE_STUDIES[name]
+    G, K_base, G_d, K_d = case.loop()
+    return G, K_base, G_d, search_realisations(G_d, K_d, form=case.form,
+                                               rank_by=case.rank_by)
+
+
+def _satellite_mpc(real, G_d, cost_kind: str, u_bound=None, y_bound=None,
+                   N_div=10, N=15):
+    """Satellite MPC controller on realisation ``real`` of the design plant
+    G_d, matching K_c itself or (``cost_kind`` "effect") its effect."""
+    W = effect_weight(G_d, 1e3, 1e-3) if cost_kind == "effect" else None
     cfg = MpcConfig(
-        N=N, cost=cost,
+        N=N, cost=matching_cost(real.K_c, W),
         u_bounds=None if u_bound is None else (-u_bound * np.ones(2),
                                                u_bound * np.ones(2)),
         y_bounds=None if y_bound is None else ([-y_bound], [y_bound]),
         soft_output_weight=1e5,
     )
-    return MpcController(realisation=real, design_model=G, config=cfg,
+    return MpcController(realisation=real, design_model=G_d, config=cfg,
                          N_div=N_div)
 
 
-def _pendulum_mpc(found: SearchResult, bounded: bool, N=15):
-    """Pendulum MPC controller on the best realisation of ``found``, the
-    noise-ranked predictor-form search of the loop-shifted pendulum loop."""
-    G = pendulum_plant()
-    K = pendulum_controller()
-    Gs, _ = loop_shift(G, K)
-    real = found.ranked[0][0]
+def _pendulum_mpc(real, G, K, G_d, bounded: bool, N=15):
+    """Pendulum MPC controller on realisation ``real`` of the loop-shifted
+    design plant G_d, tracking through a prefilter on the plant G; K is
+    the baseline controller, whose feedthrough the runtime wires back."""
     inf = np.inf
     cfg = MpcConfig(
         N=N,
@@ -494,71 +472,57 @@ def _pendulum_mpc(found: SearchResult, bounded: bool, N=15):
                   [inf, 0.7, 0.175, 0.3]) if bounded else None,
         soft_output_weight=1e5,
         tracking="reference",
-        known_input=-Gs.B @ K.D,
+        known_input=-G_d.B @ K.D,
     )
     L1 = np.array([[0.0, 1.0, 0.0, 0.0],
                    [0.0, 0.0, 1.0, 0.0],
                    [0.0, 0.0, 0.0, 1.0]])
     L2 = np.zeros((3, 2))
     return MpcController(
-        realisation=real, design_model=Gs, config=cfg, D_K=K.D,
+        realisation=real, design_model=G_d, config=cfg, D_K=K.D,
         prefilter_kind="shaped", prefilter_plant=G, L1=L1, L2=L2,
     )
 
 
-_FAMILIES = ("satellite", "pendulum")  # each library scenario's name starts with one
+# satellite Cases 1-5: (rank of the realisation, cost, input bound, output
+# bound, actuator faults)
+_SATELLITE_CASES = (
+    (1, "matching", None, None, ()),
+    (1, "matching", 0.11, None, ()),
+    (1, "effect", 0.11, None, ()),
+    (3, "matching", 1.0, 0.01, ()),
+    (1, "effect", 0.15, 0.01, ((3.0, 0, 0.0),)),
+)
 
 
 def scenario_library(family: str | None = None) -> dict:
     """The named experiments: satellite Cases 1-5 and pendulum Cases 1-2;
-    ``family`` ("satellite" or "pendulum") builds one plant's, with one search."""
-    if family not in (None, *_FAMILIES):
+    ``family`` (a ``CASE_STUDIES`` name) builds one plant's, with one search.
+    Each scenario's name starts with its family."""
+    if family not in (None, *CASE_STUDIES):
         raise ValueError(f"unknown scenario family {family!r}")
     lib = {}
     if family in (None, "satellite"):
         dist = ((0.0, np.array([0.0, 0.0, SATELLITE_DIST_TORQUE])),)
-        K_sat = add_dipole(satellite_controller(), W=50.0)
-        sat = search_realisations(satellite_plant(), K_sat, form="filter",
-                                  rank_by="product")
+        _, K_sat, G_sat, sat = _case_search("satellite")
         lib["satellite-baseline"] = Scenario(
             name="satellite-baseline", plant="satellite", duration=40.0,
             controller=BaselineController(K_sat), disturbances=dist,
         )
-        lib["satellite-case-1"] = Scenario(
-            name="satellite-case-1", plant="satellite", duration=40.0,
-            controller=_satellite_mpc(sat, 1, "matching"), disturbances=dist,
-        )
-        lib["satellite-case-2"] = Scenario(
-            name="satellite-case-2", plant="satellite", duration=40.0,
-            controller=_satellite_mpc(sat, 1, "matching", u_bound=0.11),
-            disturbances=dist,
-        )
-        lib["satellite-case-3"] = Scenario(
-            name="satellite-case-3", plant="satellite", duration=40.0,
-            controller=_satellite_mpc(sat, 1, "effect", u_bound=0.11),
-            disturbances=dist,
-        )
-        lib["satellite-case-4"] = Scenario(
-            name="satellite-case-4", plant="satellite", duration=40.0,
-            controller=_satellite_mpc(sat, 3, "matching", u_bound=1.0, y_bound=0.01),
-            disturbances=dist,
-        )
-        lib["satellite-case-5"] = Scenario(
-            name="satellite-case-5", plant="satellite", duration=40.0,
-            controller=_satellite_mpc(sat, 1, "effect", u_bound=0.15, y_bound=0.01),
-            disturbances=dist,
-            faults=((3.0, 0, 0.0),),
-        )
+        for i, (rank, cost, u_bound, y_bound, faults) in enumerate(_SATELLITE_CASES, 1):
+            lib[f"satellite-case-{i}"] = Scenario(
+                name=f"satellite-case-{i}", plant="satellite", duration=40.0,
+                controller=_satellite_mpc(sat.ranked[rank - 1][0], G_sat, cost,
+                                          u_bound=u_bound, y_bound=y_bound),
+                disturbances=dist, faults=faults,
+            )
     if family in (None, "pendulum"):
-        pend = search_realisations(*loop_shift(pendulum_plant(), pendulum_controller()),
-                                   form="predictor", rank_by="noise")
+        G, K, G_d, pend = _case_search("pendulum")
         step_ref = ReferenceProgram(((0.0, np.array([1.0, 0.0])),))
-        lib["pendulum-case-1"] = Scenario(
-            name="pendulum-case-1", plant="pendulum", duration=20.0,
-            controller=_pendulum_mpc(pend, bounded=False), references=step_ref,
-        )
-        lib["pendulum-case-2"] = Scenario(
-            name="pendulum-case-2", plant="pendulum", duration=20.0,
-            controller=_pendulum_mpc(pend, bounded=True), references=step_ref,
-        )
+        for i, bounded in ((1, False), (2, True)):
+            lib[f"pendulum-case-{i}"] = Scenario(
+                name=f"pendulum-case-{i}", plant="pendulum", duration=20.0,
+                controller=_pendulum_mpc(pend.ranked[0][0], G, K, G_d, bounded),
+                references=step_ref,
+            )
     return lib

@@ -9,11 +9,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lti2mpc.cli import main, parse_config, build_problem, ConfigError
+from lti2mpc import realisation
+from lti2mpc.cli import main, parse_config, build_problem, ConfigError, _baseline_counterpart
 from lti2mpc.models import pendulum_controller, pendulum_plant
 from lti2mpc.realisation import search_realisations
-from lti2mpc.statespace import add_dipole
-from lti2mpc.models import satellite_controller, satellite_plant
+from lti2mpc.sim import scenario_library
+from lti2mpc.statespace import add_dipole, c2d_zoh
+from lti2mpc.models import satellite_controller, satellite_plant, satellite_plant_ct
 
 
 def _write(tmp_path, name, doc):
@@ -220,6 +222,94 @@ def test_discretise_builtin_pendulum_matches_the_bundled_models(tmp_path):
     assert rep["plant"]["method"] == "zoh"
     npt.assert_allclose(rep["plant"]["A"], G.A, atol=1e-14)
     assert rep["plant"]["Ts"] == 0.1
+
+
+def test_discretise_builtin_satellite_matches_the_bundled_models(tmp_path):
+    cfg = _write(tmp_path, "sat.json", {"plant": "satellite"})
+    out = tmp_path / "disc.json"
+    assert main(["discretise", "--config", cfg, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    # the plant is the ZOH of the rigid body, without the disturbance state
+    G = c2d_zoh(satellite_plant_ct(), 0.25)
+    assert rep["plant"]["method"] == "zoh" and rep["plant"]["Ts"] == 0.25
+    for m in "ABCD":
+        npt.assert_array_equal(rep["plant"][m], getattr(G, m))
+    npt.assert_array_equal(rep["plant"]["A"], satellite_plant().A[:2, :2])
+    # the controller is discrete by design
+    K = satellite_controller()
+    assert rep["controller"]["method"] == "none" and rep["controller"]["Ts"] == 0.25
+    for m in "ABCD":
+        npt.assert_array_equal(rep["controller"][m], getattr(K, m))
+
+
+def test_builtin_with_another_top_level_Ts_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "sat.json", {"plant": "satellite", "Ts": 0.5})
+    for command in ("realise", "discretise"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: built-in plant 'satellite' runs at Ts 0.25")
+    cfg = _write(tmp_path, "sat.json", {"plant": "satellite", "Ts": 0.25})
+    assert main(["discretise", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
+
+
+@pytest.mark.parametrize("doc, code, prefix", [
+    ({"plant": "satellite", "pipeline": {"margin_cut": 5}}, 2, "config error: "),
+    ({"plant": "satellite", "pipeline": {"forced_S": [99]}}, 2, "config error: "),
+    ({"plant": "satellite", "pipeline": {"form": "predictor"}}, 1, "error: "),
+    ({"plant": "pendulum", "pipeline": {"form": "filter", "loop_shift": False}}, 1, "error: "),
+])
+def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, code, prefix):
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main(["realise", "--config", cfg, "--out", str(tmp_path / "r.json")]) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_misshaped_verify_gains_are_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "vg.json", {
+        "plant": "satellite",
+        "verify_gains": {"form": "filter", "K_c": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                         "K_f": [[0.0], [0.0], [0.0]], "T": [[1.0, 0.0], [0.0, 1.0]]}})
+    assert main(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: verify_gains: ")
+
+
+def test_parallel_flag_is_not_an_option(tmp_path):
+    cfg = _write(tmp_path, "sat.json", {"plant": "satellite"})
+    with pytest.raises(SystemExit) as exc:
+        main(["realise", "--config", cfg, "--parallel", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", ["satellite", "pendulum"])
+def test_cli_and_library_realise_the_same_builtin(tmp_path, name):
+    cfg = _write(tmp_path, "c.json", {"plant": name})
+    out = tmp_path / "report.json"
+    assert main(["realise", "--config", cfg, "--out", str(out)]) == 0
+    top = json.loads(out.read_text())["realisations"][0]
+    lib = scenario_library(name)
+    real = lib[f"{name}-case-1"].controller.realisation
+    npt.assert_array_equal(top["K_c"], real.K_c)
+    npt.assert_array_equal(top["K_f"], real.K_f)
+    if name == "satellite":
+        base = _baseline_counterpart(lib["satellite-case-1"]).controller.K
+        ref = lib["satellite-baseline"].controller.K
+        for m in "ABCD":
+            npt.assert_array_equal(getattr(base, m), getattr(ref, m))
+
+
+def test_verify_sweeps_no_loop_margins(tmp_path, monkeypatch, capsys):
+    sweeps = []
+    margins = realisation.loop_margins
+    monkeypatch.setattr(realisation, "loop_margins",
+                        lambda *a, **kw: sweeps.append(1) or margins(*a, **kw))
+    cfg = _write(tmp_path, "sat.json", {"plant": "satellite"})
+    assert main(["verify", "--config", cfg]) == 0
+    assert sweeps == []
+    assert main(["realise", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(sweeps) == 4  # the report's margins, one per ranked row
 
 
 def test_report_config_echo_round_trips_to_identical_numerics(tmp_path):

@@ -3,10 +3,12 @@ large random pair used for scale testing.  The numbers asserted here are
 the pinned model data; downstream tests build on them."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from lti2mpc.linalg import spectral_radius
 from lti2mpc.models import (
+    CASE_STUDIES,
     PENDULUM_TS,
     SATELLITE_TS,
     pendulum_controller,
@@ -15,9 +17,10 @@ from lti2mpc.models import (
     pendulum_plant_ct,
     satellite_controller,
     satellite_plant,
+    condition_loop,
     scale_surrogate,
 )
-from lti2mpc.statespace import add_dipole, feedback, unobservable_modes
+from lti2mpc.statespace import add_dipole, feedback, loop_shift, unobservable_modes
 
 
 def _sorted(vals):
@@ -102,3 +105,24 @@ def test_scale_surrogate_shape():
     assert spectral_radius(cl.A) < 0.985
     assert np.sum(np.abs(ev.imag) < 1e-9) == 20
     assert len(unobservable_modes(cl.A.T, cl.B.T)) == 10  # uncontrollable modes
+
+
+def _same(a, b):
+    for m in "ABCD":
+        np.testing.assert_array_equal(getattr(a, m), getattr(b, m))
+    assert a.Ts == b.Ts
+
+
+def test_case_studies_condition_their_loops_as_the_table_says():
+    G, K_base, G_d, K_d = CASE_STUDIES["satellite"].loop()
+    _same(G, satellite_plant())
+    _same(K_base, add_dipole(satellite_controller(), W=50.0))
+    assert G_d is G and K_d is K_base
+    G, K_base, G_d, K_d = CASE_STUDIES["pendulum"].loop()
+    _same(K_base, pendulum_controller())
+    for a, b in zip((G_d, K_d), loop_shift(pendulum_plant(), pendulum_controller())):
+        _same(a, b)
+    for name, case in CASE_STUDIES.items():
+        assert case.plant().Ts == case.controller().Ts == case.Ts, name
+    with pytest.raises(ValueError, match="not both"):
+        condition_loop(G, K_base, dipole_W=50.0, loop_shift=True)

@@ -679,6 +679,31 @@ def test_static_controller_is_refused(monkeypatch, form):
             call()
 
 
+def test_unstable_closed_loop_is_refused_from_the_search_spectrum(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a split was solved")
+
+    eigs = []
+    paired = realisation.eig_paired
+    monkeypatch.setattr(realisation, "eig_paired", lambda A: eigs.append(A) or paired(A))
+    monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
+    G, K = _scalar(1.1, 1.0, 1.0), _scalar(0.0, 1.0, 0.0)  # closed loop {1.1, 0}
+    with pytest.raises(UnstableSystemError, match=r"unstable \(spectral radius 1\.1000\)"):
+        search_realisations(G, K, form="predictor")
+    assert len(eigs) == 1  # the refusal reads the search's own spectrum
+
+
+def test_margin_cut_outside_the_inputs_is_refused(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a split was solved")
+
+    monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
+    G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
+    for cut in (-1, 2):
+        with pytest.raises(ValueError, match=f"margin_cut {cut} is not an input channel"):
+            search_realisations(G, K, form="filter", margin_cut=cut)
+
+
 def _per_split_reasons(G, K, form):
     """Why each split is rejected when it is solved, designed and built on
     its own through the public one-split calls."""
