@@ -3,10 +3,12 @@
 
 A double integrator with a hand-picked feedback gain makes the numbers
 easy to follow.  The script builds the zero-value stage cost for that
-gain, condenses the horizon both ways (raw inputs with cross terms, and
-prestabilised inputs with a block-diagonal Hessian), then tightens an
-input bound step by step to show the active set growing while the first
-applied input walks away from the unconstrained feedback law.
+gain and condenses the horizon with both decision variables of the one
+condensation: raw inputs (K = 0, cross terms in the Hessian) and moves
+about the prestabilising law u = K_c x + v (K = K_c, Hessian 2 I (x) R
+for this cost).  It then tightens an input bound step by step to show
+the active set growing while the first applied input walks away from the
+unconstrained feedback law.
 """
 
 import numpy as np

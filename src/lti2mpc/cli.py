@@ -9,8 +9,9 @@ discretise  emit the discrete-time plant/controller matrices as JSON
 
 Flags: --config <path>, --scenario <name>, --out <path>, --seed <u64>.
 Exit codes: 0 success, 1 domain error (no feasible realisation, unstable
-loop, unknown scenario, failed verification), 2 config error (unreadable
-file, bad JSON, bad dimensions, unknown keys, options the search refuses).
+loop, unknown scenario, near-singular MPC Hessian, failed verification),
+2 config error (unreadable file, bad JSON, bad dimensions or types,
+unknown keys, options the search refuses).
 
 Config schema (all sections optional unless a command needs them):
 
@@ -37,7 +38,9 @@ Config schema (all sections optional unless a command needs them):
 
 A built-in name selects a case study of ``models.CASE_STUDIES``: its
 models, its sample time and, as pipeline defaults, its conditioning
-(dipole or loop shift), observer form, ranking and margin cut.
+(dipole or loop shift), observer form, ranking and margin cut.  Its
+disturbance model is the case study's own, so ``disturbance_channels``
+is refused with a built-in plant.
 """
 
 from __future__ import annotations
@@ -107,6 +110,10 @@ def _matrix(obj, name) -> np.ndarray:
     if M.ndim != 2:
         raise ConfigError(f"{name} must be two dimensional")
     return M
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _parse_system(obj, what):
@@ -180,6 +187,14 @@ def parse_config(raw: dict) -> ProjectConfig:
         raise ConfigError("pipeline.form must be 'filter' or 'predictor'")
     if merged["rank_by"] not in ("product", "noise"):
         raise ConfigError("pipeline.rank_by must be 'product' or 'noise'")
+    forced, cut = merged["forced_S"], merged["margin_cut"]
+    if forced is not None and not (isinstance(forced, list) and all(map(_is_int, forced))):
+        raise ConfigError("pipeline.forced_S must be a list of integer mode indices")
+    if cut is not None and not _is_int(cut):
+        raise ConfigError("pipeline.margin_cut must be an integer or null")
+    if isinstance(plant, str) and merged["disturbance_channels"] is not None:
+        raise ConfigError(f"built-in plant {plant!r} takes its disturbance model from "
+                          "its case study; pipeline.disturbance_channels needs a matrix plant")
 
     mpc = dict(raw.get("mpc", {}))
     unknown = set(mpc) - _MPC_KEYS
@@ -477,7 +492,12 @@ def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed) -> int:
     sc = _resolve_scenario(cfg, scenario_name)
     if seed is not None:
         sc = dataclasses.replace(sc, seed=int(seed))
-    tr = simulate(sc)
+    try:
+        tr = simulate(sc)
+    except NumericalError as exc:
+        raise DomainError(f"scenario {scenario_name!r}: {exc}") from None
+    except ValueError as exc:  # a mis-sized x0 or noise_sigma
+        raise ConfigError(f"scenario {scenario_name!r}: {exc}") from None
     tr.to_csv(out_path)
 
     mpc_cfg = getattr(sc.controller, "config", None)

@@ -9,20 +9,27 @@ the state argument to x - x_r; the quadratic blocks are unchanged and the
 shift only adds linear terms, which the condensed builder folds into the
 parametric f and b maps.
 
-Two equivalent condensations are provided: the direct one keeps the raw
-input sequence as decision variable and carries the x-u cross terms; the
-prestabilised one substitutes u = Kc x + eta first, which diagonalises the
-Hessian but turns input bounds into mixed state-input rows.  They solve the
-same problem and the tests hold them to each other.
+One condensation serves two decision variables.  The decisions are input
+moves v_k and the applied inputs are u_k = K x_k + v_k: K = 0 ("direct")
+keeps the raw input sequence and carries the x-u cross terms in H;
+K = -R^-1 S' ("prestabilised") diagonalises H for a matching cost but
+turns input bounds into mixed state-input rows.  Both share one prediction
+on (A + BK, B, B_w) and one input map U = Psi x0 + Lam v + Xi w, from
+which the cost, the f maps, the input-bound rows and the applied inputs
+are built.  A change of decision variable does not change the problem, so
+the two solve the same problem for any stage cost, and the tests hold
+them to each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
+from .linalg import NumericalError
 from .qp import QpFactor, factor_qp
 from .statespace import DtStateSpace
 
@@ -152,30 +159,34 @@ def _constrained_output(G: DtStateSpace, cfg: MpcConfig):
 
 @dataclass
 class CondensedQp:
-    """Dense QP  min 1/2 x'Hx + f'x  s.t.  A_ineq x <= b.
+    """Dense QP  min 1/2 z'Hz + f'z  s.t.  A_ineq z <= b.
 
-    The decision vector is [u_0 .. u_{N-1}, s_1 .. s_N] (inputs then
-    slacks).  H and A_ineq are fixed, and so is their QP factor, computed
-    on first use and shared by every control step; f and b are affine in
-    the current state estimate, the reference state and the known input,
-    with the matrices below precomputed so each control step is a few
-    mat-vecs.
+    The decision vector z is [v_0 .. v_{N-1}, s_1 .. s_N] (input moves
+    then slacks).  The applied inputs U = [u_0 .. u_{N-1}] are affine in
+    the moves through the input map U = u_x x0 + u_v v + u_w w.  H and
+    A_ineq are fixed, and so is their QP factor, computed on first use and
+    shared by every control step; f and b are affine in the current state
+    estimate, the reference state and the known input, with the matrices
+    below precomputed so each control step is a few mat-vecs.
     """
 
     H: np.ndarray
     A_ineq: np.ndarray
     N: int
     n_u: int
-    n_slack: int
     f_x: np.ndarray
     f_r: np.ndarray
     f_w: np.ndarray
     b_const: np.ndarray
     b_x: np.ndarray
     b_w: np.ndarray
-    variant: str = "direct"
-    # prestabilised variant only: data to recover u from eta
-    prestab: dict = field(default_factory=dict)
+    u_x: np.ndarray
+    u_v: np.ndarray
+    u_w: np.ndarray
+
+    @property
+    def n_slack(self) -> int:
+        return self.H.shape[0] - self.u_v.shape[1]
 
     @cached_property
     def factor(self) -> QpFactor:
@@ -197,25 +208,27 @@ class CondensedQp:
 
     def input_sequence(self, x_star, x0=None, w=None) -> np.ndarray:
         """Applied input sequence (N, n_u) implied by a solution vector."""
-        U = np.asarray(x_star, float)[: self.N * self.n_u].reshape(self.N, self.n_u)
-        if self.variant == "direct":
-            return U
-        K_c, A_s, B, B_w = (self.prestab[k] for k in ("K_c", "A_s", "B", "B_w"))
-        x = np.asarray(x0, float).ravel().copy()
-        out = np.empty_like(U)
-        for k in range(self.N):
-            out[k] = K_c @ x + U[k]
-            x = A_s @ x + B @ U[k]
-            if w is not None and B_w.size:
-                x = x + B_w @ np.asarray(w, float).ravel()
-        return out
+        U = self.u_v @ np.asarray(x_star, float)[: self.u_v.shape[1]]
+        if x0 is not None:
+            U = U + self.u_x @ np.asarray(x0, float).ravel()
+        elif np.any(self.u_x):
+            raise ValueError("the inputs of this condensation depend on x0")
+        if w is not None and self.u_w.size:
+            U = U + self.u_w @ np.asarray(w, float).ravel()
+        return U.reshape(self.N, self.n_u)
+
+    def first_input(self, x_star, x0) -> np.ndarray:
+        """u_0 = v_0 + K x0, the input map's first block row (those of u_v
+        and u_w are [I 0 ..] and 0), at a cost independent of N."""
+        m = self.n_u
+        return np.asarray(x_star, float)[:m] + self.u_x[:m] @ np.asarray(x0, float).ravel()
 
     def slack_values(self, x_star) -> np.ndarray:
-        return np.asarray(x_star, float)[self.N * self.n_u:]
+        return np.asarray(x_star, float)[self.u_v.shape[1]:]
 
 
 def _prediction_matrices(A, B, B_w, N):
-    """Phi, Gamma, Omega with x_k = Phi_k x0 + Gamma_k U + Omega_k w for
+    """Phi, Gamma, Omega with x_k = Phi_k x0 + Gamma_k v + Omega_k w for
     k = 0 .. N (N+1 block rows; the k = 0 row is [I, 0, 0])."""
     n, m = B.shape
     Phi = np.zeros(((N + 1) * n, n))
@@ -231,30 +244,26 @@ def _prediction_matrices(A, B, B_w, N):
     return Phi, Gamma, Omega
 
 
-def _soft_constraint_blocks(Cz, z_lo, z_hi, Phi, Gamma, Omega, N, n_dec_u, n_z):
-    """Inequality rows for the softened quantities at steps 1 .. N."""
-    n = Phi.shape[1]
-    rows_A, rows_bc, rows_bx, rows_bw = [], [], [], []
-    for k in range(1, N + 1):
-        P = Phi[k * n:(k + 1) * n]
-        Gm = Gamma[k * n:(k + 1) * n]
-        Om = Omega[k * n:(k + 1) * n]
-        slack_cols = np.zeros((n_z, N * n_z))
-        slack_cols[:, (k - 1) * n_z:k * n_z] = -np.eye(n_z)
-        for sgn, bound in ((1.0, z_hi), (-1.0, z_lo)):
-            finite = np.isfinite(bound)
-            if not np.any(finite):
-                continue
-            A_blk = np.hstack([sgn * (Cz @ Gm), slack_cols])[finite]
-            rows_A.append(A_blk)
-            rows_bc.append((sgn * bound)[finite])
-            rows_bx.append((-sgn * (Cz @ P))[finite])
-            rows_bw.append((-sgn * (Cz @ Om))[finite])
-    if not rows_A:
-        z = np.zeros((0, n_dec_u + N * n_z))
-        return z, np.zeros(0), np.zeros((0, n)), np.zeros((0, Omega.shape[1]))
-    return (np.vstack(rows_A), np.concatenate(rows_bc),
-            np.vstack(rows_bx), np.vstack(rows_bw))
+def _per_step(M, X, N):
+    """M applied to each of the N block rows of X."""
+    Xk = X.reshape(N, X.shape[0] // N, X.shape[1])
+    return (M @ Xk).reshape(N * M.shape[0], X.shape[1])
+
+
+def _inequality_rows(N, lo, hi, Z_v, Z_x, Z_w, E):
+    """Rows (A, b_const, b_x, b_w) of  lo - s_k <= z_k <= hi + s_k  for a
+    quantity z = Z_v v + Z_x x0 + Z_w w stacked over N steps, with slack
+    columns E (zero for hard bounds; one slack serves both sides): per
+    step the finite upper rows, then the finite lower ones."""
+    q, rows = lo.size, []
+    for k in range(N):
+        blk = slice(k * q, (k + 1) * q)
+        for sgn, bound in ((1.0, hi), (-1.0, lo)):
+            fin = np.isfinite(bound)
+            if fin.any():
+                rows.append((np.hstack([sgn * Z_v[blk], E[blk]])[fin], (sgn * bound)[fin],
+                             (-sgn * Z_x[blk])[fin], (-sgn * Z_w[blk])[fin]))
+    return rows
 
 
 def build_condensed_qp(
@@ -262,119 +271,68 @@ def build_condensed_qp(
 ) -> CondensedQp:
     """Eliminate the state dynamics and emit the dense parametric QP.
 
-    variant "direct" keeps the raw inputs as decisions (cross terms in H);
-    variant "prestabilised" substitutes u = Kc x + eta with Kc read off the
-    stage cost, giving a block-diagonal Hessian.  Both describe the same
-    optimisation and yield the same applied inputs.
+    The decisions are input moves v_k with applied inputs u_k = K x_k + v_k:
+    K = 0 for variant "direct" (the raw inputs, cross terms in H) and
+    K = -R^-1 S' for "prestabilised" (block-diagonal H for a matching
+    cost).  Both share one prediction on (A + BK, B, B_w) and one input
+    map, so they describe the same optimisation for any stage cost.
+
+    Raises NumericalError when cond(H) exceeds 1e12: the unconstrained
+    minimiser would no longer be the stage cost's.
     """
     N, n, m = cfg.N, G.n, G.n_u
     Q, S, R = cfg.cost.Q, cfg.cost.S, cfg.cost.R
     if Q.shape[0] != n or R.shape[0] != m:
         raise ValueError("stage cost does not match the plant dimensions")
-    B_w = cfg.known_input if cfg.known_input is not None else np.zeros((n, 0))
-    B_w = np.atleast_2d(np.asarray(B_w, float)).reshape(n, -1)
-    n_w = B_w.shape[1]
+    if variant == "direct":
+        K = np.zeros((m, n))
+    elif variant == "prestabilised":
+        K = -np.linalg.solve(R, S.T)
+    else:
+        raise ValueError(f"unknown condensation variant {variant!r}")
+    B_w = np.zeros((n, 0)) if cfg.known_input is None else \
+        np.asarray(cfg.known_input, float).reshape(n, -1)
+
+    Phi, Gamma, Omega = _prediction_matrices(G.A + G.B @ K, G.B, B_w, N)
+    # rows 0 .. N-1 of the stacks enter the stage cost
+    Pm, Gj, Om = Phi[:N * n], Gamma[:N * n], Omega[:N * n]
+    # the input map U = Psi x0 + Lam v + Xi w
+    Psi, Xi = _per_step(K, Pm, N), _per_step(K, Om, N)
+    Lam = _per_step(K, Gj, N) + np.eye(N * m)
+
+    Qb, Sb, Rb = (np.kron(np.eye(N), M) for M in (Q, S, R))
+    H_u = 2.0 * (Gj.T @ Qb @ Gj + Gj.T @ Sb @ Lam + Lam.T @ Sb.T @ Gj
+                 + Lam.T @ Rb @ Lam)
+    # gradient of the cost in v through the states and through the inputs
+    Mx, Mu = (Qb @ Gj + Sb @ Lam).T, (Sb.T @ Gj + Rb @ Lam).T
+    f_x = 2.0 * (Mx @ Pm + Mu @ Psi)
+    f_w = 2.0 * (Mx @ Om + Mu @ Xi)
+    # tracking shift x -> x - x_r adds -2(Gj'(1(x)Q) + Lam'(1(x)S')) x_r
+    if cfg.tracking == "reference":
+        ones = np.ones((N, 1))
+        f_r = -2.0 * (Gj.T @ np.kron(ones, Q) + Lam.T @ np.kron(ones, S.T))
+    else:
+        f_r = np.zeros((N * m, n))
 
     Cz, z_lo, z_hi = _constrained_output(G, cfg)
     n_z = Cz.shape[0]
-    rho = cfg.soft_output_weight
-
-    if variant == "direct":
-        Phi, Gamma, Omega = _prediction_matrices(G.A, G.B, B_w, N)
-        # rows 0 .. N-1 of the stacks enter the stage cost
-        Pm, Gj, Om = Phi[:N * n], Gamma[:N * n], Omega[:N * n]
-        Qb = np.kron(np.eye(N), Q)
-        Sb = np.kron(np.eye(N), S)
-        Rb = np.kron(np.eye(N), R)
-        H_u = 2.0 * (Gj.T @ Qb @ Gj + Gj.T @ Sb + Sb.T @ Gj + Rb)
-        QGS = (Qb @ Gj + Sb).T  # (N m) x (N n)
-        f_x = 2.0 * (QGS @ Pm)
-        f_w = 2.0 * (QGS @ Om) if n_w else np.zeros((N * m, 0))
-        # tracking shift x -> x - x_r adds -2(Gamma'(1(x)Q) + (1(x)S')) x_r
-        ones_Q = np.kron(np.ones((N, 1)), Q)
-        ones_St = np.kron(np.ones((N, 1)), S.T)
-        f_r = -2.0 * (Gj.T @ ones_Q + ones_St) if cfg.tracking == "reference" \
-            else np.zeros((N * m, n))
-    elif variant == "prestabilised":
-        K_c = -np.linalg.solve(R, S.T)
-        A_s = G.A + G.B @ K_c
-        Phi, Gamma, Omega = _prediction_matrices(A_s, G.B, B_w, N)
-        H_u = 2.0 * np.kron(np.eye(N), R)
-        f_x = np.zeros((N * m, n))
-        f_w = np.zeros((N * m, n_w))
-        # cost (eta + Kc x_r)' W (eta + Kc x_r): linear term 2 W Kc x_r
-        f_r = np.kron(np.ones((N, 1)), 2.0 * R @ K_c) if cfg.tracking == "reference" \
-            else np.zeros((N * m, n))
-    else:
-        raise ValueError(f"unknown condensation variant {variant!r}")
-
-    n_dec = N * m + N * n_z if n_z else N * m
-    H = np.zeros((n_dec, n_dec))
-    H[:N * m, :N * m] = H_u
-    if n_z:
-        H[N * m:, N * m:] = 2.0 * rho * np.eye(N * n_z)
+    n_dec = N * (m + n_z)
+    H = scipy.linalg.block_diag(H_u, 2.0 * cfg.soft_output_weight * np.eye(N * n_z))
     H = (H + H.T) / 2.0
-    if np.linalg.cond(H) > 1e12:
-        H = H + 1e-9 * np.eye(n_dec)
+    cond = np.linalg.cond(H)
+    if cond > 1e12:
+        raise NumericalError(f"condensed Hessian is near singular: cond(H) = {cond:.1e}")
 
-    blocks_A, blocks_bc, blocks_bx, blocks_bw = [], [], [], []
-
+    rows = [(np.zeros((0, n_dec)), np.zeros(0), np.zeros((0, n)), np.zeros((0, B_w.shape[1])))]
     if cfg.u_bounds is not None:
         sel, u_lo, u_hi = _bounded_rows(cfg.u_bounds, np.eye(m))
-        if sel.shape[0]:
-            for k in range(N):
-                if variant == "direct":
-                    row_u = np.zeros((sel.shape[0], n_dec))
-                    row_u[:, k * m:(k + 1) * m] = sel
-                    bx_u = np.zeros((sel.shape[0], n))
-                    bw_u = np.zeros((sel.shape[0], n_w))
-                else:
-                    # u_k = Kc x_k + eta_k with x_k affine in the decisions
-                    P = Phi[k * n:(k + 1) * n]
-                    Gm = Gamma[k * n:(k + 1) * n]
-                    Om = Omega[k * n:(k + 1) * n]
-                    row_u = np.zeros((sel.shape[0], n_dec))
-                    row_u[:, :N * m] = sel @ K_c @ Gm
-                    row_u[:, k * m:(k + 1) * m] += sel
-                    bx_u = -sel @ K_c @ P
-                    bw_u = -sel @ K_c @ Om
-                for sgn, bound in ((1.0, u_hi), (-1.0, u_lo)):
-                    finite = np.isfinite(bound)
-                    if not np.any(finite):
-                        continue
-                    blocks_A.append((sgn * row_u)[finite])
-                    blocks_bc.append((sgn * bound)[finite])
-                    blocks_bx.append((sgn * bx_u)[finite])
-                    blocks_bw.append((sgn * bw_u)[finite])
+        u_maps = (_per_step(sel, X, N) for X in (Lam, Psi, Xi))
+        rows += _inequality_rows(N, u_lo, u_hi, *u_maps, np.zeros((N * sel.shape[0], N * n_z)))
+    # softened quantities at steps 1 .. N, one slack each
+    z_maps = (_per_step(Cz, X[n:], N) for X in (Gamma, Phi, Omega))
+    rows += _inequality_rows(N, z_lo, z_hi, *z_maps, -np.eye(N * n_z))
+    A_ineq, b_const, b_x, b_w = (np.concatenate(c) for c in zip(*rows))
 
-    if n_z:
-        A_z, bc_z, bx_z, bw_z = _soft_constraint_blocks(
-            Cz, z_lo, z_hi, Phi, Gamma, Omega, N, N * m, n_z
-        )
-        blocks_A.append(A_z)
-        blocks_bc.append(bc_z)
-        blocks_bx.append(bx_z)
-        blocks_bw.append(bw_z)
-
-    if blocks_A:
-        A_ineq = np.vstack(blocks_A)
-        b_const = np.concatenate(blocks_bc)
-        b_x = np.vstack(blocks_bx)
-        b_w = np.vstack(blocks_bw)
-    else:
-        A_ineq = np.zeros((0, n_dec))
-        b_const = np.zeros(0)
-        b_x = np.zeros((0, n))
-        b_w = np.zeros((0, n_w))
-
-    qp = CondensedQp(
-        H=H, A_ineq=A_ineq, N=N, n_u=m, n_slack=N * n_z,
-        f_x=f_x if n_z == 0 else np.vstack([f_x, np.zeros((N * n_z, n))]),
-        f_r=f_r if n_z == 0 else np.vstack([f_r, np.zeros((N * n_z, n))]),
-        f_w=f_w if n_z == 0 else np.vstack([f_w, np.zeros((N * n_z, n_w))]),
-        b_const=b_const, b_x=b_x, b_w=b_w,
-        variant=variant,
-    )
-    if variant == "prestabilised":
-        qp.prestab = {"K_c": K_c, "A_s": A_s, "B": G.B, "B_w": B_w}
-    return qp
+    f_x, f_r, f_w = (np.vstack([f, np.zeros((N * n_z, f.shape[1]))]) for f in (f_x, f_r, f_w))
+    return CondensedQp(H=H, A_ineq=A_ineq, N=N, n_u=m, f_x=f_x, f_r=f_r, f_w=f_w,
+                       b_const=b_const, b_x=b_x, b_w=b_w, u_x=Psi, u_v=Lam, u_w=Xi)

@@ -215,7 +215,7 @@ def mpc_step(
     b = qp.b(x_hat, w=w) if A is not None else None
     sol = solve_qp(qp.H, f, A, b, factor=qp.factor, warm=warm)
     if sol.status == "optimal":
-        u = qp.input_sequence(sol.x_star, x0=x_hat, w=w)[0]
+        u = qp.first_input(sol.x_star, x_hat)
         smax = float(np.max(qp.slack_values(sol.x_star), initial=0.0))
         return MpcStepResult(u=u, solution=sol, fallback=False, slack_max=smax)
     if fallback_gain is None:

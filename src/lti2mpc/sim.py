@@ -334,6 +334,8 @@ def simulate(scenario: Scenario) -> Trace:
     sigma = None
     if scenario.noise_sigma is not None:
         sigma = np.asarray(scenario.noise_sigma, float).ravel()
+        if sigma.size not in (1, n_y):
+            raise ValueError(f"noise_sigma has {sigma.size} entries, not 1 or n_y = {n_y}")
 
     dist = sorted(((float(t), np.asarray(v, float).ravel())
                    for t, v in scenario.disturbances), key=lambda p: p[0])

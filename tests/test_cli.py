@@ -257,6 +257,10 @@ def test_builtin_with_another_top_level_Ts_is_a_config_error(tmp_path, capsys):
     ({"plant": "satellite", "pipeline": {"forced_S": [99]}}, 2, "config error: "),
     ({"plant": "satellite", "pipeline": {"form": "predictor"}}, 1, "error: "),
     ({"plant": "pendulum", "pipeline": {"form": "filter", "loop_shift": False}}, 1, "error: "),
+    ({"plant": "satellite", "pipeline": {"forced_S": 5}}, 2, "config error: "),
+    ({"plant": "satellite", "pipeline": {"margin_cut": "a"}}, 2, "config error: "),
+    # a built-in's disturbance model is its case study's, not the config's
+    ({"plant": "satellite", "pipeline": {"disturbance_channels": [9]}}, 2, "config error: "),
 ])
 def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, code, prefix):
     cfg = _write(tmp_path, "c.json", doc)
@@ -265,6 +269,27 @@ def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, cod
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("scenario, mpc, code, message", [
+    ({"base": "satellite-case-1", "x0": [1, 2]}, {}, 2,
+     "config error: scenario 'a': x0 dimension does not match the plant"),
+    ({"base": "satellite-case-1", "noise_sigma": [1, 2, 3]}, {}, 2,
+     "config error: scenario 'a': noise_sigma has 3 entries, not 1 or n_y = 1"),
+    # a vanishing own-input weight on the redundant torque pair: refused,
+    # not silently regularised
+    ({"duration": 2.0}, {"cost": "effect", "R1": 1e-12}, 1,
+     "error: scenario 'a': condensed Hessian is near singular: cond(H) = 2.0e+14"),
+])
+def test_simulate_refusals_end_in_documented_exit_codes(tmp_path, capsys, scenario, mpc,
+                                                        code, message):
+    cfg = _write(tmp_path, "c.json", {"plant": "satellite", "mpc": mpc,
+                                      "scenarios": {"a": scenario}})
+    assert main(["simulate", "--config", cfg, "--scenario", "a",
+                 "--out", str(tmp_path / "t.csv")]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_misshaped_verify_gains_are_a_config_error(tmp_path, capsys):

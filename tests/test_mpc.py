@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import brute_force_qp
-from lti2mpc.linalg import spectral_radius
+from lti2mpc.linalg import NumericalError, spectral_radius
 from lti2mpc.models import (
     pendulum_controller,
     pendulum_plant,
@@ -124,26 +124,64 @@ def test_known_input_enters_the_prediction():
     assert sol.objective < 1e-12
 
 
+def _convex_cost(rng, n, m, cross):
+    """A positive definite joint weight on (x, u); S = 0 unless ``cross``."""
+    L = rng.standard_normal((n + m, n + m))
+    M = L @ L.T + 0.1 * np.eye(n + m)
+    return StageCost(Q=M[:n, :n], S=M[:n, n:] if cross else np.zeros((n, m)), R=M[n:, n:])
+
+
 def test_direct_and_prestabilised_agree_under_constraints():
+    # matching costs, then costs that are not zero along any linear law
+    # (S = 0 and S != 0), each without and with tracking and a known input
     rng = np.random.default_rng(44)
-    for trial in range(8):
+    cases = [("matching", False)] * 8 + [(kind, extra) for kind in ("no-cross", "cross")
+                                         for extra in (False, True) for _ in range(4)]
+    for kind, extra in cases:
         G, K_c = _random_plant_gain(rng, n=3, m=1)
         cfg = MpcConfig(
             N=6,
-            cost=matching_cost(K_c),
+            cost=matching_cost(K_c) if kind == "matching"
+            else _convex_cost(rng, 3, 1, kind == "cross"),
             u_bounds=(-0.4 * np.ones(1), 0.4 * np.ones(1)),
             y_bounds=(-2.0 * np.ones(1), 2.0 * np.ones(1)),
+            tracking="reference" if extra else "none",
+            known_input=rng.standard_normal((3, 1)) if extra else None,
         )
         qp_d = build_condensed_qp(G, cfg, variant="direct")
         qp_p = build_condensed_qp(G, cfg, variant="prestabilised")
         x0 = 2.0 * rng.standard_normal(3)
-        sd = solve_qp(qp_d.H, qp_d.f(x0), qp_d.A_ineq, qp_d.b(x0))
-        sp = solve_qp(qp_p.H, qp_p.f(x0), qp_p.A_ineq, qp_p.b(x0))
+        x_r, w = (rng.standard_normal(3), rng.standard_normal(1)) if extra else (None, None)
+        sd = solve_qp(qp_d.H, qp_d.f(x0, x_r, w), qp_d.A_ineq, qp_d.b(x0, w))
+        sp = solve_qp(qp_p.H, qp_p.f(x0, x_r, w), qp_p.A_ineq, qp_p.b(x0, w))
         assert sd.status == "optimal" and sp.status == "optimal"
-        Ud = qp_d.input_sequence(sd.x_star, x0=x0)
-        Up = qp_p.input_sequence(sp.x_star, x0=x0)
-        assert_allclose(Ud, Up, atol=1e-8)
+        Ud = qp_d.input_sequence(sd.x_star, x0=x0, w=w)
+        Up = qp_p.input_sequence(sp.x_star, x0=x0, w=w)
+        assert_allclose(Ud, Up, atol=1e-8, err_msg=f"{kind} cost, extra terms {extra}")
+        assert_allclose(qp_p.first_input(sp.x_star, x0), Up[0], atol=1e-12)
         assert np.max(np.abs(Ud)) <= 0.4 + 1e-9
+
+
+def test_prestabilised_inputs_need_the_initial_state():
+    rng = np.random.default_rng(45)
+    G, K_c = _random_plant_gain(rng, n=3, m=1)
+    qp = build_condensed_qp(G, MpcConfig(N=4, cost=matching_cost(K_c)), "prestabilised")
+    with pytest.raises(ValueError, match="depend on x0"):
+        qp.input_sequence(np.zeros(4))
+
+
+def test_near_singular_hessian_is_refused_not_regularised():
+    # the redundant satellite torque pair with a vanishing own-input
+    # weight: cond(H) ~ 1.7e12; a regularised H would move each actuator's
+    # first move away from K_c x while their sum still matched
+    G = satellite_plant()
+    cost = matching_cost(np.zeros((2, 3)), effect_weight(G, 1e3, 1e-12))
+    for variant in ("direct", "prestabilised"):
+        with pytest.raises(NumericalError, match=r"cond\(H\) = 1\.7e\+12"):
+            build_condensed_qp(G, MpcConfig(N=15, cost=cost), variant)
+    # the library's own effect weight (R1 = 1e-3) stays well conditioned
+    cost = matching_cost(np.zeros((2, 3)), effect_weight(G, 1e3, 1e-3))
+    assert np.linalg.cond(build_condensed_qp(G, MpcConfig(N=15, cost=cost)).H) < 1e12
 
 
 def test_single_step_constraint_rows_by_hand():
