@@ -10,8 +10,8 @@ discretise  emit the discrete-time plant/controller matrices as JSON
 Flags: --config <path>, --scenario <name>, --out <path>, --seed <u64>.
 Exit codes: 0 success, 1 domain error (no feasible realisation, unstable
 loop, unknown scenario, near-singular MPC Hessian, failed verification),
-2 config error (unreadable file, bad JSON, bad dimensions or types,
-unknown keys, options the search refuses).
+2 config error (unreadable file, bad JSON, a value of the wrong type or
+size, unknown keys, options the search refuses).
 
 Config schema (all sections optional unless a command needs them):
 
@@ -26,15 +26,21 @@ Config schema (all sections optional unless a command needs them):
       "pipeline": {"form": "filter"|"predictor", "dipole_W": 100.0,
                    "loop_shift": false, "disturbance_channels": [0],
                    "Qn": 1.0, "Rn": 1e7, "rank_by": "product"|"noise",
-                   "margin_cut": 0},
-      "mpc": {"N": 15, "cost": "matching"|"effect", "Q1": 1e3, "R1": 1e-3,
+                   "margin_cut": 0, "forced_S": [0, 4]},
+      "mpc": {"N": 15, "cost": "matching"|"effect", "W": [[...]],
+              "Q1": 1e3, "R1": 1e-3,
               "u_bounds": [[lo...],[hi...]], "y_bounds": ..., "x_bounds": ...,
               "soft_output_weight": 1e5, "tracking": "none"|"reference"},
       "scenarios": {"my-run": {"base": "satellite-case-2", "duration": 20.0,
-                               "seed": 7, "noise_sigma": [1e-5]}},
+                               "seed": 7, "noise_sigma": [1e-5],
+                               "x0": [0.0, 0.0, 0.0]}},
       "verify_gains": {"form": "filter", "K_c": [[...]], "K_f": [[...]],
                        "T": [[...]]}        # optional external gains check
     }
+
+Every section is checked against ``_SCHEMA`` before any numerics; sizes
+are checked by the library objects that use them.  ``mpc`` configures
+custom scenarios (entries without ``base``) only.
 
 A built-in name selects a case study of ``models.CASE_STUDIES``: its
 models, its sample time and, as pipeline defaults, its conditioning
@@ -91,29 +97,86 @@ class DomainError(RuntimeError):
     """Well-formed request that cannot be satisfied: exit code 1."""
 
 
-_PIPELINE_DEFAULTS = {"form": "filter", "dipole_W": None, "loop_shift": False,
-                      "disturbance_channels": None, "Qn": 1.0, "Rn": 1e7,
-                      "rank_by": "product", "margin_cut": None, "forced_S": None}
+def _rule(what, test, convert=lambda v, name: v):
+    """A value rule: ``convert(v, name)`` of a value that passes ``test``,
+    otherwise a ConfigError saying that ``name`` must be ``what``."""
+    def rule(v, name):
+        if not test(v):
+            raise ConfigError(f"{name} must be {what}")
+        return convert(v, name)
+    return rule
+
+
+def _one_of(*options):
+    return _rule(" or ".join(map(repr, options)), lambda v: v in options)
+
+
+def _list_of(item, what="a list", size=None):
+    return _rule(what, lambda v: isinstance(v, list) and size in (None, len(v)),
+                 lambda v, name: [item(x, f"{name}[{i}]") for i, x in enumerate(v)])
+
+
+_number = _rule("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+                lambda v, name: float(v))
+_integer = _rule("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_boolean = _rule("true or false", lambda v: isinstance(v, bool))
+_text = _rule("a string", lambda v: isinstance(v, str))
+_integers, _numbers = _list_of(_integer), _list_of(_number)
+_pair = _list_of(_numbers, "[lower, upper]", 2)
+_entries = _rule("an object of named entries", lambda v: isinstance(v, dict))
+_walked = _rule("", lambda v: True)  # a system or a section, walked by parse_config
+_REQUIRED = object()  # the default of a key that must be given
+
+
+def _rows(v, name):
+    rows = _list_of(_numbers)(v, name)
+    if len({len(r) for r in rows}) != 1:
+        raise ConfigError(f"{name} must be a matrix of equal-length rows")
+    return rows
+
+
+# section -> key -> (rule, default)
+_SCHEMA = {
+    "config": {"plant": (_walked, _REQUIRED), "controller": (_walked, None),
+               "Ts": (_number, None), "pipeline": (_walked, {}), "mpc": (_walked, {}),
+               "scenarios": (_entries, {}), "verify_gains": (_walked, None)},
+    "pipeline": {"form": (_one_of(*_FORMS), "filter"), "dipole_W": (_number, None),
+                 "loop_shift": (_boolean, False), "disturbance_channels": (_integers, None),
+                 "Qn": (_number, 1.0), "Rn": (_number, 1e7),
+                 "rank_by": (_one_of("product", "noise"), "product"),
+                 "margin_cut": (_integer, None), "forced_S": (_integers, None)},
+    "mpc": {"N": (_integer, 15), "cost": (_one_of("matching", "effect"), "matching"),
+            "W": (_rows, None), "Q1": (_number, 1e3), "R1": (_number, 1e-3),
+            "u_bounds": (_pair, None), "y_bounds": (_pair, None), "x_bounds": (_pair, None),
+            "soft_output_weight": (_number, 1e5),
+            "tracking": (_one_of("none", "reference"), "none")},
+    "system": {"kind": (_one_of("continuous", "discrete"), "discrete"),
+               **{m: (_rows, _REQUIRED) for m in "ABCD"}, "Ts": (_number, None)},
+    "scenario": {"base": (_text, None), "duration": (_number, None), "seed": (_integer, None),
+                 "noise_sigma": (_numbers, None), "x0": (_numbers, None)},
+    "verify_gains": {"form": (_one_of(*_FORMS), "filter"), "K_c": (_rows, _REQUIRED),
+                     "K_f": (_rows, _REQUIRED), "T": (_rows, None)},
+}
 # the pipeline defaults a built-in name sets from its CASE_STUDIES entry
 _CASE_STUDY_KEYS = ("form", "dipole_W", "loop_shift", "rank_by", "margin_cut")
-_MPC_KEYS = {"N", "cost", "W", "Q1", "R1", "u_bounds", "y_bounds", "x_bounds",
-             "soft_output_weight", "tracking"}
-_TOP_KEYS = {"plant", "controller", "Ts", "pipeline", "mpc", "scenarios",
-             "verify_gains"}
 
 
-def _matrix(obj, name) -> np.ndarray:
-    try:
-        M = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} is not a numeric matrix: {exc}") from None
-    if M.ndim != 2:
-        raise ConfigError(f"{name} must be two dimensional")
-    return M
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _section(raw, name, schema, defaults=None) -> dict:
+    """``raw`` checked key by key against ``schema`` with every default
+    filled in; ``defaults`` overrides the schema's.  A key whose schema
+    default is null may be given as null."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be an object")
+    unknown = set(raw) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)}")
+    out = {}
+    for key, (rule, default) in schema.items():
+        value = raw.get(key, (defaults or {}).get(key, default))
+        if value is _REQUIRED:
+            raise ConfigError(f"{name} needs {key!r}")
+        out[key] = None if value is None and default is None else rule(value, f"{name}.{key}")
+    return out
 
 
 def _parse_system(obj, what):
@@ -122,22 +185,14 @@ def _parse_system(obj, what):
         if obj not in CASE_STUDIES:
             raise ConfigError(f"unknown built-in {what} {obj!r}")
         return obj
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be a name or a matrix object")
-    kind = obj.get("kind", "discrete")
-    if kind not in ("continuous", "discrete"):
-        raise ConfigError(f"{what}.kind must be 'continuous' or 'discrete'")
-    missing = [k for k in ("A", "B", "C", "D") if k not in obj]
-    if missing:
-        raise ConfigError(f"{what} is missing matrices {missing}")
-    A, B, C, D = (_matrix(obj[k], f"{what}.{k}") for k in "ABCD")
+    spec = _section(obj, what, _SCHEMA["system"])
+    A, B, C, D = (np.array(spec[k], float) for k in "ABCD")
+    if spec["kind"] == "discrete" and spec["Ts"] is None:
+        raise ConfigError(f"discrete {what} needs a positive Ts")
     try:
-        if kind == "continuous":
+        if spec["kind"] == "continuous":
             return CtStateSpace(A, B, C, D)
-        Ts = float(obj.get("Ts", 0.0))
-        if Ts <= 0.0:
-            raise ConfigError(f"discrete {what} needs a positive Ts")
-        return DtStateSpace(A, B, C, D, Ts)
+        return DtStateSpace(A, B, C, D, spec["Ts"])
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from None
 
@@ -154,69 +209,35 @@ class ProjectConfig:
 
 
 def parse_config(raw: dict) -> ProjectConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    if "plant" not in raw:
-        raise ConfigError("config needs a 'plant'")
-    plant = _parse_system(raw["plant"], "plant")
-    controller = raw.get("controller", plant if isinstance(plant, str) else None)
+    """Check every section of ``raw`` against ``_SCHEMA`` before any numerics."""
+    top = _section(raw, "config", _SCHEMA["config"])
+    plant = _parse_system(top["plant"], "plant")
+    controller = top["controller"]
     if controller is None:
-        raise ConfigError("config needs a 'controller'")
+        if not isinstance(plant, str):
+            raise ConfigError("config needs a 'controller'")
+        controller = plant
     controller = _parse_system(controller, "controller")
-    try:
-        Ts = float(raw["Ts"]) if "Ts" in raw else None
-    except (TypeError, ValueError):
-        raise ConfigError("Ts must be a number") from None
+    Ts = top["Ts"]
     for what, name in (("plant", plant), ("controller", controller)):
         if isinstance(name, str) and Ts not in (None, CASE_STUDIES[name].Ts):
             raise ConfigError(f"built-in {what} {name!r} runs at Ts "
                               f"{CASE_STUDIES[name].Ts}, not {Ts}")
 
-    pipeline = dict(raw.get("pipeline", {}))
-    unknown = set(pipeline) - set(_PIPELINE_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown pipeline keys {sorted(unknown)}")
-    merged = dict(_PIPELINE_DEFAULTS)
-    if isinstance(plant, str):
-        merged.update((k, getattr(CASE_STUDIES[plant], k)) for k in _CASE_STUDY_KEYS)
-    merged.update(pipeline)
-    if merged["form"] not in _FORMS:
-        raise ConfigError("pipeline.form must be 'filter' or 'predictor'")
-    if merged["rank_by"] not in ("product", "noise"):
-        raise ConfigError("pipeline.rank_by must be 'product' or 'noise'")
-    forced, cut = merged["forced_S"], merged["margin_cut"]
-    if forced is not None and not (isinstance(forced, list) and all(map(_is_int, forced))):
-        raise ConfigError("pipeline.forced_S must be a list of integer mode indices")
-    if cut is not None and not _is_int(cut):
-        raise ConfigError("pipeline.margin_cut must be an integer or null")
-    if isinstance(plant, str) and merged["disturbance_channels"] is not None:
+    case = {k: getattr(CASE_STUDIES[plant], k) for k in _CASE_STUDY_KEYS} \
+        if isinstance(plant, str) else None
+    pipeline = _section(top["pipeline"], "pipeline", _SCHEMA["pipeline"], case)
+    if isinstance(plant, str) and pipeline["disturbance_channels"] is not None:
         raise ConfigError(f"built-in plant {plant!r} takes its disturbance model from "
                           "its case study; pipeline.disturbance_channels needs a matrix plant")
-
-    mpc = dict(raw.get("mpc", {}))
-    unknown = set(mpc) - _MPC_KEYS
-    if unknown:
-        raise ConfigError(f"unknown mpc keys {sorted(unknown)}")
-
-    scenarios = raw.get("scenarios", {})
-    if not isinstance(scenarios, dict):
-        raise ConfigError("scenarios must be an object of named entries")
-
-    vg = raw.get("verify_gains")
+    mpc = _section(top["mpc"], "mpc", _SCHEMA["mpc"])
+    scenarios = {name: _section(spec, f"scenarios.{name}", _SCHEMA["scenario"])
+                 for name, spec in top["scenarios"].items()}
+    vg = top["verify_gains"]
     if vg is not None:
-        if not isinstance(vg, dict):
-            raise ConfigError("verify_gains must be an object")
-        if vg.get("form", merged["form"]) not in _FORMS:
-            raise ConfigError("verify_gains.form must be 'filter' or 'predictor'")
-
-    return ProjectConfig(
-        plant=plant, controller=controller,
-        Ts=Ts,
-        pipeline=merged, mpc=mpc, scenarios=scenarios, verify_gains=vg,
-    )
+        vg = _section(vg, "verify_gains", _SCHEMA["verify_gains"], {"form": pipeline["form"]})
+    return ProjectConfig(plant=plant, controller=controller, Ts=Ts, pipeline=pipeline,
+                         mpc=mpc, scenarios=scenarios, verify_gains=vg)
 
 
 def load_config(path) -> ProjectConfig:
@@ -230,44 +251,41 @@ def load_config(path) -> ProjectConfig:
     return parse_config(raw)
 
 
-def _resolve_plant(cfg: ProjectConfig) -> DtStateSpace:
-    p = cfg.plant
-    if isinstance(p, str):
-        return CASE_STUDIES[p].plant()
-    if isinstance(p, CtStateSpace):
-        Ts = cfg.Ts
-        if Ts is None:
-            raise ConfigError("continuous plant needs a top-level Ts")
-        p = c2d_zoh(p, Ts)
-    channels = cfg.pipeline.get("disturbance_channels")
-    if channels:
-        p = augment_disturbances(p, tuple(channels))
-    return p
+_C2D = {"plant": ("zoh", c2d_zoh), "controller": ("tustin", c2d_tustin)}
 
 
-def _resolve_controller(cfg: ProjectConfig) -> DtStateSpace:
-    k = cfg.controller
-    if isinstance(k, str):
-        return CASE_STUDIES[k].controller()
-    if isinstance(k, CtStateSpace):
-        Ts = cfg.Ts
-        if Ts is None:
-            raise ConfigError("continuous controller needs a top-level Ts")
-        k = c2d_tustin(k, Ts)
-    return k
+def _discrete(spec, what, Ts):
+    """(method, discrete system): a continuous plant by ZOH and a continuous
+    controller by Tustin at ``Ts``, which a continuous system needs."""
+    if isinstance(spec, DtStateSpace):
+        return "none", spec
+    if Ts is None:
+        raise ConfigError(f"continuous {what} needs a top-level Ts")
+    method, c2d = _C2D[what]
+    try:
+        return method, c2d(spec, Ts)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def build_problem(cfg: ProjectConfig):
     """Resolve (truth plant, baseline controller, design plant, design
     controller) after dipole/loop-shift conditioning (see
     :func:`~lti2mpc.models.condition_loop`)."""
-    G = _resolve_plant(cfg)
-    K0 = _resolve_controller(cfg)
+    def resolve(what):
+        spec = getattr(cfg, what)
+        if isinstance(spec, str):
+            return getattr(CASE_STUDIES[spec], what)()
+        return _discrete(spec, what, cfg.Ts)[1]
+
+    G, K0 = resolve("plant"), resolve("controller")
     if G.Ts != K0.Ts:
         raise ConfigError(
             f"plant Ts {G.Ts} and controller Ts {K0.Ts} differ")
     pl = cfg.pipeline
     try:
+        if pl["disturbance_channels"]:
+            G = augment_disturbances(G, pl["disturbance_channels"])
         return (G, *condition_loop(G, K0, pl["dipole_W"], pl["loop_shift"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -275,33 +293,12 @@ def build_problem(cfg: ProjectConfig):
 
 def _mpc_config(cfg: ProjectConfig, G_d: DtStateSpace, K_c) -> MpcConfig:
     m = cfg.mpc
-    kind = m.get("cost", "matching")
-    if kind == "matching":
-        W = m.get("W")
-        cost = matching_cost(K_c, None if W is None else _matrix(W, "mpc.W"))
-    elif kind == "effect":
-        cost = matching_cost(
-            K_c, effect_weight(G_d, float(m.get("Q1", 1e3)),
-                               float(m.get("R1", 1e-3))))
-    else:
-        raise ConfigError("mpc.cost must be 'matching' or 'effect'")
-    bounds = {}
-    for key in ("u_bounds", "y_bounds", "x_bounds"):
-        v = m.get(key)
-        if v is not None:
-            if (not isinstance(v, (list, tuple))) or len(v) != 2:
-                raise ConfigError(f"mpc.{key} must be [lower, upper]")
-            bounds[key] = (np.asarray(v[0], float), np.asarray(v[1], float))
-        else:
-            bounds[key] = None
+    bounds = {k: None if m[k] is None else tuple(np.asarray(side, float) for side in m[k])
+              for k in ("u_bounds", "y_bounds", "x_bounds")}
     try:
-        return MpcConfig(
-            N=int(m.get("N", 15)), cost=cost,
-            u_bounds=bounds["u_bounds"], y_bounds=bounds["y_bounds"],
-            x_bounds=bounds["x_bounds"],
-            soft_output_weight=float(m.get("soft_output_weight", 1e5)),
-            tracking=m.get("tracking", "none"),
-        )
+        W = effect_weight(G_d, m["Q1"], m["R1"]) if m["cost"] == "effect" else m["W"]
+        return MpcConfig(N=m["N"], cost=matching_cost(K_c, W), **bounds,
+                         soft_output_weight=m["soft_output_weight"], tracking=m["tracking"])
     except ValueError as exc:
         raise ConfigError(f"mpc options: {exc}") from None
 
@@ -350,13 +347,10 @@ def _run_search(cfg: ProjectConfig, G_d, K_d, margin_cut):
     """The configured search of (G_d, K_d); an unstable loop or no feasible
     split is a DomainError, any option the search refuses a ConfigError."""
     pl = cfg.pipeline
-    forced = pl["forced_S"]
     try:
         return search_realisations(
-            G_d, K_d, form=pl["form"],
-            forced_S=None if forced is None else tuple(forced),
-            Qn=float(pl["Qn"]), Rn=float(pl["Rn"]), rank_by=pl["rank_by"],
-            margin_cut=margin_cut,
+            G_d, K_d, form=pl["form"], forced_S=pl["forced_S"],
+            Qn=pl["Qn"], Rn=pl["Rn"], rank_by=pl["rank_by"], margin_cut=margin_cut,
         )
     # UnstableSystemError is a ValueError, so it is caught first
     except (UnstableSystemError, NumericalError) as exc:
@@ -409,7 +403,7 @@ def cmd_realise(cfg: ProjectConfig, out_path) -> int:
 
 def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict) -> Scenario:
     """MPC loop on the config's own plant/controller (regulation only)."""
-    if "duration" not in spec:
+    if spec["duration"] is None:
         raise ConfigError(f"custom scenario {name!r} needs a 'duration'")
     G, K_base, G_d, K_d = build_problem(cfg)
     real = _run_search(cfg, G_d, K_d, None).ranked[0][0]
@@ -418,22 +412,13 @@ def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict) -> Scenario:
         config=_mpc_config(cfg, G_d, real.K_c),
         D_K=K_base.D if cfg.pipeline["loop_shift"] else None,
     )
-    return Scenario(name=name, plant=G, controller=ctrl, **_scenario_fields(name, spec))
+    return Scenario(name=name, plant=G, controller=ctrl, **_scenario_fields(spec))
 
 
-def _vector(v):
-    return np.asarray(v, float)
-
-
-_SCENARIO_FIELDS = {"duration": float, "seed": int, "noise_sigma": _vector, "x0": _vector}
-
-
-def _scenario_fields(name: str, spec: dict) -> dict:
+def _scenario_fields(spec: dict) -> dict:
     """The Scenario fields a config entry sets."""
-    try:
-        return {k: conv(spec[k]) for k, conv in _SCENARIO_FIELDS.items() if k in spec}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"scenario {name!r}: {exc}") from None
+    return {k: np.asarray(v, float) if isinstance(v, list) else v
+            for k, v in spec.items() if k != "base" and v is not None}
 
 
 def _library_scenario(name: str) -> Scenario | None:
@@ -449,18 +434,13 @@ def _resolve_scenario(cfg: ProjectConfig, name: str) -> Scenario:
         if sc is None:
             raise DomainError(f"unknown scenario {name!r}")
         return sc
-    if not isinstance(spec, dict):
-        raise ConfigError(f"scenario {name!r} must be an object")
-    unknown = set(spec) - {"base", *_SCENARIO_FIELDS}
-    if unknown:
-        raise ConfigError(f"scenario {name!r}: unknown keys {sorted(unknown)}")
-    base = spec.get("base")
+    base = spec["base"]
     if base is None:
         return _custom_scenario(cfg, name, spec)
-    sc = _library_scenario(str(base))
+    sc = _library_scenario(base)
     if sc is None:
         raise DomainError(f"scenario {name!r}: unknown base {base!r}")
-    return dataclasses.replace(sc, name=name, **_scenario_fields(name, spec))
+    return dataclasses.replace(sc, name=name, **_scenario_fields(spec))
 
 
 def _baseline_counterpart(sc: Scenario) -> Scenario | None:
@@ -491,12 +471,12 @@ def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed) -> int:
         raise ConfigError("simulate needs --out for the CSV trace")
     sc = _resolve_scenario(cfg, scenario_name)
     if seed is not None:
-        sc = dataclasses.replace(sc, seed=int(seed))
+        sc = dataclasses.replace(sc, seed=seed)
     try:
         tr = simulate(sc)
     except NumericalError as exc:
         raise DomainError(f"scenario {scenario_name!r}: {exc}") from None
-    except ValueError as exc:  # a mis-sized x0 or noise_sigma
+    except ValueError as exc:  # a mis-sized x0, noise_sigma or bound
         raise ConfigError(f"scenario {scenario_name!r}: {exc}") from None
     tr.to_csv(out_path)
 
@@ -576,14 +556,11 @@ def cmd_verify(cfg: ProjectConfig, out_path) -> int:
     all_ok = True
     if cfg.verify_gains is not None:
         vg = cfg.verify_gains
-        try:
-            T = _matrix(vg["T"], "verify_gains.T") if "T" in vg else np.zeros((0, 0))
-            K_c, K_f = (_matrix(vg[k], f"verify_gains.{k}") for k in ("K_c", "K_f"))
-        except KeyError as exc:
-            raise ConfigError(f"verify_gains is missing {exc}") from None
+        T = np.zeros((0, 0)) if vg["T"] is None else np.array(vg["T"], float)
+        K_c, K_f = (np.array(vg[k], float) for k in ("K_c", "K_f"))
         try:  # the one Riccati residual of supplied gains; mis-shaped gains are refused
             r = ObserverRealisation(
-                form=vg.get("form", cfg.pipeline["form"]), T=T,
+                form=vg["form"], T=T,
                 T_perp=np.zeros((G_d.n, 0)), X=np.zeros((0, 0)), K_c=K_c, K_f=K_f,
                 choice=None, riccati_residual=(
                     riccati_residual(closed_loop_matrix(G_d, K_d), T) if T.size else math.nan),
@@ -607,25 +584,17 @@ def cmd_verify(cfg: ProjectConfig, out_path) -> int:
 
 
 def cmd_discretise(cfg: ProjectConfig, out_path) -> int:
-    def convert(spec, what, how):
-        Ts = cfg.Ts
+    def convert(what):
+        spec, Ts = getattr(cfg, what), cfg.Ts
         if isinstance(spec, str):  # a built-in: its continuous source, if any
             case = CASE_STUDIES[spec]
-            Ts = case.Ts
-            source = case.plant_ct if what == "plant" else case.controller_ct
-            spec = source() if source else case.controller()
-        if isinstance(spec, CtStateSpace):
-            if Ts is None:
-                raise ConfigError(f"continuous {what} needs a top-level Ts")
-            conv = c2d_zoh if how == "zoh" else c2d_tustin
-            return {"method": how, **_system_json(conv(spec, Ts))}
-        return {"method": "none", **_system_json(spec)}
+            source = getattr(case, f"{what}_ct")
+            spec, Ts = source() if source else getattr(case, what)(), case.Ts
+        method, system = _discrete(spec, what, Ts)
+        return {"method": method, **_system_json(system)}
 
-    report = {
-        "command": "discretise",
-        "plant": convert(cfg.plant, "plant", "zoh"),
-        "controller": convert(cfg.controller, "controller", "tustin"),
-    }
+    report = {"command": "discretise", "plant": convert("plant"),
+              "controller": convert("controller")}
     _write_json(report, out_path)
     return 0
 

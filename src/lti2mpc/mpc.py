@@ -73,6 +73,8 @@ def matching_cost(K_c: np.ndarray, W: np.ndarray | None = None) -> StageCost:
     K_c = np.atleast_2d(np.asarray(K_c, float))
     m = K_c.shape[0]
     W = np.eye(m) if W is None else np.atleast_2d(np.asarray(W, float))
+    if W.shape != (m, m):
+        raise ValueError(f"matching-cost weight is {W.shape[0]}x{W.shape[1]}, not {m}x{m}")
     ev = np.linalg.eigvalsh((W + W.T) / 2.0)
     if ev[0] <= 0.0:
         raise ValueError("matching-cost weight must be positive definite")
@@ -122,6 +124,8 @@ class MpcConfig:
     known_input: np.ndarray | None = None
 
     def __post_init__(self):
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
+            raise ValueError(f"horizon must be an integer, not {self.N!r}")
         if self.N < 1:
             raise ValueError("horizon must be at least 1")
         if self.tracking not in ("none", "reference"):
@@ -136,9 +140,12 @@ class MpcConfig:
             raise ValueError("soft_output_weight must be positive")
 
 
-def _bounded_rows(bounds, M):
-    """Rows of M whose channel has at least one finite bound."""
+def _bounded_rows(bounds, M, what):
+    """Rows of M whose channel has at least one finite bound; ``what`` names
+    the bounds, which need one entry per row of M."""
     lo, hi = (np.asarray(v, dtype=float).ravel() for v in bounds)
+    if lo.size != M.shape[0]:
+        raise ValueError(f"{what} have {lo.size} entries per side, not {M.shape[0]}")
     keep = np.isfinite(lo) | np.isfinite(hi)
     return M[keep], lo[keep], hi[keep]
 
@@ -147,10 +154,10 @@ def _constrained_output(G: DtStateSpace, cfg: MpcConfig):
     """Stack the softened quantities: bounded outputs first, then states."""
     rows, lo, hi = [], [], []
     if cfg.y_bounds is not None:
-        r, l, h = _bounded_rows(cfg.y_bounds, G.C)
+        r, l, h = _bounded_rows(cfg.y_bounds, G.C, "y_bounds")
         rows.append(r), lo.append(l), hi.append(h)
     if cfg.x_bounds is not None:
-        r, l, h = _bounded_rows(cfg.x_bounds, np.eye(G.n))
+        r, l, h = _bounded_rows(cfg.x_bounds, np.eye(G.n), "x_bounds")
         rows.append(r), lo.append(l), hi.append(h)
     if not rows:
         return np.zeros((0, G.n)), np.zeros(0), np.zeros(0)
@@ -278,7 +285,8 @@ def build_condensed_qp(
     map, so they describe the same optimisation for any stage cost.
 
     Raises NumericalError when cond(H) exceeds 1e12: the unconstrained
-    minimiser would no longer be the stage cost's.
+    minimiser would no longer be the stage cost's, and ValueError when the
+    input, output or state bounds do not have n_u, n_y or n entries.
     """
     N, n, m = cfg.N, G.n, G.n_u
     Q, S, R = cfg.cost.Q, cfg.cost.S, cfg.cost.R
@@ -325,7 +333,7 @@ def build_condensed_qp(
 
     rows = [(np.zeros((0, n_dec)), np.zeros(0), np.zeros((0, n)), np.zeros((0, B_w.shape[1])))]
     if cfg.u_bounds is not None:
-        sel, u_lo, u_hi = _bounded_rows(cfg.u_bounds, np.eye(m))
+        sel, u_lo, u_hi = _bounded_rows(cfg.u_bounds, np.eye(m), "u_bounds")
         u_maps = (_per_step(sel, X, N) for X in (Lam, Psi, Xi))
         rows += _inequality_rows(N, u_lo, u_hi, *u_maps, np.zeros((N * sel.shape[0], N * n_z)))
     # softened quantities at steps 1 .. N, one slack each

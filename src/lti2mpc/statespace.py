@@ -264,7 +264,8 @@ def augment_disturbances(G, channels):
         Each entry adds one integrator state whose value enters the state
         update through the given direction. An int i is shorthand for the
         i-th column of B summed over inputs, which is the common case of a
-        disturbance entering like an actuator.
+        disturbance entering like an actuator; an int that names no input
+        raises ValueError.
 
     The augmented (C, A) pair must stay observable, otherwise the estimator
     design downstream is ill-posed and this raises.
@@ -276,6 +277,8 @@ def augment_disturbances(G, channels):
     cols = []
     for ch in channels:
         if np.isscalar(ch):
+            if not 0 <= ch < G.n_u:
+                raise ValueError(f"disturbance channel {ch} names no input of n_u = {G.n_u}")
             cols.append(G.B[:, int(ch)])
         else:
             v = np.asarray(ch, dtype=float).reshape(n)

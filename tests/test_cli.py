@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lti2mpc import realisation
+from lti2mpc import cli, realisation
 from lti2mpc.cli import main, parse_config, build_problem, ConfigError, _baseline_counterpart
 from lti2mpc.models import pendulum_controller, pendulum_plant
 from lti2mpc.realisation import search_realisations
@@ -261,6 +261,28 @@ def test_builtin_with_another_top_level_Ts_is_a_config_error(tmp_path, capsys):
     ({"plant": "satellite", "pipeline": {"margin_cut": "a"}}, 2, "config error: "),
     # a built-in's disturbance model is its case study's, not the config's
     ({"plant": "satellite", "pipeline": {"disturbance_channels": [9]}}, 2, "config error: "),
+    # a channel that is not an input of a matrix plant
+    ({"plant": {"kind": "discrete", "A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]],
+                "Ts": 1.0},
+      "controller": {"kind": "discrete", "A": [[0.3]], "B": [[0.2]], "C": [[0.1]],
+                     "D": [[0.0]], "Ts": 1.0},
+      "pipeline": {"disturbance_channels": [9]}},
+     2, "config error: disturbance channel 9 names no input of n_u = 1"),
+    # a continuous loop discretised at a negative top-level Ts
+    ({"plant": {"kind": "continuous", "A": [[0.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+      "controller": {"kind": "continuous", "A": [[-1.0]], "B": [[1.0]], "C": [[-1.0]],
+                     "D": [[-1.0]]},
+      "Ts": -0.1},
+     2, "config error: plant: Ts must be positive"),
+    # a value of the wrong type, or a section that is not an object
+    ({"plant": "satellite", "pipeline": {"dipole_W": [1]}}, 2,
+     "config error: pipeline.dipole_W must be a number"),
+    ({"plant": "satellite", "pipeline": [1]}, 2, "config error: pipeline must be an object"),
+    ({"plant": "satellite", "pipeline": {"loop_shift": "no"}}, 2,
+     "config error: pipeline.loop_shift must be true or false"),
+    ({"plant": "satellite", "Ts": True}, 2, "config error: config.Ts must be a number"),
+    ({"plant": "satellite", "pipeline": {"rank_by": "best"}}, 2, "config error: pipeline.rank_by"),
+    ({"plant": "satellite", "pipeline": {"Qn": "a"}}, 2, "config error: pipeline.Qn"),
 ])
 def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, code, prefix):
     cfg = _write(tmp_path, "c.json", doc)
@@ -280,6 +302,25 @@ def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, cod
     # not silently regularised
     ({"duration": 2.0}, {"cost": "effect", "R1": 1e-12}, 1,
      "error: scenario 'a': condensed Hessian is near singular: cond(H) = 2.0e+14"),
+    # bounds and weights of the wrong size, refused by the library objects
+    ({"duration": 2.0}, {"u_bounds": [[-1], [1]]}, 2,
+     "config error: scenario 'a': u_bounds have 1 entries per side, not 2"),
+    ({"duration": 2.0}, {"y_bounds": [[-1, -1], [1, 1]]}, 2,
+     "config error: scenario 'a': y_bounds have 2 entries per side, not 1"),
+    ({"duration": 2.0}, {"x_bounds": [[-1], [1]]}, 2,
+     "config error: scenario 'a': x_bounds have 1 entries per side, not 3"),
+    ({"duration": 2.0}, {"W": [[1]]}, 2,
+     "config error: mpc options: matching-cost weight is 1x1, not 2x2"),
+    # values of the wrong type, refused before any numerics
+    ({"duration": 2.0}, {"cost": "effect", "Q1": "x"}, 2, "config error: mpc.Q1 must be a number"),
+    ({"duration": 2.0}, 5, 2, "config error: mpc must be an object"),
+    ({"duration": 2.0}, {"N": 1.5}, 2, "config error: mpc.N must be an integer"),
+    ({"duration": 2.0}, {"N": "15"}, 2, "config error: mpc.N must be an integer"),
+    ({"base": "satellite-case-1", "seed": 1.5}, {}, 2,
+     "config error: scenarios.a.seed must be an integer"),
+    ({"duration": 2.0}, {"cost": "bogus"}, 2,
+     "config error: mpc.cost must be 'matching' or 'effect'"),
+    ({"duration": "a"}, {}, 2, "config error: scenarios.a.duration must be a number"),
 ])
 def test_simulate_refusals_end_in_documented_exit_codes(tmp_path, capsys, scenario, mpc,
                                                         code, message):
@@ -392,6 +433,16 @@ def test_parse_config_validates_before_numerics():
         parse_config({"plant": "satellite", "mpc": {"horizon": 5}})
     with pytest.raises(ConfigError):
         parse_config([1, 2, 3])
+    for section in ({"mpc": 5}, {"pipeline": [1]}):
+        with pytest.raises(ConfigError, match="must be an object"):
+            parse_config({"plant": "satellite", **section})
+
+
+def test_docstring_schema_lists_every_config_key():
+    block = cli.__doc__.split("Config schema")[1].split("\n    }\n")[0]
+    missing = [f"{section}.{key}" for section, keys in cli._SCHEMA.items()
+               for key in keys if f'"{key}"' not in block]
+    assert missing == []
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -48,6 +48,11 @@ def test_matching_cost_rejects_indefinite_weight():
         matching_cost(np.ones((1, 2)), np.array([[-1.0]]))
 
 
+def test_matching_cost_rejects_a_weight_of_the_wrong_size():
+    with pytest.raises(ValueError, match="1x1, not 2x2"):
+        matching_cost(np.ones((2, 3)), np.array([[1.0]]))
+
+
 def test_zero_dare_residual_detects_generic_cost():
     c = StageCost(Q=np.eye(2), S=np.zeros((2, 1)), R=np.eye(1))
     assert zero_dare_residual(c) > 0.5
@@ -249,3 +254,19 @@ def test_config_validation():
         MpcConfig(N=3, cost=c, u_bounds=([1.0], [-1.0]))
     with pytest.raises(ValueError):
         MpcConfig(N=3, cost=c, tracking="full-preview")
+
+
+def test_horizon_must_be_an_integer():
+    c = matching_cost(np.zeros((1, 2)))
+    for N in (1.5, 15.0, "15", True):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            MpcConfig(N=N, cost=c)
+    assert MpcConfig(N=np.int64(3), cost=c).N == 3
+
+
+@pytest.mark.parametrize("key, size", [("u_bounds", 1), ("y_bounds", 2), ("x_bounds", 2)])
+def test_condensed_qp_refuses_bounds_of_the_wrong_size(key, size):
+    G, K_c = _random_plant_gain(np.random.default_rng(5))  # n = 3, n_u = 2, n_y = 1
+    cfg = MpcConfig(N=3, cost=matching_cost(K_c), **{key: (-np.ones(size), np.ones(size))})
+    with pytest.raises(ValueError, match=f"{key} have {size} entries per side"):
+        build_condensed_qp(G, cfg)

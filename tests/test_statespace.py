@@ -224,6 +224,13 @@ def test_augment_disturbances_rejects_unobservable_growth():
         augment_disturbances(G, [0, 0])
 
 
+@pytest.mark.parametrize("channel", [1, -1])
+def test_augment_disturbances_refuses_a_channel_that_is_not_an_input(channel):
+    G = DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    with pytest.raises(ValueError, match="names no input of n_u = 1"):
+        augment_disturbances(G, [channel])
+
+
 def test_uncontrollable_modes_of_diagonal_pair():
     sys = DtStateSpace(np.diag([0.5, 0.9]), [[1.0], [0.0]], np.eye(2), np.zeros((2, 1)), 1.0)
     lam = np.linalg.eigvals(sys.A)
