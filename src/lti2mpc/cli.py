@@ -11,7 +11,8 @@ Flags: --config <path>, --scenario <name>, --out <path>, --seed <u64>.
 Exit codes: 0 success, 1 domain error (no feasible realisation, unstable
 loop, unknown scenario, near-singular MPC Hessian, failed verification),
 2 config error (unreadable file, bad JSON, a value of the wrong type or
-size, unknown keys, options the search refuses).
+size, a NaN or an integer beyond float range, unknown keys, options the
+search refuses).  JSON +-Infinity is a legal number: it disables a bound.
 
 Config schema (all sections optional unless a command needs them):
 
@@ -116,8 +117,19 @@ def _list_of(item, what="a list", size=None):
                  lambda v, name: [item(x, f"{name}[{i}]") for i, x in enumerate(v)])
 
 
-_number = _rule("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-                lambda v, name: float(v))
+def _number(v, name):
+    """A JSON number as a float; +-Infinity passes (it disables a bound row)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{name} must be a number")
+    try:
+        x = float(v)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
+    if math.isnan(x):
+        raise ConfigError(f"{name} must be a number, not NaN")
+    return x
+
+
 _integer = _rule("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _boolean = _rule("true or false", lambda v: isinstance(v, bool))
 _text = _rule("a string", lambda v: isinstance(v, str))

@@ -105,10 +105,10 @@ class MpcConfig:
     """Horizon, cost and constraint description for one controller.
 
     Bounds are (lower, upper) pairs of per-channel arrays; +-inf entries
-    disable individual rows.  Output and state bounds are softened with one
-    shared slack per bounded quantity per step (the same slack serves the
-    upper and the lower row), penalised quadratically by
-    soft_output_weight.  Input bounds are hard.  ``tracking`` switches the
+    disable individual rows, and a NaN entry is refused.  Output and state
+    bounds are softened with one shared slack per bounded quantity per step
+    (the same slack serves the upper and the lower row), penalised
+    quadratically by soft_output_weight.  Input bounds are hard.  ``tracking`` switches the
     cost argument from x to x - x_r; ``known_input`` is an n x n_w matrix
     through which a signal held constant over the horizon (for example a
     loop-shift feedthrough term) enters the prediction.
@@ -134,8 +134,8 @@ class MpcConfig:
             if b is None:
                 continue
             lo, hi = (np.asarray(v, dtype=float).ravel() for v in b)
-            if lo.shape != hi.shape or np.any(lo > hi):
-                raise ValueError("bounds must be (lower, upper) with lower <= upper")
+            if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN fails lo <= hi
+                raise ValueError("bounds must be (lower, upper) with lower <= upper, no NaN")
         if (self.y_bounds or self.x_bounds) and self.soft_output_weight <= 0.0:
             raise ValueError("soft_output_weight must be positive")
 

@@ -32,16 +32,17 @@ from .linalg import (
     eig_paired,
     loop_margins,
 )
-from .runtime import filter_measurement_update, filter_time_update, predictor_observer_step
 from .statespace import DtStateSpace, unobservable_modes
 
 __all__ = [
     "RealisationChoice",
     "TSolveResult",
     "ObserverRealisation",
+    "ObserverState",
     "RealisationScore",
     "SearchResult",
     "closed_loop_matrix",
+    "make_observer",
     "enumerate_choices",
     "solve_T",
     "design_free_poles",
@@ -367,6 +368,32 @@ def _free_pole_gains(G, K, T_perp, Qn, Rn):
     return X, errors
 
 
+@dataclass
+class ObserverState:
+    """Mutable observer instance: design model, gain, current estimate.
+
+    x_hat always means x-hat(k|k-1).  For the filter form, x_corr holds the
+    measurement-updated estimate between estimate and advance.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    K_f: np.ndarray
+    x_hat: np.ndarray
+    x_corr: np.ndarray | None = None
+
+
+def make_observer(realisation, G: DtStateSpace, x0=None) -> ObserverState:
+    """Observer from an ObserverRealisation and its design model (the
+    loop-shifted one if loop-shifting was used), which must be strictly
+    proper; ``_FORMS[realisation.form]`` steps it."""
+    if np.any(G.D != 0.0):
+        raise ValueError("observer design model must be strictly proper")
+    x = np.zeros(G.n) if x0 is None else np.asarray(x0, float).ravel().copy()
+    return ObserverState(A=G.A, B=G.B, C=G.C, K_f=np.atleast_2d(realisation.K_f), x_hat=x)
+
+
 class _Form:
     def noise_system(self, r, G, K):
         return DtStateSpace(*self.noise_matrices(G, K, r.K_f), G.Ts)
@@ -416,10 +443,18 @@ class _FilterForm(_Form):
         return A_ol, C_ol
 
     def estimate(self, obs, y):
-        return filter_measurement_update(obs, y)
+        """x-hat(k|k) = (I - K_f C) x-hat(k|k-1) + K_f y(k)."""
+        y = np.asarray(y, float).ravel()
+        obs.x_corr = obs.x_hat - obs.K_f @ (obs.C @ obs.x_hat) + obs.K_f @ y
+        return obs.x_corr
 
     def advance(self, obs, u, y):
-        filter_time_update(obs, u)
+        """x-hat(k+1|k) = A x-hat(k|k) + B u(k); consumes the pending estimate."""
+        if obs.x_corr is None:
+            raise ValueError("time update called before measurement update")
+        u = np.asarray(u, float).ravel()
+        obs.x_hat = obs.A @ obs.x_corr + obs.B @ u
+        obs.x_corr = None
 
 
 class _PredictorForm(_Form):
@@ -461,7 +496,10 @@ class _PredictorForm(_Form):
         return obs.x_hat.copy()
 
     def advance(self, obs, u, y):
-        predictor_observer_step(obs, u, y)
+        """x-hat(k+1|k) = (A - K_f C) x-hat(k|k-1) + B u(k) + K_f y(k)."""
+        u = np.asarray(u, float).ravel()
+        y = np.asarray(y, float).ravel()
+        obs.x_hat = obs.A @ obs.x_hat - obs.K_f @ (obs.C @ obs.x_hat) + obs.B @ u + obs.K_f @ y
 
 
 # Everything that differs between the two observer forms, keyed by
@@ -472,10 +510,11 @@ class _PredictorForm(_Form):
 # measured-output-to-estimate map, whose state matrix is the observer
 # error dynamics, and noise_system, that map as a system; controller, the
 # observer-based controller from y to u;
-# margin_loop -> (A_ol, C_ol); and, for the simulation, estimate(obs, y),
-# the estimate the control step reads, and advance(obs, u, y), the
-# observer update once u is known.  gains, feedthrough_gap and
-# noise_matrices also take stacks (a leading axis on T, T_dagger, K_c, K_f).
+# margin_loop -> (A_ol, C_ol); and the observer itself, on an ObserverState
+# from make_observer: estimate(obs, y), the estimate the control step reads,
+# and advance(obs, u, y), the update once u is known.  gains,
+# feedthrough_gap and noise_matrices also take stacks (a leading axis on T,
+# T_dagger, K_c, K_f).
 _FORMS = {"filter": _FilterForm(), "predictor": _PredictorForm()}
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .models import CASE_STUDIES, PendulumParams, satellite_plant_ct
 from .mpc import MpcConfig, build_condensed_qp, effect_weight, matching_cost
-from .realisation import _form, search_realisations
-from .runtime import Prefilter, build_prefilter, make_observer, mpc_step
+from .realisation import _form, make_observer, search_realisations
+from .runtime import Prefilter, build_prefilter, mpc_step
 from .statespace import DtStateSpace, c2d_zoh
 
 __all__ = [
@@ -93,10 +93,12 @@ class MpcController:
     design_model is the model the observer and predictions run on: the
     disturbance-augmented plant for the filter form, the loop-shifted plant
     for the predictor form.  D_K is the original controller feedthrough
-    when loop-shifting is used (the runtime then wires
+    when loop-shifting is used (the simulation then wires
     u_plant = u_mpc + D_K y and subtracts D_K r from the command, in
     either form).  N_div activates the deterministic-transfer lag of one
-    Ts/N_div subdivision (filter form only).
+    Ts/N_div subdivision (filter form only).  Setting L1 and L2 tracks
+    through the shaped prefilter of ``runtime.build_prefilter`` on
+    prefilter_plant (default: the design model).
     """
 
     realisation: object
@@ -104,7 +106,6 @@ class MpcController:
     config: MpcConfig
     D_K: np.ndarray | None = None
     N_div: int | None = None
-    prefilter_kind: str | None = None
     prefilter_plant: DtStateSpace | None = None
     L1: np.ndarray | None = None
     L2: np.ndarray | None = None
@@ -142,18 +143,10 @@ class Trace:
     qp_obj: np.ndarray
     qp_nact: np.ndarray
     slack: np.ndarray
-    qp_iters: np.ndarray = None
-    qp_ms: np.ndarray = None  # wall time of mpc_step alone, observer excluded
-    qp_warm: np.ndarray = None  # the previous step's active set was optimal
+    qp_iters: np.ndarray
+    qp_ms: np.ndarray  # wall time of mpc_step alone, observer excluded
+    qp_warm: np.ndarray  # the previous step's active set was optimal
     diverged: bool = False
-
-    def __post_init__(self):
-        if self.qp_iters is None:
-            self.qp_iters = np.zeros(self.t.size, dtype=int)
-        if self.qp_ms is None:
-            self.qp_ms = np.zeros(self.t.size)
-        if self.qp_warm is None:
-            self.qp_warm = np.zeros(self.t.size, dtype=bool)
 
     def __len__(self):
         return self.t.size
@@ -315,11 +308,10 @@ def simulate(scenario: Scenario) -> Trace:
         form = _form(ctrl.realisation.form)
         D_K = None if ctrl.D_K is None else np.atleast_2d(ctrl.D_K)
         pre: Prefilter | None = None
-        if ctrl.prefilter_kind is not None:
+        if ctrl.L1 is not None and ctrl.L2 is not None:
             pre = build_prefilter(
-                ctrl.prefilter_kind,
                 ctrl.prefilter_plant if ctrl.prefilter_plant is not None else G_d,
-                obs.K_f, K_c=K_c, D_K=ctrl.D_K, L1=ctrl.L1, L2=ctrl.L2,
+                obs.K_f, K_c, ctrl.L1, ctrl.L2, D_K=ctrl.D_K,
             )
         n_slack_q = qp.n_slack // ctrl.config.N if ctrl.config.N else 0
         n_xh = G_d.n
@@ -465,7 +457,7 @@ def _satellite_mpc(real, G_d, cost_kind: str, u_bound=None, y_bound=None,
 def _pendulum_mpc(real, G, K, G_d, bounded: bool, N=15):
     """Pendulum MPC controller on realisation ``real`` of the loop-shifted
     design plant G_d, tracking through a prefilter on the plant G; K is
-    the baseline controller, whose feedthrough the runtime wires back."""
+    the baseline controller, whose feedthrough the simulation wires back."""
     inf = np.inf
     cfg = MpcConfig(
         N=N,
@@ -482,7 +474,7 @@ def _pendulum_mpc(real, G, K, G_d, bounded: bool, N=15):
     L2 = np.zeros((3, 2))
     return MpcController(
         realisation=real, design_model=G_d, config=cfg, D_K=K.D,
-        prefilter_kind="shaped", prefilter_plant=G, L1=L1, L2=L2,
+        prefilter_plant=G, L1=L1, L2=L2,
     )
 
 

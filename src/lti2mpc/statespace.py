@@ -106,14 +106,6 @@ class DtStateSpace(_StateSpace):
                 z[:, None, None] * I - self.A, self.B) + self.D
         return out
 
-    def is_strictly_proper(self, tol=0.0):
-        return np.max(np.abs(self.D)) <= tol
-
-    def poles(self):
-        if self.n == 0:
-            return np.array([], dtype=complex)
-        return np.linalg.eigvals(self.A)
-
 
 def c2d_zoh(sys, Ts):
     """Zero-order-hold discretisation via the augmented matrix exponential.
@@ -175,34 +167,6 @@ def series(first, second):
     return CtStateSpace(A, B, C, D)
 
 
-def feedback(G, K, sign=-1):
-    """Close the loop u = sign * K(y) around plant G.
-
-    Returns the closed-loop system from an input injected at the plant input
-    to the plant output. Raises on an ill-posed algebraic loop.
-    """
-    if G.n_y != K.n_u or G.n_u != K.n_y:
-        raise ValueError("feedback: dimension mismatch")
-    Dg, Dk = G.D, K.D
-    n_u = G.n_u
-    W = np.eye(n_u) - sign * (Dk @ Dg)
-    if np.linalg.cond(W) > 1e12:
-        raise ValueError("feedback: ill-posed algebraic loop")
-    Winv = np.linalg.inv(W)
-    # u = sign*K y + v, y = C_g x_g + D_g u
-    Sg = sign * Winv
-    A = np.block([
-        [G.A + G.B @ Sg @ Dk @ G.C, G.B @ Sg @ K.C],
-        [K.B @ (G.C + Dg @ Sg @ Dk @ G.C), K.A + K.B @ Dg @ Sg @ K.C],
-    ])
-    B = np.vstack([G.B @ (np.eye(n_u) + Sg @ Dk @ Dg), K.B @ Dg @ (np.eye(n_u) + Sg @ Dk @ Dg)])
-    C = np.hstack([G.C + Dg @ Sg @ Dk @ G.C, Dg @ Sg @ K.C])
-    D = Dg @ (np.eye(n_u) + Sg @ Dk @ Dg)
-    if isinstance(G, DtStateSpace):
-        return DtStateSpace(A, B, C, D, G.Ts)
-    return CtStateSpace(A, B, C, D)
-
-
 def add_dipole(K, W=50.0):
     """Insert a near-cancelling pole/zero pair W*z/(W*z - 1) on each input channel.
 
@@ -221,20 +185,6 @@ def add_dipole(K, W=50.0):
     Dd = np.eye(ny)
     dip = DtStateSpace(Ad, Bd, Cd, Dd, K.Ts)
     return series(dip, K)
-
-
-def add_unit_delay(K):
-    """Append a one-sample delay to every controller output, making it strictly proper."""
-    n, nu = K.n, K.n_u
-    ny_out = K.C.shape[0]
-    A = np.block([
-        [K.A, np.zeros((n, ny_out))],
-        [K.C, np.zeros((ny_out, ny_out))],
-    ])
-    B = np.vstack([K.B, K.D])
-    C = np.hstack([np.zeros((ny_out, n)), np.eye(ny_out)])
-    D = np.zeros((ny_out, nu))
-    return DtStateSpace(A, B, C, D, K.Ts)
 
 
 def loop_shift(G, K):

@@ -283,6 +283,11 @@ def test_builtin_with_another_top_level_Ts_is_a_config_error(tmp_path, capsys):
     ({"plant": "satellite", "Ts": True}, 2, "config error: config.Ts must be a number"),
     ({"plant": "satellite", "pipeline": {"rank_by": "best"}}, 2, "config error: pipeline.rank_by"),
     ({"plant": "satellite", "pipeline": {"Qn": "a"}}, 2, "config error: pipeline.Qn"),
+    # a JSON number that is not a float: NaN, or an integer beyond float range
+    ({"plant": "satellite", "pipeline": {"Qn": 10**400}}, 2,
+     "config error: pipeline.Qn is too large for a float"),
+    ({"plant": "satellite", "pipeline": {"dipole_W": float("nan")}}, 2,
+     "config error: pipeline.dipole_W must be a number, not NaN"),
 ])
 def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, code, prefix):
     cfg = _write(tmp_path, "c.json", doc)
@@ -321,6 +326,10 @@ def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, cod
     ({"duration": 2.0}, {"cost": "bogus"}, 2,
      "config error: mpc.cost must be 'matching' or 'effect'"),
     ({"duration": "a"}, {}, 2, "config error: scenarios.a.duration must be a number"),
+    # a NaN bound used to drop the row silently and report a NaN violation
+    ({"duration": 2.0, "x0": [0.1, 0, 0]}, {"u_bounds": [[float("nan")] * 2, [0.01] * 2]}, 2,
+     "config error: mpc.u_bounds[0][0] must be a number, not NaN"),
+    ({"duration": 2.0}, {"R1": 10**400}, 2, "config error: mpc.R1 is too large for a float"),
 ])
 def test_simulate_refusals_end_in_documented_exit_codes(tmp_path, capsys, scenario, mpc,
                                                         code, message):
@@ -331,6 +340,21 @@ def test_simulate_refusals_end_in_documented_exit_codes(tmp_path, capsys, scenar
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [message]
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_infinite_json_bounds_disable_a_row(tmp_path):
+    # JSON Infinity is how a config switches one side of a bound off
+    cfg = _write(tmp_path, "c.json", {
+        "plant": "satellite", "mpc": {"u_bounds": [[-np.inf, -0.01], [np.inf, 0.01]]},
+        "scenarios": {"a": {"duration": 2.0, "x0": [0.1, 0, 0]}}})
+    assert "Infinity" in open(cfg).read()
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--config", cfg, "--scenario", "a", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "t.summary.json").read_text())
+    assert summary["max_constraint_violation"]["input"] == 0.0
+    with open(out) as fh:
+        u1 = [float(row["u.1"]) for row in csv.DictReader(fh)]
+    assert max(abs(v) for v in u1) <= 0.01 + 1e-12
 
 
 def test_misshaped_verify_gains_are_a_config_error(tmp_path, capsys):

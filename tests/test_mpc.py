@@ -264,6 +264,16 @@ def test_horizon_must_be_an_integer():
     assert MpcConfig(N=np.int64(3), cost=c).N == 3
 
 
+@pytest.mark.parametrize("key", ["u_bounds", "y_bounds", "x_bounds"])
+def test_bounds_refuse_nan_but_take_infinities(key):
+    c = matching_cost(np.zeros((1, 2)))
+    for bounds in (([np.nan], [1.0]), ([-1.0], [np.nan])):
+        with pytest.raises(ValueError, match="no NaN"):
+            MpcConfig(N=3, cost=c, **{key: bounds})
+    # an infinite side disables that side of the row
+    MpcConfig(N=3, cost=c, **{key: ([-np.inf], [1.0])})
+
+
 @pytest.mark.parametrize("key, size", [("u_bounds", 1), ("y_bounds", 2), ("x_bounds", 2)])
 def test_condensed_qp_refuses_bounds_of_the_wrong_size(key, size):
     G, K_c = _random_plant_gain(np.random.default_rng(5))  # n = 3, n_u = 2, n_y = 1

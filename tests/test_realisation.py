@@ -7,6 +7,11 @@ admissible eigenvalue split.  The satellite and pendulum numbers are pinned
 regression values computed from the worked models in lti2mpc.models.
 """
 
+import ast
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -913,3 +918,16 @@ def test_check_decoupling():
     block = np.kron(np.eye(2), np.ones((2, 2)))
     pairs = [((0, 1), (0, 1)), ((2, 3), (2, 3))]
     assert check_decoupling(block, pairs) == 0.0
+
+
+def test_importing_the_search_loads_no_online_machinery():
+    # the form table steps the observer itself, so the search module needs
+    # neither the MPC nor the QP nor the runtime
+    src = os.path.dirname(os.path.dirname(realisation.__file__))
+    code = ("import sys, lti2mpc.realisation; "
+            "print(sorted(m for m in sys.modules if m.startswith('lti2mpc')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "lti2mpc.realisation" in loaded
+    assert not loaded & {"lti2mpc.runtime", "lti2mpc.mpc", "lti2mpc.qp"}

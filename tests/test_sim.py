@@ -196,9 +196,10 @@ def test_qp_ms_times_the_mpc_step_alone(monkeypatch, form):
             return fn(*args)
         return wrapped
 
-    for name in ("filter_measurement_update", "filter_time_update", "predictor_observer_step"):
-        # the form table in realisation is what steps the observer
-        monkeypatch.setattr(realisation, name, slow(getattr(realisation, name)))
+    # the form table in realisation is what steps the observer
+    step = type(realisation._FORMS[form])
+    for name in ("estimate", "advance"):
+        monkeypatch.setattr(step, name, slow(getattr(step, name)))
     if form == "filter":
         G, K, plant, D_K = satellite_plant(), add_dipole(satellite_controller(), W=50.0), "satellite", None
     else:

@@ -5,15 +5,14 @@ from scipy.linalg import expm
 
 from lti2mpc import statespace
 from lti2mpc.linalg import spectral_radius
+from lti2mpc.realisation import closed_loop_matrix
 from lti2mpc.statespace import (
     CtStateSpace,
     DtStateSpace,
     add_dipole,
-    add_unit_delay,
     augment_disturbances,
     c2d_tustin,
     c2d_zoh,
-    feedback,
     loop_shift,
     series,
     unobservable_modes,
@@ -130,20 +129,6 @@ def test_freq_response_matches_a_per_point_solve(n, n_u, n_y, w_ts):
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_feedback_scalar_positive_closure():
-    G = DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
-    K = DtStateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[0.3]], 1.0)
-    cl = feedback(G, K, sign=1)
-    assert_allclose(cl.A, [[0.8]], atol=1e-14)
-
-
-def test_feedback_rejects_algebraic_loop():
-    G = DtStateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[1.0]], 1.0)
-    K = DtStateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[1.0]], 1.0)
-    with pytest.raises(ValueError):
-        feedback(G, K, sign=1)
-
-
 def test_dipole_blocks_constant_inputs_but_keeps_the_band():
     rng = np.random.default_rng(12)
     for _ in range(5):
@@ -178,18 +163,6 @@ def test_dipole_rejects_small_w():
         add_dipole(K, W=5.0)
 
 
-def test_unit_delay_shifts_the_response():
-    rng = np.random.default_rng(13)
-    K = _random_dt(rng, 3, 2, 2)
-    Kd = add_unit_delay(K)
-    assert Kd.n == K.n + K.n_u
-    w = np.array([0.3, 1.1, 2.9])
-    R = K.freq_response(w)
-    Rd = Kd.freq_response(w)
-    for i, wi in enumerate(w):
-        assert_allclose(Rd[i], R[i] * np.exp(-1j * wi), rtol=1e-9, atol=1e-11)
-
-
 def test_loop_shift_preserves_closed_loop_poles():
     """Moving the controller feedthrough into the plant leaves the loop
     untouched: same closed-loop spectrum, strictly proper controller."""
@@ -200,8 +173,8 @@ def test_loop_shift_preserves_closed_loop_poles():
         K = DtStateSpace(K.A, 0.1 * K.B, 0.1 * K.C, 0.1 * K.D, K.Ts)
         Gs, Ks = loop_shift(G, K)
         assert np.all(Ks.D == 0.0)
-        p0 = np.sort_complex(np.linalg.eigvals(feedback(G, K, sign=1).A))
-        p1 = np.sort_complex(np.linalg.eigvals(feedback(Gs, Ks, sign=1).A))
+        p0 = np.sort_complex(np.linalg.eigvals(closed_loop_matrix(G, K)))
+        p1 = np.sort_complex(np.linalg.eigvals(closed_loop_matrix(Gs, Ks)))
         assert_allclose(p0, p1, atol=1e-9)
 
 
@@ -239,12 +212,6 @@ def test_uncontrollable_modes_of_diagonal_pair():
     assert_allclose(lam[bad[0]], 0.9, atol=1e-10)
     # C = I observes every mode
     assert unobservable_modes(sys.A, sys.C) == []
-
-
-def test_strictly_proper_flag():
-    rng = np.random.default_rng(15)
-    assert _random_dt(rng, 2, 1, 1, strictly_proper=True).is_strictly_proper()
-    assert not DtStateSpace([[0.0]], [[1.0]], [[1.0]], [[0.1]], 1.0).is_strictly_proper()
 
 
 @pytest.mark.parametrize("cls, extra", [(CtStateSpace, ()), (DtStateSpace, (0.5,))])
