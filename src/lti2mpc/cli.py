@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 domain error (no feasible realisation, unstable
 loop, unknown scenario, near-singular MPC Hessian, failed verification),
 2 config error (unreadable file, bad JSON, a value of the wrong type or
 size, a NaN or an integer beyond float range, unknown keys, options the
-search refuses).  JSON +-Infinity is a legal number: it disables a bound.
+search refuses, a scenario number ``simulate`` refuses, ``mpc`` values
+with a library-based scenario).  JSON +-Infinity disables a bound; a scenario
+duration, x0 or noise_sigma refuses it.
 
 Config schema (all sections optional unless a command needs them):
 
@@ -31,7 +33,7 @@ Config schema (all sections optional unless a command needs them):
       "mpc": {"N": 15, "cost": "matching"|"effect", "W": [[...]],
               "Q1": 1e3, "R1": 1e-3,
               "u_bounds": [[lo...],[hi...]], "y_bounds": ..., "x_bounds": ...,
-              "soft_output_weight": 1e5, "tracking": "none"|"reference"},
+              "soft_output_weight": 1e5},
       "scenarios": {"my-run": {"base": "satellite-case-2", "duration": 20.0,
                                "seed": 7, "noise_sigma": [1e-5],
                                "x0": [0.0, 0.0, 0.0]}},
@@ -40,8 +42,9 @@ Config schema (all sections optional unless a command needs them):
     }
 
 Every section is checked against ``_SCHEMA`` before any numerics; sizes
-are checked by the library objects that use them.  ``mpc`` configures
-custom scenarios (entries without ``base``) only.
+and scenario numbers are checked by the library objects that use them.
+``mpc`` configures custom scenarios (entries without ``base``, which
+regulate to zero) only; simulating a library-based scenario refuses it.
 
 A built-in name selects a case study of ``models.CASE_STUDIES``: its
 models, its sample time and, as pipeline defaults, its conditioning
@@ -160,8 +163,7 @@ _SCHEMA = {
     "mpc": {"N": (_integer, 15), "cost": (_one_of("matching", "effect"), "matching"),
             "W": (_rows, None), "Q1": (_number, 1e3), "R1": (_number, 1e-3),
             "u_bounds": (_pair, None), "y_bounds": (_pair, None), "x_bounds": (_pair, None),
-            "soft_output_weight": (_number, 1e5),
-            "tracking": (_one_of("none", "reference"), "none")},
+            "soft_output_weight": (_number, 1e5)},
     "system": {"kind": (_one_of("continuous", "discrete"), "discrete"),
                **{m: (_rows, _REQUIRED) for m in "ABCD"}, "Ts": (_number, None)},
     "scenario": {"base": (_text, None), "duration": (_number, None), "seed": (_integer, None),
@@ -310,7 +312,7 @@ def _mpc_config(cfg: ProjectConfig, G_d: DtStateSpace, K_c) -> MpcConfig:
     try:
         W = effect_weight(G_d, m["Q1"], m["R1"]) if m["cost"] == "effect" else m["W"]
         return MpcConfig(N=m["N"], cost=matching_cost(K_c, W), **bounds,
-                         soft_output_weight=m["soft_output_weight"], tracking=m["tracking"])
+                         soft_output_weight=m["soft_output_weight"])
     except ValueError as exc:
         raise ConfigError(f"mpc options: {exc}") from None
 
@@ -440,19 +442,20 @@ def _library_scenario(name: str) -> Scenario | None:
 
 
 def _resolve_scenario(cfg: ProjectConfig, name: str) -> Scenario:
+    """The config's entry ``name``, else the library scenario ``name``; only
+    a custom entry (one without a base) takes the ``mpc`` section."""
     spec = cfg.scenarios.get(name)
-    if spec is None:
-        sc = _library_scenario(name)
-        if sc is None:
-            raise DomainError(f"unknown scenario {name!r}")
-        return sc
-    base = spec["base"]
-    if base is None:
+    if spec is not None and spec["base"] is None:
         return _custom_scenario(cfg, name, spec)
+    if cfg.mpc != _section({}, "mpc", _SCHEMA["mpc"]):
+        raise ConfigError(f"scenario {name!r} comes from the library; "
+                          "mpc configures custom scenarios only")
+    base = name if spec is None else spec["base"]
     sc = _library_scenario(base)
     if sc is None:
-        raise DomainError(f"scenario {name!r}: unknown base {base!r}")
-    return dataclasses.replace(sc, name=name, **_scenario_fields(spec))
+        raise DomainError(f"unknown scenario {name!r}" if spec is None
+                          else f"scenario {name!r}: unknown base {base!r}")
+    return sc if spec is None else dataclasses.replace(sc, name=name, **_scenario_fields(spec))
 
 
 def _baseline_counterpart(sc: Scenario) -> Scenario | None:
@@ -488,7 +491,7 @@ def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed) -> int:
         tr = simulate(sc)
     except NumericalError as exc:
         raise DomainError(f"scenario {scenario_name!r}: {exc}") from None
-    except ValueError as exc:  # a mis-sized x0, noise_sigma or bound
+    except ValueError as exc:  # a bad duration, x0, noise_sigma or bound
         raise ConfigError(f"scenario {scenario_name!r}: {exc}") from None
     tr.to_csv(out_path)
 

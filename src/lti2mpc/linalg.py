@@ -287,7 +287,7 @@ def _as_cov(X, dim: int, name: str) -> np.ndarray:
     return 0.5 * (X + X.T)
 
 
-def solve_dare_kalman(A, C, Qn, Rn, max_iter: int = 200):
+def solve_dare_kalman(A, C, Qn, Rn):
     """Steady-state Kalman predictor gain for x+ = Ax + w, y = Cx + v.
 
     Solves the filter-type DARE
@@ -318,17 +318,17 @@ def solve_dare_kalman(A, C, Qn, Rn, max_iter: int = 200):
     ------
     NumericalError
         If the doubling iteration breaks down or does not reach relative
-        residual 1e-8 within ``max_iter`` steps.
+        residual 1e-8 within 200 doubling steps.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    L, errors = _kalman_gains(A[np.newaxis], C[np.newaxis], Qn, Rn, max_iter)
+    L, errors = _kalman_gains(A[np.newaxis], C[np.newaxis], Qn, Rn)
     if errors[0] is not None:
         raise errors[0]
     return L[0]
 
 
-def _kalman_gains(A, C, Qn, Rn, max_iter: int = 200):
+def _kalman_gains(A, C, Qn, Rn):
     """solve_dare_kalman on a stack of pairs A (k, n, n), C (k, ny, n).
 
     Returns (L, errors): the (k, n, ny) gains and, per member, None or the
@@ -347,7 +347,7 @@ def _kalman_gains(A, C, Qn, Rn, max_iter: int = 200):
     except scipy.linalg.LinAlgError as exc:
         raise ValueError("Rn must be positive definite") from exc
 
-    P = _dare_doubling(A, C, Qn, Rn, max_iter)
+    P = _dare_doubling(A, C, Qn, Rn)
     errors = [None] * k
     L = np.full((k, n, ny), np.nan)
     live = np.flatnonzero(np.isfinite(P).all(axis=(1, 2)))
@@ -368,7 +368,7 @@ def _kalman_gains(A, C, Qn, Rn, max_iter: int = 200):
     return L, errors
 
 
-def _dare_doubling(A, C, Qn, Rn, max_iter):
+def _dare_doubling(A, C, Qn, Rn):
     """Doubling iteration on the dual DARE for a stack of pairs.
 
     Returns the (k, n, n) stack of P.  Each member stops at the iteration
@@ -397,7 +397,7 @@ def _dare_doubling(A, C, Qn, Rn, max_iter):
     Gk = C.transpose(0, 2, 1) @ np.linalg.solve(Rn, C)
     Hk = np.repeat(Qn[np.newaxis], len(A), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is a breakdown
-        (_, _, P), status = _freeze_each((A.transpose(0, 2, 1), Gk, Hk), double, max_iter)
+        (_, _, P), status = _freeze_each((A.transpose(0, 2, 1), Gk, Hk), double, 200)
     P[status == -1] = np.nan
     return P
 
@@ -476,15 +476,15 @@ def _bisect_root(f, lo: float, hi: float, flo: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def loop_margins(L: DtStateSpace, feedback_sign: int = 1) -> LoopMargins:
+def loop_margins(L: DtStateSpace) -> LoopMargins:
     """Gain, phase and delay margins of a SISO discrete-time loop.
 
-    The loop is understood to close as ``signal = feedback_sign * L(signal)``,
-    so with feedback_sign=+1 the critical point of L is +1 and with -1 it is
-    the classical -1 point.  Internally the response is folded to the -1
-    convention and scanned on a log grid of 400 points per decade over
-    (0, pi/Ts), with bisection refinement of every crossing to 1e-4 rad
-    resolution in omega*Ts.
+    The loop closes as ``signal = L(signal)``, the package's convention (see
+    :func:`~lti2mpc.realisation.margin_loop`), so the critical point of L
+    is +1; negate C and D for the classical -1 point.  The response is
+    folded to the -1 convention and scanned on a log grid of 400 points per
+    decade over (0, pi/Ts), with bisection refinement of every crossing to
+    1e-4 rad resolution in omega*Ts.
 
     Gain margin is the smallest gain increase that reaches the critical
     point over all negative-real-axis crossings; phase and delay margins
@@ -492,18 +492,16 @@ def loop_margins(L: DtStateSpace, feedback_sign: int = 1) -> LoopMargins:
     """
     if L.n_u != 1 or L.n_y != 1:
         raise ValueError("loop_margins expects a SISO system")
-    if feedback_sign not in (-1, 1):
-        raise ValueError("feedback_sign must be +1 or -1")
     Ts = L.Ts
     w_nyq = math.pi / Ts
 
     def response(w: float) -> complex:
-        return complex(-feedback_sign * L.freq_response(np.array([w * Ts]))[0, 0, 0])
+        return complex(-L.freq_response(np.array([w * Ts]))[0, 0, 0])
 
     n_dec = 6
     grid = np.logspace(math.log10(w_nyq) - n_dec, math.log10(w_nyq), n_dec * 400 + 1)
     grid[-1] = w_nyq * (1.0 - 1e-9)
-    resp = -feedback_sign * L.freq_response(grid * Ts)[:, 0, 0]
+    resp = -L.freq_response(grid * Ts)[:, 0, 0]
     mag = np.abs(resp)
     tol_w = 1e-4 / Ts
 

@@ -48,14 +48,14 @@ PENDULUM_TS = 0.1
 _DEG = 180.0 / np.pi
 
 
-def satellite_plant_ct(inertia: float = 500.0) -> CtStateSpace:
+def satellite_plant_ct() -> CtStateSpace:
     """Rigid satellite with two redundant torque pairs.
 
     States are attitude angle in degrees and rate in deg/s; both inputs are
-    torques in N m acting through the same inertia; the single output is
-    the angle converted back to radians.
+    torques in N m acting through the same 500 kg m^2 inertia; the single
+    output is the angle converted back to radians.
     """
-    k = _DEG / inertia
+    k = _DEG / 500.0
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0, 0.0], [k, k]])
     C = np.array([[1.0 / _DEG, 0.0]])
@@ -63,19 +63,19 @@ def satellite_plant_ct(inertia: float = 500.0) -> CtStateSpace:
     return CtStateSpace(A, B, C, D)
 
 
-def satellite_plant(Ts: float = SATELLITE_TS, inertia: float = 500.0) -> DtStateSpace:
+def satellite_plant() -> DtStateSpace:
     """Discrete satellite design model with a constant-torque disturbance state.
 
-    ZOH discretisation of :func:`satellite_plant_ct` augmented with one
-    integrator state modelling a constant unknown torque entering like the
-    first input.  The augmented state is marked in ``disturbance_states``.
+    ZOH discretisation of :func:`satellite_plant_ct` at SATELLITE_TS, with
+    one integrator state, marked in ``disturbance_states``, modelling a
+    constant unknown torque entering like the first input.
     """
-    G = c2d_zoh(satellite_plant_ct(inertia), Ts)
+    G = c2d_zoh(satellite_plant_ct(), SATELLITE_TS)
     return augment_disturbances(G, [0])
 
 
-def satellite_controller(Ts: float = SATELLITE_TS) -> DtStateSpace:
-    """Baseline satellite attitude controller (discrete, 2 states).
+def satellite_controller() -> DtStateSpace:
+    """Baseline satellite attitude controller (2 states, discrete at SATELLITE_TS).
 
     Only the first torque pair is driven; the second output row is zero.
     The controller has a pole at exactly z = 1 for integral action, so the
@@ -88,7 +88,7 @@ def satellite_controller(Ts: float = SATELLITE_TS) -> DtStateSpace:
     B = np.array([[32.0], [0.0]])
     C = np.array([[13.0135, -26.142], [0.0, 0.0]])
     D = np.array([[-871.14], [0.0]])
-    return DtStateSpace(A, B, C, D, Ts)
+    return DtStateSpace(A, B, C, D, SATELLITE_TS)
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,14 @@ class PendulumParams:
     gravity: float = 9.81
 
 
-def pendulum_plant_ct(params: PendulumParams = PendulumParams()) -> CtStateSpace:
+def pendulum_plant_ct() -> CtStateSpace:
     """Inverted pendulum on a cart, linearised about the upright position.
 
     States: cart position, cart velocity, pendulum angle, angular rate.
     Input: horizontal force on the cart.  Outputs: position and angle.
     """
-    m, M = params.pend_mass, params.cart_mass
-    l, g = params.length, params.gravity
+    p = PendulumParams()
+    m, M, l, g = p.pend_mass, p.cart_mass, p.length, p.gravity
     A = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
@@ -123,10 +123,9 @@ def pendulum_plant_ct(params: PendulumParams = PendulumParams()) -> CtStateSpace
     return CtStateSpace(A, B, C, D)
 
 
-def pendulum_plant(
-    Ts: float = PENDULUM_TS, params: PendulumParams = PendulumParams()
-) -> DtStateSpace:
-    return c2d_zoh(pendulum_plant_ct(params), Ts)
+def pendulum_plant() -> DtStateSpace:
+    """ZOH discretisation of :func:`pendulum_plant_ct` at PENDULUM_TS."""
+    return c2d_zoh(pendulum_plant_ct(), PENDULUM_TS)
 
 
 def pendulum_controller_ct() -> CtStateSpace:
@@ -145,9 +144,9 @@ def pendulum_controller_ct() -> CtStateSpace:
     return CtStateSpace(A, B, C, D)
 
 
-def pendulum_controller(Ts: float = PENDULUM_TS) -> DtStateSpace:
-    """Bilinear discretisation of :func:`pendulum_controller_ct`."""
-    return c2d_tustin(pendulum_controller_ct(), Ts)
+def pendulum_controller() -> DtStateSpace:
+    """Bilinear discretisation of :func:`pendulum_controller_ct` at PENDULUM_TS."""
+    return c2d_tustin(pendulum_controller_ct(), PENDULUM_TS)
 
 
 def condition_loop(G: DtStateSpace, K: DtStateSpace, dipole_W=None,

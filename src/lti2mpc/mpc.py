@@ -4,10 +4,10 @@ The stage cost is the general quadratic x'Qx + 2x'Su + u'Ru.  Built with
 Q = Kc'WKc, S = -Kc'W, R = W it vanishes identically along u = Kc x, so the
 unconstrained optimum reproduces the linear law exactly and P = 0 solves the
 associated Riccati equation: no terminal cost is needed and any horizon
-length gives the same unconstrained behaviour.  Reference tracking shifts
-the state argument to x - x_r; the quadratic blocks are unchanged and the
-shift only adds linear terms, which the condensed builder folds into the
-parametric f and b maps.
+length gives the same unconstrained behaviour.  A reference state x_r,
+when a control step passes one, shifts the state argument to x - x_r;
+the quadratic blocks are unchanged and the shift only adds a linear term,
+which the condensed builder folds into the parametric f map.
 
 One condensation serves two decision variables.  The decisions are input
 moves v_k and the applied inputs are u_k = K x_k + v_k: K = 0 ("direct")
@@ -108,10 +108,11 @@ class MpcConfig:
     disable individual rows, and a NaN entry is refused.  Output and state
     bounds are softened with one shared slack per bounded quantity per step
     (the same slack serves the upper and the lower row), penalised
-    quadratically by soft_output_weight.  Input bounds are hard.  ``tracking`` switches the
-    cost argument from x to x - x_r; ``known_input`` is an n x n_w matrix
-    through which a signal held constant over the horizon (for example a
-    loop-shift feedthrough term) enters the prediction.
+    quadratically by soft_output_weight.  Input bounds are hard.
+    ``known_input`` is an n x n_w matrix through which a signal held
+    constant over the horizon (for example a loop-shift feedthrough term)
+    enters the prediction.  A step that passes a reference state x_r
+    penalises x - x_r instead of x.
     """
 
     N: int
@@ -120,7 +121,6 @@ class MpcConfig:
     y_bounds: tuple | None = None
     x_bounds: tuple | None = None
     soft_output_weight: float = 1e5
-    tracking: str = "none"  # "none" | "reference"
     known_input: np.ndarray | None = None
 
     def __post_init__(self):
@@ -128,8 +128,6 @@ class MpcConfig:
             raise ValueError(f"horizon must be an integer, not {self.N!r}")
         if self.N < 1:
             raise ValueError("horizon must be at least 1")
-        if self.tracking not in ("none", "reference"):
-            raise ValueError("tracking must be 'none' or 'reference'")
         for b in (self.u_bounds, self.y_bounds, self.x_bounds):
             if b is None:
                 continue
@@ -315,12 +313,9 @@ def build_condensed_qp(
     Mx, Mu = (Qb @ Gj + Sb @ Lam).T, (Sb.T @ Gj + Rb @ Lam).T
     f_x = 2.0 * (Mx @ Pm + Mu @ Psi)
     f_w = 2.0 * (Mx @ Om + Mu @ Xi)
-    # tracking shift x -> x - x_r adds -2(Gj'(1(x)Q) + Lam'(1(x)S')) x_r
-    if cfg.tracking == "reference":
-        ones = np.ones((N, 1))
-        f_r = -2.0 * (Gj.T @ np.kron(ones, Q) + Lam.T @ np.kron(ones, S.T))
-    else:
-        f_r = np.zeros((N * m, n))
+    # the reference shift x -> x - x_r adds -2(Gj'(1(x)Q) + Lam'(1(x)S')) x_r
+    ones = np.ones((N, 1))
+    f_r = -2.0 * (Gj.T @ np.kron(ones, Q) + Lam.T @ np.kron(ones, S.T))
 
     Cz, z_lo, z_hi = _constrained_output(G, cfg)
     n_z = Cz.shape[0]

@@ -130,12 +130,13 @@ def _guess(warm, m) -> list:
     return list(dict.fromkeys(rows))
 
 
-def solve_qp(H, f, A=None, b=None, max_iter: int | None = None, *,
+def solve_qp(H, f, A=None, b=None, *,
              factor: QpFactor | None = None, warm=()) -> QpSolution:
     """Solve the inequality-constrained QP; H must be positive definite.
 
     ``factor`` must be ``factor_qp(H, A)``; it is built here when omitted.
-    ``warm`` is a guessed working set (row indices of A).
+    ``warm`` is a guessed working set (row indices of A).  A solve that
+    needs more than 50 (d + m) iterations stops with "iteration-limit".
     """
     H = np.atleast_2d(np.asarray(H, float))
     f = np.asarray(f, float).ravel()
@@ -165,8 +166,7 @@ def solve_qp(H, f, A=None, b=None, max_iter: int | None = None, *,
 
     if A is None:
         return QpSolution(x, _objective(H, f, x), "optimal", 0)
-    if max_iter is None:
-        max_iter = 50 * (d + m)
+    max_iter = 50 * (d + m)
 
     # internal >= form: n_j' x >= beta_j with n_j = -a_j, beta_j = -b_j
     tol_feas = 1e-10 * (1.0 + np.max(np.abs(b)))

@@ -384,14 +384,14 @@ class ObserverState:
     x_corr: np.ndarray | None = None
 
 
-def make_observer(realisation, G: DtStateSpace, x0=None) -> ObserverState:
-    """Observer from an ObserverRealisation and its design model (the
-    loop-shifted one if loop-shifting was used), which must be strictly
-    proper; ``_FORMS[realisation.form]`` steps it."""
+def make_observer(realisation, G: DtStateSpace) -> ObserverState:
+    """Observer, started from x-hat = 0, from an ObserverRealisation and its
+    design model (the loop-shifted one if loop-shifting was used), which
+    must be strictly proper; ``_FORMS[realisation.form]`` steps it."""
     if np.any(G.D != 0.0):
         raise ValueError("observer design model must be strictly proper")
-    x = np.zeros(G.n) if x0 is None else np.asarray(x0, float).ravel().copy()
-    return ObserverState(A=G.A, B=G.B, C=G.C, K_f=np.atleast_2d(realisation.K_f), x_hat=x)
+    K_f = np.atleast_2d(realisation.K_f)
+    return ObserverState(A=G.A, B=G.B, C=G.C, K_f=K_f, x_hat=np.zeros(G.n))
 
 
 class _Form:
@@ -665,14 +665,12 @@ def margin_loop(
     return DtStateSpace(A_ol, np.vstack([b, b]), C_ol, np.zeros((1, 1)), G.Ts)
 
 
-def verify_equivalence(
-    K_obs: DtStateSpace, K0: DtStateSpace, n_freq: int = 200
-) -> float:
-    """Max relative transfer-function deviation on a log frequency grid;
+def verify_equivalence(K_obs: DtStateSpace, K0: DtStateSpace) -> float:
+    """Max relative transfer-function deviation on a 200-point log grid;
     inf when a response overflows, so the deviation is not a number."""
     if (K_obs.n_u, K_obs.n_y) != (K0.n_u, K0.n_y):
         raise ValueError("systems have different I/O dimensions")
-    w_ts = np.logspace(-4, math.log10(math.pi), n_freq)
+    w_ts = np.logspace(-4, math.log10(math.pi), 200)
     with np.errstate(over="ignore", invalid="ignore"):
         R1 = K_obs.freq_response(w_ts)
         R0 = K0.freq_response(w_ts)
@@ -740,7 +738,7 @@ def _score(r, G, h2, margin_cut) -> RealisationScore:
         return RealisationScore(math.inf, math.inf, math.inf, None, stable=False)
     margins = None
     if margin_cut is not None:
-        margins = loop_margins(margin_loop(r, G, margin_cut), feedback_sign=1)
+        margins = loop_margins(margin_loop(r, G, margin_cut))
     return RealisationScore(h2n, h2d, h2n * h2d, margins)
 
 

@@ -102,18 +102,20 @@ def mpc_step(
     x_hat,
     x_r=None,
     w=None,
-    fallback_gain: np.ndarray | None = None,
+    *,
+    fallback_gain: np.ndarray,
     u_bounds=None,
     warm=(),
 ) -> MpcStepResult:
     """Solve the parametric QP at the current estimate and return u(0).
 
-    ``warm`` is the guessed working set, normally the previous step's
-    active set; the QP factor is the one cached on ``qp``.
+    ``x_r`` is the reference state (None regulates to 0), ``w`` the known
+    input and ``warm`` the guessed working set, normally the previous
+    step's active set; the QP factor is the one cached on ``qp``.
 
     A non-optimal solve falls back to the saturated unconstrained law
-    u = K_c (x - x_r) clipped to the input bounds, with the result flagged
-    so traces record the event.
+    u = K_c (x - x_r), K_c = ``fallback_gain``, clipped to the input
+    bounds, with the result flagged so traces record the event.
     """
     x_hat = np.asarray(x_hat, float).ravel()
     f = qp.f(x_hat, x_r=x_r, w=w)
@@ -123,8 +125,6 @@ def mpc_step(
     if sol.status == "optimal":
         return MpcStepResult(u=qp.first_input(sol.x_star, x_hat), solution=sol,
                              fallback=False)
-    if fallback_gain is None:
-        return MpcStepResult(u=np.zeros(qp.n_u), solution=sol, fallback=True)
     e = x_hat if x_r is None else x_hat - np.asarray(x_r, float).ravel()
     u = np.atleast_2d(fallback_gain) @ e
     if u_bounds is not None:

@@ -96,9 +96,9 @@ class MpcController:
     when loop-shifting is used (the simulation then wires
     u_plant = u_mpc + D_K y and subtracts D_K r from the command, in
     either form).  N_div activates the deterministic-transfer lag of one
-    Ts/N_div subdivision (filter form only).  Setting L1 and L2 tracks
-    through the shaped prefilter of ``runtime.build_prefilter`` on
-    prefilter_plant (default: the design model).
+    Ts/N_div subdivision (filter form only).  With a ``prefilter`` (the
+    system of a ``runtime.build_prefilter``, stepped afresh each run) the
+    MPC tracks the state reference it emits; without one it regulates to 0.
     """
 
     realisation: object
@@ -106,9 +106,7 @@ class MpcController:
     config: MpcConfig
     D_K: np.ndarray | None = None
     N_div: int | None = None
-    prefilter_plant: DtStateSpace | None = None
-    L1: np.ndarray | None = None
-    L2: np.ndarray | None = None
+    prefilter: DtStateSpace | None = None
 
 
 @dataclass
@@ -268,11 +266,17 @@ def _initial_state(scenario, n):
     x0 = np.asarray(scenario.x0, float).ravel()
     if x0.size != n:
         raise ValueError("x0 dimension does not match the plant")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 entries must be finite")
     return x0.copy()
 
 
 def simulate(scenario: Scenario) -> Trace:
-    """Run one closed-loop experiment and capture the full trace."""
+    """Run one closed-loop experiment and capture the full trace; refuse
+    (ValueError) a duration that is not finite and >= 0, and a mis-sized or
+    non-finite x0 or noise_sigma."""
+    if not (math.isfinite(scenario.duration) and scenario.duration >= 0.0):
+        raise ValueError(f"duration must be finite and at least 0, not {scenario.duration}")
     Ts = scenario.sample_time()
     steps = int(round(scenario.duration / Ts))
     rng = np.random.default_rng(scenario.seed)
@@ -307,13 +311,8 @@ def simulate(scenario: Scenario) -> Trace:
         K_c = np.atleast_2d(ctrl.realisation.K_c)
         form = _form(ctrl.realisation.form)
         D_K = None if ctrl.D_K is None else np.atleast_2d(ctrl.D_K)
-        pre: Prefilter | None = None
-        if ctrl.L1 is not None and ctrl.L2 is not None:
-            pre = build_prefilter(
-                ctrl.prefilter_plant if ctrl.prefilter_plant is not None else G_d,
-                obs.K_f, K_c, ctrl.L1, ctrl.L2, D_K=ctrl.D_K,
-            )
-        n_slack_q = qp.n_slack // ctrl.config.N if ctrl.config.N else 0
+        pre = None if ctrl.prefilter is None else Prefilter(ctrl.prefilter)
+        n_slack_q = qp.n_slack // ctrl.config.N
         n_xh = G_d.n
     else:
         K = ctrl.K
@@ -328,6 +327,8 @@ def simulate(scenario: Scenario) -> Trace:
         sigma = np.asarray(scenario.noise_sigma, float).ravel()
         if sigma.size not in (1, n_y):
             raise ValueError(f"noise_sigma has {sigma.size} entries, not 1 or n_y = {n_y}")
+        if not np.all(np.isfinite(sigma)):
+            raise ValueError("noise_sigma entries must be finite")
 
     dist = sorted(((float(t), np.asarray(v, float).ravel())
                    for t, v in scenario.disturbances), key=lambda p: p[0])
@@ -374,11 +375,8 @@ def simulate(scenario: Scenario) -> Trace:
             x_ref = pre.step(r) if pre is not None else None
             x_hat_row = form.estimate(obs, y)
             t_solve = time.perf_counter()
-            res = mpc_step(qp, x_hat_row,
-                           x_r=x_ref if ctrl.config.tracking == "reference" else None,
-                           w=r if ctrl.config.known_input is not None else None,
-                           fallback_gain=K_c, u_bounds=ctrl.config.u_bounds,
-                           warm=warm)
+            res = mpc_step(qp, x_hat_row, x_r=x_ref, w=r, fallback_gain=K_c,
+                           u_bounds=ctrl.config.u_bounds, warm=warm)
             MS[k] = 1e3 * (time.perf_counter() - t_solve)
             warm = res.solution.active_set if res.status == "optimal" else ()
             u_cmd = res.u - D_K @ r if D_K is not None else res.u
@@ -438,44 +436,40 @@ def _case_search(name: str):
                                                rank_by=case.rank_by)
 
 
-def _satellite_mpc(real, G_d, cost_kind: str, u_bound=None, y_bound=None,
-                   N_div=10, N=15):
+def _satellite_mpc(real, G_d, cost_kind: str, u_bound=None, y_bound=None):
     """Satellite MPC controller on realisation ``real`` of the design plant
     G_d, matching K_c itself or (``cost_kind`` "effect") its effect."""
     W = effect_weight(G_d, 1e3, 1e-3) if cost_kind == "effect" else None
     cfg = MpcConfig(
-        N=N, cost=matching_cost(real.K_c, W),
+        N=15, cost=matching_cost(real.K_c, W),
         u_bounds=None if u_bound is None else (-u_bound * np.ones(2),
                                                u_bound * np.ones(2)),
         y_bounds=None if y_bound is None else ([-y_bound], [y_bound]),
         soft_output_weight=1e5,
     )
     return MpcController(realisation=real, design_model=G_d, config=cfg,
-                         N_div=N_div)
+                         N_div=10)
 
 
-def _pendulum_mpc(real, G, K, G_d, bounded: bool, N=15):
+def _pendulum_mpc(real, G, K, G_d, bounded: bool):
     """Pendulum MPC controller on realisation ``real`` of the loop-shifted
     design plant G_d, tracking through a prefilter on the plant G; K is
     the baseline controller, whose feedthrough the simulation wires back."""
     inf = np.inf
     cfg = MpcConfig(
-        N=N,
+        N=15,
         cost=matching_cost(real.K_c),
         x_bounds=([-inf, -0.7, -0.175, -0.3],
                   [inf, 0.7, 0.175, 0.3]) if bounded else None,
         soft_output_weight=1e5,
-        tracking="reference",
         known_input=-G_d.B @ K.D,
     )
     L1 = np.array([[0.0, 1.0, 0.0, 0.0],
                    [0.0, 0.0, 1.0, 0.0],
                    [0.0, 0.0, 0.0, 1.0]])
-    L2 = np.zeros((3, 2))
-    return MpcController(
-        realisation=real, design_model=G_d, config=cfg, D_K=K.D,
-        prefilter_plant=G, L1=L1, L2=L2,
-    )
+    pre = build_prefilter(G, real.K_f, real.K_c, L1, np.zeros((3, 2)), D_K=K.D)
+    return MpcController(realisation=real, design_model=G_d, config=cfg, D_K=K.D,
+                         prefilter=pre.sys)
 
 
 # satellite Cases 1-5: (rank of the realisation, cost, input bound, output

@@ -205,35 +205,27 @@ def loop_shift(G, K):
 
 
 def augment_disturbances(G, channels):
-    """Add constant-disturbance states feeding selected state equations.
+    """Add constant-disturbance states that enter like selected inputs.
 
     Parameters
     ----------
     G : DtStateSpace
-    channels : list of column vectors (length n) or state indices.
-        Each entry adds one integrator state whose value enters the state
-        update through the given direction. An int i is shorthand for the
-        i-th column of B summed over inputs, which is the common case of a
-        disturbance entering like an actuator; an int that names no input
-        raises ValueError.
+    channels : list of input indices.
+        Each entry i adds one integrator state whose value enters the
+        state update through the i-th column of B, a disturbance entering
+        like that actuator; an index that names no input raises ValueError.
 
     The augmented (C, A) pair must stay observable, otherwise the estimator
     design downstream is ill-posed and this raises.
     """
-    channels = list(channels)
+    channels = [int(ch) for ch in channels]
     if not channels:
         return G
     n = G.n
-    cols = []
     for ch in channels:
-        if np.isscalar(ch):
-            if not 0 <= ch < G.n_u:
-                raise ValueError(f"disturbance channel {ch} names no input of n_u = {G.n_u}")
-            cols.append(G.B[:, int(ch)])
-        else:
-            v = np.asarray(ch, dtype=float).reshape(n)
-            cols.append(v)
-    E = np.column_stack(cols)
+        if not 0 <= ch < G.n_u:
+            raise ValueError(f"disturbance channel {ch} names no input of n_u = {G.n_u}")
+    E = G.B[:, channels]
     nd = E.shape[1]
     A = np.block([
         [G.A, E],

@@ -330,6 +330,23 @@ def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, cod
     ({"duration": 2.0, "x0": [0.1, 0, 0]}, {"u_bounds": [[float("nan")] * 2, [0.01] * 2]}, 2,
      "config error: mpc.u_bounds[0][0] must be a number, not NaN"),
     ({"duration": 2.0}, {"R1": 10**400}, 2, "config error: mpc.R1 is too large for a float"),
+    # mpc configures custom scenarios only; a base scenario used to run on
+    # its library MPC and ignore these values
+    ({"base": "satellite-case-2"}, {"N": 1, "u_bounds": [[-1e-6, -1e-6], [1e-6, 1e-6]]}, 2,
+     "config error: scenario 'a' comes from the library; mpc configures custom scenarios only"),
+    # tracking follows the prefilter, which a custom scenario does not have
+    ({"duration": 2.0}, {"tracking": "reference"}, 2,
+     "config error: unknown mpc keys ['tracking']"),
+    # scenario numbers refused by simulate: these used to end in a
+    # traceback, a numpy error or a one-step "diverged" run
+    ({"base": "satellite-case-1", "duration": float("inf")}, {}, 2,
+     "config error: scenario 'a': duration must be finite and at least 0, not inf"),
+    ({"base": "satellite-case-1", "duration": -1}, {}, 2,
+     "config error: scenario 'a': duration must be finite and at least 0, not -1.0"),
+    ({"base": "satellite-baseline", "x0": [float("inf"), 0, 0]}, {}, 2,
+     "config error: scenario 'a': x0 entries must be finite"),
+    ({"base": "satellite-baseline", "noise_sigma": [float("inf")]}, {}, 2,
+     "config error: scenario 'a': noise_sigma entries must be finite"),
 ])
 def test_simulate_refusals_end_in_documented_exit_codes(tmp_path, capsys, scenario, mpc,
                                                         code, message):
@@ -340,6 +357,22 @@ def test_simulate_refusals_end_in_documented_exit_codes(tmp_path, capsys, scenar
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [message]
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_only_set_mpc_values_refuse_a_library_scenario(tmp_path, capsys):
+    # values equal to the schema defaults set nothing, so a base entry runs
+    cfg = _write(tmp_path, "c.json", {
+        "plant": "satellite", "mpc": {"N": 15, "cost": "matching"},
+        "scenarios": {"a": {"base": "satellite-baseline", "duration": 1.0}}})
+    assert main(["simulate", "--config", cfg, "--scenario", "a",
+                 "--out", str(tmp_path / "t.csv")]) == 0
+    # a library scenario named directly is refused as a base entry is
+    cfg = _write(tmp_path, "d.json", {"plant": "satellite", "mpc": {"N": 1}})
+    assert main(["simulate", "--config", cfg, "--scenario", "satellite-case-2",
+                 "--out", str(tmp_path / "u.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: scenario 'satellite-case-2' comes from the library; "
+        "mpc configures custom scenarios only"]
 
 
 def test_infinite_json_bounds_disable_a_row(tmp_path):

@@ -155,7 +155,7 @@ def test_margins_first_order_lag():
     # gives |L| = 0.5 hence GM = 2; the unity crossing is at
     # cos(w) = 0.6875 with phase distance pi - atan2(sin w, cos w - 0.5).
     L = DtStateSpace([[0.5]], [[1.0]], [[0.75]], [[0.0]], 1.0)
-    m = loop_margins(L, feedback_sign=-1)
+    m = loop_margins(_negated(L))
     assert_allclose(m.gain_margin, 2.0, rtol=1e-6)
     assert_allclose(m.crossover_frequency, 0.812756, rtol=1e-3)
     assert_allclose(m.phase_margin, 1.823473, rtol=1e-3)
@@ -165,7 +165,7 @@ def test_margins_first_order_lag():
 
 def test_margins_static_gain_positive_closure():
     S = DtStateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[0.5]], 1.0)
-    m = loop_margins(S, feedback_sign=1)
+    m = loop_margins(S)
     assert_allclose(m.gain_margin, 2.0, rtol=1e-9)
     assert np.isinf(m.delay_margin)
     assert not m.unity_crossing_found
@@ -177,9 +177,17 @@ def test_margins_require_siso():
         loop_margins(L)
 
 
+def _negated(L):
+    """The loop -L: with it loop_margins closes signal = -L(signal)."""
+    if isinstance(L, _GridLoop):
+        return _GridLoop(-L.grid_response, -L.off_grid)
+    return DtStateSpace(L.A, L.B, -L.C, -L.D, L.Ts)
+
+
 def _loop_margins_reference(L, feedback_sign):
     """loop_margins with its grid scans written as plain loops over the
-    intervals, one skip rule at a time."""
+    intervals, one skip rule at a time; the loop closes as
+    signal = feedback_sign * L(signal)."""
     Ts = L.Ts
     w_nyq = math.pi / Ts
 
@@ -239,27 +247,28 @@ def _loop_margins_reference(L, feedback_sign):
 
 class _GridLoop:
     """A SISO 'loop' whose response on loop_margins' 2401-point grid is
-    given point by point, and is OFF_GRID at every single frequency a
+    given point by point, and is ``off_grid`` at every single frequency a
     bisection or a crossing asks for.
 
     Exact zeros and exact unit magnitudes on grid points make each skip
     rule of the crossing scans the only rule that decides its interval.
-    An interval that is wrongly bisected finds OFF_GRID, a negative-real
+    The loops below close as signal = -L(signal).  An interval that is
+    wrongly bisected finds the default ``off_grid``, a negative-real
     candidate of magnitude ~0.8 (gain margin 1.25 instead of 2) and a
     unity crossing where the loop below has none.
     """
 
     n_u = n_y = 1
     Ts = 1.0
-    OFF_GRID = -0.8 + 0.01j
 
-    def __init__(self, grid_response):
+    def __init__(self, grid_response, off_grid=-0.8 + 0.01j):
         self.grid_response = grid_response
+        self.off_grid = off_grid
 
     def freq_response(self, w_ts):
         w_ts = np.atleast_1d(w_ts)
         if w_ts.size == 1:
-            return np.full((1, 1, 1), self.OFF_GRID)
+            return np.full((1, 1, 1), self.off_grid)
         assert w_ts.size == self.grid_response.size
         return self.grid_response.reshape(-1, 1, 1)
 
@@ -287,12 +296,12 @@ def _magnitude_scan_loop():
 def test_margin_scan_skip_rules_on_exact_grid_points():
     grid = np.logspace(math.log10(math.pi) - 6, math.log10(math.pi), 2401)
     L = _phase_scan_loop()
-    m = loop_margins(L, feedback_sign=-1)
+    m = loop_margins(_negated(L))
     assert m == _loop_margins_reference(L, -1)
     assert m.gain_margin == 2.0 and m.phase_crossing_found
     assert m.crossover_frequency == grid[2000] and m.unity_crossing_found
     L = _magnitude_scan_loop()
-    m = loop_margins(L, feedback_sign=-1)
+    m = loop_margins(_negated(L))
     assert m == _loop_margins_reference(L, -1)
     assert not (m.phase_crossing_found or m.unity_crossing_found)
 
@@ -308,5 +317,5 @@ def _realised_margin_loops():
 
 def test_margin_scan_matches_the_loop_reference_on_realised_loops():
     for L in _realised_margin_loops():
-        for sign in (1, -1):
-            assert loop_margins(L, sign) == _loop_margins_reference(L, sign)
+        assert loop_margins(L) == _loop_margins_reference(L, 1)
+        assert loop_margins(_negated(L)) == _loop_margins_reference(L, -1)

@@ -98,7 +98,7 @@ def test_unconstrained_optimum_is_the_linear_law():
 def test_tracking_optimum_follows_the_reference_state():
     rng = np.random.default_rng(42)
     G, K_c = _random_plant_gain(rng, n=4, m=1)
-    cfg = MpcConfig(N=6, cost=matching_cost(K_c), tracking="reference")
+    cfg = MpcConfig(N=6, cost=matching_cost(K_c))
     qp = build_condensed_qp(G, cfg)
     x0 = rng.standard_normal(4)
     x_r = rng.standard_normal(4)
@@ -114,8 +114,7 @@ def test_known_input_enters_the_prediction():
     rng = np.random.default_rng(43)
     G, K_c = _random_plant_gain(rng, n=3, m=1)
     B_w = rng.standard_normal((3, 1))
-    cfg = MpcConfig(N=5, cost=matching_cost(K_c), tracking="reference",
-                    known_input=B_w)
+    cfg = MpcConfig(N=5, cost=matching_cost(K_c), known_input=B_w)
     qp = build_condensed_qp(G, cfg)
     x0 = rng.standard_normal(3)
     x_r = np.zeros(3)
@@ -150,7 +149,6 @@ def test_direct_and_prestabilised_agree_under_constraints():
             else _convex_cost(rng, 3, 1, kind == "cross"),
             u_bounds=(-0.4 * np.ones(1), 0.4 * np.ones(1)),
             y_bounds=(-2.0 * np.ones(1), 2.0 * np.ones(1)),
-            tracking="reference" if extra else "none",
             known_input=rng.standard_normal((3, 1)) if extra else None,
         )
         qp_d = build_condensed_qp(G, cfg, variant="direct")
@@ -252,8 +250,6 @@ def test_config_validation():
         MpcConfig(N=0, cost=c)
     with pytest.raises(ValueError):
         MpcConfig(N=3, cost=c, u_bounds=([1.0], [-1.0]))
-    with pytest.raises(ValueError):
-        MpcConfig(N=3, cost=c, tracking="full-preview")
 
 
 def test_horizon_must_be_an_integer():

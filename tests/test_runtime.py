@@ -181,7 +181,7 @@ def test_mpc_step_unconstrained_returns_the_linear_law():
     rng = np.random.default_rng(7)
     for _ in range(5):
         x = rng.standard_normal(2)
-        res = mpc_step(qp, x)
+        res = mpc_step(qp, x, fallback_gain=K_c)
         assert not res.fallback
         assert res.status == "optimal"
         npt.assert_allclose(res.u, K_c @ x, atol=1e-8)
@@ -192,11 +192,11 @@ def test_mpc_step_tracking_offsets_the_law():
     B = np.array([[0.0], [1.0]])
     G = _sys(A, B, [[1.0, 0.0]])
     K_c = np.array([[-0.4, -0.6]])
-    cfg = MpcConfig(N=8, cost=matching_cost(K_c), tracking="reference")
+    cfg = MpcConfig(N=8, cost=matching_cost(K_c))
     qp = build_condensed_qp(G, cfg)
     x = np.array([0.3, -0.2])
     x_r = np.array([1.0, 0.1])
-    res = mpc_step(qp, x, x_r=x_r)
+    res = mpc_step(qp, x, x_r=x_r, fallback_gain=K_c)
     npt.assert_allclose(res.u, K_c @ (x - x_r), atol=1e-8)
 
 
@@ -227,7 +227,7 @@ def test_mpc_step_reports_active_set_size_and_slack():
                     y_bounds=([-0.05], [0.05]),
                     soft_output_weight=1e5)
     qp = build_condensed_qp(G, cfg)
-    res = mpc_step(qp, np.array([1.0, 0.5]))
+    res = mpc_step(qp, np.array([1.0, 0.5]), fallback_gain=K_c)
     assert res.status == "optimal"
     assert res.active_count > 0
     # the output bound cannot be met from here

@@ -334,6 +334,17 @@ def test_noisy_simulation_is_deterministic_per_seed(library):
     assert not np.array_equal(a.y, c.y)
 
 
+def test_a_library_scenario_replays_identically(library, traces):
+    # the controller holds the prefilter's system, not a running filter:
+    # each simulate steps a fresh one, so a second run repeats the first
+    first, again = traces["pendulum-case-2"], simulate(library["pendulum-case-2"])
+    assert np.any(first.x_ref)
+    for field in ("t", "y", "u", "u_applied", "x", "x_hat", "x_ref", "qp_obj",
+                  "qp_nact", "slack", "qp_iters", "qp_warm"):
+        assert np.array_equal(getattr(first, field), getattr(again, field)), field
+    assert first.qp_status == again.qp_status
+
+
 def test_divergence_is_flagged_and_the_trace_truncated():
     plant = DtStateSpace(np.array([[10.0]]), np.array([[1.0]]),
                          np.array([[1.0]]), np.array([[0.0]]), 1.0)
@@ -370,8 +381,8 @@ def test_scenario_library_runs_one_search_per_loop(monkeypatch):
 
 
 def test_warm_started_replays_match_cold_solves(monkeypatch, library, traces):
-    def cold(H, f, A=None, b=None, max_iter=None, *, factor=None, warm=()):
-        return solve_qp(H, f, A, b, max_iter, factor=factor)
+    def cold(H, f, A=None, b=None, *, factor=None, warm=()):
+        return solve_qp(H, f, A, b, factor=factor)
 
     monkeypatch.setattr(runtime, "solve_qp", cold)
     hits = warm_iters = cold_iters = 0
