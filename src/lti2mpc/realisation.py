@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .linalg import (
     UnstableSystemError,
     _h2_stack,
     _kalman_gains,
+    _solve_each,
     eig_paired,
     loop_margins,
 )
@@ -256,18 +258,31 @@ def _solve_T_stack(A_cl: np.ndarray, U: np.ndarray):
     Returns (T, residual, reasons): the (k, n_K, n) solutions (NaN where
     U1 is ill conditioned), their Riccati residuals (inf there) and, per
     member, "" or why the split is infeasible.
+
+    One LU of each U1 serves both: U1' [X | Y] = [U2' | I] gives T = X'
+    and Y = U1^-T, so cond_F = ||U1||_F ||U1^-1||_F >= cond_2(U1).  A
+    member with cond_F <= _COND_LIMIT / 2 (the half absorbs the rounding
+    in Y) is well conditioned without an SVD; only the members that bound
+    leaves uncertified (NaN, or above it) take the SVD test cond_2 <= 1e10.
     """
     k, m, n = U.shape
     U1, U2 = U[:, :n], U[:, n:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sv = np.linalg.svd(U1, compute_uv=False)
-        cond = sv[:, 0] / sv[:, -1]
-    ok = np.isfinite(cond) & (cond <= _COND_LIMIT)
+    rhs = np.concatenate(
+        [U2.transpose(0, 2, 1), np.broadcast_to(np.eye(n), (k, n, n))], axis=2
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        XY = _solve_each(U1.transpose(0, 2, 1), rhs)
+        cond_F = np.linalg.norm(U1, axis=(1, 2)) * np.linalg.norm(XY[:, :, m - n :], axis=(1, 2))
+    ok = cond_F <= 0.5 * _COND_LIMIT
+    unsure = np.flatnonzero(~ok)
+    if unsure.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sv = np.linalg.svd(U1[unsure], compute_uv=False)
+            cond = sv[:, 0] / sv[:, -1]
+        ok[unsure] = np.isfinite(cond) & (cond <= _COND_LIMIT)
     T = np.full((k, m - n, n), np.nan)
     resid = np.full(k, math.inf)
-    T[ok] = np.linalg.solve(
-        U1[ok].transpose(0, 2, 1), U2[ok].transpose(0, 2, 1)
-    ).transpose(0, 2, 1)
+    T[ok] = XY[ok, :, : m - n].transpose(0, 2, 1)
     resid[ok] = _riccati_residuals(A_cl, T[ok])
     bound = _RESID_TOL * np.linalg.norm(A_cl)
     reasons = [
@@ -348,9 +363,11 @@ def _free_pole_gains(G, K, T_perp, Qn, Rn):
     A_red = T_perp.transpose(0, 2, 1) @ A_shift @ T_perp
     C_red = K.B @ G.C @ T_perp
     errors = [None] * len(T_perp)
-    for i, values in enumerate(np.linalg.eigvals(A_red)):
-        marginal = [lam for lam in values if abs(lam) >= 1.0 - 1e-9]
-        bad = unobservable_modes(A_red[i], C_red[i], marginal) if marginal else []
+    values = np.linalg.eigvals(A_red)
+    on_circle = np.abs(values) >= 1.0 - 1e-9
+    for i in np.flatnonzero(on_circle.any(axis=1)):
+        marginal = values[i][on_circle[i]]
+        bad = unobservable_modes(A_red[i], C_red[i], marginal)
         if bad:
             errors[i] = NumericalError(
                 "free-pole design: reduced pair undetectable at modes "
@@ -583,7 +600,14 @@ def build_realisation(
     )
     if isinstance(out, Exception):
         raise out
-    return out
+    return _owned(out)
+
+
+def _owned(r: ObserverRealisation) -> ObserverRealisation:
+    """r with its arrays copied out of the stacks _build_stack views, so
+    the copies are allocated by the calling thread and free of the stacks."""
+    return replace(r, T=r.T.copy(), T_perp=r.T_perp.copy(), X=r.X.copy(),
+                   K_c=r.K_c.copy(), K_f=r.K_f.copy())
 
 
 def _build_stack(form, G, K, T, t_svd, X, resid, bound, form_error, choices) -> list:
@@ -594,7 +618,8 @@ def _build_stack(form, G, K, T, t_svd, X, resid, bound, form_error, choices) -> 
     ``form_error`` the form's precondition error (or None).  Returns, per
     member, the ObserverRealisation or the error build_realisation raises:
     rank deficiency first, then the form's preconditions, then the
-    invariant checks.
+    invariant checks.  Each realisation's arrays are views of the stacks;
+    :func:`_owned` copies them out.
     """
     f = _FORMS[form]
     sv, T_perp, T_pinv = t_svd
@@ -611,11 +636,11 @@ def _build_stack(form, G, K, T, t_svd, X, resid, bound, form_error, choices) -> 
     for m, i in enumerate(live):
         out[i] = errors[m] or ObserverRealisation(
             form=form,
-            T=T[m].copy(),
-            T_perp=T_perp[m].copy(),
-            X=X[m].copy(),
-            K_c=K_c[m].copy(),
-            K_f=K_f[m].copy(),
+            T=T[m],
+            T_perp=T_perp[m],
+            X=X[m],
+            K_c=K_c[m],
+            K_f=K_f[m],
             choice=choices[i],
             riccati_residual=float(resid[m]),
         )
@@ -764,7 +789,8 @@ class _Search:
 
     def evaluate(self, choices) -> list:
         """Per choice, (ObserverRealisation, RealisationScore) or the
-        reason the split was rejected."""
+        reason the split was rejected; the realisations' arrays are views
+        of this chunk's stacks (see :func:`_owned`)."""
         G, K = self.G, self.K
         cols = _columns(self.eig, self.owner, [c.state_feedback_set for c in choices])
         T, resid, out = _solve_T_stack(self.A_cl, self.basis.T[cols].transpose(0, 2, 1))
@@ -800,6 +826,75 @@ class _Search:
         return out
 
 
+def _run_chunks(evaluate, chunks, workers, merge):
+    """merge(chunk, evaluate(chunk)) for every chunk, in chunk order.
+
+    With ``workers`` > 1 the chunks are evaluated on this thread and on
+    up to workers - 1 helper threads, each taking the next chunk from a
+    shared counter.  Only this thread merges, so what a merge keeps is
+    allocated here, not in a helper's malloc arena.  A failed chunk stops
+    further chunks being taken; once every helper has been joined, the
+    exception of the earliest failed chunk is raised, the one a serial run
+    would raise.
+    """
+    if workers == 1:
+        for chunk in chunks:
+            merge(chunk, evaluate(chunk))
+        return
+    outcomes = {}  # chunk index -> (succeeded, outcomes or exception), until merged
+    ready = threading.Condition()
+    taken = itertools.count()
+    stop = threading.Event()
+
+    def evaluate_next(catch=Exception):
+        """Evaluate the next untaken chunk; False once none is left to take.
+        A helper records even an interrupt (catch=BaseException), so that
+        the caller, waiting for that chunk, re-raises it instead of waiting
+        for ever; on the calling thread an interrupt propagates at once."""
+        with ready:
+            i = next(taken)
+        if stop.is_set() or i >= len(chunks):
+            return False
+        try:
+            out = (True, evaluate(chunks[i]))
+        except catch as exc:
+            out = (False, exc)
+            stop.set()
+        with ready:
+            outcomes[i] = out
+            ready.notify_all()
+        return True
+
+    def drain():
+        while evaluate_next(BaseException):
+            pass
+
+    helpers = []
+    error = None
+    try:
+        for h in range(1, min(workers, len(chunks))):
+            t = threading.Thread(target=drain, name=f"lti2mpc-search-{h}")
+            t.start()
+            helpers.append(t)
+        busy = True
+        for i, chunk in enumerate(chunks):
+            while busy and i not in outcomes:
+                busy = evaluate_next()
+            with ready:
+                ready.wait_for(lambda: i in outcomes)
+                ok, out = outcomes.pop(i)
+            if not ok:
+                error = out
+                break
+            merge(chunk, out)
+    finally:
+        stop.set()
+        for t in helpers:
+            t.join()
+    if error is not None:
+        raise error
+
+
 def search_realisations(
     G: DtStateSpace,
     K: DtStateSpace,
@@ -819,11 +914,23 @@ def search_realisations(
     than the plant, or a ``margin_cut`` that is not an input channel raises
     ValueError before any split is solved; a closed loop with a pole
     outside the unit circle raises UnstableSystemError, and no feasible
-    split NumericalError.  The splits are evaluated in stacked chunks in
-    this process; ``workers`` is accepted and ignored (the perfbench
-    workloads pass it).  Results are sorted ascending by the
-    chosen metric ("product" or "noise"), ties broken by the S index tuple.
+    split NumericalError.  Results are sorted ascending by the chosen
+    metric ("product" or "noise"), ties broken by the S index tuple.
+
+    The splits are evaluated in stacked chunks of 64.  ``workers`` None or
+    1 evaluates them on the calling thread; an int k > 1 also starts k - 1
+    helper threads (no more than there are chunks), joined before the
+    call returns, which overlap the stacked LAPACK and BLAS calls that
+    release the GIL.  The chunks, and so every number and message of the
+    result, are the same for every ``workers``.  Helper threads and BLAS
+    threads multiply: pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when
+    the search runs on more than one.  Any other ``workers`` (a bool, a
+    non-integer, or below 1) raises ValueError before any split is solved.
     """
+    if workers is not None and (
+        not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
+    ):
+        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     if rank_by not in ("product", "noise"):
         raise ValueError("rank_by must be 'product' or 'noise'")
     if margin_cut is not None and not 0 <= margin_cut < G.n_u:
@@ -845,13 +952,16 @@ def search_realisations(
     choices = enumerate_choices(search.eig, G.n, K.n, forced_S)
 
     result = SearchResult()
-    for start in range(0, len(choices), _CHUNK):
-        chunk = choices[start : start + _CHUNK]
-        for choice, outcome in zip(chunk, search.evaluate(chunk)):
+
+    def merge(chunk, outcomes):
+        for choice, outcome in zip(chunk, outcomes):
             if isinstance(outcome, str):
                 result.rejected.append((choice, outcome))
             else:
-                result.ranked.append(outcome)
+                result.ranked.append((_owned(outcome[0]), outcome[1]))
+
+    chunks = [choices[start : start + _CHUNK] for start in range(0, len(choices), _CHUNK)]
+    _run_chunks(search.evaluate, chunks, workers or 1, merge)
     if not result.ranked:
         counts = Counter(reason for _, reason in result.rejected)
         detail = "; ".join(f"{v} x {k}" for k, v in sorted(counts.items()))

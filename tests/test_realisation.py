@@ -11,6 +11,8 @@ import ast
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -888,9 +890,9 @@ def _per_split_search(G, K, forced_S, Qn=1.0, Rn=1e7):
     return rows, rejected
 
 
-def test_smoke_surrogate_search_matches_the_per_split_reference():
-    G, K = scale_surrogate(0)
-    assert not G.disturbance_states and not np.any(K.D)
+def _smoke_forced_S(G, K):
+    """The surrogate's uncontrollable closed-loop modes plus its four
+    smallest-modulus conjugate pairs: 170 splits, three chunks."""
     A_cl = closed_loop_matrix(G, K)
     eig = eig_paired(A_cl)
     B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
@@ -899,8 +901,15 @@ def test_smoke_surrogate_search_matches_the_per_split_reference():
                    if eig.pair_index[i] is not None and eig.values[i].imag > 0)
     for _, i in pairs[:4]:  # the four smallest-modulus pairs stay in S
         forced.update((i, eig.pair_index[i]))
-    out = search_realisations(G, K, form="predictor", rank_by="product", forced_S=sorted(forced))
-    rows, rejected = _per_split_search(G, K, sorted(forced))
+    return sorted(forced)
+
+
+def test_smoke_surrogate_search_matches_the_per_split_reference():
+    G, K = scale_surrogate(0)
+    assert not G.disturbance_states and not np.any(K.D)
+    forced = _smoke_forced_S(G, K)
+    out = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
+    rows, rejected = _per_split_search(G, K, forced)
     assert len(out.ranked) + len(out.rejected) == 170
     assert len(rows) == len(out.ranked) >= 10
     assert [(c.state_feedback_set, reason) for c, reason in out.rejected] == rejected
@@ -931,3 +940,145 @@ def test_importing_the_search_loads_no_online_machinery():
     loaded = set(ast.literal_eval(proc.stdout))
     assert "lti2mpc.realisation" in loaded
     assert not loaded & {"lti2mpc.runtime", "lti2mpc.mpc", "lti2mpc.qp"}
+
+
+# -- threaded search -----------------------------------------------------------
+
+def test_threaded_search_equals_the_serial_search():
+    G, K = scale_surrogate(0)
+    forced = _smoke_forced_S(G, K)
+    serial = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
+    before = threading.active_count()
+    threaded = search_realisations(G, K, form="predictor", rank_by="product",
+                                   forced_S=forced, workers=2)
+    assert threading.active_count() == before
+    assert len(serial.ranked) + len(serial.rejected) > 2 * realisation._CHUNK
+    assert serial.rejected and serial.ranked
+    assert [(c.state_feedback_set, reason) for c, reason in threaded.rejected] == \
+           [(c.state_feedback_set, reason) for c, reason in serial.rejected]
+    assert [r.choice.state_feedback_set for r, _ in threaded.ranked] == \
+           [r.choice.state_feedback_set for r, _ in serial.ranked]
+    for (r1, s1), (r2, s2) in zip(serial.ranked, threaded.ranked):
+        assert (s1.h2_noise, s1.h2_dist, s1.product) == (s2.h2_noise, s2.h2_dist, s2.product)
+        assert r1.riccati_residual == r2.riccati_residual
+        for name in ("T", "T_perp", "X", "K_c", "K_f"):
+            a, b = getattr(r1, name), getattr(r2, name)
+            assert np.array_equal(a, b), name
+            assert b.base is None  # owned, not a view of a chunk's stacks
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 1.5])
+def test_a_bad_workers_value_is_refused_before_any_split_is_solved(monkeypatch, workers):
+    def no_solve(*args):
+        raise AssertionError("a split was solved")
+
+    monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
+    G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
+    with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
+        search_realisations(G, K, form="filter", workers=workers)
+
+
+def test_a_failing_chunk_is_raised_once_every_helper_is_joined(monkeypatch):
+    G, K = scale_surrogate(0)
+    forced = _smoke_forced_S(G, K)
+    choices = enumerate_choices(eig_paired(closed_loop_matrix(G, K)), G.n, K.n, forced)
+    second, third = choices[realisation._CHUNK], choices[2 * realisation._CHUNK]
+    evaluate = realisation._Search.evaluate
+
+    def failing(self, chunk):
+        if chunk[0] == second:
+            raise RuntimeError("chunk 2 failed")
+        if chunk[0] == third:
+            raise KeyError("chunk 3 failed")
+        return evaluate(self, chunk)
+
+    monkeypatch.setattr(realisation._Search, "evaluate", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 2 failed"):
+        search_realisations(G, K, form="predictor", forced_S=forced, workers=2)
+    assert threading.active_count() == before
+
+
+def test_a_failure_waits_for_the_helper_still_evaluating_a_later_chunk():
+    # the calling thread fails its chunk only once the helper is inside a
+    # later one, so the failure is raised while that helper is still busy
+    helper_chunk = []
+
+    def evaluate(chunk):
+        (i,) = chunk
+        if threading.current_thread() is not threading.main_thread():
+            helper_chunk.append(i)
+            time.sleep(0.3)
+            return [i]
+        deadline = time.monotonic() + 5.0
+        while not (helper_chunk and helper_chunk[-1] > i) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        raise RuntimeError(f"chunk {i} failed")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="failed"):
+        realisation._run_chunks(evaluate, [[i] for i in range(6)], 2, lambda chunk, out: None)
+    assert threading.active_count() == before
+
+
+def test_many_threads_evaluate_each_chunk_once_and_merge_in_order():
+    evaluated, merged = [], []
+
+    def evaluate(chunk):
+        evaluated.append(chunk[0])
+        return [sum(range(200)) + chunk[0]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        before = threading.active_count()
+        realisation._run_chunks(evaluate, [[i] for i in range(300)], 8,
+                                lambda chunk, out: merged.append((chunk[0], out[0])))
+        assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(evaluated) == list(range(300))
+    assert merged == [(i, sum(range(200)) + i) for i in range(300)]
+
+
+def _conditioned(rng, n, singular_values):
+    """An n x n matrix Q1 diag(s) Q2 with random orthogonal Q1, Q2."""
+    Q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q1 @ np.diag(singular_values) @ Q2
+
+
+def test_solve_T_stack_conditioning_matches_the_svd_rule(monkeypatch):
+    rng = np.random.default_rng(5)
+    n, n_K = 4, 2
+    U1 = np.stack([
+        _conditioned(rng, n, np.logspace(0, -3, n)),              # certified by cond_F
+        _conditioned(rng, n, [1.0, 1.0, 1 / 0.3e10, 1 / 0.3e10]),  # cond_F 0.6e10, cond 0.3e10
+        _conditioned(rng, n, np.geomspace(1.0, 1 / 0.9e10, n)),    # cond 0.9e10
+        _conditioned(rng, n, np.geomspace(1.0, 1 / 1.1e10, n)),    # cond 1.1e10
+        _conditioned(rng, n, np.ones(n)),
+    ])
+    U1[4][:, -1] = 0.0  # exactly singular
+    U2 = rng.standard_normal((len(U1), n_K, n))
+    A_cl = rng.standard_normal((n + n_K, n + n_K))
+
+    svd_members = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: svd_members.append(len(a)) or svd(a, *args, **kw))
+    T, resid, reasons = realisation._solve_T_stack(A_cl, np.concatenate([U1, U2], axis=1))
+    assert svd_members == [4]  # only the members cond_F leaves uncertified
+
+    bound = 1e-8 * np.linalg.norm(A_cl)
+    for i in range(len(U1)):
+        cond = svd(U1[i], compute_uv=False)
+        if not cond[-1] > 0 or cond[0] / cond[-1] > 1e10:
+            assert reasons[i] == "U1 ill conditioned"
+            assert np.isnan(T[i]).all() and resid[i] == np.inf
+            continue
+        expect = np.linalg.solve(U1[i].T, U2[i].T).T
+        assert np.array_equal(T[i], expect)
+        r = np.linalg.norm(np.hstack([-expect, np.eye(n_K)]) @ A_cl @ np.vstack([np.eye(n), expect]))
+        assert_allclose(resid[i], r, rtol=1e-12)
+        assert reasons[i] == ("" if resid[i] <= bound else f"residual {resid[i]:.2e} above {bound:.2e}")
+    assert [r == "U1 ill conditioned" for r in reasons] == [False, False, False, True, True]
