@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -829,70 +829,19 @@ class _Search:
 def _run_chunks(evaluate, chunks, workers, merge):
     """merge(chunk, evaluate(chunk)) for every chunk, in chunk order.
 
-    With ``workers`` > 1 the chunks are evaluated on this thread and on
-    up to workers - 1 helper threads, each taking the next chunk from a
-    shared counter.  Only this thread merges, so what a merge keeps is
-    allocated here, not in a helper's malloc arena.  A failed chunk stops
-    further chunks being taken; once every helper has been joined, the
-    exception of the earliest failed chunk is raised, the one a serial run
-    would raise.
+    With ``workers`` > 1 the chunks are evaluated on a pool of that many
+    threads.  Only this thread merges, so what a merge keeps is allocated
+    here, not in a pool thread's malloc arena.  The first failed chunk in
+    chunk order, the one a serial run would fail on, is raised once the
+    chunks not yet started are cancelled and every pool thread is joined.
     """
-    if workers == 1:
-        for chunk in chunks:
-            merge(chunk, evaluate(chunk))
-        return
-    outcomes = {}  # chunk index -> (succeeded, outcomes or exception), until merged
-    ready = threading.Condition()
-    taken = itertools.count()
-    stop = threading.Event()
-
-    def evaluate_next(catch=Exception):
-        """Evaluate the next untaken chunk; False once none is left to take.
-        A helper records even an interrupt (catch=BaseException), so that
-        the caller, waiting for that chunk, re-raises it instead of waiting
-        for ever; on the calling thread an interrupt propagates at once."""
-        with ready:
-            i = next(taken)
-        if stop.is_set() or i >= len(chunks):
-            return False
-        try:
-            out = (True, evaluate(chunks[i]))
-        except catch as exc:
-            out = (False, exc)
-            stop.set()
-        with ready:
-            outcomes[i] = out
-            ready.notify_all()
-        return True
-
-    def drain():
-        while evaluate_next(BaseException):
-            pass
-
-    helpers = []
-    error = None
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="lti2mpc-search") if workers > 1 else None
     try:
-        for h in range(1, min(workers, len(chunks))):
-            t = threading.Thread(target=drain, name=f"lti2mpc-search-{h}")
-            t.start()
-            helpers.append(t)
-        busy = True
-        for i, chunk in enumerate(chunks):
-            while busy and i not in outcomes:
-                busy = evaluate_next()
-            with ready:
-                ready.wait_for(lambda: i in outcomes)
-                ok, out = outcomes.pop(i)
-            if not ok:
-                error = out
-                break
+        for chunk, out in zip(chunks, (pool.map if pool else map)(evaluate, chunks)):
             merge(chunk, out)
     finally:
-        stop.set()
-        for t in helpers:
-            t.join()
-    if error is not None:
-        raise error
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def search_realisations(
@@ -918,11 +867,11 @@ def search_realisations(
     metric ("product" or "noise"), ties broken by the S index tuple.
 
     The splits are evaluated in stacked chunks of 64.  ``workers`` None or
-    1 evaluates them on the calling thread; an int k > 1 also starts k - 1
-    helper threads (no more than there are chunks), joined before the
-    call returns, which overlap the stacked LAPACK and BLAS calls that
-    release the GIL.  The chunks, and so every number and message of the
-    result, are the same for every ``workers``.  Helper threads and BLAS
+    1 evaluates them on the calling thread; an int k > 1 evaluates them on
+    a pool of k threads, joined before the call returns, which overlap the
+    stacked LAPACK and BLAS calls that release the GIL, while the calling
+    thread merges them.  The chunks, and so every number and message of
+    the result, are the same for every ``workers``.  Pool threads and BLAS
     threads multiply: pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when
     the search runs on more than one.  Any other ``workers`` (a bool, a
     non-integer, or below 1) raises ValueError before any split is solved.

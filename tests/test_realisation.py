@@ -978,7 +978,7 @@ def test_a_bad_workers_value_is_refused_before_any_split_is_solved(monkeypatch, 
         search_realisations(G, K, form="filter", workers=workers)
 
 
-def test_a_failing_chunk_is_raised_once_every_helper_is_joined(monkeypatch):
+def test_a_failing_chunk_is_raised_once_every_pool_thread_is_joined(monkeypatch):
     G, K = scale_surrogate(0)
     forced = _smoke_forced_S(G, K)
     choices = enumerate_choices(eig_paired(closed_loop_matrix(G, K)), G.n, K.n, forced)
@@ -999,26 +999,40 @@ def test_a_failing_chunk_is_raised_once_every_helper_is_joined(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_a_failure_waits_for_the_helper_still_evaluating_a_later_chunk():
-    # the calling thread fails its chunk only once the helper is inside a
-    # later one, so the failure is raised while that helper is still busy
-    helper_chunk = []
+def test_the_earliest_failed_chunk_is_raised_once_a_later_busy_chunk_is_done():
+    # chunk 1 fails first, then chunk 0 fails while chunk 2 is still being
+    # evaluated: chunk 0's error is raised, and only after chunk 2 is done
+    failed_1, started_2, finished = threading.Event(), threading.Event(), []
 
     def evaluate(chunk):
         (i,) = chunk
-        if threading.current_thread() is not threading.main_thread():
-            helper_chunk.append(i)
+        if i == 0:
+            failed_1.wait(5.0)
+            started_2.wait(5.0)
+            raise RuntimeError("chunk 0 failed")
+        if i == 1:
+            failed_1.set()
+            raise KeyError("chunk 1 failed")
+        if i == 2:
+            started_2.set()
             time.sleep(0.3)
-            return [i]
-        deadline = time.monotonic() + 5.0
-        while not (helper_chunk and helper_chunk[-1] > i) and time.monotonic() < deadline:
-            time.sleep(0.001)
-        raise RuntimeError(f"chunk {i} failed")
+        finished.append(i)
+        return [i]
 
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(RuntimeError, match="chunk 0 failed"):
         realisation._run_chunks(evaluate, [[i] for i in range(6)], 2, lambda chunk, out: None)
+    assert 2 in finished
     assert threading.active_count() == before
+
+
+def test_one_worker_evaluates_on_the_calling_thread():
+    threads, merged = set(), []
+    realisation._run_chunks(lambda chunk: threads.add(threading.current_thread()) or chunk,
+                            [[i] for i in range(3)], 1,
+                            lambda chunk, out: merged.append(out[0]))
+    assert threads == {threading.current_thread()}
+    assert merged == [0, 1, 2]
 
 
 def test_many_threads_evaluate_each_chunk_once_and_merge_in_order():
