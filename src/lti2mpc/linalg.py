@@ -181,7 +181,8 @@ def _lyapunov_residual(A, P, Q):
     """||A P A^T - P + Q|| and the bound 1e-9 (||Q|| + ||P||) it must meet;
     on stacks (leading axes) one pair per member."""
     fro = lambda M: np.linalg.norm(M, axis=(-2, -1))
-    resid = fro(A @ P @ np.swapaxes(A, -1, -2) - P + Q)
+    # a contiguous A^T keeps the stacked product on the BLAS path
+    resid = fro(A @ P @ np.ascontiguousarray(np.swapaxes(A, -1, -2)) - P + Q)
     bound = 1e-9 * (fro(Q) + fro(P))
     return resid, np.maximum(bound, 1e-300)
 
@@ -235,11 +236,13 @@ def _h2_stack(A, maps, Ts) -> np.ndarray:
     k = len(A)
     maps = [tuple(np.broadcast_to(M, (k,) + M.shape[-2:]) for M in m) for m in maps]
     Q = np.stack([B @ B.transpose(0, 2, 1) for B, _, _ in maps], axis=1)
-    fro2 = lambda M: np.einsum("...ij,...ij->...", M, M)  # squared Frobenius norms
+    inner = lambda M, N: np.einsum("...ij,...ij->...", M, N)  # trace(M N')
+    fro2 = lambda M: inner(M, M)  # squared Frobenius norms
 
     def double(state):
         A_s, P = state
-        step = A_s[:, np.newaxis] @ P @ A_s.transpose(0, 2, 1)[:, np.newaxis]
+        At = np.ascontiguousarray(A_s.transpose(0, 2, 1))  # on the BLAS path
+        step = A_s[:, np.newaxis] @ P @ At[:, np.newaxis]
         P = P + step
         A_s = A_s @ A_s
         a2, p2 = fro2(A_s), fro2(P)
@@ -257,9 +260,8 @@ def _h2_stack(A, maps, Ts) -> np.ndarray:
     resid, bound = _lyapunov_residual(A[certified, np.newaxis], P[certified], Q[certified])
     done[certified] = resid <= bound
     for j, (_, C, D) in enumerate(maps):
-        Cm, Dm, Pm = C[certified], D[certified], P[certified, j]
-        val = (np.trace(Cm @ Pm @ Cm.transpose(0, 2, 1), axis1=1, axis2=2)
-               + np.trace(Dm @ Dm.transpose(0, 2, 1), axis1=1, axis2=2))
+        Cm, Dm = C[certified], D[certified]
+        val = inner(Cm @ P[certified, j], Cm) + fro2(Dm)  # trace(C P C' + D D')
         # tiny negative values can appear through cancellation
         out[certified, j] = np.sqrt(np.maximum(val, 0.0))
     rest = np.flatnonzero(status != 1)
@@ -276,15 +278,39 @@ def _h2_stack(A, maps, Ts) -> np.ndarray:
     return out
 
 
-def _as_cov(X, dim: int, name: str) -> np.ndarray:
+def _as_cov(X, dim: int, name: str, definite: bool) -> np.ndarray:
+    """X as a symmetric dim x dim covariance; a scalar means that multiple
+    of the identity.  A ValueError naming ``name`` refuses a wrong shape, a
+    non-finite entry, an eigenvalue below -1e-12 ||X||_2 and, when
+    ``definite``, an X that is not positive definite; a scalar is judged
+    as a 1 x 1 matrix, so it is refused even when dim is 0."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 0:
-        return float(X) * np.eye(dim)
-    if X.ndim == 1 and X.size == 1:
-        return float(X[0]) * np.eye(dim)
-    if X.shape != (dim, dim):
+    scalar = X.ndim == 0 or (X.ndim == 1 and X.size == 1)
+    if scalar:
+        X = X.reshape(1, 1)
+    elif X.shape != (dim, dim):
         raise ValueError(f"{name} must be scalar or {dim}x{dim}, got {X.shape}")
-    return 0.5 * (X + X.T)
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} must be finite")
+    X = 0.5 * (X + X.T)
+    if definite:
+        try:
+            scipy.linalg.cholesky(X)
+        except scipy.linalg.LinAlgError:
+            raise ValueError(f"{name} must be positive definite") from None
+    else:
+        lam = np.linalg.eigvalsh(X)
+        if lam.size and lam[0] < -1e-12 * np.abs(lam).max():
+            raise ValueError(f"{name} must be positive semidefinite")
+    return float(X[0, 0]) * np.eye(dim) if scalar else X
+
+
+def _noise_weights(Qn, Rn, n: int, ny: int):
+    """(Qn, Rn^-1) of a Kalman design with n states and ny outputs: the
+    checked n x n process covariance and the inverse of the checked ny x ny
+    measurement covariance (see :func:`_as_cov`)."""
+    Qn = _as_cov(Qn, n, "Qn", definite=False)
+    return Qn, np.linalg.inv(_as_cov(Rn, ny, "Rn", definite=True))
 
 
 def solve_dare_kalman(A, C, Qn, Rn):
@@ -306,7 +332,8 @@ def solve_dare_kalman(A, C, Qn, Rn):
     A : (n, n) array_like
     C : (ny, n) array_like
     Qn : scalar or (n, n) array_like
-        Process covariance; a scalar means that multiple of the identity.
+        Process covariance, positive semidefinite; a scalar means that
+        multiple of the identity.
     Rn : scalar or (ny, ny) array_like
         Measurement covariance, positive definite.
 
@@ -316,60 +343,69 @@ def solve_dare_kalman(A, C, Qn, Rn):
 
     Raises
     ------
+    ValueError
+        If Qn or Rn has the wrong size, a non-finite entry, or is not
+        positive semidefinite (Qn) or positive definite (Rn).
     NumericalError
         If the doubling iteration breaks down or does not reach relative
         residual 1e-8 within 200 doubling steps.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    L, errors = _kalman_gains(A[np.newaxis], C[np.newaxis], Qn, Rn)
+    weights = _noise_weights(Qn, Rn, A.shape[0], C.shape[0])
+    L, errors = _kalman_gains(A[np.newaxis], C[np.newaxis], *weights)
     if errors[0] is not None:
         raise errors[0]
     return L[0]
 
 
-def _kalman_gains(A, C, Qn, Rn):
-    """solve_dare_kalman on a stack of pairs A (k, n, n), C (k, ny, n).
+def _kalman_gains(A, C, Qn, Rn_inv):
+    """solve_dare_kalman on a stack of pairs A (k, n, n), C (k, ny, n), with
+    the weights (Qn, Rn^-1) from :func:`_noise_weights`.
 
     Returns (L, errors): the (k, n, ny) gains and, per member, None or the
     NumericalError solve_dare_kalman raises for it (that member's gain is
-    then meaningless).  Bad covariances raise ValueError for the whole
-    stack.
+    then meaningless).
+
+    Everything after the doubling works in the state dimension n, whatever
+    ny is (the information form; Anderson & Moore, Optimal Filtering,
+    1979, section 6).  With G = C' Rn^-1 C and M = I + P G, which is
+    nonsingular for P, G >= 0 (its eigenvalues are >= 1),
+
+        P - P C' S^-1 C P = M^-1 P,   A P C' S^-1 = A M^-1 P C' Rn^-1,
+
+    where S = C P C' + Rn, so one stacked solve with M gives both the DARE
+    residual A M^-1 P A' - P + Qn and the gain.
     """
     k, n = A.shape[:2]
     ny = C.shape[1]
     if C.shape[2] != n:
         raise ValueError(f"C has {C.shape[2]} columns, expected {n}")
-    Qn = _as_cov(Qn, n, "Qn")
-    Rn = _as_cov(Rn, ny, "Rn")
-    try:
-        scipy.linalg.cholesky(Rn)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError("Rn must be positive definite") from exc
-
-    P = _dare_doubling(A, C, Qn, Rn)
+    CtRi = C.transpose(0, 2, 1) @ Rn_inv
+    P = _dare_doubling(A, CtRi @ C, Qn)
     errors = [None] * k
     L = np.full((k, n, ny), np.nan)
     live = np.flatnonzero(np.isfinite(P).all(axis=(1, 2)))
     for i in np.setdiff1d(np.arange(k), live):
         errors[i] = NumericalError("Kalman DARE doubling iteration broke down")
-    P, A, C = P[live], A[live], C[live]
-    At, Ct = A.transpose(0, 2, 1), C.transpose(0, 2, 1)
-    S = C @ P @ Ct + Rn
-    APCt = A @ P @ Ct
-    F = A @ P @ At - P + Qn - APCt @ _solve_each(S, C @ P @ At)
+    P, A, CtRi = P[live], A[live], CtRi[live]
+    PCtRi = P @ CtRi
+    W = _solve_each(np.eye(n) + PCtRi @ C[live], np.concatenate([P, PCtRi], axis=2))
+    AW = A @ W
+    F = AW[:, :, :n] @ np.ascontiguousarray(A.transpose(0, 2, 1)) - P + Qn
     resid = np.linalg.norm(F, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(P, axis=(1, 2)))
     for i, r in zip(live, resid):
         if not r <= 1e-8:
             errors[i] = NumericalError(
                 f"Kalman DARE iteration did not converge, relative residual {r:.3e}"
             )
-    L[live] = _solve_each(S.transpose(0, 2, 1), APCt.transpose(0, 2, 1)).transpose(0, 2, 1)
+    L[live] = AW[:, :, n:]
     return L, errors
 
 
-def _dare_doubling(A, C, Qn, Rn):
-    """Doubling iteration on the dual DARE for a stack of pairs.
+def _dare_doubling(A, G, Qn):
+    """Doubling iteration on the dual DARE for a stack of pairs, given
+    G = C' Rn^-1 C (k, n, n) and the process covariance Qn (n, n).
 
     Returns the (k, n, n) stack of P.  Each member stops at the iteration
     where its own step falls below 1e-10 max(1, ||P||), so it equals a
@@ -382,10 +418,10 @@ def _dare_doubling(A, C, Qn, Rn):
     def double(state):
         Ak, Gk, Hk = state
         W = _solve_each(eye + Gk @ Hk, np.concatenate([Ak, Gk], axis=2))
-        WA, WG = W[:, :, :n], W[:, :, n:]
-        A_next = Ak @ WA
-        G_next = Gk + Ak @ WG @ Ak.transpose(0, 2, 1)
-        H_next = Hk + Ak.transpose(0, 2, 1) @ Hk @ WA
+        AW = Ak @ W
+        A_next = AW[:, :, :n]
+        G_next = Gk + AW[:, :, n:] @ Ak.transpose(0, 2, 1)
+        H_next = Hk + Ak.transpose(0, 2, 1) @ Hk @ W[:, :, :n]
         H_next = 0.5 * (H_next + H_next.transpose(0, 2, 1))
         step = np.linalg.norm(H_next - Hk, axis=(1, 2))
         size = np.linalg.norm(H_next, axis=(1, 2))
@@ -394,10 +430,9 @@ def _dare_doubling(A, C, Qn, Rn):
         state = (A_next, 0.5 * (G_next + G_next.transpose(0, 2, 1)), H_next)
         return state, np.where(broken, -1, done)
 
-    Gk = C.transpose(0, 2, 1) @ np.linalg.solve(Rn, C)
     Hk = np.repeat(Qn[np.newaxis], len(A), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is a breakdown
-        (_, _, P), status = _freeze_each((A.transpose(0, 2, 1), Gk, Hk), double, 200)
+        (_, _, P), status = _freeze_each((A.transpose(0, 2, 1), G, Hk), double, 200)
     P[status == -1] = np.nan
     return P
 

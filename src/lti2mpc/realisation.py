@@ -30,6 +30,7 @@ from .linalg import (
     UnstableSystemError,
     _h2_stack,
     _kalman_gains,
+    _noise_weights,
     _solve_each,
     eig_paired,
     loop_margins,
@@ -201,40 +202,45 @@ def enumerate_choices(
     return choices
 
 
-def _real_eigenbasis(eig: EigenStructure):
-    """Real basis of the whole spectrum, and the eigenvalue each column spans.
+class _Eigenbasis:
+    """Real basis of the whole spectrum, from which each split's invariant
+    subspace basis is cut.
 
     A real eigenvalue contributes its eigenvector; a conjugate pair
     contributes (Re u, Im u) of the member with positive imaginary part,
     both owned by the pair's lower index.  Columns are in index order, so
     the columns owned by a sorted index set form, in order, the real basis
-    of its invariant subspace (see :func:`_columns`).
+    of its invariant subspace.  ``sigma_min``, the smallest singular value
+    of the whole basis, bounds that of every column subset from below.
     """
-    cols, owner = [], []
-    for i, j in enumerate(eig.pair_index):
-        if j is None:
-            cols.append(eig.vectors[:, i].real)
-            owner.append(i)
-        elif i < j:
-            u = eig.vectors[:, i if eig.values[i].imag > 0 else j]
-            cols += [u.real, u.imag]
-            owner += [i, i]
-    return np.column_stack(cols), np.array(owner)
 
+    def __init__(self, eig: EigenStructure):
+        cols, owner = [], []
+        for i, j in enumerate(eig.pair_index):
+            if j is None:
+                cols.append(eig.vectors[:, i].real)
+                owner.append(i)
+            elif i < j:
+                u = eig.vectors[:, i if eig.values[i].imag > 0 else j]
+                cols += [u.real, u.imag]
+                owner += [i, i]
+        self.basis = np.column_stack(cols)
+        self.owner = np.array(owner)
+        self.partner = np.array([i if j is None else j for i, j in enumerate(eig.pair_index)])
+        self.sigma_min = float(np.linalg.svd(self.basis, compute_uv=False)[-1])
 
-def _columns(eig: EigenStructure, owner, selections) -> np.ndarray:
-    """(k, n) indices of the real-eigenbasis columns spanning each of k
-    equally sized index selections."""
-    sizes = [len(indices) for indices in selections]
-    chosen = np.zeros((len(selections), eig.n), dtype=bool)
-    chosen[np.repeat(np.arange(len(sizes)), sizes),
-           np.fromiter(itertools.chain.from_iterable(selections), int, sum(sizes))] = True
-    partner = [i if j is None else j for i, j in enumerate(eig.pair_index)]
-    split = np.argwhere(chosen & ~chosen[:, partner])
-    if split.size:
-        i = int(split[0, 1])
-        raise ValueError(f"conjugate pair ({i}, {partner[i]}) split by the selection")
-    return np.nonzero(chosen[:, owner])[1].reshape(len(selections), -1)
+    def subspaces(self, selections) -> np.ndarray:
+        """(k, n + n_K, s) real bases of k index selections of size s each."""
+        sizes = [len(indices) for indices in selections]
+        chosen = np.zeros((len(selections), len(self.partner)), dtype=bool)
+        chosen[np.repeat(np.arange(len(sizes)), sizes),
+               np.fromiter(itertools.chain.from_iterable(selections), int, sum(sizes))] = True
+        split = np.argwhere(chosen & ~chosen[:, self.partner])
+        if split.size:
+            i = int(split[0, 1])
+            raise ValueError(f"conjugate pair ({i}, {self.partner[i]}) split by the selection")
+        cols = np.nonzero(chosen[:, self.owner])[1].reshape(len(selections), -1)
+        return self.basis.T[cols].transpose(0, 2, 1)
 
 
 def solve_T(A_cl: np.ndarray, choice: RealisationChoice, eig: EigenStructure) -> TSolveResult:
@@ -244,36 +250,37 @@ def solve_T(A_cl: np.ndarray, choice: RealisationChoice, eig: EigenStructure) ->
     The split is declared infeasible when U1 is ill conditioned (> 1e10)
     or the residual of [-T I] A_cl [I; T] exceeds 1e-8 ||A_cl||.
     """
-    basis, owner = _real_eigenbasis(eig)
-    U = basis.T[_columns(eig, owner, [choice.state_feedback_set])].transpose(0, 2, 1)
-    T, resid, reasons = _solve_T_stack(A_cl, U)
+    basis = _Eigenbasis(eig)
+    U = basis.subspaces([choice.state_feedback_set])
+    T, resid, reasons = _solve_T_stack(A_cl, U, basis.sigma_min)
     if reasons[0]:
         return TSolveResult(False, None, float(resid[0]), reasons[0])
     return TSolveResult(True, T[0], float(resid[0]))
 
 
-def _solve_T_stack(A_cl: np.ndarray, U: np.ndarray):
-    """solve_T on a stack of invariant-subspace bases U (k, n + n_K, n).
+def _solve_T_stack(A_cl: np.ndarray, U: np.ndarray, sigma_min: float):
+    """solve_T on a stack of invariant-subspace bases U (k, n + n_K, n),
+    each a column subset of one basis whose smallest singular value is
+    ``sigma_min``.
 
     Returns (T, residual, reasons): the (k, n_K, n) solutions (NaN where
     U1 is ill conditioned), their Riccati residuals (inf there) and, per
     member, "" or why the split is infeasible.
 
-    One LU of each U1 serves both: U1' [X | Y] = [U2' | I] gives T = X'
-    and Y = U1^-T, so cond_F = ||U1||_F ||U1^-1||_F >= cond_2(U1).  A
-    member with cond_F <= _COND_LIMIT / 2 (the half absorbs the rounding
-    in Y) is well conditioned without an SVD; only the members that bound
-    leaves uncertified (NaN, or above it) take the SVD test cond_2 <= 1e10.
+    U1' X = U2' gives T = X'.  Since [I; T] = U U1^-1, U1^-1 = U^+ [I; T],
+    so cond_2(U1) <= ||U1||_F sqrt(1 + ||T||_F^2) / sigma_min(U), and
+    sigma_min(U) >= ``sigma_min``.  A member whose bound is at most
+    _COND_LIMIT / 2 (the half absorbs the rounding in T) is well
+    conditioned without an SVD; only the members the bound leaves
+    uncertified (NaN, or above it) take the SVD test cond_2 <= 1e10.
     """
     k, m, n = U.shape
     U1, U2 = U[:, :n], U[:, n:]
-    rhs = np.concatenate(
-        [U2.transpose(0, 2, 1), np.broadcast_to(np.eye(n), (k, n, n))], axis=2
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        XY = _solve_each(U1.transpose(0, 2, 1), rhs)
-        cond_F = np.linalg.norm(U1, axis=(1, 2)) * np.linalg.norm(XY[:, :, m - n :], axis=(1, 2))
-    ok = cond_F <= 0.5 * _COND_LIMIT
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        X = _solve_each(U1.transpose(0, 2, 1), U2.transpose(0, 2, 1))
+        cond_bound = (np.linalg.norm(U1, axis=(1, 2))
+                      * np.sqrt(1.0 + np.einsum("kij,kij->k", X, X)) / sigma_min)
+    ok = cond_bound <= 0.5 * _COND_LIMIT
     unsure = np.flatnonzero(~ok)
     if unsure.size:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -282,7 +289,7 @@ def _solve_T_stack(A_cl: np.ndarray, U: np.ndarray):
         ok[unsure] = np.isfinite(cond) & (cond <= _COND_LIMIT)
     T = np.full((k, m - n, n), np.nan)
     resid = np.full(k, math.inf)
-    T[ok] = XY[ok, :, : m - n].transpose(0, 2, 1)
+    T[ok] = X[ok].transpose(0, 2, 1)
     resid[ok] = _riccati_residuals(A_cl, T[ok])
     bound = _RESID_TOL * np.linalg.norm(A_cl)
     reasons = [
@@ -340,49 +347,56 @@ def design_free_poles(
 
     with process covariance Qn (scalar = that multiple of identity, i.e. an
     identity-injection noise channel) and measurement covariance Rn, so the
-    extra modes are the eigenvalues of A_red - X C_red.
+    extra modes are the eigenvalues of A_red - X C_red.  A Qn that is not
+    positive semidefinite, or an Rn that is not positive definite, raises
+    ValueError (see :func:`~lti2mpc.linalg.solve_dare_kalman`).
     """
+    design = _FreePoles(G, K, Qn, Rn)
     n_K, n = T.shape
     if n_K >= n:
         return np.zeros((0, n_K))
-    X, errors = _free_pole_gains(G, K, _t_svds(T[np.newaxis])[1], Qn, Rn)
+    X, errors = design.gains(_t_svds(T[np.newaxis])[1])
     if errors[0] is not None:
         raise errors[0]
     return X[0]
 
 
-def _free_pole_gains(G, K, T_perp, Qn, Rn):
-    """design_free_poles on a stack of T-perp bases (k, n, n - n_K).
+class _FreePoles:
+    """design_free_poles for one (G, K, Qn, Rn): the constants every split
+    shares, checked and computed once, and the gains of a stack of splits."""
 
-    Returns (X, errors): the (k, n - n_K, n_K) gains and, per member, None
-    or the error design_free_poles raises for it -- NumericalError for an
-    undetectable reduced pair or a failed DARE, ValueError for bad
-    covariances.
-    """
-    A_shift = G.A + G.B @ K.D @ G.C
-    A_red = T_perp.transpose(0, 2, 1) @ A_shift @ T_perp
-    C_red = K.B @ G.C @ T_perp
-    errors = [None] * len(T_perp)
-    values = np.linalg.eigvals(A_red)
-    on_circle = np.abs(values) >= 1.0 - 1e-9
-    for i in np.flatnonzero(on_circle.any(axis=1)):
-        marginal = values[i][on_circle[i]]
-        bad = unobservable_modes(A_red[i], C_red[i], marginal)
-        if bad:
-            errors[i] = NumericalError(
-                "free-pole design: reduced pair undetectable at modes "
-                + ", ".join(f"{complex(marginal[j]):.4f}" for j in bad)
-            )
-    X = np.full((len(T_perp), C_red.shape[2], C_red.shape[1]), np.nan)
-    live = [i for i, e in enumerate(errors) if e is None]
-    if live:
-        try:
-            X[live], dare_errors = _kalman_gains(A_red[live], C_red[live], Qn, Rn)
-        except ValueError as exc:
-            dare_errors = [exc] * len(live)
-        for i, e in zip(live, dare_errors):
-            errors[i] = e
-    return X, errors
+    def __init__(self, G, K, Qn, Rn):
+        self.A_shift = G.A + G.B @ K.D @ G.C
+        self.BkC = K.B @ G.C
+        self.Qn, self.Rn_inv = _noise_weights(Qn, Rn, G.n - K.n, K.n)
+
+    def gains(self, T_perp):
+        """The gains of a stack of T-perp bases (k, n, n - n_K).
+
+        Returns (X, errors): the (k, n - n_K, n_K) gains and, per member,
+        None or the NumericalError design_free_poles raises for it, for an
+        undetectable reduced pair or a failed DARE.
+        """
+        A_red = T_perp.transpose(0, 2, 1) @ self.A_shift @ T_perp
+        C_red = self.BkC @ T_perp
+        errors = [None] * len(T_perp)
+        values = np.linalg.eigvals(A_red)
+        on_circle = np.abs(values) >= 1.0 - 1e-9
+        for i in np.flatnonzero(on_circle.any(axis=1)):
+            marginal = values[i][on_circle[i]]
+            bad = unobservable_modes(A_red[i], C_red[i], marginal)
+            if bad:
+                errors[i] = NumericalError(
+                    "free-pole design: reduced pair undetectable at modes "
+                    + ", ".join(f"{complex(marginal[j]):.4f}" for j in bad)
+                )
+        X = np.full((len(T_perp), C_red.shape[2], C_red.shape[1]), np.nan)
+        live = [i for i, e in enumerate(errors) if e is None]
+        if live:
+            X[live], dare_errors = _kalman_gains(A_red[live], C_red[live], self.Qn, self.Rn_inv)
+            for i, e in zip(live, dare_errors):
+                errors[i] = e
+        return X, errors
 
 
 @dataclass
@@ -779,11 +793,11 @@ class _Search:
     solves, designs, builds and scores its splits a chunk at a time."""
 
     def __init__(self, G, K, form, Qn, Rn, margin_cut):
-        self.G, self.K, self.form = G, K, form
-        self.Qn, self.Rn, self.margin_cut = Qn, Rn, margin_cut
+        self.G, self.K, self.form, self.margin_cut = G, K, form, margin_cut
+        self.free_poles = _FreePoles(G, K, Qn, Rn)
         self.A_cl = closed_loop_matrix(G, K)
         self.eig = eig_paired(self.A_cl)
-        self.basis, self.owner = _real_eigenbasis(self.eig)
+        self.basis = _Eigenbasis(self.eig)
         self.bound = _RESID_TOL * np.linalg.norm(self.A_cl)
         self.form_error = _form_error(_FORMS[form], G, K)
 
@@ -792,15 +806,15 @@ class _Search:
         reason the split was rejected; the realisations' arrays are views
         of this chunk's stacks (see :func:`_owned`)."""
         G, K = self.G, self.K
-        cols = _columns(self.eig, self.owner, [c.state_feedback_set for c in choices])
-        T, resid, out = _solve_T_stack(self.A_cl, self.basis.T[cols].transpose(0, 2, 1))
+        U = self.basis.subspaces([c.state_feedback_set for c in choices])
+        T, resid, out = _solve_T_stack(self.A_cl, U, self.basis.sigma_min)
         live = np.array([i for i, reason in enumerate(out) if not reason], dtype=int)
         if not live.size:
             return out
         T, resid = T[live], resid[live]
         t_svd = _t_svds(T)
         if K.n < G.n:
-            X, errors = _free_pole_gains(G, K, t_svd[1], self.Qn, self.Rn)
+            X, errors = self.free_poles.gains(t_svd[1])
         else:
             X, errors = np.zeros((live.size, 0, K.n)), [None] * live.size
         for i, e in zip(live, errors):
@@ -860,11 +874,12 @@ def search_realisations(
     forced_S defaults to the closed-loop modes that are uncontrollable
     from the plant input (those cannot leave the state-feedback set).  An
     unknown ``form``, a static controller, a controller of higher order
-    than the plant, or a ``margin_cut`` that is not an input channel raises
-    ValueError before any split is solved; a closed loop with a pole
-    outside the unit circle raises UnstableSystemError, and no feasible
-    split NumericalError.  Results are sorted ascending by the chosen
-    metric ("product" or "noise"), ties broken by the S index tuple.
+    than the plant, a ``margin_cut`` that is not an input channel, or a
+    ``Qn``/``Rn`` that design_free_poles refuses (checked even when
+    n_K = n) raises ValueError before any split is solved; a closed loop
+    with a pole outside the unit circle raises UnstableSystemError, and no
+    feasible split NumericalError.  Results are sorted ascending by the
+    chosen metric ("product" or "noise"), ties broken by the S index tuple.
 
     The splits are evaluated in stacked chunks of 64.  ``workers`` None or
     1 evaluates them on the calling thread; an int k > 1 evaluates them on

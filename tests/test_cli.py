@@ -288,6 +288,15 @@ def test_builtin_with_another_top_level_Ts_is_a_config_error(tmp_path, capsys):
      "config error: pipeline.Qn is too large for a float"),
     ({"plant": "satellite", "pipeline": {"dipole_W": float("nan")}}, 2,
      "config error: pipeline.dipole_W must be a number, not NaN"),
+    # noise covariances the Kalman design cannot use, with free observer
+    # poles (pendulum) and without (satellite)
+    ({"plant": "pendulum", "pipeline": {"Qn": -1}}, 2,
+     "config error: Qn must be positive semidefinite"),
+    ({"plant": "satellite", "pipeline": {"Qn": -1}}, 2,
+     "config error: Qn must be positive semidefinite"),
+    ({"plant": "pendulum", "pipeline": {"Qn": float("inf")}}, 2, "config error: Qn must be finite"),
+    ({"plant": "pendulum", "pipeline": {"Rn": 0}}, 2, "config error: Rn must be positive definite"),
+    ({"plant": "satellite", "pipeline": {"Rn": float("-inf")}}, 2, "config error: Rn must be finite"),
 ])
 def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, code, prefix):
     cfg = _write(tmp_path, "c.json", doc)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.linalg import companion
 
@@ -139,6 +140,62 @@ def test_dare_gain_stabilises_error_dynamics():
 def test_dare_rejects_indefinite_measurement_noise():
     with pytest.raises((ValueError, NumericalError)):
         solve_dare_kalman(np.array([[0.5]]), np.array([[1.0]]), 1.0, np.array([[-1.0]]))
+
+
+def _random_covariance(rng, dim, cond):
+    Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    return Q @ np.diag(np.geomspace(1.0, 1.0 / cond, dim)) @ Q.T
+
+
+@pytest.mark.parametrize("n, ny", [(4, 17), (4, 4), (5, 2)])
+def test_kalman_gains_match_the_scipy_dare(n, ny):
+    # the information form works in n whatever ny is; the oracle is the
+    # dual DARE P = A P A' + Qn - A P C' (C P C' + Rn)^-1 C P A'
+    rng = np.random.default_rng(40 + ny)
+    A = rng.standard_normal((6, n, n))
+    A *= rng.uniform(0.5, 1.2, (6, 1, 1)) / np.abs(np.linalg.eigvals(A)).max(axis=1)[:, None, None]
+    C = rng.standard_normal((6, ny, n))
+    Qn, Rn = _random_covariance(rng, n, 1e2), 1e3 * _random_covariance(rng, ny, 1e2)
+    L, errors = linalg._kalman_gains(A, C, *linalg._noise_weights(Qn, Rn, n, ny))
+    assert errors == [None] * 6
+    for i in range(6):
+        P = scipy.linalg.solve_discrete_are(A[i].T, C[i].T, Qn, Rn)
+        ref = A[i] @ P @ C[i].T @ np.linalg.inv(C[i] @ P @ C[i].T + Rn)
+        assert_allclose(L[i], ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+        assert_allclose(solve_dare_kalman(A[i], C[i], Qn, Rn), L[i], rtol=1e-12,
+                        atol=1e-12 * np.abs(ref).max())
+
+
+def test_kalman_gains_refuse_a_wrong_riccati_solution(monkeypatch):
+    rng = np.random.default_rng(47)
+    A, C = 0.5 * rng.standard_normal((4, 4)), rng.standard_normal((17, 4))
+    solve_dare_kalman(A, C, 1.0, 1e2)  # converges
+    doubling = linalg._dare_doubling
+    monkeypatch.setattr(linalg, "_dare_doubling", lambda *args: 1.01 * doubling(*args))
+    with pytest.raises(NumericalError, match="did not converge, relative residual"):
+        solve_dare_kalman(A, C, 1.0, 1e2)
+
+
+@pytest.mark.parametrize("Qn, Rn, message", [
+    (-1.0, 1.0, "Qn must be positive semidefinite"),
+    (np.diag([1.0, -1e-3]), 1.0, "Qn must be positive semidefinite"),
+    (np.inf, 1.0, "Qn must be finite"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), 1.0, "Qn must be finite"),
+    (np.eye(3), 1.0, "Qn must be scalar or 2x2"),
+    (1.0, 0.0, "Rn must be positive definite"),
+    (1.0, np.array([[1.0, 2.0], [2.0, 1.0]]), "Rn must be positive definite"),
+    (1.0, -np.inf, "Rn must be finite"),
+])
+def test_dare_refuses_bad_covariances(Qn, Rn, message):
+    with pytest.raises(ValueError, match=message):
+        solve_dare_kalman(0.5 * np.eye(2), np.eye(2), Qn, Rn)
+
+
+def test_dare_accepts_a_semidefinite_process_covariance():
+    # rank-one Qn, and a Qn whose smallest eigenvalue is -1e-14 ||Qn|| from rounding
+    L = solve_dare_kalman(0.5 * np.eye(2), np.ones((1, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
+    assert np.isfinite(L).all()
+    solve_dare_kalman(0.5 * np.eye(2), np.ones((1, 2)), np.diag([1.0, -1e-14]), 1.0)
 
 
 def test_dare_doubling_breakdown_is_a_numerical_error(monkeypatch):

@@ -38,7 +38,7 @@ from lti2mpc.realisation import (
     RealisationChoice,
     _dist_injection,
     _form,
-    _free_pole_gains,
+    _FreePoles,
     _h2_scores,
     _score,
     _t_svds,
@@ -384,7 +384,7 @@ def test_free_pole_gain_rejects_an_undetectable_reduced_pair():
     G = DtStateSpace(np.diag([1.0, 0.5, 0.2]), np.ones((3, 1)), [[0.0, 1.0, 1.0]],
                      [[0.0]], 1.0)
     K = DtStateSpace([[0.3]], [[1.0]], [[0.5]], [[0.0]], 1.0)
-    _, (err,) = _free_pole_gains(G, K, np.eye(3)[np.newaxis, :, :2], 1.0, 1e7)
+    _, (err,) = _FreePoles(G, K, 1.0, 1e7).gains(np.eye(3)[np.newaxis, :, :2])
     assert isinstance(err, NumericalError)
     assert "undetectable at modes 1.0000" in str(err)
 
@@ -711,6 +711,31 @@ def test_margin_cut_outside_the_inputs_is_refused(monkeypatch):
             search_realisations(G, K, form="filter", margin_cut=cut)
 
 
+@pytest.mark.parametrize("Qn, Rn, message", [
+    (-1.0, 1e7, "Qn must be positive semidefinite"),
+    (np.inf, 1e7, "Qn must be finite"),
+    (1.0, 0.0, "Rn must be positive definite"),
+    (1.0, np.nan, "Rn must be finite"),
+])
+@pytest.mark.parametrize("case", ["pendulum", "satellite"])
+def test_bad_noise_covariances_are_refused_before_any_split_is_solved(monkeypatch, case, Qn, Rn,
+                                                                      message):
+    # the pendulum has free observer poles (n_K < n); the satellite has
+    # none (n_K = n), and its covariances are checked all the same
+    def no_solve(*args):
+        raise AssertionError("a split was solved")
+
+    monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
+    if case == "pendulum":
+        (G, K), form = loop_shift(pendulum_plant(), pendulum_controller()), "predictor"
+        assert K.n < G.n
+    else:
+        G, K, form = satellite_plant(), add_dipole(satellite_controller(), W=50.0), "filter"
+        assert K.n == G.n
+    with pytest.raises(ValueError, match=message):
+        search_realisations(G, K, form=form, Qn=Qn, Rn=Rn)
+
+
 def _per_split_reasons(G, K, form):
     """Why each split is rejected when it is solved, designed and built on
     its own through the public one-split calls."""
@@ -777,7 +802,7 @@ def test_stacked_dare_freezes_each_member_and_isolates_a_breakdown():
     A = np.stack(A)
     C = rng.standard_normal((len(A), 2, 4))
     C[3] = 0.0
-    L, errors = linalg._kalman_gains(A, C, 1.0, 1e2)
+    L, errors = linalg._kalman_gains(A, C, *linalg._noise_weights(1.0, 1e2, 4, 2))
     assert isinstance(errors[3], NumericalError) and "broke down" in str(errors[3])
     with pytest.raises(NumericalError, match="broke down"):
         linalg.solve_dare_kalman(A[3], C[3], 1.0, 1e2)
@@ -1062,37 +1087,134 @@ def _conditioned(rng, n, singular_values):
     return Q1 @ np.diag(singular_values) @ Q2
 
 
+def _cond_bound(U1, U2, sigma_min):
+    """The certificate _solve_T_stack applies, member by member: NaN where
+    the plain LU solve fails."""
+    try:
+        T = np.linalg.solve(U1.T, U2.T).T
+    except np.linalg.LinAlgError:
+        return np.nan
+    return np.linalg.norm(U1) * np.sqrt(1.0 + np.linalg.norm(T) ** 2) / sigma_min
+
+
+def _svd_rule(A_cl, U1, U2):
+    """One split judged as the search judged it before any certificate:
+    (reason, T, residual) from the SVD of U1 and a plain solve."""
+    sv = np.linalg.svd(U1, compute_uv=False) if np.isfinite(U1).all() else [np.nan]
+    if not sv[-1] > 0 or not sv[0] / sv[-1] <= 1e10:
+        return "U1 ill conditioned", None, np.inf
+    T = np.linalg.solve(U1.T, U2.T).T
+    r = realisation.riccati_residual(A_cl, T)
+    bound = 1e-8 * np.linalg.norm(A_cl)
+    return ("" if r <= bound else f"residual {r:.2e} above {bound:.2e}"), T, r
+
+
+def _spy_svd(monkeypatch):
+    """The stacks np.linalg.svd is called on, recorded as they are passed."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: calls.append(np.array(a)) or svd(a, *args, **kw))
+    return calls
+
+
+def _assert_matches_the_svd_rule(A_cl, U1, U2, T, resid, reasons):
+    for i in range(len(U1)):
+        reason, expect, r = _svd_rule(A_cl, U1[i], U2[i])
+        assert reasons[i] == reason
+        if expect is None:
+            assert np.isnan(T[i]).all() and resid[i] == np.inf
+        else:
+            assert np.array_equal(T[i], expect)
+            assert resid[i] == r
+
+
 def test_solve_T_stack_conditioning_matches_the_svd_rule(monkeypatch):
     rng = np.random.default_rng(5)
     n, n_K = 4, 2
     U1 = np.stack([
-        _conditioned(rng, n, np.logspace(0, -3, n)),              # certified by cond_F
-        _conditioned(rng, n, [1.0, 1.0, 1 / 0.3e10, 1 / 0.3e10]),  # cond_F 0.6e10, cond 0.3e10
+        _conditioned(rng, n, np.logspace(0, -3, n)),              # certified by the bound
+        _conditioned(rng, n, [1.0, 1.0, 1 / 0.3e10, 1 / 0.3e10]),  # cond 0.3e10
         _conditioned(rng, n, np.geomspace(1.0, 1 / 0.9e10, n)),    # cond 0.9e10
         _conditioned(rng, n, np.geomspace(1.0, 1 / 1.1e10, n)),    # cond 1.1e10
         _conditioned(rng, n, np.ones(n)),
     ])
     U1[4][:, -1] = 0.0  # exactly singular
     U2 = rng.standard_normal((len(U1), n_K, n))
+    U = np.concatenate([U1, U2], axis=1)
     A_cl = rng.standard_normal((n + n_K, n + n_K))
+    sigma_min = min(np.linalg.svd(u, compute_uv=False)[-1] for u in U)
+    uncertified = [i for i in range(len(U1))
+                   if not _cond_bound(U1[i], U2[i], sigma_min) <= 0.5e10]
 
-    svd_members = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda a, *args, **kw: svd_members.append(len(a)) or svd(a, *args, **kw))
-    T, resid, reasons = realisation._solve_T_stack(A_cl, np.concatenate([U1, U2], axis=1))
-    assert svd_members == [4]  # only the members cond_F leaves uncertified
-
-    bound = 1e-8 * np.linalg.norm(A_cl)
-    for i in range(len(U1)):
-        cond = svd(U1[i], compute_uv=False)
-        if not cond[-1] > 0 or cond[0] / cond[-1] > 1e10:
-            assert reasons[i] == "U1 ill conditioned"
-            assert np.isnan(T[i]).all() and resid[i] == np.inf
-            continue
-        expect = np.linalg.solve(U1[i].T, U2[i].T).T
-        assert np.array_equal(T[i], expect)
-        r = np.linalg.norm(np.hstack([-expect, np.eye(n_K)]) @ A_cl @ np.vstack([np.eye(n), expect]))
-        assert_allclose(resid[i], r, rtol=1e-12)
-        assert reasons[i] == ("" if resid[i] <= bound else f"residual {resid[i]:.2e} above {bound:.2e}")
+    svd_calls = _spy_svd(monkeypatch)
+    T, resid, reasons = realisation._solve_T_stack(A_cl, U, sigma_min)
+    assert uncertified[0] == 1 and uncertified[1:] == [2, 3, 4]  # cond 0.3e10 is uncertified too
+    assert len(svd_calls) == 1 and np.array_equal(svd_calls[0], U1[uncertified])
+    _assert_matches_the_svd_rule(A_cl, U1, U2, T, resid, reasons)
     assert [r == "U1 ill conditioned" for r in reasons] == [False, False, False, True, True]
+
+
+def _orthonormal_split(rng, n, n_K, cond):
+    """[U1; U2] with orthonormal columns, as an eigenbasis gives them, and
+    cond_2(U1) = cond: U2 lifts the n_K smallest singular values of U1."""
+    tail = np.geomspace(1.0, 1.0 / cond, n_K)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    Q3 = np.linalg.qr(rng.standard_normal((n_K, n_K)))[0]
+    lift = np.hstack([np.zeros((n_K, n - n_K)), np.diag(np.sqrt(1.0 - tail ** 2))])
+    U1 = Q1 @ np.diag(np.concatenate([np.ones(n - n_K), tail])) @ Q2
+    return np.vstack([U1, Q3 @ lift @ Q2])
+
+
+def test_the_conditioning_certificate_never_passes_what_the_svd_rule_would_not(monkeypatch):
+    # random stacks around both thresholds, plus an exactly singular U1 and
+    # one whose LU solve ends in NaN: a member the bound certifies (no SVD)
+    # has cond_2 <= 0.5e10, and every verdict, reason, T and residual is
+    # the SVD rule's
+    rng = np.random.default_rng(31)
+    n, n_K = 5, 3
+    conds = np.concatenate([
+        10.0 ** rng.uniform(0, 9.7, 40),
+        0.5e10 * (1.0 + rng.uniform(-0.2, 0.2, 20)),
+        1e10 * (1.0 + rng.uniform(-0.2, 0.2, 20)),
+    ])
+    U = np.stack([_orthonormal_split(rng, n, n_K, c) for c in [*conds, 10.0, 10.0]])
+    U *= 10.0 ** rng.uniform(-0.3, 0.3, (len(U), 1, 1))
+    U[-2, :n, 1] = U[-2, :n, 0]  # exactly singular U1
+    # U1' upper triangular with pivots 1e-200: back substitution overflows
+    # and then meets inf - inf, so the bound is NaN although U1 is finite
+    overflowing = np.triu(rng.standard_normal((n, n)))
+    np.fill_diagonal(overflowing, [1.0, 1.0] + [1e-200] * (n - 2))
+    U[-1] = np.vstack([overflowing.T, rng.standard_normal((n_K, n))])
+    U1, U2 = U[:, :n], U[:, n:]
+    A_cl = rng.standard_normal((n + n_K, n + n_K))
+    sigma_min = min(np.linalg.svd(u, compute_uv=False)[-1] for u in U)
+    assert sigma_min > 0.1
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(_cond_bound(U1[-1], U2[-1], sigma_min))
+
+    svd_calls = _spy_svd(monkeypatch)
+    T, resid, reasons = realisation._solve_T_stack(A_cl, U, sigma_min)
+    (checked,) = svd_calls
+    certified = [i for i in range(len(U1))
+                 if not any(np.array_equal(U1[i], u) for u in checked)]
+    assert 20 <= len(certified) <= 40
+    for i in certified:
+        sv = np.linalg.svd(U1[i], compute_uv=False)
+        assert sv[0] / sv[-1] <= 0.5e10
+    _assert_matches_the_svd_rule(A_cl, U1, U2, T, resid, reasons)
+    ill = [r == "U1 ill conditioned" for r in reasons]
+    assert ill[-2:] == [True, True] and 5 <= sum(ill[40:-2]) <= 35
+
+
+def test_ranked_realisations_keep_the_plain_solve_for_T():
+    # guards the feasible set: T of each ranked split is bitwise the plain
+    # LU solve on its own columns, whatever the stacked kernel does
+    G, K = scale_surrogate(0)
+    forced = _smoke_forced_S(G, K)
+    eig = eig_paired(closed_loop_matrix(G, K))
+    out = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
+    assert len(out.ranked) >= 10
+    for r, _ in out.ranked:
+        U = _per_split_basis(eig, r.choice.state_feedback_set)
+        assert np.array_equal(r.T, np.linalg.solve(U[:G.n].T, U[G.n:].T).T)
