@@ -283,7 +283,8 @@ def _as_cov(X, dim: int, name: str, definite: bool) -> np.ndarray:
     of the identity.  A ValueError naming ``name`` refuses a wrong shape, a
     non-finite entry, an eigenvalue below -1e-12 ||X||_2 and, when
     ``definite``, an X that is not positive definite; a scalar is judged
-    as a 1 x 1 matrix, so it is refused even when dim is 0."""
+    as a 1 x 1 matrix, so it is refused even when dim is 0.  Returns X, or
+    when ``definite`` its lower Cholesky factor."""
     X = np.asarray(X, dtype=float)
     scalar = X.ndim == 0 or (X.ndim == 1 and X.size == 1)
     if scalar:
@@ -295,7 +296,7 @@ def _as_cov(X, dim: int, name: str, definite: bool) -> np.ndarray:
     X = 0.5 * (X + X.T)
     if definite:
         try:
-            scipy.linalg.cholesky(X)
+            X = scipy.linalg.cholesky(X, lower=True)
         except scipy.linalg.LinAlgError:
             raise ValueError(f"{name} must be positive definite") from None
     else:
@@ -306,11 +307,10 @@ def _as_cov(X, dim: int, name: str, definite: bool) -> np.ndarray:
 
 
 def _noise_weights(Qn, Rn, n: int, ny: int):
-    """(Qn, Rn^-1) of a Kalman design with n states and ny outputs: the
-    checked n x n process covariance and the inverse of the checked ny x ny
-    measurement covariance (see :func:`_as_cov`)."""
-    Qn = _as_cov(Qn, n, "Qn", definite=False)
-    return Qn, np.linalg.inv(_as_cov(Rn, ny, "Rn", definite=True))
+    """(Qn, Lr) of a Kalman design with n states and ny outputs: the
+    checked n x n process covariance and the lower Cholesky factor of the
+    checked ny x ny measurement covariance Rn = Lr Lr' (see :func:`_as_cov`)."""
+    return _as_cov(Qn, n, "Qn", definite=False), _as_cov(Rn, ny, "Rn", definite=True)
 
 
 def solve_dare_kalman(A, C, Qn, Rn):
@@ -325,7 +325,9 @@ def solve_dare_kalman(A, C, Qn, Rn):
         L = A P C^T (C P C^T + Rn)^-1
 
     which places the predictor poles: A - L C is stable whenever (C, A) is
-    detectable and the noise pair is stabilising.
+    detectable and the noise pair is stabilising.  An ill-conditioned Rn
+    costs accuracy: at cond(Rn) = 1e10 the gain is good to about 1e-8
+    relative, as is scipy.linalg.solve_discrete_are's.
 
     Parameters
     ----------
@@ -359,9 +361,9 @@ def solve_dare_kalman(A, C, Qn, Rn):
     return L[0]
 
 
-def _kalman_gains(A, C, Qn, Rn_inv):
+def _kalman_gains(A, C, Qn, Lr):
     """solve_dare_kalman on a stack of pairs A (k, n, n), C (k, ny, n), with
-    the weights (Qn, Rn^-1) from :func:`_noise_weights`.
+    the weights (Qn, Lr) from :func:`_noise_weights`.
 
     Returns (L, errors): the (k, n, ny) gains and, per member, None or the
     NumericalError solve_dare_kalman raises for it (that member's gain is
@@ -375,22 +377,30 @@ def _kalman_gains(A, C, Qn, Rn_inv):
         P - P C' S^-1 C P = M^-1 P,   A P C' S^-1 = A M^-1 P C' Rn^-1,
 
     where S = C P C' + Rn, so one stacked solve with M gives both the DARE
-    residual A M^-1 P A' - P + Qn and the gain.
+    residual A M^-1 P A' - P + Qn and the gain.  Rn enters only through
+    triangular solves with its Cholesky factor, G = (Lr^-1 C)' (Lr^-1 C),
+    never through an explicit inverse, so the residual answers for the
+    caller's Rn up to the backward error of that factor.
     """
     k, n = A.shape[:2]
     ny = C.shape[1]
     if C.shape[2] != n:
         raise ValueError(f"C has {C.shape[2]} columns, expected {n}")
-    CtRi = C.transpose(0, 2, 1) @ Rn_inv
-    P = _dare_doubling(A, CtRi @ C, Qn)
+    # Lr^-1 C and Rn^-1 C of every member, as two solves on (ny, k n)
+    V = scipy.linalg.solve_triangular(Lr, C.transpose(1, 0, 2).reshape(ny, k * n),
+                                      lower=True, check_finite=False)
+    CtRi = scipy.linalg.solve_triangular(Lr, V, lower=True, trans="T", check_finite=False)
+    V = V.reshape(ny, k, n).transpose(1, 0, 2)
+    CtRi = CtRi.reshape(ny, k, n).transpose(1, 2, 0)
+    G = V.transpose(0, 2, 1) @ V
+    P = _dare_doubling(A, G, Qn)
     errors = [None] * k
     L = np.full((k, n, ny), np.nan)
     live = np.flatnonzero(np.isfinite(P).all(axis=(1, 2)))
     for i in np.setdiff1d(np.arange(k), live):
         errors[i] = NumericalError("Kalman DARE doubling iteration broke down")
-    P, A, CtRi = P[live], A[live], CtRi[live]
-    PCtRi = P @ CtRi
-    W = _solve_each(np.eye(n) + PCtRi @ C[live], np.concatenate([P, PCtRi], axis=2))
+    P, A = P[live], A[live]
+    W = _solve_each(np.eye(n) + P @ G[live], np.concatenate([P, P @ CtRi[live]], axis=2))
     AW = A @ W
     F = AW[:, :, :n] @ np.ascontiguousarray(A.transpose(0, 2, 1)) - P + Qn
     resid = np.linalg.norm(F, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(P, axis=(1, 2)))

@@ -210,8 +210,7 @@ class _Eigenbasis:
     contributes (Re u, Im u) of the member with positive imaginary part,
     both owned by the pair's lower index.  Columns are in index order, so
     the columns owned by a sorted index set form, in order, the real basis
-    of its invariant subspace.  ``sigma_min``, the smallest singular value
-    of the whole basis, bounds that of every column subset from below.
+    of its invariant subspace.
     """
 
     def __init__(self, eig: EigenStructure):
@@ -227,7 +226,6 @@ class _Eigenbasis:
         self.basis = np.column_stack(cols)
         self.owner = np.array(owner)
         self.partner = np.array([i if j is None else j for i, j in enumerate(eig.pair_index)])
-        self.sigma_min = float(np.linalg.svd(self.basis, compute_uv=False)[-1])
 
     def subspaces(self, selections) -> np.ndarray:
         """(k, n + n_K, s) real bases of k index selections of size s each."""
@@ -250,9 +248,8 @@ def solve_T(A_cl: np.ndarray, choice: RealisationChoice, eig: EigenStructure) ->
     The split is declared infeasible when U1 is ill conditioned (> 1e10)
     or the residual of [-T I] A_cl [I; T] exceeds 1e-8 ||A_cl||.
     """
-    basis = _Eigenbasis(eig)
-    U = basis.subspaces([choice.state_feedback_set])
-    T, resid, reasons = _solve_T_stack(A_cl, U, basis.sigma_min)
+    U = _Eigenbasis(eig).subspaces([choice.state_feedback_set])
+    T, resid, reasons = _solve_T_stack(A_cl, U, 0.0)  # certifies nothing: the SVD rule
     if reasons[0]:
         return TSolveResult(False, None, float(resid[0]), reasons[0])
     return TSolveResult(True, T[0], float(resid[0]))
@@ -260,8 +257,8 @@ def solve_T(A_cl: np.ndarray, choice: RealisationChoice, eig: EigenStructure) ->
 
 def _solve_T_stack(A_cl: np.ndarray, U: np.ndarray, sigma_min: float):
     """solve_T on a stack of invariant-subspace bases U (k, n + n_K, n),
-    each a column subset of one basis whose smallest singular value is
-    ``sigma_min``.
+    each a column subset of one basis whose smallest singular value is at
+    least ``sigma_min`` (0 when unknown).
 
     Returns (T, residual, reasons): the (k, n_K, n) solutions (NaN where
     U1 is ill conditioned), their Riccati residuals (inf there) and, per
@@ -269,10 +266,11 @@ def _solve_T_stack(A_cl: np.ndarray, U: np.ndarray, sigma_min: float):
 
     U1' X = U2' gives T = X'.  Since [I; T] = U U1^-1, U1^-1 = U^+ [I; T],
     so cond_2(U1) <= ||U1||_F sqrt(1 + ||T||_F^2) / sigma_min(U), and
-    sigma_min(U) >= ``sigma_min``.  A member whose bound is at most
-    _COND_LIMIT / 2 (the half absorbs the rounding in T) is well
-    conditioned without an SVD; only the members the bound leaves
-    uncertified (NaN, or above it) take the SVD test cond_2 <= 1e10.
+    sigma_min(U) >= ``sigma_min`` (a column subset cannot lower it).  A
+    member whose bound is at most _COND_LIMIT / 2 (the half absorbs the
+    rounding in T) is well conditioned without an SVD; only the members
+    the bound leaves uncertified (NaN, or above it; all of them when
+    ``sigma_min`` is 0) take the SVD test cond_2 <= 1e10.
     """
     k, m, n = U.shape
     U1, U2 = U[:, :n], U[:, n:]
@@ -347,15 +345,16 @@ def design_free_poles(
 
     with process covariance Qn (scalar = that multiple of identity, i.e. an
     identity-injection noise channel) and measurement covariance Rn, so the
-    extra modes are the eigenvalues of A_red - X C_red.  A Qn that is not
-    positive semidefinite, or an Rn that is not positive definite, raises
-    ValueError (see :func:`~lti2mpc.linalg.solve_dare_kalman`).
+    extra modes are the eigenvalues of A_red - X C_red.  When n_K >= n
+    there are none and X is 0 x n_K; Qn must then be a scalar or 0 x 0.  A
+    Qn that is not positive semidefinite, or an Rn that is not positive
+    definite, raises ValueError (see :func:`~lti2mpc.linalg.solve_dare_kalman`).
     """
-    design = _FreePoles(G, K, Qn, Rn)
     n_K, n = T.shape
     if n_K >= n:
+        _noise_weights(Qn, Rn, 0, n_K)  # no free poles; refused all the same
         return np.zeros((0, n_K))
-    X, errors = design.gains(_t_svds(T[np.newaxis])[1])
+    X, errors = _FreePoles(G, K, Qn, Rn).gains(_t_svds(T[np.newaxis])[1])
     if errors[0] is not None:
         raise errors[0]
     return X[0]
@@ -368,7 +367,7 @@ class _FreePoles:
     def __init__(self, G, K, Qn, Rn):
         self.A_shift = G.A + G.B @ K.D @ G.C
         self.BkC = K.B @ G.C
-        self.Qn, self.Rn_inv = _noise_weights(Qn, Rn, G.n - K.n, K.n)
+        self.Qn, self.Lr = _noise_weights(Qn, Rn, G.n - K.n, K.n)
 
     def gains(self, T_perp):
         """The gains of a stack of T-perp bases (k, n, n - n_K).
@@ -393,7 +392,7 @@ class _FreePoles:
         X = np.full((len(T_perp), C_red.shape[2], C_red.shape[1]), np.nan)
         live = [i for i, e in enumerate(errors) if e is None]
         if live:
-            X[live], dare_errors = _kalman_gains(A_red[live], C_red[live], self.Qn, self.Rn_inv)
+            X[live], dare_errors = _kalman_gains(A_red[live], C_red[live], self.Qn, self.Lr)
             for i, e in zip(live, dare_errors):
                 errors[i] = e
         return X, errors
@@ -798,6 +797,7 @@ class _Search:
         self.A_cl = closed_loop_matrix(G, K)
         self.eig = eig_paired(self.A_cl)
         self.basis = _Eigenbasis(self.eig)
+        self.sigma_min = float(np.linalg.svd(self.basis.basis, compute_uv=False)[-1])
         self.bound = _RESID_TOL * np.linalg.norm(self.A_cl)
         self.form_error = _form_error(_FORMS[form], G, K)
 
@@ -807,7 +807,7 @@ class _Search:
         of this chunk's stacks (see :func:`_owned`)."""
         G, K = self.G, self.K
         U = self.basis.subspaces([c.state_feedback_set for c in choices])
-        T, resid, out = _solve_T_stack(self.A_cl, U, self.basis.sigma_min)
+        T, resid, out = _solve_T_stack(self.A_cl, U, self.sigma_min)
         live = np.array([i for i, reason in enumerate(out) if not reason], dtype=int)
         if not live.size:
             return out

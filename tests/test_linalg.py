@@ -147,21 +147,27 @@ def _random_covariance(rng, dim, cond):
     return Q @ np.diag(np.geomspace(1.0, 1.0 / cond, dim)) @ Q.T
 
 
-@pytest.mark.parametrize("n, ny", [(4, 17), (4, 4), (5, 2)])
-def test_kalman_gains_match_the_scipy_dare(n, ny):
+@pytest.mark.parametrize("n, ny, rn_cond, rtol", [
+    (4, 17, 1e2, 1e-10), (4, 4, 1e2, 1e-10), (5, 2, 1e2, 1e-10),
+    # an ill-conditioned Rn costs accuracy in the gain itself: against a
+    # 40-digit Newton solution this one is within 2e-9, and so within
+    # 1.5e-9 is scipy's
+    (4, 17, 1e10, 1e-7), (4, 4, 1e10, 1e-7), (5, 2, 1e10, 1e-7),
+])
+def test_kalman_gains_match_the_scipy_dare(n, ny, rn_cond, rtol):
     # the information form works in n whatever ny is; the oracle is the
     # dual DARE P = A P A' + Qn - A P C' (C P C' + Rn)^-1 C P A'
     rng = np.random.default_rng(40 + ny)
     A = rng.standard_normal((6, n, n))
     A *= rng.uniform(0.5, 1.2, (6, 1, 1)) / np.abs(np.linalg.eigvals(A)).max(axis=1)[:, None, None]
     C = rng.standard_normal((6, ny, n))
-    Qn, Rn = _random_covariance(rng, n, 1e2), 1e3 * _random_covariance(rng, ny, 1e2)
+    Qn, Rn = _random_covariance(rng, n, 1e2), 1e3 * _random_covariance(rng, ny, rn_cond)
     L, errors = linalg._kalman_gains(A, C, *linalg._noise_weights(Qn, Rn, n, ny))
     assert errors == [None] * 6
     for i in range(6):
         P = scipy.linalg.solve_discrete_are(A[i].T, C[i].T, Qn, Rn)
-        ref = A[i] @ P @ C[i].T @ np.linalg.inv(C[i] @ P @ C[i].T + Rn)
-        assert_allclose(L[i], ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+        ref = np.linalg.solve(C[i] @ P @ C[i].T + Rn, C[i] @ P @ A[i].T).T
+        assert_allclose(L[i], ref, rtol=rtol, atol=rtol * np.abs(ref).max())
         assert_allclose(solve_dare_kalman(A[i], C[i], Qn, Rn), L[i], rtol=1e-12,
                         atol=1e-12 * np.abs(ref).max())
 

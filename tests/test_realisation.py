@@ -378,6 +378,23 @@ def test_design_free_poles_quiet_measurements_keep_reduced_dynamics():
     assert_allclose(got, np.sort_complex(np.linalg.eigvals(A_red)), atol=1e-3)
 
 
+def test_design_free_poles_without_free_poles_is_empty_and_checks_the_covariances():
+    # n_K = n (satellite) and n_K > n: no free pole, an empty X, and the
+    # covariances judged as for any search
+    rng = np.random.default_rng(25)
+    G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
+    small, big = _random_stable_pair(rng, 2, 1)[0], _random_stable_pair(rng, 3, 3)[1]
+    for G, K in [(G, K), (small, big)]:
+        T = rng.standard_normal((K.n, G.n))
+        assert design_free_poles(G, K, T).shape == (0, K.n)
+        with pytest.raises(ValueError, match="Qn must be positive semidefinite"):
+            design_free_poles(G, K, T, Qn=-1.0)
+        with pytest.raises(ValueError, match="Qn must be scalar or 0x0"):
+            design_free_poles(G, K, T, Qn=np.eye(G.n))
+        with pytest.raises(ValueError, match="Rn must be positive definite"):
+            design_free_poles(G, K, T, Rn=0.0)
+
+
 def test_free_pole_gain_rejects_an_undetectable_reduced_pair():
     # on T_perp = span(e1, e2) the reduced pair is (diag(1, 0.5), [0 1]):
     # the integrator at 1 never reaches the measurement
@@ -1104,7 +1121,8 @@ def _svd_rule(A_cl, U1, U2):
     if not sv[-1] > 0 or not sv[0] / sv[-1] <= 1e10:
         return "U1 ill conditioned", None, np.inf
     T = np.linalg.solve(U1.T, U2.T).T
-    r = realisation.riccati_residual(A_cl, T)
+    n_K, n = T.shape
+    r = np.linalg.norm(np.hstack([-T, np.eye(n_K)]) @ A_cl @ np.vstack([np.eye(n), T]))
     bound = 1e-8 * np.linalg.norm(A_cl)
     return ("" if r <= bound else f"residual {r:.2e} above {bound:.2e}"), T, r
 
@@ -1126,7 +1144,7 @@ def _assert_matches_the_svd_rule(A_cl, U1, U2, T, resid, reasons):
             assert np.isnan(T[i]).all() and resid[i] == np.inf
         else:
             assert np.array_equal(T[i], expect)
-            assert resid[i] == r
+            assert_allclose(resid[i], r, rtol=1e-12)
 
 
 def test_solve_T_stack_conditioning_matches_the_svd_rule(monkeypatch):
