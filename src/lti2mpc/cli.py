@@ -13,7 +13,8 @@ loop, unknown scenario, near-singular MPC Hessian, failed verification),
 2 config error (unreadable file, bad JSON, a value of the wrong type or
 size, a NaN or an integer beyond float range, unknown keys, options the
 search refuses, a scenario number ``simulate`` refuses, ``mpc`` values
-with a library-based scenario).  JSON +-Infinity disables a bound; a scenario
+with a library-based scenario, ``verify_gains`` on a loop its form's
+preconditions refuse).  JSON +-Infinity disables a bound; a scenario
 duration, x0 or noise_sigma refuses it.
 
 Config schema (all sections optional unless a command needs them):
@@ -387,7 +388,7 @@ def cmd_realise(cfg: ProjectConfig, out_path) -> int:
             "product": score.product,
             "stable": score.stable,
             "riccati_residual": r.riccati_residual,
-            "error_poles": _poles_json(_form(r.form).noise_system(r, G_d, K_d).A),
+            "error_poles": _poles_json(_form(r.form).noise_system(r, G_d).A),
             "K_c": r.K_c.tolist(),
             "K_f": r.K_f.tolist(),
             "T": r.T.tolist(),
@@ -545,7 +546,7 @@ def _verify_one(label, r, G_d, K_d, lines) -> bool:
     """Check realisation r of (G_d, K_d), reading the Riccati residual it
     carries when it has a T."""
     form = _form(r.form)
-    resid = verify_equivalence(form.controller(r, G_d, K_d), K_d)
+    resid = verify_equivalence(form.controller(r, G_d), K_d)
     ok = resid <= 1e-6
     checks = [f"equivalence residual {resid:.3e}"]
     if r.T.size:
@@ -557,7 +558,7 @@ def _verify_one(label, r, G_d, K_d, lines) -> bool:
         checks.append(f"K_c K_f feedthrough gap {gap:.3e}")
         ok = ok and gap <= 1e-6 * (1.0 + float(np.max(np.abs(K_d.D))))
     # the noise map's state matrix is the observer error dynamics
-    stable = spectral_radius(form.noise_system(r, G_d, K_d).A) < 1.0
+    stable = spectral_radius(form.noise_system(r, G_d).A) < 1.0
     checks.append("error dynamics stable" if stable else
                   "error dynamics UNSTABLE")
     ok = ok and stable
@@ -573,7 +574,9 @@ def cmd_verify(cfg: ProjectConfig, out_path) -> int:
         vg = cfg.verify_gains
         T = np.zeros((0, 0)) if vg["T"] is None else np.array(vg["T"], float)
         K_c, K_f = (np.array(vg[k], float) for k in ("K_c", "K_f"))
-        try:  # the one Riccati residual of supplied gains; mis-shaped gains are refused
+        try:  # the form's preconditions, then the one Riccati residual of
+            # supplied gains; mis-shaped gains are refused
+            _form(vg["form"]).check(G_d, K_d)
             r = ObserverRealisation(
                 form=vg["form"], T=T,
                 T_perp=np.zeros((G_d.n, 0)), X=np.zeros((0, 0)), K_c=K_c, K_f=K_f,

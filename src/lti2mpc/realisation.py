@@ -400,40 +400,83 @@ class _FreePoles:
 
 @dataclass
 class ObserverState:
-    """Mutable observer instance: design model, gain, current estimate.
+    """Mutable observer instance: its matrices from the form's
+    ``observer`` and the current state x_hat, the estimate x-hat(k|k-1)."""
 
-    x_hat always means x-hat(k|k-1).  For the filter form, x_corr holds the
-    measurement-updated estimate between estimate and advance.
-    """
-
-    A: np.ndarray
+    A_o: np.ndarray
     B: np.ndarray
-    C: np.ndarray
-    K_f: np.ndarray
+    B_y: np.ndarray
+    C_o: np.ndarray
+    D_y: np.ndarray
     x_hat: np.ndarray
-    x_corr: np.ndarray | None = None
 
 
 def make_observer(realisation, G: DtStateSpace) -> ObserverState:
     """Observer, started from x-hat = 0, from an ObserverRealisation and its
     design model (the loop-shifted one if loop-shifting was used), which
-    must be strictly proper; ``_FORMS[realisation.form]`` steps it."""
+    must be strictly proper; ``_form(realisation.form)`` steps it."""
     if np.any(G.D != 0.0):
         raise ValueError("observer design model must be strictly proper")
-    K_f = np.atleast_2d(realisation.K_f)
-    return ObserverState(A=G.A, B=G.B, C=G.C, K_f=K_f, x_hat=np.zeros(G.n))
+    A_o, B_y, C_o, D_y = _form(realisation.form).observer(G, np.atleast_2d(realisation.K_f))
+    return ObserverState(A_o, G.B, B_y, C_o, D_y, x_hat=np.zeros(G.n))
 
 
 class _Form:
-    def noise_system(self, r, G, K):
-        return DtStateSpace(*self.noise_matrices(G, K, r.K_f), G.Ts)
+    """What differs between the two observer forms, and what follows from it.
+
+    A form defines check(G, K), its preconditions on the loop;
+    gains(G, K, T, T_dagger) -> (K_c, K_f); feedthrough_gap(K_c, K_f, K),
+    K_c K_f - D_K where the form makes it zero (else None); and
+    observer(G, K_f) -> (A_o, B_y, C_o, D_y), the observer
+
+        x-hat+ = A_o x-hat + B u + B_y y,   estimate = C_o x-hat + D_y y.
+
+    Everything else is derived here from that observer: the map from the
+    measured output to its own estimate, whose state matrix A_o is the
+    error dynamics; the controller u = K_c estimate; the margin loop; and
+    the steps of an ObserverState from make_observer.  gains,
+    feedthrough_gap, observer and noise_matrices also take stacks (a
+    leading axis on T, T_dagger, K_c, K_f).
+    """
+
+    def noise_matrices(self, G, K_f):
+        A_o, B_y, C_o, D_y = self.observer(G, K_f)
+        return A_o, B_y, G.C @ C_o, G.C @ D_y
+
+    def noise_system(self, r, G):
+        return DtStateSpace(*self.noise_matrices(G, r.K_f), G.Ts)
+
+    def controller(self, r, G):
+        A_o, B_y, C_o, D_y = self.observer(G, r.K_f)
+        BKc = G.B @ r.K_c
+        return DtStateSpace(A_o + BKc @ C_o, B_y + BKc @ D_y, r.K_c @ C_o, r.K_c @ D_y, G.Ts)
+
+    def margin_loop(self, r, G, cut):
+        A_o, B_y, C_o, D_y = self.observer(G, r.K_f)
+        A_ol = np.block([[G.A, np.zeros_like(G.A)], [B_y @ G.C, A_o]])
+        C_ol = np.hstack([r.K_c @ D_y @ G.C, r.K_c @ C_o])[cut : cut + 1]
+        b = G.B[:, cut : cut + 1]
+        return DtStateSpace(A_ol, np.vstack([b, b]), C_ol, np.zeros((1, 1)), G.Ts)
+
+    def estimate(self, obs, y):
+        """The estimate the control step reads; obs is left unchanged."""
+        y = np.asarray(y, float).ravel()
+        return obs.C_o @ obs.x_hat + obs.D_y @ y
+
+    def advance(self, obs, u, y):
+        """x-hat(k+1|k) = A_o x-hat(k|k-1) + B u(k) + B_y y(k)."""
+        u = np.asarray(u, float).ravel()
+        y = np.asarray(y, float).ravel()
+        obs.x_hat = obs.A_o @ obs.x_hat + obs.B @ u + obs.B_y @ y
 
 
 class _FilterForm(_Form):
-    """The control reads x-hat(k|k): the measurement enters the estimate
-    within the same step."""
+    """The control reads x-hat(k|k) = (I - K_f C) x-hat(k|k-1) + K_f y(k):
+    the measurement enters the estimate within the same step."""
 
     def check(self, G, K):
+        if np.linalg.cond(K.A) > 1e12:
+            raise ValueError("filter form needs a nonsingular controller A_K")
         k0 = K.D + K.C @ np.linalg.solve(-K.A, K.B)
         if np.linalg.norm(k0) > 1e-6 * (1.0 + np.linalg.norm(K.D)):
             raise ValueError(
@@ -441,8 +484,6 @@ class _FilterForm(_Form):
             )
         if np.linalg.cond(G.A) > 1e12:
             raise ValueError("filter form needs a nonsingular plant A")
-        if np.linalg.cond(K.A) > 1e12:
-            raise ValueError("filter form needs a nonsingular controller A_K")
 
     def gains(self, G, K, T, T_dagger):
         K_c = K.D @ G.C + K.C @ T
@@ -452,39 +493,9 @@ class _FilterForm(_Form):
     def feedthrough_gap(self, K_c, K_f, K):
         return K_c @ K_f - K.D
 
-    def noise_matrices(self, G, K, K_f):
-        A, C = G.A, G.C
-        ImKfC = np.eye(G.n) - K_f @ C
-        return A @ ImKfC, A @ K_f, C @ ImKfC, C @ K_f
-
-    def controller(self, r, G, K):
-        A, B, C = G.A, G.B, G.C
-        ImKfC = np.eye(G.n) - r.K_f @ C
-        Ac = (A + B @ r.K_c) @ ImKfC
-        Bc = (A + B @ r.K_c) @ r.K_f
-        return DtStateSpace(Ac, Bc, r.K_c @ ImKfC, r.K_c @ r.K_f, G.Ts)
-
-    def margin_loop(self, r, G, cut):
-        A, C, n = G.A, G.C, G.n
-        A_ol = np.block([[A, np.zeros((n, n))], [A @ r.K_f @ C, A @ (np.eye(n) - r.K_f @ C)]])
-        C_ol = np.hstack(
-            [r.K_c @ r.K_f @ C, r.K_c @ (np.eye(n) - r.K_f @ C)]
-        )[cut : cut + 1]
-        return A_ol, C_ol
-
-    def estimate(self, obs, y):
-        """x-hat(k|k) = (I - K_f C) x-hat(k|k-1) + K_f y(k)."""
-        y = np.asarray(y, float).ravel()
-        obs.x_corr = obs.x_hat - obs.K_f @ (obs.C @ obs.x_hat) + obs.K_f @ y
-        return obs.x_corr
-
-    def advance(self, obs, u, y):
-        """x-hat(k+1|k) = A x-hat(k|k) + B u(k); consumes the pending estimate."""
-        if obs.x_corr is None:
-            raise ValueError("time update called before measurement update")
-        u = np.asarray(u, float).ravel()
-        obs.x_hat = obs.A @ obs.x_corr + obs.B @ u
-        obs.x_corr = None
+    def observer(self, G, K_f):
+        ImKfC = np.eye(G.n) - K_f @ G.C
+        return G.A @ ImKfC, G.A @ K_f, ImKfC, K_f
 
 
 class _PredictorForm(_Form):
@@ -504,47 +515,11 @@ class _PredictorForm(_Form):
     def feedthrough_gap(self, K_c, K_f, K):
         return None
 
-    def noise_matrices(self, G, K, K_f):
-        A_shift = G.A + G.B @ K.D @ G.C
-        Ae = A_shift - K_f @ G.C
-        return Ae, K_f, G.C, np.zeros(K_f.shape[:-2] + (G.n_y, G.n_y))
-
-    def controller(self, r, G, K):
-        A, B, C = G.A, G.B, G.C
-        A_shift = A + B @ K.D @ C
-        Ac = A_shift - r.K_f @ C + B @ r.K_c
-        Dc = np.zeros((r.K_c.shape[0], r.K_f.shape[1]))
-        return DtStateSpace(Ac, r.K_f, r.K_c, Dc, G.Ts)
-
-    def margin_loop(self, r, G, cut):
-        A, C, n = G.A, G.C, G.n
-        A_ol = np.block([[A, np.zeros((n, n))], [r.K_f @ C, A - r.K_f @ C]])
-        C_ol = np.hstack([np.zeros((1, n)), r.K_c[cut : cut + 1]])
-        return A_ol, C_ol
-
-    def estimate(self, obs, y):
-        return obs.x_hat.copy()
-
-    def advance(self, obs, u, y):
-        """x-hat(k+1|k) = (A - K_f C) x-hat(k|k-1) + B u(k) + K_f y(k)."""
-        u = np.asarray(u, float).ravel()
-        y = np.asarray(y, float).ravel()
-        obs.x_hat = obs.A @ obs.x_hat - obs.K_f @ (obs.C @ obs.x_hat) + obs.B @ u + obs.K_f @ y
+    def observer(self, G, K_f):
+        return G.A - K_f @ G.C, K_f, np.eye(G.n), np.zeros(K_f.shape[:-2] + (G.n, G.n_y))
 
 
-# Everything that differs between the two observer forms, keyed by
-# ObserverRealisation.form.  Each entry gives: check(G, K), the form's
-# preconditions; gains(G, K, T, T_dagger) -> (K_c, K_f);
-# feedthrough_gap(K_c, K_f, K), K_c K_f - D_K where the form makes it zero
-# (else None); noise_matrices(G, K, K_f) -> (A, B, C, D) of the
-# measured-output-to-estimate map, whose state matrix is the observer
-# error dynamics, and noise_system, that map as a system; controller, the
-# observer-based controller from y to u;
-# margin_loop -> (A_ol, C_ol); and the observer itself, on an ObserverState
-# from make_observer: estimate(obs, y), the estimate the control step reads,
-# and advance(obs, u, y), the update once u is known.  gains,
-# feedthrough_gap and noise_matrices also take stacks (a leading axis on T,
-# T_dagger, K_c, K_f).
+# keyed by ObserverRealisation.form
 _FORMS = {"filter": _FilterForm(), "predictor": _PredictorForm()}
 
 
@@ -684,8 +659,9 @@ def _check_stack(f, K, T, T_perp, K_c, K_f, resid, bound) -> list:
 def realisation_controller(
     r: ObserverRealisation, G: DtStateSpace, K: DtStateSpace
 ) -> DtStateSpace:
-    """The observer-based controller as an n-state system from y to u."""
-    return _form(r.form).controller(r, G, K)
+    """The observer-based controller as an n-state system from y to u;
+    r's gains and G define it, so the realised controller K is not read."""
+    return _form(r.form).controller(r, G)
 
 
 def margin_loop(
@@ -698,9 +674,7 @@ def margin_loop(
     return is the controller output on the same channel, so closing
     signal = L(signal) recovers the nominal loop (critical point +1).
     """
-    A_ol, C_ol = _form(r.form).margin_loop(r, G, cut_input)
-    b = G.B[:, cut_input : cut_input + 1]
-    return DtStateSpace(A_ol, np.vstack([b, b]), C_ol, np.zeros((1, 1)), G.Ts)
+    return _form(r.form).margin_loop(r, G, cut_input)
 
 
 def verify_equivalence(K_obs: DtStateSpace, K0: DtStateSpace) -> float:
@@ -756,16 +730,16 @@ def score_realisation(
     one squared Smith doubling on the powers of Ae proves stability and
     gives both Gramians (see :func:`_h2_scores`).
     """
-    h2 = _h2_scores(_form(r.form), G, K, r.K_f[np.newaxis])
+    h2 = _h2_scores(_form(r.form), G, r.K_f[np.newaxis])
     return _score(r, G, h2[0], margin_cut)
 
 
-def _h2_scores(f, G, K, K_f) -> np.ndarray:
+def _h2_scores(f, G, K_f) -> np.ndarray:
     """(h2_noise, h2_dist) rows for a stack of injection gains K_f, inf
     where the error dynamics are unstable; both Gramians of a member advance
     on the same powers of its Ae, each residual-checked against Ae with a
     Schur fallback (see :func:`~lti2mpc.linalg._h2_stack`)."""
-    Ae, B, C, D = f.noise_matrices(G, K, K_f)
+    Ae, B, C, D = f.noise_matrices(G, K_f)
     E, D_dist = _dist_injection(G)
     return _h2_stack(Ae, [(B, C, D), (E, np.eye(G.n), D_dist)], G.Ts)
 
@@ -834,7 +808,7 @@ class _Search:
                 realisations.append((i, b))
         if realisations:
             K_f = np.stack([r.K_f for _, r in realisations])
-            h2 = _h2_scores(_FORMS[self.form], G, K, K_f)
+            h2 = _h2_scores(_FORMS[self.form], G, K_f)
             for (i, r), row in zip(realisations, h2):
                 out[i] = (r, _score(r, G, row, self.margin_cut))
         return out

@@ -14,7 +14,7 @@ from lti2mpc.cli import main, parse_config, build_problem, ConfigError, _baselin
 from lti2mpc.models import pendulum_controller, pendulum_plant
 from lti2mpc.realisation import search_realisations
 from lti2mpc.sim import scenario_library
-from lti2mpc.statespace import add_dipole, c2d_zoh
+from lti2mpc.statespace import add_dipole, c2d_zoh, loop_shift
 from lti2mpc.models import satellite_controller, satellite_plant, satellite_plant_ct
 
 
@@ -406,6 +406,35 @@ def test_misshaped_verify_gains_are_a_config_error(tmp_path, capsys):
                          "K_f": [[0.0], [0.0], [0.0]], "T": [[1.0, 0.0], [0.0, 1.0]]}})
     assert main(["verify", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: verify_gains: ")
+
+
+def test_verify_gains_refuses_a_loop_the_form_cannot_realise(tmp_path, capsys):
+    # predictor gains against the pendulum without its loop shift: the
+    # controller keeps its feedthrough, which the predictor form refuses
+    G, K = pendulum_plant(), pendulum_controller()
+    real = search_realisations(*loop_shift(G, K), form="predictor").ranked[0][0]
+    cfg = _write(tmp_path, "vg.json", {
+        "plant": "pendulum", "pipeline": {"loop_shift": False},
+        "verify_gains": {"form": "predictor", "K_c": real.K_c.tolist(),
+                         "K_f": real.K_f.tolist()}})
+    assert main(["verify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: verify_gains: predictor form needs a strictly "
+                            "proper controller; loop-shift the feedthrough into the plant first\n")
+
+
+def test_realise_gives_the_filter_forms_reason_for_a_singular_controller(tmp_path, capsys):
+    # A_K = 0: K(0) cannot be formed, so the form's own refusal must come first
+    cfg = _write(tmp_path, "ak0.json", {
+        "plant": {"kind": "discrete", "A": [[0.5]], "B": [[1.0]], "C": [[1.0]],
+                  "D": [[0.0]], "Ts": 1.0},
+        "controller": {"kind": "discrete", "A": [[0.0]], "B": [[1.0]], "C": [[0.05]],
+                       "D": [[0.0]], "Ts": 1.0},
+        "pipeline": {"form": "filter"}})
+    assert main(["realise", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: no feasible realisation: 2 x filter form needs a nonsingular controller A_K\n")
 
 
 def test_parallel_flag_is_not_an_option(tmp_path):

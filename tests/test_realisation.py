@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from lti2mpc import linalg, realisation
 from lti2mpc.linalg import (
@@ -27,6 +28,7 @@ from lti2mpc.linalg import (
     spectral_radius,
 )
 from lti2mpc.models import (
+    CASE_STUDIES,
     pendulum_controller,
     pendulum_plant,
     satellite_controller,
@@ -47,6 +49,7 @@ from lti2mpc.realisation import (
     closed_loop_matrix,
     design_free_poles,
     enumerate_choices,
+    margin_loop,
     realisation_controller,
     score_realisation,
     search_realisations,
@@ -483,7 +486,7 @@ def test_doubling_scores_match_lyapunov_h2_norms(fallbacks):
             s = score_realisation(r, Gs, K)
             if not s.stable:
                 continue
-            noise = _form(r.form).noise_system(r, Gs, K)
+            noise = _form(r.form).noise_system(r, Gs)
             assert_allclose(s.h2_noise, h2_norm(noise), rtol=1e-10)
             assert_allclose(s.h2_dist, h2_norm(_dist_system(Gs, noise.A)), rtol=1e-10)
             assert s.product == s.h2_noise * s.h2_dist
@@ -510,7 +513,7 @@ def test_defective_error_dynamics_score_by_doubling(fallbacks):
     s = score_realisation(r, G, K)
     assert not fallbacks
     assert s.stable
-    assert_allclose(s.h2_noise, h2_norm(_form(r.form).noise_system(r, G, K)), rtol=1e-10)
+    assert_allclose(s.h2_noise, h2_norm(_form(r.form).noise_system(r, G)), rtol=1e-10)
     assert_allclose(s.h2_dist, h2_norm(_dist_system(G, G.A)), rtol=1e-10)
 
 
@@ -520,7 +523,7 @@ def test_unstable_error_dynamics_score_infinite():
     assert not s.stable
     assert s.h2_noise == s.h2_dist == s.product == np.inf
     with pytest.raises(UnstableSystemError):
-        h2_norm(_form(r.form).noise_system(r, G, K))
+        h2_norm(_form(r.form).noise_system(r, G))
 
 
 def test_unexcited_unstable_mode_still_scores_infinite(fallbacks):
@@ -548,7 +551,7 @@ def test_error_dynamics_past_the_doubling_cap_take_the_eigenvalue_path(fallbacks
     assert any(M.ndim == 3 and np.array_equal(M[0], A) for M in spectra)
     assert len(fallbacks) == 2  # noise and disturbance maps, both by the Schur path
     assert s.stable
-    assert s.h2_noise == h2_norm(_form(r.form).noise_system(r, G, K))
+    assert s.h2_noise == h2_norm(_form(r.form).noise_system(r, G))
     assert s.h2_dist == h2_norm(_dist_system(G, G.A))
     assert s.h2_dist > 1e5  # the slow mode's Gramian is about 1 / (2e-13)
 
@@ -583,6 +586,24 @@ def test_satellite_search_ranks_by_product():
         # feedthrough identity holds for every realisation
         assert_allclose(r.K_c @ r.K_f, K.D, rtol=1e-8, atol=1e-8)
         assert verify_equivalence(realisation_controller(r, G, K), K) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["satellite", "pendulum"])
+def test_closed_margin_loop_has_the_separation_spectrum(name):
+    # closing signal = L(signal) on input 0 is the nominal observer loop when
+    # K_c acts through input 0 alone: eig(A + B K_c) with the error dynamics
+    case = CASE_STUDIES[name]
+    _, _, G, K = case.loop()
+    found = search_realisations(G, K, form=case.form, rank_by=case.rank_by)
+    assert found.ranked
+    for r, _ in found.ranked:
+        assert not np.any(r.K_c[1:])
+        L = margin_loop(r, G, 0)
+        closed = np.linalg.eigvals(L.A + L.B @ L.C)
+        want = np.concatenate([np.linalg.eigvals(G.A + G.B @ r.K_c),
+                               np.linalg.eigvals(_form(r.form).noise_system(r, G).A)])
+        rows, cols = linear_sum_assignment(np.abs(want[:, None] - closed[None, :]))
+        assert np.max(np.abs(closed[cols] - want[rows])) < 1e-12
 
 
 def _default_forced_S(monkeypatch, G, K, form):
@@ -832,8 +853,8 @@ def test_stacked_dare_freezes_each_member_and_isolates_a_breakdown():
 
 
 def test_stacked_scores_match_one_member_calls(fallbacks):
-    # predictor form with C = I and A_shift = A, so K_f = A - Ae sets each
-    # member's error dynamics Ae
+    # predictor form with C = I, so K_f = A - Ae sets each member's error
+    # dynamics Ae
     rng = np.random.default_rng(29)
     A = rng.standard_normal((2, 2))
     G = DtStateSpace(A, np.ones((2, 1)), np.eye(2), np.zeros((2, 1)), 1.0,
@@ -845,7 +866,7 @@ def test_stacked_scores_match_one_member_calls(fallbacks):
     unstable = np.array([[1.2, 0.3], [0.0, 0.4]])
     Ae = np.stack(ordinary[:2] + [defective, unstable] + ordinary[2:])
     K_f = A - Ae
-    stacked = _h2_scores(_form("predictor"), G, K, K_f)
+    stacked = _h2_scores(_form("predictor"), G, K_f)
     assert not fallbacks  # the defective member scores by doubling too
 
     for i, gain in enumerate(K_f):
@@ -858,7 +879,7 @@ def test_stacked_scores_match_one_member_calls(fallbacks):
             assert s.h2_noise == s.h2_dist == s.product == np.inf
             continue
         assert_allclose([s.h2_noise, s.h2_dist], [one.h2_noise, one.h2_dist], rtol=1e-12)
-        noise = _form("predictor").noise_system(r, G, K)
+        noise = _form("predictor").noise_system(r, G)
         assert_allclose(s.h2_noise, h2_norm(noise), rtol=1e-10)
         assert_allclose(s.h2_dist, h2_norm(_dist_system(G, noise.A)), rtol=1e-10)
     assert_allclose(

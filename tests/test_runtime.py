@@ -1,6 +1,8 @@
 """Observer stepping through the form table, the shaped reference
 prefilter and the per-sample MPC call."""
 
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,10 +26,11 @@ def _sys(A, B, C, D=None, Ts=1.0):
 
 
 class _Real:
-    """Minimal stand-in with the field make_observer needs."""
+    """Minimal stand-in with the fields make_observer needs."""
 
-    def __init__(self, K_f):
+    def __init__(self, K_f, form="filter"):
         self.K_f = np.atleast_2d(np.asarray(K_f, float))
+        self.form = form
 
 
 def test_filter_observer_with_zero_gain_is_a_pure_model_rollout():
@@ -56,24 +59,34 @@ def test_filter_observer_with_identity_gain_snaps_to_the_measurement():
     npt.assert_allclose(obs.x_hat, G.A @ y + G.B @ [0.2], atol=1e-14)
 
 
-def test_filter_time_update_requires_a_measurement_first():
-    G = _sys([[0.5]], [[1.0]], [[1.0]])
-    obs = make_observer(_Real([[0.1]]), G)
-    y = np.array([1.0])
-    with pytest.raises(ValueError, match="before measurement update"):
-        FILTER.advance(obs, np.array([0.0]), y)
-    FILTER.estimate(obs, y)
-    FILTER.advance(obs, np.array([0.0]), y)
-    # the time update consumes the pending measurement update
-    with pytest.raises(ValueError, match="before measurement update"):
-        FILTER.advance(obs, np.array([0.0]), y)
+def test_filter_estimate_has_no_side_effects_and_advance_stands_alone():
+    G = _sys([[0.9, 0.2], [-0.1, 0.7]], [[0.0], [1.0]], [[1.0, 0.5]])
+    x0, y, u = np.array([0.4, -1.1]), np.array([0.6]), np.array([-0.2])
+
+    def observer():
+        obs = make_observer(_Real([[0.3], [0.2]]), G)
+        obs.x_hat[:] = x0
+        return obs
+
+    obs = observer()
+    before = copy.deepcopy(vars(obs))
+    x_read = FILTER.estimate(obs, y)
+    npt.assert_array_equal(FILTER.estimate(obs, y), x_read)
+    assert vars(obs).keys() == before.keys()
+    assert all(np.array_equal(vars(obs)[k], v) for k, v in before.items())
+    npt.assert_allclose(x_read, x0 + [[0.3], [0.2]] @ (y - G.C @ x0), atol=1e-15)
+    # advance on a fresh observer, with no estimate read first, still
+    # steps from x-hat(k|k)
+    fresh = observer()
+    FILTER.advance(fresh, u, y)
+    npt.assert_allclose(fresh.x_hat, G.A @ x_read + G.B @ u, atol=1e-14)
 
 
 def test_predictor_observer_with_deadbeat_gain():
     # C = I, K_f = A gives x_hat(k+1) = A y + B u regardless of the estimate
     A = np.array([[0.8, 0.3], [-0.1, 0.6]])
     G = _sys(A, [[1.0], [0.0]], np.eye(2))
-    obs = make_observer(_Real(A), G)
+    obs = make_observer(_Real(A, "predictor"), G)
     obs.x_hat[:] = [5.0, -3.0]
     y = np.array([0.2, 0.9])
     u = np.array([0.4])
