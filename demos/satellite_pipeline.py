@@ -61,7 +61,7 @@ def main(argv=None):
               f"{s.margins.gain_margin:7.3f} {s.margins.delay_margin:7.3f}")
 
     best = res.ranked[0][0]
-    resid = verify_equivalence(realisation_controller(best, G, K1), K1)
+    resid = verify_equivalence(realisation_controller(best, G), K1)
     print(f"\nbest realisation reproduces the original controller to "
           f"{resid:.2e} across the unit circle")
 

@@ -72,6 +72,7 @@ from .realisation import (
     ObserverRealisation,
     _form,
     closed_loop_matrix,
+    realisation_controller,
     riccati_residual,
     search_realisations,
     verify_equivalence,
@@ -546,7 +547,7 @@ def _verify_one(label, r, G_d, K_d, lines) -> bool:
     """Check realisation r of (G_d, K_d), reading the Riccati residual it
     carries when it has a T."""
     form = _form(r.form)
-    resid = verify_equivalence(form.controller(r, G_d), K_d)
+    resid = verify_equivalence(realisation_controller(r, G_d), K_d)
     ok = resid <= 1e-6
     checks = [f"equivalence residual {resid:.3e}"]
     if r.T.size:

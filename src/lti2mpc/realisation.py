@@ -410,11 +410,22 @@ class ObserverState:
     D_y: np.ndarray
     x_hat: np.ndarray
 
+    def estimate(self, y):
+        """The estimate the control step reads; the state is left unchanged."""
+        y = np.asarray(y, float).ravel()
+        return self.C_o @ self.x_hat + self.D_y @ y
+
+    def advance(self, u, y):
+        """x-hat(k+1|k) = A_o x-hat(k|k-1) + B u(k) + B_y y(k)."""
+        u = np.asarray(u, float).ravel()
+        y = np.asarray(y, float).ravel()
+        self.x_hat = self.A_o @ self.x_hat + self.B @ u + self.B_y @ y
+
 
 def make_observer(realisation, G: DtStateSpace) -> ObserverState:
     """Observer, started from x-hat = 0, from an ObserverRealisation and its
     design model (the loop-shifted one if loop-shifting was used), which
-    must be strictly proper; ``_form(realisation.form)`` steps it."""
+    must be strictly proper."""
     if np.any(G.D != 0.0):
         raise ValueError("observer design model must be strictly proper")
     A_o, B_y, C_o, D_y = _form(realisation.form).observer(G, np.atleast_2d(realisation.K_f))
@@ -433,8 +444,9 @@ class _Form:
 
     Everything else is derived here from that observer: the map from the
     measured output to its own estimate, whose state matrix A_o is the
-    error dynamics; the controller u = K_c estimate; the margin loop; and
-    the steps of an ObserverState from make_observer.  gains,
+    error dynamics; the controller u = K_c estimate; and the margin loop.
+    make_observer builds the ObserverState that steps it, and
+    runtime.build_prefilter runs the same observer on the reference.  gains,
     feedthrough_gap, observer and noise_matrices also take stacks (a
     leading axis on T, T_dagger, K_c, K_f).
     """
@@ -457,17 +469,6 @@ class _Form:
         C_ol = np.hstack([r.K_c @ D_y @ G.C, r.K_c @ C_o])[cut : cut + 1]
         b = G.B[:, cut : cut + 1]
         return DtStateSpace(A_ol, np.vstack([b, b]), C_ol, np.zeros((1, 1)), G.Ts)
-
-    def estimate(self, obs, y):
-        """The estimate the control step reads; obs is left unchanged."""
-        y = np.asarray(y, float).ravel()
-        return obs.C_o @ obs.x_hat + obs.D_y @ y
-
-    def advance(self, obs, u, y):
-        """x-hat(k+1|k) = A_o x-hat(k|k-1) + B u(k) + B_y y(k)."""
-        u = np.asarray(u, float).ravel()
-        y = np.asarray(y, float).ravel()
-        obs.x_hat = obs.A_o @ obs.x_hat + obs.B @ u + obs.B_y @ y
 
 
 class _FilterForm(_Form):
@@ -656,11 +657,9 @@ def _check_stack(f, K, T, T_perp, K_c, K_f, resid, bound) -> list:
     return errors
 
 
-def realisation_controller(
-    r: ObserverRealisation, G: DtStateSpace, K: DtStateSpace
-) -> DtStateSpace:
-    """The observer-based controller as an n-state system from y to u;
-    r's gains and G define it, so the realised controller K is not read."""
+def realisation_controller(r: ObserverRealisation, G: DtStateSpace) -> DtStateSpace:
+    """The observer-based controller as an n-state system from y to u,
+    defined by r's gains on G."""
     return _form(r.form).controller(r, G)
 
 
@@ -718,7 +717,6 @@ def _dist_injection(G):
 def score_realisation(
     r: ObserverRealisation,
     G: DtStateSpace,
-    K: DtStateSpace,
     margin_cut: int | None = None,
 ) -> RealisationScore:
     """H2 quality metrics of one realisation (smaller is better).

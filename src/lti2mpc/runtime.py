@@ -1,10 +1,9 @@
 """Online controller machinery: the reference prefilter and the
 per-sample MPC control step.
 
-The observer is stepped by the form table in ``realisation``
-(``_FORMS[form].estimate`` and ``.advance`` on a ``make_observer``
-state); ``sim.simulate`` calls the three in order each sample: prefilter,
-observer estimate, ``mpc_step``, observer advance.
+The observer is an ``ObserverState`` from ``realisation.make_observer``,
+which steps itself; ``sim.simulate`` calls the four in order each sample:
+prefilter, observer ``estimate``, ``mpc_step``, observer ``advance``.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import numpy as np
 
 from .mpc import CondensedQp
 from .qp import QpSolution, solve_qp
+from .realisation import make_observer
 from .statespace import DtStateSpace
 
 __all__ = [
@@ -49,43 +49,36 @@ class Prefilter:
         return x_r
 
 
-def build_prefilter(
-    G: DtStateSpace,
-    K_f: np.ndarray,
-    K_c: np.ndarray,
-    L1: np.ndarray,
-    L2: np.ndarray,
-    D_K: np.ndarray | None = None,
-) -> Prefilter:
+def build_prefilter(realisation, G_d: DtStateSpace, L1, L2, D_K=None) -> Prefilter:
     """Assemble the shaped reference prefilter.
 
-    G is the unshifted (strictly proper) plant model; D_K is the controller
-    feedthrough when loop-shifting was used (None means no shift).
+    Its state runs ``make_observer(realisation, G_d)`` driven by y = r and
+    u = -D_K r, as ``sim.simulate`` drives the real observer, where G_d is
+    the design model (the loop-shifted plant if loop-shifting was used) and
+    D_K the controller feedthrough (None means no shift).  Its output is
+    Mc estimate + Ml r, with Mc = [L1; K_c]^-1 [0; K_c] and
+    Ml = [L1; K_c]^-1 [L2; 0].
     """
-    K_f = np.atleast_2d(np.asarray(K_f, float))
-    n, n_y = G.n, G.n_y
-    if np.any(G.D != 0.0):
-        raise ValueError("prefilter design needs a strictly proper plant")
-    BDK = np.zeros((n, n_y)) if D_K is None else G.B @ np.atleast_2d(D_K)
-
-    A_pre = G.A + (BDK - K_f) @ G.C
-    B_pre = K_f - BDK
-
-    K_c = np.atleast_2d(np.asarray(K_c, float))
+    obs = make_observer(realisation, G_d)
+    K_c = np.atleast_2d(np.asarray(realisation.K_c, float))
     L1 = np.atleast_2d(np.asarray(L1, float))
     L2 = np.atleast_2d(np.asarray(L2, float))
+    if L2.shape != (L1.shape[0], G_d.n_y):
+        raise ValueError(f"L2 must be {L1.shape[0]} x {G_d.n_y} (rows of L1 x n_y), "
+                         f"not {L2.shape[0]} x {L2.shape[1]}")
     M = np.vstack([L1, K_c])
     if M.shape[0] != M.shape[1] or np.linalg.cond(M) > 1e10:
         raise ValueError("[L1; K_c] must be square and well conditioned")
-    C_pre = np.linalg.solve(M, np.vstack([np.zeros_like(L1), K_c]))
-    D_pre = np.linalg.solve(M, np.vstack([L2, np.zeros((K_c.shape[0], L2.shape[1]))]))
-    return Prefilter(sys=DtStateSpace(A_pre, B_pre, C_pre, D_pre, G.Ts))
+    Mc = np.linalg.solve(M, np.vstack([np.zeros_like(L1), K_c]))
+    Ml = np.linalg.solve(M, np.vstack([L2, np.zeros((K_c.shape[0], G_d.n_y))]))
+    B_r = obs.B_y if D_K is None else obs.B_y - obs.B @ np.atleast_2d(D_K)
+    return Prefilter(DtStateSpace(obs.A_o, B_r, Mc @ obs.C_o, Mc @ obs.D_y + Ml, G_d.Ts))
 
 
 @dataclass
 class MpcStepResult:
     u: np.ndarray
-    solution: QpSolution | None
+    solution: QpSolution
     fallback: bool
 
     @property
@@ -94,7 +87,7 @@ class MpcStepResult:
 
     @property
     def active_count(self):
-        return 0 if self.solution is None else len(self.solution.active_set)
+        return len(self.solution.active_set)
 
 
 def mpc_step(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .models import CASE_STUDIES, PendulumParams, satellite_plant_ct
 from .mpc import MpcConfig, build_condensed_qp, effect_weight, matching_cost
-from .realisation import _form, make_observer, search_realisations
+from .realisation import make_observer, search_realisations
 from .runtime import Prefilter, build_prefilter, mpc_step
 from .statespace import DtStateSpace, c2d_zoh
 
@@ -97,8 +97,9 @@ class MpcController:
     u_plant = u_mpc + D_K y and subtracts D_K r from the command, in
     either form).  N_div activates the deterministic-transfer lag of one
     Ts/N_div subdivision (filter form only).  With a ``prefilter`` (the
-    system of a ``runtime.build_prefilter``, stepped afresh each run) the
-    MPC tracks the state reference it emits; without one it regulates to 0.
+    system ``runtime.build_prefilter`` builds from ``realisation`` on
+    ``design_model``, stepped afresh each run) the MPC tracks the state
+    reference it emits; without one it regulates to 0.
     """
 
     realisation: object
@@ -309,7 +310,6 @@ def simulate(scenario: Scenario) -> Trace:
         qp = build_condensed_qp(G_d, ctrl.config)
         obs = make_observer(ctrl.realisation, G_d)
         K_c = np.atleast_2d(ctrl.realisation.K_c)
-        form = _form(ctrl.realisation.form)
         D_K = None if ctrl.D_K is None else np.atleast_2d(ctrl.D_K)
         pre = None if ctrl.prefilter is None else Prefilter(ctrl.prefilter)
         n_slack_q = qp.n_slack // ctrl.config.N
@@ -373,23 +373,23 @@ def simulate(scenario: Scenario) -> Trace:
             obj, nact = 0.0, 0
         else:
             x_ref = pre.step(r) if pre is not None else None
-            x_hat_row = form.estimate(obs, y)
+            x_hat_row = obs.estimate(y)
             t_solve = time.perf_counter()
             res = mpc_step(qp, x_hat_row, x_r=x_ref, w=r, fallback_gain=K_c,
                            u_bounds=ctrl.config.u_bounds, warm=warm)
             MS[k] = 1e3 * (time.perf_counter() - t_solve)
             warm = res.solution.active_set if res.status == "optimal" else ()
             u_cmd = res.u - D_K @ r if D_K is not None else res.u
-            form.advance(obs, u_cmd, y)
+            obs.advance(u_cmd, y)
             if D_K is not None:
                 u_cmd = u_cmd + D_K @ y
             x_ref_row = x_ref if x_ref is not None else np.zeros(n_xh)
-            IT[k] = 0 if res.solution is None else res.solution.iterations
-            QW[k] = res.solution is not None and res.solution.warm_start
+            IT[k] = res.solution.iterations
+            QW[k] = res.solution.warm_start
             ST.append(res.status)
-            obj = res.solution.objective if res.solution is not None else np.nan
+            obj = res.solution.objective
             nact = res.active_count
-            if n_slack_q and res.solution is not None and not res.fallback:
+            if n_slack_q and not res.fallback:
                 s_all = qp.slack_values(res.solution.x_star).reshape(
                     ctrl.config.N, n_slack_q)
                 slack_row = s_all.max(axis=0)
@@ -451,9 +451,9 @@ def _satellite_mpc(real, G_d, cost_kind: str, u_bound=None, y_bound=None):
                          N_div=10)
 
 
-def _pendulum_mpc(real, G, K, G_d, bounded: bool):
+def _pendulum_mpc(real, K, G_d, bounded: bool):
     """Pendulum MPC controller on realisation ``real`` of the loop-shifted
-    design plant G_d, tracking through a prefilter on the plant G; K is
+    design plant G_d, tracking through a prefilter on its observer; K is
     the baseline controller, whose feedthrough the simulation wires back."""
     inf = np.inf
     cfg = MpcConfig(
@@ -467,7 +467,7 @@ def _pendulum_mpc(real, G, K, G_d, bounded: bool):
     L1 = np.array([[0.0, 1.0, 0.0, 0.0],
                    [0.0, 0.0, 1.0, 0.0],
                    [0.0, 0.0, 0.0, 1.0]])
-    pre = build_prefilter(G, real.K_f, real.K_c, L1, np.zeros((3, 2)), D_K=K.D)
+    pre = build_prefilter(real, G_d, L1, np.zeros((3, 2)), D_K=K.D)
     return MpcController(realisation=real, design_model=G_d, config=cfg, D_K=K.D,
                          prefilter=pre.sys)
 
@@ -505,12 +505,12 @@ def scenario_library(family: str | None = None) -> dict:
                 disturbances=dist, faults=faults,
             )
     if family in (None, "pendulum"):
-        G, K, G_d, pend = _case_search("pendulum")
+        _, K, G_d, pend = _case_search("pendulum")
         step_ref = ReferenceProgram(((0.0, np.array([1.0, 0.0])),))
         for i, bounded in ((1, False), (2, True)):
             lib[f"pendulum-case-{i}"] = Scenario(
                 name=f"pendulum-case-{i}", plant="pendulum", duration=20.0,
-                controller=_pendulum_mpc(pend.ranked[0][0], G, K, G_d, bounded),
+                controller=_pendulum_mpc(pend.ranked[0][0], K, G_d, bounded),
                 references=step_ref,
             )
     return lib

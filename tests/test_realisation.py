@@ -106,7 +106,7 @@ def test_scalar_predictor_both_splits():
         # quadratic satisfied
         T = res.T[0, 0]
         assert abs(0.4 * T * T + 0.3 * T - 0.3) < 1e-12
-        assert verify_equivalence(realisation_controller(r, G, K), K) < 1e-12
+        assert verify_equivalence(realisation_controller(r, G), K) < 1e-12
         # observer error pole is the eigenvalue left out of S
         left_out = eig.values[1 - c.state_feedback_set[0]].real
         assert_allclose(G.A[0, 0] - r.K_f[0, 0] * G.C[0, 0], left_out, atol=1e-6)
@@ -132,7 +132,7 @@ def test_scalar_filter_both_splits_and_feedthrough_identity():
         assert_allclose(r.K_f, [[Kf_ref]], atol=1e-6)
         # K_c K_f recovers the controller feedthrough exactly
         assert_allclose(r.K_c @ r.K_f, K.D, atol=1e-10)
-        assert verify_equivalence(realisation_controller(r, G, K), K) < 1e-12
+        assert verify_equivalence(realisation_controller(r, G), K) < 1e-12
 
 
 def test_filter_form_rejects_controller_with_bias():
@@ -289,7 +289,7 @@ def test_predictor_reconstructs_random_controllers():
             if n_K < 3:
                 X = rng.standard_normal((3 - n_K, n_K))  # any X works
             r = build_realisation("predictor", G, K, res.T, X, c)
-            assert verify_equivalence(realisation_controller(r, G, K), K) < 1e-7
+            assert verify_equivalence(realisation_controller(r, G), K) < 1e-7
             checked += 1
     assert checked >= 20
 
@@ -309,7 +309,7 @@ def test_filter_reconstructs_dipole_augmented_controllers():
             if not res.feasible:
                 continue
             r = build_realisation("filter", G, K, res.T, choice=c)
-            assert verify_equivalence(realisation_controller(r, G, K), K) < 1e-7
+            assert verify_equivalence(realisation_controller(r, G), K) < 1e-7
             assert_allclose(r.K_c @ r.K_f, K.D, atol=1e-7)
             checked += 1
     assert checked >= 8
@@ -444,7 +444,7 @@ def _with_disturbance_states(G, states):
 
 
 def _scored_random_realisations():
-    """(realisation, G, K) over random predictor- and filter-form pairs."""
+    """(realisation, G) over random predictor- and filter-form pairs."""
     rng = np.random.default_rng(26)
     out = []
     for _ in range(10):
@@ -456,7 +456,7 @@ def _scored_random_realisations():
             res = solve_T(A_cl, c, eig)
             if res.feasible:
                 X = rng.standard_normal((3 - n_K, n_K)) if n_K < 3 else None
-                out.append((build_realisation("predictor", G, K, res.T, X, c), G, K))
+                out.append((build_realisation("predictor", G, K, res.T, X, c), G))
     for _ in range(8):
         G, K0 = _random_stable_pair(rng, 2, 1, strictly_proper_K=False)
         K = add_dipole(K0, W=50.0)
@@ -467,7 +467,7 @@ def _scored_random_realisations():
         for c in enumerate_choices(eig, G.n, K.n):
             res = solve_T(A_cl, c, eig)
             if res.feasible:
-                out.append((build_realisation("filter", G, K, res.T, choice=c), G, K))
+                out.append((build_realisation("filter", G, K, res.T, choice=c), G))
     return out
 
 
@@ -481,9 +481,9 @@ def fallbacks(monkeypatch):
 
 def test_doubling_scores_match_lyapunov_h2_norms(fallbacks):
     checked = {"filter": 0, "predictor": 0}
-    for r, G, K in _scored_random_realisations():
+    for r, G in _scored_random_realisations():
         for Gs in (G, _with_disturbance_states(G, (0,))):
-            s = score_realisation(r, Gs, K)
+            s = score_realisation(r, Gs)
             if not s.stable:
                 continue
             noise = _form(r.form).noise_system(r, Gs)
@@ -499,18 +499,17 @@ def _hand_realisation(A):
     """Predictor-form realisation with K_f = 0, so its error dynamics are A."""
     n = A.shape[0]
     G = DtStateSpace(A, np.ones((n, 1)), np.eye(1, n), [[0.0]], 1.0)
-    K = DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
     r = ObserverRealisation(form="predictor", T=np.ones((1, n)), T_perp=np.zeros((n, 0)),
                             X=np.zeros((0, 1)), K_c=np.zeros((1, n)),
                             K_f=np.zeros((n, 1)), choice=None, riccati_residual=0.0)
-    return r, G, K
+    return r, G
 
 
 def test_defective_error_dynamics_score_by_doubling(fallbacks):
     # a Jordan block has no eigenbasis; the doubling needs none
     A = np.array([[0.5, 1.0], [0.0, 0.5]])
-    r, G, K = _hand_realisation(A)
-    s = score_realisation(r, G, K)
+    r, G = _hand_realisation(A)
+    s = score_realisation(r, G)
     assert not fallbacks
     assert s.stable
     assert_allclose(s.h2_noise, h2_norm(_form(r.form).noise_system(r, G)), rtol=1e-10)
@@ -518,8 +517,8 @@ def test_defective_error_dynamics_score_by_doubling(fallbacks):
 
 
 def test_unstable_error_dynamics_score_infinite():
-    r, G, K = _hand_realisation(np.array([[1.2, 0.3], [0.0, 0.4]]))
-    s = score_realisation(r, G, K)
+    r, G = _hand_realisation(np.array([[1.2, 0.3], [0.0, 0.4]]))
+    s = score_realisation(r, G)
     assert not s.stable
     assert s.h2_noise == s.h2_dist == s.product == np.inf
     with pytest.raises(UnstableSystemError):
@@ -530,11 +529,11 @@ def test_unexcited_unstable_mode_still_scores_infinite(fallbacks):
     # K_f = 0 and E = e_0 never reach state 1, whose mode 1.5 is unstable:
     # both Gramians stay finite, so only the powers of Ae can tell
     A = np.array([[0.5, 0.3], [0.0, 1.5]])
-    r, G, K = _hand_realisation(A)
+    r, G = _hand_realisation(A)
     G = _with_disturbance_states(G, (0,))
     E, _ = _dist_injection(G)
     assert not np.any([(np.linalg.matrix_power(A, j) @ E)[1] for j in range(8)])
-    s = score_realisation(r, G, K)
+    s = score_realisation(r, G)
     assert not s.stable
     assert s.h2_noise == s.h2_dist == s.product == np.inf
     assert not fallbacks
@@ -543,11 +542,11 @@ def test_unexcited_unstable_mode_still_scores_infinite(fallbacks):
 def test_error_dynamics_past_the_doubling_cap_take_the_eigenvalue_path(fallbacks, monkeypatch):
     # 2^40 doublings leave (1 - 1e-13)^(2^40) ~ 0.9 of the slow mode: not certified
     A = np.array([[1.0 - 1e-13, 0.3], [0.0, 0.5]])
-    r, G, K = _hand_realisation(A)
+    r, G = _hand_realisation(A)
     spectra = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda M: spectra.append(M) or eigvals(M))
-    s = score_realisation(r, G, K)
+    s = score_realisation(r, G)
     assert any(M.ndim == 3 and np.array_equal(M[0], A) for M in spectra)
     assert len(fallbacks) == 2  # noise and disturbance maps, both by the Schur path
     assert s.stable
@@ -585,7 +584,7 @@ def test_satellite_search_ranks_by_product():
         assert 5 in r.choice.state_feedback_set
         # feedthrough identity holds for every realisation
         assert_allclose(r.K_c @ r.K_f, K.D, rtol=1e-8, atol=1e-8)
-        assert verify_equivalence(realisation_controller(r, G, K), K) < 1e-8
+        assert verify_equivalence(realisation_controller(r, G), K) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["satellite", "pendulum"])
@@ -692,7 +691,7 @@ def test_pendulum_search_ranks_by_noise():
         re, im = free_pole
         assert_allclose(sorted(np.abs(np.imag(extra))), [im, im], atol=2e-3)
         assert_allclose(np.real(extra), [re, re], atol=2e-3)
-        assert verify_equivalence(realisation_controller(r, Gs, Ks), Ks) < 1e-8
+        assert verify_equivalence(realisation_controller(r, Gs), Ks) < 1e-8
 
 
 # -- refusals made once per search ---------------------------------------------
@@ -859,7 +858,6 @@ def test_stacked_scores_match_one_member_calls(fallbacks):
     A = rng.standard_normal((2, 2))
     G = DtStateSpace(A, np.ones((2, 1)), np.eye(2), np.zeros((2, 1)), 1.0,
                      disturbance_states=(1,))
-    K = DtStateSpace([[0.5]], np.ones((1, 2)), [[1.0]], [[0.0, 0.0]], 1.0)
     ordinary = [rng.uniform(0.2, 0.8) * np.linalg.qr(rng.standard_normal((2, 2)))[0]
                 for _ in range(4)]
     defective = np.array([[0.5, 1.0], [0.0, 0.5]])
@@ -873,7 +871,7 @@ def test_stacked_scores_match_one_member_calls(fallbacks):
         r = ObserverRealisation(form="predictor", T=np.ones((1, 2)), T_perp=np.zeros((2, 0)),
                                 X=np.zeros((0, 1)), K_c=np.zeros((1, 2)), K_f=gain,
                                 choice=None, riccati_residual=0.0)
-        s, one = _score(r, G, stacked[i], None), score_realisation(r, G, K)
+        s, one = _score(r, G, stacked[i], None), score_realisation(r, G)
         assert s.stable == one.stable == (i != 3)
         if i == 3:
             assert s.h2_noise == s.h2_dist == s.product == np.inf

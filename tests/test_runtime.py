@@ -1,5 +1,5 @@
-"""Observer stepping through the form table, the shaped reference
-prefilter and the per-sample MPC call."""
+"""Observer stepping, the shaped reference prefilter and the per-sample
+MPC call."""
 
 import copy
 
@@ -9,11 +9,9 @@ import pytest
 
 from lti2mpc.models import pendulum_controller, pendulum_plant
 from lti2mpc.mpc import MpcConfig, build_condensed_qp, matching_cost
-from lti2mpc.realisation import _FORMS, make_observer, search_realisations
+from lti2mpc.realisation import make_observer, search_realisations
 from lti2mpc.runtime import build_prefilter, mpc_step
 from lti2mpc.statespace import DtStateSpace, loop_shift
-
-FILTER, PREDICTOR = _FORMS["filter"], _FORMS["predictor"]
 
 
 def _sys(A, B, C, D=None, Ts=1.0):
@@ -26,11 +24,13 @@ def _sys(A, B, C, D=None, Ts=1.0):
 
 
 class _Real:
-    """Minimal stand-in with the fields make_observer needs."""
+    """Minimal stand-in with the fields make_observer and build_prefilter
+    need."""
 
-    def __init__(self, K_f, form="filter"):
+    def __init__(self, K_f, form="filter", K_c=None):
         self.K_f = np.atleast_2d(np.asarray(K_f, float))
         self.form = form
+        self.K_c = K_c
 
 
 def test_filter_observer_with_zero_gain_is_a_pure_model_rollout():
@@ -41,9 +41,9 @@ def test_filter_observer_with_zero_gain_is_a_pure_model_rollout():
     for _ in range(20):
         u = rng.standard_normal(1)
         y = rng.standard_normal(1)
-        xc = FILTER.estimate(obs, y)
+        xc = obs.estimate(y)
         npt.assert_allclose(xc, x_model, atol=1e-12)
-        FILTER.advance(obs, u, y)
+        obs.advance(u, y)
         x_model = G.A @ x_model + G.B @ u
         npt.assert_allclose(obs.x_hat, x_model, atol=1e-12)
 
@@ -53,9 +53,9 @@ def test_filter_observer_with_identity_gain_snaps_to_the_measurement():
     G = _sys([[0.5, 0.1], [0.0, 0.3]], [[1.0], [0.5]], np.eye(2))
     obs = make_observer(_Real(np.eye(2)), G)
     y = np.array([0.7, -0.4])
-    xc = FILTER.estimate(obs, y)
+    xc = obs.estimate(y)
     npt.assert_allclose(xc, y, atol=1e-14)
-    FILTER.advance(obs, np.array([0.2]), y)
+    obs.advance(np.array([0.2]), y)
     npt.assert_allclose(obs.x_hat, G.A @ y + G.B @ [0.2], atol=1e-14)
 
 
@@ -70,15 +70,15 @@ def test_filter_estimate_has_no_side_effects_and_advance_stands_alone():
 
     obs = observer()
     before = copy.deepcopy(vars(obs))
-    x_read = FILTER.estimate(obs, y)
-    npt.assert_array_equal(FILTER.estimate(obs, y), x_read)
+    x_read = obs.estimate(y)
+    npt.assert_array_equal(obs.estimate(y), x_read)
     assert vars(obs).keys() == before.keys()
     assert all(np.array_equal(vars(obs)[k], v) for k, v in before.items())
     npt.assert_allclose(x_read, x0 + [[0.3], [0.2]] @ (y - G.C @ x0), atol=1e-15)
     # advance on a fresh observer, with no estimate read first, still
     # steps from x-hat(k|k)
     fresh = observer()
-    FILTER.advance(fresh, u, y)
+    fresh.advance(u, y)
     npt.assert_allclose(fresh.x_hat, G.A @ x_read + G.B @ u, atol=1e-14)
 
 
@@ -91,8 +91,8 @@ def test_predictor_observer_with_deadbeat_gain():
     y = np.array([0.2, 0.9])
     u = np.array([0.4])
     # the control reads the stored x-hat(k|k-1), a copy the step leaves alone
-    x_read = PREDICTOR.estimate(obs, y)
-    PREDICTOR.advance(obs, u, y)
+    x_read = obs.estimate(y)
+    obs.advance(u, y)
     npt.assert_allclose(x_read, [5.0, -3.0], atol=0.0)
     npt.assert_allclose(obs.x_hat, A @ y + G.B @ u, atol=1e-13)
 
@@ -112,7 +112,7 @@ def _pendulum_pieces():
     Gs, Ks = loop_shift(G, K)
     found = search_realisations(Gs, Ks, form="predictor", rank_by="noise")
     real = found.ranked[0][0]
-    return G, K, real
+    return G, K, Gs, real
 
 
 def _L1():
@@ -121,10 +121,20 @@ def _L1():
                      [0.0, 0.0, 0.0, 1.0]])
 
 
+def _position_L1():
+    return np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0]])
+
+
+def _position_L2():
+    return np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+
+
 def test_loop_shift_nominal_prefilter_matrices():
     # the prefilter state runs the loop-shift-corrected observer driven by r
-    G, K, real = _pendulum_pieces()
-    pre = build_prefilter(G, real.K_f, real.K_c, _L1(), np.zeros((3, 2)), D_K=K.D)
+    G, K, Gs, real = _pendulum_pieces()
+    pre = build_prefilter(real, Gs, _L1(), np.zeros((3, 2)), D_K=K.D)
     K_f = np.atleast_2d(real.K_f)
     BDK = G.B @ K.D
     npt.assert_allclose(pre.sys.A, G.A + (BDK - K_f) @ G.C, atol=1e-12)
@@ -133,9 +143,9 @@ def test_loop_shift_nominal_prefilter_matrices():
 
 def test_shaped_prefilter_invariants_hold_along_a_trajectory():
     # L1 x_r = L2 r and K_c x_r = K_c x_pre at every step
-    G, K, real = _pendulum_pieces()
+    _, K, Gs, real = _pendulum_pieces()
     L1, L2 = _L1(), np.zeros((3, 2))
-    pre = build_prefilter(G, real.K_f, real.K_c, L1, L2, D_K=K.D)
+    pre = build_prefilter(real, Gs, L1, L2, D_K=K.D)
     K_c = np.atleast_2d(real.K_c)
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -149,12 +159,9 @@ def test_shaped_prefilter_invariants_hold_along_a_trajectory():
 
 
 def test_shaped_prefilter_position_variant_passes_the_setpoint_through():
-    G, K, real = _pendulum_pieces()
-    L1 = np.array([[1.0, 0.0, 0.0, 0.0],
-                   [0.0, 0.0, 1.0, 0.0],
-                   [0.0, 0.0, 0.0, 1.0]])
-    L2 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    pre = build_prefilter(G, real.K_f, real.K_c, L1, L2, D_K=K.D)
+    _, K, Gs, real = _pendulum_pieces()
+    L1, L2 = _position_L1(), _position_L2()
+    pre = build_prefilter(real, Gs, L1, L2, D_K=K.D)
     rng = np.random.default_rng(4)
     for _ in range(20):
         r = rng.standard_normal(2)
@@ -165,19 +172,46 @@ def test_shaped_prefilter_position_variant_passes_the_setpoint_through():
 
 
 def test_shaped_prefilter_rejects_a_singular_selection():
-    G, K, real = _pendulum_pieces()
+    _, K, Gs, real = _pendulum_pieces()
     # rows of L1 plus K_c fail to span R^4 when L1 repeats a row
     L1 = np.array([[0.0, 1.0, 0.0, 0.0],
                    [0.0, 1.0, 0.0, 0.0],
                    [0.0, 0.0, 0.0, 1.0]])
     with pytest.raises(ValueError):
-        build_prefilter(G, real.K_f, real.K_c, L1, np.zeros((3, 2)), D_K=K.D)
+        build_prefilter(real, Gs, L1, np.zeros((3, 2)), D_K=K.D)
+
+
+def test_shaped_prefilter_rejects_an_L2_not_shaped_rows_of_L1_by_n_y():
+    # a one-column L2 would broadcast over the n_y columns of the
+    # prefilter's feedthrough without the shape check
+    _, K, Gs, real = _pendulum_pieces()
+    with pytest.raises(ValueError, match="L2"):
+        build_prefilter(real, Gs, _L1(), np.zeros((3, 1)), D_K=K.D)
+
+
+def test_prefilter_is_the_observer_driven_by_the_reference():
+    # x_r = Mc estimate + Ml r on make_observer stepped with
+    # u = -D_K r and y = r, as simulate drives the real observer
+    _, K, Gs, real = _pendulum_pieces()
+    L1, L2 = _position_L1(), _position_L2()
+    pre = build_prefilter(real, Gs, L1, L2, D_K=K.D)
+    obs = make_observer(real, Gs)
+    K_c = np.atleast_2d(real.K_c)
+    M = np.vstack([L1, K_c])
+    Mc = np.linalg.solve(M, np.vstack([np.zeros_like(L1), K_c]))
+    Ml = np.linalg.solve(M, np.vstack([L2, np.zeros((1, 2))]))
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        r = rng.standard_normal(2)
+        expected = Mc @ obs.estimate(r) + Ml @ r
+        npt.assert_allclose(pre.step(r), expected, rtol=0.0, atol=1e-12)
+        obs.advance(-K.D @ r, r)
 
 
 def test_prefilter_needs_a_strictly_proper_plant():
     G = _sys([[0.5]], [[1.0]], [[1.0]], D=[[1.0]])
     with pytest.raises(ValueError, match="strictly proper"):
-        build_prefilter(G, np.array([[0.1]]), np.array([[0.2]]), np.zeros((0, 1)),
+        build_prefilter(_Real([[0.1]], K_c=np.array([[0.2]])), G, np.zeros((0, 1)),
                         np.zeros((0, 1)))
 
 

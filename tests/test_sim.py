@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lti2mpc import realisation, runtime, sim
+from lti2mpc import runtime, sim
 from lti2mpc.models import (
     SATELLITE_TS,
     pendulum_controller,
@@ -18,7 +18,7 @@ from lti2mpc.models import (
 )
 from lti2mpc.mpc import MpcConfig, matching_cost
 from lti2mpc.qp import solve_qp
-from lti2mpc.realisation import search_realisations
+from lti2mpc.realisation import ObserverState, search_realisations
 from lti2mpc.sim import (
     BaselineController,
     MpcController,
@@ -196,10 +196,9 @@ def test_qp_ms_times_the_mpc_step_alone(monkeypatch, form):
             return fn(*args)
         return wrapped
 
-    # the form table in realisation is what steps the observer
-    step = type(realisation._FORMS[form])
+    # the observer steps itself, outside the timed mpc_step
     for name in ("estimate", "advance"):
-        monkeypatch.setattr(step, name, slow(getattr(step, name)))
+        monkeypatch.setattr(ObserverState, name, slow(getattr(ObserverState, name)))
     if form == "filter":
         G, K, plant, D_K = satellite_plant(), add_dipole(satellite_controller(), W=50.0), "satellite", None
     else:
