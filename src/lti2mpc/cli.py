@@ -12,10 +12,11 @@ Exit codes: 0 success, 1 domain error (no feasible realisation, unstable
 loop, unknown scenario, near-singular MPC Hessian, failed verification),
 2 config error (unreadable file, bad JSON, a value of the wrong type or
 size, a NaN or an integer beyond float range, unknown keys, options the
-search refuses, a scenario number ``simulate`` refuses, ``mpc`` values
+search refuses, a scenario number ``simulate`` refuses, any ``mpc`` key
 with a library-based scenario, ``verify_gains`` on a loop its form's
-preconditions refuse).  JSON +-Infinity disables a bound; a scenario
-duration, x0 or noise_sigma refuses it.
+preconditions refuse).  JSON +-Infinity disables a bound; a Ts, a
+dipole_W, an mpc weight, or a scenario duration, x0 or noise_sigma
+refuses it.
 
 Config schema (all sections optional unless a command needs them):
 
@@ -45,7 +46,8 @@ Config schema (all sections optional unless a command needs them):
 Every section is checked against ``_SCHEMA`` before any numerics; sizes
 and scenario numbers are checked by the library objects that use them.
 ``mpc`` configures custom scenarios (entries without ``base``, which
-regulate to zero) only; simulating a library-based scenario refuses it.
+regulate to zero) only; simulating a library-based scenario refuses any
+key of it.
 
 A built-in name selects a case study of ``models.CASE_STUDIES``: its
 models, its sample time and, as pipeline defaults, its conditioning
@@ -220,6 +222,7 @@ class ProjectConfig:
     Ts: float | None
     pipeline: dict
     mpc: dict
+    mpc_given: bool  # whether the config sets any mpc key
     scenarios: dict
     verify_gains: dict | None
 
@@ -253,7 +256,8 @@ def parse_config(raw: dict) -> ProjectConfig:
     if vg is not None:
         vg = _section(vg, "verify_gains", _SCHEMA["verify_gains"], {"form": pipeline["form"]})
     return ProjectConfig(plant=plant, controller=controller, Ts=Ts, pipeline=pipeline,
-                         mpc=mpc, scenarios=scenarios, verify_gains=vg)
+                         mpc=mpc, mpc_given=bool(top["mpc"]), scenarios=scenarios,
+                         verify_gains=vg)
 
 
 def load_config(path) -> ProjectConfig:
@@ -445,11 +449,12 @@ def _library_scenario(name: str) -> Scenario | None:
 
 def _resolve_scenario(cfg: ProjectConfig, name: str) -> Scenario:
     """The config's entry ``name``, else the library scenario ``name``; only
-    a custom entry (one without a base) takes the ``mpc`` section."""
+    a custom entry (one without a base) takes the ``mpc`` section, and a
+    library one refuses any mpc key given, even at its default."""
     spec = cfg.scenarios.get(name)
     if spec is not None and spec["base"] is None:
         return _custom_scenario(cfg, name, spec)
-    if cfg.mpc != _section({}, "mpc", _SCHEMA["mpc"]):
+    if cfg.mpc_given:
         raise ConfigError(f"scenario {name!r} comes from the library; "
                           "mpc configures custom scenarios only")
     base = name if spec is None else spec["base"]

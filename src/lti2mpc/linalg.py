@@ -25,7 +25,6 @@ __all__ = [
     "spectral_radius",
     "solve_discrete_lyapunov",
     "h2_norm",
-    "solve_dare_kalman",
     "loop_margins",
 ]
 
@@ -313,61 +312,26 @@ def _noise_weights(Qn, Rn, n: int, ny: int):
     return _as_cov(Qn, n, "Qn", definite=False), _as_cov(Rn, ny, "Rn", definite=True)
 
 
-def solve_dare_kalman(A, C, Qn, Rn):
-    """Steady-state Kalman predictor gain for x+ = Ax + w, y = Cx + v.
+def _kalman_gains(A, C, Qn, Lr):
+    """Steady-state Kalman predictor gains of a stack of pairs A (k, n, n),
+    C (k, ny, n) for x+ = Ax + w, y = Cx + v, with the weights (Qn, Lr)
+    from :func:`_noise_weights`.
 
-    Solves the filter-type DARE
+    Each member solves the filter-type DARE
 
         P = A P A^T + Qn - A P C^T (C P C^T + Rn)^-1 C P A^T
 
-    by a structure-preserving doubling iteration and returns
-
-        L = A P C^T (C P C^T + Rn)^-1
-
-    which places the predictor poles: A - L C is stable whenever (C, A) is
-    detectable and the noise pair is stabilising.  An ill-conditioned Rn
-    costs accuracy: at cond(Rn) = 1e10 the gain is good to about 1e-8
-    relative, as is scipy.linalg.solve_discrete_are's.
-
-    Parameters
-    ----------
-    A : (n, n) array_like
-    C : (ny, n) array_like
-    Qn : scalar or (n, n) array_like
-        Process covariance, positive semidefinite; a scalar means that
-        multiple of the identity.
-    Rn : scalar or (ny, ny) array_like
-        Measurement covariance, positive definite.
-
-    Returns
-    -------
-    L : (n, ny) ndarray
-
-    Raises
-    ------
-    ValueError
-        If Qn or Rn has the wrong size, a non-finite entry, or is not
-        positive semidefinite (Qn) or positive definite (Rn).
-    NumericalError
-        If the doubling iteration breaks down or does not reach relative
-        residual 1e-8 within 200 doubling steps.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    weights = _noise_weights(Qn, Rn, A.shape[0], C.shape[0])
-    L, errors = _kalman_gains(A[np.newaxis], C[np.newaxis], *weights)
-    if errors[0] is not None:
-        raise errors[0]
-    return L[0]
-
-
-def _kalman_gains(A, C, Qn, Lr):
-    """solve_dare_kalman on a stack of pairs A (k, n, n), C (k, ny, n), with
-    the weights (Qn, Lr) from :func:`_noise_weights`.
+    by a structure-preserving doubling iteration (:func:`_dare_doubling`),
+    and its gain L = A P C^T (C P C^T + Rn)^-1 places the predictor poles:
+    A - L C is stable whenever (C, A) is detectable and the noise pair is
+    stabilising.  An ill-conditioned Rn costs accuracy: at cond(Rn) = 1e10
+    the gain is good to about 1e-8 relative, as is
+    scipy.linalg.solve_discrete_are's.
 
     Returns (L, errors): the (k, n, ny) gains and, per member, None or the
-    NumericalError solve_dare_kalman raises for it (that member's gain is
-    then meaningless).
+    NumericalError of a doubling iteration that breaks down or does not
+    reach relative residual 1e-8 within 200 doubling steps (that member's
+    gain is then meaningless).
 
     Everything after the doubling works in the state dimension n, whatever
     ny is (the information form; Anderson & Moore, Optimal Filtering,

@@ -75,6 +75,8 @@ def matching_cost(K_c: np.ndarray, W: np.ndarray | None = None) -> StageCost:
     W = np.eye(m) if W is None else np.atleast_2d(np.asarray(W, float))
     if W.shape != (m, m):
         raise ValueError(f"matching-cost weight is {W.shape[0]}x{W.shape[1]}, not {m}x{m}")
+    if not np.isfinite(W).all():
+        raise ValueError("matching-cost weight W must be finite")
     ev = np.linalg.eigvalsh((W + W.T) / 2.0)
     if ev[0] <= 0.0:
         raise ValueError("matching-cost weight must be positive definite")
@@ -83,6 +85,9 @@ def matching_cost(K_c: np.ndarray, W: np.ndarray | None = None) -> StageCost:
 
 def effect_weight(G: DtStateSpace, Q1, R1) -> np.ndarray:
     """Input weight R1 + B'Q1B: penalises actuation by its state effect."""
+    for name, weight in (("Q1", Q1), ("R1", R1)):
+        if not np.isfinite(weight).all():
+            raise ValueError(f"effect weight {name} must be finite")
     n, m = G.n, G.n_u
     Q1 = Q1 * np.eye(n) if np.isscalar(Q1) else np.asarray(Q1, float)
     R1 = R1 * np.eye(m) if np.isscalar(R1) else np.asarray(R1, float)
@@ -134,6 +139,8 @@ class MpcConfig:
             lo, hi = (np.asarray(v, dtype=float).ravel() for v in b)
             if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN fails lo <= hi
                 raise ValueError("bounds must be (lower, upper) with lower <= upper, no NaN")
+        if not np.isfinite(self.soft_output_weight):
+            raise ValueError(f"soft_output_weight must be finite, not {self.soft_output_weight}")
         if (self.y_bounds or self.x_bounds) and self.soft_output_weight <= 0.0:
             raise ValueError("soft_output_weight must be positive")
 

@@ -39,7 +39,6 @@ from .statespace import DtStateSpace, unobservable_modes
 
 __all__ = [
     "RealisationChoice",
-    "TSolveResult",
     "ObserverRealisation",
     "ObserverState",
     "RealisationScore",
@@ -47,13 +46,9 @@ __all__ = [
     "closed_loop_matrix",
     "make_observer",
     "enumerate_choices",
-    "solve_T",
-    "design_free_poles",
-    "build_realisation",
     "realisation_controller",
     "margin_loop",
     "verify_equivalence",
-    "score_realisation",
     "search_realisations",
     "check_decoupling",
 ]
@@ -72,16 +67,6 @@ class RealisationChoice:
     def __post_init__(self):
         if set(self.state_feedback_set) & set(self.observer_set):
             raise ValueError("S and O overlap")
-
-
-@dataclass
-class TSolveResult:
-    """Outcome of solve_T; infeasibility is a result, not an exception."""
-
-    feasible: bool
-    T: np.ndarray | None
-    residual: float
-    reason: str = ""
 
 
 @dataclass
@@ -241,28 +226,17 @@ class _Eigenbasis:
         return self.basis.T[cols].transpose(0, 2, 1)
 
 
-def solve_T(A_cl: np.ndarray, choice: RealisationChoice, eig: EigenStructure) -> TSolveResult:
-    """Solve the non-symmetric Riccati equation for one eigenvalue split.
-
-    Builds [U1; U2] from the S-set eigenvectors and returns T = U2 U1^-1.
-    The split is declared infeasible when U1 is ill conditioned (> 1e10)
-    or the residual of [-T I] A_cl [I; T] exceeds 1e-8 ||A_cl||.
-    """
-    U = _Eigenbasis(eig).subspaces([choice.state_feedback_set])
-    T, resid, reasons = _solve_T_stack(A_cl, U, 0.0)  # certifies nothing: the SVD rule
-    if reasons[0]:
-        return TSolveResult(False, None, float(resid[0]), reasons[0])
-    return TSolveResult(True, T[0], float(resid[0]))
-
-
 def _solve_T_stack(A_cl: np.ndarray, U: np.ndarray, sigma_min: float):
-    """solve_T on a stack of invariant-subspace bases U (k, n + n_K, n),
-    each a column subset of one basis whose smallest singular value is at
-    least ``sigma_min`` (0 when unknown).
+    """The Riccati solutions T = U2 U1^-1 of a stack of invariant-subspace
+    bases U = [U1; U2] (k, n + n_K, n), each a column subset of one basis
+    whose smallest singular value is at least ``sigma_min`` (0 when
+    unknown).
 
     Returns (T, residual, reasons): the (k, n_K, n) solutions (NaN where
     U1 is ill conditioned), their Riccati residuals (inf there) and, per
-    member, "" or why the split is infeasible.
+    member, "" or why the split is infeasible: U1 ill conditioned
+    (cond_2 > 1e10), or a residual of [-T I] A_cl [I; T] above
+    1e-8 ||A_cl||.
 
     U1' X = U2' gives T = X'.  Since [I; T] = U U1^-1, U1^-1 = U^+ [I; T],
     so cond_2(U1) <= ||U1||_F sqrt(1 + ||T||_F^2) / sigma_min(U), and
@@ -330,72 +304,6 @@ def _t_svds(T: np.ndarray):
         inv[:, :, np.newaxis] * u[:, :, :n_K].transpose(0, 2, 1)
     )
     return sv, basis, T_pinv
-
-
-def design_free_poles(
-    G: DtStateSpace, K: DtStateSpace, T: np.ndarray, Qn=1.0, Rn=1e7
-) -> np.ndarray:
-    """Free observer poles via a Kalman design on the T-perp subspace.
-
-    When n_K < n the observer error dynamics have n - n_K modes that T does
-    not pin down; they are assigned through X in T-dagger = T^+ + T_perp X.
-    X is the steady-state Kalman gain for the reduced pair
-
-        A_red = T_perp' (A + B D_K C) T_perp,   C_red = B_K C T_perp
-
-    with process covariance Qn (scalar = that multiple of identity, i.e. an
-    identity-injection noise channel) and measurement covariance Rn, so the
-    extra modes are the eigenvalues of A_red - X C_red.  When n_K >= n
-    there are none and X is 0 x n_K; Qn must then be a scalar or 0 x 0.  A
-    Qn that is not positive semidefinite, or an Rn that is not positive
-    definite, raises ValueError (see :func:`~lti2mpc.linalg.solve_dare_kalman`).
-    """
-    n_K, n = T.shape
-    if n_K >= n:
-        _noise_weights(Qn, Rn, 0, n_K)  # no free poles; refused all the same
-        return np.zeros((0, n_K))
-    X, errors = _FreePoles(G, K, Qn, Rn).gains(_t_svds(T[np.newaxis])[1])
-    if errors[0] is not None:
-        raise errors[0]
-    return X[0]
-
-
-class _FreePoles:
-    """design_free_poles for one (G, K, Qn, Rn): the constants every split
-    shares, checked and computed once, and the gains of a stack of splits."""
-
-    def __init__(self, G, K, Qn, Rn):
-        self.A_shift = G.A + G.B @ K.D @ G.C
-        self.BkC = K.B @ G.C
-        self.Qn, self.Lr = _noise_weights(Qn, Rn, G.n - K.n, K.n)
-
-    def gains(self, T_perp):
-        """The gains of a stack of T-perp bases (k, n, n - n_K).
-
-        Returns (X, errors): the (k, n - n_K, n_K) gains and, per member,
-        None or the NumericalError design_free_poles raises for it, for an
-        undetectable reduced pair or a failed DARE.
-        """
-        A_red = T_perp.transpose(0, 2, 1) @ self.A_shift @ T_perp
-        C_red = self.BkC @ T_perp
-        errors = [None] * len(T_perp)
-        values = np.linalg.eigvals(A_red)
-        on_circle = np.abs(values) >= 1.0 - 1e-9
-        for i in np.flatnonzero(on_circle.any(axis=1)):
-            marginal = values[i][on_circle[i]]
-            bad = unobservable_modes(A_red[i], C_red[i], marginal)
-            if bad:
-                errors[i] = NumericalError(
-                    "free-pole design: reduced pair undetectable at modes "
-                    + ", ".join(f"{complex(marginal[j]):.4f}" for j in bad)
-                )
-        X = np.full((len(T_perp), C_red.shape[2], C_red.shape[1]), np.nan)
-        live = [i for i, e in enumerate(errors) if e is None]
-        if live:
-            X[live], dare_errors = _kalman_gains(A_red[live], C_red[live], self.Qn, self.Lr)
-            for i, e in zip(live, dare_errors):
-                errors[i] = e
-        return X, errors
 
 
 @dataclass
@@ -546,115 +454,12 @@ def _check_orders(G, K):
         )
 
 
-def _form_error(f, G, K):
-    """The ValueError of the form's preconditions on (G, K), or None."""
-    try:
-        f.check(G, K)
-    except ValueError as exc:
-        return exc
-    return None
-
-
-def build_realisation(
-    form: str,
-    G: DtStateSpace,
-    K: DtStateSpace,
-    T: np.ndarray,
-    X: np.ndarray | None = None,
-    choice: RealisationChoice | None = None,
-) -> ObserverRealisation:
-    """Assemble (K_c, K_f) from a Riccati solution T.
-
-    filter form:    K_c = D_K C + C_K T,  K_f = A^-1 (T-dagger B_K - B D_K)
-    predictor form: K_c = C_K T,          K_f = T-dagger B_K
-
-    The filter form needs K(0) = 0 and nonsingular A and A_K; the predictor
-    form needs a strictly proper controller (loop-shift the feedthrough
-    away first).  A static controller, or one of higher order than the
-    plant, is refused.
-    """
-    f = _form(form)
-    _check_orders(G, K)
-    if G.n != T.shape[1] or K.n != T.shape[0]:
-        raise ValueError("T shape does not match the (G, K) dimensions")
-    n_K, n = T.shape
-    if X is None:
-        X = np.zeros((n - n_K, n_K))
-    X = np.asarray(X, dtype=float).reshape(n - n_K, n_K)
-    A_cl = closed_loop_matrix(G, K)
-    T = T[np.newaxis]
-    (out,) = _build_stack(
-        form, G, K, T, _t_svds(T), X[np.newaxis], _riccati_residuals(A_cl, T),
-        _RESID_TOL * np.linalg.norm(A_cl), _form_error(f, G, K), [choice],
-    )
-    if isinstance(out, Exception):
-        raise out
-    return _owned(out)
-
-
 def _owned(r: ObserverRealisation) -> ObserverRealisation:
-    """r with its arrays copied out of the stacks _build_stack views, so
-    the copies are allocated by the calling thread and free of the stacks."""
+    """r with its arrays copied out of the chunk's stacks that
+    _Search.evaluate views, so the copies are allocated by the calling
+    thread and free of the stacks."""
     return replace(r, T=r.T.copy(), T_perp=r.T_perp.copy(), X=r.X.copy(),
                    K_c=r.K_c.copy(), K_f=r.K_f.copy())
-
-
-def _build_stack(form, G, K, T, t_svd, X, resid, bound, form_error, choices) -> list:
-    """build_realisation on a stack of Riccati solutions T (k, n_K, n).
-
-    ``t_svd`` is ``_t_svds(T)``, X the (k, n - n_K, n_K) free-pole gains,
-    ``resid`` the Riccati residuals, ``bound`` the residual bound and
-    ``form_error`` the form's precondition error (or None).  Returns, per
-    member, the ObserverRealisation or the error build_realisation raises:
-    rank deficiency first, then the form's preconditions, then the
-    invariant checks.  Each realisation's arrays are views of the stacks;
-    :func:`_owned` copies them out.
-    """
-    f = _FORMS[form]
-    sv, T_perp, T_pinv = t_svd
-    out = [
-        ValueError("T is rank deficient") if deficient else form_error
-        for deficient in sv[:, -1] <= 1e-8 * sv[:, 0]
-    ]
-    live = [i for i, e in enumerate(out) if e is None]
-    if not live:
-        return out
-    T, T_perp, X, resid = T[live], T_perp[live], X[live], resid[live]
-    K_c, K_f = f.gains(G, K, T, T_pinv[live] + T_perp @ X)
-    errors = _check_stack(f, K, T, T_perp, K_c, K_f, resid, bound)
-    for m, i in enumerate(live):
-        out[i] = errors[m] or ObserverRealisation(
-            form=form,
-            T=T[m],
-            T_perp=T_perp[m],
-            X=X[m],
-            K_c=K_c[m],
-            K_f=K_f[m],
-            choice=choices[i],
-            riccati_residual=float(resid[m]),
-        )
-    return out
-
-
-def _check_stack(f, K, T, T_perp, K_c, K_f, resid, bound) -> list:
-    """The ObserverRealisation invariants of each stacked member: None, or
-    the NumericalError of the first check it fails."""
-    fro = lambda M: np.linalg.norm(M, axis=(1, 2))
-    errors = [
-        NumericalError(f"Riccati residual {r:.2e} above {bound:.2e}") if r > bound else None
-        for r in resid
-    ]
-    if T_perp.shape[2]:
-        ortho = fro(T_perp.transpose(0, 2, 1) @ T_perp - np.eye(T_perp.shape[2]))
-        null = fro(T @ T_perp)
-        for i in np.flatnonzero((ortho > 1e-10) | (null > 1e-10 * np.maximum(1.0, fro(T)))):
-            errors[i] = errors[i] or NumericalError("T_perp basis failed orthogonality checks")
-    gap = f.feedthrough_gap(K_c, K_f, K)
-    if gap is not None:
-        err = fro(gap)
-        for i in np.flatnonzero(err > 1e-8 * (1.0 + np.linalg.norm(K.D))):
-            errors[i] = errors[i] or NumericalError(f"K_c K_f - D_K = {err[i]:.2e}, expected 0")
-    return errors
 
 
 def realisation_controller(r: ObserverRealisation, G: DtStateSpace) -> DtStateSpace:
@@ -714,24 +519,6 @@ def _dist_injection(G):
     return E, D
 
 
-def score_realisation(
-    r: ObserverRealisation,
-    G: DtStateSpace,
-    margin_cut: int | None = None,
-) -> RealisationScore:
-    """H2 quality metrics of one realisation (smaller is better).
-
-    h2_noise is the norm of the map from the measured output to its own
-    estimate; h2_dist is the norm of the disturbance-to-estimate map.  An
-    unstable observer gets infinite scores rather than an error so that a
-    search can rank past it.  Both maps run on the error dynamics Ae, so
-    one squared Smith doubling on the powers of Ae proves stability and
-    gives both Gramians (see :func:`_h2_scores`).
-    """
-    h2 = _h2_scores(_form(r.form), G, r.K_f[np.newaxis])
-    return _score(r, G, h2[0], margin_cut)
-
-
 def _h2_scores(f, G, K_f) -> np.ndarray:
     """(h2_noise, h2_dist) rows for a stack of injection gains K_f, inf
     where the error dynamics are unstable; both Gramians of a member advance
@@ -760,55 +547,123 @@ _CHUNK = 64
 
 
 class _Search:
-    """The constants of one search over (G, K), and the stacked kernel that
-    solves, designs, builds and scores its splits a chunk at a time."""
+    """One search over (G, K): the constants every split shares, checked and
+    computed once, and the stacked kernel that solves, designs, builds and
+    scores its splits a chunk at a time."""
 
     def __init__(self, G, K, form, Qn, Rn, margin_cut):
         self.G, self.K, self.form, self.margin_cut = G, K, form, margin_cut
-        self.free_poles = _FreePoles(G, K, Qn, Rn)
+        self.f = _FORMS[form]
+        # the free-pole design's reduced pairs are cut from these two
+        self.A_shift = G.A + G.B @ K.D @ G.C
+        self.BkC = K.B @ G.C
+        self.Qn, self.Lr = _noise_weights(Qn, Rn, G.n - K.n, K.n)
         self.A_cl = closed_loop_matrix(G, K)
         self.eig = eig_paired(self.A_cl)
         self.basis = _Eigenbasis(self.eig)
         self.sigma_min = float(np.linalg.svd(self.basis.basis, compute_uv=False)[-1])
-        self.bound = _RESID_TOL * np.linalg.norm(self.A_cl)
-        self.form_error = _form_error(_FORMS[form], G, K)
+        self.form_error = None  # the form's preconditions on (G, K), or why they fail
+        try:
+            self.f.check(G, K)
+        except ValueError as exc:
+            self.form_error = exc
+
+    def free_pole_gains(self, T_perp):
+        """The free-pole gains X of a stack of T-perp bases (k, n, n - n_K).
+
+        When n_K < n the observer error dynamics have n - n_K modes that T
+        does not pin down; they are assigned through X in
+        T-dagger = T^+ + T_perp X.  X is the steady-state Kalman gain for
+        the reduced pair
+
+            A_red = T_perp' (A + B D_K C) T_perp,   C_red = B_K C T_perp
+
+        with process covariance Qn (a scalar is that multiple of the
+        identity, an identity-injection noise channel) and measurement
+        covariance Rn, so the extra modes are the eigenvalues of
+        A_red - X C_red.  When n_K = n there are none and X is 0 x n_K.
+
+        Returns (X, errors): the (k, n - n_K, n_K) gains and, per member,
+        None or the NumericalError of an undetectable reduced pair or a
+        failed DARE.
+        """
+        k, _, free = T_perp.shape
+        if not free:
+            return np.zeros((k, 0, self.K.n)), [None] * k
+        A_red = T_perp.transpose(0, 2, 1) @ self.A_shift @ T_perp
+        C_red = self.BkC @ T_perp
+        errors = [None] * k
+        values = np.linalg.eigvals(A_red)
+        on_circle = np.abs(values) >= 1.0 - 1e-9
+        for i in np.flatnonzero(on_circle.any(axis=1)):
+            marginal = values[i][on_circle[i]]
+            bad = unobservable_modes(A_red[i], C_red[i], marginal)
+            if bad:
+                errors[i] = NumericalError(
+                    "free-pole design: reduced pair undetectable at modes "
+                    + ", ".join(f"{complex(marginal[j]):.4f}" for j in bad)
+                )
+        X = np.full((k, free, self.K.n), np.nan)
+        live = [i for i, e in enumerate(errors) if e is None]
+        if live:
+            X[live], dare_errors = _kalman_gains(A_red[live], C_red[live], self.Qn, self.Lr)
+            for i, e in zip(live, dare_errors):
+                errors[i] = e
+        return X, errors
 
     def evaluate(self, choices) -> list:
         """Per choice, (ObserverRealisation, RealisationScore) or the
         reason the split was rejected; the realisations' arrays are views
-        of this chunk's stacks (see :func:`_owned`)."""
-        G, K = self.G, self.K
+        of this chunk's stacks (see :func:`_owned`).
+
+        A split is rejected for the first of these that applies: an
+        infeasible T (see :func:`_solve_T_stack`), a failed free-pole
+        design, a rank-deficient T, the form's preconditions on (G, K),
+        then the invariants of the built realisation.  The gains are
+
+            filter form:    K_c = D_K C + C_K T,  K_f = A^-1 (T-dagger B_K - B D_K)
+            predictor form: K_c = C_K T,          K_f = T-dagger B_K
+        """
+        G, K, f = self.G, self.K, self.f
         U = self.basis.subspaces([c.state_feedback_set for c in choices])
         T, resid, out = _solve_T_stack(self.A_cl, U, self.sigma_min)
-        live = np.array([i for i, reason in enumerate(out) if not reason], dtype=int)
+        live = np.flatnonzero([not reason for reason in out])
         if not live.size:
             return out
         T, resid = T[live], resid[live]
-        t_svd = _t_svds(T)
-        if K.n < G.n:
-            X, errors = self.free_poles.gains(t_svd[1])
-        else:
-            X, errors = np.zeros((live.size, 0, K.n)), [None] * live.size
-        for i, e in zip(live, errors):
-            if e is not None:
-                out[i] = str(e)
-        keep = [m for m, e in enumerate(errors) if e is None]
-        live = live[keep]
-        built = _build_stack(
-            self.form, G, K, T[keep], [a[keep] for a in t_svd], X[keep], resid[keep],
-            self.bound, self.form_error, [choices[i] for i in live],
-        )
-        realisations = []
-        for i, b in zip(live, built):
-            if isinstance(b, Exception):
-                out[i] = str(b)
-            else:
-                realisations.append((i, b))
-        if realisations:
-            K_f = np.stack([r.K_f for _, r in realisations])
-            h2 = _h2_scores(_FORMS[self.form], G, K_f)
-            for (i, r), row in zip(realisations, h2):
-                out[i] = (r, _score(r, G, row, self.margin_cut))
+        sv, T_perp, T_pinv = _t_svds(T)
+        X, errors = self.free_pole_gains(T_perp)
+        deficient = sv[:, -1] <= 1e-8 * sv[:, 0]
+        for m, i in enumerate(live):
+            error = errors[m] or ("T is rank deficient" if deficient[m] else self.form_error)
+            if error is not None:
+                out[i] = str(error)
+        keep = [m for m, i in enumerate(live) if not out[i]]
+        if not keep:
+            return out
+        live, T, T_perp, X, resid = live[keep], T[keep], T_perp[keep], X[keep], resid[keep]
+        K_c, K_f = f.gains(G, K, T, T_pinv[keep] + T_perp @ X)
+
+        fro = lambda M: np.linalg.norm(M, axis=(1, 2))
+        if T_perp.shape[2]:
+            ortho = fro(T_perp.transpose(0, 2, 1) @ T_perp - np.eye(T_perp.shape[2]))
+            null = fro(T @ T_perp)
+            for m in np.flatnonzero((ortho > 1e-10) | (null > 1e-10 * np.maximum(1.0, fro(T)))):
+                out[live[m]] = "T_perp basis failed orthogonality checks"
+        gap = f.feedthrough_gap(K_c, K_f, K)
+        if gap is not None:
+            err = fro(gap)
+            for m in np.flatnonzero(err > 1e-8 * (1.0 + np.linalg.norm(K.D))):
+                out[live[m]] = out[live[m]] or f"K_c K_f - D_K = {err[m]:.2e}, expected 0"
+
+        built = [m for m, i in enumerate(live) if not out[i]]
+        if built:
+            for m, row in zip(built, _h2_scores(f, G, K_f[built])):
+                r = ObserverRealisation(
+                    form=self.form, T=T[m], T_perp=T_perp[m], X=X[m], K_c=K_c[m],
+                    K_f=K_f[m], choice=choices[live[m]], riccati_residual=float(resid[m]),
+                )
+                out[live[m]] = (r, _score(r, G, row, self.margin_cut))
         return out
 
 
@@ -844,14 +699,18 @@ def search_realisations(
     """Enumerate, solve, build and score every admissible realisation.
 
     forced_S defaults to the closed-loop modes that are uncontrollable
-    from the plant input (those cannot leave the state-feedback set).  An
-    unknown ``form``, a static controller, a controller of higher order
-    than the plant, a ``margin_cut`` that is not an input channel, or a
-    ``Qn``/``Rn`` that design_free_poles refuses (checked even when
-    n_K = n) raises ValueError before any split is solved; a closed loop
-    with a pole outside the unit circle raises UnstableSystemError, and no
-    feasible split NumericalError.  Results are sorted ascending by the
-    chosen metric ("product" or "noise"), ties broken by the S index tuple.
+    from the plant input (those cannot leave the state-feedback set).  A
+    forced_S of n indices with conjugate pairs kept whole admits exactly
+    one split, so ``forced_S=S`` realises the single split S, with the
+    same numbers as S's row of the full search.  An unknown ``form``, a
+    static controller, a controller of higher order than the plant, a
+    ``margin_cut`` that is not an input channel, or a ``Qn``/``Rn`` that
+    the free-pole Kalman design refuses (checked even when n_K = n) raises
+    ValueError before any split is solved; a closed loop with a pole
+    outside the unit circle raises UnstableSystemError, and a spectrum
+    with no admissible split, or no feasible split, NumericalError.
+    Results are sorted ascending by the chosen metric ("product" or
+    "noise"), ties broken by the S index tuple.
 
     The splits are evaluated in stacked chunks of 64.  ``workers`` None or
     1 evaluates them on the calling thread; an int k > 1 evaluates them on
@@ -886,6 +745,10 @@ def search_realisations(
         B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
         forced_S = unobservable_modes(search.A_cl.T, B_cl.T, search.eig.values)
     choices = enumerate_choices(search.eig, G.n, K.n, forced_S)
+    if not choices:
+        raise NumericalError(
+            f"no feasible realisation: no split of the closed-loop spectrum puts n = {G.n} "
+            "eigenvalues in S with conjugate pairs and repeated eigenvalues kept together")
 
     result = SearchResult()
 

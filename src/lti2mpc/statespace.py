@@ -4,6 +4,7 @@ Everything here is plain dense numpy. Systems are immutable value objects;
 all transformations return new systems.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,7 @@ class DtStateSpace(_StateSpace):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.Ts > 0:
-            raise ValueError("Ts must be positive")
+        _check_Ts(self.Ts)
         object.__setattr__(self, "disturbance_states", tuple(self.disturbance_states))
 
     def freq_response(self, w_ts):
@@ -107,14 +107,18 @@ class DtStateSpace(_StateSpace):
         return out
 
 
+def _check_Ts(Ts):
+    if not 0 < Ts < math.inf:  # NaN fails too
+        raise ValueError(f"Ts must be positive and finite, not {Ts}")
+
+
 def c2d_zoh(sys, Ts):
     """Zero-order-hold discretisation via the augmented matrix exponential.
 
     Builds expm([[A, B], [0, 0]]*Ts); the top blocks are the exact discrete
     (A_d, B_d) for piecewise-constant inputs. C and D carry over.
     """
-    if Ts <= 0:
-        raise ValueError("Ts must be positive")
+    _check_Ts(Ts)
     n, m = sys.n, sys.n_u
     M = np.zeros((n + m, n + m))
     M[:n, :n] = sys.A * Ts
@@ -131,8 +135,7 @@ def c2d_tustin(sys, Ts):
     The resulting discrete system matches the continuous frequency response
     exactly at omega = 0. Raises if I - (Ts/2)A is singular.
     """
-    if Ts <= 0:
-        raise ValueError("Ts must be positive")
+    _check_Ts(Ts)
     n = sys.n
     I = np.eye(n)
     M = I - (Ts / 2.0) * sys.A
@@ -174,8 +177,8 @@ def add_dipole(K, W=50.0):
     response in the working band nearly unchanged for large W. The scalar
     cell (a, b, c, d) = (1/W, 1, 1/W, 1) realises z/(z - 1/W).
     """
-    if W < 10:
-        raise ValueError("dipole W must be at least 10")
+    if not 10 <= W < math.inf:  # NaN fails too
+        raise ValueError(f"dipole W must be finite and at least 10, not {W}")
     ny = K.n_u  # controller inputs = measured outputs
     a = 1.0 / W
     # diag of scalar dipoles ahead of the controller input

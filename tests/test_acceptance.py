@@ -7,7 +7,7 @@ the thirteen pass.
 Criterion 5 checks the Kalman replacement observer poles of every
 pendulum realisation against an independent oracle: scipy's null-space
 basis and DARE solver applied to the reduced pair that
-``design_free_poles`` documents.  Two reference rows also agree within
+``_Search.free_pole_gains`` documents.  Two reference rows also agree within
 5 %; the third lists the realisation's own retained pair, which the
 Kalman design cannot produce, so that row is not pinned.
 

@@ -297,6 +297,29 @@ def test_builtin_with_another_top_level_Ts_is_a_config_error(tmp_path, capsys):
     ({"plant": "pendulum", "pipeline": {"Qn": float("inf")}}, 2, "config error: Qn must be finite"),
     ({"plant": "pendulum", "pipeline": {"Rn": 0}}, 2, "config error: Rn must be positive definite"),
     ({"plant": "satellite", "pipeline": {"Rn": float("-inf")}}, 2, "config error: Rn must be finite"),
+    # an infinite Ts: on a discrete system, and as the top-level Ts that a
+    # continuous loop is discretised at
+    ({"plant": {"kind": "discrete", "A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]],
+                "Ts": float("inf")},
+      "controller": {"kind": "discrete", "A": [[0.3]], "B": [[0.2]], "C": [[0.1]],
+                     "D": [[0.0]], "Ts": float("inf")},
+      "pipeline": {"form": "predictor", "margin_cut": 0}},
+     2, "config error: plant: Ts must be positive and finite, not inf"),
+    ({"plant": {"kind": "continuous", "A": [[0.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+      "controller": {"kind": "continuous", "A": [[-1.0]], "B": [[1.0]], "C": [[-1.0]],
+                     "D": [[-1.0]]},
+      "Ts": float("inf")},
+     2, "config error: plant: Ts must be positive and finite, not inf"),
+    ({"plant": "satellite", "pipeline": {"dipole_W": float("inf")}}, 2,
+     "config error: dipole W must be finite and at least 10, not inf"),
+    # a closed loop that is one conjugate pair, which n = 1 cannot hold whole
+    ({"plant": {"kind": "discrete", "A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]],
+                "Ts": 1.0},
+      "controller": {"kind": "discrete", "A": [[0.5]], "B": [[1.0]], "C": [[-0.1]],
+                     "D": [[0.0]], "Ts": 1.0},
+      "pipeline": {"form": "predictor"}},
+     1, "error: no feasible realisation: no split of the closed-loop spectrum puts n = 1 "
+        "eigenvalues in S with conjugate pairs"),
 ])
 def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, code, prefix):
     cfg = _write(tmp_path, "c.json", doc)
@@ -356,6 +379,16 @@ def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, cod
      "config error: scenario 'a': x0 entries must be finite"),
     ({"base": "satellite-baseline", "noise_sigma": [float("inf")]}, {}, 2,
      "config error: scenario 'a': noise_sigma entries must be finite"),
+    # infinite weights, which used to end in "SVD did not converge"
+    ({"duration": 2.0}, {"W": [[float("inf"), 0], [0, 1]]}, 2,
+     "config error: mpc options: matching-cost weight W must be finite"),
+    ({"duration": 2.0}, {"cost": "effect", "Q1": float("inf")}, 2,
+     "config error: mpc options: effect weight Q1 must be finite"),
+    ({"duration": 2.0}, {"soft_output_weight": float("inf"), "y_bounds": [[-1], [1]]}, 2,
+     "config error: mpc options: soft_output_weight must be finite, not inf"),
+    # a value equal to its default is refused all the same
+    ({"base": "satellite-case-1"}, {"N": 15}, 2,
+     "config error: scenario 'a' comes from the library; mpc configures custom scenarios only"),
 ])
 def test_simulate_refusals_end_in_documented_exit_codes(tmp_path, capsys, scenario, mpc,
                                                         code, message):
@@ -369,19 +402,21 @@ def test_simulate_refusals_end_in_documented_exit_codes(tmp_path, capsys, scenar
 
 
 def test_only_set_mpc_values_refuse_a_library_scenario(tmp_path, capsys):
-    # values equal to the schema defaults set nothing, so a base entry runs
+    # an empty mpc section sets nothing, so a base entry runs
     cfg = _write(tmp_path, "c.json", {
-        "plant": "satellite", "mpc": {"N": 15, "cost": "matching"},
+        "plant": "satellite", "mpc": {},
         "scenarios": {"a": {"base": "satellite-baseline", "duration": 1.0}}})
     assert main(["simulate", "--config", cfg, "--scenario", "a",
                  "--out", str(tmp_path / "t.csv")]) == 0
-    # a library scenario named directly is refused as a base entry is
-    cfg = _write(tmp_path, "d.json", {"plant": "satellite", "mpc": {"N": 1}})
-    assert main(["simulate", "--config", cfg, "--scenario", "satellite-case-2",
-                 "--out", str(tmp_path / "u.csv")]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "config error: scenario 'satellite-case-2' comes from the library; "
-        "mpc configures custom scenarios only"]
+    # a library scenario named directly is refused as a base entry is, for
+    # any key given, its default value included
+    for mpc in ({"N": 1}, {"N": 15}, {"W": None}):
+        cfg = _write(tmp_path, "d.json", {"plant": "satellite", "mpc": mpc})
+        assert main(["simulate", "--config", cfg, "--scenario", "satellite-case-1",
+                     "--out", str(tmp_path / "u.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: scenario 'satellite-case-1' comes from the library; "
+            "mpc configures custom scenarios only"]
 
 
 def test_infinite_json_bounds_disable_a_row(tmp_path):

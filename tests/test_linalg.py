@@ -14,7 +14,6 @@ from lti2mpc.linalg import (
     eig_paired,
     h2_norm,
     loop_margins,
-    solve_dare_kalman,
     solve_discrete_lyapunov,
     spectral_radius,
 )
@@ -115,14 +114,25 @@ def test_h2_invariant_under_similarity():
         assert_allclose(h2_norm(s1), h2_norm(s2), rtol=1e-7)
 
 
+def _kalman_gain(A, C, Qn, Rn):
+    """The Kalman predictor gain of one pair, as the free-pole design of a
+    search computes it: the error of a failed DARE is raised."""
+    A, C = np.atleast_2d(A), np.atleast_2d(C)
+    (L,), (error,) = linalg._kalman_gains(
+        A[np.newaxis], C[np.newaxis], *linalg._noise_weights(Qn, Rn, A.shape[0], C.shape[0]))
+    if error is not None:
+        raise error
+    return L
+
+
 def test_dare_golden_ratio():
     # a = c = qn = rn = 1:  P^2 = P + 1, gain = 1/phi
-    L = solve_dare_kalman(np.array([[1.0]]), np.array([[1.0]]), 1.0, 1.0)
+    L = _kalman_gain(np.array([[1.0]]), np.array([[1.0]]), 1.0, 1.0)
     assert_allclose(L, [[2.0 / (1.0 + np.sqrt(5.0))]], rtol=1e-9)
 
 
 def test_dare_zero_process_noise_gives_zero_gain():
-    L = solve_dare_kalman(np.array([[0.5]]), np.array([[1.0]]), 0.0, 1.0)
+    L = _kalman_gain(np.array([[0.5]]), np.array([[1.0]]), 0.0, 1.0)
     assert_allclose(L, [[0.0]], atol=1e-12)
 
 
@@ -133,13 +143,13 @@ def test_dare_gain_stabilises_error_dynamics():
         A = rng.standard_normal((n, n))
         A *= rng.uniform(0.5, 1.3) / max(spectral_radius(A), 1e-9)
         C = rng.standard_normal((1, n))
-        L = solve_dare_kalman(A, C, 1.0, 1.0)
+        L = _kalman_gain(A, C, 1.0, 1.0)
         assert spectral_radius(A - L @ C) < 1.0
 
 
 def test_dare_rejects_indefinite_measurement_noise():
     with pytest.raises((ValueError, NumericalError)):
-        solve_dare_kalman(np.array([[0.5]]), np.array([[1.0]]), 1.0, np.array([[-1.0]]))
+        _kalman_gain(np.array([[0.5]]), np.array([[1.0]]), 1.0, np.array([[-1.0]]))
 
 
 def _random_covariance(rng, dim, cond):
@@ -168,18 +178,18 @@ def test_kalman_gains_match_the_scipy_dare(n, ny, rn_cond, rtol):
         P = scipy.linalg.solve_discrete_are(A[i].T, C[i].T, Qn, Rn)
         ref = np.linalg.solve(C[i] @ P @ C[i].T + Rn, C[i] @ P @ A[i].T).T
         assert_allclose(L[i], ref, rtol=rtol, atol=rtol * np.abs(ref).max())
-        assert_allclose(solve_dare_kalman(A[i], C[i], Qn, Rn), L[i], rtol=1e-12,
+        assert_allclose(_kalman_gain(A[i], C[i], Qn, Rn), L[i], rtol=1e-12,
                         atol=1e-12 * np.abs(ref).max())
 
 
 def test_kalman_gains_refuse_a_wrong_riccati_solution(monkeypatch):
     rng = np.random.default_rng(47)
     A, C = 0.5 * rng.standard_normal((4, 4)), rng.standard_normal((17, 4))
-    solve_dare_kalman(A, C, 1.0, 1e2)  # converges
+    _kalman_gain(A, C, 1.0, 1e2)  # converges
     doubling = linalg._dare_doubling
     monkeypatch.setattr(linalg, "_dare_doubling", lambda *args: 1.01 * doubling(*args))
     with pytest.raises(NumericalError, match="did not converge, relative residual"):
-        solve_dare_kalman(A, C, 1.0, 1e2)
+        _kalman_gain(A, C, 1.0, 1e2)
 
 
 @pytest.mark.parametrize("Qn, Rn, message", [
@@ -194,21 +204,21 @@ def test_kalman_gains_refuse_a_wrong_riccati_solution(monkeypatch):
 ])
 def test_dare_refuses_bad_covariances(Qn, Rn, message):
     with pytest.raises(ValueError, match=message):
-        solve_dare_kalman(0.5 * np.eye(2), np.eye(2), Qn, Rn)
+        _kalman_gain(0.5 * np.eye(2), np.eye(2), Qn, Rn)
 
 
 def test_dare_accepts_a_semidefinite_process_covariance():
     # rank-one Qn, and a Qn whose smallest eigenvalue is -1e-14 ||Qn|| from rounding
-    L = solve_dare_kalman(0.5 * np.eye(2), np.ones((1, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
+    L = _kalman_gain(0.5 * np.eye(2), np.ones((1, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
     assert np.isfinite(L).all()
-    solve_dare_kalman(0.5 * np.eye(2), np.ones((1, 2)), np.diag([1.0, -1e-14]), 1.0)
+    _kalman_gain(0.5 * np.eye(2), np.ones((1, 2)), np.diag([1.0, -1e-14]), 1.0)
 
 
 def test_dare_doubling_breakdown_is_a_numerical_error(monkeypatch):
     # a member whose doubling iteration breaks down comes back as NaN
     monkeypatch.setattr(linalg, "_dare_doubling", lambda A, *args: np.full(A.shape, np.nan))
     with pytest.raises(NumericalError, match="broke down"):
-        solve_dare_kalman(np.array([[0.5]]), np.array([[1.0]]), 1.0, 1.0)
+        _kalman_gain(np.array([[0.5]]), np.array([[1.0]]), 1.0, 1.0)
 
 
 # -- loop margins ------------------------------------------------------------

@@ -250,6 +250,17 @@ def test_config_validation():
         MpcConfig(N=0, cost=c)
     with pytest.raises(ValueError):
         MpcConfig(N=3, cost=c, u_bounds=([1.0], [-1.0]))
+    with pytest.raises(ValueError, match="soft_output_weight must be finite, not inf"):
+        MpcConfig(N=3, cost=c, soft_output_weight=np.inf)
+
+
+def test_infinite_weights_are_refused():
+    G = DtStateSpace(0.5 * np.eye(2), np.eye(2), np.eye(1, 2), np.zeros((1, 2)), 1.0)
+    with pytest.raises(ValueError, match="matching-cost weight W must be finite"):
+        matching_cost(np.zeros((2, 2)), np.diag([np.inf, 1.0]))
+    for Q1, R1, name in ((np.inf, 1.0, "Q1"), (1.0, np.diag([1.0, np.nan]), "R1")):
+        with pytest.raises(ValueError, match=f"effect weight {name} must be finite"):
+            effect_weight(G, Q1, R1)
 
 
 def test_horizon_must_be_an_integer():

@@ -40,20 +40,15 @@ from lti2mpc.realisation import (
     RealisationChoice,
     _dist_injection,
     _form,
-    _FreePoles,
     _h2_scores,
     _score,
     _t_svds,
-    build_realisation,
     check_decoupling,
     closed_loop_matrix,
-    design_free_poles,
     enumerate_choices,
     margin_loop,
     realisation_controller,
-    score_realisation,
     search_realisations,
-    solve_T,
     verify_equivalence,
 )
 from lti2mpc.statespace import DtStateSpace, add_dipole, loop_shift, unobservable_modes
@@ -80,6 +75,36 @@ def _random_stable_pair(rng, n, n_K, n_u=1, n_y=1, strictly_proper_K=True):
     raise AssertionError("no stable pair found")
 
 
+def _one_split(G, K, form, S):
+    """The realisation and score of the single split S: a forced_S of n
+    indices admits no other split."""
+    ((r, score),) = search_realisations(G, K, form=form, forced_S=S).ranked
+    return r, score
+
+
+def _feasible(G, K, form):
+    """The ranked rows of the search over every split, [] when none is feasible."""
+    try:
+        return search_realisations(G, K, form=form, forced_S=()).ranked
+    except NumericalError:
+        return []
+
+
+def _random_free_poles(monkeypatch, rng):
+    """Make every search take random free-pole gains X, which any X may be:
+    T-dagger = T^+ + T_perp X satisfies T T-dagger = I for every X."""
+    def gains(self, T_perp):
+        k, _, free = T_perp.shape
+        return rng.standard_normal((k, free, self.K.n)), [None] * k
+
+    monkeypatch.setattr(realisation._Search, "free_pole_gains", gains)
+
+
+def _score_one(r, G):
+    """The search's scores of one realisation, without margins."""
+    return _score(r, G, _h2_scores(_form(r.form), G, r.K_f[np.newaxis])[0], None)
+
+
 # -- scalar oracles ----------------------------------------------------------
 
 def test_scalar_predictor_both_splits():
@@ -96,15 +121,14 @@ def test_scalar_predictor_both_splits():
     expect = {(1,): (0.568729, 0.227492, 0.527492),
               (0,): (-1.318729, -0.527492, -0.227492)}
     for c in choices:
-        res = solve_T(A_cl, c, eig)
-        assert res.feasible
+        r, _ = _one_split(G, K, "predictor", c.state_feedback_set)
+        assert r.choice == c
         T_ref, Kc_ref, Kf_ref = expect[c.state_feedback_set]
-        assert_allclose(res.T, [[T_ref]], atol=1e-6)
-        r = build_realisation("predictor", G, K, res.T, choice=c)
+        assert_allclose(r.T, [[T_ref]], atol=1e-6)
         assert_allclose(r.K_c, [[Kc_ref]], atol=1e-6)
         assert_allclose(r.K_f, [[Kf_ref]], atol=1e-6)
         # quadratic satisfied
-        T = res.T[0, 0]
+        T = r.T[0, 0]
         assert abs(0.4 * T * T + 0.3 * T - 0.3) < 1e-12
         assert verify_equivalence(realisation_controller(r, G), K) < 1e-12
         # observer error pole is the eigenvalue left out of S
@@ -123,11 +147,10 @@ def test_scalar_filter_both_splits_and_feedthrough_identity():
     expect = {(1,): (0.589454, 0.208945, 0.717891),
               (0,): (-5.089454, -0.358945, -0.417891)}
     for c in enumerate_choices(eig, 1, 1):
-        res = solve_T(A_cl, c, eig)
-        assert res.feasible
+        r, _ = _one_split(G, K, "filter", c.state_feedback_set)
+        assert r.choice == c
         T_ref, Kc_ref, Kf_ref = expect[c.state_feedback_set]
-        assert_allclose(res.T, [[T_ref]], atol=1e-6)
-        r = build_realisation("filter", G, K, res.T, choice=c)
+        assert_allclose(r.T, [[T_ref]], atol=1e-6)
         assert_allclose(r.K_c, [[Kc_ref]], atol=1e-6)
         assert_allclose(r.K_f, [[Kf_ref]], atol=1e-6)
         # K_c K_f recovers the controller feedthrough exactly
@@ -138,9 +161,8 @@ def test_scalar_filter_both_splits_and_feedthrough_identity():
 def test_filter_form_rejects_controller_with_bias():
     G = _scalar(0.5, 1.0, 1.0)
     K = _scalar(0.2, 0.3, 0.4)  # K(0) = -0.6, no zero at the origin
-    T = np.array([[1.0]])
-    with pytest.raises(ValueError, match="K\\(0\\)"):
-        build_realisation("filter", G, K, T)
+    with pytest.raises(NumericalError, match="2 x filter form needs K\\(0\\) = 0"):
+        search_realisations(G, K, form="filter")
 
 
 # -- choice enumeration ------------------------------------------------------
@@ -160,7 +182,7 @@ def test_enumerate_keeps_conjugate_pairs_together():
     real_idx = tuple(i for i in range(4) if i not in pair_idx)
     half = RealisationChoice((pair_idx[0], real_idx[0]), (pair_idx[1], real_idx[1]))
     with pytest.raises(ValueError, match="conjugate pair .* split by the selection"):
-        solve_T(M, half, eig)
+        realisation._Eigenbasis(eig).subspaces([half.state_feedback_set])
 
 
 def test_enumerate_fuses_repeated_eigenvalues():
@@ -262,33 +284,45 @@ def test_overlapping_split_rejected():
 
 def test_solve_T_reports_infeasible_direction():
     # eigenvector of 0.2 has no component on the plant state: U1 singular
-    A_cl = np.array([[0.5, 0.0], [1.0, 0.2]])
+    G, K = _scalar(0.5, 1.0, 1.0), _scalar(0.2, 1.0, 0.0)
+    A_cl = closed_loop_matrix(G, K)
+    assert np.array_equal(A_cl, [[0.5, 0.0], [1.0, 0.2]])
     eig = eig_paired(A_cl)
-    c_bad = [c for c in enumerate_choices(eig, 1, 1)
-             if abs(eig.values[c.state_feedback_set[0]] - 0.2) < 1e-9][0]
-    res = solve_T(A_cl, c_bad, eig)
-    assert not res.feasible
-    assert res.reason != ""
+    (bad,) = [i for i in range(2) if abs(eig.values[i] - 0.2) < 1e-9]
+    with pytest.raises(NumericalError, match="^no feasible realisation: 1 x U1 ill conditioned$"):
+        search_realisations(G, K, form="predictor", forced_S=[bad])
+
+
+def test_rank_deficient_T_is_rejected():
+    # the output never sees the plant mode 0.4, so its eigenvector has no
+    # controller component and T = [[10/3, 0], [5, 0]] has rank 1
+    G = DtStateSpace(np.diag([0.5, 0.4]), np.ones((2, 1)), [[1.0, 0.0]], [[0.0]], 1.0)
+    K = DtStateSpace(np.diag([0.2, 0.3]), np.ones((2, 1)), np.zeros((1, 2)), [[0.0]], 1.0)
+    eig = eig_paired(closed_loop_matrix(G, K))
+    plant = [i for i in range(4) if min(abs(eig.values[i] - 0.5), abs(eig.values[i] - 0.4)) < 1e-9]
+    with pytest.raises(NumericalError, match="^no feasible realisation: 1 x T is rank deficient$"):
+        search_realisations(G, K, form="predictor", forced_S=plant)
+
+
+def test_a_spectrum_without_an_admissible_split_is_a_numerical_error():
+    # the closed loop is one conjugate pair, which n = 1 cannot hold whole
+    G, K = _scalar(0.5, 1.0, 1.0), _scalar(0.5, 1.0, -0.1)
+    assert np.all(eig_paired(closed_loop_matrix(G, K)).values.imag != 0)
+    with pytest.raises(NumericalError, match="no split of the closed-loop spectrum puts n = 1 "
+                                             "eigenvalues in S with conjugate pairs"):
+        search_realisations(G, K, form="predictor")
 
 
 # -- reconstruction property over random pairs -------------------------------
 
-def test_predictor_reconstructs_random_controllers():
+def test_predictor_reconstructs_random_controllers(monkeypatch):
     rng = np.random.default_rng(21)
+    _random_free_poles(monkeypatch, np.random.default_rng(121))  # any X works
     checked = 0
     for _ in range(15):
         n_K = int(rng.integers(1, 4))
         G, K = _random_stable_pair(rng, 3, n_K)
-        A_cl = closed_loop_matrix(G, K)
-        eig = eig_paired(A_cl)
-        for c in enumerate_choices(eig, 3, n_K):
-            res = solve_T(A_cl, c, eig)
-            if not res.feasible:
-                continue
-            X = None
-            if n_K < 3:
-                X = rng.standard_normal((3 - n_K, n_K))  # any X works
-            r = build_realisation("predictor", G, K, res.T, X, c)
+        for r, _ in _feasible(G, K, "predictor"):
             assert verify_equivalence(realisation_controller(r, G), K) < 1e-7
             checked += 1
     assert checked >= 20
@@ -303,12 +337,7 @@ def test_filter_reconstructs_dipole_augmented_controllers():
         A_cl = closed_loop_matrix(G, K)
         if spectral_radius(A_cl) >= 1.0 or np.linalg.cond(G.A) > 1e10:
             continue
-        eig = eig_paired(A_cl)
-        for c in enumerate_choices(eig, G.n, K.n):
-            res = solve_T(A_cl, c, eig)
-            if not res.feasible:
-                continue
-            r = build_realisation("filter", G, K, res.T, choice=c)
+        for r, _ in _feasible(G, K, "filter"):
             assert verify_equivalence(realisation_controller(r, G), K) < 1e-7
             assert_allclose(r.K_c @ r.K_f, K.D, atol=1e-7)
             checked += 1
@@ -320,8 +349,7 @@ def test_equivalence_check_catches_a_wrong_gain():
     K = _scalar(0.2, 0.3, 0.4)
     A_cl = closed_loop_matrix(G, K)
     eig = eig_paired(A_cl)
-    c = enumerate_choices(eig, 1, 1)[1]
-    r = build_realisation("predictor", G, K, solve_T(A_cl, c, eig).T, choice=c)
+    r, _ = _one_split(G, K, "predictor", enumerate_choices(eig, 1, 1)[1].state_feedback_set)
     # rebuild the observer controller with a perturbed injection gain
     A_obs = G.A + G.B @ r.K_c - np.array([[1.1 * r.K_f[0, 0]]]) @ G.C
     wrong = DtStateSpace(A_obs, [[1.1 * r.K_f[0, 0]]], r.K_c, [[0.0]], 1.0)
@@ -338,64 +366,53 @@ def test_equivalence_check_fails_overflowing_responses():
 
 # -- free observer poles -----------------------------------------------------
 
-def test_free_poles_follow_reduced_pair_spectrum():
+def test_free_poles_follow_reduced_pair_spectrum(monkeypatch):
     rng = np.random.default_rng(23)
     G, K = _random_stable_pair(rng, 4, 2)
-    A_cl = closed_loop_matrix(G, K)
-    eig = eig_paired(A_cl)
-    for c in enumerate_choices(eig, 4, 2):
-        res = solve_T(A_cl, c, eig)
-        if not res.feasible:
-            continue
-        X = rng.standard_normal((2, 2))
-        r = build_realisation("predictor", G, K, res.T, X, c)
-        Tp = r.T_perp
+    _random_free_poles(monkeypatch, rng)
+    eig = eig_paired(closed_loop_matrix(G, K))
+    found = _feasible(G, K, "predictor")
+    assert found, "no feasible choice in fixture"
+    for r, _ in found:
+        Tp, X = r.T_perp, r.X
         A_red = Tp.T @ G.A @ Tp
         C_red = K.B @ G.C @ Tp
         Ae = G.A - r.K_f @ G.C
         want = np.concatenate([
-            np.array([eig.values[i] for i in c.observer_set]),
+            np.array([eig.values[i] for i in r.choice.observer_set]),
             np.linalg.eigvals(A_red - X @ C_red),
         ])
         got = np.linalg.eigvals(Ae)
         assert_allclose(np.sort_complex(got), np.sort_complex(want), atol=1e-7)
-        break
-    else:
-        raise AssertionError("no feasible choice in fixture")
 
 
 def test_design_free_poles_quiet_measurements_keep_reduced_dynamics():
     rng = np.random.default_rng(24)
     G, K = _random_stable_pair(rng, 4, 2)
-    A_cl = closed_loop_matrix(G, K)
-    eig = eig_paired(A_cl)
-    for c in enumerate_choices(eig, 4, 2):
-        res = solve_T(A_cl, c, eig)
-        if res.feasible:
-            break
-    X = design_free_poles(G, K, res.T, Qn=1.0, Rn=1e7)
-    assert np.linalg.norm(X) < 1e-3
-    Tp = np.linalg.svd(res.T)[2][2:].T  # null basis of T
-    A_red = Tp.T @ G.A @ Tp
-    got = np.sort_complex(np.linalg.eigvals(A_red - X @ (K.B @ G.C @ Tp)))
-    assert_allclose(got, np.sort_complex(np.linalg.eigvals(A_red)), atol=1e-3)
+    found = search_realisations(G, K, form="predictor", forced_S=(), Qn=1.0, Rn=1e7)
+    for r, _ in found.ranked:
+        assert np.linalg.norm(r.X) < 1e-3
+        Tp = r.T_perp
+        A_red = Tp.T @ G.A @ Tp
+        got = np.sort_complex(np.linalg.eigvals(A_red - r.X @ (K.B @ G.C @ Tp)))
+        assert_allclose(got, np.sort_complex(np.linalg.eigvals(A_red)), atol=1e-3)
 
 
 def test_design_free_poles_without_free_poles_is_empty_and_checks_the_covariances():
-    # n_K = n (satellite) and n_K > n: no free pole, an empty X, and the
-    # covariances judged as for any search
-    rng = np.random.default_rng(25)
+    # n_K = n (satellite): no free pole, an empty X, and the covariances
+    # judged as for any search
     G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
-    small, big = _random_stable_pair(rng, 2, 1)[0], _random_stable_pair(rng, 3, 3)[1]
-    for G, K in [(G, K), (small, big)]:
-        T = rng.standard_normal((K.n, G.n))
-        assert design_free_poles(G, K, T).shape == (0, K.n)
-        with pytest.raises(ValueError, match="Qn must be positive semidefinite"):
-            design_free_poles(G, K, T, Qn=-1.0)
-        with pytest.raises(ValueError, match="Qn must be scalar or 0x0"):
-            design_free_poles(G, K, T, Qn=np.eye(G.n))
-        with pytest.raises(ValueError, match="Rn must be positive definite"):
-            design_free_poles(G, K, T, Rn=0.0)
+    assert K.n == G.n
+    found = search_realisations(G, K, form="filter")
+    assert found.ranked and all(r.X.shape == (0, K.n) for r, _ in found.ranked)
+    X, errors = realisation._Search(G, K, "filter", 1.0, 1e7, None).free_pole_gains(
+        np.zeros((2, G.n, 0)))
+    assert X.shape == (2, 0, K.n) and errors == [None, None]
+    for Qn, Rn, message in [(-1.0, 1e7, "Qn must be positive semidefinite"),
+                            (np.eye(G.n), 1e7, "Qn must be scalar or 0x0"),
+                            (1.0, 0.0, "Rn must be positive definite")]:
+        with pytest.raises(ValueError, match=message):
+            search_realisations(G, K, form="filter", Qn=Qn, Rn=Rn)
 
 
 def test_free_pole_gain_rejects_an_undetectable_reduced_pair():
@@ -404,7 +421,8 @@ def test_free_pole_gain_rejects_an_undetectable_reduced_pair():
     G = DtStateSpace(np.diag([1.0, 0.5, 0.2]), np.ones((3, 1)), [[0.0, 1.0, 1.0]],
                      [[0.0]], 1.0)
     K = DtStateSpace([[0.3]], [[1.0]], [[0.5]], [[0.0]], 1.0)
-    _, (err,) = _FreePoles(G, K, 1.0, 1e7).gains(np.eye(3)[np.newaxis, :, :2])
+    search = realisation._Search(G, K, "predictor", 1.0, 1e7, None)
+    _, (err,) = search.free_pole_gains(np.eye(3)[np.newaxis, :, :2])
     assert isinstance(err, NumericalError)
     assert "undetectable at modes 1.0000" in str(err)
 
@@ -443,31 +461,23 @@ def _with_disturbance_states(G, states):
     return DtStateSpace(G.A, G.B, G.C, G.D, G.Ts, disturbance_states=states)
 
 
-def _scored_random_realisations():
-    """(realisation, G) over random predictor- and filter-form pairs."""
+def _scored_random_realisations(monkeypatch):
+    """(realisation, G) over random predictor- and filter-form pairs, the
+    predictor form with random free-pole gains."""
     rng = np.random.default_rng(26)
+    _random_free_poles(monkeypatch, np.random.default_rng(126))
     out = []
     for _ in range(10):
         n_K = int(rng.integers(1, 4))
         G, K = _random_stable_pair(rng, 3, n_K)
-        A_cl = closed_loop_matrix(G, K)
-        eig = eig_paired(A_cl)
-        for c in enumerate_choices(eig, 3, n_K):
-            res = solve_T(A_cl, c, eig)
-            if res.feasible:
-                X = rng.standard_normal((3 - n_K, n_K)) if n_K < 3 else None
-                out.append((build_realisation("predictor", G, K, res.T, X, c), G))
+        out += [(r, G) for r, _ in _feasible(G, K, "predictor")]
     for _ in range(8):
         G, K0 = _random_stable_pair(rng, 2, 1, strictly_proper_K=False)
         K = add_dipole(K0, W=50.0)
         A_cl = closed_loop_matrix(G, K)
         if spectral_radius(A_cl) >= 1.0 or np.linalg.cond(G.A) > 1e10:
             continue
-        eig = eig_paired(A_cl)
-        for c in enumerate_choices(eig, G.n, K.n):
-            res = solve_T(A_cl, c, eig)
-            if res.feasible:
-                out.append((build_realisation("filter", G, K, res.T, choice=c), G))
+        out += [(r, G) for r, _ in _feasible(G, K, "filter")]
     return out
 
 
@@ -479,11 +489,13 @@ def fallbacks(monkeypatch):
     return calls
 
 
-def test_doubling_scores_match_lyapunov_h2_norms(fallbacks):
+def test_doubling_scores_match_lyapunov_h2_norms(fallbacks, monkeypatch):
+    realisations = _scored_random_realisations(monkeypatch)
+    fallbacks.clear()  # only the scores below count, not the searches' own
     checked = {"filter": 0, "predictor": 0}
-    for r, G in _scored_random_realisations():
+    for r, G in realisations:
         for Gs in (G, _with_disturbance_states(G, (0,))):
-            s = score_realisation(r, Gs)
+            s = _score_one(r, Gs)
             if not s.stable:
                 continue
             noise = _form(r.form).noise_system(r, Gs)
@@ -509,7 +521,7 @@ def test_defective_error_dynamics_score_by_doubling(fallbacks):
     # a Jordan block has no eigenbasis; the doubling needs none
     A = np.array([[0.5, 1.0], [0.0, 0.5]])
     r, G = _hand_realisation(A)
-    s = score_realisation(r, G)
+    s = _score_one(r, G)
     assert not fallbacks
     assert s.stable
     assert_allclose(s.h2_noise, h2_norm(_form(r.form).noise_system(r, G)), rtol=1e-10)
@@ -518,7 +530,7 @@ def test_defective_error_dynamics_score_by_doubling(fallbacks):
 
 def test_unstable_error_dynamics_score_infinite():
     r, G = _hand_realisation(np.array([[1.2, 0.3], [0.0, 0.4]]))
-    s = score_realisation(r, G)
+    s = _score_one(r, G)
     assert not s.stable
     assert s.h2_noise == s.h2_dist == s.product == np.inf
     with pytest.raises(UnstableSystemError):
@@ -533,7 +545,7 @@ def test_unexcited_unstable_mode_still_scores_infinite(fallbacks):
     G = _with_disturbance_states(G, (0,))
     E, _ = _dist_injection(G)
     assert not np.any([(np.linalg.matrix_power(A, j) @ E)[1] for j in range(8)])
-    s = score_realisation(r, G)
+    s = _score_one(r, G)
     assert not s.stable
     assert s.h2_noise == s.h2_dist == s.product == np.inf
     assert not fallbacks
@@ -546,7 +558,7 @@ def test_error_dynamics_past_the_doubling_cap_take_the_eigenvalue_path(fallbacks
     spectra = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda M: spectra.append(M) or eigvals(M))
-    s = score_realisation(r, G)
+    s = _score_one(r, G)
     assert any(M.ndim == 3 and np.array_equal(M[0], A) for M in spectra)
     assert len(fallbacks) == 2  # noise and disturbance maps, both by the Schur path
     assert s.stable
@@ -638,8 +650,6 @@ def test_unknown_form_fails_before_any_split_is_solved(monkeypatch):
     K = add_dipole(satellite_controller(), W=50.0)
     with pytest.raises(ValueError, match="unknown form 'bogus'"):
         search_realisations(G, K, form="bogus")
-    with pytest.raises(ValueError, match="unknown form 'bogus'"):
-        build_realisation("bogus", G, K, np.ones((K.n, G.n)))
 
 
 def test_satellite_best_injection_gain_pinned():
@@ -702,11 +712,9 @@ def test_controller_of_higher_order_than_the_plant_is_refused(monkeypatch):
 
     monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
     G, K = _random_stable_pair(np.random.default_rng(27), 2, 3)
-    for call in (lambda: search_realisations(G, K, form="predictor"),
-                 lambda: build_realisation("predictor", G, K, np.ones((3, 2)))):
-        with pytest.raises(ValueError, match="controller order 3 exceeds plant order 2") as exc:
-            call()
-        assert "augment the plant" in str(exc.value)
+    with pytest.raises(ValueError, match="controller order 3 exceeds plant order 2") as exc:
+        search_realisations(G, K, form="predictor")
+    assert "augment the plant" in str(exc.value)
 
 
 @pytest.mark.parametrize("form", ["filter", "predictor"])
@@ -717,10 +725,8 @@ def test_static_controller_is_refused(monkeypatch, form):
     monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
     G = _scalar(0.5, 1.0, 1.0)
     K = DtStateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-0.3]], 1.0)
-    for call in (lambda: search_realisations(G, K, form=form),
-                 lambda: build_realisation(form, G, K, np.ones((0, 1)))):
-        with pytest.raises(ValueError, match="controller is static"):
-            call()
+    with pytest.raises(ValueError, match="controller is static"):
+        search_realisations(G, K, form=form)
 
 
 def test_unstable_closed_loop_is_refused_from_the_search_spectrum(monkeypatch):
@@ -774,22 +780,16 @@ def test_bad_noise_covariances_are_refused_before_any_split_is_solved(monkeypatc
 
 
 def _per_split_reasons(G, K, form):
-    """Why each split is rejected when it is solved, designed and built on
-    its own through the public one-split calls."""
+    """Why each split is rejected when it is searched on its own, every
+    split of a loop that has no feasible one."""
     A_cl = closed_loop_matrix(G, K)
     eig = eig_paired(A_cl)
     B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
     reasons = []
     for c in enumerate_choices(eig, G.n, K.n, unobservable_modes(A_cl.T, B_cl.T, eig.values)):
-        res = solve_T(A_cl, c, eig)
-        if not res.feasible:
-            reasons.append(res.reason)
-            continue
-        try:
-            X = design_free_poles(G, K, res.T) if K.n < G.n else None
-            build_realisation(form, G, K, res.T, X, c)
-        except (ValueError, NumericalError) as exc:
-            reasons.append(str(exc))
+        with pytest.raises(NumericalError) as exc:
+            search_realisations(G, K, form=form, forced_S=c.state_feedback_set)
+        reasons.append(str(exc.value).removeprefix("no feasible realisation: 1 x "))
     return reasons
 
 
@@ -839,13 +839,15 @@ def test_stacked_dare_freezes_each_member_and_isolates_a_breakdown():
     A = np.stack(A)
     C = rng.standard_normal((len(A), 2, 4))
     C[3] = 0.0
-    L, errors = linalg._kalman_gains(A, C, *linalg._noise_weights(1.0, 1e2, 4, 2))
+    weights = linalg._noise_weights(1.0, 1e2, 4, 2)
+    L, errors = linalg._kalman_gains(A, C, *weights)
     assert isinstance(errors[3], NumericalError) and "broke down" in str(errors[3])
-    with pytest.raises(NumericalError, match="broke down"):
-        linalg.solve_dare_kalman(A[3], C[3], 1.0, 1e2)
+    _, (alone,) = linalg._kalman_gains(A[3:4], C[3:4], *weights)
+    assert isinstance(alone, NumericalError) and "broke down" in str(alone)
     for i in (0, 1, 2, 4, 5):
         assert errors[i] is None
-        one = linalg.solve_dare_kalman(A[i], C[i], 1.0, 1e2)
+        (one,), (alone,) = linalg._kalman_gains(A[i : i + 1], C[i : i + 1], *weights)
+        assert alone is None
         assert_allclose(L[i], one, rtol=0, atol=1e-12 * np.abs(one).max())
         ref = _per_split_doubling(A[i], C[i], np.eye(4), 1e2 * np.eye(2))
         assert_allclose(L[i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
@@ -871,7 +873,7 @@ def test_stacked_scores_match_one_member_calls(fallbacks):
         r = ObserverRealisation(form="predictor", T=np.ones((1, 2)), T_perp=np.zeros((2, 0)),
                                 X=np.zeros((0, 1)), K_c=np.zeros((1, 2)), K_f=gain,
                                 choice=None, riccati_residual=0.0)
-        s, one = _score(r, G, stacked[i], None), score_realisation(r, G)
+        s, one = _score(r, G, stacked[i], None), _score_one(r, G)
         assert s.stable == one.stable == (i != 3)
         if i == 3:
             assert s.h2_noise == s.h2_dist == s.product == np.inf
@@ -977,6 +979,29 @@ def test_smoke_surrogate_search_matches_the_per_split_reference():
     assert [r.choice.state_feedback_set for r, _ in out.ranked] == [row[0] for row in rows]
     for (_, s), row in zip(out.ranked, rows):
         assert_allclose([s.h2_noise, s.h2_dist, s.product], row[1:], rtol=1e-9)
+
+
+@pytest.mark.parametrize("case", ["satellite", "pendulum", "surrogate"])
+def test_a_one_split_search_reproduces_that_splits_row_of_the_full_search(case):
+    if case == "surrogate":
+        G, K = scale_surrogate(0)
+        form, rank_by, margin_cut, forced = "predictor", "product", None, _smoke_forced_S(G, K)
+    else:
+        study = CASE_STUDIES[case]
+        _, _, G, K = study.loop()
+        form, rank_by, margin_cut, forced = study.form, study.rank_by, study.margin_cut, None
+    full = search_realisations(G, K, form=form, forced_S=forced, rank_by=rank_by,
+                               margin_cut=margin_cut)
+    assert len(full.ranked) >= 3
+    for r, score in full.ranked:
+        ((one, one_score),) = search_realisations(
+            G, K, form=form, forced_S=r.choice.state_feedback_set, rank_by=rank_by,
+            margin_cut=margin_cut).ranked
+        assert (one.form, one.choice, one.riccati_residual) == (r.form, r.choice,
+                                                                r.riccati_residual)
+        for name in ("T", "T_perp", "X", "K_c", "K_f"):
+            assert np.array_equal(getattr(one, name), getattr(r, name)), name
+        assert one_score == score
 
 
 # -- structure check ---------------------------------------------------------

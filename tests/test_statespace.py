@@ -161,6 +161,9 @@ def test_dipole_rejects_small_w():
     K = DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
     with pytest.raises(ValueError):
         add_dipole(K, W=5.0)
+    for W in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"dipole W must be finite and at least 10, not {W}"):
+            add_dipole(K, W=W)
 
 
 def test_loop_shift_preserves_closed_loop_poles():
@@ -235,6 +238,12 @@ def test_discrete_sample_time_must_be_positive_and_kinds_do_not_mix():
     with pytest.raises(ValueError, match="Ts"):
         DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 0.0)
     ct = CtStateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    for Ts in (np.inf, np.nan):
+        message = f"Ts must be positive and finite, not {Ts}"
+        for make in (lambda: DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], Ts),
+                     lambda: c2d_zoh(ct, Ts), lambda: c2d_tustin(ct, Ts)):
+            with pytest.raises(ValueError, match=message):
+                make()
     dt = DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
     with pytest.raises(ValueError, match="mixed"):
         series(ct, dt)
