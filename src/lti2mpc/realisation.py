@@ -741,14 +741,19 @@ def search_realisations(
         raise UnstableSystemError(
             f"the closed loop of the plant and controller is unstable (spectral "
             f"radius {rho:.4f}); realisation requires a stabilising controller")
+    forced_by = "forced_S indices"
     if forced_S is None:
         B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
         forced_S = unobservable_modes(search.A_cl.T, B_cl.T, search.eig.values)
+        forced_by = "input-uncontrollable modes"
     choices = enumerate_choices(search.eig, G.n, K.n, forced_S)
     if not choices:
+        forced = sorted({int(i) for i in forced_S})
+        among = f", the {forced_by} {forced} among them," if forced else ""
         raise NumericalError(
             f"no feasible realisation: no split of the closed-loop spectrum puts n = {G.n} "
-            "eigenvalues in S with conjugate pairs and repeated eigenvalues kept together")
+            f"eigenvalues in S{among} with conjugate pairs and repeated eigenvalues kept "
+            "together")
 
     result = SearchResult()
 

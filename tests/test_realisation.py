@@ -82,12 +82,27 @@ def _one_split(G, K, form, S):
     return r, score
 
 
+# the reasons a split's T solve gives (see _solve_T_stack): any later
+# rejection, of a T that solved, is a fault of the built realisation
+_T_SOLVE_REASONS = ("U1 ill conditioned", "residual")
+
+
 def _feasible(G, K, form):
-    """The ranked rows of the search over every split, [] when none is feasible."""
+    """The ranked rows of the search over every split, [] when none is
+    feasible; fails unless every rejected split failed its T solve."""
     try:
-        return search_realisations(G, K, form=form, forced_S=()).ranked
-    except NumericalError:
+        result = search_realisations(G, K, form=form, forced_S=())
+    except NumericalError as exc:
+        message = str(exc)
+        if "no split of the closed-loop spectrum" in message:
+            return []
+        counts = message.removeprefix("no feasible realisation: ").split("; ")
+        if not all(c.split(" x ", 1)[1].startswith(_T_SOLVE_REASONS) for c in counts):
+            raise
         return []
+    for _, reason in result.rejected:
+        assert reason.startswith(_T_SOLVE_REASONS), reason
+    return result.ranked
 
 
 def _random_free_poles(monkeypatch, rng):
@@ -311,6 +326,19 @@ def test_a_spectrum_without_an_admissible_split_is_a_numerical_error():
     with pytest.raises(NumericalError, match="no split of the closed-loop spectrum puts n = 1 "
                                              "eigenvalues in S with conjugate pairs"):
         search_realisations(G, K, form="predictor")
+
+
+def test_a_forced_set_that_leaves_no_admissible_split_is_named():
+    # one real eigenvalue and a conjugate pair: S may be the pair, but once
+    # the real one is forced, n = 2 leaves one place, which the pair cannot fill
+    G = DtStateSpace(np.diag([0.5, 0.3]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]], 1.0)
+    K = _scalar(0.2, 1.0, -0.2)
+    eig = eig_paired(closed_loop_matrix(G, K))
+    (real,) = np.flatnonzero(eig.values.imag == 0)
+    assert search_realisations(G, K, form="predictor").ranked
+    with pytest.raises(NumericalError, match=rf"puts n = 2 eigenvalues in S, the forced_S "
+                                             rf"indices \[{real}\] among them, with conjugate"):
+        search_realisations(G, K, form="predictor", forced_S=[real])
 
 
 # -- reconstruction property over random pairs -------------------------------
