@@ -3,12 +3,11 @@
 
 A double integrator with a hand-picked feedback gain makes the numbers
 easy to follow.  The script builds the zero-value stage cost for that
-gain and condenses the horizon with both decision variables of the one
-condensation: raw inputs (K = 0, cross terms in the Hessian) and moves
-about the prestabilising law u = K_c x + v (K = K_c, Hessian 2 I (x) R
-for this cost).  It then tightens an input bound step by step to show
-the active set growing while the first applied input walks away from the
-unconstrained feedback law.
+gain and condenses the horizon: the decisions are the inputs themselves,
+and the cost's state-input cross terms sit in the Hessian.  The
+unconstrained first input reproduces the feedback law.  The script then
+tightens an input bound step by step to show the active set growing while
+the first applied input walks away from the unconstrained feedback law.
 """
 
 import numpy as np
@@ -25,19 +24,16 @@ def main():
     G = DtStateSpace(A, B, np.eye(2), np.zeros((2, 1)), 0.1)
     x0 = np.array([1.0, 0.0])
 
-    print("== two condensations of the same optimisation ==")
+    print("== the condensed optimisation ==")
     cost = matching_cost(K_c)
-    for variant in ("direct", "prestabilised"):
-        qp = build_condensed_qp(G, MpcConfig(N=20, cost=cost), variant)
-        sol = solve_qp(qp.H, qp.f(x0))
-        u = qp.input_sequence(sol.x_star, x0)
-        print(f"{variant:>14}: cond(H) = {np.linalg.cond(qp.H):9.2e}, "
-              f"u(0) = {u[0, 0]: .6f}")
+    qp = build_condensed_qp(G, MpcConfig(N=20, cost=cost))
+    sol = solve_qp(qp.H, qp.f(x0))
+    print(f"cond(H) = {np.linalg.cond(qp.H):9.2e}, "
+          f"u(0) = {qp.input_sequence(sol.x_star)[0, 0]: .6f}")
     print(f"unconstrained feedback law gives  u(0) = {float((K_c @ x0)[0]): .6f}")
 
     print("\n== tightening an input bound ==")
-    qp = build_condensed_qp(G, MpcConfig(N=20, cost=cost))
-    obj_free = solve_qp(qp.H, qp.f(x0)).objective
+    obj_free = sol.objective
     print(f"{'bound':>7} {'status':>9} {'iters':>6} {'active':>7} "
           f"{'u(0)':>9} {'deviation cost':>15}")
     for bound in (1.0, 0.6, 0.4, 0.2, 0.1, 0.05):
@@ -45,7 +41,7 @@ def main():
                         u_bounds=(np.array([-bound]), np.array([bound])))
         qp = build_condensed_qp(G, cfg)
         sol = solve_qp(qp.H, qp.f(x0), qp.A_ineq, qp.b(x0))
-        u = qp.input_sequence(sol.x_star, x0)
+        u = qp.input_sequence(sol.x_star)
         print(f"{bound:7.2f} {sol.status:>9} {sol.iterations:6d} "
               f"{len(sol.active_set):7d} {u[0, 0]:9.5f} "
               f"{sol.objective - obj_free:15.6f}")

@@ -13,10 +13,12 @@ loop, unknown scenario, near-singular MPC Hessian, failed verification),
 2 config error (unreadable file, bad JSON, a value of the wrong type or
 size, a NaN or an integer beyond float range, unknown keys, options the
 search refuses, a scenario number ``simulate`` refuses, any ``mpc`` key
-with a library-based scenario, ``verify_gains`` on a loop its form's
-preconditions refuse).  JSON +-Infinity disables a bound; a Ts, a
-dipole_W, an mpc weight, or a scenario duration, x0 or noise_sigma
-refuses it.
+with a library-based scenario, a weight of the mpc cost not in use,
+``verify_gains`` on a loop its form's preconditions refuse).  JSON
+-Infinity as a lower and +Infinity as an upper bound disable that side of
+a bound row; the other sides, a Ts, a dipole_W, an mpc weight, a
+verify_gains matrix, or a scenario duration, x0 or noise_sigma refuse
+it.
 
 Config schema (all sections optional unless a command needs them):
 
@@ -125,7 +127,7 @@ def _list_of(item, what="a list", size=None):
 
 
 def _number(v, name):
-    """A JSON number as a float; +-Infinity passes (it disables a bound row)."""
+    """A JSON number as a float; +-Infinity passes (it disables a bound side)."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{name} must be a number")
     try:
@@ -154,6 +156,13 @@ def _rows(v, name):
     return rows
 
 
+def _finite_rows(v, name):
+    rows = _rows(v, name)
+    if not np.isfinite(rows).all():
+        raise ConfigError(f"{name} must be finite")
+    return rows
+
+
 # section -> key -> (rule, default)
 _SCHEMA = {
     "config": {"plant": (_walked, _REQUIRED), "controller": (_walked, None),
@@ -172,9 +181,12 @@ _SCHEMA = {
                **{m: (_rows, _REQUIRED) for m in "ABCD"}, "Ts": (_number, None)},
     "scenario": {"base": (_text, None), "duration": (_number, None), "seed": (_integer, None),
                  "noise_sigma": (_numbers, None), "x0": (_numbers, None)},
-    "verify_gains": {"form": (_one_of(*_FORMS), "filter"), "K_c": (_rows, _REQUIRED),
-                     "K_f": (_rows, _REQUIRED), "T": (_rows, None)},
+    "verify_gains": {"form": (_one_of(*_FORMS), "filter"), "K_c": (_finite_rows, _REQUIRED),
+                     "K_f": (_finite_rows, _REQUIRED), "T": (_finite_rows, None)},
 }
+# the weights each mpc cost reads; the other cost's are refused if given,
+# and dropped from the parsed section
+_COST_WEIGHTS = {"matching": ("W",), "effect": ("Q1", "R1")}
 # the pipeline defaults a built-in name sets from its CASE_STUDIES entry
 _CASE_STUDY_KEYS = ("form", "dipole_W", "loop_shift", "rank_by", "margin_cut")
 
@@ -250,6 +262,14 @@ def parse_config(raw: dict) -> ProjectConfig:
         raise ConfigError(f"built-in plant {plant!r} takes its disturbance model from "
                           "its case study; pipeline.disturbance_channels needs a matrix plant")
     mpc = _section(top["mpc"], "mpc", _SCHEMA["mpc"])
+    for cost, keys in _COST_WEIGHTS.items():
+        if cost == mpc["cost"]:
+            continue
+        for key in keys:
+            if key in top["mpc"]:
+                raise ConfigError(f"mpc.{key} weighs the {cost} cost, not the "
+                                  f"{mpc['cost']} cost in use")
+            del mpc[key]
     scenarios = {name: _section(spec, f"scenarios.{name}", _SCHEMA["scenario"])
                  for name, spec in top["scenarios"].items()}
     vg = top["verify_gains"]

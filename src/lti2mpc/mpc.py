@@ -8,17 +8,6 @@ length gives the same unconstrained behaviour.  A reference state x_r,
 when a control step passes one, shifts the state argument to x - x_r;
 the quadratic blocks are unchanged and the shift only adds a linear term,
 which the condensed builder folds into the parametric f map.
-
-One condensation serves two decision variables.  The decisions are input
-moves v_k and the applied inputs are u_k = K x_k + v_k: K = 0 ("direct")
-keeps the raw input sequence and carries the x-u cross terms in H;
-K = -R^-1 S' ("prestabilised") diagonalises H for a matching cost but
-turns input bounds into mixed state-input rows.  Both share one prediction
-on (A + BK, B, B_w) and one input map U = Psi x0 + Lam v + Xi w, from
-which the cost, the f maps, the input-bound rows and the applied inputs
-are built.  A change of decision variable does not change the problem, so
-the two solve the same problem for any stage cost, and the tests hold
-them to each other.
 """
 
 from __future__ import annotations
@@ -109,11 +98,12 @@ def zero_dare_residual(cost: StageCost) -> float:
 class MpcConfig:
     """Horizon, cost and constraint description for one controller.
 
-    Bounds are (lower, upper) pairs of per-channel arrays; +-inf entries
-    disable individual rows, and a NaN entry is refused.  Output and state
-    bounds are softened with one shared slack per bounded quantity per step
-    (the same slack serves the upper and the lower row), penalised
-    quadratically by soft_output_weight.  Input bounds are hard.
+    Bounds are (lower, upper) pairs of per-channel arrays; a lower -inf or
+    an upper +inf disables that side of a row, and a NaN entry, a lower
+    +inf or an upper -inf is refused.  Output and state bounds are
+    softened with one shared slack per bounded quantity per step (the same
+    slack serves the upper and the lower row), penalised quadratically by
+    soft_output_weight.  Input bounds are hard.
     ``known_input`` is an n x n_w matrix through which a signal held
     constant over the horizon (for example a loop-shift feedthrough term)
     enters the prediction.  A step that passes a reference state x_r
@@ -139,6 +129,9 @@ class MpcConfig:
             lo, hi = (np.asarray(v, dtype=float).ravel() for v in b)
             if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN fails lo <= hi
                 raise ValueError("bounds must be (lower, upper) with lower <= upper, no NaN")
+            if np.any(lo == np.inf) or np.any(hi == -np.inf):
+                raise ValueError("a lower bound of +inf or an upper bound of -inf "
+                                 "cannot be met")
         if not np.isfinite(self.soft_output_weight):
             raise ValueError(f"soft_output_weight must be finite, not {self.soft_output_weight}")
         if (self.y_bounds or self.x_bounds) and self.soft_output_weight <= 0.0:
@@ -173,13 +166,12 @@ def _constrained_output(G: DtStateSpace, cfg: MpcConfig):
 class CondensedQp:
     """Dense QP  min 1/2 z'Hz + f'z  s.t.  A_ineq z <= b.
 
-    The decision vector z is [v_0 .. v_{N-1}, s_1 .. s_N] (input moves
-    then slacks).  The applied inputs U = [u_0 .. u_{N-1}] are affine in
-    the moves through the input map U = u_x x0 + u_v v + u_w w.  H and
-    A_ineq are fixed, and so is their QP factor, computed on first use and
-    shared by every control step; f and b are affine in the current state
-    estimate, the reference state and the known input, with the matrices
-    below precomputed so each control step is a few mat-vecs.
+    The decision vector z is [u_0 .. u_{N-1}, s_1 .. s_N] (the inputs,
+    then the slacks).  H and A_ineq are fixed, and so is their QP factor,
+    computed on first use and shared by every control step; f and b are
+    affine in the current state estimate, the reference state and the
+    known input, with the matrices below precomputed so each control step
+    is a few mat-vecs.
     """
 
     H: np.ndarray
@@ -192,13 +184,10 @@ class CondensedQp:
     b_const: np.ndarray
     b_x: np.ndarray
     b_w: np.ndarray
-    u_x: np.ndarray
-    u_v: np.ndarray
-    u_w: np.ndarray
 
     @property
     def n_slack(self) -> int:
-        return self.H.shape[0] - self.u_v.shape[1]
+        return self.H.shape[0] - self.N * self.n_u
 
     @cached_property
     def factor(self) -> QpFactor:
@@ -218,29 +207,16 @@ class CondensedQp:
             out = out + self.b_w @ np.asarray(w, float).ravel()
         return out
 
-    def input_sequence(self, x_star, x0=None, w=None) -> np.ndarray:
-        """Applied input sequence (N, n_u) implied by a solution vector."""
-        U = self.u_v @ np.asarray(x_star, float)[: self.u_v.shape[1]]
-        if x0 is not None:
-            U = U + self.u_x @ np.asarray(x0, float).ravel()
-        elif np.any(self.u_x):
-            raise ValueError("the inputs of this condensation depend on x0")
-        if w is not None and self.u_w.size:
-            U = U + self.u_w @ np.asarray(w, float).ravel()
-        return U.reshape(self.N, self.n_u)
-
-    def first_input(self, x_star, x0) -> np.ndarray:
-        """u_0 = v_0 + K x0, the input map's first block row (those of u_v
-        and u_w are [I 0 ..] and 0), at a cost independent of N."""
-        m = self.n_u
-        return np.asarray(x_star, float)[:m] + self.u_x[:m] @ np.asarray(x0, float).ravel()
+    def input_sequence(self, x_star) -> np.ndarray:
+        """Input sequence (N, n_u) of a solution vector."""
+        return np.asarray(x_star, float)[: self.N * self.n_u].reshape(self.N, self.n_u)
 
     def slack_values(self, x_star) -> np.ndarray:
-        return np.asarray(x_star, float)[self.u_v.shape[1]:]
+        return np.asarray(x_star, float)[self.N * self.n_u:]
 
 
 def _prediction_matrices(A, B, B_w, N):
-    """Phi, Gamma, Omega with x_k = Phi_k x0 + Gamma_k v + Omega_k w for
+    """Phi, Gamma, Omega with x_k = Phi_k x0 + Gamma_k U + Omega_k w for
     k = 0 .. N (N+1 block rows; the k = 0 row is [I, 0, 0])."""
     n, m = B.shape
     Phi = np.zeros(((N + 1) * n, n))
@@ -262,9 +238,9 @@ def _per_step(M, X, N):
     return (M @ Xk).reshape(N * M.shape[0], X.shape[1])
 
 
-def _inequality_rows(N, lo, hi, Z_v, Z_x, Z_w, E):
+def _inequality_rows(N, lo, hi, Z_u, Z_x, Z_w, E):
     """Rows (A, b_const, b_x, b_w) of  lo - s_k <= z_k <= hi + s_k  for a
-    quantity z = Z_v v + Z_x x0 + Z_w w stacked over N steps, with slack
+    quantity z = Z_u U + Z_x x0 + Z_w w stacked over N steps, with slack
     columns E (zero for hard bounds; one slack serves both sides): per
     step the finite upper rows, then the finite lower ones."""
     q, rows = lo.size, []
@@ -273,21 +249,16 @@ def _inequality_rows(N, lo, hi, Z_v, Z_x, Z_w, E):
         for sgn, bound in ((1.0, hi), (-1.0, lo)):
             fin = np.isfinite(bound)
             if fin.any():
-                rows.append((np.hstack([sgn * Z_v[blk], E[blk]])[fin], (sgn * bound)[fin],
+                rows.append((np.hstack([sgn * Z_u[blk], E[blk]])[fin], (sgn * bound)[fin],
                              (-sgn * Z_x[blk])[fin], (-sgn * Z_w[blk])[fin]))
     return rows
 
 
-def build_condensed_qp(
-    G: DtStateSpace, cfg: MpcConfig, variant: str = "direct"
-) -> CondensedQp:
+def build_condensed_qp(G: DtStateSpace, cfg: MpcConfig) -> CondensedQp:
     """Eliminate the state dynamics and emit the dense parametric QP.
 
-    The decisions are input moves v_k with applied inputs u_k = K x_k + v_k:
-    K = 0 for variant "direct" (the raw inputs, cross terms in H) and
-    K = -R^-1 S' for "prestabilised" (block-diagonal H for a matching
-    cost).  Both share one prediction on (A + BK, B, B_w) and one input
-    map, so they describe the same optimisation for any stage cost.
+    The states are predicted on (A, B, B_w), so the decisions are the
+    inputs themselves and the x-u cross terms of the cost stay in H.
 
     Raises NumericalError when cond(H) exceeds 1e12: the unconstrained
     minimiser would no longer be the stage cost's, and ValueError when the
@@ -297,32 +268,21 @@ def build_condensed_qp(
     Q, S, R = cfg.cost.Q, cfg.cost.S, cfg.cost.R
     if Q.shape[0] != n or R.shape[0] != m:
         raise ValueError("stage cost does not match the plant dimensions")
-    if variant == "direct":
-        K = np.zeros((m, n))
-    elif variant == "prestabilised":
-        K = -np.linalg.solve(R, S.T)
-    else:
-        raise ValueError(f"unknown condensation variant {variant!r}")
     B_w = np.zeros((n, 0)) if cfg.known_input is None else \
         np.asarray(cfg.known_input, float).reshape(n, -1)
 
-    Phi, Gamma, Omega = _prediction_matrices(G.A + G.B @ K, G.B, B_w, N)
+    Phi, Gamma, Omega = _prediction_matrices(G.A, G.B, B_w, N)
     # rows 0 .. N-1 of the stacks enter the stage cost
     Pm, Gj, Om = Phi[:N * n], Gamma[:N * n], Omega[:N * n]
-    # the input map U = Psi x0 + Lam v + Xi w
-    Psi, Xi = _per_step(K, Pm, N), _per_step(K, Om, N)
-    Lam = _per_step(K, Gj, N) + np.eye(N * m)
 
     Qb, Sb, Rb = (np.kron(np.eye(N), M) for M in (Q, S, R))
-    H_u = 2.0 * (Gj.T @ Qb @ Gj + Gj.T @ Sb @ Lam + Lam.T @ Sb.T @ Gj
-                 + Lam.T @ Rb @ Lam)
-    # gradient of the cost in v through the states and through the inputs
-    Mx, Mu = (Qb @ Gj + Sb @ Lam).T, (Sb.T @ Gj + Rb @ Lam).T
-    f_x = 2.0 * (Mx @ Pm + Mu @ Psi)
-    f_w = 2.0 * (Mx @ Om + Mu @ Xi)
-    # the reference shift x -> x - x_r adds -2(Gj'(1(x)Q) + Lam'(1(x)S')) x_r
+    H_u = 2.0 * (Gj.T @ Qb @ Gj + Gj.T @ Sb + Sb.T @ Gj + Rb)
+    # gradient of the cost in U through the states
+    Mx = (Qb @ Gj + Sb).T
+    f_x, f_w = 2.0 * (Mx @ Pm), 2.0 * (Mx @ Om)
+    # the reference shift x -> x - x_r adds -2(Gj'(1(x)Q) + 1(x)S') x_r
     ones = np.ones((N, 1))
-    f_r = -2.0 * (Gj.T @ np.kron(ones, Q) + Lam.T @ np.kron(ones, S.T))
+    f_r = -2.0 * (Gj.T @ np.kron(ones, Q) + np.kron(ones, S.T))
 
     Cz, z_lo, z_hi = _constrained_output(G, cfg)
     n_z = Cz.shape[0]
@@ -336,8 +296,9 @@ def build_condensed_qp(
     rows = [(np.zeros((0, n_dec)), np.zeros(0), np.zeros((0, n)), np.zeros((0, B_w.shape[1])))]
     if cfg.u_bounds is not None:
         sel, u_lo, u_hi = _bounded_rows(cfg.u_bounds, np.eye(m), "u_bounds")
-        u_maps = (_per_step(sel, X, N) for X in (Lam, Psi, Xi))
-        rows += _inequality_rows(N, u_lo, u_hi, *u_maps, np.zeros((N * sel.shape[0], N * n_z)))
+        q = N * sel.shape[0]
+        rows += _inequality_rows(N, u_lo, u_hi, np.kron(np.eye(N), sel), np.zeros((q, n)),
+                                 np.zeros((q, B_w.shape[1])), np.zeros((q, N * n_z)))
     # softened quantities at steps 1 .. N, one slack each
     z_maps = (_per_step(Cz, X[n:], N) for X in (Gamma, Phi, Omega))
     rows += _inequality_rows(N, z_lo, z_hi, *z_maps, -np.eye(N * n_z))
@@ -345,4 +306,4 @@ def build_condensed_qp(
 
     f_x, f_r, f_w = (np.vstack([f, np.zeros((N * n_z, f.shape[1]))]) for f in (f_x, f_r, f_w))
     return CondensedQp(H=H, A_ineq=A_ineq, N=N, n_u=m, f_x=f_x, f_r=f_r, f_w=f_w,
-                       b_const=b_const, b_x=b_x, b_w=b_w, u_x=Psi, u_v=Lam, u_w=Xi)
+                       b_const=b_const, b_x=b_x, b_w=b_w)

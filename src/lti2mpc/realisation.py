@@ -706,9 +706,11 @@ def search_realisations(
     static controller, a controller of higher order than the plant, a
     ``margin_cut`` that is not an input channel, or a ``Qn``/``Rn`` that
     the free-pole Kalman design refuses (checked even when n_K = n) raises
-    ValueError before any split is solved; a closed loop with a pole
+    ValueError before any split is solved, and so does a given forced_S
+    out of range or whose blocks outnumber n; a closed loop with a pole
     outside the unit circle raises UnstableSystemError, and a spectrum
-    with no admissible split, or no feasible split, NumericalError.
+    with no admissible split (the default forced set's blocks outnumbering
+    n among them), or no feasible split, NumericalError.
     Results are sorted ascending by the chosen metric ("product" or
     "noise"), ties broken by the S index tuple.
 
@@ -746,7 +748,12 @@ def search_realisations(
         B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
         forced_S = unobservable_modes(search.A_cl.T, B_cl.T, search.eig.values)
         forced_by = "input-uncontrollable modes"
-    choices = enumerate_choices(search.eig, G.n, K.n, forced_S)
+    try:
+        choices = enumerate_choices(search.eig, G.n, K.n, forced_S)
+    except ValueError:
+        if forced_by == "forced_S indices":
+            raise
+        choices = []  # the uncontrollable modes' blocks alone outnumber n
     if not choices:
         forced = sorted({int(i) for i in forced_S})
         among = f", the {forced_by} {forced} among them," if forced else ""

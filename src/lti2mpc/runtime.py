@@ -116,8 +116,7 @@ def mpc_step(
     b = qp.b(x_hat, w=w) if A is not None else None
     sol = solve_qp(qp.H, f, A, b, factor=qp.factor, warm=warm)
     if sol.status == "optimal":
-        return MpcStepResult(u=qp.first_input(sol.x_star, x_hat), solution=sol,
-                             fallback=False)
+        return MpcStepResult(u=sol.x_star[:qp.n_u], solution=sol, fallback=False)
     e = x_hat if x_r is None else x_hat - np.asarray(x_r, float).ravel()
     u = np.atleast_2d(fallback_gain) @ e
     if u_bounds is not None:

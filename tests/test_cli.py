@@ -320,6 +320,24 @@ def test_builtin_with_another_top_level_Ts_is_a_config_error(tmp_path, capsys):
       "pipeline": {"form": "predictor"}},
      1, "error: no feasible realisation: no split of the closed-loop spectrum puts n = 1 "
         "eigenvalues in S with conjugate pairs"),
+    # a tiny Ts fuses both closed-loop eigenvalues into one block of two
+    # input-uncontrollable modes, which n = 1 cannot hold: no split when
+    # the set is the default one, a config error when the config forces it
+    ({"plant": {"kind": "continuous", "A": [[0.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+      "controller": {"kind": "continuous", "A": [[-1.0]], "B": [[1.0]], "C": [[-1.0]],
+                     "D": [[0.0]]},
+      "Ts": 1e-300, "pipeline": {"form": "predictor"}},
+     1, "error: no feasible realisation: no split of the closed-loop spectrum puts n = 1 "
+        "eigenvalues in S, the input-uncontrollable modes [0, 1] among them,"),
+    ({"plant": {"kind": "continuous", "A": [[0.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+      "controller": {"kind": "continuous", "A": [[-1.0]], "B": [[1.0]], "C": [[-1.0]],
+                     "D": [[0.0]]},
+      "Ts": 1e-300, "pipeline": {"form": "predictor", "forced_S": [0]}},
+     2, "config error: forced-S block of size 2 exceeds |S| = 1"),
+    # gains to verify are checked with the section, before any numerics
+    ({"plant": "satellite",
+      "verify_gains": {"K_c": [[float("inf"), 0, 0], [0, 0, 0]], "K_f": [[0], [0], [0]]}},
+     2, "config error: verify_gains.K_c must be finite"),
 ])
 def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, code, prefix):
     cfg = _write(tmp_path, "c.json", doc)
@@ -389,6 +407,14 @@ def test_search_refusals_end_in_documented_exit_codes(tmp_path, capsys, doc, cod
     # a value equal to its default is refused all the same
     ({"base": "satellite-case-1"}, {"N": 15}, 2,
      "config error: scenario 'a' comes from the library; mpc configures custom scenarios only"),
+    # a lower bound of +inf, which no input meets, used to drop the row
+    ({"duration": 2.0}, {"u_bounds": [[float("inf")] * 2, [float("inf")] * 2]}, 2,
+     "config error: mpc options: a lower bound of +inf or an upper bound of -inf cannot be met"),
+    # a weight of the cost not in use, which used to be ignored
+    ({"duration": 2.0}, {"N": 5, "Q1": float("inf"), "R1": float("inf")}, 2,
+     "config error: mpc.Q1 weighs the effect cost, not the matching cost in use"),
+    ({"duration": 2.0}, {"cost": "effect", "W": [[1, 0], [0, 1]]}, 2,
+     "config error: mpc.W weighs the matching cost, not the effect cost in use"),
 ])
 def test_simulate_refusals_end_in_documented_exit_codes(tmp_path, capsys, scenario, mpc,
                                                         code, message):

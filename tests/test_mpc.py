@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import brute_force_qp
+from conftest import brute_force_qp, condensation_gaps
 from lti2mpc.linalg import NumericalError, spectral_radius
 from lti2mpc.models import (
     pendulum_controller,
@@ -120,7 +120,7 @@ def test_known_input_enters_the_prediction():
     x_r = np.zeros(3)
     w = np.array([0.7])
     sol = solve_qp(qp.H, qp.f(x0, x_r=x_r, w=w))
-    U = qp.input_sequence(sol.x_star, x0=x0, w=w)
+    U = qp.input_sequence(sol.x_star)
     x = x0.copy()
     for k in range(5):
         assert_allclose(U[k], K_c @ x, atol=1e-7)
@@ -135,12 +135,14 @@ def _convex_cost(rng, n, m, cross):
     return StageCost(Q=M[:n, :n], S=M[:n, n:] if cross else np.zeros((n, m)), R=M[n:, n:])
 
 
-def test_direct_and_prestabilised_agree_under_constraints():
+def test_condensation_matches_plain_simulation():
     # matching costs, then costs that are not zero along any linear law
-    # (S = 0 and S != 0), each without and with tracking and a known input
+    # (S = 0 and S != 0), each without and with tracking and a known input;
+    # the state bounds add one-sided and unbounded rows
     rng = np.random.default_rng(44)
     cases = [("matching", False)] * 8 + [(kind, extra) for kind in ("no-cross", "cross")
                                          for extra in (False, True) for _ in range(4)]
+    inf = np.inf
     for kind, extra in cases:
         G, K_c = _random_plant_gain(rng, n=3, m=1)
         cfg = MpcConfig(
@@ -149,28 +151,18 @@ def test_direct_and_prestabilised_agree_under_constraints():
             else _convex_cost(rng, 3, 1, kind == "cross"),
             u_bounds=(-0.4 * np.ones(1), 0.4 * np.ones(1)),
             y_bounds=(-2.0 * np.ones(1), 2.0 * np.ones(1)),
+            x_bounds=([-inf, -inf, -3.0], [inf, 3.0, inf]),
             known_input=rng.standard_normal((3, 1)) if extra else None,
         )
-        qp_d = build_condensed_qp(G, cfg, variant="direct")
-        qp_p = build_condensed_qp(G, cfg, variant="prestabilised")
+        qp = build_condensed_qp(G, cfg)
         x0 = 2.0 * rng.standard_normal(3)
         x_r, w = (rng.standard_normal(3), rng.standard_normal(1)) if extra else (None, None)
-        sd = solve_qp(qp_d.H, qp_d.f(x0, x_r, w), qp_d.A_ineq, qp_d.b(x0, w))
-        sp = solve_qp(qp_p.H, qp_p.f(x0, x_r, w), qp_p.A_ineq, qp_p.b(x0, w))
-        assert sd.status == "optimal" and sp.status == "optimal"
-        Ud = qp_d.input_sequence(sd.x_star, x0=x0, w=w)
-        Up = qp_p.input_sequence(sp.x_star, x0=x0, w=w)
-        assert_allclose(Ud, Up, atol=1e-8, err_msg=f"{kind} cost, extra terms {extra}")
-        assert_allclose(qp_p.first_input(sp.x_star, x0), Up[0], atol=1e-12)
-        assert np.max(np.abs(Ud)) <= 0.4 + 1e-9
-
-
-def test_prestabilised_inputs_need_the_initial_state():
-    rng = np.random.default_rng(45)
-    G, K_c = _random_plant_gain(rng, n=3, m=1)
-    qp = build_condensed_qp(G, MpcConfig(N=4, cost=matching_cost(K_c)), "prestabilised")
-    with pytest.raises(ValueError, match="depend on x0"):
-        qp.input_sequence(np.zeros(4))
+        obj_gap, row_gap = condensation_gaps(G, cfg, qp, x0, x_r, w)
+        assert obj_gap <= 1e-9 and row_gap <= 1e-9, \
+            f"{kind} cost, extra terms {extra}: gaps {obj_gap:.1e}, {row_gap:.1e}"
+        sol = solve_qp(qp.H, qp.f(x0, x_r, w), qp.A_ineq, qp.b(x0, w))
+        assert sol.status == "optimal"
+        assert np.max(np.abs(qp.input_sequence(sol.x_star))) <= 0.4 + 1e-9
 
 
 def test_near_singular_hessian_is_refused_not_regularised():
@@ -179,9 +171,8 @@ def test_near_singular_hessian_is_refused_not_regularised():
     # first move away from K_c x while their sum still matched
     G = satellite_plant()
     cost = matching_cost(np.zeros((2, 3)), effect_weight(G, 1e3, 1e-12))
-    for variant in ("direct", "prestabilised"):
-        with pytest.raises(NumericalError, match=r"cond\(H\) = 1\.7e\+12"):
-            build_condensed_qp(G, MpcConfig(N=15, cost=cost), variant)
+    with pytest.raises(NumericalError, match=r"cond\(H\) = 1\.7e\+12"):
+        build_condensed_qp(G, MpcConfig(N=15, cost=cost))
     # the library's own effect weight (R1 = 1e-3) stays well conditioned
     cost = matching_cost(np.zeros((2, 3)), effect_weight(G, 1e3, 1e-3))
     assert np.linalg.cond(build_condensed_qp(G, MpcConfig(N=15, cost=cost)).H) < 1e12
@@ -252,6 +243,10 @@ def test_config_validation():
         MpcConfig(N=3, cost=c, u_bounds=([1.0], [-1.0]))
     with pytest.raises(ValueError, match="soft_output_weight must be finite, not inf"):
         MpcConfig(N=3, cost=c, soft_output_weight=np.inf)
+    # a bound that no value can meet, on either side
+    for bounds in (([np.inf], [np.inf]), ([-np.inf], [-np.inf])):
+        with pytest.raises(ValueError, match="cannot be met"):
+            MpcConfig(N=3, cost=c, u_bounds=bounds)
 
 
 def test_infinite_weights_are_refused():
