@@ -365,8 +365,9 @@ def _config_echo(cfg: ProjectConfig) -> dict:
         return s if isinstance(s, str) else _system_json(s)
 
     out = {"plant": sysrep(cfg.plant), "controller": sysrep(cfg.controller),
-           "pipeline": cfg.pipeline, "mpc": cfg.mpc,
-           "scenarios": cfg.scenarios}
+           "pipeline": cfg.pipeline, "scenarios": cfg.scenarios}
+    if cfg.mpc_given:  # a library scenario refuses any mpc key, even at its default
+        out["mpc"] = cfg.mpc
     if cfg.Ts is not None:
         out["Ts"] = cfg.Ts
     if cfg.verify_gains is not None:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .statespace import DtStateSpace
 
@@ -166,6 +165,8 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     rho = spectral_radius(A)
     if rho >= 1.0:
         raise UnstableSystemError(f"spectral radius {rho:.6g} >= 1")
+    import scipy.linalg  # local: only h2_norm and the rare Stein fallback need it
+
     P = scipy.linalg.solve_discrete_lyapunov(A, Q)
     P = 0.5 * (P + P.T)
     resid, bound = _lyapunov_residual(A, P, Q)
@@ -295,8 +296,8 @@ def _as_cov(X, dim: int, name: str, definite: bool) -> np.ndarray:
     X = 0.5 * (X + X.T)
     if definite:
         try:
-            X = scipy.linalg.cholesky(X, lower=True)
-        except scipy.linalg.LinAlgError:
+            X = np.linalg.cholesky(X)
+        except np.linalg.LinAlgError:
             raise ValueError(f"{name} must be positive definite") from None
     else:
         lam = np.linalg.eigvalsh(X)
@@ -342,7 +343,7 @@ def _kalman_gains(A, C, Qn, Lr):
 
     where S = C P C' + Rn, so one stacked solve with M gives both the DARE
     residual A M^-1 P A' - P + Qn and the gain.  Rn enters only through
-    triangular solves with its Cholesky factor, G = (Lr^-1 C)' (Lr^-1 C),
+    solves with its Cholesky factor, G = (Lr^-1 C)' (Lr^-1 C),
     never through an explicit inverse, so the residual answers for the
     caller's Rn up to the backward error of that factor.
     """
@@ -351,9 +352,8 @@ def _kalman_gains(A, C, Qn, Lr):
     if C.shape[2] != n:
         raise ValueError(f"C has {C.shape[2]} columns, expected {n}")
     # Lr^-1 C and Rn^-1 C of every member, as two solves on (ny, k n)
-    V = scipy.linalg.solve_triangular(Lr, C.transpose(1, 0, 2).reshape(ny, k * n),
-                                      lower=True, check_finite=False)
-    CtRi = scipy.linalg.solve_triangular(Lr, V, lower=True, trans="T", check_finite=False)
+    V = np.linalg.solve(Lr, C.transpose(1, 0, 2).reshape(ny, k * n))
+    CtRi = np.linalg.solve(Lr.T, V)
     V = V.reshape(ny, k, n).transpose(1, 0, 2)
     CtRi = CtRi.reshape(ny, k, n).transpose(1, 2, 0)
     G = V.transpose(0, 2, 1) @ V

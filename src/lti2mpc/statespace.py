@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 # frequencies per stacked solve in DtStateSpace.freq_response
 _FREQ_CHUNK = 256
@@ -118,6 +117,8 @@ def c2d_zoh(sys, Ts):
     Builds expm([[A, B], [0, 0]]*Ts); the top blocks are the exact discrete
     (A_d, B_d) for piecewise-constant inputs. C and D carry over.
     """
+    from scipy.linalg import expm  # local: the realisation search never discretises
+
     _check_Ts(Ts)
     n, m = sys.n, sys.n_u
     M = np.zeros((n + m, n + m))

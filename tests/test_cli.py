@@ -555,6 +555,20 @@ def test_report_config_echo_round_trips_to_identical_numerics(tmp_path):
         npt.assert_array_equal(a.C, b.C)
         npt.assert_array_equal(a.D, b.D)
         assert a.Ts == b.Ts
+    assert echo.mpc_given == orig.mpc_given
+
+    # the echo of a config without mpc keys still runs a library scenario
+    raw = {"plant": "satellite"}
+    cfg_path = _write(tmp_path, "sat.json", raw)
+    assert main(["realise", "--config", cfg_path, "--out", str(out)]) == 0
+    echo_raw = json.loads(out.read_text())["config"]
+    assert parse_config(echo_raw).mpc_given == parse_config(raw).mpc_given
+    traces = []
+    for path in (cfg_path, _write(tmp_path, "echo.json", echo_raw)):
+        traces.append(tmp_path / f"trace{len(traces)}.csv")
+        assert main(["simulate", "--config", path, "--scenario", "satellite-case-1",
+                     "--out", str(traces[-1])]) == 0
+    assert traces[0].read_bytes() == traces[1].read_bytes()
 
 
 def test_custom_scenario_runs_the_config_systems(tmp_path):

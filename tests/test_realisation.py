@@ -1045,15 +1045,25 @@ def test_check_decoupling():
 
 def test_importing_the_search_loads_no_online_machinery():
     # the form table steps the observer itself, so the search module needs
-    # neither the MPC nor the QP nor the runtime
+    # neither the MPC nor the QP nor the runtime; and a search that needs no
+    # discretisation runs on numpy alone, without scipy
     src = os.path.dirname(os.path.dirname(realisation.__file__))
-    code = ("import sys, lti2mpc.realisation; "
-            "print(sorted(m for m in sys.modules if m.startswith('lti2mpc')))")
+    forced = _smoke_forced_S(*scale_surrogate(0))
+    code = ("import sys, lti2mpc.realisation, lti2mpc.models; "
+            "G, K = lti2mpc.models.scale_surrogate(0); "
+            "out = lti2mpc.realisation.search_realisations(G, K, form='predictor', "
+            "rank_by='product', "
+            f"forced_S={forced!r}); "
+            "print(sorted(m for m in sys.modules if m.startswith(('lti2mpc', 'scipy')))); "
+            "print(len(out.ranked))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    loaded = set(ast.literal_eval(proc.stdout))
+    modules, n_ranked = proc.stdout.splitlines()
+    loaded = set(ast.literal_eval(modules))
     assert "lti2mpc.realisation" in loaded
     assert not loaded & {"lti2mpc.runtime", "lti2mpc.mpc", "lti2mpc.qp"}
+    assert int(n_ranked) >= 10
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
 
 # -- threaded search -----------------------------------------------------------
