@@ -284,26 +284,37 @@ def _riccati_residuals(A_cl, T) -> np.ndarray:
     return np.linalg.norm(left @ A_cl @ right, axis=(1, 2))
 
 
-def _t_svds(T: np.ndarray):
-    """One SVD per member of a stack T (k, n_K, n), shared by everything a
-    split needs from it.
+def _t_qr(T: np.ndarray):
+    """One complete QR of T' per member of a stack T (k, n_K, n), shared
+    by everything a split needs from it.
 
-    Returns (sv, T_perp, T_pinv): the singular values for the rank test,
-    an orthonormal basis of the right null space of each T with a
-    deterministic sign (largest-magnitude entry of each column positive),
-    and pinv(T) with numpy's default cutoff.
+    With T' = [Q1 Q2][R1; 0], Q2 is an orthonormal basis of the right null
+    space of T, and T^+ = Q1 R1^-T when T has full row rank.  Returns
+    (deficient, T_perp, T_pinv): per member whether T fails the rank test
+    sigma_min > 1e-8 sigma_max, Q2 with a deterministic sign
+    (largest-magnitude entry of each column positive), and Q1 R1^-T (NaN
+    where R1 is exactly singular; meaningless where T is deficient).
+
+    Y = R1^-1 Q1' is T^+', and ||T^+||_2 = 1 / sigma_min, so
+    cond_2(T) <= ||T||_F ||Y||_F.  A member whose bound is at most 0.5e8
+    (the half absorbs the rounding in Y) passes the rank test without an
+    SVD; only the members the bound leaves uncertified (NaN, or above it)
+    take the singular values, and those decide their verdict.
     """
     n_K = T.shape[1]
-    u, sv, vh = np.linalg.svd(T)
-    basis = vh[:, n_K:].transpose(0, 2, 1)
+    Q, R = np.linalg.qr(T.transpose(0, 2, 1), mode="complete")
+    basis = Q[:, :, n_K:]
     lead = np.argmax(np.abs(basis), axis=1)[:, np.newaxis]
     basis = np.where(np.take_along_axis(basis, lead, axis=1) < 0, -basis, basis)
-    big = sv > 1e-15 * sv.max(axis=1, initial=0.0, keepdims=True)
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=big)
-    T_pinv = vh[:, :n_K].transpose(0, 2, 1) @ (
-        inv[:, :, np.newaxis] * u[:, :, :n_K].transpose(0, 2, 1)
-    )
-    return sv, basis, T_pinv
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Y = _solve_each(R[:, :n_K], Q[:, :, :n_K].transpose(0, 2, 1))
+        rank_bound = np.linalg.norm(T, axis=(1, 2)) * np.linalg.norm(Y, axis=(1, 2))
+    deficient = ~(rank_bound <= 0.5e8)
+    unsure = np.flatnonzero(deficient)
+    if unsure.size:
+        sv = np.linalg.svd(T[unsure], compute_uv=False)
+        deficient[unsure] = ~(sv[:, -1] > 1e-8 * sv[:, 0])
+    return deficient, basis, Y.transpose(0, 2, 1)
 
 
 @dataclass
@@ -557,6 +568,11 @@ class _Search:
         # the free-pole design's reduced pairs are cut from these two
         self.A_shift = G.A + G.B @ K.D @ G.C
         self.BkC = K.B @ G.C
+        if np.shape(Qn) not in ((), (1,)):
+            raise ValueError(
+                f"Qn must be a scalar, got shape {np.shape(Qn)}: the free-pole basis T_perp "
+                "is an arbitrary orthonormal basis of null(T), so a matrix Qn has no "
+                "basis-free meaning")
         self.Qn, self.Lr = _noise_weights(Qn, Rn, G.n - K.n, K.n)
         self.A_cl = closed_loop_matrix(G, K)
         self.eig = eig_paired(self.A_cl)
@@ -578,10 +594,12 @@ class _Search:
 
             A_red = T_perp' (A + B D_K C) T_perp,   C_red = B_K C T_perp
 
-        with process covariance Qn (a scalar is that multiple of the
-        identity, an identity-injection noise channel) and measurement
-        covariance Rn, so the extra modes are the eigenvalues of
-        A_red - X C_red.  When n_K = n there are none and X is 0 x n_K.
+        with process covariance Qn times the identity (an identity-injection
+        noise channel) and measurement covariance Rn, so the extra modes are
+        the eigenvalues of A_red - X C_red.  T_perp is any orthonormal basis
+        of null(T): turning it by an orthogonal W turns A_red, C_red and X by
+        W and leaves T_perp X, and so K_f, unchanged, because Qn is scalar.
+        When n_K = n no pole is free and X is 0 x n_K.
 
         Returns (X, errors): the (k, n - n_K, n_K) gains and, per member,
         None or the NumericalError of an undetectable reduced pair or a
@@ -631,9 +649,8 @@ class _Search:
         if not live.size:
             return out
         T, resid = T[live], resid[live]
-        sv, T_perp, T_pinv = _t_svds(T)
+        deficient, T_perp, T_pinv = _t_qr(T)
         X, errors = self.free_pole_gains(T_perp)
-        deficient = sv[:, -1] <= 1e-8 * sv[:, 0]
         for m, i in enumerate(live):
             error = errors[m] or ("T is rank deficient" if deficient[m] else self.form_error)
             if error is not None:
@@ -704,8 +721,10 @@ def search_realisations(
     one split, so ``forced_S=S`` realises the single split S, with the
     same numbers as S's row of the full search.  An unknown ``form``, a
     static controller, a controller of higher order than the plant, a
-    ``margin_cut`` that is not an input channel, or a ``Qn``/``Rn`` that
-    the free-pole Kalman design refuses (checked even when n_K = n) raises
+    ``margin_cut`` that is not an input channel, a ``Qn`` that is not a
+    scalar (the free-pole design's basis is arbitrary, see
+    :meth:`_Search.free_pole_gains`), or a ``Qn``/``Rn`` that the
+    free-pole Kalman design refuses (checked even when n_K = n) raises
     ValueError before any split is solved, and so does a given forced_S
     out of range or whose blocks outnumber n; a closed loop with a pole
     outside the unit circle raises UnstableSystemError, and a spectrum

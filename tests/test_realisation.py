@@ -42,7 +42,7 @@ from lti2mpc.realisation import (
     _form,
     _h2_scores,
     _score,
-    _t_svds,
+    _t_qr,
     check_decoupling,
     closed_loop_matrix,
     enumerate_choices,
@@ -437,7 +437,7 @@ def test_design_free_poles_without_free_poles_is_empty_and_checks_the_covariance
         np.zeros((2, G.n, 0)))
     assert X.shape == (2, 0, K.n) and errors == [None, None]
     for Qn, Rn, message in [(-1.0, 1e7, "Qn must be positive semidefinite"),
-                            (np.eye(G.n), 1e7, "Qn must be scalar or 0x0"),
+                            (np.eye(G.n), 1e7, "Qn must be a scalar"),
                             (1.0, 0.0, "Rn must be positive definite")]:
         with pytest.raises(ValueError, match=message):
             search_realisations(G, K, form="filter", Qn=Qn, Rn=Rn)
@@ -468,15 +468,38 @@ def _oracle_null_basis(T):
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (3, 5), (3, 3)])
-def test_t_svd_matches_null_basis_and_pinv(shape):
+def test_t_qr_gives_a_null_basis_pinv_and_rank_verdict(shape, monkeypatch):
+    # basis-free: T_perp is checked through its projector, not entry by
+    # entry, and the rank verdict against the SVD rule on members on both
+    # sides of sigma_min / sigma_max = 1e-8, so the SVD fallback runs
     rng = np.random.default_rng(25)
-    Ts = np.stack([10.0 ** rng.uniform(-2, 3) * rng.standard_normal(shape) for _ in range(5)])
-    for T, sv, T_perp, T_pinv in zip(Ts, *_t_svds(Ts)):
-        assert_allclose(sv, np.linalg.svd(T, compute_uv=False), rtol=1e-12)
-        assert T_perp.shape == (shape[1], shape[1] - shape[0])
-        assert_allclose(T_perp, _oracle_null_basis(T), rtol=0, atol=1e-12)
+    n_K, n = shape
+    Ts = [10.0 ** rng.uniform(-2, 3) * rng.standard_normal(shape) for _ in range(5)]
+    for ratio in (3e-8, 1.2e-8, 0.8e-8, 1e-12, 0.0):  # sigma_min / sigma_max when n_K > 1
+        U = np.linalg.qr(rng.standard_normal((n_K, n_K)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0][:n_K]
+        Ts.append(U @ np.diag([*np.ones(n_K - 1), ratio]) @ V)
+    Ts = np.stack(Ts)
+    svd_calls = _spy_svd(monkeypatch)
+    deficient, T_perps, T_pinvs = _t_qr(Ts)
+    monkeypatch.undo()
+    for i, (T, bad, T_perp, T_pinv) in enumerate(zip(Ts, deficient, T_perps, T_pinvs)):
+        sv = np.linalg.svd(T, compute_uv=False)
+        assert bad == (sv[-1] <= 1e-8 * sv[0])
+        assert T_perp.shape == (n, n - n_K)
+        assert_allclose(T_perp.T @ T_perp, np.eye(n - n_K), rtol=0, atol=1e-12)
+        assert np.linalg.norm(T @ T_perp) <= 1e-12 * max(1.0, np.linalg.norm(T))
+        if i >= 5:
+            continue  # near rank deficient: null space and T^+ are ill conditioned
+        oracle = _oracle_null_basis(T)
+        assert_allclose(T_perp @ T_perp.T, oracle @ oracle.T, rtol=0, atol=1e-12)
         P = np.linalg.pinv(T)
         assert_allclose(T_pinv, P, rtol=0, atol=1e-12 * np.abs(P).max())
+    # one row has sigma_min = sigma_max: only the zero row is deficient
+    expect = [False, False, True, True, True] if n_K > 1 else [False] * 4 + [True]
+    assert list(deficient) == [False] * 5 + expect
+    (checked,) = svd_calls  # the uncertified members took the SVD, and only they
+    assert len(checked) == (4 if n_K > 1 else 1)
 
 
 def _dist_system(G, Ae):
@@ -787,12 +810,18 @@ def test_margin_cut_outside_the_inputs_is_refused(monkeypatch):
     (np.inf, 1e7, "Qn must be finite"),
     (1.0, 0.0, "Rn must be positive definite"),
     (1.0, np.nan, "Rn must be finite"),
+    # the free-pole basis T_perp is arbitrary, so only a multiple of the
+    # identity means the same in every basis; eye(2) is refused as well
+    pytest.param(np.eye(2), 1e7, r"Qn must be a scalar, got shape \(2, 2\): the free-pole "
+                 "basis T_perp is an arbitrary", id="Qn eye(2)"),
+    pytest.param(np.diag([1.0, 8.0]), 1e7, r"Qn must be a scalar, got shape \(2, 2\)",
+                 id="Qn diag(1, 8)"),
 ])
 @pytest.mark.parametrize("case", ["pendulum", "satellite"])
 def test_bad_noise_covariances_are_refused_before_any_split_is_solved(monkeypatch, case, Qn, Rn,
                                                                       message):
-    # the pendulum has free observer poles (n_K < n); the satellite has
-    # none (n_K = n), and its covariances are checked all the same
+    # the pendulum has two free observer poles (n_K < n); the satellite
+    # has none (n_K = n), and its covariances are checked all the same
     def no_solve(*args):
         raise AssertionError("a split was solved")
 
@@ -1032,6 +1061,49 @@ def test_a_one_split_search_reproduces_that_splits_row_of_the_full_search(case):
         assert one_score == score
 
 
+def test_the_search_is_the_same_in_every_free_pole_basis(monkeypatch):
+    # K_f depends on T_perp only through T_perp X, which a scalar Qn makes
+    # the same in every orthonormal basis of null(T): turn every T_perp by
+    # one fixed orthogonal matrix, and the search keeps its rejections,
+    # its order and its scores
+    G, K = scale_surrogate(0)
+    forced = _smoke_forced_S(G, K)
+    plain = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
+    W = np.linalg.qr(np.random.default_rng(27).standard_normal((G.n - K.n,) * 2))[0]
+    t_qr = realisation._t_qr
+
+    def turned(T):
+        deficient, T_perp, T_pinv = t_qr(T)
+        return deficient, T_perp @ W, T_pinv
+
+    monkeypatch.setattr(realisation, "_t_qr", turned)
+    out = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
+    assert len(plain.ranked) >= 10 and plain.rejected
+    assert [(c.state_feedback_set, reason) for c, reason in out.rejected] == \
+           [(c.state_feedback_set, reason) for c, reason in plain.rejected]
+    assert [r.choice.state_feedback_set for r, _ in out.ranked] == \
+           [r.choice.state_feedback_set for r, _ in plain.ranked]
+    for (r1, s1), (r2, s2) in zip(plain.ranked, out.ranked):
+        assert_allclose(r2.T_perp, r1.T_perp @ W, rtol=0, atol=1e-15)
+        assert_allclose([s2.h2_noise, s2.h2_dist, s2.product],
+                        [s1.h2_noise, s1.h2_dist, s1.product], rtol=1e-12)
+
+
+def test_the_search_takes_no_singular_vectors_of_T(monkeypatch):
+    # T_perp and T^+ come from one QR of T' per chunk; the singular values
+    # of T are taken only for members the rank bound leaves uncertified,
+    # and on the smoke search it certifies every member
+    G, K = scale_surrogate(0)
+    forced = _smoke_forced_S(G, K)
+    compute_uv = []
+    svd_calls = _spy_svd(monkeypatch, compute_uv)
+    out = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
+    monkeypatch.undo()
+    assert len(out.ranked) >= 10
+    assert compute_uv and not any(compute_uv)  # singular values only, everywhere
+    assert not [a for a in svd_calls if a.shape[-2:] == (K.n, G.n)]
+
+
 # -- structure check ---------------------------------------------------------
 
 def test_check_decoupling():
@@ -1209,12 +1281,19 @@ def _svd_rule(A_cl, U1, U2):
     return ("" if r <= bound else f"residual {r:.2e} above {bound:.2e}"), T, r
 
 
-def _spy_svd(monkeypatch):
-    """The stacks np.linalg.svd is called on, recorded as they are passed."""
+def _spy_svd(monkeypatch, compute_uv=None):
+    """The stacks np.linalg.svd is called on, recorded as they are passed;
+    each call's compute_uv is appended to the list ``compute_uv`` if given."""
     calls = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda a, *args, **kw: calls.append(np.array(a)) or svd(a, *args, **kw))
+
+    def spy(a, *args, **kw):
+        calls.append(np.array(a))
+        if compute_uv is not None:  # svd(a, full_matrices, compute_uv, ...)
+            compute_uv.append(args[1] if len(args) > 1 else kw.get("compute_uv", True))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
     return calls
 
 
