@@ -19,7 +19,7 @@ import itertools
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class RealisationChoice:
     observer_set: tuple
 
     def __post_init__(self):
-        if set(self.state_feedback_set) & set(self.observer_set):
+        if not set(self.state_feedback_set).isdisjoint(self.observer_set):
             raise ValueError("S and O overlap")
 
 
@@ -469,8 +469,8 @@ def _owned(r: ObserverRealisation) -> ObserverRealisation:
     """r with its arrays copied out of the chunk's stacks that
     _Search.evaluate views, so the copies are allocated by the calling
     thread and free of the stacks."""
-    return replace(r, T=r.T.copy(), T_perp=r.T_perp.copy(), X=r.X.copy(),
-                   K_c=r.K_c.copy(), K_f=r.K_f.copy())
+    return ObserverRealisation(r.form, r.T.copy(), r.T_perp.copy(), r.X.copy(), r.K_c.copy(),
+                               r.K_f.copy(), r.choice, r.riccati_residual)
 
 
 def realisation_controller(r: ObserverRealisation, G: DtStateSpace) -> DtStateSpace:
@@ -611,10 +611,13 @@ class _Search:
         A_red = T_perp.transpose(0, 2, 1) @ self.A_shift @ T_perp
         C_red = self.BkC @ T_perp
         errors = [None] * k
-        values = np.linalg.eigvals(A_red)
+        # rho <= ||A_red||_F: only members the norm leaves near the circle
+        # need their eigenvalues
+        near = np.flatnonzero(~(np.linalg.norm(A_red, axis=(1, 2)) < 1.0 - 1e-8))
+        values = np.linalg.eigvals(A_red[near])
         on_circle = np.abs(values) >= 1.0 - 1e-9
-        for i in np.flatnonzero(on_circle.any(axis=1)):
-            marginal = values[i][on_circle[i]]
+        for m in np.flatnonzero(on_circle.any(axis=1)):
+            i, marginal = near[m], values[m][on_circle[m]]
             bad = unobservable_modes(A_red[i], C_red[i], marginal)
             if bad:
                 errors[i] = NumericalError(
