@@ -1,10 +1,11 @@
 """Closed-loop experiment harness.
 
-Drives a plant (discrete linear, the exact piecewise-ZOH satellite, or the
-nonlinear cart-pendulum) against either the original output-feedback
-controller or its observer + MPC reconstruction, with reference programs,
-state-jump disturbances, measurement noise, actuator faults and full trace
-capture.  Everything is deterministic given the scenario seeds.
+Drives a plant (discrete linear, the satellite with its input lagged by a
+fraction of the period, or the nonlinear cart-pendulum) against either the
+original output-feedback controller or its observer + MPC reconstruction,
+with a constant output setpoint, state-jump disturbances, measurement
+noise, actuator faults and full trace capture.  Everything is
+deterministic given the scenario seeds.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .runtime import Prefilter, build_prefilter, mpc_step
 from .statespace import DtStateSpace, c2d_zoh
 
 __all__ = [
-    "ReferenceProgram",
     "BaselineController",
     "MpcController",
     "Scenario",
@@ -44,42 +44,6 @@ SATELLITE_DIST_TORQUE = 0.104325
 
 
 @dataclass
-class ReferenceProgram:
-    """Piecewise-linear per-output reference r(t).
-
-    points is a sequence of (time, vector); between points the value is
-    interpolated linearly, before the first and after the last it holds.
-    """
-
-    points: tuple
-
-    def __post_init__(self):
-        pts = [(float(t), np.atleast_1d(np.asarray(v, float))) for t, v in self.points]
-        pts.sort(key=lambda p: p[0])
-        if not pts:
-            raise ValueError("reference program needs at least one point")
-        object.__setattr__(self, "points", tuple(pts))
-
-    @property
-    def dim(self):
-        return self.points[0][1].size
-
-    def __call__(self, t: float) -> np.ndarray:
-        pts = self.points
-        if t <= pts[0][0]:
-            return pts[0][1]
-        if t >= pts[-1][0]:
-            return pts[-1][1]
-        for (t0, v0), (t1, v1) in zip(pts[:-1], pts[1:]):
-            if t0 <= t <= t1:
-                if t1 == t0:
-                    return v1
-                a = (t - t0) / (t1 - t0)
-                return (1.0 - a) * v0 + a * v1
-        return pts[-1][1]
-
-
-@dataclass
 class BaselineController:
     """The original dynamic output feedback u = K(y - r)."""
 
@@ -96,10 +60,11 @@ class MpcController:
     when loop-shifting is used (the simulation then wires
     u_plant = u_mpc + D_K y and subtracts D_K r from the command, in
     either form).  N_div activates the deterministic-transfer lag of one
-    Ts/N_div subdivision (filter form only).  With a ``prefilter`` (the
+    Ts/N_div subdivision (satellite truth only).  With a ``prefilter`` (the
     system ``runtime.build_prefilter`` builds from ``realisation`` on
     ``design_model``, stepped afresh each run) the MPC tracks the state
-    reference it emits; without one it regulates to 0.
+    reference it emits for the scenario's setpoint; without one it
+    regulates to 0 and takes no setpoint.
     """
 
     realisation: object
@@ -112,12 +77,18 @@ class MpcController:
 
 @dataclass
 class Scenario:
+    """One closed-loop experiment.
+
+    ``setpoint`` is the n_y output reference, held from t = 0; None
+    regulates to 0.
+    """
+
     name: str
     plant: object  # a CASE_STUDIES name or a DtStateSpace
     duration: float
     controller: object  # BaselineController | MpcController
     x0: np.ndarray | None = None
-    references: ReferenceProgram | None = None
+    setpoint: np.ndarray | None = None
     disturbances: tuple = ()  # (time, state-jump vector) pairs
     noise_sigma: np.ndarray | None = None
     seed: int = 0
@@ -234,31 +205,25 @@ def inject_fault(u_applied: np.ndarray, t: float, faults) -> np.ndarray:
     return out
 
 
-class _SatelliteTruth:
-    """Exact piecewise-ZOH integration of the rigid satellite.
+def _lagged_satellite_truth(Ts, N_div):
+    """Exact step of the rigid satellite whose input switches Ts/N_div into
+    the period: the previous input held over the first piece, the new one
+    over the rest, each piece an exact ZOH step of the continuous model.
 
     State (theta, theta-dot, d): the physical double integrator plus the
-    constant disturbance torque.  With a multi-rate controller the input
-    switches Ts/N_div into the period; both segments are exact ZOH pieces
-    of the continuous model.
+    constant disturbance torque, which enters like the first input.
     """
+    ct = satellite_plant_ct()
+    tau = Ts / N_div
+    pieces = [(d.A, d.B) for d in (c2d_zoh(ct, tau), c2d_zoh(ct, Ts - tau))]
 
-    def __init__(self, Ts, N_div=None):
-        ct = satellite_plant_ct()
-        if N_div:
-            tau = Ts / N_div
-            d1, d2 = c2d_zoh(ct, tau), c2d_zoh(ct, Ts - tau)
-            self.pieces = ((d1.A, d1.B), (d2.A, d2.B))
-        else:
-            d = c2d_zoh(ct, Ts)
-            self.pieces = ((d.A, d.B),)
-
-    def step(self, x, u_prev, u_now):
-        xp, d = x[:2].copy(), x[2]
-        us = (u_prev, u_now) if len(self.pieces) == 2 else (u_now,)
-        for (A, B), u in zip(self.pieces, us):
+    def advance(x, u_prev, u_now):
+        xp, d = x[:2], x[2]
+        for (A, B), u in zip(pieces, (u_prev, u_now)):
             xp = A @ xp + B @ u + B[:, 0] * d
         return np.concatenate([xp, [d]])
+
+    return advance
 
 
 def _initial_state(scenario, n):
@@ -273,9 +238,16 @@ def _initial_state(scenario, n):
 
 
 def simulate(scenario: Scenario) -> Trace:
-    """Run one closed-loop experiment and capture the full trace; refuse
-    (ValueError) a duration that is not finite and >= 0, and a mis-sized or
-    non-finite x0 or noise_sigma."""
+    """Run one closed-loop experiment and capture the full trace.
+
+    The truth is the plant's discrete model stepped as A x + B u, except
+    the pendulum (integrated nonlinearly) and the satellite under an MPC
+    with ``N_div`` (its input lagged by Ts/N_div).  Refused (ValueError)
+    before the first step: a duration that is not finite and >= 0; a
+    mis-sized or non-finite x0, noise_sigma or setpoint; a setpoint for an
+    MPC without a prefilter; an N_div other than None, or finite and > 1
+    on the satellite.
+    """
     if not (math.isfinite(scenario.duration) and scenario.duration >= 0.0):
         raise ValueError(f"duration must be finite and at least 0, not {scenario.duration}")
     Ts = scenario.sample_time()
@@ -284,13 +256,18 @@ def simulate(scenario: Scenario) -> Trace:
 
     ctrl = scenario.controller
     is_mpc = isinstance(ctrl, MpcController)
+    N_div = ctrl.N_div if is_mpc else None
+    if N_div is not None and not (scenario.plant == "satellite"
+                                  and math.isfinite(N_div) and N_div > 1):
+        raise ValueError("N_div lags the satellite truth's input and must be None, "
+                         f"or finite and > 1 on the satellite, not {N_div!r}")
 
     # plant-side setup: a built-in's design model sizes and measures its truth
     G_true: DtStateSpace = (CASE_STUDIES[scenario.plant].plant()
                             if isinstance(scenario.plant, str) else scenario.plant)
     n_x, n_y, n_u, C_true = G_true.n, G_true.n_y, G_true.n_u, G_true.C
-    if scenario.plant == "satellite":
-        advance = _SatelliteTruth(Ts, ctrl.N_div if is_mpc else None).step
+    if N_div is not None:
+        advance = _lagged_satellite_truth(Ts, N_div)
 
     elif scenario.plant == "pendulum":
         nsub = 20
@@ -320,8 +297,16 @@ def simulate(scenario: Scenario) -> Trace:
         n_slack_q = 0
         n_xh = 0
 
-    refs = scenario.references
-    n_r = refs.dim if refs is not None else n_y
+    if scenario.setpoint is None:
+        r = np.zeros(n_y)
+    else:
+        r = np.asarray(scenario.setpoint, float).ravel()
+        if r.size != n_y:
+            raise ValueError(f"setpoint has {r.size} entries, not n_y = {n_y}")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("setpoint entries must be finite")
+        if is_mpc and ctrl.prefilter is None:
+            raise ValueError("a setpoint needs an MPC controller with a prefilter")
     sigma = None
     if scenario.noise_sigma is not None:
         sigma = np.asarray(scenario.noise_sigma, float).ravel()
@@ -363,10 +348,9 @@ def simulate(scenario: Scenario) -> Trace:
         y = C_true @ x
         if sigma is not None:
             y = y + sigma * rng.standard_normal(n_y)
-        r = refs(t) if refs is not None else np.zeros(n_r)
 
         if not is_mpc:
-            e = y - r[:n_y]
+            e = y - r
             u_cmd = K.C @ xi + K.D @ e
             xi = K.A @ xi + K.B @ e
             ST.append("")
@@ -506,11 +490,10 @@ def scenario_library(family: str | None = None) -> dict:
             )
     if family in (None, "pendulum"):
         _, K, G_d, pend = _case_search("pendulum")
-        step_ref = ReferenceProgram(((0.0, np.array([1.0, 0.0])),))
         for i, bounded in ((1, False), (2, True)):
             lib[f"pendulum-case-{i}"] = Scenario(
                 name=f"pendulum-case-{i}", plant="pendulum", duration=20.0,
                 controller=_pendulum_mpc(pend.ranked[0][0], K, G_d, bounded),
-                references=step_ref,
+                setpoint=np.array([1.0, 0.0]),
             )
     return lib

@@ -1,6 +1,7 @@
 """Closed-loop simulation harness: plants, scenarios, traces, CSV export."""
 
 import csv
+import dataclasses
 import time
 
 import numpy as np
@@ -22,10 +23,9 @@ from lti2mpc.realisation import ObserverState, search_realisations
 from lti2mpc.sim import (
     BaselineController,
     MpcController,
-    ReferenceProgram,
     SATELLITE_DIST_TORQUE,
     Scenario,
-    _SatelliteTruth,
+    _lagged_satellite_truth,
     _rk4,
     inject_fault,
     pendulum_dynamics,
@@ -47,17 +47,6 @@ def traces(library):
               "satellite-case-3", "satellite-case-4", "satellite-case-5",
               "pendulum-case-1", "pendulum-case-2"]
     return {name: simulate(library[name]) for name in wanted}
-
-
-def test_reference_program_interpolates_and_holds():
-    prog = ReferenceProgram(((1.0, [0.0]), (3.0, [4.0])))
-    npt.assert_allclose(prog(0.0), [0.0])
-    npt.assert_allclose(prog(1.0), [0.0])
-    npt.assert_allclose(prog(2.0), [2.0])
-    npt.assert_allclose(prog(3.0), [4.0])
-    npt.assert_allclose(prog(10.0), [4.0])
-    with pytest.raises(ValueError):
-        ReferenceProgram(())
 
 
 def test_pendulum_dynamics_linearise_to_the_continuous_model():
@@ -122,26 +111,47 @@ def test_inject_fault_locks_channels_from_the_fault_time():
         inject_fault(u, 10.0, ((1.0, 5, 0.0),))
 
 
-def test_satellite_truth_matches_the_zoh_model_when_undivided():
+def test_lagged_satellite_truth_composes_to_the_zoh_model():
+    # with the same input on both pieces the lag must be invisible
     G = satellite_plant()
-    truth = _SatelliteTruth(SATELLITE_TS, None)
+    step = _lagged_satellite_truth(SATELLITE_TS, 10)
     rng = np.random.default_rng(0)
-    x = np.array([0.01, -0.02, 0.05])
-    xm = x.copy()
+    x = np.array([0.3, -0.1, 0.2])
     for _ in range(10):
         u = rng.standard_normal(2)
-        x = truth.step(x, u, u)
-        xm = G.A @ xm + G.B @ u
-        npt.assert_allclose(x, xm, atol=1e-12)
+        x_next = G.A @ x + G.B @ u
+        npt.assert_allclose(step(x, u, u), x_next, atol=1e-12)
+        x = x_next
 
 
-def test_satellite_truth_multirate_pieces_compose_exactly():
-    # with the same input on both segments the split must be invisible
-    truth1 = _SatelliteTruth(SATELLITE_TS, None)
-    truth10 = _SatelliteTruth(SATELLITE_TS, 10)
-    x = np.array([0.3, -0.1, 0.2])
-    u = np.array([0.4, -0.7])
-    npt.assert_allclose(truth10.step(x, u, u), truth1.step(x, u, u), atol=1e-12)
+def test_undivided_satellite_replay_steps_the_zoh_model(traces):
+    G = satellite_plant()
+    tr = traces["satellite-baseline"]
+    for k in range(len(tr) - 1):
+        assert np.array_equal(tr.x[k + 1], G.A @ tr.x[k] + G.B @ tr.u_applied[k]), k
+
+
+@pytest.mark.parametrize("name, N_div", [
+    ("satellite-case-1", 1), ("satellite-case-1", -3), ("satellite-case-1", 0),
+    ("pendulum-case-1", 10),
+])
+def test_an_input_lag_the_truth_cannot_honour_is_refused(library, name, N_div):
+    sc = library[name]
+    ctrl = dataclasses.replace(sc.controller, N_div=N_div)
+    with pytest.raises(ValueError, match="N_div"):
+        simulate(dataclasses.replace(sc, controller=ctrl))
+
+
+@pytest.mark.parametrize("name, setpoint, match", [
+    ("satellite-baseline", [0.1, 5.0], "setpoint has 2 entries"),
+    ("pendulum-case-1", [1.0], "setpoint has 1 entries"),
+    ("pendulum-case-1", [1.0, np.nan], "finite"),
+    ("satellite-case-1", [0.1], "prefilter"),
+])
+def test_a_setpoint_of_the_wrong_size_or_that_nothing_reads_is_refused(
+        library, name, setpoint, match):
+    with pytest.raises(ValueError, match=match):
+        simulate(dataclasses.replace(library[name], setpoint=np.array(setpoint)))
 
 
 def test_baseline_satellite_disturbance_calibration(traces):
