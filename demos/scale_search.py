@@ -6,7 +6,7 @@ into a 21-state plant with a 17-state controller.  After pruning
 (conjugate pairs stay together, uncontrollable modes stay with the state
 feedback set) the eigenvalue-split enumeration still leaves roughly
 42000 candidates, which the search evaluates as stacked kernels in
-chunks of 64 splits (``realisation._CHUNK``).
+chunks of 128 splits (``realisation._CHUNK``).
 
 Expect a run time of about 8-11 s on a shared 2-vCPU host with BLAS
 pinned to one thread (OPENBLAS_NUM_THREADS=1); the host's speed drifts

@@ -259,10 +259,13 @@ def _solve_T_stack(A_cl: np.ndarray, U: np.ndarray, sigma_min: float):
             sv = np.linalg.svd(U1[unsure], compute_uv=False)
             cond = sv[:, 0] / sv[:, -1]
         ok[unsure] = np.isfinite(cond) & (cond <= _COND_LIMIT)
+    del U, U1, U2  # a chunk's memory peaks in the residuals below
     T = np.full((k, m - n, n), np.nan)
     resid = np.full(k, math.inf)
-    T[ok] = X[ok].transpose(0, 2, 1)
-    resid[ok] = _riccati_residuals(A_cl, T[ok])
+    T_ok = X[ok].transpose(0, 2, 1)
+    del X
+    T[ok] = T_ok
+    resid[ok] = _riccati_residuals(A_cl, T_ok)
     bound = _RESID_TOL * np.linalg.norm(A_cl)
     reasons = [
         "" if r <= bound else f"residual {r:.2e} above {bound:.2e}" for r in resid
@@ -279,9 +282,11 @@ def riccati_residual(A_cl: np.ndarray, T: np.ndarray) -> float:
 def _riccati_residuals(A_cl, T) -> np.ndarray:
     """||[-T I] A_cl [I; T]|| for each member of a stack T (k, n_K, n)."""
     k, n_K, n = T.shape
-    left = np.concatenate([-T, np.broadcast_to(np.eye(n_K), (k, n_K, n_K))], axis=2)
+    left = np.concatenate([T, np.broadcast_to(np.eye(n_K), (k, n_K, n_K))], axis=2)
+    np.negative(left[:, :, :n], out=left[:, :, :n])
+    left = left @ A_cl  # before [I; T] is built, so [-T I] is freed first
     right = np.concatenate([np.broadcast_to(np.eye(n), (k, n, n)), T], axis=1)
-    return np.linalg.norm(left @ A_cl @ right, axis=(1, 2))
+    return np.linalg.norm(left @ right, axis=(1, 2))
 
 
 def _t_qr(T: np.ndarray):
@@ -550,11 +555,15 @@ def _score(r, G, h2, margin_cut) -> RealisationScore:
     return RealisationScore(h2n, h2d, h2n * h2d, margins)
 
 
-# Splits per stacked chunk of the search: enough to pay the Python
-# overhead once per chunk, few enough to keep each chunk's stacks at a
-# few MB (on the 21-state surrogate, 256 raised the peak resident memory
-# of a search by ~10 MB over 64, at the same speed).
-_CHUNK = 64
+# Splits per stacked chunk of the search, serial and on the pool alike:
+# enough to pay the Python overhead (and, on the pool, the GIL hand-overs
+# of the many small numpy calls) once per chunk, few enough to keep each
+# chunk's stacks at a few MB.  On the 21-state surrogate's 4754-split
+# search (2-vCPU host, one BLAS thread), 128 over 64 cut the wall time by
+# about a fifth with workers=2 and 8 % serially, at +6 % and +5 % peak
+# resident memory; 256 cut the workers=2 time by a further ~16 % but took
+# +20 % memory over 64.
+_CHUNK = 128
 
 
 class _Search:
@@ -646,8 +655,10 @@ class _Search:
             predictor form: K_c = C_K T,          K_f = T-dagger B_K
         """
         G, K, f = self.G, self.K, self.f
-        U = self.basis.subspaces([c.state_feedback_set for c in choices])
-        T, resid, out = _solve_T_stack(self.A_cl, U, self.sigma_min)
+        # passed on directly, so that _solve_T_stack can drop the bases
+        T, resid, out = _solve_T_stack(
+            self.A_cl, self.basis.subspaces([c.state_feedback_set for c in choices]),
+            self.sigma_min)
         live = np.flatnonzero([not reason for reason in out])
         if not live.size:
             return out
@@ -736,7 +747,7 @@ def search_realisations(
     Results are sorted ascending by the chosen metric ("product" or
     "noise"), ties broken by the S index tuple.
 
-    The splits are evaluated in stacked chunks of 64.  ``workers`` None or
+    The splits are evaluated in stacked chunks of 128.  ``workers`` None or
     1 evaluates them on the calling thread; an int k > 1 evaluates them on
     a pool of k threads, joined before the call returns, which overlap the
     stacked LAPACK and BLAS calls that release the GIL, while the calling

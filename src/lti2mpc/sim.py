@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -246,7 +247,9 @@ def simulate(scenario: Scenario) -> Trace:
     before the first step: a duration that is not finite and >= 0; a
     mis-sized or non-finite x0, noise_sigma or setpoint; a setpoint for an
     MPC without a prefilter; an N_div other than None, or finite and > 1
-    on the satellite.
+    on the satellite; a fault whose actuator index is not an integer in
+    [0, n_u), whose time is not finite and >= 0, or whose value is not
+    finite.
     """
     if not (math.isfinite(scenario.duration) and scenario.duration >= 0.0):
         raise ValueError(f"duration must be finite and at least 0, not {scenario.duration}")
@@ -314,6 +317,13 @@ def simulate(scenario: Scenario) -> Trace:
             raise ValueError(f"noise_sigma has {sigma.size} entries, not 1 or n_y = {n_y}")
         if not np.all(np.isfinite(sigma)):
             raise ValueError("noise_sigma entries must be finite")
+    for f_time, idx, value in scenario.faults:
+        if isinstance(idx, bool) or not isinstance(idx, numbers.Integral) or not 0 <= idx < n_u:
+            raise ValueError(f"fault names actuator {idx!r}, not an integer in [0, {n_u})")
+        if not (math.isfinite(f_time) and f_time >= 0.0):
+            raise ValueError(f"fault time must be finite and at least 0, not {f_time}")
+        if not math.isfinite(value):
+            raise ValueError(f"fault value must be finite, not {value}")
 
     dist = sorted(((float(t), np.asarray(v, float).ravel())
                    for t, v in scenario.disturbances), key=lambda p: p[0])

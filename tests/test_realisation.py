@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1012,7 +1013,7 @@ def _per_split_search(G, K, forced_S, Qn=1.0, Rn=1e7):
 
 def _smoke_forced_S(G, K):
     """The surrogate's uncontrollable closed-loop modes plus its four
-    smallest-modulus conjugate pairs: 170 splits, three chunks."""
+    smallest-modulus conjugate pairs: 170 splits."""
     A_cl = closed_loop_matrix(G, K)
     eig = eig_paired(A_cl)
     B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
@@ -1140,7 +1141,48 @@ def test_importing_the_search_loads_no_online_machinery():
 
 # -- threaded search -----------------------------------------------------------
 
-def test_threaded_search_equals_the_serial_search():
+def _search_outputs(out):
+    """Every number and message of a search result, arrays as raw bytes."""
+    ranked = [(r.choice.state_feedback_set, r.riccati_residual, s.h2_noise, s.h2_dist,
+               s.product, *((a.shape, a.tobytes()) for a in (r.T, r.T_perp, r.X, r.K_c, r.K_f)))
+              for r, s in out.ranked]
+    return ranked, [(c.state_feedback_set, reason) for c, reason in out.rejected]
+
+
+def test_the_search_is_bitwise_the_same_for_every_chunk_size_and_workers(monkeypatch):
+    G, K = scale_surrogate(0)
+    forced = _smoke_forced_S(G, K)
+    outputs = []
+    for chunk in (16, 64, 128):
+        monkeypatch.setattr(realisation, "_CHUNK", chunk)
+        for workers in (None, 2):
+            outputs.append(_search_outputs(search_realisations(
+                G, K, form="predictor", rank_by="product", forced_S=forced, workers=workers)))
+    ranked, rejected = outputs[0]
+    assert len(ranked) + len(rejected) == 170 and ranked and rejected
+    for out in outputs[1:]:
+        assert out == outputs[0]
+
+
+def test_one_128_split_chunk_stays_within_its_traced_memory_peak():
+    # 2.95 MB once _solve_T_stack drops the subspace bases and X early and
+    # _riccati_residuals never holds [-T I] and [I; T] together (4.43 MB before)
+    G, K = scale_surrogate(0)
+    search = realisation._Search(G, K, "predictor", 1.0, 1e7, None)
+    chunk = enumerate_choices(search.eig, G.n, K.n, _smoke_forced_S(G, K))[:128]
+    search.evaluate(chunk)  # lazy imports
+    tracemalloc.start()
+    try:
+        out = search.evaluate(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 128 and not all(isinstance(o, str) for o in out)
+    assert peak <= 1.25 * 2.95e6, f"{peak / 1e6:.2f} MB"
+
+
+def test_threaded_search_equals_the_serial_search(monkeypatch):
+    monkeypatch.setattr(realisation, "_CHUNK", 32)  # at least three pool chunks
     G, K = scale_surrogate(0)
     forced = _smoke_forced_S(G, K)
     serial = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
@@ -1175,6 +1217,7 @@ def test_a_bad_workers_value_is_refused_before_any_split_is_solved(monkeypatch, 
 
 
 def test_a_failing_chunk_is_raised_once_every_pool_thread_is_joined(monkeypatch):
+    monkeypatch.setattr(realisation, "_CHUNK", 32)  # at least three pool chunks
     G, K = scale_surrogate(0)
     forced = _smoke_forced_S(G, K)
     choices = enumerate_choices(eig_paired(closed_loop_matrix(G, K)), G.n, K.n, forced)

@@ -154,6 +154,26 @@ def test_a_setpoint_of_the_wrong_size_or_that_nothing_reads_is_refused(
         simulate(dataclasses.replace(library[name], setpoint=np.array(setpoint)))
 
 
+@pytest.mark.parametrize("fault, match", [
+    ((100.0, 7, 0.0), "actuator 7"),
+    ((1.0, -1, 0.0), "actuator -1"),
+    ((1.0, 1.0, 0.0), "actuator 1.0"),
+    ((1.0, True, 0.0), "actuator True"),
+    ((np.nan, 0, 0.0), "time"),
+    ((-1.0, 0, 0.0), "time"),
+    ((1.0, 0, np.nan), "value"),
+    ((1.0, 0, np.inf), "value"),
+])
+def test_a_fault_that_nothing_honours_is_refused_before_the_first_step(
+        library, monkeypatch, fault, match):
+    def no_step(*args):
+        raise AssertionError("a step was simulated")
+
+    monkeypatch.setattr(sim, "inject_fault", no_step)
+    with pytest.raises(ValueError, match=match):
+        simulate(dataclasses.replace(library["satellite-baseline"], faults=(fault,)))
+
+
 def test_baseline_satellite_disturbance_calibration(traces):
     tr = traces["satellite-baseline"]
     assert not tr.diverged
