@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 domain error (no feasible realisation, unstable
 loop, unknown scenario, near-singular MPC Hessian, failed verification),
 2 config error (unreadable file, bad JSON, a value of the wrong type or
 size, a NaN or an integer beyond float range, unknown keys, options the
-search refuses, a scenario number ``simulate`` refuses, any ``mpc`` key
-with a library-based scenario, a weight of the mpc cost not in use,
-``verify_gains`` on a loop its form's preconditions refuse).  JSON
+search refuses, a loop its form refuses, a ``margin_cut`` that is not an
+input (refused after the search), a scenario number ``simulate``
+refuses, any ``mpc`` key with a library-based scenario, a weight of the
+mpc cost not in use, a mis-shaped ``verify_gains`` matrix).  JSON
 -Infinity as a lower and +Infinity as an upper bound disable that side of
 a bound row; the other sides, a Ts, a dipole_W, an mpc weight, a
 verify_gains matrix, or a scenario duration, x0 or noise_sigma refuse
@@ -68,7 +69,7 @@ import sys
 
 import numpy as np
 
-from .linalg import NumericalError, UnstableSystemError, spectral_radius
+from .linalg import NumericalError, UnstableSystemError, loop_margins, spectral_radius
 from .models import CASE_STUDIES, condition_loop
 from .mpc import MpcConfig, effect_weight, matching_cost
 from .realisation import (
@@ -76,6 +77,7 @@ from .realisation import (
     ObserverRealisation,
     _form,
     closed_loop_matrix,
+    margin_loop,
     realisation_controller,
     riccati_residual,
     search_realisations,
@@ -384,15 +386,13 @@ def _write_json(doc: dict, out_path):
             fh.write(text + "\n")
 
 
-def _run_search(cfg: ProjectConfig, G_d, K_d, margin_cut):
+def _run_search(cfg: ProjectConfig, G_d, K_d):
     """The configured search of (G_d, K_d); an unstable loop or no feasible
-    split is a DomainError, any option the search refuses a ConfigError."""
+    split is a DomainError, an option or a loop the search refuses a ConfigError."""
     pl = cfg.pipeline
     try:
-        return search_realisations(
-            G_d, K_d, form=pl["form"], forced_S=pl["forced_S"],
-            Qn=pl["Qn"], Rn=pl["Rn"], rank_by=pl["rank_by"], margin_cut=margin_cut,
-        )
+        return search_realisations(G_d, K_d, form=pl["form"], forced_S=pl["forced_S"],
+                                   Qn=pl["Qn"], Rn=pl["Rn"], rank_by=pl["rank_by"])
     # UnstableSystemError is a ValueError, so it is caught first
     except (UnstableSystemError, NumericalError) as exc:
         raise DomainError(str(exc)) from None
@@ -402,7 +402,8 @@ def _run_search(cfg: ProjectConfig, G_d, K_d, margin_cut):
 
 def cmd_realise(cfg: ProjectConfig, out_path) -> int:
     _, _, G_d, K_d = build_problem(cfg)
-    found = _run_search(cfg, G_d, K_d, cfg.pipeline["margin_cut"])
+    found = _run_search(cfg, G_d, K_d)
+    cut = cfg.pipeline["margin_cut"]
     rows = []
     for rank, (r, score) in enumerate(found.ranked, start=1):
         row = {
@@ -419,12 +420,15 @@ def cmd_realise(cfg: ProjectConfig, out_path) -> int:
             "K_f": r.K_f.tolist(),
             "T": r.T.tolist(),
         }
-        if score.margins is not None:
-            row["margins"] = {
-                "gain": score.margins.gain_margin,
-                "phase": score.margins.phase_margin,
-                "delay_samples": score.margins.delay_margin,
-            }
+        if cut is not None:
+            try:  # built on every row, so a bad cut is refused whatever the rows
+                L = margin_loop(r, G_d, cut)
+            except ValueError as exc:
+                raise ConfigError(f"pipeline.margin_cut: {exc}") from None
+            if score.stable:  # an unstable row's margins mean nothing
+                m = loop_margins(L)
+                row["margins"] = {"gain": m.gain_margin, "phase": m.phase_margin,
+                                  "delay_samples": m.delay_margin}
         rows.append(row)
     report = {
         "command": "realise",
@@ -447,7 +451,7 @@ def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict) -> Scenario:
     if spec["duration"] is None:
         raise ConfigError(f"custom scenario {name!r} needs a 'duration'")
     G, K_base, G_d, K_d = build_problem(cfg)
-    real = _run_search(cfg, G_d, K_d, None).ranked[0][0]
+    real = _run_search(cfg, G_d, K_d).ranked[0][0]
     ctrl = MpcController(
         realisation=real, design_model=G_d,
         config=_mpc_config(cfg, G_d, real.K_c),
@@ -601,9 +605,14 @@ def cmd_verify(cfg: ProjectConfig, out_path) -> int:
         vg = cfg.verify_gains
         T = np.zeros((0, 0)) if vg["T"] is None else np.array(vg["T"], float)
         K_c, K_f = (np.array(vg[k], float) for k in ("K_c", "K_f"))
-        try:  # the form's preconditions, then the one Riccati residual of
-            # supplied gains; mis-shaped gains are refused
+        try:  # the form's preconditions, the gains' shapes, then the one
+            # Riccati residual of supplied gains
             _form(vg["form"]).check(G_d, K_d)
+            n, n_u, n_y = G_d.n, G_d.n_u, G_d.n_y
+            for key, names, shape in (("K_c", "n_u x n", (n_u, n)), ("K_f", "n x n_y", (n, n_y)),
+                                      ("T", "n_K x n", (K_d.n, n))):
+                if vg[key] is not None and np.shape(vg[key]) != shape:
+                    raise ValueError(f"{key} must be {names} = {shape}, got {np.shape(vg[key])}")
             r = ObserverRealisation(
                 form=vg["form"], T=T,
                 T_perp=np.zeros((G_d.n, 0)), X=np.zeros((0, 0)), K_c=K_c, K_f=K_f,
@@ -614,7 +623,7 @@ def cmd_verify(cfg: ProjectConfig, out_path) -> int:
         except ValueError as exc:
             raise ConfigError(f"verify_gains: {exc}") from None
     else:
-        found = _run_search(cfg, G_d, K_d, None)
+        found = _run_search(cfg, G_d, K_d)
         for rank, (r, _score) in enumerate(found.ranked, start=1):
             label = f"rank {rank} S={list(r.choice.state_feedback_set)}"
             all_ok = _verify_one(label, r, G_d, K_d, lines) and all_ok

@@ -25,7 +25,6 @@ import numpy as np
 
 from .linalg import (
     EigenStructure,
-    LoopMargins,
     NumericalError,
     UnstableSystemError,
     _h2_stack,
@@ -33,7 +32,6 @@ from .linalg import (
     _noise_weights,
     _solve_each,
     eig_paired,
-    loop_margins,
 )
 from .statespace import DtStateSpace, unobservable_modes
 
@@ -83,13 +81,18 @@ class ObserverRealisation:
 
 @dataclass
 class RealisationScore:
-    """Prop.-1 style quality metrics; smaller is better."""
+    """Prop.-1 style H2 norms, inf when the error dynamics are unstable; smaller is better."""
 
     h2_noise: float
     h2_dist: float
-    product: float
-    margins: LoopMargins | None = None
-    stable: bool = True
+
+    @property
+    def product(self) -> float:
+        return self.h2_noise * self.h2_dist
+
+    @property
+    def stable(self) -> bool:
+        return math.isfinite(self.h2_noise)
 
 
 @dataclass
@@ -493,7 +496,11 @@ def margin_loop(
     Plant and observer both run open loop on the injected signal; the
     return is the controller output on the same channel, so closing
     signal = L(signal) recovers the nominal loop (critical point +1).
+    A ``cut_input`` that is not an input channel of G raises ValueError.
     """
+    if not 0 <= cut_input < G.n_u:
+        raise ValueError(f"cut_input {cut_input} is not an input channel: the plant "
+                         f"has n_u = {G.n_u} inputs")
     return _form(r.form).margin_loop(r, G, cut_input)
 
 
@@ -545,16 +552,6 @@ def _h2_scores(f, G, K_f) -> np.ndarray:
     return _h2_stack(Ae, [(B, C, D), (E, np.eye(G.n), D_dist)], G.Ts)
 
 
-def _score(r, G, h2, margin_cut) -> RealisationScore:
-    h2n, h2d = float(h2[0]), float(h2[1])
-    if not math.isfinite(h2n):
-        return RealisationScore(math.inf, math.inf, math.inf, None, stable=False)
-    margins = None
-    if margin_cut is not None:
-        margins = loop_margins(margin_loop(r, G, margin_cut))
-    return RealisationScore(h2n, h2d, h2n * h2d, margins)
-
-
 # Splits per stacked chunk of the search, serial and on the pool alike:
 # enough to pay the Python overhead (and, on the pool, the GIL hand-overs
 # of the many small numpy calls) once per chunk, few enough to keep each
@@ -571,8 +568,8 @@ class _Search:
     computed once, and the stacked kernel that solves, designs, builds and
     scores its splits a chunk at a time."""
 
-    def __init__(self, G, K, form, Qn, Rn, margin_cut):
-        self.G, self.K, self.form, self.margin_cut = G, K, form, margin_cut
+    def __init__(self, G, K, form, Qn, Rn):
+        self.G, self.K, self.form = G, K, form
         self.f = _FORMS[form]
         # the free-pole design's reduced pairs are cut from these two
         self.A_shift = G.A + G.B @ K.D @ G.C
@@ -587,11 +584,6 @@ class _Search:
         self.eig = eig_paired(self.A_cl)
         self.basis = _Eigenbasis(self.eig)
         self.sigma_min = float(np.linalg.svd(self.basis.basis, compute_uv=False)[-1])
-        self.form_error = None  # the form's preconditions on (G, K), or why they fail
-        try:
-            self.f.check(G, K)
-        except ValueError as exc:
-            self.form_error = exc
 
     def free_pole_gains(self, T_perp):
         """The free-pole gains X of a stack of T-perp bases (k, n, n - n_K).
@@ -648,8 +640,8 @@ class _Search:
 
         A split is rejected for the first of these that applies: an
         infeasible T (see :func:`_solve_T_stack`), a failed free-pole
-        design, a rank-deficient T, the form's preconditions on (G, K),
-        then the invariants of the built realisation.  The gains are
+        design, a rank-deficient T, then the invariants of the built
+        realisation.  The gains are
 
             filter form:    K_c = D_K C + C_K T,  K_f = A^-1 (T-dagger B_K - B D_K)
             predictor form: K_c = C_K T,          K_f = T-dagger B_K
@@ -666,9 +658,7 @@ class _Search:
         deficient, T_perp, T_pinv = _t_qr(T)
         X, errors = self.free_pole_gains(T_perp)
         for m, i in enumerate(live):
-            error = errors[m] or ("T is rank deficient" if deficient[m] else self.form_error)
-            if error is not None:
-                out[i] = str(error)
+            out[i] = str(errors[m] or ("T is rank deficient" if deficient[m] else ""))
         keep = [m for m, i in enumerate(live) if not out[i]]
         if not keep:
             return out
@@ -694,7 +684,7 @@ class _Search:
                     form=self.form, T=T[m], T_perp=T_perp[m], X=X[m], K_c=K_c[m],
                     K_f=K_f[m], choice=choices[live[m]], riccati_residual=float(resid[m]),
                 )
-                out[live[m]] = (r, _score(r, G, row, self.margin_cut))
+                out[live[m]] = (r, RealisationScore(float(row[0]), float(row[1])))
         return out
 
 
@@ -724,7 +714,6 @@ def search_realisations(
     Qn=1.0,
     Rn=1e7,
     rank_by: str = "product",
-    margin_cut: int | None = None,
     workers: int | None = None,
 ) -> SearchResult:
     """Enumerate, solve, build and score every admissible realisation.
@@ -733,19 +722,23 @@ def search_realisations(
     from the plant input (those cannot leave the state-feedback set).  A
     forced_S of n indices with conjugate pairs kept whole admits exactly
     one split, so ``forced_S=S`` realises the single split S, with the
-    same numbers as S's row of the full search.  An unknown ``form``, a
-    static controller, a controller of higher order than the plant, a
-    ``margin_cut`` that is not an input channel, a ``Qn`` that is not a
-    scalar (the free-pole design's basis is arbitrary, see
-    :meth:`_Search.free_pole_gains`), or a ``Qn``/``Rn`` that the
-    free-pole Kalman design refuses (checked even when n_K = n) raises
-    ValueError before any split is solved, and so does a given forced_S
-    out of range or whose blocks outnumber n; a closed loop with a pole
-    outside the unit circle raises UnstableSystemError, and a spectrum
-    with no admissible split (the default forced set's blocks outnumbering
-    n among them), or no feasible split, NumericalError.
-    Results are sorted ascending by the chosen metric ("product" or
-    "noise"), ties broken by the S index tuple.
+    same numbers as S's row of the full search.  Results are sorted
+    ascending by the chosen metric ("product" or "noise"), ties broken by
+    the S index tuple.
+
+    Refused, in this order and before any split is solved unless said:
+    with ValueError, a ``workers`` that is not None or an int >= 1, a bad
+    ``rank_by`` or ``form``, a static controller or one of higher order
+    than the plant, a ``Qn`` that is not a scalar (the free-pole basis is
+    arbitrary, see :meth:`_Search.free_pole_gains`) or a ``Qn``/``Rn`` the
+    free-pole Kalman design refuses (even when n_K = n); with
+    UnstableSystemError, a closed loop with a pole outside the unit
+    circle; with ValueError, a loop that fails the form's preconditions
+    (the message names the fix: add a dipole, loop-shift the feedthrough),
+    then a given forced_S out of range or whose blocks outnumber n; with
+    NumericalError, a spectrum with no admissible split (the default forced
+    set's blocks outnumbering n among them), and, once every split is
+    evaluated, no feasible split.
 
     The splits are evaluated in stacked chunks of 128.  ``workers`` None or
     1 evaluates them on the calling thread; an int k > 1 evaluates them on
@@ -754,8 +747,7 @@ def search_realisations(
     thread merges them.  The chunks, and so every number and message of
     the result, are the same for every ``workers``.  Pool threads and BLAS
     threads multiply: pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when
-    the search runs on more than one.  Any other ``workers`` (a bool, a
-    non-integer, or below 1) raises ValueError before any split is solved.
+    the search runs on more than one.
     """
     if workers is not None and (
         not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
@@ -763,12 +755,9 @@ def search_realisations(
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     if rank_by not in ("product", "noise"):
         raise ValueError("rank_by must be 'product' or 'noise'")
-    if margin_cut is not None and not 0 <= margin_cut < G.n_u:
-        raise ValueError(f"margin_cut {margin_cut} is not an input channel of "
-                         f"the {G.n_u}-input plant")
     _form(form)
     _check_orders(G, K)
-    search = _Search(G, K, form, Qn, Rn, margin_cut)
+    search = _Search(G, K, form, Qn, Rn)
     rho = float(np.max(np.abs(search.eig.values)))
     # poles exactly on the circle are legitimate (disturbance integrators
     # are uncontrollable closed-loop modes at z = 1); reject strict growth
@@ -776,6 +765,7 @@ def search_realisations(
         raise UnstableSystemError(
             f"the closed loop of the plant and controller is unstable (spectral "
             f"radius {rho:.4f}); realisation requires a stabilising controller")
+    search.f.check(G, K)
     forced_by = "forced_S indices"
     if forced_S is None:
         B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])

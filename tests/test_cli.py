@@ -253,10 +253,14 @@ def test_builtin_with_another_top_level_Ts_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, code, prefix", [
-    ({"plant": "satellite", "pipeline": {"margin_cut": 5}}, 2, "config error: "),
+    ({"plant": "satellite", "pipeline": {"margin_cut": 5}}, 2,
+     "config error: pipeline.margin_cut: cut_input 5 is not an input channel"),
     ({"plant": "satellite", "pipeline": {"forced_S": [99]}}, 2, "config error: "),
-    ({"plant": "satellite", "pipeline": {"form": "predictor"}}, 1, "error: "),
-    ({"plant": "pendulum", "pipeline": {"form": "filter", "loop_shift": False}}, 1, "error: "),
+    # loops their form's preconditions refuse, before any split is solved
+    ({"plant": "satellite", "pipeline": {"form": "predictor"}}, 2,
+     "config error: predictor form needs a strictly proper controller"),
+    ({"plant": "pendulum", "pipeline": {"form": "filter", "loop_shift": False}}, 2,
+     "config error: filter form needs"),
     ({"plant": "satellite", "pipeline": {"forced_S": 5}}, 2, "config error: "),
     ({"plant": "satellite", "pipeline": {"margin_cut": "a"}}, 2, "config error: "),
     # a built-in's disturbance model is its case study's, not the config's
@@ -460,13 +464,19 @@ def test_infinite_json_bounds_disable_a_row(tmp_path):
     assert max(abs(v) for v in u1) <= 0.01 + 1e-12
 
 
-def test_misshaped_verify_gains_are_a_config_error(tmp_path, capsys):
-    cfg = _write(tmp_path, "vg.json", {
-        "plant": "satellite",
-        "verify_gains": {"form": "filter", "K_c": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-                         "K_f": [[0.0], [0.0], [0.0]], "T": [[1.0, 0.0], [0.0, 1.0]]}})
+@pytest.mark.parametrize("key, value, message", [
+    ("K_c", [[1, 2]], "K_c must be n_u x n = (2, 3), got (1, 2)"),
+    ("K_f", [[0, 1]], "K_f must be n x n_y = (3, 1), got (1, 2)"),
+    ("T", [[1, 2]], "T must be n_K x n = (3, 3), got (1, 2)"),
+    ("T", [[1, 0], [0, 1]], "T must be n_K x n = (3, 3), got (2, 2)"),
+])
+def test_misshaped_verify_gains_are_a_config_error(tmp_path, capsys, key, value, message):
+    gains = {"form": "filter", "K_c": [[0, 0, 0], [0, 0, 0]], "K_f": [[0], [0], [0]],
+             "T": np.eye(3).tolist(), key: value}
+    cfg = _write(tmp_path, "vg.json", {"plant": "satellite", "verify_gains": gains})
     assert main(["verify", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith("config error: verify_gains: ")
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: verify_gains: {message}\n")
 
 
 def test_verify_gains_refuses_a_loop_the_form_cannot_realise(tmp_path, capsys):
@@ -485,6 +495,37 @@ def test_verify_gains_refuses_a_loop_the_form_cannot_realise(tmp_path, capsys):
                             "proper controller; loop-shift the feedthrough into the plant first\n")
 
 
+@pytest.mark.parametrize("doc, code, err", [
+    # the satellite without its dipole: K(0) != 0
+    ({"plant": "satellite", "pipeline": {"dipole_W": None}}, 2,
+     "config error: filter form needs K(0) = 0; add a dipole to the controller\n"),
+    # the pendulum in predictor form without its loop shift: D_K != 0
+    ({"plant": "pendulum", "pipeline": {"form": "predictor", "loop_shift": False}}, 2,
+     "config error: predictor form needs a strictly proper controller; "
+     "loop-shift the feedthrough into the plant first\n"),
+    # an unstable loop whose A_K = 0 fails the filter form as well: it is
+    # refused as unstable, since stability is checked first
+    ({"plant": {"kind": "discrete", "A": [[1.1]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]],
+                "Ts": 1.0},
+      "controller": {"kind": "discrete", "A": [[0.0]], "B": [[1.0]], "C": [[0.0]],
+                     "D": [[0.0]], "Ts": 1.0},
+      "pipeline": {"form": "filter"}}, 1,
+     "error: the closed loop of the plant and controller is unstable (spectral radius "
+     "1.1000); realisation requires a stabilising controller\n"),
+], ids=["satellite without dipole", "pendulum without loop shift", "unstable"])
+def test_a_loop_its_form_refuses_is_refused_before_any_split(tmp_path, monkeypatch, capsys,
+                                                             doc, code, err):
+    solves = []
+    solve = realisation._solve_T_stack
+    monkeypatch.setattr(realisation, "_solve_T_stack",
+                        lambda *args: solves.append(1) or solve(*args))
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main(["realise", "--config", cfg]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+    assert solves == []
+
+
 def test_realise_gives_the_filter_forms_reason_for_a_singular_controller(tmp_path, capsys):
     # A_K = 0: K(0) cannot be formed, so the form's own refusal must come first
     cfg = _write(tmp_path, "ak0.json", {
@@ -493,9 +534,9 @@ def test_realise_gives_the_filter_forms_reason_for_a_singular_controller(tmp_pat
         "controller": {"kind": "discrete", "A": [[0.0]], "B": [[1.0]], "C": [[0.05]],
                        "D": [[0.0]], "Ts": 1.0},
         "pipeline": {"form": "filter"}})
-    assert main(["realise", "--config", cfg]) == 1
+    assert main(["realise", "--config", cfg]) == 2
     assert capsys.readouterr().err == (
-        "error: no feasible realisation: 2 x filter form needs a nonsingular controller A_K\n")
+        "config error: filter form needs a nonsingular controller A_K\n")
 
 
 def test_parallel_flag_is_not_an_option(tmp_path):
@@ -524,8 +565,8 @@ def test_cli_and_library_realise_the_same_builtin(tmp_path, name):
 
 def test_verify_sweeps_no_loop_margins(tmp_path, monkeypatch, capsys):
     sweeps = []
-    margins = realisation.loop_margins
-    monkeypatch.setattr(realisation, "loop_margins",
+    margins = cli.loop_margins
+    monkeypatch.setattr(cli, "loop_margins",
                         lambda *a, **kw: sweeps.append(1) or margins(*a, **kw))
     cfg = _write(tmp_path, "sat.json", {"plant": "satellite"})
     assert main(["verify", "--config", cfg]) == 0

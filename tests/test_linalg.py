@@ -381,9 +381,9 @@ def test_margin_scan_skip_rules_on_exact_grid_points():
 
 def _realised_margin_loops():
     sat = search_realisations(satellite_plant(), add_dipole(satellite_controller(), W=50.0),
-                              form="filter", rank_by="product", margin_cut=0)
+                              form="filter", rank_by="product")
     Gs, Ks = loop_shift(pendulum_plant(), pendulum_controller())
-    pend = search_realisations(Gs, Ks, form="predictor", rank_by="noise", margin_cut=0)
+    pend = search_realisations(Gs, Ks, form="predictor", rank_by="noise")
     return ([margin_loop(r, satellite_plant(), 0) for r, _ in sat.ranked[:4]]
             + [margin_loop(r, Gs, 0) for r, _ in pend.ranked])
 

@@ -26,6 +26,7 @@ from lti2mpc.linalg import (
     UnstableSystemError,
     eig_paired,
     h2_norm,
+    loop_margins,
     spectral_radius,
 )
 from lti2mpc.models import (
@@ -39,10 +40,10 @@ from lti2mpc.models import (
 from lti2mpc.realisation import (
     ObserverRealisation,
     RealisationChoice,
+    RealisationScore,
     _dist_injection,
     _form,
     _h2_scores,
-    _score,
     _t_qr,
     check_decoupling,
     closed_loop_matrix,
@@ -117,8 +118,8 @@ def _random_free_poles(monkeypatch, rng):
 
 
 def _score_one(r, G):
-    """The search's scores of one realisation, without margins."""
-    return _score(r, G, _h2_scores(_form(r.form), G, r.K_f[np.newaxis])[0], None)
+    """The search's scores of one realisation."""
+    return RealisationScore(*map(float, _h2_scores(_form(r.form), G, r.K_f[np.newaxis])[0]))
 
 
 # -- scalar oracles ----------------------------------------------------------
@@ -172,13 +173,6 @@ def test_scalar_filter_both_splits_and_feedthrough_identity():
         # K_c K_f recovers the controller feedthrough exactly
         assert_allclose(r.K_c @ r.K_f, K.D, atol=1e-10)
         assert verify_equivalence(realisation_controller(r, G), K) < 1e-12
-
-
-def test_filter_form_rejects_controller_with_bias():
-    G = _scalar(0.5, 1.0, 1.0)
-    K = _scalar(0.2, 0.3, 0.4)  # K(0) = -0.6, no zero at the origin
-    with pytest.raises(NumericalError, match="2 x filter form needs K\\(0\\) = 0"):
-        search_realisations(G, K, form="filter")
 
 
 # -- choice enumeration ------------------------------------------------------
@@ -434,7 +428,7 @@ def test_design_free_poles_without_free_poles_is_empty_and_checks_the_covariance
     assert K.n == G.n
     found = search_realisations(G, K, form="filter")
     assert found.ranked and all(r.X.shape == (0, K.n) for r, _ in found.ranked)
-    X, errors = realisation._Search(G, K, "filter", 1.0, 1e7, None).free_pole_gains(
+    X, errors = realisation._Search(G, K, "filter", 1.0, 1e7).free_pole_gains(
         np.zeros((2, G.n, 0)))
     assert X.shape == (2, 0, K.n) and errors == [None, None]
     for Qn, Rn, message in [(-1.0, 1e7, "Qn must be positive semidefinite"),
@@ -450,7 +444,7 @@ def test_free_pole_gain_rejects_an_undetectable_reduced_pair():
     G = DtStateSpace(np.diag([1.0, 0.5, 0.2]), np.ones((3, 1)), [[0.0, 1.0, 1.0]],
                      [[0.0]], 1.0)
     K = DtStateSpace([[0.3]], [[1.0]], [[0.5]], [[0.0]], 1.0)
-    search = realisation._Search(G, K, "predictor", 1.0, 1e7, None)
+    search = realisation._Search(G, K, "predictor", 1.0, 1e7)
     _, (err,) = search.free_pole_gains(np.eye(3)[np.newaxis, :, :2])
     assert isinstance(err, NumericalError)
     assert "undetectable at modes 1.0000" in str(err)
@@ -634,7 +628,7 @@ SAT_ORDER = [(0, 4, 5), (0, 1, 5), (1, 4, 5), (2, 3, 5)]  # by product
 def test_satellite_search_ranks_by_product():
     G = satellite_plant()
     K = add_dipole(satellite_controller(), W=50.0)
-    out = search_realisations(G, K, form="filter", rank_by="product", margin_cut=0)
+    out = search_realisations(G, K, form="filter", rank_by="product")
     assert len(out.ranked) == 4 and not out.rejected
     assert [r.choice.state_feedback_set for r, _ in out.ranked] == SAT_ORDER
     for r, s in out.ranked:
@@ -642,8 +636,9 @@ def test_satellite_search_ranks_by_product():
         assert_allclose(s.h2_noise, noise, rtol=2e-3)
         assert_allclose(s.h2_dist, dist, rtol=2e-3)
         assert_allclose(s.product, noise * dist, rtol=4e-3)
-        assert_allclose(s.margins.gain_margin, gm, rtol=2e-3)
-        assert_allclose(s.margins.delay_margin, dm, rtol=2e-3)
+        margins = loop_margins(margin_loop(r, G, 0))
+        assert_allclose(margins.gain_margin, gm, rtol=2e-3)
+        assert_allclose(margins.delay_margin, dm, rtol=2e-3)
         # the uncontrollable integrator never leaves the state-feedback set
         assert 5 in r.choice.state_feedback_set
         # feedthrough identity holds for every realisation
@@ -795,15 +790,15 @@ def test_unstable_closed_loop_is_refused_from_the_search_spectrum(monkeypatch):
     assert len(eigs) == 1  # the refusal reads the search's own spectrum
 
 
-def test_margin_cut_outside_the_inputs_is_refused(monkeypatch):
-    def no_solve(*args):
-        raise AssertionError("a split was solved")
-
-    monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
+def test_margin_loop_refuses_a_cut_outside_the_inputs():
     G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
-    for cut in (-1, 2):
-        with pytest.raises(ValueError, match=f"margin_cut {cut} is not an input channel"):
-            search_realisations(G, K, form="filter", margin_cut=cut)
+    r = search_realisations(G, K, form="filter").ranked[0][0]
+    assert G.n_u == 2
+    for cut in (-1, 2, 5):
+        with pytest.raises(ValueError, match=f"^cut_input {cut} is not an input channel: "
+                                             "the plant has n_u = 2 inputs$"):
+            margin_loop(r, G, cut)
+    assert margin_loop(r, G, 1).n_u == 1
 
 
 @pytest.mark.parametrize("Qn, Rn, message", [
@@ -835,37 +830,6 @@ def test_bad_noise_covariances_are_refused_before_any_split_is_solved(monkeypatc
         assert K.n == G.n
     with pytest.raises(ValueError, match=message):
         search_realisations(G, K, form=form, Qn=Qn, Rn=Rn)
-
-
-def _per_split_reasons(G, K, form):
-    """Why each split is rejected when it is searched on its own, every
-    split of a loop that has no feasible one."""
-    A_cl = closed_loop_matrix(G, K)
-    eig = eig_paired(A_cl)
-    B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
-    reasons = []
-    for c in enumerate_choices(eig, G.n, K.n, unobservable_modes(A_cl.T, B_cl.T, eig.values)):
-        with pytest.raises(NumericalError) as exc:
-            search_realisations(G, K, form=form, forced_S=c.state_feedback_set)
-        reasons.append(str(exc.value).removeprefix("no feasible realisation: 1 x "))
-    return reasons
-
-
-def test_filter_form_check_runs_once_and_rejects_like_the_per_split_path(monkeypatch):
-    G = satellite_plant()
-    K = satellite_controller()  # no dipole: K(0) != 0
-    reasons = _per_split_reasons(G, K, "filter")
-    assert reasons and all(r.startswith("filter form needs K(0) = 0") for r in reasons)
-    counts = {r: reasons.count(r) for r in sorted(set(reasons))}
-    expect = "no feasible realisation: " + "; ".join(f"{v} x {k}" for k, v in counts.items())
-
-    calls = []
-    check = _form("filter").check
-    monkeypatch.setattr(_form("filter"), "check", lambda G, K: calls.append(1) or check(G, K))
-    with pytest.raises(NumericalError) as exc:
-        search_realisations(G, K, form="filter")
-    assert str(exc.value) == expect
-    assert len(calls) == 1
 
 
 # -- the stacked kernel against one-member calls ----------------------------------
@@ -931,7 +895,7 @@ def test_stacked_scores_match_one_member_calls(fallbacks):
         r = ObserverRealisation(form="predictor", T=np.ones((1, 2)), T_perp=np.zeros((2, 0)),
                                 X=np.zeros((0, 1)), K_c=np.zeros((1, 2)), K_f=gain,
                                 choice=None, riccati_residual=0.0)
-        s, one = _score(r, G, stacked[i], None), _score_one(r, G)
+        s, one = RealisationScore(*map(float, stacked[i])), _score_one(r, G)
         assert s.stable == one.stable == (i != 3)
         if i == 3:
             assert s.h2_noise == s.h2_dist == s.product == np.inf
@@ -1043,18 +1007,16 @@ def test_smoke_surrogate_search_matches_the_per_split_reference():
 def test_a_one_split_search_reproduces_that_splits_row_of_the_full_search(case):
     if case == "surrogate":
         G, K = scale_surrogate(0)
-        form, rank_by, margin_cut, forced = "predictor", "product", None, _smoke_forced_S(G, K)
+        form, rank_by, forced = "predictor", "product", _smoke_forced_S(G, K)
     else:
         study = CASE_STUDIES[case]
         _, _, G, K = study.loop()
-        form, rank_by, margin_cut, forced = study.form, study.rank_by, study.margin_cut, None
-    full = search_realisations(G, K, form=form, forced_S=forced, rank_by=rank_by,
-                               margin_cut=margin_cut)
+        form, rank_by, forced = study.form, study.rank_by, None
+    full = search_realisations(G, K, form=form, forced_S=forced, rank_by=rank_by)
     assert len(full.ranked) >= 3
     for r, score in full.ranked:
         ((one, one_score),) = search_realisations(
-            G, K, form=form, forced_S=r.choice.state_feedback_set, rank_by=rank_by,
-            margin_cut=margin_cut).ranked
+            G, K, form=form, forced_S=r.choice.state_feedback_set, rank_by=rank_by).ranked
         assert (one.form, one.choice, one.riccati_residual) == (r.form, r.choice,
                                                                 r.riccati_residual)
         for name in ("T", "T_perp", "X", "K_c", "K_f"):
@@ -1168,7 +1130,7 @@ def test_one_128_split_chunk_stays_within_its_traced_memory_peak():
     # 2.95 MB once _solve_T_stack drops the subspace bases and X early and
     # _riccati_residuals never holds [-T I] and [I; T] together (4.43 MB before)
     G, K = scale_surrogate(0)
-    search = realisation._Search(G, K, "predictor", 1.0, 1e7, None)
+    search = realisation._Search(G, K, "predictor", 1.0, 1e7)
     chunk = enumerate_choices(search.eig, G.n, K.n, _smoke_forced_S(G, K))[:128]
     search.evaluate(chunk)  # lazy imports
     tracemalloc.start()
