@@ -450,13 +450,10 @@ def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict) -> Scenario:
     """MPC loop on the config's own plant/controller (regulation only)."""
     if spec["duration"] is None:
         raise ConfigError(f"custom scenario {name!r} needs a 'duration'")
-    G, K_base, G_d, K_d = build_problem(cfg)
+    G, _, G_d, K_d = build_problem(cfg)
     real = _run_search(cfg, G_d, K_d).ranked[0][0]
-    ctrl = MpcController(
-        realisation=real, design_model=G_d,
-        config=_mpc_config(cfg, G_d, real.K_c),
-        D_K=K_base.D if cfg.pipeline["loop_shift"] else None,
-    )
+    ctrl = MpcController(realisation=real, design_model=G_d,
+                         config=_mpc_config(cfg, G_d, real.K_c))
     return Scenario(name=name, plant=G, controller=ctrl, **_scenario_fields(spec))
 
 

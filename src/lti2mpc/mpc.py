@@ -103,11 +103,8 @@ class MpcConfig:
     +inf or an upper -inf is refused.  Output and state bounds are
     softened with one shared slack per bounded quantity per step (the same
     slack serves the upper and the lower row), penalised quadratically by
-    soft_output_weight.  Input bounds are hard.
-    ``known_input`` is an n x n_w matrix through which a signal held
-    constant over the horizon (for example a loop-shift feedthrough term)
-    enters the prediction.  A step that passes a reference state x_r
-    penalises x - x_r instead of x.
+    soft_output_weight.  Input bounds are hard.  A step that passes a
+    reference state x_r penalises x - x_r instead of x.
     """
 
     N: int
@@ -116,7 +113,6 @@ class MpcConfig:
     y_bounds: tuple | None = None
     x_bounds: tuple | None = None
     soft_output_weight: float = 1e5
-    known_input: np.ndarray | None = None
 
     def __post_init__(self):
         if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
@@ -170,8 +166,8 @@ class CondensedQp:
     then the slacks).  H and A_ineq are fixed, and so is their QP factor,
     computed on first use and shared by every control step; f and b are
     affine in the current state estimate, the reference state and the
-    known input, with the matrices below precomputed so each control step
-    is a few mat-vecs.
+    known input w (the setpoint of a loop-shifted model), with the matrices
+    below precomputed so each control step is a few mat-vecs.
     """
 
     H: np.ndarray
@@ -258,7 +254,10 @@ def build_condensed_qp(G: DtStateSpace, cfg: MpcConfig) -> CondensedQp:
     """Eliminate the state dynamics and emit the dense parametric QP.
 
     The states are predicted on (A, B, B_w), so the decisions are the
-    inputs themselves and the x-u cross terms of the cost stay in H.
+    inputs themselves and the x-u cross terms of the cost stay in H.  The
+    known input w is held over the horizon; B_w = -B D_K when G records
+    the feedthrough ``loop_shift`` absorbed (w is then the setpoint, which
+    the shifted plant sees through -B D_K), and has no columns otherwise.
 
     Raises NumericalError when cond(H) exceeds 1e12: the unconstrained
     minimiser would no longer be the stage cost's, and ValueError when the
@@ -268,8 +267,7 @@ def build_condensed_qp(G: DtStateSpace, cfg: MpcConfig) -> CondensedQp:
     Q, S, R = cfg.cost.Q, cfg.cost.S, cfg.cost.R
     if Q.shape[0] != n or R.shape[0] != m:
         raise ValueError("stage cost does not match the plant dimensions")
-    B_w = np.zeros((n, 0)) if cfg.known_input is None else \
-        np.asarray(cfg.known_input, float).reshape(n, -1)
+    B_w = np.zeros((n, 0)) if G.D_K is None else -G.B @ G.D_K
 
     Phi, Gamma, Omega = _prediction_matrices(G.A, G.B, B_w, N)
     # rows 0 .. N-1 of the stacks enter the stage cost

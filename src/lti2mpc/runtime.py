@@ -49,13 +49,13 @@ class Prefilter:
         return x_r
 
 
-def build_prefilter(realisation, G_d: DtStateSpace, L1, L2, D_K=None) -> Prefilter:
+def build_prefilter(realisation, G_d: DtStateSpace, L1, L2) -> Prefilter:
     """Assemble the shaped reference prefilter.
 
     Its state runs ``make_observer(realisation, G_d)`` driven by y = r and
     u = -D_K r, as ``sim.simulate`` drives the real observer, where G_d is
-    the design model (the loop-shifted plant if loop-shifting was used) and
-    D_K the controller feedthrough (None means no shift).  Its output is
+    the design model and D_K the feedthrough it records (``G_d.D_K``, set
+    by ``loop_shift``; None drives u = 0).  Its output is
     Mc estimate + Ml r, with Mc = [L1; K_c]^-1 [0; K_c] and
     Ml = [L1; K_c]^-1 [L2; 0].
     """
@@ -71,7 +71,7 @@ def build_prefilter(realisation, G_d: DtStateSpace, L1, L2, D_K=None) -> Prefilt
         raise ValueError("[L1; K_c] must be square and well conditioned")
     Mc = np.linalg.solve(M, np.vstack([np.zeros_like(L1), K_c]))
     Ml = np.linalg.solve(M, np.vstack([L2, np.zeros((K_c.shape[0], G_d.n_y))]))
-    B_r = obs.B_y if D_K is None else obs.B_y - obs.B @ np.atleast_2d(D_K)
+    B_r = obs.B_y if G_d.D_K is None else obs.B_y - obs.B @ G_d.D_K
     return Prefilter(DtStateSpace(obs.A_o, B_r, Mc @ obs.C_o, Mc @ obs.D_y + Ml, G_d.Ts))
 
 

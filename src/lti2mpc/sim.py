@@ -43,6 +43,10 @@ __all__ = [
 # cases genuinely saturates during the transient.
 SATELLITE_DIST_TORQUE = 0.104325
 
+# An MPC's input reaches the named satellite's truth Ts/_SATELLITE_LAG_DIV
+# into the period: the deterministic transfer lag of the satellite cases.
+_SATELLITE_LAG_DIV = 10
+
 
 @dataclass
 class BaselineController:
@@ -57,22 +61,17 @@ class MpcController:
 
     design_model is the model the observer and predictions run on: the
     disturbance-augmented plant for the filter form, the loop-shifted plant
-    for the predictor form.  D_K is the original controller feedthrough
-    when loop-shifting is used (the simulation then wires
-    u_plant = u_mpc + D_K y and subtracts D_K r from the command, in
-    either form).  N_div activates the deterministic-transfer lag of one
-    Ts/N_div subdivision (satellite truth only).  With a ``prefilter`` (the
-    system ``runtime.build_prefilter`` builds from ``realisation`` on
-    ``design_model``, stepped afresh each run) the MPC tracks the state
-    reference it emits for the scenario's setpoint; without one it
-    regulates to 0 and takes no setpoint.
+    for the predictor form.  When it records a loop-shift feedthrough D_K
+    (``design_model.D_K``) the simulation wires u_plant = u_mpc - D_K r +
+    D_K y.  With a ``prefilter`` (the system ``runtime.build_prefilter``
+    builds from ``realisation`` on ``design_model``, stepped afresh each
+    run) the MPC tracks the state reference it emits for the scenario's
+    setpoint; without one it regulates to 0 and takes no setpoint.
     """
 
     realisation: object
     design_model: DtStateSpace
     config: MpcConfig
-    D_K: np.ndarray | None = None
-    N_div: int | None = None
     prefilter: DtStateSpace | None = None
 
 
@@ -206,8 +205,8 @@ def inject_fault(u_applied: np.ndarray, t: float, faults) -> np.ndarray:
     return out
 
 
-def _lagged_satellite_truth(Ts, N_div):
-    """Exact step of the rigid satellite whose input switches Ts/N_div into
+def _lagged_satellite_truth(Ts, div):
+    """Exact step of the rigid satellite whose input switches Ts/div into
     the period: the previous input held over the first piece, the new one
     over the rest, each piece an exact ZOH step of the continuous model.
 
@@ -215,7 +214,7 @@ def _lagged_satellite_truth(Ts, N_div):
     constant disturbance torque, which enters like the first input.
     """
     ct = satellite_plant_ct()
-    tau = Ts / N_div
+    tau = Ts / div
     pieces = [(d.A, d.B) for d in (c2d_zoh(ct, tau), c2d_zoh(ct, Ts - tau))]
 
     def advance(x, u_prev, u_now):
@@ -242,14 +241,14 @@ def simulate(scenario: Scenario) -> Trace:
     """Run one closed-loop experiment and capture the full trace.
 
     The truth is the plant's discrete model stepped as A x + B u, except
-    the pendulum (integrated nonlinearly) and the satellite under an MPC
-    with ``N_div`` (its input lagged by Ts/N_div).  Refused (ValueError)
-    before the first step: a duration that is not finite and >= 0; a
-    mis-sized or non-finite x0, noise_sigma or setpoint; a setpoint for an
-    MPC without a prefilter; an N_div other than None, or finite and > 1
-    on the satellite; a fault whose actuator index is not an integer in
-    [0, n_u), whose time is not finite and >= 0, or whose value is not
-    finite.
+    the named pendulum (integrated nonlinearly) and the named satellite
+    under an MPC (its input lagged by Ts/10).  An MPC whose design model
+    records a loop-shift D_K commands u_mpc - D_K r + D_K y.  Refused
+    (ValueError) before the first step: a duration that is not finite and
+    >= 0; a mis-sized or non-finite x0, noise_sigma or setpoint; a
+    setpoint for an MPC without a prefilter; a fault whose actuator index
+    is not an integer in [0, n_u), whose time is not finite and >= 0, or
+    whose value is not finite.
     """
     if not (math.isfinite(scenario.duration) and scenario.duration >= 0.0):
         raise ValueError(f"duration must be finite and at least 0, not {scenario.duration}")
@@ -259,18 +258,13 @@ def simulate(scenario: Scenario) -> Trace:
 
     ctrl = scenario.controller
     is_mpc = isinstance(ctrl, MpcController)
-    N_div = ctrl.N_div if is_mpc else None
-    if N_div is not None and not (scenario.plant == "satellite"
-                                  and math.isfinite(N_div) and N_div > 1):
-        raise ValueError("N_div lags the satellite truth's input and must be None, "
-                         f"or finite and > 1 on the satellite, not {N_div!r}")
 
     # plant-side setup: a built-in's design model sizes and measures its truth
     G_true: DtStateSpace = (CASE_STUDIES[scenario.plant].plant()
                             if isinstance(scenario.plant, str) else scenario.plant)
     n_x, n_y, n_u, C_true = G_true.n, G_true.n_y, G_true.n_u, G_true.C
-    if N_div is not None:
-        advance = _lagged_satellite_truth(Ts, N_div)
+    if is_mpc and scenario.plant == "satellite":
+        advance = _lagged_satellite_truth(Ts, _SATELLITE_LAG_DIV)
 
     elif scenario.plant == "pendulum":
         nsub = 20
@@ -290,7 +284,7 @@ def simulate(scenario: Scenario) -> Trace:
         qp = build_condensed_qp(G_d, ctrl.config)
         obs = make_observer(ctrl.realisation, G_d)
         K_c = np.atleast_2d(ctrl.realisation.K_c)
-        D_K = None if ctrl.D_K is None else np.atleast_2d(ctrl.D_K)
+        D_K = G_d.D_K
         pre = None if ctrl.prefilter is None else Prefilter(ctrl.prefilter)
         n_slack_q = qp.n_slack // ctrl.config.N
         n_xh = G_d.n
@@ -441,14 +435,12 @@ def _satellite_mpc(real, G_d, cost_kind: str, u_bound=None, y_bound=None):
         y_bounds=None if y_bound is None else ([-y_bound], [y_bound]),
         soft_output_weight=1e5,
     )
-    return MpcController(realisation=real, design_model=G_d, config=cfg,
-                         N_div=10)
+    return MpcController(realisation=real, design_model=G_d, config=cfg)
 
 
-def _pendulum_mpc(real, K, G_d, bounded: bool):
+def _pendulum_mpc(real, G_d, bounded: bool):
     """Pendulum MPC controller on realisation ``real`` of the loop-shifted
-    design plant G_d, tracking through a prefilter on its observer; K is
-    the baseline controller, whose feedthrough the simulation wires back."""
+    design plant G_d, tracking through a prefilter on its observer."""
     inf = np.inf
     cfg = MpcConfig(
         N=15,
@@ -456,14 +448,12 @@ def _pendulum_mpc(real, K, G_d, bounded: bool):
         x_bounds=([-inf, -0.7, -0.175, -0.3],
                   [inf, 0.7, 0.175, 0.3]) if bounded else None,
         soft_output_weight=1e5,
-        known_input=-G_d.B @ K.D,
     )
     L1 = np.array([[0.0, 1.0, 0.0, 0.0],
                    [0.0, 0.0, 1.0, 0.0],
                    [0.0, 0.0, 0.0, 1.0]])
-    pre = build_prefilter(real, G_d, L1, np.zeros((3, 2)), D_K=K.D)
-    return MpcController(realisation=real, design_model=G_d, config=cfg, D_K=K.D,
-                         prefilter=pre.sys)
+    pre = build_prefilter(real, G_d, L1, np.zeros((3, 2)))
+    return MpcController(realisation=real, design_model=G_d, config=cfg, prefilter=pre.sys)
 
 
 # satellite Cases 1-5: (rank of the realisation, cost, input bound, output
@@ -499,11 +489,11 @@ def scenario_library(family: str | None = None) -> dict:
                 disturbances=dist, faults=faults,
             )
     if family in (None, "pendulum"):
-        _, K, G_d, pend = _case_search("pendulum")
+        _, _, G_d, pend = _case_search("pendulum")
         for i, bounded in ((1, False), (2, True)):
             lib[f"pendulum-case-{i}"] = Scenario(
                 name=f"pendulum-case-{i}", plant="pendulum", duration=20.0,
-                controller=_pendulum_mpc(pend.ranked[0][0], K, G_d, bounded),
+                controller=_pendulum_mpc(pend.ranked[0][0], G_d, bounded),
                 setpoint=np.array([1.0, 0.0]),
             )
     return lib

@@ -72,11 +72,16 @@ class DtStateSpace(_StateSpace):
     # optional bookkeeping: indices of states that model constant disturbances
     # (set by augment_disturbances, used by realisation scoring)
     disturbance_states: tuple = field(default=())
+    # the n_u x n_y controller feedthrough absorbed into A (set by loop_shift,
+    # read by the MPC prediction, the prefilter and the simulation's wiring)
+    D_K: np.ndarray | None = None
 
     def __post_init__(self):
         super().__post_init__()
         _check_Ts(self.Ts)
         object.__setattr__(self, "disturbance_states", tuple(self.disturbance_states))
+        if self.D_K is not None:
+            object.__setattr__(self, "D_K", _as_matrix(self.D_K, self.n_u, self.n_y, "D_K"))
 
     def freq_response(self, w_ts):
         """Evaluate the transfer matrix at z = exp(j*w*Ts).
@@ -196,14 +201,17 @@ def loop_shift(G, K):
 
     Returns (G_shifted, K_strictly_proper). The pair, rewired so the plant
     input receives the extra D_K*y term, has the same closed loop as (G, K)
-    under positive feedback u = K(y).
+    under positive feedback u = K(y).  G_shifted records D_K as its own
+    ``D_K``: driven by u = u_K - D_K r + D_K y, its state sees the
+    setpoint r through -B D_K, which the MPC prediction, the reference
+    prefilter and ``sim.simulate`` read from it.
     """
     if not np.allclose(G.D, 0):
         raise ValueError("loop_shift expects a strictly proper plant")
     Dk = K.D
     At = G.A + G.B @ Dk @ G.C
     Gt = DtStateSpace(At, G.B.copy(), G.C.copy(), np.zeros_like(G.D), G.Ts,
-                      disturbance_states=G.disturbance_states)
+                      disturbance_states=G.disturbance_states, D_K=Dk)
     Kt = DtStateSpace(K.A.copy(), K.B.copy(), K.C.copy(), np.zeros_like(K.D), K.Ts)
     return Gt, Kt
 

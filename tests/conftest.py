@@ -48,7 +48,7 @@ def condensation_gaps(G, cfg, qp, x0, x_r=None, w=None, trials=5, seed=0):
     rng = np.random.default_rng(seed)
     N, n, m = cfg.N, G.n, G.n_u
     Q, S, R = cfg.cost.Q, cfg.cost.S, cfg.cost.R
-    B_w = np.zeros((n, 1)) if cfg.known_input is None else np.reshape(cfg.known_input, (n, -1))
+    B_w = np.zeros((n, 1)) if G.D_K is None else -G.B @ G.D_K
     drive = B_w @ (np.zeros(B_w.shape[1]) if w is None else np.ravel(w))
     x_r = np.zeros(n) if x_r is None else np.ravel(x_r)
     f, b = qp.f(x0, x_r, w), qp.b(x0, w)

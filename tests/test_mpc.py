@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,10 +113,12 @@ def test_tracking_optimum_follows_the_reference_state():
 
 
 def test_known_input_enters_the_prediction():
+    # a model that records a loop-shift D_K sees the known input through -B D_K
     rng = np.random.default_rng(43)
     G, K_c = _random_plant_gain(rng, n=3, m=1)
-    B_w = rng.standard_normal((3, 1))
-    cfg = MpcConfig(N=5, cost=matching_cost(K_c), known_input=B_w)
+    G = dataclasses.replace(G, D_K=rng.standard_normal((1, 1)))
+    B_w = -G.B @ G.D_K
+    cfg = MpcConfig(N=5, cost=matching_cost(K_c))
     qp = build_condensed_qp(G, cfg)
     x0 = rng.standard_normal(3)
     x_r = np.zeros(3)
@@ -137,7 +141,8 @@ def _convex_cost(rng, n, m, cross):
 
 def test_condensation_matches_plain_simulation():
     # matching costs, then costs that are not zero along any linear law
-    # (S = 0 and S != 0), each without and with tracking and a known input;
+    # (S = 0 and S != 0), each without and with tracking and a known input
+    # (a random loop-shift D_K on the design model);
     # the state bounds add one-sided and unbounded rows
     rng = np.random.default_rng(44)
     cases = [("matching", False)] * 8 + [(kind, extra) for kind in ("no-cross", "cross")
@@ -145,6 +150,8 @@ def test_condensation_matches_plain_simulation():
     inf = np.inf
     for kind, extra in cases:
         G, K_c = _random_plant_gain(rng, n=3, m=1)
+        if extra:
+            G = dataclasses.replace(G, D_K=rng.standard_normal((1, 1)))
         cfg = MpcConfig(
             N=6,
             cost=matching_cost(K_c) if kind == "matching"
@@ -152,7 +159,6 @@ def test_condensation_matches_plain_simulation():
             u_bounds=(-0.4 * np.ones(1), 0.4 * np.ones(1)),
             y_bounds=(-2.0 * np.ones(1), 2.0 * np.ones(1)),
             x_bounds=([-inf, -inf, -3.0], [inf, 3.0, inf]),
-            known_input=rng.standard_normal((3, 1)) if extra else None,
         )
         qp = build_condensed_qp(G, cfg)
         x0 = 2.0 * rng.standard_normal(3)

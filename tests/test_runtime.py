@@ -134,7 +134,7 @@ def _position_L2():
 def test_loop_shift_nominal_prefilter_matrices():
     # the prefilter state runs the loop-shift-corrected observer driven by r
     G, K, Gs, real = _pendulum_pieces()
-    pre = build_prefilter(real, Gs, _L1(), np.zeros((3, 2)), D_K=K.D)
+    pre = build_prefilter(real, Gs, _L1(), np.zeros((3, 2)))
     K_f = np.atleast_2d(real.K_f)
     BDK = G.B @ K.D
     npt.assert_allclose(pre.sys.A, G.A + (BDK - K_f) @ G.C, atol=1e-12)
@@ -145,7 +145,7 @@ def test_shaped_prefilter_invariants_hold_along_a_trajectory():
     # L1 x_r = L2 r and K_c x_r = K_c x_pre at every step
     _, K, Gs, real = _pendulum_pieces()
     L1, L2 = _L1(), np.zeros((3, 2))
-    pre = build_prefilter(real, Gs, L1, L2, D_K=K.D)
+    pre = build_prefilter(real, Gs, L1, L2)
     K_c = np.atleast_2d(real.K_c)
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -161,7 +161,7 @@ def test_shaped_prefilter_invariants_hold_along_a_trajectory():
 def test_shaped_prefilter_position_variant_passes_the_setpoint_through():
     _, K, Gs, real = _pendulum_pieces()
     L1, L2 = _position_L1(), _position_L2()
-    pre = build_prefilter(real, Gs, L1, L2, D_K=K.D)
+    pre = build_prefilter(real, Gs, L1, L2)
     rng = np.random.default_rng(4)
     for _ in range(20):
         r = rng.standard_normal(2)
@@ -178,7 +178,7 @@ def test_shaped_prefilter_rejects_a_singular_selection():
                    [0.0, 1.0, 0.0, 0.0],
                    [0.0, 0.0, 0.0, 1.0]])
     with pytest.raises(ValueError):
-        build_prefilter(real, Gs, L1, np.zeros((3, 2)), D_K=K.D)
+        build_prefilter(real, Gs, L1, np.zeros((3, 2)))
 
 
 def test_shaped_prefilter_rejects_an_L2_not_shaped_rows_of_L1_by_n_y():
@@ -186,7 +186,7 @@ def test_shaped_prefilter_rejects_an_L2_not_shaped_rows_of_L1_by_n_y():
     # prefilter's feedthrough without the shape check
     _, K, Gs, real = _pendulum_pieces()
     with pytest.raises(ValueError, match="L2"):
-        build_prefilter(real, Gs, _L1(), np.zeros((3, 1)), D_K=K.D)
+        build_prefilter(real, Gs, _L1(), np.zeros((3, 1)))
 
 
 def test_prefilter_is_the_observer_driven_by_the_reference():
@@ -194,7 +194,7 @@ def test_prefilter_is_the_observer_driven_by_the_reference():
     # u = -D_K r and y = r, as simulate drives the real observer
     _, K, Gs, real = _pendulum_pieces()
     L1, L2 = _position_L1(), _position_L2()
-    pre = build_prefilter(real, Gs, L1, L2, D_K=K.D)
+    pre = build_prefilter(real, Gs, L1, L2)
     obs = make_observer(real, Gs)
     K_c = np.atleast_2d(real.K_c)
     M = np.vstack([L1, K_c])
