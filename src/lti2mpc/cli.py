@@ -13,9 +13,10 @@ loop, unknown scenario, near-singular MPC Hessian, failed verification),
 2 config error (unreadable file, bad JSON, a value of the wrong type or
 size, a NaN or an integer beyond float range, unknown keys, options the
 search refuses, a loop its form refuses, a ``margin_cut`` that is not an
-input (refused after the search), a scenario number ``simulate``
-refuses, any ``mpc`` key with a library-based scenario, a weight of the
-mpc cost not in use, a mis-shaped ``verify_gains`` matrix).  JSON
+input or is one the controller never drives (refused after the search),
+a scenario number ``simulate`` refuses, any ``mpc`` key with a
+library-based scenario, a weight of the mpc cost not in use, a
+mis-shaped ``verify_gains`` matrix).  JSON
 -Infinity as a lower and +Infinity as an upper bound disable that side of
 a bound row; the other sides, a Ts, a dipole_W, an mpc weight, a
 verify_gains matrix, or a scenario duration, x0 or noise_sigma refuse

@@ -187,12 +187,6 @@ def _lyapunov_residual(A, P, Q):
     return resid, np.maximum(bound, 1e-300)
 
 
-def _h2_from_gramian(sys: DtStateSpace, P: np.ndarray) -> float:
-    val = float(np.trace(sys.C @ P @ sys.C.T) + np.trace(sys.D @ sys.D.T))
-    # tiny negative values can appear through cancellation
-    return math.sqrt(max(val, 0.0))
-
-
 def h2_norm(sys: DtStateSpace) -> float:
     """H2 norm of a stable discrete-time system.
 
@@ -204,10 +198,22 @@ def h2_norm(sys: DtStateSpace) -> float:
     ------
     UnstableSystemError
         If any pole is on or outside the unit circle.
+    NumericalError
+        If the Gramian misses its residual bound, or the trace is below
+        -1e-12 times its terms' scale ||C||_F^2 ||P||_F + ||D||_F^2: a
+        Gramian that far from positive semidefinite certifies no norm.
     """
     if sys.n == 0:
         return float(np.linalg.norm(sys.D, "fro"))
-    return _h2_from_gramian(sys, solve_discrete_lyapunov(sys.A, sys.B @ sys.B.T))
+    P = solve_discrete_lyapunov(sys.A, sys.B @ sys.B.T)
+    dd = np.trace(sys.D @ sys.D.T)
+    val = float(np.trace(sys.C @ P @ sys.C.T) + dd)
+    scale = np.linalg.norm(sys.C) ** 2 * np.linalg.norm(P) + dd
+    if val < -1e-12 * scale:
+        raise NumericalError(f"H2 norm not certified: trace(C P C' + D D') = {val:.3e} "
+                             f"at scale {scale:.3e}")
+    # tiny negative values can appear through cancellation
+    return math.sqrt(max(val, 0.0))
 
 
 # Doublings after which a member the Stein iteration has not certified goes
@@ -221,7 +227,9 @@ def _h2_stack(A, maps, Ts) -> np.ndarray:
 
     ``maps`` is a sequence of (B, C, D) stacks with the leading axis of A
     (k, n, n), or broadcastable to it.  Returns the (k, len(maps)) norms,
-    inf where A[i] has an eigenvalue on or outside the unit circle.
+    inf where A[i] has an eigenvalue on or outside the unit circle and NaN
+    where the fallback certifies no norm (it raises NumericalError or
+    LinAlgError).
 
     A member's Gramians come from one squared Smith iteration on
     A P A^T - P + B B^T = 0 (the G = 0 case of :func:`_dare_doubling`):
@@ -275,6 +283,8 @@ def _h2_stack(A, maps, Ts) -> np.ndarray:
             except UnstableSystemError:
                 out[i] = np.inf
                 break
+            except (NumericalError, np.linalg.LinAlgError):
+                out[i, j] = np.nan
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -496,11 +497,18 @@ def margin_loop(
     Plant and observer both run open loop on the injected signal; the
     return is the controller output on the same channel, so closing
     signal = L(signal) recovers the nominal loop (critical point +1).
-    A ``cut_input`` that is not an input channel of G raises ValueError.
+    A ``cut_input`` that is a bool, not an integer, not an input channel
+    of G or an input the controller never drives (its row of K_c is
+    zero, so the loop would be identically 0) raises ValueError.
     """
+    if isinstance(cut_input, bool) or not isinstance(cut_input, numbers.Integral):
+        raise ValueError(f"cut_input {cut_input!r} is not an integer")
     if not 0 <= cut_input < G.n_u:
         raise ValueError(f"cut_input {cut_input} is not an input channel: the plant "
                          f"has n_u = {G.n_u} inputs")
+    if not np.any(np.atleast_2d(r.K_c)[cut_input]):
+        raise ValueError(f"cut_input {cut_input} is an input the controller never drives: "
+                         f"row {cut_input} of K_c is zero")
     return _form(r.form).margin_loop(r, G, cut_input)
 
 
@@ -640,8 +648,9 @@ class _Search:
 
         A split is rejected for the first of these that applies: an
         infeasible T (see :func:`_solve_T_stack`), a failed free-pole
-        design, a rank-deficient T, then the invariants of the built
-        realisation.  The gains are
+        design, a rank-deficient T, the invariants of the built
+        realisation, then an H2 norm that no path certifies (see
+        :func:`~lti2mpc.linalg._h2_stack`).  The gains are
 
             filter form:    K_c = D_K C + C_K T,  K_f = A^-1 (T-dagger B_K - B D_K)
             predictor form: K_c = C_K T,          K_f = T-dagger B_K
@@ -680,6 +689,9 @@ class _Search:
         built = [m for m, i in enumerate(live) if not out[i]]
         if built:
             for m, row in zip(built, _h2_scores(f, G, K_f[built])):
+                if np.isnan(row).any():
+                    out[live[m]] = "H2 norm not certified"
+                    continue
                 r = ObserverRealisation(
                     form=self.form, T=T[m], T_perp=T_perp[m], X=X[m], K_c=K_c[m],
                     K_f=K_f[m], choice=choices[live[m]], riccati_residual=float(resid[m]),

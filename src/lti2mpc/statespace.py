@@ -5,6 +5,7 @@ all transformations return new systems.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,10 +205,14 @@ def loop_shift(G, K):
     under positive feedback u = K(y).  G_shifted records D_K as its own
     ``D_K``: driven by u = u_K - D_K r + D_K y, its state sees the
     setpoint r through -B D_K, which the MPC prediction, the reference
-    prefilter and ``sim.simulate`` read from it.
+    prefilter and ``sim.simulate`` read from it.  Refused (ValueError): a
+    plant with any nonzero D, which the shift would drop, and one that
+    already records a D_K, which it would overwrite.
     """
-    if not np.allclose(G.D, 0):
+    if np.any(G.D != 0.0):
         raise ValueError("loop_shift expects a strictly proper plant")
+    if G.D_K is not None:
+        raise ValueError("the plant is already loop-shifted: it records a D_K")
     Dk = K.D
     At = G.A + G.B @ Dk @ G.C
     Gt = DtStateSpace(At, G.B.copy(), G.C.copy(), np.zeros_like(G.D), G.Ts,
@@ -225,16 +230,22 @@ def augment_disturbances(G, channels):
     channels : list of input indices.
         Each entry i adds one integrator state whose value enters the
         state update through the i-th column of B, a disturbance entering
-        like that actuator; an index that names no input raises ValueError.
+        like that actuator; an entry that is a bool, not an integer or
+        names no input raises ValueError, and so does a loop-shifted G,
+        whose recorded D_K the augmented model would drop.
 
     The augmented (C, A) pair must stay observable, otherwise the estimator
     design downstream is ill-posed and this raises.
     """
-    channels = [int(ch) for ch in channels]
+    channels = list(channels)
     if not channels:
         return G
+    if G.D_K is not None:
+        raise ValueError("augment the disturbances before the loop shift, not after")
     n = G.n
     for ch in channels:
+        if isinstance(ch, bool) or not isinstance(ch, numbers.Integral):
+            raise ValueError(f"disturbance channel {ch!r} is not an integer")
         if not 0 <= ch < G.n_u:
             raise ValueError(f"disturbance channel {ch} names no input of n_u = {G.n_u}")
     E = G.B[:, channels]

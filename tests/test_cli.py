@@ -255,6 +255,9 @@ def test_builtin_with_another_top_level_Ts_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("doc, code, prefix", [
     ({"plant": "satellite", "pipeline": {"margin_cut": 5}}, 2,
      "config error: pipeline.margin_cut: cut_input 5 is not an input channel"),
+    # the satellite's second input is its disturbance channel, which K_c never drives
+    ({"plant": "satellite", "pipeline": {"margin_cut": 1}}, 2,
+     "config error: pipeline.margin_cut: cut_input 1 is an input the controller never drives"),
     ({"plant": "satellite", "pipeline": {"forced_S": [99]}}, 2, "config error: "),
     # loops their form's preconditions refuse, before any split is solved
     ({"plant": "satellite", "pipeline": {"form": "predictor"}}, 2,

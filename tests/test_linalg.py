@@ -114,6 +114,41 @@ def test_h2_invariant_under_similarity():
         assert_allclose(h2_norm(s1), h2_norm(s2), rtol=1e-7)
 
 
+def _uncertified_system():
+    """A stable, strongly non-normal 4-state system (spectral radius
+    0.999999) whose Lyapunov Gramian meets its residual bound with
+    trace(C P C') near -4e13; a 60-digit Kronecker solve gives an H2 norm
+    of 1.8467e9."""
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        Q = scipy.linalg.qr(rng.standard_normal((4, 4)))[0]
+        U = np.triu(rng.standard_normal((4, 4)) * 50, 1)
+        B, C = rng.standard_normal((4, 1)), rng.standard_normal((1, 4))
+    A = Q @ (np.diag([1 - 1e-6, 0.5, -0.3, 0.9]) + U) @ Q.T
+    return A, B, C
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_an_h2_norm_no_gramian_certifies_is_refused_not_scored_zero():
+    A, B, C = _uncertified_system()
+    assert spectral_radius(A) < 1.0
+    with pytest.raises(NumericalError, match="H2 norm not certified"):
+        h2_norm(DtStateSpace(A, B, C, np.zeros((1, 1)), 1.0))
+    # the stacked scorer hands it to h2_norm, and marks what comes back NaN
+    out = linalg._h2_stack(A[None], [(B[None], C[None], np.zeros((1, 1, 1)))], 1.0)
+    assert out.shape == (1, 1) and np.isnan(out[0, 0])
+
+
+def test_a_fallback_that_raises_linalg_error_scores_nan(monkeypatch):
+    def singular(sys):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(linalg, "h2_norm", singular)
+    A, B, C = _uncertified_system()
+    maps = [(B[None], C[None], np.zeros((1, 1, 1)))] * 2
+    assert np.isnan(linalg._h2_stack(A[None], maps, 1.0)).all()
+
+
 def _kalman_gain(A, C, Qn, Rn):
     """The Kalman predictor gain of one pair, as the free-pole design of a
     search computes it: the error of a failed DARE is raised."""

@@ -9,6 +9,7 @@ regression values computed from the worked models in lti2mpc.models.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -790,15 +791,44 @@ def test_unstable_closed_loop_is_refused_from_the_search_spectrum(monkeypatch):
     assert len(eigs) == 1  # the refusal reads the search's own spectrum
 
 
-def test_margin_loop_refuses_a_cut_outside_the_inputs():
+@pytest.mark.parametrize("cut, message", [
+    *((cut, f"cut_input {cut} is not an input channel: the plant has n_u = 2 inputs")
+      for cut in (-1, 2, 5)),
+    (0.5, "cut_input 0.5 is not an integer"),
+    (True, "cut_input True is not an integer"),
+    # the satellite's second input is the disturbance channel: K_c's row 1 is zero
+    (1, "cut_input 1 is an input the controller never drives: row 1 of K_c is zero"),
+])
+def test_margin_loop_refuses_a_cut_outside_the_inputs(cut, message):
     G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
     r = search_realisations(G, K, form="filter").ranked[0][0]
     assert G.n_u == 2
-    for cut in (-1, 2, 5):
-        with pytest.raises(ValueError, match=f"^cut_input {cut} is not an input channel: "
-                                             "the plant has n_u = 2 inputs$"):
-            margin_loop(r, G, cut)
-    assert margin_loop(r, G, 1).n_u == 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        margin_loop(r, G, cut)
+    assert margin_loop(r, G, np.int64(0)).n_u == 1
+
+
+def test_a_split_whose_h2_norm_is_not_certified_is_rejected(monkeypatch):
+    G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
+    full = search_realisations(G, K, form="filter")
+    scored = realisation._h2_stack
+    calls = []
+
+    def first_row_uncertified(A, maps, Ts):
+        out = scored(A, maps, Ts)
+        out[0, 1] = np.nan
+        calls.append(A[0])
+        return out
+
+    monkeypatch.setattr(realisation, "_h2_stack", first_row_uncertified)
+    found = search_realisations(G, K, form="filter")
+    lost = [c.state_feedback_set for c, reason in found.rejected
+            if reason == "H2 norm not certified"]
+    assert len(calls) == len(lost) == 1
+    assert len(found.ranked) == len(full.ranked) - 1
+    assert lost[0] not in {r.choice.state_feedback_set for r, _ in found.ranked}
+    with pytest.raises(NumericalError, match=r"^no feasible realisation: 1 x H2 norm not certified$"):
+        search_realisations(G, K, form="filter", forced_S=lost[0])
 
 
 @pytest.mark.parametrize("Qn, Rn, message", [

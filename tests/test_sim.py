@@ -17,7 +17,7 @@ from lti2mpc.models import (
     satellite_controller,
     satellite_plant,
 )
-from lti2mpc.mpc import MpcConfig, matching_cost
+from lti2mpc.mpc import MpcConfig, build_condensed_qp, matching_cost
 from lti2mpc.qp import solve_qp
 from lti2mpc.realisation import ObserverState, search_realisations
 from lti2mpc.sim import (
@@ -161,6 +161,23 @@ def test_a_fault_that_nothing_honours_is_refused_before_the_first_step(
     monkeypatch.setattr(sim, "inject_fault", no_step)
     with pytest.raises(ValueError, match=match):
         simulate(dataclasses.replace(library["satellite-baseline"], faults=(fault,)))
+
+
+def test_loop_shift_records_its_feedthrough_on_the_design_model(library):
+    G, K = pendulum_plant(), pendulum_controller()
+    Gs, _ = loop_shift(G, K)
+    assert G.D_K is None and np.array_equal(Gs.D_K, K.D)
+    # the shifted pendulum predicts the setpoint through -B D_K; the
+    # satellite's design model records no shift and its QP no known input
+    for name, columns in (("pendulum-case-2", G.n_y), ("satellite-case-2", 0)):
+        ctrl = library[name].controller
+        qp = build_condensed_qp(ctrl.design_model, ctrl.config)
+        assert qp.f_w.shape[1] == qp.b_w.shape[1] == columns, name
+    # refused: a feedthrough the shift would drop, and a second shift
+    with pytest.raises(ValueError, match="strictly proper"):
+        loop_shift(dataclasses.replace(G, D=np.full((G.n_y, G.n_u), 1e-9)), K)
+    with pytest.raises(ValueError, match="already loop-shifted"):
+        loop_shift(Gs, K)
 
 
 def test_baseline_satellite_disturbance_calibration(traces):

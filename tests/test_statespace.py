@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -205,6 +207,26 @@ def test_augment_disturbances_refuses_a_channel_that_is_not_an_input(channel):
     G = DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
     with pytest.raises(ValueError, match="names no input of n_u = 1"):
         augment_disturbances(G, [channel])
+
+
+@pytest.mark.parametrize("channel", [0.7, True, np.float64(0.0), "0"])
+def test_augment_disturbances_refuses_a_channel_that_is_not_an_integer(channel):
+    G = DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"disturbance channel {channel!r} is not")):
+        augment_disturbances(G, [channel])
+    assert augment_disturbances(G, [np.int64(0)]).disturbance_states == (1,)
+
+
+def test_augment_disturbances_refuses_a_loop_shifted_plant():
+    G = DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    K = DtStateSpace([[0.2]], [[1.0]], [[0.1]], [[0.3]], 1.0)
+    with pytest.raises(ValueError, match="before the loop shift"):
+        augment_disturbances(loop_shift(G, K)[0], [0])
+
+
+def test_a_recorded_feedthrough_must_be_n_u_by_n_y():
+    with pytest.raises(ValueError, match="D_K: expected 1 rows, got 2"):
+        DtStateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0, D_K=np.zeros((2, 1)))
 
 
 def test_uncontrollable_modes_of_diagonal_pair():
