@@ -506,7 +506,7 @@ def margin_loop(
     if not 0 <= cut_input < G.n_u:
         raise ValueError(f"cut_input {cut_input} is not an input channel: the plant "
                          f"has n_u = {G.n_u} inputs")
-    if not np.any(np.atleast_2d(r.K_c)[cut_input]):
+    if not np.any(r.K_c[cut_input]):
         raise ValueError(f"cut_input {cut_input} is an input the controller never drives: "
                          f"row {cut_input} of K_c is zero")
     return _form(r.form).margin_loop(r, G, cut_input)
