@@ -427,7 +427,10 @@ def cmd_realise(cfg: ProjectConfig, out_path) -> int:
             except ValueError as exc:
                 raise ConfigError(f"pipeline.margin_cut: {exc}") from None
             if score.stable:  # an unstable row's margins mean nothing
-                m = loop_margins(L)
+                try:
+                    m = loop_margins(L)
+                except NumericalError as exc:  # an all-pass or output-free loop
+                    raise DomainError(f"rank {rank} margins: {exc}") from None
                 row["margins"] = {"gain": m.gain_margin, "phase": m.phase_margin,
                                   "delay_samples": m.delay_margin}
         rows.append(row)

@@ -479,96 +479,78 @@ class LoopMargins:
     unity_crossing_found: bool = True
 
 
-def _bisect_root(f, lo: float, hi: float, flo: float, tol: float) -> float:
-    """Root of scalar f by bisection; flo is f(lo), sign change assumed."""
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def loop_margins(L: DtStateSpace) -> LoopMargins:
     """Gain, phase and delay margins of a SISO discrete-time loop.
 
     The loop closes as ``signal = L(signal)``, the package's convention (see
     :func:`~lti2mpc.realisation.margin_loop`), so the critical point of L
-    is +1; negate C and D for the classical -1 point.  The response is
-    folded to the -1 convention and scanned on a log grid of 400 points per
-    decade over (0, pi/Ts), with bisection refinement of every crossing to
-    1e-4 rad resolution in omega*Ts.
+    is +1; negate C and D for the classical -1 point.  L is folded to the
+    -1 point, G = -L, and its crossings are unit-circle eigenvalues (the
+    level-set method of Boyd, Balakrishnan & Kabamba, 1989, and Bruinsma &
+    Steinbuch, 1990): phase crossings are the zeros of G(z) - G(1/z), unity
+    crossings those of G(1/z) G(z) - 1, each the finite generalized
+    eigenvalues of a Rosenbrock pencil of size 3n + 1 in which G(1/z) has a
+    descriptor realisation, so a singular A is allowed.  omega*Ts = 0 and pi
+    always count as phase crossings.  An eigenvalue (alpha, beta) counts
+    when | |alpha| - |beta| | <= sqrt(eps) (|alpha| + |beta|), and only if
+    ``freq_response`` confirms it: |Im G| <= 1e-6 |G| at a phase crossing,
+    | |G| - 1 | <= 1e-6 at a unity crossing.  A candidate on a pole of G,
+    where ``freq_response`` raises, is dropped.
 
     Gain margin is the smallest gain increase that reaches the critical
     point over all negative-real-axis crossings; phase and delay margins
-    come from the unity-magnitude crossing with the least delay headroom.
+    come from the unity crossing (omega > 0) with the least delay headroom.
+    A static loop (n = 0) has the gain margin 1/|G| when -1 < G < 0.
+
+    Raises ValueError for a loop that is not SISO, and NumericalError for a
+    singular pencil: |L| = 1 at every frequency (an all-pass loop), or L
+    real on the whole unit circle (dynamics that never reach the output).
     """
+    import scipy.linalg  # local: the realisation search stays scipy-free
+
     if L.n_u != 1 or L.n_y != 1:
         raise ValueError("loop_margins expects a SISO system")
-    Ts = L.Ts
-    w_nyq = math.pi / Ts
+    n, A, B, C, d = L.n, L.A, L.B, -L.C, -float(L.D[0, 0])
+    I, O, o = np.eye(n), np.zeros((n, n)), np.zeros((n, 1))
+    # states (x, v, p): (zI - A) x = B u realises G(z); z v = p and
+    # 0 = v - A p + B u with output -C p + d u realise G(1/z)
+    E = scipy.linalg.block_diag(I, I, O, 0.0)
+    reflect = np.block([[O, O, I, o], [O, I, -A, B]])
+    pencils = {"phase": np.block([[A, O, O, o], [reflect], [C, o.T, C, 0.0]]),
+               "unity": np.block([[A, O, -B @ C, d * B], [reflect],
+                                  [C, o.T, -d * C, d * d - 1.0]])}
+    tol = math.sqrt(np.finfo(float).eps)
+    found = {"phase": [], "unity": []}
+    for name, M in pencils.items():
+        w_ts = [0.0, math.pi] if name == "phase" else []
+        if n or name == "unity":  # for n = 0, G(z) - G(1/z) is identically 0
+            alpha, beta = scipy.linalg.eigvals(M, E, homogeneous_eigvals=True)
+            a, b = np.abs(alpha), np.abs(beta)
+            if np.any(np.maximum(a / max(np.linalg.norm(M, 1), 1.0), b) <= tol):
+                raise NumericalError(f"loop_margins: the {name}-crossing pencil is singular")
+            on_circle = np.abs(a - b) <= tol * (a + b)
+            w_ts += list(np.abs(np.angle(alpha[on_circle] / beta[on_circle])))
+        for w in w_ts:
+            try:
+                g = complex(-L.freq_response(w)[0, 0, 0])
+            except np.linalg.LinAlgError:  # a pole of G
+                continue
+            if abs(g.imag) <= 1e-6 * abs(g) if name == "phase" else abs(abs(g) - 1.0) <= 1e-6:
+                found[name].append((w, g))
 
-    def response(w: float) -> complex:
-        return complex(-L.freq_response(np.array([w * Ts]))[0, 0, 0])
-
-    n_dec = 6
-    grid = np.logspace(math.log10(w_nyq) - n_dec, math.log10(w_nyq), n_dec * 400 + 1)
-    grid[-1] = w_nyq * (1.0 - 1e-9)
-    resp = -L.freq_response(grid * Ts)[:, 0, 0]
-    mag = np.abs(resp)
-    tol_w = 1e-4 / Ts
-
-    # crossings of the negative real axis: Im == 0 with Re < 0
-    im = resp.imag
-    on_axis = (np.abs(im) <= 1e-9 * (1.0 + mag)) & (resp.real < 0.0)
-    gm_candidates = list(mag[on_axis & (mag > 0.0)])
-    f_im = lambda w: response(w).imag
-    # sign changes of Im between grid points, neither end on the axis
-    sign_change = (~on_axis[:-1] & ~on_axis[1:] & (im[:-1] != 0.0)
-                   & ((im[:-1] > 0) != (im[1:] > 0)))
-    for i in np.nonzero(sign_change)[0]:
-        w_c = _bisect_root(f_im, grid[i], grid[i + 1], im[i], tol_w)
-        r = response(w_c)
-        if r.real < 0.0:
-            gm_candidates.append(abs(r))
-    gm_candidates = [m for m in gm_candidates if m < 1.0]
-    phase_crossing_found = bool(gm_candidates)
-    gain_margin = 1.0 / max(gm_candidates) if gm_candidates else math.inf
-
-    # unity-magnitude crossings
-    log_mag = np.where(mag > 0.0, np.log(np.maximum(mag, 1e-300)), -np.inf)
-    f_mag = lambda w: math.log(max(abs(response(w)), 1e-300))
-    a, b = log_mag[:-1], log_mag[1:]
-    # a grid point exactly at unity magnitude is itself a crossing
-    candidate = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | ((a > 0) != (b > 0)))
-    crossings = [grid[i] if a[i] == 0.0
-                 else _bisect_root(f_mag, grid[i], grid[i + 1], a[i], tol_w)
-                 for i in np.nonzero(candidate)[0]]
-    unity_crossing_found = bool(crossings)
-
-    phase_margin = math.inf
-    delay_margin = math.inf
+    gm_candidates = [abs(g) for _, g in found["phase"] if g.real < 0.0 and abs(g) < 1.0]
+    unity = [(w, g) for w, g in found["unity"] if w > 0.0]
+    phase_margin = delay_margin = math.inf
     crossover = math.nan
-    for w_c in crossings:
-        r = response(w_c)
-        phi = math.atan2(r.imag, r.real)
-        margin = (phi + math.pi) % (2.0 * math.pi)
-        dm = margin / (w_c * Ts)
-        if dm < delay_margin:
-            delay_margin = dm
-            phase_margin = margin
-            crossover = w_c
+    for w, g in unity:
+        margin = (math.atan2(g.imag, g.real) + math.pi) % (2.0 * math.pi)
+        if margin / w < delay_margin:
+            phase_margin, delay_margin, crossover = margin, margin / w, w / L.Ts
     return LoopMargins(
-        gain_margin=gain_margin,
+        gain_margin=1.0 / max(gm_candidates) if gm_candidates else math.inf,
         phase_margin=phase_margin,
         delay_margin=delay_margin,
         crossover_frequency=crossover,
-        phase_crossing_found=phase_crossing_found,
-        unity_crossing_found=unity_crossing_found,
+        phase_crossing_found=bool(gm_candidates),
+        unity_crossing_found=bool(unity),
     )

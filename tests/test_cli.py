@@ -11,6 +11,7 @@ import pytest
 
 from lti2mpc import cli, realisation
 from lti2mpc.cli import main, parse_config, build_problem, ConfigError, _baseline_counterpart
+from lti2mpc.linalg import NumericalError
 from lti2mpc.models import pendulum_controller, pendulum_plant
 from lti2mpc.realisation import search_realisations
 from lti2mpc.sim import scenario_library
@@ -576,6 +577,18 @@ def test_verify_sweeps_no_loop_margins(tmp_path, monkeypatch, capsys):
     assert sweeps == []
     assert main(["realise", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
     assert len(sweeps) == 4  # the report's margins, one per ranked row
+
+
+def test_realise_refuses_margins_of_a_singular_pencil_with_exit_1(tmp_path, monkeypatch, capsys):
+    def singular(L):
+        raise NumericalError("loop_margins: the unity-crossing pencil is singular")
+    monkeypatch.setattr(cli, "loop_margins", singular)
+    cfg = _write(tmp_path, "sat.json", {"plant": "satellite"})
+    assert main(["realise", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: rank 1 margins: loop_margins: "
+                            "the unity-crossing pencil is singular\n")
 
 
 def test_report_config_echo_round_trips_to_identical_numerics(tmp_path):

@@ -24,7 +24,7 @@ from lti2mpc.models import (
     satellite_plant,
 )
 from lti2mpc.realisation import margin_loop, search_realisations
-from lti2mpc.statespace import DtStateSpace, add_dipole, loop_shift
+from lti2mpc.statespace import CtStateSpace, DtStateSpace, add_dipole, c2d_zoh, loop_shift
 
 
 def test_eig_paired_orders_by_modulus_then_angle():
@@ -287,15 +287,30 @@ def test_margins_require_siso():
 
 def _negated(L):
     """The loop -L: with it loop_margins closes signal = -L(signal)."""
-    if isinstance(L, _GridLoop):
-        return _GridLoop(-L.grid_response, -L.off_grid)
     return DtStateSpace(L.A, L.B, -L.C, -L.D, L.Ts)
 
 
+def _bisect_root(f, lo, hi, flo, tol):
+    """Root of scalar f by bisection; flo is f(lo), sign change assumed."""
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _loop_margins_reference(L, feedback_sign):
-    """loop_margins with its grid scans written as plain loops over the
-    intervals, one skip rule at a time; the loop closes as
-    signal = feedback_sign * L(signal)."""
+    """Loop margins from a 2401-point log grid over (1e-6, 1) * Nyquist with
+    every sign change bisected to 1e-4 rad of omega*Ts, written as plain
+    loops over the intervals; the loop closes as
+    signal = feedback_sign * L(signal).  The grid never reaches omega = 0."""
     Ts = L.Ts
     w_nyq = math.pi / Ts
 
@@ -319,8 +334,8 @@ def _loop_margins_reference(L, feedback_sign):
             continue
         if im[i] == 0.0 or (im[i] > 0) == (im[i + 1] > 0):
             continue
-        r = response(linalg._bisect_root(lambda w: response(w).imag,
-                                         grid[i], grid[i + 1], im[i], tol_w))
+        r = response(_bisect_root(lambda w: response(w).imag,
+                                  grid[i], grid[i + 1], im[i], tol_w))
         if r.real < 0.0:
             gm_candidates.append(abs(r))
     gm_candidates = [m for m in gm_candidates if m < 1.0]
@@ -336,9 +351,8 @@ def _loop_margins_reference(L, feedback_sign):
             continue
         if (a > 0) == (b > 0):
             continue
-        crossings.append(linalg._bisect_root(
-            lambda w: math.log(max(abs(response(w)), 1e-300)),
-            grid[i], grid[i + 1], a, tol_w))
+        crossings.append(_bisect_root(lambda w: math.log(max(abs(response(w)), 1e-300)),
+                                      grid[i], grid[i + 1], a, tol_w))
 
     pm, dm_min, crossover = math.inf, math.inf, math.nan
     for w_c in crossings:
@@ -353,77 +367,86 @@ def _loop_margins_reference(L, feedback_sign):
         phase_crossing_found=bool(gm_candidates), unity_crossing_found=bool(crossings))
 
 
-class _GridLoop:
-    """A SISO 'loop' whose response on loop_margins' 2401-point grid is
-    given point by point, and is ``off_grid`` at every single frequency a
-    bisection or a crossing asks for.
-
-    Exact zeros and exact unit magnitudes on grid points make each skip
-    rule of the crossing scans the only rule that decides its interval.
-    The loops below close as signal = -L(signal).  An interval that is
-    wrongly bisected finds the default ``off_grid``, a negative-real
-    candidate of magnitude ~0.8 (gain margin 1.25 instead of 2) and a
-    unity crossing where the loop below has none.
-    """
-
-    n_u = n_y = 1
-    Ts = 1.0
-
-    def __init__(self, grid_response, off_grid=-0.8 + 0.01j):
-        self.grid_response = grid_response
-        self.off_grid = off_grid
-
-    def freq_response(self, w_ts):
-        w_ts = np.atleast_1d(w_ts)
-        if w_ts.size == 1:
-            return np.full((1, 1, 1), self.off_grid)
-        assert w_ts.size == self.grid_response.size
-        return self.grid_response.reshape(-1, 1, 1)
-
-
-def _phase_scan_loop():
-    # |L| = 0.42 except at two points; Im < 0 below 100, exactly 0 at 100
-    # (Re > 0, so not on the axis), > 0 above
-    resp = np.where(np.arange(2401) < 100, 0.3 - 0.3j, 0.3 + 0.3j)
-    resp[100] = 0.3
-    # on the negative real axis, Im changing sign on both sides
-    resp[1000] = -0.5 - 1e-12j
-    # magnitude exactly 1, the only unity crossing
-    resp[2000] = 1j
-    return _GridLoop(resp)
-
-
-def _magnitude_scan_loop():
-    # |L| = 2 except one exact zero: log|L| is -inf there, finite above 1 on
-    # both sides, so no interval holds a unity crossing
-    resp = np.full(2401, 2.0 + 0j)
-    resp[1500] = 0.0
-    return _GridLoop(resp)
-
-
-def test_margin_scan_skip_rules_on_exact_grid_points():
-    grid = np.logspace(math.log10(math.pi) - 6, math.log10(math.pi), 2401)
-    L = _phase_scan_loop()
-    m = loop_margins(_negated(L))
-    assert m == _loop_margins_reference(L, -1)
-    assert m.gain_margin == 2.0 and m.phase_crossing_found
-    assert m.crossover_frequency == grid[2000] and m.unity_crossing_found
-    L = _magnitude_scan_loop()
-    m = loop_margins(_negated(L))
-    assert m == _loop_margins_reference(L, -1)
-    assert not (m.phase_crossing_found or m.unity_crossing_found)
+def _pendulum_margin_loops():
+    Gs, Ks = loop_shift(pendulum_plant(), pendulum_controller())
+    pend = search_realisations(Gs, Ks, form="predictor", rank_by="noise")
+    return [(r.choice.state_feedback_set, margin_loop(r, Gs, 0)) for r, _ in pend.ranked]
 
 
 def _realised_margin_loops():
     sat = search_realisations(satellite_plant(), add_dipole(satellite_controller(), W=50.0),
                               form="filter", rank_by="product")
-    Gs, Ks = loop_shift(pendulum_plant(), pendulum_controller())
-    pend = search_realisations(Gs, Ks, form="predictor", rank_by="noise")
-    return ([margin_loop(r, satellite_plant(), 0) for r, _ in sat.ranked[:4]]
-            + [margin_loop(r, Gs, 0) for r, _ in pend.ranked])
+    return ([(r.choice.state_feedback_set, margin_loop(r, satellite_plant(), 0))
+             for r, _ in sat.ranked[:4]] + _pendulum_margin_loops())
 
 
-def test_margin_scan_matches_the_loop_reference_on_realised_loops():
-    for L in _realised_margin_loops():
-        assert loop_margins(L) == _loop_margins_reference(L, 1)
-        assert loop_margins(_negated(L)) == _loop_margins_reference(L, -1)
+# The grid starts at 1e-6 of Nyquist and misses this row's crossing at
+# omega = 0, L(1) = -0.972 in the -1 convention, which sets its gain margin.
+_DC_CROSSING_ROW = (2, 3, 4, 5)
+
+
+def test_margins_match_the_grid_oracle_on_realised_loops():
+    rows = _realised_margin_loops()
+    assert len(rows) == 7 and _DC_CROSSING_ROW in dict(rows)
+    for S, L in rows:
+        for sign, loop in ((1, L), (-1, _negated(L))):
+            m, ref = loop_margins(loop), _loop_margins_reference(L, sign)
+            if (S, sign) != (_DC_CROSSING_ROW, 1):
+                assert_allclose(m.gain_margin, ref.gain_margin, rtol=1e-9)
+                assert m.phase_crossing_found == ref.phase_crossing_found
+            assert m.unity_crossing_found and ref.unity_crossing_found
+            w_ts = m.crossover_frequency * L.Ts
+            assert_allclose(abs(loop.freq_response(w_ts)[0, 0, 0]), 1.0, rtol=1e-9)
+            assert abs(w_ts - ref.crossover_frequency * L.Ts) <= 1e-4
+
+
+def test_gain_margin_includes_the_dc_crossing_the_grid_missed():
+    L = dict(_pendulum_margin_loops())[_DC_CROSSING_ROW]
+    m = loop_margins(L)
+    assert_allclose(m.gain_margin, 1.0285, rtol=1e-4)
+    assert_allclose(_loop_margins_reference(L, 1).gain_margin, 1.1162, rtol=1e-4)
+    # closing signal = k L(signal) (D = 0): the loop turns unstable at k = gm
+    assert not L.D.any()
+    assert spectral_radius(L.A + 0.99 * m.gain_margin * L.B @ L.C) < 1.0
+    assert spectral_radius(L.A + 1.01 * m.gain_margin * L.B @ L.C) > 1.0
+
+
+def _lightly_damped_loop(zeta, w0=1.0, Ts=0.1, peak=1.5):
+    """-L is w0^2 / (s^2 + 2 zeta w0 s + w0^2), ZOH-discretised and scaled
+    to a peak |L| of ``peak`` (located on a 1e-8 rad/s grid)."""
+    A_c = np.array([[0.0, 1.0], [-w0 ** 2, -2.0 * zeta * w0]])
+    G = c2d_zoh(CtStateSpace(A_c, [[0.0], [1.0]], [[w0 ** 2, 0.0]], [[0.0]]), Ts)
+    w = np.linspace(w0 - 1e-3, w0 + 1e-3, 200001)
+    scale = peak / np.abs(G.freq_response(w * Ts)[:, 0, 0]).max()
+    return DtStateSpace(G.A, G.B, -scale * G.C, G.D, Ts)
+
+
+def test_margins_find_the_crossings_of_a_lightly_damped_loop():
+    # |L| > 1 only on [0.999888, 1.000112] rad/s, 2.2e-4 wide against the
+    # grid's 5.8e-3 step there: the grid finds no unity crossing
+    L = _lightly_damped_loop(1e-4)
+    assert not _loop_margins_reference(L, 1).unity_crossing_found
+    m = loop_margins(L)
+    assert m.unity_crossing_found
+    assert 0.999888 <= m.crossover_frequency <= 1.000112
+    # oracle: a 1e-7 rad/s scan over the band, every sign change of
+    # log|L| bisected to 1e-13 rad/s, the least delay headroom kept
+    Ts = L.Ts
+    log_mag = lambda w: math.log(abs(L.freq_response(w * Ts)[0, 0, 0]))
+    grid = np.linspace(0.9995, 1.0005, 10001)
+    f = np.log(np.abs(L.freq_response(grid * Ts)[:, 0, 0]))
+    best = (math.inf, math.nan)
+    for i in np.nonzero(np.sign(f[:-1]) != np.sign(f[1:]))[0]:
+        w_c = _bisect_root(log_mag, grid[i], grid[i + 1], f[i], 1e-13)
+        r = complex(-L.freq_response(w_c * Ts)[0, 0, 0])
+        pm = (math.atan2(r.imag, r.real) + math.pi) % (2.0 * math.pi)
+        best = min(best, (pm / (w_c * Ts), pm))
+    assert math.isfinite(best[0])
+    assert_allclose(m.phase_margin, best[1], rtol=1e-9)
+    assert_allclose(m.delay_margin, best[0], rtol=1e-9)
+
+
+def test_margins_of_an_all_pass_loop_are_a_numerical_error():
+    # |z^-1| = 1 at every frequency: the unity-crossing pencil is singular
+    with pytest.raises(NumericalError, match="singular"):
+        loop_margins(DtStateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]], 1.0))
