@@ -49,7 +49,6 @@ __all__ = [
     "margin_loop",
     "verify_equivalence",
     "search_realisations",
-    "check_decoupling",
 ]
 
 _COND_LIMIT = 1e10
@@ -817,21 +816,3 @@ def search_realisations(
     result.ranked.sort(key=lambda rs: (key(rs), rs[0].choice.state_feedback_set))
     return result
 
-
-def check_decoupling(M: np.ndarray, blocks) -> float:
-    """Largest off-block entry of M relative to its largest entry.
-
-    ``blocks`` is a sequence of (row_indices, col_indices) pairs declaring
-    the intended block-diagonal structure (one pair per loop).  A single
-    block returns 0 by definition.
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if len(blocks) <= 1:
-        return 0.0
-    mask = np.zeros(M.shape, dtype=bool)
-    for rows, cols in blocks:
-        mask[np.ix_(list(rows), list(cols))] = True
-    off = np.abs(M)[~mask]
-    if off.size == 0:
-        return 0.0
-    return float(off.max() / max(np.abs(M).max(), 1e-300))

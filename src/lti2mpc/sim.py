@@ -30,7 +30,6 @@ __all__ = [
     "Scenario",
     "Trace",
     "pendulum_dynamics",
-    "pendulum_energy",
     "inject_fault",
     "simulate",
     "scenario_library",
@@ -166,15 +165,6 @@ def _pendulum_rhs(xd, th, thd, force):
     return xd, xdd, thd, (g * s - xdd * c) / l
 
 
-def pendulum_energy(state) -> float:
-    """Total mechanical energy (drift gauge for the integrator tests)."""
-    _, xd, th, thd = state
-    M, m, l, g = _PEND.cart_mass, _PEND.pend_mass, _PEND.length, _PEND.gravity
-    ke = 0.5 * (M + m) * xd * xd + m * l * xd * thd * np.cos(th) \
-        + 0.5 * m * l * l * thd * thd
-    return float(ke + m * g * l * np.cos(th))
-
-
 def _rk4(x, u, h, nsub):
     """nsub classical RK4 steps of pendulum_dynamics with the force held at u,
     on Python floats; each stage and the update x + h/6 (k1 + 2 k2 + 2 k3 + k4)
@@ -248,7 +238,8 @@ def simulate(scenario: Scenario) -> Trace:
     >= 0; a mis-sized or non-finite x0, noise_sigma or setpoint; a
     setpoint for an MPC without a prefilter; a fault whose actuator index
     is not an integer in [0, n_u), whose time is not finite and >= 0, or
-    whose value is not finite.
+    whose value is not finite; a disturbance whose time is not finite and
+    >= 0, or whose state jump is not n_x finite entries.
     """
     if not (math.isfinite(scenario.duration) and scenario.duration >= 0.0):
         raise ValueError(f"duration must be finite and at least 0, not {scenario.duration}")
@@ -321,6 +312,13 @@ def simulate(scenario: Scenario) -> Trace:
 
     dist = sorted(((float(t), np.asarray(v, float).ravel())
                    for t, v in scenario.disturbances), key=lambda p: p[0])
+    for d_time, jump in dist:
+        if not (math.isfinite(d_time) and d_time >= 0.0):
+            raise ValueError(f"disturbance time must be finite and at least 0, not {d_time}")
+        if jump.size != n_x:
+            raise ValueError(f"disturbance jump has {jump.size} entries, not n_x = {n_x}")
+        if not np.all(np.isfinite(jump)):
+            raise ValueError("disturbance jump entries must be finite")
     d_idx = 0
 
     x = _initial_state(scenario, n_x)

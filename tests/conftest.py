@@ -94,3 +94,22 @@ def condensation_gaps(G, cfg, qp, x0, x_r=None, w=None, trials=5, seed=0):
                           / max(float(np.max(np.abs(qp.A_ineq @ z))), float(np.max(np.abs(b)))))
     obj_gap = max(abs(c - consts[0]) for c in consts) / max(scales)
     return obj_gap, row_gap
+
+
+def check_decoupling(M, blocks):
+    """Largest off-block entry of M relative to its largest entry.
+
+    ``blocks`` is a sequence of (row_indices, col_indices) pairs declaring
+    the intended block-diagonal structure (one pair per loop).  A single
+    block returns 0 by definition.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if len(blocks) <= 1:
+        return 0.0
+    mask = np.zeros(M.shape, dtype=bool)
+    for rows, cols in blocks:
+        mask[np.ix_(list(rows), list(cols))] = True
+    off = np.abs(M)[~mask]
+    if off.size == 0:
+        return 0.0
+    return float(off.max() / max(np.abs(M).max(), 1e-300))

@@ -29,7 +29,7 @@ import numpy.testing as npt
 from scipy.linalg import block_diag, null_space, solve_discrete_are
 from scipy.optimize import linear_sum_assignment
 
-from conftest import brute_force_qp, condensation_gaps
+from conftest import brute_force_qp, check_decoupling, condensation_gaps
 from lti2mpc.linalg import loop_margins, spectral_radius
 from lti2mpc.models import (
     pendulum_controller,
@@ -41,7 +41,6 @@ from lti2mpc.models import (
 from lti2mpc.mpc import MpcConfig, build_condensed_qp, matching_cost
 from lti2mpc.qp import solve_qp
 from lti2mpc.realisation import (
-    check_decoupling,
     closed_loop_matrix,
     margin_loop,
     riccati_residual,

@@ -21,6 +21,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
+from conftest import check_decoupling
 from lti2mpc import linalg, realisation
 from lti2mpc.linalg import (
     NumericalError,
@@ -46,7 +47,6 @@ from lti2mpc.realisation import (
     _form,
     _h2_scores,
     _t_qr,
-    check_decoupling,
     closed_loop_matrix,
     enumerate_choices,
     margin_loop,

@@ -11,6 +11,7 @@ import pytest
 from lti2mpc import runtime, sim
 from lti2mpc.models import (
     SATELLITE_TS,
+    PendulumParams,
     pendulum_controller,
     pendulum_plant,
     pendulum_plant_ct,
@@ -29,7 +30,6 @@ from lti2mpc.sim import (
     _rk4,
     inject_fault,
     pendulum_dynamics,
-    pendulum_energy,
     scenario_library,
     simulate,
 )
@@ -60,6 +60,16 @@ def test_pendulum_dynamics_linearise_to_the_continuous_model():
     npt.assert_allclose(J, ct.A, atol=1e-6)
     dB = (pendulum_dynamics(np.zeros(4), eps) - pendulum_dynamics(np.zeros(4), -eps)) / (2 * eps)
     npt.assert_allclose(dB, ct.B[:, 0], atol=1e-6)
+
+
+def pendulum_energy(state):
+    """Total mechanical energy (drift gauge for the integrator tests)."""
+    _, xd, th, thd = state
+    p = PendulumParams()
+    M, m, l, g = p.cart_mass, p.pend_mass, p.length, p.gravity
+    ke = 0.5 * (M + m) * xd * xd + m * l * xd * thd * np.cos(th) \
+        + 0.5 * m * l * l * thd * thd
+    return float(ke + m * g * l * np.cos(th))
 
 
 def test_pendulum_energy_is_conserved_by_the_integrator():
@@ -161,6 +171,25 @@ def test_a_fault_that_nothing_honours_is_refused_before_the_first_step(
     monkeypatch.setattr(sim, "inject_fault", no_step)
     with pytest.raises(ValueError, match=match):
         simulate(dataclasses.replace(library["satellite-baseline"], faults=(fault,)))
+
+
+@pytest.mark.parametrize("disturbance, match", [
+    ((1.0, [0.5]), "jump has 1 entries, not n_x = 3"),
+    ((1.0, [0.5, 0.5]), "jump has 2 entries, not n_x = 3"),
+    ((1.0, [0.5, np.nan, 0.0]), "finite"),
+    ((1.0, [0.5, np.inf, 0.0]), "finite"),
+    ((np.nan, [0.5, 0.0, 0.0]), "time"),
+    ((np.inf, [0.5, 0.0, 0.0]), "time"),
+    ((-1.0, [0.5, 0.0, 0.0]), "time"),
+])
+def test_a_disturbance_that_nothing_honours_is_refused_before_the_first_step(
+        library, monkeypatch, disturbance, match):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was simulated")
+
+    monkeypatch.setattr(sim, "mpc_step", no_step)
+    with pytest.raises(ValueError, match=match):
+        simulate(dataclasses.replace(library["satellite-case-1"], disturbances=(disturbance,)))
 
 
 def test_loop_shift_records_its_feedthrough_on_the_design_model(library):
