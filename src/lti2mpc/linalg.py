@@ -516,18 +516,21 @@ def loop_margins(L: DtStateSpace) -> LoopMargins:
     # 0 = v - A p + B u with output -C p + d u realise G(1/z)
     E = scipy.linalg.block_diag(I, I, O, 0.0)
     reflect = np.block([[O, O, I, o], [O, I, -A, B]])
-    pencils = {"phase": np.block([[A, O, O, o], [reflect], [C, o.T, C, 0.0]]),
-               "unity": np.block([[A, O, -B @ C, d * B], [reflect],
-                                  [C, o.T, -d * C, d * d - 1.0]])}
+    pencils = {"phase": (np.block([[A, O, O, o], [reflect], [C, o.T, C, 0.0]]),
+                         "L is real at every frequency"),
+               "unity": (np.block([[A, O, -B @ C, d * B], [reflect],
+                                   [C, o.T, -d * C, d * d - 1.0]]),
+                         "|L| = 1 at every frequency")}
     tol = math.sqrt(np.finfo(float).eps)
     found = {"phase": [], "unity": []}
-    for name, M in pencils.items():
+    for name, (M, singular) in pencils.items():
         w_ts = [0.0, math.pi] if name == "phase" else []
         if n or name == "unity":  # for n = 0, G(z) - G(1/z) is identically 0
             alpha, beta = scipy.linalg.eigvals(M, E, homogeneous_eigvals=True)
             a, b = np.abs(alpha), np.abs(beta)
             if np.any(np.maximum(a / max(np.linalg.norm(M, 1), 1.0), b) <= tol):
-                raise NumericalError(f"loop_margins: the {name}-crossing pencil is singular")
+                raise NumericalError(f"loop_margins: the {name}-crossing pencil is singular: "
+                                     f"{singular}")
             on_circle = np.abs(a - b) <= tol * (a + b)
             w_ts += list(np.abs(np.angle(alpha[on_circle] / beta[on_circle])))
         for w in w_ts:
@@ -535,7 +538,7 @@ def loop_margins(L: DtStateSpace) -> LoopMargins:
                 g = complex(-L.freq_response(w)[0, 0, 0])
             except np.linalg.LinAlgError:  # a pole of G
                 continue
-            if abs(g.imag) <= 1e-6 * abs(g) if name == "phase" else abs(abs(g) - 1.0) <= 1e-6:
+            if (abs(g.imag) <= 1e-6 * abs(g)) if name == "phase" else (abs(abs(g) - 1.0) <= 1e-6):
                 found[name].append((w, g))
 
     gm_candidates = [abs(g) for _, g in found["phase"] if g.real < 0.0 and abs(g) < 1.0]

@@ -581,14 +581,15 @@ def test_verify_sweeps_no_loop_margins(tmp_path, monkeypatch, capsys):
 
 def test_realise_refuses_margins_of_a_singular_pencil_with_exit_1(tmp_path, monkeypatch, capsys):
     def singular(L):
-        raise NumericalError("loop_margins: the unity-crossing pencil is singular")
+        raise NumericalError("loop_margins: the unity-crossing pencil is singular: "
+                             "|L| = 1 at every frequency")
     monkeypatch.setattr(cli, "loop_margins", singular)
     cfg = _write(tmp_path, "sat.json", {"plant": "satellite"})
     assert main(["realise", "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: rank 1 margins: loop_margins: "
-                            "the unity-crossing pencil is singular\n")
+    assert captured.err == ("error: rank 1 margins: loop_margins: the unity-crossing "
+                            "pencil is singular: |L| = 1 at every frequency\n")
 
 
 def test_report_config_echo_round_trips_to_identical_numerics(tmp_path):

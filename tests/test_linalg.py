@@ -446,7 +446,10 @@ def test_margins_find_the_crossings_of_a_lightly_damped_loop():
     assert_allclose(m.delay_margin, best[0], rtol=1e-9)
 
 
-def test_margins_of_an_all_pass_loop_are_a_numerical_error():
+def test_margins_of_an_all_pass_or_output_free_loop_are_a_numerical_error():
     # |z^-1| = 1 at every frequency: the unity-crossing pencil is singular
-    with pytest.raises(NumericalError, match="singular"):
+    with pytest.raises(NumericalError, match=r"unity-crossing pencil is singular: \|L\| = 1"):
         loop_margins(DtStateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]], 1.0))
+    # L = 0.3 + 0 z^-1: its dynamics never reach the output, so L is real everywhere
+    with pytest.raises(NumericalError, match="phase-crossing pencil is singular: L is real"):
+        loop_margins(DtStateSpace([[0.5]], [[1.0]], [[0.0]], [[0.3]], 1.0))
