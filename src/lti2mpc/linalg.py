@@ -494,8 +494,11 @@ def loop_margins(L: DtStateSpace) -> LoopMargins:
     always count as phase crossings.  An eigenvalue (alpha, beta) counts
     when | |alpha| - |beta| | <= sqrt(eps) (|alpha| + |beta|), and only if
     ``freq_response`` confirms it: |Im G| <= 1e-6 |G| at a phase crossing,
-    | |G| - 1 | <= 1e-6 at a unity crossing.  A candidate on a pole of G,
-    where ``freq_response`` raises, is dropped.
+    | |G| - 1 | <= 1e-6 at a unity crossing.  A candidate on a pole of the
+    realisation, cond(zI - A) >= 1/sqrt(eps), is dropped before that check,
+    because G evaluated there is round-off (a defective pole's computed
+    eigenvalue can sit eps**(1/k) away from it, so distance to eig(A) would
+    not catch it).
 
     Gain margin is the smallest gain increase that reaches the critical
     point over all negative-real-axis crossings; phase and delay margins
@@ -516,7 +519,7 @@ def loop_margins(L: DtStateSpace) -> LoopMargins:
     # 0 = v - A p + B u with output -C p + d u realise G(1/z)
     E = scipy.linalg.block_diag(I, I, O, 0.0)
     reflect = np.block([[O, O, I, o], [O, I, -A, B]])
-    pencils = {"phase": (np.block([[A, O, O, o], [reflect], [C, o.T, C, 0.0]]),
+    pencils = {"phase": (np.block([[A, O, O, B], [reflect], [C, o.T, C, 0.0]]),
                          "L is real at every frequency"),
                "unity": (np.block([[A, O, -B @ C, d * B], [reflect],
                                    [C, o.T, -d * C, d * d - 1.0]]),
@@ -534,10 +537,9 @@ def loop_margins(L: DtStateSpace) -> LoopMargins:
             on_circle = np.abs(a - b) <= tol * (a + b)
             w_ts += list(np.abs(np.angle(alpha[on_circle] / beta[on_circle])))
         for w in w_ts:
-            try:
-                g = complex(-L.freq_response(w)[0, 0, 0])
-            except np.linalg.LinAlgError:  # a pole of G
+            if n and np.linalg.cond(np.exp(1j * w) * I - A) * tol >= 1.0:
                 continue
+            g = complex(-L.freq_response(w)[0, 0, 0])
             if (abs(g.imag) <= 1e-6 * abs(g)) if name == "phase" else (abs(abs(g) - 1.0) <= 1e-6):
                 found[name].append((w, g))
 

@@ -411,6 +411,43 @@ def test_gain_margin_includes_the_dc_crossing_the_grid_missed():
     assert spectral_radius(L.A + 1.01 * m.gain_margin * L.B @ L.C) > 1.0
 
 
+def _interior_phase_crossing_loops():
+    """Loops whose gain margin is set strictly between omega = 0 and pi:
+    L = -0.5 z^-2 (crossing at omega*Ts = pi/2, gain margin 2) and
+    L = -0.5 z^-1 / (z - 0.5), a lag behind a one-step delay."""
+    double_delay = DtStateSpace([[0.0, 0.0], [1.0, 0.0]], [[1.0], [0.0]], [[0.0, -0.5]],
+                                [[0.0]], 1.0)
+    delayed_lag = DtStateSpace([[0.5, 0.0], [1.0, 0.0]], [[1.0], [0.0]], [[0.0, -0.5]],
+                               [[0.0]], 1.0)
+    return double_delay, delayed_lag
+
+
+@pytest.mark.parametrize("L", _interior_phase_crossing_loops(), ids=["z^-2", "delayed lag"])
+def test_gain_margin_includes_an_interior_phase_crossing(L):
+    m = loop_margins(L)
+    assert m.phase_crossing_found
+    assert_allclose(m.gain_margin, _loop_margins_reference(L, 1).gain_margin, rtol=1e-6)
+    # closing signal = k L(signal) (D = 0): the loop turns unstable at k = gm
+    assert spectral_radius(L.A + 0.99 * m.gain_margin * L.B @ L.C) < 1.0
+    assert spectral_radius(L.A + 1.01 * m.gain_margin * L.B @ L.C) > 1.0
+
+
+def test_margins_skip_a_pole_the_input_never_drives():
+    # the lag of test_margins_first_order_lag beside an observable but
+    # undriven triple integrator at z = 1, in rotated bases: z = 1 is a
+    # pole of the realisation, not of L, and G evaluated there is round-off
+    lag = loop_margins(_negated(DtStateSpace([[0.5]], [[1.0]], [[0.75]], [[0.0]], 1.0)))
+    J = np.array([[1.0, 0.1, 0.005], [0.0, 1.0, 0.1], [0.0, 0.0, 1.0]])
+    A = np.block([[np.array([[0.5]]), np.zeros((1, 3))], [np.zeros((3, 1)), J]])
+    B, C = np.array([[1.0], [0.0], [0.0], [0.0]]), np.array([[-0.75, 0.8, 0.8, 0.8]])
+    for seed in range(8):
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+        m = loop_margins(DtStateSpace(Q.T @ A @ Q, Q.T @ B, C @ Q, [[0.0]], 1.0))
+        assert_allclose([m.gain_margin, m.phase_margin, m.delay_margin, m.crossover_frequency],
+                        [lag.gain_margin, lag.phase_margin, lag.delay_margin,
+                         lag.crossover_frequency], rtol=1e-9)
+
+
 def _lightly_damped_loop(zeta, w0=1.0, Ts=0.1, peak=1.5):
     """-L is w0^2 / (s^2 + 2 zeta w0 s + w0^2), ZOH-discretised and scaled
     to a peak |L| of ``peak`` (located on a 1e-8 rad/s grid)."""
