@@ -494,11 +494,10 @@ def loop_margins(L: DtStateSpace) -> LoopMargins:
     always count as phase crossings.  An eigenvalue (alpha, beta) counts
     when | |alpha| - |beta| | <= sqrt(eps) (|alpha| + |beta|), and only if
     ``freq_response`` confirms it: |Im G| <= 1e-6 |G| at a phase crossing,
-    | |G| - 1 | <= 1e-6 at a unity crossing.  A candidate on a pole of the
-    realisation, cond(zI - A) >= 1/sqrt(eps), is dropped before that check,
-    because G evaluated there is round-off (a defective pole's computed
-    eigenvalue can sit eps**(1/k) away from it, so distance to eig(A) would
-    not catch it).
+    | |G| - 1 | <= 1e-6 at a unity crossing.  A candidate with
+    cond_1(zI - A) >= 1/sqrt(eps) sits on a pole of the realisation, where
+    G is round-off, and is dropped (a test on the distance to eig(A) would
+    miss a defective pole, whose eigenvalues are off by up to eps**(1/k)).
 
     Gain margin is the smallest gain increase that reaches the critical
     point over all negative-real-axis crossings; phase and delay margins
@@ -537,7 +536,7 @@ def loop_margins(L: DtStateSpace) -> LoopMargins:
             on_circle = np.abs(a - b) <= tol * (a + b)
             w_ts += list(np.abs(np.angle(alpha[on_circle] / beta[on_circle])))
         for w in w_ts:
-            if n and np.linalg.cond(np.exp(1j * w) * I - A) * tol >= 1.0:
+            if n and np.linalg.cond(np.exp(1j * w) * I - A, 1) * tol >= 1.0:
                 continue
             g = complex(-L.freq_response(w)[0, 0, 0])
             if (abs(g.imag) <= 1e-6 * abs(g)) if name == "phase" else (abs(abs(g) - 1.0) <= 1e-6):
