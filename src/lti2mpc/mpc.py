@@ -94,7 +94,7 @@ def zero_dare_residual(cost: StageCost) -> float:
     return float(np.linalg.norm(M) / max(1.0, np.linalg.norm(cost.Q)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MpcConfig:
     """Horizon, cost and constraint description for one controller.
 
@@ -164,7 +164,9 @@ class CondensedQp:
 
     The decision vector z is [u_0 .. u_{N-1}, s_1 .. s_N] (the inputs,
     then the slacks).  H and A_ineq are fixed, and so is their QP factor,
-    computed on first use and shared by every control step; f and b are
+    computed on first use and shared by every control step.  A
+    ``sim.MpcController`` builds its QP once, so that factor, with its
+    warm-start QR memo, serves every run of the controller.  f and b are
     affine in the current state estimate, the reference state and the
     known input w (the setpoint of a loop-shifted model), with the matrices
     below precomputed so each control step is a few mat-vecs.

@@ -17,7 +17,7 @@ condensed MPC problem at every control step, builds the factor once and
 passes it in, so each solve checks only f and b.  The working-set geometry
 lives in a QR factorisation of the active columns of G that is updated one
 column at a time (scipy.linalg.qr_insert / qr_delete), never refactorised
-inside the loop.
+inside the dual loop.
 
 Warm start (the online active-set idea of Ferreau, Bock & Diehl 2008,
 qpOASES): given a guessed working set, typically the previous control
@@ -30,6 +30,13 @@ no step.  A cold solve is the same code with an empty guess, which starts
 from the unconstrained minimiser.  All ties are broken by lowest
 constraint index, so the solve path is deterministic.
 
+Every complete QR a solve takes (the warm start's, and the dual loop's
+first column on an empty working set) goes through a one-slot memo on the
+factor: the last working set so factored, with its read-only (Q, R).  A
+solve whose ordered working set equals it reuses that QR, which is the one
+it would take (the same columns in the same order give the same bits), so
+a run of control steps whose active set holds still factors it once.
+
 On exit with status "optimal" the iterate satisfies the KKT conditions
     H x* + f + A_act' lam = 0,   lam >= 0,   A x* <= b,
 with the active set and multipliers reported in matching order.
@@ -38,7 +45,7 @@ with the active set and multipliers reported in matching order.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, qr_delete, qr_insert
@@ -57,10 +64,25 @@ class QpFactor:
 
     L is the lower Cholesky factor of H; G = L^-1 (-A'), one column per
     constraint row (zero columns when there are no constraints).
+    ``qr_memo`` is None or (working set, Q, R), the complete QR of the
+    last working set ``working_qr`` factored, held as one tuple so a
+    reader never pairs a key with another set's factor.
     """
 
     L: np.ndarray
     G: np.ndarray
+    qr_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def working_qr(self, active):
+        """Complete QR of G[:, active], reused while ``active`` repeats."""
+        key = tuple(active)
+        memo = self.qr_memo
+        if memo is not None and memo[0] == key:
+            return memo[1], memo[2]
+        Q, R = np.linalg.qr(self.G[:, active], mode="complete")
+        Q.flags.writeable = R.flags.writeable = False
+        object.__setattr__(self, "qr_memo", (key, Q, R))
+        return Q, R
 
 
 @dataclass
@@ -177,7 +199,7 @@ def solve_qp(H, f, A=None, b=None, *,
     # G_W'G_W lam = A_W x0 - b_W
     while active:
         G_w = G[:, active]
-        Q, R = np.linalg.qr(G_w, mode="complete")
+        Q, R = factor.working_qr(active)
         q = len(active)
         dep = np.flatnonzero(np.diag(R) ** 2 <= _DEP_TOL * np.maximum(
             np.sum(G_w[:, :d] ** 2, axis=0), 1e-300))
@@ -195,8 +217,8 @@ def solve_qp(H, f, A=None, b=None, *,
 
     def insert_col(u):
         nonlocal Q, R
-        if R.shape[1] == 0:
-            Q, R = np.linalg.qr(u.reshape(-1, 1), mode="complete")
+        if R.shape[1] == 0:  # u is G[:, active[0]]
+            Q, R = factor.working_qr(active)
         else:
             Q, R = qr_insert(Q, R, u, R.shape[1], which="col", check_finite=False)
 

@@ -15,11 +15,12 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .models import CASE_STUDIES, PendulumParams, satellite_plant_ct
-from .mpc import MpcConfig, build_condensed_qp, effect_weight, matching_cost
+from .mpc import CondensedQp, MpcConfig, build_condensed_qp, effect_weight, matching_cost
 from .realisation import make_observer, search_realisations
 from .runtime import Prefilter, build_prefilter, mpc_step
 from .statespace import DtStateSpace, c2d_zoh
@@ -54,7 +55,7 @@ class BaselineController:
     K: DtStateSpace
 
 
-@dataclass
+@dataclass(frozen=True)
 class MpcController:
     """Observer + constrained MPC reconstruction of a baseline controller.
 
@@ -65,13 +66,20 @@ class MpcController:
     D_K y.  With a ``prefilter`` (the system ``runtime.build_prefilter``
     builds from ``realisation`` on ``design_model``, stepped afresh each
     run) the MPC tracks the state reference it emits for the scenario's
-    setpoint; without one it regulates to 0 and takes no setpoint.
+    setpoint; without one it regulates to 0 and takes no setpoint.  The
+    condensed QP (``qp``) is built on first use and serves every run, so
+    an array of ``design_model`` or ``config`` edited in place after that
+    does not reach it.
     """
 
     realisation: object
     design_model: DtStateSpace
     config: MpcConfig
     prefilter: DtStateSpace | None = None
+
+    @cached_property
+    def qp(self) -> CondensedQp:
+        return build_condensed_qp(self.design_model, self.config)
 
 
 @dataclass
@@ -130,20 +138,16 @@ class Trace:
                   + [f"xhat.{i}" for i in range(self.x_hat.shape[1])]
                   + ["qp.status", "qp.obj", "qp.nact"]
                   + [f"slack.{i}" for i in range(self.slack.shape[1])])
+        # Python floats from tolist() repr exactly as repr(float(v)) does
+        lead = np.column_stack([self.t, self.y, self.u, self.x, self.x_hat]).tolist()
+        obj, nact = self.qp_obj.tolist(), self.qp_nact.tolist()
+        slack = self.slack.tolist()
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             for k in range(len(self)):
-                row = ([repr(float(self.t[k]))]
-                       + [repr(float(v)) for v in self.y[k]]
-                       + [repr(float(v)) for v in self.u[k]]
-                       + [repr(float(v)) for v in self.x[k]]
-                       + [repr(float(v)) for v in self.x_hat[k]]
-                       + [self.qp_status[k],
-                          repr(float(self.qp_obj[k])),
-                          str(int(self.qp_nact[k]))]
-                       + [repr(float(v)) for v in self.slack[k]])
-                w.writerow(row)
+                w.writerow([*map(repr, lead[k]), self.qp_status[k], repr(obj[k]),
+                            str(nact[k]), *map(repr, slack[k])])
 
 
 _PEND = PendulumParams()
@@ -169,17 +173,35 @@ def _rk4(x, u, h, nsub):
     """nsub classical RK4 steps of pendulum_dynamics with the force held at u,
     on Python floats; each stage and the update x + h/6 (k1 + 2 k2 + 2 k3 + k4)
     are evaluated in the order numpy would evaluate them on arrays.  The cart
-    position enters no stage, so only the other three states are staged."""
+    position enters no stage, so only the other three states are staged.
+
+    _pendulum_rhs is inlined operation for operation: m l and m g are the
+    leading products of its left-to-right terms, and a stage's position and
+    angle rates are its velocity and angular-rate inputs."""
+    M, m, l, g = _PEND.cart_mass, _PEND.pend_mass, _PEND.length, _PEND.gravity
+    ml, mg = m * l, m * g
+    sin, cos = math.sin, math.cos
     p, v, th, w = (float(s) for s in x)
     h2, h6 = 0.5 * h, h / 6.0
     for _ in range(nsub):
-        a1, b1, c1, d1 = _pendulum_rhs(v, th, w, u)
-        a2, b2, c2, d2 = _pendulum_rhs(v + h2 * b1, th + h2 * c1, w + h2 * d1, u)
-        a3, b3, c3, d3 = _pendulum_rhs(v + h2 * b2, th + h2 * c2, w + h2 * d2, u)
-        a4, b4, c4, d4 = _pendulum_rhs(v + h * b3, th + h * c3, w + h * d3, u)
-        p += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        s, c = sin(th), cos(th)
+        b1 = (ml * w * w * s - mg * s * c + u) / (M + m * s * s)
+        d1 = (g * s - b1 * c) / l
+        v2, th2, w2 = v + h2 * b1, th + h2 * w, w + h2 * d1
+        s, c = sin(th2), cos(th2)
+        b2 = (ml * w2 * w2 * s - mg * s * c + u) / (M + m * s * s)
+        d2 = (g * s - b2 * c) / l
+        v3, th3, w3 = v + h2 * b2, th + h2 * w2, w + h2 * d2
+        s, c = sin(th3), cos(th3)
+        b3 = (ml * w3 * w3 * s - mg * s * c + u) / (M + m * s * s)
+        d3 = (g * s - b3 * c) / l
+        v4, th4, w4 = v + h * b3, th + h * w3, w + h * d3
+        s, c = sin(th4), cos(th4)
+        b4 = (ml * w4 * w4 * s - mg * s * c + u) / (M + m * s * s)
+        d4 = (g * s - b4 * c) / l
+        p += h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        th += h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        th += h6 * (w + 2.0 * w2 + 2.0 * w3 + w4)
         w += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     return np.array([p, v, th, w])
 
@@ -272,7 +294,7 @@ def simulate(scenario: Scenario) -> Trace:
     # controller-side setup ------------------------------------------------
     if is_mpc:
         G_d = ctrl.design_model
-        qp = build_condensed_qp(G_d, ctrl.config)
+        qp = ctrl.qp
         obs = make_observer(ctrl.realisation, G_d)
         K_c = np.atleast_2d(ctrl.realisation.K_c)
         D_K = G_d.D_K

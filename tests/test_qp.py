@@ -236,3 +236,71 @@ def test_bad_warm_rows_and_non_finite_data_raise():
         factor_qp([[1.0, np.nan], [np.nan, 1.0]], A)
     with pytest.raises(ValueError, match="factor does not match"):
         solve_qp(H, f, A[:1], b[:1], factor=factor)
+
+
+@pytest.fixture(scope="module")
+def satellite_case_5_solves():
+    """(arguments, memo hit, solution, memo after) of every solve_qp call
+    a satellite-case-5 replay makes, on a controller fresh from the library."""
+    from lti2mpc import runtime
+    from lti2mpc.sim import scenario_library, simulate
+
+    calls = []
+
+    def spy(H, f, A=None, b=None, *, factor=None, warm=()):
+        memo = factor.qr_memo
+        hit = bool(warm) and memo is not None and memo[0] == tuple(warm)
+        sol = solve_qp(H, f, A, b, factor=factor, warm=warm)
+        calls.append(((H, f, A, b, factor, warm), hit, sol, factor.qr_memo))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runtime, "solve_qp", spy)
+        simulate(scenario_library("satellite")["satellite-case-5"])
+    return calls
+
+
+def test_a_memo_hit_solves_bitwise_as_a_factor_without_memo(satellite_case_5_solves):
+    hits = 0
+    for (H, f, A, b, factor, warm), hit, shared, _ in satellite_case_5_solves:
+        fresh = factor_qp(H, A)
+        assert fresh.qr_memo is None
+        own = solve_qp(H, f, A, b, factor=fresh, warm=warm)
+        assert own.status == shared.status
+        assert own.active_set == shared.active_set
+        assert own.iterations == shared.iterations
+        assert own.warm_start == shared.warm_start
+        assert np.array_equal(own.x_star, shared.x_star)
+        assert np.array_equal(own.multipliers, shared.multipliers)
+        hits += hit
+    assert hits >= 100
+
+
+def test_the_memo_holds_one_read_only_factor(satellite_case_5_solves):
+    factor = satellite_case_5_solves[0][0][4]
+    d = factor.G.shape[0]
+    assert all(call[0][4] is factor for call in satellite_case_5_solves)
+    memos = [call[3] for call in satellite_case_5_solves if call[3] is not None]
+    assert len(memos) >= 100
+    for key, Q, R in memos:
+        assert isinstance(key, tuple) and Q.shape == (d, d) and R.shape == (d, len(key))
+        assert not (Q.flags.writeable or R.flags.writeable)
+    with pytest.raises(ValueError):
+        memos[-1][1][0, 0] = 1.0
+
+
+def test_a_permuted_working_set_misses_the_memo(monkeypatch):
+    rng = np.random.default_rng(44)
+    M = rng.standard_normal((6, 6))
+    factor = factor_qp(M @ M.T + 0.5 * np.eye(6), rng.standard_normal((9, 6)))
+    qr, calls = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
+    Q, R = factor.working_qr([3, 1, 4])
+    assert factor.working_qr([3, 1, 4]) == (Q, R) and len(calls) == 1
+    assert factor.working_qr((3, 1, 4))[0] is Q and len(calls) == 1
+    Qp, Rp = factor.working_qr([1, 3, 4])
+    assert len(calls) == 2 and factor.qr_memo[0] == (1, 3, 4)
+    assert not np.array_equal(Rp, R)
+    # one slot: the permuted set replaced the first, which now misses too
+    factor.working_qr([3, 1, 4])
+    assert len(calls) == 3

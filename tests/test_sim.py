@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import sys
+import threading
 import time
 
 import numpy as np
@@ -27,6 +29,7 @@ from lti2mpc.sim import (
     SATELLITE_DIST_TORQUE,
     Scenario,
     _lagged_satellite_truth,
+    _pendulum_rhs,
     _rk4,
     inject_fault,
     pendulum_dynamics,
@@ -108,6 +111,32 @@ def test_rk4_matches_the_array_reference_over_a_swing():
         npt.assert_allclose(x, x_ref, rtol=1e-15, atol=1e-15)
         theta_max = max(theta_max, abs(x_ref[2]))
     assert theta_max > 1.0
+
+
+def _staged_rk4(x, u, h, nsub):
+    """Reference: the RK4 of _rk4 with every stage a call of _pendulum_rhs."""
+    p, v, th, w = (float(s) for s in x)
+    h2, h6 = 0.5 * h, h / 6.0
+    for _ in range(nsub):
+        a1, b1, c1, d1 = _pendulum_rhs(v, th, w, u)
+        a2, b2, c2, d2 = _pendulum_rhs(v + h2 * b1, th + h2 * c1, w + h2 * d1, u)
+        a3, b3, c3, d3 = _pendulum_rhs(v + h2 * b2, th + h2 * c2, w + h2 * d2, u)
+        a4, b4, c4, d4 = _pendulum_rhs(v + h * b3, th + h * c3, w + h * d3, u)
+        p += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        v += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        th += h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        w += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+    return np.array([p, v, th, w])
+
+
+def test_inlined_rk4_is_bitwise_the_staged_rk4():
+    rng = np.random.default_rng(45)
+    for _ in range(500):
+        x = rng.uniform(-1.0, 1.0, 4) * [2.0, 3.0, np.pi, 5.0]
+        u = rng.uniform(-20.0, 20.0)
+        nsub = int(rng.integers(1, 41))
+        h = 0.1 / nsub
+        assert np.array_equal(_rk4(x, u, h, nsub), _staged_rk4(x, u, h, nsub))
 
 
 def test_inject_fault_locks_channels_from_the_fault_time():
@@ -377,6 +406,38 @@ def test_trace_csv_round_trip(tmp_path, traces):
     assert int(row[12]) == tr.qp_nact[k]
 
 
+def _csv_per_element(tr, path):
+    """Reference writer: every value through repr(float(v)), row by row."""
+    header = (["t"]
+              + [f"y.{i}" for i in range(tr.y.shape[1])]
+              + [f"u.{i}" for i in range(tr.u.shape[1])]
+              + [f"x.{i}" for i in range(tr.x.shape[1])]
+              + [f"xhat.{i}" for i in range(tr.x_hat.shape[1])]
+              + ["qp.status", "qp.obj", "qp.nact"]
+              + [f"slack.{i}" for i in range(tr.slack.shape[1])])
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k in range(len(tr)):
+            w.writerow([repr(float(tr.t[k]))]
+                       + [repr(float(v)) for v in tr.y[k]]
+                       + [repr(float(v)) for v in tr.u[k]]
+                       + [repr(float(v)) for v in tr.x[k]]
+                       + [repr(float(v)) for v in tr.x_hat[k]]
+                       + [tr.qp_status[k], repr(float(tr.qp_obj[k])), str(int(tr.qp_nact[k]))]
+                       + [repr(float(v)) for v in tr.slack[k]])
+
+
+@pytest.mark.parametrize("name", ["satellite-case-5", "pendulum-case-2", "satellite-baseline"])
+def test_trace_csv_bytes_equal_the_per_element_writer(tmp_path, traces, name):
+    tr = traces[name]
+    tr.to_csv(tmp_path / "fast.csv")
+    _csv_per_element(tr, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # slack columns on both MPC traces, none (and no estimate) on the baseline
+    assert (tr.slack.shape[1] > 0) == (name != "satellite-baseline")
+
+
 def test_noisy_simulation_is_deterministic_per_seed(library):
     base = library["satellite-case-1"]
     noisy = Scenario(
@@ -399,13 +460,79 @@ def test_noisy_simulation_is_deterministic_per_seed(library):
 
 def test_a_library_scenario_replays_identically(library, traces):
     # the controller holds the prefilter's system, not a running filter:
-    # each simulate steps a fresh one, so a second run repeats the first
-    first, again = traces["pendulum-case-2"], simulate(library["pendulum-case-2"])
-    assert np.any(first.x_ref)
-    for field in ("t", "y", "u", "u_applied", "x", "x_hat", "x_ref", "qp_obj",
-                  "qp_nact", "slack", "qp_iters", "qp_warm"):
-        assert np.array_equal(getattr(first, field), getattr(again, field)), field
-    assert first.qp_status == again.qp_status
+    # each simulate steps a fresh one, and its QP (factor and warm-start QR
+    # memo included) is shared by every run, so a second run repeats the
+    # first, and so does a run on a copy of the controller with a fresh QP
+    assert np.any(traces["pendulum-case-2"].x_ref)
+    for name, sc in library.items():
+        if not isinstance(sc.controller, MpcController):
+            continue
+        first, again = traces[name], simulate(sc)
+        fresh = simulate(dataclasses.replace(
+            sc, controller=dataclasses.replace(sc.controller)))
+        for tr in (again, fresh):
+            for field in ("t", "y", "u", "u_applied", "x", "x_hat", "x_ref", "qp_obj",
+                          "qp_nact", "slack", "qp_iters", "qp_warm"):
+                assert np.array_equal(getattr(first, field), getattr(tr, field)), (name, field)
+            assert first.qp_status == tr.qp_status, name
+
+
+def test_a_controller_is_frozen_and_builds_its_qp_once(library, monkeypatch):
+    ctrl = library["satellite-case-5"].controller
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctrl.config = ctrl.config
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctrl.config.N = 10
+    qp = ctrl.qp
+    assert ctrl.qp is qp
+    ref = build_condensed_qp(ctrl.design_model, ctrl.config)
+    for field in dataclasses.fields(ref):
+        assert np.array_equal(getattr(qp, field.name), getattr(ref, field.name)), field.name
+    # a copy of the controller builds its own, once for all its runs
+    calls = []
+    monkeypatch.setattr(sim, "build_condensed_qp",
+                        lambda *a: calls.append(a) or build_condensed_qp(*a))
+    sc = dataclasses.replace(library["satellite-case-5"],
+                             controller=dataclasses.replace(ctrl))
+    simulate(sc), simulate(sc)
+    assert len(calls) == 1 and sc.controller.qp is not qp
+
+
+def test_concurrent_replays_share_one_controller_safely(library, traces):
+    # four threads replay satellite-case-5 on one controller, so they share
+    # its QP and the QR memo on its factor, switching every microsecond: a
+    # memo read that paired one working set with another's QR would show
+    sc = library["satellite-case-5"]
+    out = [None] * 4
+
+    def run(i):
+        out[i] = simulate(sc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for tr in out:
+        assert np.array_equal(tr.u_applied, traces["satellite-case-5"].u_applied)
+        assert np.array_equal(tr.qp_iters, traces["satellite-case-5"].qp_iters)
+
+
+def test_a_replay_reuses_its_warm_start_qr(library, monkeypatch):
+    # satellite-case-5 on a copy of its controller, so the QP and its QR
+    # memo are fresh: 155 complete QRs without the memo
+    sc = library["satellite-case-5"]
+    sc = dataclasses.replace(sc, controller=dataclasses.replace(sc.controller))
+    qr, calls = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
+    simulate(sc)
+    assert len(calls) == 29
 
 
 def test_divergence_is_flagged_and_the_trace_truncated():
