@@ -336,11 +336,10 @@ def build_problem(cfg: ProjectConfig):
 
 def _mpc_config(cfg: ProjectConfig, G_d: DtStateSpace, K_c) -> MpcConfig:
     m = cfg.mpc
-    bounds = {k: None if m[k] is None else tuple(np.asarray(side, float) for side in m[k])
-              for k in ("u_bounds", "y_bounds", "x_bounds")}
     try:
         W = effect_weight(G_d, m["Q1"], m["R1"]) if m["cost"] == "effect" else m["W"]
-        return MpcConfig(N=m["N"], cost=matching_cost(K_c, W), **bounds,
+        return MpcConfig(N=m["N"], cost=matching_cost(K_c, W), u_bounds=m["u_bounds"],
+                         y_bounds=m["y_bounds"], x_bounds=m["x_bounds"],
                          soft_output_weight=m["soft_output_weight"])
     except ValueError as exc:
         raise ConfigError(f"mpc options: {exc}") from None
@@ -503,7 +502,7 @@ def _baseline_counterpart(sc: Scenario) -> Scenario | None:
 def _bound_violation(vals, bounds):
     if bounds is None or vals.size == 0:
         return 0.0
-    lo, hi = (np.asarray(b, float).ravel() for b in bounds)
+    lo, hi = bounds  # MpcConfig's float vectors
     over = np.maximum(vals - hi[None, :], 0.0)
     under = np.maximum(lo[None, :] - vals, 0.0)
     finite = np.isfinite(np.vstack([lo, hi]))

@@ -288,45 +288,35 @@ def _h2_stack(A, maps, Ts) -> np.ndarray:
     return out
 
 
-def _as_cov(X, dim: int, name: str, definite: bool) -> np.ndarray:
-    """X as a symmetric dim x dim covariance; a scalar means that multiple
-    of the identity.  A ValueError naming ``name`` refuses a wrong shape, a
-    non-finite entry, an eigenvalue below -1e-12 ||X||_2 and, when
-    ``definite``, an X that is not positive definite; a scalar is judged
-    as a 1 x 1 matrix, so it is refused even when dim is 0.  Returns X, or
-    when ``definite`` its lower Cholesky factor."""
-    X = np.asarray(X, dtype=float)
-    scalar = X.ndim == 0 or (X.ndim == 1 and X.size == 1)
-    if scalar:
-        X = X.reshape(1, 1)
-    elif X.shape != (dim, dim):
-        raise ValueError(f"{name} must be scalar or {dim}x{dim}, got {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError(f"{name} must be finite")
-    X = 0.5 * (X + X.T)
-    if definite:
-        try:
-            X = np.linalg.cholesky(X)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"{name} must be positive definite") from None
-    else:
-        lam = np.linalg.eigvalsh(X)
-        if lam.size and lam[0] < -1e-12 * np.abs(lam).max():
-            raise ValueError(f"{name} must be positive semidefinite")
-    return float(X[0, 0]) * np.eye(dim) if scalar else X
+def _noise_weights(Qn, Rn):
+    """(q, sqrt(r)) of the free-pole Kalman design's scalar weights: the
+    process covariance q I and the measurement covariance r I.  A
+    ValueError naming the weight refuses a Qn or Rn whose shape is not ()
+    or (1,), a non-finite one, q < 0 and r <= 0."""
+
+    def scalar(X, name, why):
+        if np.shape(X) not in ((), (1,)):
+            raise ValueError(f"{name} must be a scalar, got shape {np.shape(X)}: {why}")
+        x = np.asarray(X, dtype=float).item()
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite")
+        return x
+
+    q = scalar(Qn, "Qn", "the free-pole basis T_perp is an arbitrary orthonormal basis "
+               "of null(T), so a matrix Qn has no basis-free meaning")
+    if q < 0.0:
+        raise ValueError("Qn must be positive semidefinite")
+    r = scalar(Rn, "Rn", "the free-pole design weights all its measurements alike")
+    if r <= 0.0:
+        raise ValueError("Rn must be positive definite")
+    return q, math.sqrt(r)
 
 
-def _noise_weights(Qn, Rn, n: int, ny: int):
-    """(Qn, Lr) of a Kalman design with n states and ny outputs: the
-    checked n x n process covariance and the lower Cholesky factor of the
-    checked ny x ny measurement covariance Rn = Lr Lr' (see :func:`_as_cov`)."""
-    return _as_cov(Qn, n, "Qn", definite=False), _as_cov(Rn, ny, "Rn", definite=True)
-
-
-def _kalman_gains(A, C, Qn, Lr):
+def _kalman_gains(A, C, q, lr):
     """Steady-state Kalman predictor gains of a stack of pairs A (k, n, n),
-    C (k, ny, n) for x+ = Ax + w, y = Cx + v, with the weights (Qn, Lr)
-    from :func:`_noise_weights`.
+    C (k, ny, n) for x+ = Ax + w, y = Cx + v, with the scalar weights
+    (q, lr) from :func:`_noise_weights`: process covariance Qn = q I and
+    measurement covariance Rn = lr^2 I.
 
     Each member solves the filter-type DARE
 
@@ -335,9 +325,7 @@ def _kalman_gains(A, C, Qn, Lr):
     by a structure-preserving doubling iteration (:func:`_dare_doubling`),
     and its gain L = A P C^T (C P C^T + Rn)^-1 places the predictor poles:
     A - L C is stable whenever (C, A) is detectable and the noise pair is
-    stabilising.  An ill-conditioned Rn costs accuracy: at cond(Rn) = 1e10
-    the gain is good to about 1e-8 relative, as is
-    scipy.linalg.solve_discrete_are's.
+    stabilising.
 
     Returns (L, errors): the (k, n, ny) gains and, per member, None or the
     NumericalError of a doubling iteration that breaks down or does not
@@ -352,21 +340,16 @@ def _kalman_gains(A, C, Qn, Lr):
         P - P C' S^-1 C P = M^-1 P,   A P C' S^-1 = A M^-1 P C' Rn^-1,
 
     where S = C P C' + Rn, so one stacked solve with M gives both the DARE
-    residual A M^-1 P A' - P + Qn and the gain.  Rn enters only through
-    solves with its Cholesky factor, G = (Lr^-1 C)' (Lr^-1 C),
-    never through an explicit inverse, so the residual answers for the
-    caller's Rn up to the backward error of that factor.
+    residual A M^-1 P A' - P + Qn and the gain.
     """
     k, n = A.shape[:2]
     ny = C.shape[1]
     if C.shape[2] != n:
         raise ValueError(f"C has {C.shape[2]} columns, expected {n}")
-    # Lr^-1 C and Rn^-1 C of every member, as two solves on (ny, k n)
-    V = np.linalg.solve(Lr, C.transpose(1, 0, 2).reshape(ny, k * n))
-    CtRi = np.linalg.solve(Lr.T, V)
-    V = V.reshape(ny, k, n).transpose(1, 0, 2)
-    CtRi = CtRi.reshape(ny, k, n).transpose(1, 2, 0)
+    Qn = q * np.eye(n)
+    V = C * (1.0 / lr)  # Rn^-1/2 C
     G = V.transpose(0, 2, 1) @ V
+    CtRi = (V * (1.0 / lr)).transpose(0, 2, 1)  # (Rn^-1 C)'
     P = _dare_doubling(A, G, Qn)
     errors = [None] * k
     L = np.full((k, n, ny), np.nan)
@@ -389,7 +372,8 @@ def _kalman_gains(A, C, Qn, Lr):
 
 def _dare_doubling(A, G, Qn):
     """Doubling iteration on the dual DARE for a stack of pairs, given
-    G = C' Rn^-1 C (k, n, n) and the process covariance Qn (n, n).
+    G = C' Rn^-1 C (k, n, n) and the process covariance Qn (n, n), which
+    the free-pole design sets to q I (see :func:`_kalman_gains`).
 
     Returns the (k, n, n) stack of P.  Each member stops at the iteration
     where its own step falls below 1e-10 max(1, ||P||), so it equals a

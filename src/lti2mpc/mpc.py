@@ -33,18 +33,24 @@ __all__ = [
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class StageCost:
-    """Quadratic stage cost x'Qx + 2x'Su + u'Ru (minimised)."""
+    """Quadratic stage cost x'Qx + 2x'Su + u'Ru (minimised), its blocks
+    stored as read-only float copies."""
 
     Q: np.ndarray
     S: np.ndarray
     R: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, float)))
-        object.__setattr__(self, "S", np.atleast_2d(np.asarray(self.S, float)))
-        object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, float)))
+        for name in ("Q", "S", "R"):
+            M = np.array(getattr(self, name), dtype=float, ndmin=2)
+            object.__setattr__(self, name, _read_only(M))
         n, m = self.S.shape
         if self.Q.shape != (n, n) or self.R.shape != (m, m):
             raise ValueError("inconsistent stage-cost block dimensions")
@@ -98,11 +104,13 @@ def zero_dare_residual(cost: StageCost) -> float:
 class MpcConfig:
     """Horizon, cost and constraint description for one controller.
 
-    Bounds are (lower, upper) pairs of per-channel arrays; a lower -inf or
-    an upper +inf disables that side of a row, and a NaN entry, a lower
-    +inf or an upper -inf is refused.  Output and state bounds are
-    softened with one shared slack per bounded quantity per step (the same
-    slack serves the upper and the lower row), penalised quadratically by
+    Bounds are (lower, upper) pairs of per-channel arrays, stored as pairs
+    of read-only float copies, so no later edit of the caller's arrays
+    reaches a condensed QP built from this config.  A lower -inf or an
+    upper +inf disables that side of a row, and a NaN entry, a lower +inf
+    or an upper -inf is refused.  Output and state bounds are softened
+    with one shared slack per bounded quantity per step (the same slack
+    serves the upper and the lower row), penalised quadratically by
     soft_output_weight.  Input bounds are hard.  A step that passes a
     reference state x_r penalises x - x_r instead of x.
     """
@@ -119,15 +127,17 @@ class MpcConfig:
             raise ValueError(f"horizon must be an integer, not {self.N!r}")
         if self.N < 1:
             raise ValueError("horizon must be at least 1")
-        for b in (self.u_bounds, self.y_bounds, self.x_bounds):
+        for name in ("u_bounds", "y_bounds", "x_bounds"):
+            b = getattr(self, name)
             if b is None:
                 continue
-            lo, hi = (np.asarray(v, dtype=float).ravel() for v in b)
+            lo, hi = (_read_only(np.array(np.ravel(v), dtype=float)) for v in b)
             if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN fails lo <= hi
                 raise ValueError("bounds must be (lower, upper) with lower <= upper, no NaN")
             if np.any(lo == np.inf) or np.any(hi == -np.inf):
                 raise ValueError("a lower bound of +inf or an upper bound of -inf "
                                  "cannot be met")
+            object.__setattr__(self, name, (lo, hi))
         if not np.isfinite(self.soft_output_weight):
             raise ValueError(f"soft_output_weight must be finite, not {self.soft_output_weight}")
         if (self.y_bounds or self.x_bounds) and self.soft_output_weight <= 0.0:
@@ -137,7 +147,7 @@ class MpcConfig:
 def _bounded_rows(bounds, M, what):
     """Rows of M whose channel has at least one finite bound; ``what`` names
     the bounds, which need one entry per row of M."""
-    lo, hi = (np.asarray(v, dtype=float).ravel() for v in bounds)
+    lo, hi = bounds
     if lo.size != M.shape[0]:
         raise ValueError(f"{what} have {lo.size} entries per side, not {M.shape[0]}")
     keep = np.isfinite(lo) | np.isfinite(hi)

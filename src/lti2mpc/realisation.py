@@ -581,12 +581,7 @@ class _Search:
         # the free-pole design's reduced pairs are cut from these two
         self.A_shift = G.A + G.B @ K.D @ G.C
         self.BkC = K.B @ G.C
-        if np.shape(Qn) not in ((), (1,)):
-            raise ValueError(
-                f"Qn must be a scalar, got shape {np.shape(Qn)}: the free-pole basis T_perp "
-                "is an arbitrary orthonormal basis of null(T), so a matrix Qn has no "
-                "basis-free meaning")
-        self.Qn, self.Lr = _noise_weights(Qn, Rn, G.n - K.n, K.n)
+        self.q, self.lr = _noise_weights(Qn, Rn)
         self.A_cl = closed_loop_matrix(G, K)
         self.eig = eig_paired(self.A_cl)
         self.basis = _Eigenbasis(self.eig)
@@ -602,9 +597,9 @@ class _Search:
 
             A_red = T_perp' (A + B D_K C) T_perp,   C_red = B_K C T_perp
 
-        with process covariance Qn times the identity (an identity-injection
-        noise channel) and measurement covariance Rn, so the extra modes are
-        the eigenvalues of A_red - X C_red.  T_perp is any orthonormal basis
+        with the search's scalar weights: process covariance Qn I (an
+        identity-injection noise channel) and measurement covariance Rn I,
+        so the extra modes are the eigenvalues of A_red - X C_red.  T_perp is any orthonormal basis
         of null(T): turning it by an orthogonal W turns A_red, C_red and X by
         W and leaves T_perp X, and so K_f, unchanged, because Qn is scalar.
         When n_K = n no pole is free and X is 0 x n_K.
@@ -635,7 +630,7 @@ class _Search:
         X = np.full((k, free, self.K.n), np.nan)
         live = [i for i, e in enumerate(errors) if e is None]
         if live:
-            X[live], dare_errors = _kalman_gains(A_red[live], C_red[live], self.Qn, self.Lr)
+            X[live], dare_errors = _kalman_gains(A_red[live], C_red[live], self.q, self.lr)
             for i, e in zip(live, dare_errors):
                 errors[i] = e
         return X, errors
@@ -740,9 +735,9 @@ def search_realisations(
     Refused, in this order and before any split is solved unless said:
     with ValueError, a ``workers`` that is not None or an int >= 1, a bad
     ``rank_by`` or ``form``, a static controller or one of higher order
-    than the plant, a ``Qn`` that is not a scalar (the free-pole basis is
-    arbitrary, see :meth:`_Search.free_pole_gains`) or a ``Qn``/``Rn`` the
-    free-pole Kalman design refuses (even when n_K = n); with
+    than the plant, a ``Qn`` or ``Rn`` that is not a scalar (the free-pole
+    basis is arbitrary, see :meth:`_Search.free_pole_gains`), that is not
+    finite, a Qn < 0 or an Rn <= 0 (even when n_K = n); with
     UnstableSystemError, a closed loop with a pole outside the unit
     circle; with ValueError, a loop that fails the form's preconditions
     (the message names the fix: add a dipole, loop-shift the feedthrough),

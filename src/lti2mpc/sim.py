@@ -30,7 +30,6 @@ __all__ = [
     "MpcController",
     "Scenario",
     "Trace",
-    "pendulum_dynamics",
     "inject_fault",
     "simulate",
     "scenario_library",
@@ -67,9 +66,9 @@ class MpcController:
     builds from ``realisation`` on ``design_model``, stepped afresh each
     run) the MPC tracks the state reference it emits for the scenario's
     setpoint; without one it regulates to 0 and takes no setpoint.  The
-    condensed QP (``qp``) is built on first use and serves every run, so
-    an array of ``design_model`` or ``config`` edited in place after that
-    does not reach it.
+    condensed QP (``qp``) is built on first use and serves every run; the
+    arrays of ``design_model`` and ``config`` it is built from are
+    read-only copies, so it cannot go stale.
     """
 
     realisation: object
@@ -153,31 +152,17 @@ class Trace:
 _PEND = PendulumParams()
 
 
-def pendulum_dynamics(state, force) -> np.ndarray:
-    """Frictionless cart-pendulum equations of motion, pendulum upright at
-    theta = 0:  xdd = (m l w^2 s - m g s c + u)/(M + m s^2),
-    thdd = (g s - xdd c)/l."""
-    _, xd, th, thd = state
-    return np.array(_pendulum_rhs(xd, th, thd, force))
-
-
-def _pendulum_rhs(xd, th, thd, force):
-    """pendulum_dynamics on scalars: (xd, xdd, thd, thdd)."""
-    M, m, l, g = _PEND.cart_mass, _PEND.pend_mass, _PEND.length, _PEND.gravity
-    s, c = math.sin(th), math.cos(th)
-    xdd = (m * l * thd * thd * s - m * g * s * c + force) / (M + m * s * s)
-    return xd, xdd, thd, (g * s - xdd * c) / l
-
-
 def _rk4(x, u, h, nsub):
-    """nsub classical RK4 steps of pendulum_dynamics with the force held at u,
-    on Python floats; each stage and the update x + h/6 (k1 + 2 k2 + 2 k3 + k4)
-    are evaluated in the order numpy would evaluate them on arrays.  The cart
-    position enters no stage, so only the other three states are staged.
+    """nsub classical RK4 steps of the frictionless cart-pendulum, pendulum
+    upright at theta = 0, with the force held at u:
 
-    _pendulum_rhs is inlined operation for operation: m l and m g are the
-    leading products of its left-to-right terms, and a stage's position and
-    angle rates are its velocity and angular-rate inputs."""
+        xdd = (m l w^2 s - m g s c + u)/(M + m s^2),   thdd = (g s - xdd c)/l.
+
+    It runs on Python floats; each stage and the update
+    x + h/6 (k1 + 2 k2 + 2 k3 + k4) are evaluated in the order numpy would
+    evaluate them on arrays (m l and m g are the leading products of the
+    left-to-right terms).  The cart position enters no stage, so only the
+    other three states are staged."""
     M, m, l, g = _PEND.cart_mass, _PEND.pend_mass, _PEND.length, _PEND.gravity
     ml, mg = m * l, m * g
     sin, cos = math.sin, math.cos

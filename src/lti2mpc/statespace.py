@@ -10,24 +10,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# frequencies per stacked solve in DtStateSpace.freq_response
-_FREQ_CHUNK = 256
-
 
 def _as_matrix(M, rows=None, cols=None, name="matrix"):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    """M as a checked, read-only float copy of at least two dimensions."""
+    M = np.array(M, dtype=float, ndmin=2)
     if rows is not None and M.shape[0] != rows:
         raise ValueError(f"{name}: expected {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
         raise ValueError(f"{name}: expected {cols} cols, got {M.shape[1]}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name}: non-finite entries")
+    M.flags.writeable = False
     return M
 
 
 @dataclass(frozen=True)
 class _StateSpace:
-    """Matrices (A, B, C, D), validated and stored as finite float arrays."""
+    """Matrices (A, B, C, D), validated and stored as read-only copies:
+    finite float arrays that no edit of the caller's arrays reaches."""
 
     A: np.ndarray
     B: np.ndarray
@@ -95,21 +95,11 @@ class DtStateSpace(_StateSpace):
         -------
         Array of shape (len(w_ts), n_y, n_u), complex.
 
-        The grid is solved _FREQ_CHUNK frequencies at a time, as one stacked
-        ``solve`` of (zI - A) X = B per chunk, which bounds the memory of a
-        long grid.
+        The whole grid is one stacked ``solve`` of (zI - A) X = B.
         """
-        w_ts = np.atleast_1d(np.asarray(w_ts, dtype=float))
-        out = np.empty((w_ts.size, self.n_y, self.n_u), dtype=complex)
-        if self.n == 0:
-            out[:] = self.D
-            return out
-        I = np.eye(self.n)
-        for s in range(0, w_ts.size, _FREQ_CHUNK):
-            z = np.exp(1j * w_ts[s:s + _FREQ_CHUNK])
-            out[s:s + _FREQ_CHUNK] = self.C @ np.linalg.solve(
-                z[:, None, None] * I - self.A, self.B) + self.D
-        return out
+        z = np.exp(1j * np.atleast_1d(np.asarray(w_ts, dtype=float)))
+        return self.C @ np.linalg.solve(z[:, None, None] * np.eye(self.n) - self.A,
+                                        self.B) + self.D
 
 
 def _check_Ts(Ts):

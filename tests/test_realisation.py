@@ -842,6 +842,10 @@ def test_a_split_whose_h2_norm_is_not_certified_is_rejected(monkeypatch):
                  "basis T_perp is an arbitrary", id="Qn eye(2)"),
     pytest.param(np.diag([1.0, 8.0]), 1e7, r"Qn must be a scalar, got shape \(2, 2\)",
                  id="Qn diag(1, 8)"),
+    pytest.param(1.0, 1e7 * np.eye(2), r"Rn must be a scalar, got shape \(2, 2\)",
+                 id="Rn 1e7 eye(2)"),
+    pytest.param(1.0, np.array([[1e7]]), r"Rn must be a scalar, got shape \(1, 1\)",
+                 id="Rn [[1e7]]"),
 ])
 @pytest.mark.parametrize("case", ["pendulum", "satellite"])
 def test_bad_noise_covariances_are_refused_before_any_split_is_solved(monkeypatch, case, Qn, Rn,
@@ -891,7 +895,7 @@ def test_stacked_dare_freezes_each_member_and_isolates_a_breakdown():
     A = np.stack(A)
     C = rng.standard_normal((len(A), 2, 4))
     C[3] = 0.0
-    weights = linalg._noise_weights(1.0, 1e2, 4, 2)
+    weights = linalg._noise_weights(1.0, 1e2)
     L, errors = linalg._kalman_gains(A, C, *weights)
     assert isinstance(errors[3], NumericalError) and "broke down" in str(errors[3])
     _, (alone,) = linalg._kalman_gains(A[3:4], C[3:4], *weights)

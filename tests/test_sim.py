@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import math
 import sys
 import threading
 import time
@@ -20,7 +21,7 @@ from lti2mpc.models import (
     satellite_controller,
     satellite_plant,
 )
-from lti2mpc.mpc import MpcConfig, build_condensed_qp, matching_cost
+from lti2mpc.mpc import MpcConfig, StageCost, build_condensed_qp, matching_cost
 from lti2mpc.qp import solve_qp
 from lti2mpc.realisation import ObserverState, search_realisations
 from lti2mpc.sim import (
@@ -29,10 +30,8 @@ from lti2mpc.sim import (
     SATELLITE_DIST_TORQUE,
     Scenario,
     _lagged_satellite_truth,
-    _pendulum_rhs,
     _rk4,
     inject_fault,
-    pendulum_dynamics,
     scenario_library,
     simulate,
 )
@@ -50,6 +49,25 @@ def traces(library):
               "satellite-case-3", "satellite-case-4", "satellite-case-5",
               "pendulum-case-1", "pendulum-case-2"]
     return {name: simulate(library[name]) for name in wanted}
+
+
+_PEND = PendulumParams()
+
+
+def pendulum_dynamics(state, force) -> np.ndarray:
+    """Frictionless cart-pendulum equations of motion, pendulum upright at
+    theta = 0:  xdd = (m l w^2 s - m g s c + u)/(M + m s^2),
+    thdd = (g s - xdd c)/l.  The oracle of the linearisation and of _rk4."""
+    _, xd, th, thd = state
+    return np.array(_pendulum_rhs(xd, th, thd, force))
+
+
+def _pendulum_rhs(xd, th, thd, force):
+    """pendulum_dynamics on scalars: (xd, xdd, thd, thdd)."""
+    M, m, l, g = _PEND.cart_mass, _PEND.pend_mass, _PEND.length, _PEND.gravity
+    s, c = math.sin(th), math.cos(th)
+    xdd = (m * l * thd * thd * s - m * g * s * c + force) / (M + m * s * s)
+    return xd, xdd, thd, (g * s - xdd * c) / l
 
 
 def test_pendulum_dynamics_linearise_to_the_continuous_model():
@@ -496,6 +514,36 @@ def test_a_controller_is_frozen_and_builds_its_qp_once(library, monkeypatch):
                              controller=dataclasses.replace(ctrl))
     simulate(sc), simulate(sc)
     assert len(calls) == 1 and sc.controller.qp is not qp
+
+
+def test_a_controllers_arrays_are_read_only(library):
+    sat, pend = library["satellite-case-2"].controller, library["pendulum-case-2"].controller
+    for M in (sat.config.u_bounds[0], sat.design_model.A, sat.config.cost.Q,
+              pend.config.x_bounds[1], pend.design_model.D_K, pendulum_plant_ct().B):
+        with pytest.raises(ValueError, match="read-only"):
+            M[0] = 0.0
+
+
+def test_edits_of_the_callers_arrays_reach_neither_the_qp_nor_a_replay(library, traces):
+    # a controller built from arrays its caller keeps, which the caller then
+    # edits before the first run: the QP and the replay are those of the
+    # library's own controller with the same numbers
+    base = library["satellite-case-2"]
+    ctrl = base.controller
+    G, cfg = ctrl.design_model, ctrl.config
+    A, Q, S, R = G.A.copy(), cfg.cost.Q.copy(), cfg.cost.S.copy(), cfg.cost.R.copy()
+    lo, hi = (v.copy() for v in cfg.u_bounds)
+    mine = MpcController(ctrl.realisation, dataclasses.replace(G, A=A),
+                         MpcConfig(cfg.N, StageCost(Q, S, R), u_bounds=(lo, hi),
+                                   soft_output_weight=cfg.soft_output_weight))
+    for M in (A, Q, S, R, lo, hi):
+        M *= 2.0
+    for field in dataclasses.fields(ctrl.qp):
+        assert np.array_equal(getattr(mine.qp, field.name), getattr(ctrl.qp, field.name))
+    tr, want = simulate(dataclasses.replace(base, controller=mine)), traces[base.name]
+    for field in ("y", "u_applied", "x", "x_hat", "qp_obj", "qp_nact"):
+        assert np.array_equal(getattr(tr, field), getattr(want, field)), field
+    assert tr.qp_status == want.qp_status
 
 
 def test_concurrent_replays_share_one_controller_safely(library, traces):

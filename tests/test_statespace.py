@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from lti2mpc import statespace
 from lti2mpc.linalg import spectral_radius
 from lti2mpc.realisation import closed_loop_matrix
 from lti2mpc.statespace import (
@@ -114,8 +113,8 @@ def _freq_response_per_point(sys, w_ts):
     (0, 2, 3, np.linspace(0.0, np.pi, 7)),           # static gain
     (4, 1, 1, 0.3),                                  # scalar frequency
     (5, 2, 3, np.linspace(1e-3, np.pi, 40)),         # MIMO
-    # 600 points: three chunks, the last one partial
-    (6, 1, 1, np.logspace(-4, np.log10(np.pi), 2 * statespace._FREQ_CHUNK + 88)),
+    # a long grid, in one stacked solve
+    (6, 1, 1, np.logspace(-4, np.log10(np.pi), 600)),
 ])
 def test_freq_response_matches_a_per_point_solve(n, n_u, n_y, w_ts):
     rng = np.random.default_rng(n)
