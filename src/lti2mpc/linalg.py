@@ -138,25 +138,12 @@ def eig_paired(M: np.ndarray) -> EigenStructure:
 
 
 def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve A P A^T - P + Q = 0 for symmetric P.
+    """Solve A P A^T - P + Q = 0 for symmetric P, given a symmetric Q: the
+    one-member :func:`_stein_stack`, on numpy alone.
 
-    Parameters
-    ----------
-    A : (n, n) array_like
-        Must have spectral radius < 1.
-    Q : (n, n) array_like
-        Symmetric right-hand side.
-
-    Returns
-    -------
-    P : (n, n) ndarray, symmetric.
-
-    Raises
-    ------
-    UnstableSystemError
-        If the spectral radius of A is >= 1.
-    NumericalError
-        If the verified residual exceeds 1e-9 * (||Q|| + ||P||).
+    Raises UnstableSystemError if the spectral radius of A is >= 1, and
+    NumericalError if the doubling certifies no P or its residual exceeds
+    1e-9 (||Q|| + ||P||).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -165,16 +152,14 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     rho = spectral_radius(A)
     if rho >= 1.0:
         raise UnstableSystemError(f"spectral radius {rho:.6g} >= 1")
-    import scipy.linalg  # local: only h2_norm and the rare Stein fallback need it
-
-    P = scipy.linalg.solve_discrete_lyapunov(A, Q)
-    P = 0.5 * (P + P.T)
-    resid, bound = _lyapunov_residual(A, P, Q)
+    P, (status,) = _stein_stack(A[np.newaxis], Q[np.newaxis, np.newaxis])
+    if status != 1:
+        raise NumericalError("Stein doubling certified no Lyapunov solution within "
+                             f"2^{_STEIN_MAX_DOUBLINGS} terms")
+    resid, bound = _lyapunov_residual(A, P[0, 0], Q)
     if resid > bound:
-        raise NumericalError(
-            f"Lyapunov residual {resid:.3e} exceeds bound {bound:.3e}"
-        )
-    return P
+        raise NumericalError(f"Lyapunov residual {resid:.3e} exceeds bound {bound:.3e}")
+    return P[0, 0]
 
 
 def _lyapunov_residual(A, P, Q):
@@ -188,103 +173,94 @@ def _lyapunov_residual(A, P, Q):
 
 
 def h2_norm(sys: DtStateSpace) -> float:
-    """H2 norm of a stable discrete-time system.
+    """H2 norm sqrt(trace(C P C^T + D D^T)) of a stable discrete-time
+    system, P its controllability Gramian (D is the k = 0 impulse-response
+    sample): the one-member :func:`_h2_stack`.
 
-    Computed as sqrt(trace(C P C^T + D D^T)) with P the controllability
-    Gramian.  The feedthrough term is the k=0 impulse-response sample, so a
-    nonzero D is allowed (discrete time).
-
-    Raises
-    ------
-    UnstableSystemError
-        If any pole is on or outside the unit circle.
-    NumericalError
-        If the Gramian misses its residual bound, or the trace is below
-        -1e-12 times its terms' scale ||C||_F^2 ||P||_F + ||D||_F^2: a
-        Gramian that far from positive semidefinite certifies no norm.
+    Raises UnstableSystemError for a pole on or outside the unit circle,
+    and NumericalError for a norm that :func:`_h2_stack` does not certify.
     """
-    if sys.n == 0:
-        return float(np.linalg.norm(sys.D, "fro"))
-    P = solve_discrete_lyapunov(sys.A, sys.B @ sys.B.T)
-    dd = np.trace(sys.D @ sys.D.T)
-    val = float(np.trace(sys.C @ P @ sys.C.T) + dd)
-    scale = np.linalg.norm(sys.C) ** 2 * np.linalg.norm(P) + dd
-    if val < -1e-12 * scale:
-        raise NumericalError(f"H2 norm not certified: trace(C P C' + D D') = {val:.3e} "
-                             f"at scale {scale:.3e}")
-    # tiny negative values can appear through cancellation
-    return math.sqrt(max(val, 0.0))
+    A, B, C, D = (M[np.newaxis] for M in (sys.A, sys.B, sys.C, sys.D))
+    val = float(_h2_stack(A, [(B, C, D)])[0, 0])
+    if val == math.inf:
+        raise UnstableSystemError("a pole is on or outside the unit circle")
+    if math.isnan(val):
+        raise NumericalError("H2 norm not certified: the Stein doubling certified no Gramian")
+    return val
 
 
-# Doublings after which a member the Stein iteration has not certified goes
-# to the eigenvalue test and the Schur/bilinear solver: 2^40 terms of the
-# series, enough for a normal A of spectral radius up to about 1 - 1e-10.
-_STEIN_MAX_DOUBLINGS = 40
+def _inner(M, N):
+    """trace(M N') per stack member; _inner(M, M) is ||M||_F^2."""
+    return np.einsum("...ij,...ij->...", M, N)
 
 
-def _h2_stack(A, maps, Ts) -> np.ndarray:
-    """H2 norms of systems that share their state matrix, on a stack.
+# Doublings after which a member the Stein iteration has not certified is
+# judged by its eigenvalues: 2^60 terms of the series, which certify every
+# normal A whose spectral radius is a float below 1, since
+# (1 - 2^-53)^(2^60) = e^-128.
+_STEIN_MAX_DOUBLINGS = 60
 
-    ``maps`` is a sequence of (B, C, D) stacks with the leading axis of A
-    (k, n, n), or broadcastable to it.  Returns the (k, len(maps)) norms,
-    inf where A[i] has an eigenvalue on or outside the unit circle and NaN
-    where the fallback certifies no norm (it raises NumericalError or
-    LinAlgError).
 
-    A member's Gramians come from one squared Smith iteration on
-    A P A^T - P + B B^T = 0 (the G = 0 case of :func:`_dare_doubling`):
-    P <- P + A_s P A_s^T, then A_s <- A_s^2, from P = B B^T and A_s = A.
-    A member stops once ||A_s||_F < 1, which proves A stable, and every
-    Gramian's last step is below 1e-10 ||P||.  A Gramian that misses the
-    residual bound of solve_discrete_lyapunov goes alone to :func:`h2_norm`
-    (Schur/bilinear).  A member not certified within _STEIN_MAX_DOUBLINGS
-    doublings, or whose iterates overflow, is judged by its eigenvalues:
-    unstable ones score inf, stable ones go to h2_norm.
+def _stein_stack(A, Q):
+    """Solve A P A^T - P + Q = 0 on a stack, by one squared Smith
+    iteration per member shared by its right-hand sides.
+
+    A is (k, n, n) and Q (k, m, n, n): m right-hand sides per state
+    matrix.  From P = Q and A_s = A, each doubling sets P <- P + A_s P A_s^T,
+    then A_s <- A_s^2 (the G = 0 case of :func:`_dare_doubling`).  A member
+    stops once ||A_s||_F < 1, which proves A stable, and the last step of
+    each right-hand side is below 1e-10 ||P||.  Returns the symmetrised P
+    (k, m, n, n) and, per member, status 1 (certified), 0 (not certified
+    within _STEIN_MAX_DOUBLINGS doublings) or -1 (its iterates overflowed).
     """
-    k = len(A)
-    maps = [tuple(np.broadcast_to(M, (k,) + M.shape[-2:]) for M in m) for m in maps]
-    Q = np.stack([B @ B.transpose(0, 2, 1) for B, _, _ in maps], axis=1)
-    inner = lambda M, N: np.einsum("...ij,...ij->...", M, N)  # trace(M N')
-    fro2 = lambda M: inner(M, M)  # squared Frobenius norms
-
     def double(state):
         A_s, P = state
         At = np.ascontiguousarray(A_s.transpose(0, 2, 1))  # on the BLAS path
         step = A_s[:, np.newaxis] @ P @ At[:, np.newaxis]
         P = P + step
         A_s = A_s @ A_s
-        a2, p2 = fro2(A_s), fro2(P)
-        converged = (a2 < 1.0) & (fro2(step) <= 1e-20 * p2).all(axis=1)
+        a2, p2 = _inner(A_s, A_s), _inner(P, P)
+        converged = (a2 < 1.0) & (_inner(step, step) <= 1e-20 * p2).all(axis=1)
         finite = np.isfinite(a2) & np.isfinite(p2).all(axis=1)
         return (A_s, P), np.where(finite, converged, -1)
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is a breakdown
         (_, P), status = _freeze_each((A, Q), double, _STEIN_MAX_DOUBLINGS)
-    P = 0.5 * (P + P.transpose(0, 1, 3, 2))
+    return 0.5 * (P + P.transpose(0, 1, 3, 2)), status
 
-    out = np.full((k, len(maps)), np.inf)
-    done = np.zeros(out.shape, dtype=bool)
+
+def _h2_stack(A, maps) -> np.ndarray:
+    """H2 norms of systems that share their state matrix, on a stack.
+
+    ``maps`` is a sequence of (B, C, D) stacks with the leading axis of A
+    (k, n, n), or broadcastable to it.  Returns the (k, len(maps)) norms
+    sqrt(trace(C P C^T + D D^T)), P each map's Gramian from one
+    :func:`_stein_stack` per member.  A norm is NaN, not certified, where
+    the Gramian misses the residual bound 1e-9 (||Q|| + ||P||) of
+    :func:`solve_discrete_lyapunov`, or the trace is below -1e-12 times its
+    terms' scale ||C||_F^2 ||P||_F + ||D||_F^2 (a Gramian that far from
+    positive semidefinite certifies no norm).  A member the doubling does
+    not certify scores inf where an eigenvalue of A is on or outside the
+    unit circle, and NaN otherwise.
+    """
+    k = len(A)
+    maps = [tuple(np.broadcast_to(M, (k,) + M.shape[-2:]) for M in m) for m in maps]
+    Q = np.stack([B @ B.transpose(0, 2, 1) for B, _, _ in maps], axis=1)
+    P, status = _stein_stack(A, Q)
+
+    out = np.full((k, len(maps)), np.nan)
     certified = np.flatnonzero(status == 1)
     resid, bound = _lyapunov_residual(A[certified, np.newaxis], P[certified], Q[certified])
-    done[certified] = resid <= bound
     for j, (_, C, D) in enumerate(maps):
-        Cm, Dm = C[certified], D[certified]
-        val = inner(Cm @ P[certified, j], Cm) + fro2(Dm)  # trace(C P C' + D D')
+        Cm, Dm, Pm = C[certified], D[certified], P[certified, j]
+        dd = _inner(Dm, Dm)
+        val = _inner(Cm @ Pm, Cm) + dd  # trace(C P C' + D D')
+        scale = _inner(Cm, Cm) * np.sqrt(_inner(Pm, Pm)) + dd
+        ok = (resid[:, j] <= bound[:, j]) & (val >= -1e-12 * scale)
         # tiny negative values can appear through cancellation
-        out[certified, j] = np.sqrt(np.maximum(val, 0.0))
+        out[certified, j] = np.where(ok, np.sqrt(np.maximum(val, 0.0)), np.nan)
     rest = np.flatnonzero(status != 1)
-    rest = rest[np.abs(np.linalg.eigvals(A[rest])).max(axis=1, initial=0.0) < 1.0]
-    for i in np.union1d(certified[~done[certified].all(axis=1)], rest):
-        for j, (B, C, D) in enumerate(maps):
-            if done[i, j]:
-                continue
-            try:
-                out[i, j] = h2_norm(DtStateSpace(A[i], B[i], C[i], D[i], Ts))
-            except UnstableSystemError:
-                out[i] = np.inf
-                break
-            except (NumericalError, np.linalg.LinAlgError):
-                out[i, j] = np.nan
+    out[rest[np.abs(np.linalg.eigvals(A[rest])).max(axis=1, initial=0.0) >= 1.0]] = np.inf
     return out
 
 

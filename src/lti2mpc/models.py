@@ -155,14 +155,15 @@ def condition_loop(G: DtStateSpace, K: DtStateSpace, dipole_W=None,
 
     K_base is the controller the baseline runs against the true plant: K
     with a W = ``dipole_W`` dipole ahead of it (zero gain at z = 0, as the
-    filter form needs), or K itself.  (G_d, K_d) is the design pair the
-    search realises: (G, K_base), or with ``loop_shift`` the pair with K's
-    feedthrough moved into the plant (as the predictor form needs).
+    filter form needs), or K itself when ``dipole_W`` is None.  (G_d, K_d)
+    is the design pair the search realises: (G, K_base), or with
+    ``loop_shift`` the pair with K's feedthrough moved into the plant (as
+    the predictor form needs).
     Raises ValueError when both are asked for.
     """
-    if loop_shift and dipole_W:
+    if loop_shift and dipole_W is not None:
         raise ValueError("choose either loop_shift or dipole_W, not both")
-    if dipole_W:
+    if dipole_W is not None:
         K = add_dipole(K, W=float(dipole_W))
     return (K, *_loop_shift(G, K)) if loop_shift else (K, G, K)
 

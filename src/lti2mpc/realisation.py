@@ -67,8 +67,11 @@ class RealisationChoice:
             raise ValueError("S and O overlap")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObserverRealisation:
+    """A split's gains and bases; a search hands them out as read-only
+    arrays (see :func:`_owned`)."""
+
     form: str  # "filter" | "predictor"
     T: np.ndarray
     T_perp: np.ndarray
@@ -476,9 +479,17 @@ def _check_orders(G, K):
 def _owned(r: ObserverRealisation) -> ObserverRealisation:
     """r with its arrays copied out of the chunk's stacks that
     _Search.evaluate views, so the copies are allocated by the calling
-    thread and free of the stacks."""
-    return ObserverRealisation(r.form, r.T.copy(), r.T_perp.copy(), r.X.copy(), r.K_c.copy(),
-                               r.K_f.copy(), r.choice, r.riccati_residual)
+    thread and free of the stacks.  The copies are read-only: a controller
+    built from r (its prefilter, its observer) cannot go out of step with
+    an edited gain."""
+
+    def copy(a):
+        a = a.copy()
+        a.flags.writeable = False
+        return a
+
+    return ObserverRealisation(r.form, *map(copy, (r.T, r.T_perp, r.X, r.K_c, r.K_f)),
+                               r.choice, r.riccati_residual)
 
 
 def realisation_controller(r: ObserverRealisation, G: DtStateSpace) -> DtStateSpace:
@@ -552,11 +563,11 @@ def _dist_injection(G):
 def _h2_scores(f, G, K_f) -> np.ndarray:
     """(h2_noise, h2_dist) rows for a stack of injection gains K_f, inf
     where the error dynamics are unstable; both Gramians of a member advance
-    on the same powers of its Ae, each residual-checked against Ae with a
-    Schur fallback (see :func:`~lti2mpc.linalg._h2_stack`)."""
+    on the same powers of its Ae, each residual-checked against Ae, and a
+    norm no Gramian certifies is NaN (see :func:`~lti2mpc.linalg._h2_stack`)."""
     Ae, B, C, D = f.noise_matrices(G, K_f)
     E, D_dist = _dist_injection(G)
-    return _h2_stack(Ae, [(B, C, D), (E, np.eye(G.n), D_dist)], G.Ts)
+    return _h2_stack(Ae, [(B, C, D), (E, np.eye(G.n), D_dist)])
 
 
 # Splits per stacked chunk of the search, serial and on the pool alike:

@@ -320,6 +320,11 @@ def test_builtin_with_another_top_level_Ts_is_a_config_error(tmp_path, capsys):
      2, "config error: plant: Ts must be positive and finite, not inf"),
     ({"plant": "satellite", "pipeline": {"dipole_W": float("inf")}}, 2,
      "config error: dipole W must be finite and at least 10, not inf"),
+    # a dipole W of 0 is refused like any W < 10, not taken as "no dipole"
+    ({"plant": "satellite", "pipeline": {"dipole_W": 0}}, 2,
+     "config error: dipole W must be finite and at least 10, not 0.0"),
+    ({"plant": "pendulum", "pipeline": {"dipole_W": 0}}, 2,
+     "config error: choose either loop_shift or dipole_W, not both"),
     # a closed loop that is one conjugate pair, which n = 1 cannot hold whole
     ({"plant": {"kind": "discrete", "A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]],
                 "Ts": 1.0},

@@ -8,6 +8,8 @@ regression values computed from the worked models in lti2mpc.models.
 """
 
 import ast
+import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -18,6 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
@@ -528,17 +531,15 @@ def _scored_random_realisations(monkeypatch):
     return out
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Systems the doubling scorer hands on to the Schur/bilinear h2_norm."""
-    calls = []
-    monkeypatch.setattr(linalg, "h2_norm", lambda sys: calls.append(sys) or h2_norm(sys))
-    return calls
+def _lyapunov_h2(sys):
+    """H2 norm from scipy's Schur/bilinear Lyapunov solver: an oracle
+    independent of the package's Stein doubling."""
+    P = scipy.linalg.solve_discrete_lyapunov(sys.A, sys.B @ sys.B.T)
+    return math.sqrt(np.trace(sys.C @ P @ sys.C.T) + np.trace(sys.D @ sys.D.T))
 
 
-def test_doubling_scores_match_lyapunov_h2_norms(fallbacks, monkeypatch):
+def test_doubling_scores_match_lyapunov_h2_norms(monkeypatch):
     realisations = _scored_random_realisations(monkeypatch)
-    fallbacks.clear()  # only the scores below count, not the searches' own
     checked = {"filter": 0, "predictor": 0}
     for r, G in realisations:
         for Gs in (G, _with_disturbance_states(G, (0,))):
@@ -546,12 +547,11 @@ def test_doubling_scores_match_lyapunov_h2_norms(fallbacks, monkeypatch):
             if not s.stable:
                 continue
             noise = _form(r.form).noise_system(r, Gs)
-            assert_allclose(s.h2_noise, h2_norm(noise), rtol=1e-10)
-            assert_allclose(s.h2_dist, h2_norm(_dist_system(Gs, noise.A)), rtol=1e-10)
+            assert_allclose(s.h2_noise, _lyapunov_h2(noise), rtol=1e-10)
+            assert_allclose(s.h2_dist, _lyapunov_h2(_dist_system(Gs, noise.A)), rtol=1e-10)
             assert s.product == s.h2_noise * s.h2_dist
             checked[r.form] += 1
     assert checked["predictor"] >= 20 and checked["filter"] >= 8
-    assert not fallbacks  # every Gramian came from the Stein doubling
 
 
 def _hand_realisation(A):
@@ -564,15 +564,14 @@ def _hand_realisation(A):
     return r, G
 
 
-def test_defective_error_dynamics_score_by_doubling(fallbacks):
+def test_defective_error_dynamics_score_by_doubling():
     # a Jordan block has no eigenbasis; the doubling needs none
     A = np.array([[0.5, 1.0], [0.0, 0.5]])
     r, G = _hand_realisation(A)
     s = _score_one(r, G)
-    assert not fallbacks
     assert s.stable
-    assert_allclose(s.h2_noise, h2_norm(_form(r.form).noise_system(r, G)), rtol=1e-10)
-    assert_allclose(s.h2_dist, h2_norm(_dist_system(G, G.A)), rtol=1e-10)
+    assert_allclose(s.h2_noise, _lyapunov_h2(_form(r.form).noise_system(r, G)), rtol=1e-10)
+    assert_allclose(s.h2_dist, _lyapunov_h2(_dist_system(G, G.A)), rtol=1e-10)
 
 
 def test_unstable_error_dynamics_score_infinite():
@@ -584,7 +583,7 @@ def test_unstable_error_dynamics_score_infinite():
         h2_norm(_form(r.form).noise_system(r, G))
 
 
-def test_unexcited_unstable_mode_still_scores_infinite(fallbacks):
+def test_unexcited_unstable_mode_still_scores_infinite():
     # K_f = 0 and E = e_0 never reach state 1, whose mode 1.5 is unstable:
     # both Gramians stay finite, so only the powers of Ae can tell
     A = np.array([[0.5, 0.3], [0.0, 1.5]])
@@ -595,23 +594,35 @@ def test_unexcited_unstable_mode_still_scores_infinite(fallbacks):
     s = _score_one(r, G)
     assert not s.stable
     assert s.h2_noise == s.h2_dist == s.product == np.inf
-    assert not fallbacks
 
 
-def test_error_dynamics_past_the_doubling_cap_take_the_eigenvalue_path(fallbacks, monkeypatch):
-    # 2^40 doublings leave (1 - 1e-13)^(2^40) ~ 0.9 of the slow mode: not certified
+def test_error_dynamics_near_the_unit_circle_score_by_doubling():
+    # 2^60 doublings leave (1 - 1e-13)^(2^60), about e^-115000, of the slow
+    # mode: certified within the cap
     A = np.array([[1.0 - 1e-13, 0.3], [0.0, 0.5]])
     r, G = _hand_realisation(A)
-    spectra = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda M: spectra.append(M) or eigvals(M))
     s = _score_one(r, G)
-    assert any(M.ndim == 3 and np.array_equal(M[0], A) for M in spectra)
-    assert len(fallbacks) == 2  # noise and disturbance maps, both by the Schur path
     assert s.stable
-    assert s.h2_noise == h2_norm(_form(r.form).noise_system(r, G))
-    assert s.h2_dist == h2_norm(_dist_system(G, G.A))
+    assert_allclose(s.h2_noise, _lyapunov_h2(_form(r.form).noise_system(r, G)), rtol=1e-6)
+    assert_allclose(s.h2_dist, _lyapunov_h2(_dist_system(G, G.A)), rtol=1e-6)
     assert s.h2_dist > 1e5  # the slow mode's Gramian is about 1 / (2e-13)
+
+
+@pytest.mark.parametrize("A, cap", [
+    # 2^40 doublings leave (1 - 1e-13)^(2^40), about 0.9, of the slow mode
+    (np.array([[1.0 - 1e-13, 0.3], [0.0, 0.5]]), 40),
+    # the first doubling overflows
+    (np.array([[0.5, 1e200], [0.0, 0.5]]), None),
+], ids=["past the cap", "overflow"])
+def test_stable_error_dynamics_the_doubling_does_not_certify_score_nan(monkeypatch, A, cap):
+    if cap is not None:
+        monkeypatch.setattr(linalg, "_STEIN_MAX_DOUBLINGS", cap)
+    r, G = _hand_realisation(A)
+    assert spectral_radius(A) < 1.0
+    s = _score_one(r, G)
+    assert np.isnan(s.h2_noise) and np.isnan(s.h2_dist)
+    with pytest.raises(NumericalError, match="^H2 norm not certified"):
+        h2_norm(_form(r.form).noise_system(r, G))
 
 
 # -- pinned case studies -----------------------------------------------------
@@ -814,8 +825,8 @@ def test_a_split_whose_h2_norm_is_not_certified_is_rejected(monkeypatch):
     scored = realisation._h2_stack
     calls = []
 
-    def first_row_uncertified(A, maps, Ts):
-        out = scored(A, maps, Ts)
+    def first_row_uncertified(A, maps):
+        out = scored(A, maps)
         out[0, 1] = np.nan
         calls.append(A[0])
         return out
@@ -909,7 +920,7 @@ def test_stacked_dare_freezes_each_member_and_isolates_a_breakdown():
         assert_allclose(L[i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
-def test_stacked_scores_match_one_member_calls(fallbacks):
+def test_stacked_scores_match_one_member_calls():
     # predictor form with C = I, so K_f = A - Ae sets each member's error
     # dynamics Ae
     rng = np.random.default_rng(29)
@@ -923,7 +934,6 @@ def test_stacked_scores_match_one_member_calls(fallbacks):
     Ae = np.stack(ordinary[:2] + [defective, unstable] + ordinary[2:])
     K_f = A - Ae
     stacked = _h2_scores(_form("predictor"), G, K_f)
-    assert not fallbacks  # the defective member scores by doubling too
 
     for i, gain in enumerate(K_f):
         r = ObserverRealisation(form="predictor", T=np.ones((1, 2)), T_perp=np.zeros((2, 0)),
@@ -936,11 +946,12 @@ def test_stacked_scores_match_one_member_calls(fallbacks):
             continue
         assert_allclose([s.h2_noise, s.h2_dist], [one.h2_noise, one.h2_dist], rtol=1e-12)
         noise = _form("predictor").noise_system(r, G)
-        assert_allclose(s.h2_noise, h2_norm(noise), rtol=1e-10)
-        assert_allclose(s.h2_dist, h2_norm(_dist_system(G, noise.A)), rtol=1e-10)
+        assert_allclose(s.h2_noise, _lyapunov_h2(noise), rtol=1e-10)
+        assert_allclose(s.h2_dist, _lyapunov_h2(_dist_system(G, noise.A)), rtol=1e-10)
     assert_allclose(
         stacked[2, 0],
-        h2_norm(DtStateSpace(defective, K_f[2], np.eye(2), np.zeros((2, 2)), 1.0)), rtol=1e-10)
+        _lyapunov_h2(DtStateSpace(defective, K_f[2], np.eye(2), np.zeros((2, 2)), 1.0)),
+        rtol=1e-10)
 
 
 def _per_split_basis(eig, indices):
@@ -962,7 +973,7 @@ def _per_split_basis(eig, indices):
 
 
 def _per_split_modal_h2(Ae, maps):
-    """H2 norms from one diagonalisation of Ae, per split (no fallbacks)."""
+    """H2 norms from one diagonalisation of Ae, per split."""
     lam, V = np.linalg.eig(Ae)
     if np.max(np.abs(lam)) >= 1.0:
         return [np.inf] * len(maps)
@@ -1101,6 +1112,19 @@ def test_the_search_takes_no_singular_vectors_of_T(monkeypatch):
     assert not [a for a in svd_calls if a.shape[-2:] == (K.n, G.n)]
 
 
+def test_a_searched_realisation_is_read_only():
+    # a controller's prefilter is built once from the gains and its observer
+    # on every run, so an edited gain would put the two out of step
+    (r, _), *_ = search_realisations(satellite_plant(), add_dipole(satellite_controller(), W=50.0),
+                                     form="filter").ranked
+    for a in (r.T, r.T_perp, r.X, r.K_c, r.K_f):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        r.K_f *= 1.05
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.K_f = 1.05 * r.K_f
+
+
 # -- structure check ---------------------------------------------------------
 
 def test_check_decoupling():
@@ -1115,23 +1139,35 @@ def test_check_decoupling():
 def test_importing_the_search_loads_no_online_machinery():
     # the form table steps the observer itself, so the search module needs
     # neither the MPC nor the QP nor the runtime; and a search that needs no
-    # discretisation runs on numpy alone, without scipy
+    # discretisation, and the H2 norm and Lyapunov solver, run on numpy
+    # alone, without scipy
     src = os.path.dirname(os.path.dirname(realisation.__file__))
     forced = _smoke_forced_S(*scale_surrogate(0))
     code = ("import sys, lti2mpc.realisation, lti2mpc.models; "
+            "from lti2mpc.linalg import h2_norm, solve_discrete_lyapunov; "
+            "from lti2mpc.statespace import DtStateSpace; "
             "G, K = lti2mpc.models.scale_surrogate(0); "
             "out = lti2mpc.realisation.search_realisations(G, K, form='predictor', "
             "rank_by='product', "
             f"forced_S={forced!r}); "
+            "A = [[0.5, 0.2], [0.0, -0.3]]; "
+            "h2 = h2_norm(DtStateSpace(A, [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]], 1.0)); "
+            "P = solve_discrete_lyapunov(A, [[1.0, 0.0], [0.0, 1.0]]); "
             "print(sorted(m for m in sys.modules if m.startswith(('lti2mpc', 'scipy')))); "
-            "print(len(out.ranked))")
+            "print(len(out.ranked)); print(repr(h2)); print(P.tolist())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    modules, n_ranked = proc.stdout.splitlines()
+    modules, n_ranked, h2, P = proc.stdout.splitlines()
     loaded = set(ast.literal_eval(modules))
     assert "lti2mpc.realisation" in loaded
     assert not loaded & {"lti2mpc.runtime", "lti2mpc.mpc", "lti2mpc.qp"}
     assert int(n_ranked) >= 10
+    A = np.array([[0.5, 0.2], [0.0, -0.3]])
+    P_ref = scipy.linalg.solve_discrete_lyapunov(A, np.eye(2))
+    assert_allclose(ast.literal_eval(P), P_ref, rtol=1e-12)
+    B, C = np.ones((2, 1)), np.eye(1, 2)
+    h2_ref = math.sqrt((C @ scipy.linalg.solve_discrete_lyapunov(A, B @ B.T) @ C.T).item())
+    assert_allclose(float(h2), h2_ref, rtol=1e-12)
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
 
