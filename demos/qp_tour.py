@@ -2,9 +2,10 @@
 """Tour the condensed quadratic programme behind the controller.
 
 A double integrator with a hand-picked feedback gain makes the numbers
-easy to follow.  The script builds the zero-value stage cost for that
-gain and condenses the horizon: the decisions are the inputs themselves,
-and the cost's state-input cross terms sit in the Hessian.  The
+easy to follow.  The script condenses the horizon of that gain's
+matching cost, which is zero along the feedback law: the decisions are
+the inputs themselves, and the cost's state-input cross terms sit in the
+Hessian.  The
 unconstrained first input reproduces the feedback law.  The script then
 tightens an input bound step by step to show the active set growing while
 the first applied input walks away from the unconstrained feedback law.
@@ -12,7 +13,7 @@ the first applied input walks away from the unconstrained feedback law.
 
 import numpy as np
 
-from lti2mpc.mpc import MpcConfig, build_condensed_qp, matching_cost
+from lti2mpc.mpc import MpcConfig, build_condensed_qp
 from lti2mpc.qp import solve_qp
 from lti2mpc.statespace import DtStateSpace
 
@@ -25,8 +26,7 @@ def main():
     x0 = np.array([1.0, 0.0])
 
     print("== the condensed optimisation ==")
-    cost = matching_cost(K_c)
-    qp = build_condensed_qp(G, MpcConfig(N=20, cost=cost))
+    qp = build_condensed_qp(G, K_c, MpcConfig(N=20))
     sol = solve_qp(qp.H, qp.f(x0))
     print(f"cond(H) = {np.linalg.cond(qp.H):9.2e}, "
           f"u(0) = {qp.input_sequence(sol.x_star)[0, 0]: .6f}")
@@ -37,9 +37,8 @@ def main():
     print(f"{'bound':>7} {'status':>9} {'iters':>6} {'active':>7} "
           f"{'u(0)':>9} {'deviation cost':>15}")
     for bound in (1.0, 0.6, 0.4, 0.2, 0.1, 0.05):
-        cfg = MpcConfig(N=20, cost=cost,
-                        u_bounds=(np.array([-bound]), np.array([bound])))
-        qp = build_condensed_qp(G, cfg)
+        cfg = MpcConfig(N=20, u_bounds=(np.array([-bound]), np.array([bound])))
+        qp = build_condensed_qp(G, K_c, cfg)
         sol = solve_qp(qp.H, qp.f(x0), qp.A_ineq, qp.b(x0))
         u = qp.input_sequence(sol.x_star)
         print(f"{bound:7.2f} {sol.status:>9} {sol.iterations:6d} "

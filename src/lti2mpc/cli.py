@@ -72,7 +72,7 @@ import numpy as np
 
 from .linalg import NumericalError, UnstableSystemError, loop_margins, spectral_radius
 from .models import CASE_STUDIES, condition_loop
-from .mpc import MpcConfig, effect_weight, matching_cost
+from .mpc import MpcConfig, effect_weight
 from .realisation import (
     _FORMS,
     ObserverRealisation,
@@ -334,13 +334,14 @@ def build_problem(cfg: ProjectConfig):
         raise ConfigError(str(exc)) from None
 
 
-def _mpc_config(cfg: ProjectConfig, G_d: DtStateSpace, K_c) -> MpcConfig:
+def _mpc_config(cfg: ProjectConfig, G_d: DtStateSpace) -> MpcConfig:
     m = cfg.mpc
     try:
         W = effect_weight(G_d, m["Q1"], m["R1"]) if m["cost"] == "effect" else m["W"]
-        return MpcConfig(N=m["N"], cost=matching_cost(K_c, W), u_bounds=m["u_bounds"],
-                         y_bounds=m["y_bounds"], x_bounds=m["x_bounds"],
-                         soft_output_weight=m["soft_output_weight"])
+        config = MpcConfig(N=m["N"], W=W, u_bounds=m["u_bounds"], y_bounds=m["y_bounds"],
+                           x_bounds=m["x_bounds"], soft_output_weight=m["soft_output_weight"])
+        config.weight(G_d.n_u)  # a W of the wrong size is refused with the options
+        return config
     except ValueError as exc:
         raise ConfigError(f"mpc options: {exc}") from None
 
@@ -456,7 +457,7 @@ def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict) -> Scenario:
     G, _, G_d, K_d = build_problem(cfg)
     real = _run_search(cfg, G_d, K_d).ranked[0][0]
     ctrl = MpcController(realisation=real, design_model=G_d,
-                         config=_mpc_config(cfg, G_d, real.K_c))
+                         config=_mpc_config(cfg, G_d))
     return Scenario(name=name, plant=G, controller=ctrl, **_scenario_fields(spec))
 
 

@@ -1,13 +1,16 @@
 """Finite-horizon MPC construction around a recovered state-feedback gain.
 
-The stage cost is the general quadratic x'Qx + 2x'Su + u'Ru.  Built with
-Q = Kc'WKc, S = -Kc'W, R = W it vanishes identically along u = Kc x, so the
-unconstrained optimum reproduces the linear law exactly and P = 0 solves the
-associated Riccati equation: no terminal cost is needed and any horizon
-length gives the same unconstrained behaviour.  A reference state x_r,
-when a control step passes one, shifts the state argument to x - x_r;
-the quadratic blocks are unchanged and the shift only adds a linear term,
-which the condensed builder folds into the parametric f map.
+The stage cost is the matching cost (u - Kc x)'W(u - Kc x), the quadratic
+x'Qx + 2x'Su + u'Ru with Q = Kc'WKc, S = -Kc'W and R = W.  It vanishes
+identically along u = Kc x, so the unconstrained optimum reproduces the
+linear law exactly and P = 0 solves the associated Riccati equation: no
+terminal cost is needed and any horizon length gives the same
+unconstrained behaviour.  The QP is built from the gain it serves
+(``build_condensed_qp(G, K_c, cfg)``), so the cost cannot follow another
+gain than the fallback's.  A reference state x_r, when a control step
+passes one, shifts the state argument to x - x_r; the quadratic blocks
+are unchanged and the shift only adds a linear term, which the condensed
+builder folds into the parametric f map.
 """
 
 from __future__ import annotations
@@ -23,12 +26,9 @@ from .qp import QpFactor, factor_qp
 from .statespace import DtStateSpace
 
 __all__ = [
-    "StageCost",
     "MpcConfig",
     "CondensedQp",
-    "matching_cost",
     "effect_weight",
-    "zero_dare_residual",
     "build_condensed_qp",
 ]
 
@@ -38,48 +38,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class StageCost:
-    """Quadratic stage cost x'Qx + 2x'Su + u'Ru (minimised), its blocks
-    stored as read-only float copies."""
-
-    Q: np.ndarray
-    S: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        for name in ("Q", "S", "R"):
-            M = np.array(getattr(self, name), dtype=float, ndmin=2)
-            object.__setattr__(self, name, _read_only(M))
-        n, m = self.S.shape
-        if self.Q.shape != (n, n) or self.R.shape != (m, m):
-            raise ValueError("inconsistent stage-cost block dimensions")
-
-
-def matching_cost(K_c: np.ndarray, W: np.ndarray | None = None) -> StageCost:
-    """Stage cost that is zero along the recovered feedback law.
-
-    l(x, u) = (u - Kc x)' W (u - Kc x) with W positive definite (identity
-    when not given).  Swapping in W = R1 + B'Q1B makes the cost measure the
-    *effect* of the input through the plant instead, which is what lets a
-    redundant actuator pair trade individual torques while preserving their
-    sum.
-    """
-    K_c = np.atleast_2d(np.asarray(K_c, float))
-    m = K_c.shape[0]
-    W = np.eye(m) if W is None else np.atleast_2d(np.asarray(W, float))
-    if W.shape != (m, m):
-        raise ValueError(f"matching-cost weight is {W.shape[0]}x{W.shape[1]}, not {m}x{m}")
-    if not np.isfinite(W).all():
-        raise ValueError("matching-cost weight W must be finite")
-    ev = np.linalg.eigvalsh((W + W.T) / 2.0)
-    if ev[0] <= 0.0:
-        raise ValueError("matching-cost weight must be positive definite")
-    return StageCost(Q=K_c.T @ W @ K_c, S=-K_c.T @ W, R=W)
-
-
 def effect_weight(G: DtStateSpace, Q1, R1) -> np.ndarray:
-    """Input weight R1 + B'Q1B: penalises actuation by its state effect."""
+    """Input weight R1 + B'Q1B: penalises actuation by its state effect.
+
+    As the matching cost's W it lets a redundant actuator pair trade
+    individual inputs while preserving their effect on the plant."""
     for name, weight in (("Q1", Q1), ("R1", R1)):
         if not np.isfinite(weight).all():
             raise ValueError(f"effect weight {name} must be finite")
@@ -89,23 +52,16 @@ def effect_weight(G: DtStateSpace, Q1, R1) -> np.ndarray:
     return R1 + G.B.T @ Q1 @ G.B
 
 
-def zero_dare_residual(cost: StageCost) -> float:
-    """Residual of P = 0 in the Riccati equation for this stage cost.
-
-    With P = 0 the equation collapses to 0 = Q - S R^-1 S' regardless of
-    the dynamics; a zero residual certifies that no terminal cost is needed
-    and the unconstrained minimiser is u = -R^-1 S' x at every step.
-    """
-    M = cost.Q - cost.S @ np.linalg.solve(cost.R, cost.S.T)
-    return float(np.linalg.norm(M) / max(1.0, np.linalg.norm(cost.Q)))
-
-
 @dataclass(frozen=True)
 class MpcConfig:
-    """Horizon, cost and constraint description for one controller.
+    """Horizon, matching-cost weight and constraints for one controller.
 
-    Bounds are (lower, upper) pairs of per-channel arrays, stored as pairs
-    of read-only float copies, so no later edit of the caller's arrays
+    W weighs the matching cost (u - Kc x)'W(u - Kc x); None is the
+    identity.  A given W must be square, finite and have a positive
+    definite symmetric part, which is what the cost sees and what is
+    stored, as a read-only float array.  Bounds
+    are (lower, upper) pairs of per-channel arrays, stored as pairs of
+    read-only float copies, so no later edit of the caller's arrays
     reaches a condensed QP built from this config.  A lower -inf or an
     upper +inf disables that side of a row, and a NaN entry, a lower +inf
     or an upper -inf is refused.  Output and state bounds are softened
@@ -116,13 +72,24 @@ class MpcConfig:
     """
 
     N: int
-    cost: StageCost
+    W: np.ndarray | None = None
     u_bounds: tuple | None = None
     y_bounds: tuple | None = None
     x_bounds: tuple | None = None
     soft_output_weight: float = 1e5
 
     def __post_init__(self):
+        if self.W is not None:
+            W = np.array(self.W, dtype=float, ndmin=2)
+            if W.ndim != 2 or W.shape[0] != W.shape[1]:
+                raise ValueError(f"matching-cost weight is {'x'.join(map(str, W.shape))}, "
+                                 "not square")
+            if not np.isfinite(W).all():
+                raise ValueError("matching-cost weight W must be finite")
+            W = (W + W.T) / 2.0  # the cost sees only W's symmetric part
+            if np.linalg.eigvalsh(W)[0] <= 0.0:
+                raise ValueError("matching-cost weight must be positive definite")
+            object.__setattr__(self, "W", _read_only(W))
         if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
             raise ValueError(f"horizon must be an integer, not {self.N!r}")
         if self.N < 1:
@@ -142,6 +109,16 @@ class MpcConfig:
             raise ValueError(f"soft_output_weight must be finite, not {self.soft_output_weight}")
         if (self.y_bounds or self.x_bounds) and self.soft_output_weight <= 0.0:
             raise ValueError("soft_output_weight must be positive")
+
+    def weight(self, n_u: int) -> np.ndarray:
+        """The n_u x n_u matching-cost weight: W, or the identity when W is
+        None.  Refuses (ValueError) a W of another size."""
+        if self.W is None:
+            return np.eye(n_u)
+        if self.W.shape != (n_u, n_u):
+            raise ValueError(f"matching-cost weight is {self.W.shape[0]}x{self.W.shape[1]}, "
+                             f"not {n_u}x{n_u}")
+        return self.W
 
 
 def _bounded_rows(bounds, M, what):
@@ -173,7 +150,10 @@ class CondensedQp:
     """Dense QP  min 1/2 z'Hz + f'z  s.t.  A_ineq z <= b.
 
     The decision vector z is [u_0 .. u_{N-1}, s_1 .. s_N] (the inputs,
-    then the slacks).  H and A_ineq are fixed, and so is their QP factor,
+    then the slacks).  ``K_c`` (a read-only copy) is the gain whose
+    matching cost the QP minimises and ``u_bounds`` the config's input
+    bounds: a control step whose solve is not optimal falls back to
+    K_c x clipped to them.  H and A_ineq are fixed, and so is their QP factor,
     computed on first use and shared by every control step.  A
     ``sim.MpcController`` builds its QP once, so that factor, with its
     warm-start QR memo, serves every run of the controller.  f and b are
@@ -192,6 +172,8 @@ class CondensedQp:
     b_const: np.ndarray
     b_x: np.ndarray
     b_w: np.ndarray
+    K_c: np.ndarray
+    u_bounds: tuple | None
 
     @property
     def n_slack(self) -> int:
@@ -262,8 +244,9 @@ def _inequality_rows(N, lo, hi, Z_u, Z_x, Z_w, E):
     return rows
 
 
-def build_condensed_qp(G: DtStateSpace, cfg: MpcConfig) -> CondensedQp:
-    """Eliminate the state dynamics and emit the dense parametric QP.
+def build_condensed_qp(G: DtStateSpace, K_c, cfg: MpcConfig) -> CondensedQp:
+    """Eliminate the state dynamics and emit the dense parametric QP of the
+    matching cost of gain K_c under ``cfg.weight``.
 
     The states are predicted on (A, B, B_w), so the decisions are the
     inputs themselves and the x-u cross terms of the cost stay in H.  The
@@ -272,13 +255,16 @@ def build_condensed_qp(G: DtStateSpace, cfg: MpcConfig) -> CondensedQp:
     the shifted plant sees through -B D_K), and has no columns otherwise.
 
     Raises NumericalError when cond(H) exceeds 1e12: the unconstrained
-    minimiser would no longer be the stage cost's, and ValueError when the
-    input, output or state bounds do not have n_u, n_y or n entries.
+    minimiser would no longer be the stage cost's, and ValueError when K_c
+    is not n_u x n, W not n_u x n_u, or the input, output or state bounds
+    do not have n_u, n_y or n entries.
     """
     N, n, m = cfg.N, G.n, G.n_u
-    Q, S, R = cfg.cost.Q, cfg.cost.S, cfg.cost.R
-    if Q.shape[0] != n or R.shape[0] != m:
-        raise ValueError("stage cost does not match the plant dimensions")
+    K_c = _read_only(np.array(K_c, dtype=float, ndmin=2))
+    if K_c.shape != (m, n):
+        raise ValueError(f"K_c is {'x'.join(map(str, K_c.shape))}, not {m}x{n} (n_u x n)")
+    W = cfg.weight(m)
+    Q, S, R = K_c.T @ W @ K_c, -K_c.T @ W, W
     B_w = np.zeros((n, 0)) if G.D_K is None else -G.B @ G.D_K
 
     Phi, Gamma, Omega = _prediction_matrices(G.A, G.B, B_w, N)
@@ -316,4 +302,4 @@ def build_condensed_qp(G: DtStateSpace, cfg: MpcConfig) -> CondensedQp:
 
     f_x, f_r, f_w = (np.vstack([f, np.zeros((N * n_z, f.shape[1]))]) for f in (f_x, f_r, f_w))
     return CondensedQp(H=H, A_ineq=A_ineq, N=N, n_u=m, f_x=f_x, f_r=f_r, f_w=f_w,
-                       b_const=b_const, b_x=b_x, b_w=b_w)
+                       b_const=b_const, b_x=b_x, b_w=b_w, K_c=K_c, u_bounds=cfg.u_bounds)

@@ -96,8 +96,6 @@ def mpc_step(
     x_r=None,
     w=None,
     *,
-    fallback_gain: np.ndarray,
-    u_bounds=None,
     warm=(),
 ) -> MpcStepResult:
     """Solve the parametric QP at the current estimate and return u(0).
@@ -107,8 +105,9 @@ def mpc_step(
     step's active set; the QP factor is the one cached on ``qp``.
 
     A non-optimal solve falls back to the saturated unconstrained law
-    u = K_c (x - x_r), K_c = ``fallback_gain``, clipped to the input
-    bounds, with the result flagged so traces record the event.
+    u = K_c (x - x_r), with the gain ``qp.K_c`` the QP's cost matches,
+    clipped to the QP's input bounds ``qp.u_bounds``, and the result
+    flagged so traces record the event.
     """
     x_hat = np.asarray(x_hat, float).ravel()
     f = qp.f(x_hat, x_r=x_r, w=w)
@@ -118,9 +117,8 @@ def mpc_step(
     if sol.status == "optimal":
         return MpcStepResult(u=sol.x_star[:qp.n_u], solution=sol, fallback=False)
     e = x_hat if x_r is None else x_hat - np.asarray(x_r, float).ravel()
-    u = np.atleast_2d(fallback_gain) @ e
-    if u_bounds is not None:
-        lo, hi = (np.asarray(v, float).ravel() for v in u_bounds)
-        u = np.clip(u, lo, hi)
+    u = qp.K_c @ e
+    if qp.u_bounds is not None:
+        u = np.clip(u, *qp.u_bounds)
     return MpcStepResult(u=u, solution=sol, fallback=True)
 

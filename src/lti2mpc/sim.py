@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .models import CASE_STUDIES, PendulumParams, satellite_plant_ct
-from .mpc import CondensedQp, MpcConfig, build_condensed_qp, effect_weight, matching_cost
+from .mpc import CondensedQp, MpcConfig, build_condensed_qp, effect_weight
 from .realisation import make_observer, search_realisations
 from .runtime import Prefilter, build_prefilter, mpc_step
 from .statespace import DtStateSpace, c2d_zoh
@@ -66,8 +66,11 @@ class MpcController:
     builds from ``realisation`` on ``design_model``, stepped afresh each
     run) the MPC tracks the state reference it emits for the scenario's
     setpoint; without one it regulates to 0 and takes no setpoint.  The
-    condensed QP (``qp``) is built on first use and serves every run; the
-    arrays of ``design_model`` and ``config`` it is built from are
+    condensed QP (``qp``) is the matching cost of ``realisation.K_c``
+    under ``config.W``, so while no constraint binds the MPC reproduces
+    the realisation's own law, and ``dataclasses.replace(controller,
+    realisation=r)`` is the same MPC serving realisation r.  It is built on
+    first use and serves every run; the arrays it is built from are
     read-only copies, so it cannot go stale.
     """
 
@@ -78,7 +81,7 @@ class MpcController:
 
     @cached_property
     def qp(self) -> CondensedQp:
-        return build_condensed_qp(self.design_model, self.config)
+        return build_condensed_qp(self.design_model, self.realisation.K_c, self.config)
 
 
 @dataclass
@@ -242,7 +245,8 @@ def simulate(scenario: Scenario) -> Trace:
     under an MPC (its input lagged by Ts/10).  An MPC whose design model
     records a loop-shift D_K commands u_mpc - D_K r + D_K y.  Refused
     (ValueError) before the first step: a duration that is not finite and
-    >= 0; a mis-sized or non-finite x0, noise_sigma or setpoint; a
+    >= 0; a controller (the baseline's K, an MPC's design model) whose
+    sample time is not the plant's within 1e-12; a mis-sized or non-finite x0, noise_sigma or setpoint; a
     setpoint for an MPC without a prefilter; a fault whose actuator index
     is not an integer in [0, n_u), whose time is not finite and >= 0, or
     whose value is not finite; a disturbance whose time is not finite and
@@ -256,6 +260,9 @@ def simulate(scenario: Scenario) -> Trace:
 
     ctrl = scenario.controller
     is_mpc = isinstance(ctrl, MpcController)
+    ctrl_Ts = ctrl.design_model.Ts if is_mpc else ctrl.K.Ts
+    if abs(ctrl_Ts - Ts) > 1e-12:
+        raise ValueError(f"controller sample time {ctrl_Ts} is not the plant's {Ts}")
 
     # plant-side setup: a built-in's design model sizes and measures its truth
     G_true: DtStateSpace = (CASE_STUDIES[scenario.plant].plant()
@@ -281,7 +288,6 @@ def simulate(scenario: Scenario) -> Trace:
         G_d = ctrl.design_model
         qp = ctrl.qp
         obs = make_observer(ctrl.realisation, G_d)
-        K_c = np.atleast_2d(ctrl.realisation.K_c)
         D_K = G_d.D_K
         pre = None if ctrl.prefilter is None else Prefilter(ctrl.prefilter)
         n_slack_q = qp.n_slack // ctrl.config.N
@@ -368,8 +374,7 @@ def simulate(scenario: Scenario) -> Trace:
             x_ref = pre.step(r) if pre is not None else None
             x_hat_row = obs.estimate(y)
             t_solve = time.perf_counter()
-            res = mpc_step(qp, x_hat_row, x_r=x_ref, w=r, fallback_gain=K_c,
-                           u_bounds=ctrl.config.u_bounds, warm=warm)
+            res = mpc_step(qp, x_hat_row, x_r=x_ref, w=r, warm=warm)
             MS[k] = 1e3 * (time.perf_counter() - t_solve)
             warm = res.solution.active_set if res.status == "optimal" else ()
             u_cmd = res.u - D_K @ r if D_K is not None else res.u
@@ -432,9 +437,8 @@ def _case_search(name: str):
 def _satellite_mpc(real, G_d, cost_kind: str, u_bound=None, y_bound=None):
     """Satellite MPC controller on realisation ``real`` of the design plant
     G_d, matching K_c itself or (``cost_kind`` "effect") its effect."""
-    W = effect_weight(G_d, 1e3, 1e-3) if cost_kind == "effect" else None
     cfg = MpcConfig(
-        N=15, cost=matching_cost(real.K_c, W),
+        N=15, W=effect_weight(G_d, 1e3, 1e-3) if cost_kind == "effect" else None,
         u_bounds=None if u_bound is None else (-u_bound * np.ones(2),
                                                u_bound * np.ones(2)),
         y_bounds=None if y_bound is None else ([-y_bound], [y_bound]),
@@ -449,7 +453,6 @@ def _pendulum_mpc(real, G_d, bounded: bool):
     inf = np.inf
     cfg = MpcConfig(
         N=15,
-        cost=matching_cost(real.K_c),
         x_bounds=([-inf, -0.7, -0.175, -0.3],
                   [inf, 0.7, 0.175, 0.3]) if bounded else None,
         soft_output_weight=1e5,

@@ -32,9 +32,13 @@ def brute_force_qp(H, f, A, b):
     return best
 
 
-def condensation_gaps(G, cfg, qp, x0, x_r=None, w=None, trials=5, seed=0):
+def condensation_gaps(G, K_c, W, cfg, qp, x0, x_r=None, w=None, trials=5, seed=0):
     """How far a condensed QP is from plain simulation of G, as two
     relative gaps (objective, rows).
+
+    The stage cost is the matching cost (u - K_c x)'W(u - K_c x) (W None
+    is the identity), evaluated here from K_c and W as written; ``cfg``
+    supplies only the horizon, the bounds and the slack weight.
 
     For random inputs U and slacks s, with z = [U; s] and the states
     simulated from x0 under U (and the known input w, zero when None),
@@ -47,7 +51,8 @@ def condensation_gaps(G, cfg, qp, x0, x_r=None, w=None, trials=5, seed=0):
     """
     rng = np.random.default_rng(seed)
     N, n, m = cfg.N, G.n, G.n_u
-    Q, S, R = cfg.cost.Q, cfg.cost.S, cfg.cost.R
+    K_c = np.atleast_2d(np.asarray(K_c, float))
+    W = np.eye(m) if W is None else np.atleast_2d(np.asarray(W, float))
     B_w = np.zeros((n, 1)) if G.D_K is None else -G.B @ G.D_K
     drive = B_w @ (np.zeros(B_w.shape[1]) if w is None else np.ravel(w))
     x_r = np.zeros(n) if x_r is None else np.ravel(x_r)
@@ -76,8 +81,9 @@ def condensation_gaps(G, cfg, qp, x0, x_r=None, w=None, trials=5, seed=0):
         s = 1e-3 * scale * np.abs(rng.standard_normal((N, n_z)))
         x, J, want, want_z = np.ravel(x0).astype(float), 0.0, [], []
         for k in range(N):
-            e, u = x - x_r, U[k]
-            J += e @ Q @ e + 2.0 * e @ S @ u + u @ R @ u
+            u = U[k]
+            d = u - K_c @ (x - x_r)
+            J += d @ W @ d
             want += rows(u[u_keep], u_lo, u_hi, 0.0)
             x = G.A @ x + G.B @ u + drive
             want_z += rows(np.concatenate([(G.C @ x)[y_keep], x[x_keep]]), z_lo, z_hi, s[k])

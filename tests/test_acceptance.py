@@ -38,7 +38,7 @@ from lti2mpc.models import (
     satellite_plant,
     scale_surrogate,
 )
-from lti2mpc.mpc import MpcConfig, build_condensed_qp, matching_cost
+from lti2mpc.mpc import MpcConfig, build_condensed_qp
 from lti2mpc.qp import solve_qp
 from lti2mpc.realisation import (
     closed_loop_matrix,
@@ -344,7 +344,7 @@ def _loop_deviation(G, K, real, duration, x0, plant=None, design=None):
                              controller=BaselineController(K), x0=x0))
     mpc = MpcController(realisation=real,
                         design_model=design if design is not None else G,
-                        config=MpcConfig(N=8, cost=matching_cost(real.K_c)))
+                        config=MpcConfig(N=8))
     test = simulate(Scenario(name="m", plant=plant if plant is not None else G,
                              duration=duration, controller=mpc, x0=x0))
     return max(float(np.max(np.abs(base.u - test.u))),
@@ -429,20 +429,20 @@ def test_criterion_07_zero_value_cost_identity():
             W = M @ M.T + 0.2 * np.eye(m)
         else:
             W = None
-        cost = matching_cost(K_c, W)
         G = DtStateSpace(A, B, np.eye(n), np.zeros((n, m)), 1.0)
-        cfg = MpcConfig(N=10, cost=cost)
-        qp = build_condensed_qp(G, cfg)
+        cfg = MpcConfig(N=10, W=W)
+        qp = build_condensed_qp(G, K_c, cfg)
         x0 = rng.normal(size=n)
         ud = qp.input_sequence(solve_qp(qp.H, qp.f(x0)).x_star)
 
-        gap = max(condensation_gaps(G, cfg, qp, x0))
+        gap = max(condensation_gaps(G, K_c, W, cfg, qp, x0))
         u0_err = float(np.max(np.abs(ud[0] - K_c @ x0)))
         x = x0.copy()
         total = 0.0
         for k in range(cfg.N):
             u = ud[k]
-            total += (x @ cost.Q @ x + 2.0 * x @ cost.S @ u + u @ cost.R @ u)
+            d = u - K_c @ x  # the matching cost (u - K_c x)'W(u - K_c x)
+            total += d @ d if W is None else d @ W @ d
             x = A @ x + B @ u
         worst_cost = max(worst_cost, abs(total))
         worst_u0 = max(worst_u0, u0_err)

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from lti2mpc.models import pendulum_controller, pendulum_plant
-from lti2mpc.mpc import MpcConfig, build_condensed_qp, matching_cost
+from lti2mpc.mpc import MpcConfig, build_condensed_qp
 from lti2mpc.realisation import make_observer, search_realisations
 from lti2mpc.runtime import build_prefilter, mpc_step
 from lti2mpc.statespace import DtStateSpace, loop_shift
@@ -223,12 +223,11 @@ def test_mpc_step_unconstrained_returns_the_linear_law():
     B = np.array([[0.0], [1.0]])
     G = _sys(A, B, [[1.0, 0.0]])
     K_c = np.array([[-0.4, -0.6]])
-    cfg = MpcConfig(N=8, cost=matching_cost(K_c))
-    qp = build_condensed_qp(G, cfg)
+    qp = build_condensed_qp(G, K_c, MpcConfig(N=8))
     rng = np.random.default_rng(7)
     for _ in range(5):
         x = rng.standard_normal(2)
-        res = mpc_step(qp, x, fallback_gain=K_c)
+        res = mpc_step(qp, x)
         assert not res.fallback
         assert res.status == "optimal"
         npt.assert_allclose(res.u, K_c @ x, atol=1e-8)
@@ -239,11 +238,10 @@ def test_mpc_step_tracking_offsets_the_law():
     B = np.array([[0.0], [1.0]])
     G = _sys(A, B, [[1.0, 0.0]])
     K_c = np.array([[-0.4, -0.6]])
-    cfg = MpcConfig(N=8, cost=matching_cost(K_c))
-    qp = build_condensed_qp(G, cfg)
+    qp = build_condensed_qp(G, K_c, MpcConfig(N=8))
     x = np.array([0.3, -0.2])
     x_r = np.array([1.0, 0.1])
-    res = mpc_step(qp, x, x_r=x_r, fallback_gain=K_c)
+    res = mpc_step(qp, x, x_r=x_r)
     npt.assert_allclose(res.u, K_c @ (x - x_r), atol=1e-8)
 
 
@@ -253,15 +251,17 @@ def test_mpc_step_falls_back_on_an_infeasible_qp():
     B = np.array([[1.0]])
     G = _sys(A, B, [[1.0]])
     K_c = np.array([[-0.9]])
-    cfg = MpcConfig(N=3, cost=matching_cost(K_c), u_bounds=([0.2], [0.4]))
-    qp = build_condensed_qp(G, cfg)
+    qp = build_condensed_qp(G, K_c, MpcConfig(N=3, u_bounds=([0.2], [0.4])))
     # shift the lower bound above the upper to force infeasibility
     qp.b_const[qp.b_const.size // 2:] = -1.0
-    res = mpc_step(qp, np.array([2.0]), fallback_gain=K_c,
-                   u_bounds=([-0.5], [0.5]))
+    res = mpc_step(qp, np.array([2.0]))
     assert res.fallback
     assert res.status == "fallback"
-    npt.assert_allclose(res.u, [-0.5], atol=1e-12)  # clipped K_c x
+    # K_c x = -1.8, clipped to the QP's own input bounds
+    npt.assert_allclose(res.u, [0.2], atol=1e-12)
+    # the fallback's law is the QP's copy of K_c, and so are its bounds
+    assert qp.K_c is not K_c and not qp.K_c.flags.writeable
+    npt.assert_allclose(mpc_step(qp, np.array([-0.3]), x_r=np.array([0.1])).u, [0.36])
 
 
 def test_mpc_step_reports_active_set_size_and_slack():
@@ -269,12 +269,11 @@ def test_mpc_step_reports_active_set_size_and_slack():
     B = np.array([[0.005], [0.1]])
     G = _sys(A, B, [[1.0, 0.0]])
     K_c = np.array([[-5.0, -3.0]])
-    cfg = MpcConfig(N=5, cost=matching_cost(K_c),
-                    u_bounds=([-0.1], [0.1]),
+    cfg = MpcConfig(N=5, u_bounds=([-0.1], [0.1]),
                     y_bounds=([-0.05], [0.05]),
                     soft_output_weight=1e5)
-    qp = build_condensed_qp(G, cfg)
-    res = mpc_step(qp, np.array([1.0, 0.5]), fallback_gain=K_c)
+    qp = build_condensed_qp(G, K_c, cfg)
+    res = mpc_step(qp, np.array([1.0, 0.5]))
     assert res.status == "optimal"
     assert res.active_count > 0
     # the output bound cannot be met from here
