@@ -206,22 +206,24 @@ def inject_fault(u_applied: np.ndarray, t: float, faults) -> np.ndarray:
 
 
 def _lagged_satellite_truth(Ts, div):
-    """Exact step of the rigid satellite whose input switches Ts/div into
-    the period: the previous input held over the first piece, the new one
-    over the rest, each piece an exact ZOH step of the continuous model.
+    """Exact step x+ = A x + B_prev u_prev + B_now u_now of the rigid
+    satellite whose input switches Ts/div into the period: the previous
+    input held over the first piece, the new one over the rest, each piece
+    an exact ZOH step of the continuous model, composed once here.
 
     State (theta, theta-dot, d): the physical double integrator plus the
     constant disturbance torque, which enters like the first input.
     """
     ct = satellite_plant_ct()
     tau = Ts / div
-    pieces = [(d.A, d.B) for d in (c2d_zoh(ct, tau), c2d_zoh(ct, Ts - tau))]
+    (A1, B1), (A2, B2) = ((d.A, d.B) for d in (c2d_zoh(ct, tau), c2d_zoh(ct, Ts - tau)))
+    A = np.eye(3)
+    A[:2, :2] = A2 @ A1
+    A[:2, 2] = A2 @ B1[:, 0] + B2[:, 0]
+    B_prev, B_now = (np.vstack([M, np.zeros((1, M.shape[1]))]) for M in (A2 @ B1, B2))
 
     def advance(x, u_prev, u_now):
-        xp, d = x[:2], x[2]
-        for (A, B), u in zip(pieces, (u_prev, u_now)):
-            xp = A @ xp + B @ u + B[:, 0] * d
-        return np.concatenate([xp, [d]])
+        return A @ x + B_prev @ u_prev + B_now @ u_now
 
     return advance
 

@@ -20,6 +20,7 @@ from lti2mpc.models import (
     pendulum_plant_ct,
     satellite_controller,
     satellite_plant,
+    satellite_plant_ct,
 )
 from lti2mpc.mpc import MpcConfig, build_condensed_qp
 from lti2mpc.qp import solve_qp
@@ -35,7 +36,7 @@ from lti2mpc.sim import (
     scenario_library,
     simulate,
 )
-from lti2mpc.statespace import DtStateSpace, add_dipole, loop_shift
+from lti2mpc.statespace import DtStateSpace, add_dipole, c2d_zoh, loop_shift
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +180,22 @@ def test_lagged_satellite_truth_composes_to_the_zoh_model():
         x_next = G.A @ x + G.B @ u
         npt.assert_allclose(step(x, u, u), x_next, atol=1e-12)
         x = x_next
+
+
+def test_lagged_satellite_truth_is_its_two_zoh_pieces():
+    # the composed step against the two pieces stepped one after the other:
+    # u_prev over the first Ts/10, u_now over the rest, the disturbance
+    # torque d entering like the first input over both
+    ct = satellite_plant_ct()
+    pieces = [c2d_zoh(ct, tau) for tau in (SATELLITE_TS / 10, SATELLITE_TS - SATELLITE_TS / 10)]
+    step = _lagged_satellite_truth(SATELLITE_TS, 10)
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        x, u_prev, u_now = rng.standard_normal(3), rng.standard_normal(2), rng.standard_normal(2)
+        xp = x[:2]
+        for P, u in zip(pieces, (u_prev, u_now)):
+            xp = P.A @ xp + P.B @ (u + [x[2], 0.0])
+        npt.assert_allclose(step(x, u_prev, u_now), [*xp, x[2]], rtol=0.0, atol=1e-12)
 
 
 def test_undivided_satellite_replay_steps_the_zoh_model(traces):
