@@ -178,6 +178,24 @@ def test_verify_flags_perturbed_gains(tmp_path, capsys):
     assert rep["passed"] is False
 
 
+def test_verify_flags_gains_whose_error_dynamics_are_unstable(tmp_path, capsys):
+    # five times the filter gain puts an error pole at 1.91
+    G = satellite_plant()
+    K1 = add_dipole(satellite_controller(), W=50.0)
+    real = search_realisations(G, K1, form="filter").ranked[0][0]
+    cfg = _write(tmp_path, "sat.json", {
+        "plant": "satellite",
+        "verify_gains": {"form": "filter", "K_c": real.K_c.tolist(),
+                         "K_f": (5.0 * real.K_f).tolist(), "T": real.T.tolist()},
+    })
+    assert main(["verify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL supplied gains: ")
+    assert lines[0].endswith("; error dynamics UNSTABLE")
+    assert captured.err == "error: verification failed\n"
+
+
 def test_verify_fails_gains_whose_responses_overflow(tmp_path, capsys):
     # K_obs = (0.5, 1e200, -1e200, 0) against K = (0.5, 1e200, 1e200, 0):
     # both responses overflow, so the deviation is not a number

@@ -54,6 +54,18 @@ def test_eig_paired_rejects_nonsquare():
         eig_paired(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("M, message", [
+    (np.array([[1.0, 1j], [0.0, 0.5]]), "matrix must be real"),
+    (np.array([[1.0, np.nan], [0.0, 0.5]]), "matrix entries must be finite"),
+    (np.array([[np.inf, 0.0], [0.0, 0.5]]), "matrix entries must be finite"),
+], ids=["complex", "nan", "inf"])
+def test_eig_paired_refuses_a_complex_or_non_finite_matrix(M, message):
+    with pytest.raises(ValueError, match=message):
+        eig_paired(M)
+    # a complex matrix with no imaginary part is its real part
+    assert_allclose(eig_paired(np.array([[0.5 + 0j]])).values, [0.5])
+
+
 def test_lyapunov_scalar():
     P = solve_discrete_lyapunov(np.array([[0.5]]), np.array([[1.0]]))
     assert_allclose(P, [[4.0 / 3.0]], rtol=1e-12)

@@ -700,6 +700,29 @@ def test_default_forced_S_is_the_input_uncontrollable_modes(monkeypatch):
     assert _default_forced_S(monkeypatch, Gs, Ks, "predictor") == []
 
 
+@pytest.mark.parametrize("G, K, kwargs, message", [
+    (satellite_plant(), add_dipole(satellite_controller(), W=50.0),
+     {"form": "filter", "rank_by": "bogus"}, "rank_by must be 'product' or 'noise'"),
+    # A = 0 with K(0) = 0.2 - 0.1 / 0.5 = 0: a stable loop, closed-loop
+    # poles 0 and 0.7, that the filter form cannot realise
+    (_scalar(0.0, 1.0, 1.0), _scalar(0.5, 1.0, 0.1, 0.2), {"form": "filter"},
+     "filter form needs a nonsingular plant A"),
+], ids=["rank_by", "singular plant"])
+def test_a_search_refuses_a_bad_ranking_or_a_singular_filter_plant(monkeypatch, G, K, kwargs,
+                                                                   message):
+    def no_solve(*args):
+        raise AssertionError("a split was solved")
+
+    monkeypatch.setattr(realisation, "_solve_T_stack", no_solve)
+    with pytest.raises(ValueError, match=message):
+        search_realisations(G, K, **kwargs)
+
+
+def test_closed_loop_matrix_refuses_a_plant_with_feedthrough():
+    with pytest.raises(ValueError, match="expects a strictly proper plant"):
+        closed_loop_matrix(_scalar(0.5, 1.0, 1.0, d=1e-12), _scalar(0.2, 0.3, 0.4))
+
+
 def test_unknown_form_fails_before_any_split_is_solved(monkeypatch):
     def no_solve(*args):
         raise AssertionError("a split was solved")

@@ -675,6 +675,12 @@ def test_scenario_library_names(library):
     }
 
 
+def test_scenario_library_refuses_an_unknown_family(monkeypatch):
+    monkeypatch.setattr(sim, "search_realisations", None)  # refused before any search
+    with pytest.raises(ValueError, match="unknown scenario family 'bogus'"):
+        scenario_library("bogus")
+
+
 def test_scenario_library_runs_one_search_per_loop(monkeypatch):
     calls = []
 
