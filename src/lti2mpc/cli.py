@@ -455,9 +455,9 @@ def _custom_scenario(cfg: ProjectConfig, name: str, spec: dict) -> Scenario:
     if spec["duration"] is None:
         raise ConfigError(f"custom scenario {name!r} needs a 'duration'")
     G, _, G_d, K_d = build_problem(cfg)
+    config = _mpc_config(cfg, G_d)  # no realisation needed: refused before the search
     real = _run_search(cfg, G_d, K_d).ranked[0][0]
-    ctrl = MpcController(realisation=real, design_model=G_d,
-                         config=_mpc_config(cfg, G_d))
+    ctrl = MpcController(realisation=real, design_model=G_d, config=config)
     return Scenario(name=name, plant=G, controller=ctrl, **_scenario_fields(spec))
 
 

@@ -458,6 +458,17 @@ def test_simulate_refusals_end_in_documented_exit_codes(tmp_path, capsys, scenar
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_mpc_options_are_refused_before_the_search(tmp_path, monkeypatch, capsys):
+    # the config does not depend on the realisation, so a bad weight costs no search
+    monkeypatch.setattr(cli, "search_realisations", None)
+    cfg = _write(tmp_path, "c.json", {"plant": "satellite", "mpc": {"W": [[1]]},
+                                      "scenarios": {"a": {"duration": 2.0}}})
+    assert main(["simulate", "--config", cfg, "--scenario", "a",
+                 "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: mpc options: matching-cost weight is 1x1, not 2x2\n")
+
+
 def test_only_set_mpc_values_refuse_a_library_scenario(tmp_path, capsys):
     # an empty mpc section sets nothing, so a base entry runs
     cfg = _write(tmp_path, "c.json", {
