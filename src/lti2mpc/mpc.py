@@ -59,10 +59,10 @@ class MpcConfig:
     W weighs the matching cost (u - Kc x)'W(u - Kc x); None is the
     identity.  A given W must be square, finite and have a positive
     definite symmetric part, which is what the cost sees and what is
-    stored, as a read-only float array.  Bounds
-    are (lower, upper) pairs of per-channel arrays, stored as pairs of
-    read-only float copies, so no later edit of the caller's arrays
-    reaches a condensed QP built from this config.  A lower -inf or an
+    stored, as a read-only float array.  Bounds are (lower, upper) pairs
+    of per-channel arrays, stored as pairs of read-only float copies, so
+    no later edit of the caller's arrays reaches a condensed QP built from
+    this config.  A lower -inf or an
     upper +inf disables that side of a row, and a NaN entry, a lower +inf
     or an upper -inf is refused.  Output and state bounds are softened
     with one shared slack per bounded quantity per step (the same slack

@@ -248,7 +248,8 @@ def simulate(scenario: Scenario) -> Trace:
     records a loop-shift D_K commands u_mpc - D_K r + D_K y.  Refused
     (ValueError) before the first step: a duration that is not finite and
     >= 0; a controller (the baseline's K, an MPC's design model) whose
-    sample time is not the plant's within 1e-12; a mis-sized or non-finite x0, noise_sigma or setpoint; a
+    sample time is not the plant's within 1e-12; a mis-sized or non-finite
+    x0, noise_sigma or setpoint; a
     setpoint for an MPC without a prefilter; a fault whose actuator index
     is not an integer in [0, n_u), whose time is not finite and >= 0, or
     whose value is not finite; a disturbance whose time is not finite and
