@@ -15,6 +15,7 @@ scores realisations by H2 norms, and verifies controller equivalence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -29,6 +30,7 @@ from .linalg import (
     NumericalError,
     UnstableSystemError,
     _h2_stack,
+    _inner,
     _kalman_gains,
     _noise_weights,
     _solve_each,
@@ -476,20 +478,21 @@ def _check_orders(G, K):
         )
 
 
-def _owned(r: ObserverRealisation) -> ObserverRealisation:
-    """r with its arrays copied out of the chunk's stacks that
-    _Search.evaluate views, so the copies are allocated by the calling
-    thread and free of the stacks.  The copies are read-only: a controller
-    built from r (its prefilter, its observer) cannot go out of step with
-    an edited gain."""
-
-    def copy(a):
-        a = a.copy()
+def _owned(kept) -> list:
+    """One chunk's kept (realisation, score) pairs with their arrays copied
+    out of the chunk's stacks that _Search.evaluate views: each array
+    (T, T_perp, X, K_c, K_f) is copied once per chunk into one stack,
+    allocated by the calling thread and free of the chunk's stacks, and
+    each realisation holds row views of those.  The copies are read-only:
+    a controller built from a realisation (its prefilter, its observer)
+    cannot go out of step with an edited gain."""
+    stacks = []
+    for name in ("T", "T_perp", "X", "K_c", "K_f"):
+        a = np.array([getattr(r, name) for r, _ in kept])
         a.flags.writeable = False
-        return a
-
-    return ObserverRealisation(r.form, *map(copy, (r.T, r.T_perp, r.X, r.K_c, r.K_f)),
-                               r.choice, r.riccati_residual)
+        stacks.append(a)
+    return [(ObserverRealisation(r.form, *(a[i] for a in stacks), r.choice, r.riccati_residual),
+             score) for i, (r, score) in enumerate(kept)]
 
 
 def realisation_controller(r: ObserverRealisation, G: DtStateSpace) -> DtStateSpace:
@@ -540,6 +543,12 @@ def verify_equivalence(K_obs: DtStateSpace, K0: DtStateSpace) -> float:
     return max([0.0, *ratios])
 
 
+def _real_by_complex(R, Z):
+    """R @ Z for a real R and a complex Z, as one real product on Z's float
+    view (Z's last axis contiguous)."""
+    return (R @ Z.view(np.float64)).view(np.complex128)
+
+
 def _dist_injection(G):
     """(E, D) of the disturbance-to-estimate map used for the h2_dist score.
 
@@ -560,14 +569,143 @@ def _dist_injection(G):
     return E, D
 
 
-def _h2_scores(f, G, K_f) -> np.ndarray:
+def _h2_scores(f, G, K_f, modal=None) -> np.ndarray:
     """(h2_noise, h2_dist) rows for a stack of injection gains K_f, inf
-    where the error dynamics are unstable; both Gramians of a member advance
-    on the same powers of its Ae, each residual-checked against Ae, and a
-    norm no Gramian certifies is NaN (see :func:`~lti2mpc.linalg._h2_stack`)."""
+    where the error dynamics Ae are unstable: the noise map
+    (Ae, B, C, D) of the form's ``noise_matrices`` and the disturbance map
+    (Ae, E, I, D_dist) of :func:`_dist_injection`.
+
+    ``modal(Ae, noise, dist)``, a search's :meth:`_ModalBasis.scores`,
+    scores the members it certifies from the search's eigenbasis.  It
+    leaves to the doubling a member with an error pole on or outside the
+    unit circle, one whose eigenvector basis is too ill conditioned for its
+    bound (a free pole near an observer eigenvalue among them), and, by
+    passing no ``modal``, every member of a search with a fused eigenvalue
+    group.  Those members, and all of them without ``modal``, are scored
+    by :func:`~lti2mpc.linalg._h2_stack`: both Gramians advance on the same
+    powers of Ae, each residual-checked against Ae, and a norm no Gramian
+    certifies is NaN."""
     Ae, B, C, D = f.noise_matrices(G, K_f)
     E, D_dist = _dist_injection(G)
-    return _h2_stack(Ae, [(B, C, D), (E, np.eye(G.n), D_dist)])
+    maps = [(B, C, D), (E, np.eye(G.n), D_dist)]
+    if modal is None:
+        return _h2_stack(Ae, maps)
+    out, certified = modal(Ae, *maps)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        out[rest] = _h2_stack(Ae[rest], [tuple(M[rest] if M.ndim == 3 else M for M in m)
+                                         for m in maps])
+    return out
+
+
+class _ModalBasis:
+    """The split-free pieces of the modal H2 scores, from the closed loop's
+    one eigendecomposition A_cl = V diag(lambda) V^-1, and the stacked
+    kernel that scores built splits from them.
+
+    Needs an eigenvector per eigenvalue, so a search whose spectrum has a
+    fused eigenvalue group has none (see :class:`_Search`).  A singular V
+    leaves V^-1 NaN, and every member then goes to the doubling.
+    """
+
+    def __init__(self, eig: EigenStructure, G):
+        n = G.n
+        self.values = eig.values.astype(complex)
+        V = eig.vectors.astype(complex)
+        V_inv = _solve_each(V[np.newaxis], np.eye(len(V), dtype=complex)[np.newaxis])[0]
+        # columns gathered per O set: W = V[:, O] and L1' = V^-1[O, :n]'
+        self.W_top, self.W_bot = V[:n], V[n:]
+        self.L1_t = V_inv[:, :n].T.copy()
+        b = V_inv[:, :n] @ _dist_injection(G)[0]
+        with np.errstate(divide="ignore", invalid="ignore"):  # |lambda| = 1 is never certified
+            self.kernel = (1.0 / (1.0 - np.outer(self.values, self.values.conj()))).ravel()
+            # the disturbance map's modal Gramian on the O set is split-free
+            self.P_dist = (b @ b.conj().T).ravel() * self.kernel
+
+    def scores(self, O, T, T_perp, T_pinv, Ae, noise, dist):
+        """Modal H2 norms of a stack of built splits, and which of them the
+        modal path certifies; see :func:`_h2_scores` for the maps.
+
+        O (k, n_K) holds each split's observer indices.  In z = [T; T_perp'] x
+        the error dynamics are [[Lambda_O, 0], [H, F]], H = T_perp' Ae T^+,
+        F = T_perp' Ae T_perp, because T Ae = Lambda_O T (the Riccati
+        equation, in both forms).  Lambda_O = A_K - T B C_K has the
+        eigenvectors Y = W2 - T W1, W = V_cl[:, O], and the O-set rows of
+        V_cl^-1, [L1 L2], satisfy L1 = -L2 T, L2 Y = I.  With F = Z mu Z^-1
+        and What_ij = (Z^-1 H Y)_ij / (lambda_j - mu_i), Ae = X nu X^-1 for
+
+            X = [T^+ T_perp] [[Y, 0], [Z What, Z]],
+            X^-1 = [-L1;  Z^-1 T_perp' + What L1],
+
+        so a map (B, C, D) has the Gramian X Pt X^* with
+        Pt = (b b^*) / (1 - nu_i conj(nu_j)), b = X^-1 B, and
+        h^2 = Re tr(C X Pt X^* C') + ||D||_F^2.  The disturbance map's
+        input is the search's, so its Pt on the O set is gathered from
+        the one formed with V_cl^-1.
+
+        A member is certified when max |nu| < 1 and
+        eps cond_F(X) / (1 - max |nu|^2) <= 1e-10, cond_F(X) =
+        ||X||_F ||X^-1||_F; a free pole near an O eigenvalue makes What,
+        and so cond_F(X), large.  The rest, NaN here, go to the doubling.
+        """
+        k, n_K, n = T.shape
+        flat = O[:, :, np.newaxis] * len(self.values) + O[:, np.newaxis, :]  # O x O gathers
+        nu = np.empty((k, n), complex)
+        nu[:, :n_K] = self.values[O]
+        Y = np.take(self.W_bot, O, axis=1).transpose(1, 0, 2) - _real_by_complex(
+            T, np.take(self.W_top, O, axis=1).transpose(1, 0, 2))
+        L1_t = np.take(self.L1_t, O, axis=1).transpose(1, 0, 2)  # (k, n, n_K)
+        T_perp_t = T_perp.transpose(0, 2, 1)
+        PT = T_perp_t @ Ae
+        mu, Z = np.linalg.eig(PT @ T_perp)
+        nu[:, n_K:] = mu
+        Zb = np.zeros((k, n, n), complex)  # X = [T^+ T_perp] Zb
+        Zb[:, :n_K, :n_K] = Y
+        Zb[:, n_K:, n_K:] = Z
+        Z = Zb[:, n_K:, n_K:]  # complex even where eig returned a real Z
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Z_inv = _solve_each(Z, np.broadcast_to(np.eye(n - n_K, dtype=complex), Z.shape))
+            W_hat = (Z_inv @ _real_by_complex(PT @ T_pinv, Y)) / (
+                nu[:, np.newaxis, :n_K] - mu[:, :, np.newaxis])
+            Zb[:, n_K:, :n_K] = Z @ W_hat
+            X = _real_by_complex(np.concatenate([T_pinv, T_perp], axis=2), Zb)
+            # each stack goes as soon as it is used: a chunk's memory peaks
+            # in the products below
+            del Zb, Z, Y
+            Xi_F = Z_inv @ T_perp_t + W_hat @ L1_t.transpose(0, 2, 1)  # X^-1 below -L1
+            rho = np.abs(nu).max(axis=1)
+            norm2 = lambda M: _inner(M.view(float), M.view(float))  # ||M||_F^2
+            cond = np.sqrt(norm2(X) * (norm2(L1_t) + norm2(Xi_F)))
+            certified = (rho < 1.0) & (np.finfo(float).eps * cond <= 1e-10 * (1.0 - rho * rho))
+            # the kernel 1 / (1 - nu_i conj(nu_j)) is gathered on O x O; its
+            # F columns are K_F, and its F x O block their conjugate transpose
+            K_F = 1.0 / (1.0 - nu[:, :, np.newaxis] * mu.conj()[:, np.newaxis, :])
+
+            B, C, D = noise
+            b = np.empty((k, n, B.shape[-1]), complex)  # X^-1 B
+            b[:, :n_K] = _real_by_complex(-B.transpose(0, 2, 1), L1_t).transpose(0, 2, 1)
+            b[:, n_K:] = Xi_F @ B
+            Pt = b @ b.conj().transpose(0, 2, 1)
+            del b
+            Pt[:, :n_K, :n_K] *= np.take(self.kernel, flat)
+            Pt[:, :, n_K:] *= K_F
+            Pt[:, n_K:, :n_K] *= K_F[:, :n_K].conj().transpose(0, 2, 1)
+            CX = _real_by_complex(C, X)
+            h_noise = _inner((CX @ Pt).view(float), CX.view(float)) + _inner(D, D)
+            del CX
+
+            # X^-1 E (X^-1 E)^* on the F columns is X^-1 g, g = E (Xi_F E)^*
+            E, _, D = dist
+            g = E @ (Xi_F @ E).conj().transpose(0, 2, 1)
+            Pt[:, :n_K, :n_K] = np.take(self.P_dist, flat)
+            Pt[:, :n_K, n_K:] = -(L1_t.transpose(0, 2, 1) @ g)
+            Pt[:, n_K:, n_K:] = Xi_F @ g
+            Pt[:, :, n_K:] *= K_F
+            Pt[:, n_K:, :n_K] = Pt[:, :n_K, n_K:].conj().transpose(0, 2, 1)
+            h_dist = _inner((X @ Pt).view(float), X.view(float)) + _inner(D, D)
+        h2 = np.stack([h_noise, h_dist], axis=1)
+        certified &= (h2 >= 0.0).all(axis=1)
+        return np.sqrt(np.maximum(h2, 0.0)), certified
 
 
 # Splits per stacked chunk of the search, serial and on the pool alike:
@@ -597,6 +735,12 @@ class _Search:
         self.eig = eig_paired(self.A_cl)
         self.basis = _Eigenbasis(self.eig)
         self.sigma_min = float(np.linalg.svd(self.basis.basis, compute_uv=False)[-1])
+        # the modal scores need an eigenvector per eigenvalue: none when a
+        # fused group holds more than one eigenvalue or one conjugate pair
+        pair = self.eig.pair_index
+        fused = any(len(g) > 2 or (len(g) == 2 and pair[g[0]] != g[1])
+                    for g in _value_groups(self.eig))
+        self.modal = None if fused else _ModalBasis(self.eig, G)
 
     def free_pole_gains(self, T_perp):
         """The free-pole gains X of a stack of T-perp bases (k, n, n - n_K).
@@ -654,8 +798,11 @@ class _Search:
         A split is rejected for the first of these that applies: an
         infeasible T (see :func:`_solve_T_stack`), a failed free-pole
         design, a rank-deficient T, the invariants of the built
-        realisation, then an H2 norm that no path certifies (see
-        :func:`~lti2mpc.linalg._h2_stack`).  The gains are
+        realisation, then an H2 norm that no path certifies.  A built
+        split is scored from the search's eigenbasis where the modal bound
+        certifies it, and otherwise by the Stein doubling, the only path
+        for a spectrum with a fused eigenvalue group (see
+        :func:`_h2_scores`).  The gains are
 
             filter form:    K_c = D_K C + C_K T,  K_f = A^-1 (T-dagger B_K - B D_K)
             predictor form: K_c = C_K T,          K_f = T-dagger B_K
@@ -676,8 +823,8 @@ class _Search:
         keep = [m for m, i in enumerate(live) if not out[i]]
         if not keep:
             return out
-        live, T, T_perp, X, resid = live[keep], T[keep], T_perp[keep], X[keep], resid[keep]
-        K_c, K_f = f.gains(G, K, T, T_pinv[keep] + T_perp @ X)
+        live, T, T_perp, T_pinv, X, resid = (a[keep] for a in (live, T, T_perp, T_pinv, X, resid))
+        K_c, K_f = f.gains(G, K, T, T_pinv + T_perp @ X)
 
         fro = lambda M: np.linalg.norm(M, axis=(1, 2))
         if T_perp.shape[2]:
@@ -693,7 +840,12 @@ class _Search:
 
         built = [m for m, i in enumerate(live) if not out[i]]
         if built:
-            for m, row in zip(built, _h2_scores(f, G, K_f[built])):
+            modal = None
+            if self.modal is not None:
+                O = np.array([choices[live[m]].observer_set for m in built])
+                modal = functools.partial(self.modal.scores, O, T[built], T_perp[built],
+                                          T_pinv[built])
+            for m, row in zip(built, _h2_scores(f, G, K_f[built], modal)):
                 if np.isnan(row).any():
                     out[live[m]] = "H2 norm not certified"
                     continue
@@ -805,11 +957,13 @@ def search_realisations(
     result = SearchResult()
 
     def merge(chunk, outcomes):
+        kept = []
         for choice, outcome in zip(chunk, outcomes):
             if isinstance(outcome, str):
                 result.rejected.append((choice, outcome))
             else:
-                result.ranked.append((_owned(outcome[0]), outcome[1]))
+                kept.append(outcome)
+        result.ranked += _owned(kept)
 
     chunks = [choices[start : start + _CHUNK] for start in range(0, len(choices), _CHUNK)]
     _run_chunks(search.evaluate, chunks, workers or 1, merge)

@@ -845,6 +845,7 @@ def test_margin_loop_refuses_a_cut_outside_the_inputs(cut, message):
 def test_a_split_whose_h2_norm_is_not_certified_is_rejected(monkeypatch):
     G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
     full = search_realisations(G, K, form="filter")
+    _modal_certifies_nothing(monkeypatch)
     scored = realisation._h2_stack
     calls = []
 
@@ -1043,16 +1044,17 @@ def _per_split_search(G, K, forced_S, Qn=1.0, Rn=1e7):
     return rows, rejected
 
 
-def _smoke_forced_S(G, K):
-    """The surrogate's uncontrollable closed-loop modes plus its four
-    smallest-modulus conjugate pairs: 170 splits."""
+def _smoke_forced_S(G, K, pairs=4):
+    """The surrogate's uncontrollable closed-loop modes plus its ``pairs``
+    smallest-modulus conjugate pairs: 170 splits with four pairs, and the
+    benchmark's 4754 with two."""
     A_cl = closed_loop_matrix(G, K)
     eig = eig_paired(A_cl)
     B_cl = np.vstack([G.B, np.zeros((K.n, G.n_u))])
     forced = set(unobservable_modes(A_cl.T, B_cl.T, eig.values))
-    pairs = sorted((abs(eig.values[i]), i) for i in range(eig.n)
-                   if eig.pair_index[i] is not None and eig.values[i].imag > 0)
-    for _, i in pairs[:4]:  # the four smallest-modulus pairs stay in S
+    smallest = sorted((abs(eig.values[i]), i) for i in range(eig.n)
+                      if eig.pair_index[i] is not None and eig.values[i].imag > 0)
+    for _, i in smallest[:pairs]:  # the smallest-modulus pairs stay in S
         forced.update((i, eig.pair_index[i]))
     return sorted(forced)
 
@@ -1069,6 +1071,133 @@ def test_smoke_surrogate_search_matches_the_per_split_reference():
     assert [r.choice.state_feedback_set for r, _ in out.ranked] == [row[0] for row in rows]
     for (_, s), row in zip(out.ranked, rows):
         assert_allclose([s.h2_noise, s.h2_dist, s.product], row[1:], rtol=1e-9)
+
+
+# -- modal scores and their fallback to the doubling ---------------------------
+
+def _modal_certifies_nothing(monkeypatch):
+    """Send every member of every search to the doubling."""
+    def nothing(self, O, *args):
+        return np.full((len(O), 2), np.nan), np.zeros(len(O), dtype=bool)
+
+    monkeypatch.setattr(realisation._ModalBasis, "scores", nothing)
+
+
+def _spy_doubling(monkeypatch):
+    """The error dynamics of the members each search scores by the
+    doubling, one stack per call."""
+    calls = []
+    doubling = realisation._h2_stack
+
+    def spy(A, maps):
+        calls.append(A.copy())
+        return doubling(A, maps)
+
+    monkeypatch.setattr(realisation, "_h2_stack", spy)
+    return calls
+
+
+def _maps(f, G, K_f):
+    """(Ae, [noise map, disturbance map]) of one realisation, as the search scores it."""
+    Ae, B, C, D = f.noise_matrices(G, K_f)
+    E, D_dist = _dist_injection(G)
+    return Ae, [(B, C, D), (E, np.eye(G.n), D_dist)]
+
+
+@pytest.mark.parametrize("case, fallbacks", [("satellite", 0), ("pendulum", 0), ("surrogate", 7)])
+def test_certified_modal_scores_match_the_doubling_and_an_independent_oracle(monkeypatch, case,
+                                                                            fallbacks):
+    # the surrogate is the benchmark's 4754-split instance: 1703 ranked, of
+    # which 7 are not certified by the modal bound and fall back
+    if case == "surrogate":
+        G, K = scale_surrogate(0)
+        form, rank_by, forced = "predictor", "product", _smoke_forced_S(G, K, pairs=2)
+    else:
+        study = CASE_STUDIES[case]
+        _, _, G, K = study.loop()
+        form, rank_by, forced = study.form, study.rank_by, None
+    f = _form(form)
+    doubled = _spy_doubling(monkeypatch)
+    out = search_realisations(G, K, form=form, rank_by=rank_by, forced_S=forced)
+    fell_back = {A.tobytes() for stack in doubled for A in stack}
+    assert len(fell_back) == fallbacks
+    _modal_certifies_nothing(monkeypatch)
+    ref = search_realisations(G, K, form=form, rank_by=rank_by, forced_S=forced)
+    assert len(ref.ranked) >= 3 and sum(map(len, doubled)) == fallbacks + len(ref.ranked)
+
+    assert [(c.state_feedback_set, reason) for c, reason in out.rejected] == \
+           [(c.state_feedback_set, reason) for c, reason in ref.rejected]
+    assert [r.choice.state_feedback_set for r, _ in out.ranked] == \
+           [r.choice.state_feedback_set for r, _ in ref.ranked]
+    rows = []  # (search, doubling, oracle) per certified member
+    for (r, s), (_, s_ref) in zip(out.ranked, ref.ranked):
+        Ae, maps = _maps(f, G, r.K_f)
+        if Ae.tobytes() in fell_back:
+            assert (s.h2_noise, s.h2_dist) == (s_ref.h2_noise, s_ref.h2_dist)
+        else:
+            rows.append([[s.h2_noise, s.h2_dist], [s_ref.h2_noise, s_ref.h2_dist],
+                         _per_split_modal_h2(Ae, maps)])
+    rows = np.array(rows)
+    assert len(rows) == len(out.ranked) - fallbacks
+    assert_allclose(rows[:, 0], rows[:, 1], rtol=1e-10)
+    assert_allclose(rows[:, 0], rows[:, 2], rtol=1e-9)
+
+
+def test_a_free_pole_near_an_observer_eigenvalue_falls_back_to_the_doubling(monkeypatch):
+    # a split of the full surrogate search whose free pole is 2.5e-6 from an
+    # O eigenvalue: What, and so cond_F(X), is large, and the modal bound
+    # leaves it to the doubling (its modal norms are off by 9.7e-10)
+    G, K = scale_surrogate(0)
+    S = (4, 5, 6, 8, 11, 12, 13, 14, 15, 16, 19, 21, 25, 26, 27, 29, 32, 33, 34, 35, 37)
+    doubled = _spy_doubling(monkeypatch)
+    ((r, s),) = search_realisations(G, K, form="predictor", forced_S=S).ranked
+    assert [len(A) for A in doubled] == [1]
+    f = _form("predictor")
+    Ae, maps = _maps(f, G, r.K_f)
+    free = np.linalg.eigvals(r.T_perp.T @ Ae @ r.T_perp)
+    observer = eig_paired(closed_loop_matrix(G, K)).values[list(r.choice.observer_set)]
+    assert np.abs(observer[:, np.newaxis] - free).min() < 2e-4
+    assert (s.h2_noise, s.h2_dist) == tuple(linalg._h2_stack(Ae[np.newaxis], maps)[0])
+
+
+def test_a_spectrum_with_a_fused_group_is_scored_by_the_doubling(monkeypatch):
+    # criterion 13's two copies of the satellite loop: every eigenvalue is
+    # double, so the search has no eigenvector per eigenvalue
+    G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
+    G2 = DtStateSpace(*(scipy.linalg.block_diag(M, M) for M in (G.A, G.B, G.C)),
+                      np.zeros((2, 4)), G.Ts)
+    K2 = DtStateSpace(*(scipy.linalg.block_diag(M, M) for M in (K.A, K.B, K.C, K.D)), K.Ts)
+    assert realisation._Search(G2, K2, "filter", 1.0, 1e7).modal is None
+    doubled = _spy_doubling(monkeypatch)
+    out = search_realisations(G2, K2, form="filter")
+    assert len(out.ranked) == sum(map(len, doubled)) == 4 and not out.rejected
+    for r, s in out.ranked:
+        Ae, maps = _maps(_form("filter"), G2, r.K_f)
+        assert (s.h2_noise, s.h2_dist) == tuple(linalg._h2_stack(Ae[np.newaxis], maps)[0])
+
+
+def test_an_unstable_free_pole_scores_inf_by_the_doubling(monkeypatch):
+    # free-pole gains X of ones put a free pole of two pendulum splits
+    # outside the unit circle: no modal score, the doubling's inf
+    (G, K), f = loop_shift(pendulum_plant(), pendulum_controller()), _form("predictor")
+
+    def ones(self, T_perp):
+        k, _, free = T_perp.shape
+        return np.ones((k, free, self.K.n)), [None] * k
+
+    monkeypatch.setattr(realisation._Search, "free_pole_gains", ones)
+    doubled = _spy_doubling(monkeypatch)
+    out = search_realisations(G, K, form="predictor", rank_by="noise")
+    assert [len(A) for A in doubled] == [2] and len(out.ranked) == 3
+    for r, s in out.ranked:
+        Ae, maps = _maps(f, G, r.K_f)
+        unstable = np.abs(np.linalg.eigvals(r.T_perp.T @ Ae @ r.T_perp)).max() > 1.0
+        assert s.stable != unstable
+        if unstable:
+            assert s.h2_noise == s.h2_dist == np.inf
+        else:
+            assert_allclose([s.h2_noise, s.h2_dist],
+                            linalg._h2_stack(Ae[np.newaxis], maps)[0], rtol=1e-10)
 
 
 @pytest.mark.parametrize("case", ["satellite", "pendulum", "surrogate"])
@@ -1236,6 +1365,25 @@ def test_one_128_split_chunk_stays_within_its_traced_memory_peak():
     assert peak <= 1.25 * 2.95e6, f"{peak / 1e6:.2f} MB"
 
 
+def test_the_densest_benchmark_chunk_stays_within_its_traced_memory_peak():
+    # chunk 33 of the benchmark's 4754 splits builds and scores 108 of its
+    # 128: 6.92 MB, with the modal scores dropping their stacks as soon as
+    # they are used (8.98 MB when they do not; 7.43 MB for the doubling alone)
+    G, K = scale_surrogate(0)
+    search = realisation._Search(G, K, "predictor", 1.0, 1e7)
+    chunk = enumerate_choices(search.eig, G.n, K.n, _smoke_forced_S(G, K, pairs=2))[
+        33 * 128 : 34 * 128]
+    search.evaluate(chunk)  # lazy imports
+    tracemalloc.start()
+    try:
+        out = search.evaluate(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(not isinstance(o, str) for o in out) == 108
+    assert peak <= 1.1 * 6.92e6, f"{peak / 1e6:.2f} MB"
+
+
 def test_threaded_search_equals_the_serial_search(monkeypatch):
     monkeypatch.setattr(realisation, "_CHUNK", 32)  # at least three pool chunks
     G, K = scale_surrogate(0)
@@ -1257,7 +1405,9 @@ def test_threaded_search_equals_the_serial_search(monkeypatch):
         for name in ("T", "T_perp", "X", "K_c", "K_f"):
             a, b = getattr(r1, name), getattr(r2, name)
             assert np.array_equal(a, b), name
-            assert b.base is None  # owned, not a view of a chunk's stacks
+            # a row of the read-only copy merged on this thread, not a view
+            # of a chunk's stacks
+            assert b.base is not None and b.base.base is None and not b.base.flags.writeable
 
 
 @pytest.mark.parametrize("workers", [0, -1, True, 1.5])
