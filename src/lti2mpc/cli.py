@@ -4,7 +4,7 @@ Commands
 --------
 realise     enumerate and rank observer realisations, write a JSON report
 simulate    run a named scenario, write a CSV trace plus a JSON summary
-verify      check realisation invariants and controller equivalence
+verify      certify controller equivalence from T, check realisation invariants
 discretise  emit the discrete-time plant/controller matrices as JSON
 
 Flags: --config <path>, --scenario <name>, --out <path>, --seed <u64>.
@@ -16,7 +16,7 @@ search refuses, a loop its form refuses, a ``margin_cut`` that is not an
 input or is one the controller never drives (refused after the search),
 a scenario number ``simulate`` refuses, any ``mpc`` key with a
 library-based scenario, a weight of the mpc cost not in use, a
-mis-shaped ``verify_gains`` matrix).  JSON
+mis-shaped ``verify_gains`` matrix or one without a T it can recover).  JSON
 -Infinity as a lower and +Infinity as an upper bound disable that side of
 a bound row; the other sides, a Ts, a dipole_W, an mpc weight, a
 verify_gains matrix, or a scenario duration, x0 or noise_sigma refuse
@@ -44,7 +44,7 @@ Config schema (all sections optional unless a command needs them):
                                "seed": 7, "noise_sigma": [1e-5],
                                "x0": [0.0, 0.0, 0.0]}},
       "verify_gains": {"form": "filter", "K_c": [[...]], "K_f": [[...]],
-                       "T": [[...]]}        # optional external gains check
+                       "T": [[...]]}        # optional gains check; T may be null
     }
 
 Every section is checked against ``_SCHEMA`` before any numerics; sizes
@@ -78,11 +78,10 @@ from .realisation import (
     ObserverRealisation,
     _form,
     closed_loop_matrix,
+    equivalence_residual,
     margin_loop,
-    realisation_controller,
     riccati_residual,
     search_realisations,
-    verify_equivalence,
 )
 from .sim import (
     BaselineController,
@@ -576,23 +575,17 @@ def _summary_path(out_path):
 
 def _verify_one(label, r, G_d, K_d, lines) -> bool:
     """Check realisation r of (G_d, K_d), reading the Riccati residual it
-    carries when it has a T."""
-    form = _form(r.form)
-    resid = verify_equivalence(realisation_controller(r, G_d), K_d)
+    carries when it has a T; without one, the equivalence residual recovers
+    T from the gains (ValueError when K_d's observability matrix cannot)."""
+    resid = equivalence_residual(r, G_d, K_d)
     ok = resid <= 1e-6
     checks = [f"equivalence residual {resid:.3e}"]
     if r.T.size:
         checks.append(f"riccati residual {r.riccati_residual:.3e}")
         ok = ok and r.riccati_residual <= 1e-6
-    gap = form.feedthrough_gap(r.K_c, r.K_f, K_d)
-    if gap is not None:
-        gap = float(np.max(np.abs(gap)))
-        checks.append(f"K_c K_f feedthrough gap {gap:.3e}")
-        ok = ok and gap <= 1e-6 * (1.0 + float(np.max(np.abs(K_d.D))))
     # the noise map's state matrix is the observer error dynamics
-    stable = spectral_radius(form.noise_system(r, G_d).A) < 1.0
-    checks.append("error dynamics stable" if stable else
-                  "error dynamics UNSTABLE")
+    stable = spectral_radius(_form(r.form).noise_system(r, G_d).A) < 1.0
+    checks.append("error dynamics stable" if stable else "error dynamics UNSTABLE")
     ok = ok and stable
     lines.append(f"{'PASS' if ok else 'FAIL'} {label}: " + "; ".join(checks))
     return ok
@@ -606,8 +599,8 @@ def cmd_verify(cfg: ProjectConfig, out_path) -> int:
         vg = cfg.verify_gains
         T = np.zeros((0, 0)) if vg["T"] is None else np.array(vg["T"], float)
         K_c, K_f = (np.array(vg[k], float) for k in ("K_c", "K_f"))
-        try:  # the form's preconditions, the gains' shapes, then the one
-            # Riccati residual of supplied gains
+        try:  # the form's preconditions, the gains' shapes, the one Riccati
+            # residual of supplied gains, then a T the gains cannot determine
             _form(vg["form"]).check(G_d, K_d)
             n, n_u, n_y = G_d.n, G_d.n_u, G_d.n_y
             for key, names, shape in (("K_c", "n_u x n", (n_u, n)), ("K_f", "n x n_y", (n, n_y)),
@@ -615,11 +608,9 @@ def cmd_verify(cfg: ProjectConfig, out_path) -> int:
                 if vg[key] is not None and np.shape(vg[key]) != shape:
                     raise ValueError(f"{key} must be {names} = {shape}, got {np.shape(vg[key])}")
             r = ObserverRealisation(
-                form=vg["form"], T=T,
-                T_perp=np.zeros((G_d.n, 0)), X=np.zeros((0, 0)), K_c=K_c, K_f=K_f,
-                choice=None, riccati_residual=(
-                    riccati_residual(closed_loop_matrix(G_d, K_d), T) if T.size else math.nan),
-            )
+                form=vg["form"], T=T, T_perp=np.zeros((n, 0)), X=np.zeros((0, 0)), K_c=K_c,
+                K_f=K_f, choice=None, riccati_residual=riccati_residual(
+                    closed_loop_matrix(G_d, K_d), T) if T.size else math.nan)
             all_ok = _verify_one("supplied gains", r, G_d, K_d, lines)
         except ValueError as exc:
             raise ConfigError(f"verify_gains: {exc}") from None

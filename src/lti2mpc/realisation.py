@@ -10,7 +10,8 @@ admits a real solution T of the non-symmetric Riccati equation
 yields gains (K_c, K_f) realising K as an observer plus state feedback.
 This module enumerates the splits, solves for T via invariant subspaces,
 assigns the free observer poles through the T-dagger parametrisation,
-scores realisations by H2 norms, and verifies controller equivalence.
+scores realisations by H2 norms, and certifies controller equivalence
+exactly from T (:func:`equivalence_residual`).
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ __all__ = [
     "closed_loop_matrix",
     "make_observer",
     "enumerate_choices",
-    "realisation_controller",
     "margin_loop",
-    "verify_equivalence",
+    "equivalence_residual",
     "search_realisations",
 ]
 
 _COND_LIMIT = 1e10
 _RESID_TOL = 1e-8
+_OBSERVABILITY_COND = 1e8  # above it, O_K does not determine T (see _recovered_T)
 
 
 @dataclass(frozen=True)
@@ -368,27 +369,22 @@ class _Form:
     """What differs between the two observer forms, and what follows from it.
 
     A form defines check(G, K), its preconditions on the loop;
-    gains(G, K, T, T_dagger) -> (K_c, K_f); feedthrough_gap(K_c, K_f, K),
-    K_c K_f - D_K where the form makes it zero (else None); and
-    observer(G, K_f) -> (A_o, B_y, C_o, D_y), the observer
+    gains(G, K, T, T_dagger) -> (K_c, K_f); and observer(G, K_f) ->
+    (A_o, B_y, C_o, D_y), the observer
 
         x-hat+ = A_o x-hat + B u + B_y y,   estimate = C_o x-hat + D_y y.
 
     Everything else is derived here from that observer: the map from the
-    measured output to its own estimate, whose state matrix A_o is the
-    error dynamics; the controller u = K_c estimate; and the margin loop.
-    make_observer builds the ObserverState that steps it, and
-    runtime.build_prefilter runs the same observer on the reference.  gains,
-    feedthrough_gap, observer and noise_matrices also take stacks (a
-    leading axis on T, T_dagger, K_c, K_f).
+    measured output to its own estimate (:func:`_noise_matrices`), whose
+    state matrix A_o is the error dynamics; the controller u = K_c estimate,
+    which :func:`equivalence_residual` checks against the baseline; and the
+    margin loop.  make_observer builds the ObserverState that steps it, and
+    runtime.build_prefilter runs the same observer on the reference.  gains
+    and observer also take stacks (a leading axis on T, T_dagger, K_c, K_f).
     """
 
-    def noise_matrices(self, G, K_f):
-        A_o, B_y, C_o, D_y = self.observer(G, K_f)
-        return A_o, B_y, G.C @ C_o, G.C @ D_y
-
     def noise_system(self, r, G):
-        return DtStateSpace(*self.noise_matrices(G, r.K_f), G.Ts)
+        return DtStateSpace(*_noise_matrices(G, self.observer(G, r.K_f)), G.Ts)
 
     def controller(self, r, G):
         A_o, B_y, C_o, D_y = self.observer(G, r.K_f)
@@ -423,9 +419,6 @@ class _FilterForm(_Form):
         K_f = np.linalg.solve(G.A, T_dagger @ K.B - G.B @ K.D)
         return K_c, K_f
 
-    def feedthrough_gap(self, K_c, K_f, K):
-        return K_c @ K_f - K.D
-
     def observer(self, G, K_f):
         ImKfC = np.eye(G.n) - K_f @ G.C
         return G.A @ ImKfC, G.A @ K_f, ImKfC, K_f
@@ -444,9 +437,6 @@ class _PredictorForm(_Form):
 
     def gains(self, G, K, T, T_dagger):
         return K.C @ T, T_dagger @ K.B
-
-    def feedthrough_gap(self, K_c, K_f, K):
-        return None
 
     def observer(self, G, K_f):
         return G.A - K_f @ G.C, K_f, np.eye(G.n), np.zeros(K_f.shape[:-2] + (G.n, G.n_y))
@@ -495,12 +485,6 @@ def _owned(kept) -> list:
              score) for i, (r, score) in enumerate(kept)]
 
 
-def realisation_controller(r: ObserverRealisation, G: DtStateSpace) -> DtStateSpace:
-    """The observer-based controller as an n-state system from y to u,
-    defined by r's gains on G."""
-    return _form(r.form).controller(r, G)
-
-
 def margin_loop(
     r: ObserverRealisation, G: DtStateSpace, cut_input: int
 ) -> DtStateSpace:
@@ -525,22 +509,39 @@ def margin_loop(
     return _form(r.form).margin_loop(r, G, cut_input)
 
 
-def verify_equivalence(K_obs: DtStateSpace, K0: DtStateSpace) -> float:
-    """Max relative transfer-function deviation on a 200-point log grid;
-    inf when a response overflows, so the deviation is not a number."""
-    if (K_obs.n_u, K_obs.n_y) != (K0.n_u, K0.n_y):
-        raise ValueError("systems have different I/O dimensions")
-    w_ts = np.logspace(-4, math.log10(math.pi), 200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        R1 = K_obs.freq_response(w_ts)
-        R0 = K0.freq_response(w_ts)
-        gap = R1 - R0
-        if not (np.isfinite(gap).all() and np.isfinite(R0).all()):
-            return math.inf  # an overflowed response matches nothing
-        ratios = np.linalg.norm(gap, 2, axis=(1, 2)) / (1.0 + np.linalg.norm(R0, 2, axis=(1, 2)))
-    if np.isnan(ratios).any():
-        return math.inf
-    return max([0.0, *ratios])
+def equivalence_residual(r: ObserverRealisation, G: DtStateSpace, K: DtStateSpace) -> float:
+    """The largest relative residual of T A-hat = A_K T, T B-hat = B_K,
+    C-hat = C_K T and D-hat = D_K, each over the Frobenius norms of its
+    terms' factors, where (A-hat, B-hat, C-hat, D-hat) is r's controller on
+    G and K the baseline.  The four identities give both the same transfer
+    function at every z, so a residual of rounding size certifies
+    equivalence with no frequency grid.  An identity with both sides zero
+    reads 0 and a residual that is not finite (overflowing gains) inf; an
+    empty r.T (supplied gains) is recovered by :func:`_recovered_T`."""
+    ctrl = _form(r.form).controller(r, G)
+    T = r.T if r.T.size else _recovered_T(ctrl, K)
+    fro = np.linalg.norm
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = fro(T)
+        terms = [(fro(T @ ctrl.A - K.A @ T), (fro(ctrl.A) + fro(K.A)) * t),
+                 (fro(T @ ctrl.B - K.B), t * fro(ctrl.B) + fro(K.B)),
+                 (fro(ctrl.C - K.C @ T), fro(ctrl.C) + fro(K.C) * t),
+                 (fro(ctrl.D - K.D), fro(ctrl.D) + fro(K.D))]
+        worst = np.max([gap / scale if gap else 0.0 for gap, scale in terms])
+    return float(worst) if np.isfinite(worst) else math.inf
+
+
+def _recovered_T(ctrl: DtStateSpace, K: DtStateSpace) -> np.ndarray:
+    """T = O_K^+ O-hat, since O-hat = O_K T for the observability matrices
+    of K and of the controller ``ctrl`` over n = ctrl.n steps; ValueError
+    when O_K is numerically rank deficient, so that it does not fix T."""
+    obs = lambda A, C: np.vstack([C @ np.linalg.matrix_power(A, i) for i in range(ctrl.n)])
+    U, s, Vt = np.linalg.svd(obs(K.A, K.C), full_matrices=False)
+    if K.n and not (s.size == K.n and s[0] > 0 and s[-1] * _OBSERVABILITY_COND >= s[0]):
+        raise ValueError(f"the baseline controller's observability matrix O_K over {ctrl.n} "
+                         f"steps has numerical rank below n_K = {K.n} (cond_2 above "
+                         f"{_OBSERVABILITY_COND:.0e}), so the gains do not determine T")
+    return Vt.T @ ((U.T @ obs(ctrl.A, ctrl.C)) / s[:, np.newaxis])
 
 
 def _real_by_complex(R, Z):
@@ -569,10 +570,16 @@ def _dist_injection(G):
     return E, D
 
 
-def _h2_scores(f, G, K_f, modal=None) -> np.ndarray:
-    """(h2_noise, h2_dist) rows for a stack of injection gains K_f, inf
-    where the error dynamics Ae are unstable: the noise map
-    (Ae, B, C, D) of the form's ``noise_matrices`` and the disturbance map
+def _noise_matrices(G, observer):
+    """The map from y to its own estimate, of one or a stack of observers."""
+    A_o, B_y, C_o, D_y = observer
+    return A_o, B_y, G.C @ C_o, G.C @ D_y
+
+
+def _h2_scores(G, observer, modal=None) -> np.ndarray:
+    """(h2_noise, h2_dist) rows for a stack of the form's ``observer``
+    quadruples, inf where the error dynamics Ae are unstable: the noise
+    map (Ae, B, C, D) of :func:`_noise_matrices` and the disturbance map
     (Ae, E, I, D_dist) of :func:`_dist_injection`.
 
     ``modal(Ae, noise, dist)``, a search's :meth:`_ModalBasis.scores`,
@@ -585,7 +592,7 @@ def _h2_scores(f, G, K_f, modal=None) -> np.ndarray:
     by :func:`~lti2mpc.linalg._h2_stack`: both Gramians advance on the same
     powers of Ae, each residual-checked against Ae, and a norm no Gramian
     certifies is NaN."""
-    Ae, B, C, D = f.noise_matrices(G, K_f)
+    Ae, B, C, D = _noise_matrices(G, observer)
     E, D_dist = _dist_injection(G)
     maps = [(B, C, D), (E, np.eye(G.n), D_dist)]
     if modal is None:
@@ -802,10 +809,8 @@ class _Search:
         split is scored from the search's eigenbasis where the modal bound
         certifies it, and otherwise by the Stein doubling, the only path
         for a spectrum with a fused eigenvalue group (see
-        :func:`_h2_scores`).  The gains are
-
-            filter form:    K_c = D_K C + C_K T,  K_f = A^-1 (T-dagger B_K - B D_K)
-            predictor form: K_c = C_K T,          K_f = T-dagger B_K
+        :func:`_h2_scores`).  The gains are the form's, from T and
+        T-dagger = T^+ + T_perp X.
         """
         G, K, f = self.G, self.K, self.f
         # passed on directly, so that _solve_T_stack can drop the bases
@@ -825,6 +830,7 @@ class _Search:
             return out
         live, T, T_perp, T_pinv, X, resid = (a[keep] for a in (live, T, T_perp, T_pinv, X, resid))
         K_c, K_f = f.gains(G, K, T, T_pinv + T_perp @ X)
+        observer = f.observer(G, K_f)  # read by the feedthrough check and the scores
 
         fro = lambda M: np.linalg.norm(M, axis=(1, 2))
         if T_perp.shape[2]:
@@ -832,11 +838,10 @@ class _Search:
             null = fro(T @ T_perp)
             for m in np.flatnonzero((ortho > 1e-10) | (null > 1e-10 * np.maximum(1.0, fro(T)))):
                 out[live[m]] = "T_perp basis failed orthogonality checks"
-        gap = f.feedthrough_gap(K_c, K_f, K)
-        if gap is not None:
-            err = fro(gap)
-            for m in np.flatnonzero(err > 1e-8 * (1.0 + np.linalg.norm(K.D))):
-                out[live[m]] = out[live[m]] or f"K_c K_f - D_K = {err[m]:.2e}, expected 0"
+        # the controller's feedthrough K_c D_y is D_K (K_c K_f in the filter form)
+        err = fro(K_c @ observer[3] - K.D)
+        for m in np.flatnonzero(err > 1e-8 * (1.0 + np.linalg.norm(K.D))):
+            out[live[m]] = out[live[m]] or f"K_c K_f - D_K = {err[m]:.2e}, expected 0"
 
         built = [m for m, i in enumerate(live) if not out[i]]
         if built:
@@ -845,7 +850,9 @@ class _Search:
                 O = np.array([choices[live[m]].observer_set for m in built])
                 modal = functools.partial(self.modal.scores, O, T[built], T_perp[built],
                                           T_pinv[built])
-            for m, row in zip(built, _h2_scores(f, G, K_f[built], modal)):
+            if len(built) < len(live):  # a 2-d matrix (the predictor's C_o) is shared
+                observer = tuple(M[built] if M.ndim == 3 else M for M in observer)
+            for m, row in zip(built, _h2_scores(G, observer, modal)):
                 if np.isnan(row).any():
                     out[live[m]] = "H2 norm not certified"
                     continue

@@ -1,6 +1,10 @@
 import itertools
+import math
 
 import numpy as np
+import scipy.linalg
+
+from lti2mpc.statespace import DtStateSpace
 
 
 def brute_force_qp(H, f, A, b):
@@ -119,3 +123,22 @@ def check_decoupling(M, blocks):
     if off.size == 0:
         return 0.0
     return float(off.max() / max(np.abs(M).max(), 1e-300))
+
+
+# the frequencies (rad/sample) at which test_realisation's grid oracle
+# compares two controllers
+ORACLE_GRID = np.logspace(-4, math.log10(math.pi), 200)
+
+
+def with_narrow_resonance(K, b, c):
+    """K in parallel with a resonance from its first input to its first
+    output, with input gain b and output gain c: a pole pair at radius
+    1 - 1e-5 and angle theta, the geometric mean of ORACLE_GRID's points
+    150 and 151.  Returns (the controller, theta)."""
+    theta = math.sqrt(ORACLE_GRID[150] * ORACLE_GRID[151])
+    turn = (1.0 - 1e-5) * np.array([[math.cos(theta), -math.sin(theta)],
+                                    [math.sin(theta), math.cos(theta)]])
+    B, C = np.zeros((2, K.n_u)), np.zeros((K.n_y, 2))
+    B[0, 0], C[0, 0] = b, c
+    return DtStateSpace(scipy.linalg.block_diag(K.A, turn), np.vstack([K.B, B]),
+                        np.hstack([K.C, C]), K.D, K.Ts), theta

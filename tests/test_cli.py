@@ -8,14 +8,16 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
+from conftest import with_narrow_resonance
 from lti2mpc import cli, realisation
 from lti2mpc.cli import main, parse_config, build_problem, ConfigError, _baseline_counterpart
 from lti2mpc.linalg import NumericalError
-from lti2mpc.models import pendulum_controller, pendulum_plant
+from lti2mpc.models import CASE_STUDIES, pendulum_controller, pendulum_plant
 from lti2mpc.realisation import search_realisations
 from lti2mpc.sim import scenario_library
-from lti2mpc.statespace import add_dipole, c2d_zoh, loop_shift
+from lti2mpc.statespace import DtStateSpace, add_dipole, c2d_zoh, loop_shift
 from lti2mpc.models import satellite_controller, satellite_plant, satellite_plant_ct
 
 
@@ -212,6 +214,55 @@ def test_verify_fails_gains_whose_responses_overflow(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("FAIL supplied gains: equivalence residual inf")
     assert json.loads(out.read_text())["passed"] is False
+
+
+def _rank_1_gains(name, K_f_scale=1.0):
+    """verify_gains of a case study's rank-1 realisation, without its T."""
+    case = CASE_STUDIES[name]
+    _, _, G, K = case.loop()
+    r = search_realisations(G, K, form=case.form, rank_by=case.rank_by).ranked[0][0]
+    return {"K_c": r.K_c.tolist(), "K_f": (K_f_scale * r.K_f).tolist(), "T": None}
+
+
+@pytest.mark.parametrize("name", ["satellite", "pendulum"])
+@pytest.mark.parametrize("K_f_scale, code, verdict", [(1.0, 0, "PASS"), (1.0 + 1e-4, 1, "FAIL")])
+def test_verify_recovers_T_of_gains_supplied_without_one(tmp_path, capsys, name, K_f_scale,
+                                                         code, verdict):
+    cfg = _write(tmp_path, "vg.json", {"plant": name,
+                                       "verify_gains": _rank_1_gains(name, K_f_scale)})
+    assert main(["verify", "--config", cfg]) == code
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"{verdict} supplied gains: equivalence residual ")
+    assert line.endswith("; error dynamics stable") and "riccati" not in line
+
+
+def test_verify_refuses_gains_without_T_against_an_unobservable_baseline(tmp_path, capsys):
+    # the pendulum baseline with a state its outputs never see: O_K has a zero column
+    K = pendulum_controller()
+    K = DtStateSpace(scipy.linalg.block_diag(K.A, 0.5), np.vstack([K.B, np.ones((1, K.n_u))]),
+                     np.hstack([K.C, np.zeros((K.n_y, 1))]), K.D, K.Ts)
+    cfg = _write(tmp_path, "vg.json", {"plant": "pendulum", "controller": cli._system_json(K),
+                                       "verify_gains": _rank_1_gains("pendulum")})
+    assert main(["verify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: verify_gains: the baseline controller's observability matrix O_K over 4 "
+        "steps has numerical rank below n_K = 3 (cond_2 above 1e+08), so the gains do not "
+        "determine T\n")
+
+
+def test_verify_fails_gains_against_a_baseline_with_a_resonance_between_grid_points(tmp_path,
+                                                                                  capsys):
+    # the pendulum baseline plus a narrow resonance that a frequency grid
+    # misses (see test_realisation.py): its rank-1 gains no longer realise it
+    K, _ = with_narrow_resonance(pendulum_controller(), 1e-2, 3.5e-5)
+    cfg = _write(tmp_path, "vg.json", {"plant": "pendulum", "controller": cli._system_json(K),
+                                       "verify_gains": _rank_1_gains("pendulum")})
+    assert main(["verify", "--config", cfg]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL supplied gains: equivalence residual ")
+    assert float(line.split()[5].rstrip(";")) > 1e-6
 
 
 def test_simulate_runs_only_the_scenario_family_search(tmp_path, monkeypatch):

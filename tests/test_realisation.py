@@ -24,7 +24,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
-from conftest import check_decoupling
+from conftest import ORACLE_GRID, check_decoupling, with_narrow_resonance
 from lti2mpc import linalg, realisation
 from lti2mpc.linalg import (
     NumericalError,
@@ -49,13 +49,13 @@ from lti2mpc.realisation import (
     _dist_injection,
     _form,
     _h2_scores,
+    _noise_matrices,
     _t_qr,
     closed_loop_matrix,
     enumerate_choices,
+    equivalence_residual,
     margin_loop,
-    realisation_controller,
     search_realisations,
-    verify_equivalence,
 )
 from lti2mpc.statespace import DtStateSpace, add_dipole, loop_shift, unobservable_modes
 
@@ -123,7 +123,34 @@ def _random_free_poles(monkeypatch, rng):
 
 def _score_one(r, G):
     """The search's scores of one realisation."""
-    return RealisationScore(*map(float, _h2_scores(_form(r.form), G, r.K_f[np.newaxis])[0]))
+    observer = _form(r.form).observer(G, r.K_f[np.newaxis])
+    return RealisationScore(*map(float, _h2_scores(G, observer)[0]))
+
+
+def _verify_equivalence(K_obs, K0):
+    """The grid oracle, independent of T: the largest relative
+    transfer-function deviation of K_obs from K0 on ORACLE_GRID, inf when
+    a response overflows.  It is blind between its points (see
+    test_the_grid_oracle_misses_a_narrow_resonance_that_the_exact_check_sees)."""
+    if (K_obs.n_u, K_obs.n_y) != (K0.n_u, K0.n_y):
+        raise ValueError("systems have different I/O dimensions")
+    with np.errstate(over="ignore", invalid="ignore"):
+        R1 = K_obs.freq_response(ORACLE_GRID)
+        R0 = K0.freq_response(ORACLE_GRID)
+        gap = R1 - R0
+        if not (np.isfinite(gap).all() and np.isfinite(R0).all()):
+            return math.inf  # an overflowed response matches nothing
+        ratios = np.linalg.norm(gap, 2, axis=(1, 2)) / (1.0 + np.linalg.norm(R0, 2, axis=(1, 2)))
+    if np.isnan(ratios).any():
+        return math.inf
+    return max([0.0, *ratios])
+
+
+def _assert_exactly_equivalent(r, G, K):
+    """equivalence_residual certifies r against K, and fails r with its
+    K_f moved by 1e-6 relative."""
+    assert equivalence_residual(r, G, K) <= 1e-11
+    assert equivalence_residual(dataclasses.replace(r, K_f=r.K_f * (1.0 + 1e-6)), G, K) >= 1e-8
 
 
 # -- scalar oracles ----------------------------------------------------------
@@ -151,7 +178,7 @@ def test_scalar_predictor_both_splits():
         # quadratic satisfied
         T = r.T[0, 0]
         assert abs(0.4 * T * T + 0.3 * T - 0.3) < 1e-12
-        assert verify_equivalence(realisation_controller(r, G), K) < 1e-12
+        assert _verify_equivalence(_form(r.form).controller(r, G), K) < 1e-12
         # observer error pole is the eigenvalue left out of S
         left_out = eig.values[1 - c.state_feedback_set[0]].real
         assert_allclose(G.A[0, 0] - r.K_f[0, 0] * G.C[0, 0], left_out, atol=1e-6)
@@ -176,7 +203,7 @@ def test_scalar_filter_both_splits_and_feedthrough_identity():
         assert_allclose(r.K_f, [[Kf_ref]], atol=1e-6)
         # K_c K_f recovers the controller feedthrough exactly
         assert_allclose(r.K_c @ r.K_f, K.D, atol=1e-10)
-        assert verify_equivalence(realisation_controller(r, G), K) < 1e-12
+        assert _verify_equivalence(_form(r.form).controller(r, G), K) < 1e-12
 
 
 # -- choice enumeration ------------------------------------------------------
@@ -350,7 +377,10 @@ def test_predictor_reconstructs_random_controllers(monkeypatch):
         n_K = int(rng.integers(1, 4))
         G, K = _random_stable_pair(rng, 3, n_K)
         for r, _ in _feasible(G, K, "predictor"):
-            assert verify_equivalence(realisation_controller(r, G), K) < 1e-7
+            assert _verify_equivalence(_form(r.form).controller(r, G), K) < 1e-7
+            # no moved-K_f check: a random X makes K_f large, and a 1e-6
+            # relative move of it then moves K(z) by as little as ~1e-10
+            assert equivalence_residual(r, G, K) <= 1e-11
             checked += 1
     assert checked >= 20
 
@@ -365,7 +395,8 @@ def test_filter_reconstructs_dipole_augmented_controllers():
         if spectral_radius(A_cl) >= 1.0 or np.linalg.cond(G.A) > 1e10:
             continue
         for r, _ in _feasible(G, K, "filter"):
-            assert verify_equivalence(realisation_controller(r, G), K) < 1e-7
+            assert _verify_equivalence(_form(r.form).controller(r, G), K) < 1e-7
+            _assert_exactly_equivalent(r, G, K)
             assert_allclose(r.K_c @ r.K_f, K.D, atol=1e-7)
             checked += 1
     assert checked >= 8
@@ -380,15 +411,49 @@ def test_equivalence_check_catches_a_wrong_gain():
     # rebuild the observer controller with a perturbed injection gain
     A_obs = G.A + G.B @ r.K_c - np.array([[1.1 * r.K_f[0, 0]]]) @ G.C
     wrong = DtStateSpace(A_obs, [[1.1 * r.K_f[0, 0]]], r.K_c, [[0.0]], 1.0)
-    assert verify_equivalence(wrong, K) > 1e-3
+    assert _verify_equivalence(wrong, K) > 1e-3
 
 
 def test_equivalence_check_fails_overflowing_responses():
     # opposite signs, but both responses overflow to inf and inf - inf is NaN
     K0 = _scalar(0.5, 1e200, 1e200)
     K_obs = _scalar(0.5, 1e200, -1e200)
-    assert verify_equivalence(K_obs, K0) == np.inf
-    assert verify_equivalence(_scalar(0.5, 1.0, -1.0), _scalar(0.5, 1.0, 1.0)) > 1.0
+    assert _verify_equivalence(K_obs, K0) == np.inf
+    assert _verify_equivalence(_scalar(0.5, 1.0, -1.0), _scalar(0.5, 1.0, 1.0)) > 1.0
+
+
+def test_the_grid_oracle_misses_a_narrow_resonance_that_the_exact_check_sees():
+    # the pendulum baseline plus a resonance of radius 1 - 1e-5 between two
+    # grid points, which the rank-1 realisation of the plain baseline lacks
+    Gs, Ks = loop_shift(pendulum_plant(), pendulum_controller())
+    r = search_realisations(Gs, Ks, form="predictor", rank_by="noise").ranked[0][0]
+    K_res, theta = with_narrow_resonance(Ks, 1e-2, 3.5e-5)
+    ctrl = _form(r.form).controller(r, Gs)
+    assert _verify_equivalence(ctrl, K_res) < 1e-6  # the grid would pass it
+    R1, R0 = ctrl.freq_response([theta])[0], K_res.freq_response([theta])[0]
+    assert np.linalg.norm(R1 - R0, 2) / (1.0 + np.linalg.norm(R0, 2)) > 1e-4
+    # with T recovered from the gains, as for gains supplied without one
+    assert equivalence_residual(dataclasses.replace(r, T=np.zeros((0, 0))), Gs, K_res) > 1e-6
+
+
+def test_a_split_whose_gains_break_the_feedthrough_identity_is_rejected(monkeypatch):
+    # K_f of each chunk's first split moved by 1e-6 relative, so that
+    # K_c K_f - D_K is about 1e-6 D_K
+    gains = realisation._FilterForm.gains
+
+    def moved(self, G, K, T, T_dagger):
+        K_c, K_f = gains(self, G, K, T, T_dagger)
+        K_f[0] *= 1.0 + 1e-6
+        return K_c, K_f
+
+    monkeypatch.setattr(realisation._FilterForm, "gains", moved)
+    G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
+    out = search_realisations(G, K, form="filter")
+    assert len(out.ranked) == 3
+    ((choice, reason),) = out.rejected
+    assert choice.state_feedback_set == (0, 1, 5)
+    err = re.fullmatch(r"K_c K_f - D_K = (\d\.\d\de-\d\d), expected 0", reason)
+    assert_allclose(float(err.group(1)), 1e-6 * np.linalg.norm(K.D), rtol=1e-2)
 
 
 # -- free observer poles -----------------------------------------------------
@@ -655,7 +720,8 @@ def test_satellite_search_ranks_by_product():
         assert 5 in r.choice.state_feedback_set
         # feedthrough identity holds for every realisation
         assert_allclose(r.K_c @ r.K_f, K.D, rtol=1e-8, atol=1e-8)
-        assert verify_equivalence(realisation_controller(r, G), K) < 1e-8
+        assert _verify_equivalence(_form(r.form).controller(r, G), K) < 1e-8
+        _assert_exactly_equivalent(r, G, K)
 
 
 @pytest.mark.parametrize("name", ["satellite", "pendulum"])
@@ -783,7 +849,8 @@ def test_pendulum_search_ranks_by_noise():
         re, im = free_pole
         assert_allclose(sorted(np.abs(np.imag(extra))), [im, im], atol=2e-3)
         assert_allclose(np.real(extra), [re, re], atol=2e-3)
-        assert verify_equivalence(realisation_controller(r, Gs), Ks) < 1e-8
+        assert _verify_equivalence(_form(r.form).controller(r, Gs), Ks) < 1e-8
+        _assert_exactly_equivalent(r, Gs, Ks)
 
 
 # -- refusals made once per search ---------------------------------------------
@@ -957,7 +1024,7 @@ def test_stacked_scores_match_one_member_calls():
     unstable = np.array([[1.2, 0.3], [0.0, 0.4]])
     Ae = np.stack(ordinary[:2] + [defective, unstable] + ordinary[2:])
     K_f = A - Ae
-    stacked = _h2_scores(_form("predictor"), G, K_f)
+    stacked = _h2_scores(G, _form("predictor").observer(G, K_f))
 
     for i, gain in enumerate(K_f):
         r = ObserverRealisation(form="predictor", T=np.ones((1, 2)), T_perp=np.zeros((2, 0)),
@@ -1099,7 +1166,7 @@ def _spy_doubling(monkeypatch):
 
 def _maps(f, G, K_f):
     """(Ae, [noise map, disturbance map]) of one realisation, as the search scores it."""
-    Ae, B, C, D = f.noise_matrices(G, K_f)
+    Ae, B, C, D = _noise_matrices(G, f.observer(G, K_f))
     E, D_dist = _dist_injection(G)
     return Ae, [(B, C, D), (E, np.eye(G.n), D_dist)]
 
