@@ -551,6 +551,7 @@ def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed) -> int:
             "mean_solve_ms": float(np.mean(ms)),
             "max_solve_ms": float(np.max(ms)),
             "warm_start_hits": int(np.count_nonzero(tr.qp_warm[is_mpc])),
+            "law_hits": int(np.count_nonzero(tr.qp_law[is_mpc])),
         }
     base_sc = _baseline_counterpart(sc)
     if base_sc is not None and len(tr):

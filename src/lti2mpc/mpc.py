@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import NumericalError
-from .qp import QpFactor, factor_qp
+from .qp import AffineLaw, QpFactor, affine_law, factor_qp
 from .statespace import DtStateSpace
 
 __all__ = [
@@ -153,13 +153,22 @@ class CondensedQp:
     then the slacks).  ``K_c`` (a read-only copy) is the gain whose
     matching cost the QP minimises and ``u_bounds`` the config's input
     bounds: a control step whose solve is not optimal falls back to
-    K_c x clipped to them.  H and A_ineq are fixed, and so is their QP factor,
-    computed on first use and shared by every control step.  A
+    K_c x clipped to them.  Every array is read-only.  H and A_ineq are
+    fixed, and so is their QP factor, computed on first use and shared by
+    every control step.  A
     ``sim.MpcController`` builds its QP once, so that factor, with its
     warm-start QR memo, serves every run of the controller.  f and b are
     affine in the current state estimate, the reference state and the
     known input w (the setpoint of a loop-shifted model), with the matrices
     below precomputed so each control step is a few mat-vecs.
+
+    On a fixed working set the whole optimum is affine in
+    theta = [x0; x_r; w] (``theta``).  ``law`` returns that
+    ``qp.AffineLaw`` and keeps the last one it returned in a one-slot memo,
+    ``law_memo``: None or (working set, law or None), one tuple replaced
+    whole, so a reader never pairs a key with another set's law, and the
+    law's arrays are read-only.  Like the factor's QR memo it changes no
+    bits: a law is a function of its working set alone.
     """
 
     H: np.ndarray
@@ -174,6 +183,8 @@ class CondensedQp:
     b_w: np.ndarray
     K_c: np.ndarray
     u_bounds: tuple | None
+
+    law_memo = None  # not a field: set by ``law``
 
     @property
     def n_slack(self) -> int:
@@ -196,6 +207,31 @@ class CondensedQp:
         if w is not None and self.b_w.size:
             out = out + self.b_w @ np.asarray(w, float).ravel()
         return out
+
+    def theta(self, x0, x_r=None, w=None) -> np.ndarray:
+        """The parameter [x0; x_r; w] of ``law``, a missing x_r or w as 0;
+        w is left out when the model has no known input, as ``f`` and
+        ``b`` leave it out."""
+        n, n_w = self.f_r.shape[1], self.f_w.shape[1]
+        parts = [np.asarray(x0, float).ravel(),
+                 np.zeros(n) if x_r is None else np.asarray(x_r, float).ravel()]
+        if n_w:
+            parts.append(np.zeros(n_w) if w is None else np.asarray(w, float).ravel())
+        return np.concatenate(parts)
+
+    def law(self, active) -> AffineLaw | None:
+        """``qp.affine_law`` of working set ``active`` in ``theta``'s
+        parameter, reused while ``active`` repeats."""
+        key = tuple(active)
+        memo = self.law_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        m, n = self.b_x.shape
+        law = affine_law(self.factor, self.A_ineq, key,
+                         np.hstack([self.f_x, self.f_r, self.f_w]),
+                         np.hstack([self.b_x, np.zeros((m, n)), self.b_w]), self.b_const)
+        self.law_memo = (key, law)
+        return law
 
     def input_sequence(self, x_star) -> np.ndarray:
         """Input sequence (N, n_u) of a solution vector."""
@@ -301,5 +337,7 @@ def build_condensed_qp(G: DtStateSpace, K_c, cfg: MpcConfig) -> CondensedQp:
     A_ineq, b_const, b_x, b_w = (np.concatenate(c) for c in zip(*rows))
 
     f_x, f_r, f_w = (np.vstack([f, np.zeros((N * n_z, f.shape[1]))]) for f in (f_x, f_r, f_w))
+    H, A_ineq, f_x, f_r, f_w, b_const, b_x, b_w = map(
+        _read_only, (H, A_ineq, f_x, f_r, f_w, b_const, b_x, b_w))
     return CondensedQp(H=H, A_ineq=A_ineq, N=N, n_u=m, f_x=f_x, f_r=f_r, f_w=f_w,
                        b_const=b_const, b_x=b_x, b_w=b_w, K_c=K_c, u_bounds=cfg.u_bounds)

@@ -40,6 +40,16 @@ a run of control steps whose active set holds still factors it once.
 On exit with status "optimal" the iterate satisfies the KKT conditions
     H x* + f + A_act' lam = 0,   lam >= 0,   A x* <= b,
 with the active set and multipliers reported in matching order.
+
+Parametric QPs (f = F theta, b = b0 + B theta, as in a condensed MPC) are
+affine in theta on each working set W (Bemporad, Morari, Dua &
+Pistikopoulos 2002).  ``affine_law`` builds that law from the factor's QR
+of W: z, the multipliers, the rows' slack, b and f as one matrix and an
+offset, so ``AffineLaw.solve`` costs one mat-vec.  It accepts theta only
+under the solver's own optimality tests (every multiplier >= 0.0, no
+other row violated by more than the solver's feasibility tolerance), so
+keeping the last optimal set's law and trying it first is Pannocchia,
+Rawlings & Wright's partial enumeration (2007) with one stored region.
 """
 
 from __future__ import annotations
@@ -51,11 +61,14 @@ import numpy as np
 from scipy.linalg import cho_factor, qr_delete, qr_insert
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
-__all__ = ["QpFactor", "QpSolution", "factor_qp", "solve_qp"]
+__all__ = ["AffineLaw", "QpFactor", "QpSolution", "affine_law", "factor_qp", "solve_qp"]
 
 # a column of G counts as dependent on the working set when the part of it
 # outside the working set's span has squared norm below this share of its own
 _DEP_TOL = 1e-13
+
+# an optimal iterate violates no row by more than this share of 1 + max|b|
+_FEAS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -108,6 +121,17 @@ def _objective(H, f, x):
     return float(0.5 * x @ H @ x + f @ x)
 
 
+def _tol_feas(b) -> float:
+    return _FEAS_TOL * (1.0 + np.abs(b).max())
+
+
+def _dependent(R, G_w):
+    """Positions in the working set whose R diagonal shows a column of G_w
+    linearly dependent on the ones before it."""
+    return np.flatnonzero(np.diag(R) ** 2 <= _DEP_TOL * np.maximum(
+        np.sum(G_w[:, :G_w.shape[0]] ** 2, axis=0), 1e-300))
+
+
 def factor_qp(H, A=None) -> QpFactor:
     """Factor H (positive definite) and the constraint rows A once."""
     H = np.atleast_2d(np.asarray(H, float))
@@ -152,6 +176,77 @@ def _guess(warm, m) -> list:
     return list(dict.fromkeys(rows))
 
 
+@dataclass(frozen=True)
+class AffineLaw:
+    """The optimum of  min 1/2 z'Hz + (F theta)'z  s.t.  A z <= b0 + B theta
+    on one working set, as an affine function of theta.
+
+    The rows of ``M @ theta + c`` are, cut at ``cuts``: z (d rows), the
+    multipliers of ``active`` in its order, A z - b on the rows outside
+    ``active`` in index order, b (m rows) and f (d rows).  M and c are
+    read-only.
+    """
+
+    active: tuple
+    M: np.ndarray
+    c: np.ndarray
+    cuts: tuple
+
+    def solve(self, H, theta) -> QpSolution | None:
+        """The QP's optimum at ``theta`` when this working set is optimal
+        there by ``solve_qp``'s own tests (every multiplier >= 0.0, no
+        other row violated by more than its feasibility tolerance), with 0
+        iterations; None otherwise, and for a theta that gives a non-finite
+        row (which ``solve_qp`` refuses)."""
+        out = self.M @ theta + self.c
+        d, q, s, e = self.cuts
+        z, lam, slack, b = out[:d], out[d:q], out[q:s], out[s:e]
+        if (not np.isfinite(out).all() or not (lam >= 0.0).all()
+                or (slack.size and slack.max() > _tol_feas(b))):
+            return None
+        return QpSolution(z, _objective(H, out[e:], z), "optimal", 0, self.active, lam,
+                          warm_start=bool(self.active))
+
+
+def affine_law(factor: QpFactor, A, active, F, B, b0) -> AffineLaw | None:
+    """The AffineLaw of working set ``active`` for f = F theta and
+    b = b0 + B theta, where ``factor`` is ``factor_qp(H, A)``.
+
+    On W = ``active`` (repeats dropped, as a warm start drops them) the
+    equality optimum is z = L^-T (G_W lam - L^-1 f), with
+    lam = R1^-1 (Q1' L^-1 f - R1^-T b_W) from the factor's QR G_W = Q1 R1,
+    which ``working_qr`` memoises.  None when W has more rows than there
+    are variables or its R diagonal shows a dependent row, the sets a warm
+    start would prune.  ValueError for a row outside A.
+    """
+    L, G = factor.L, factor.G
+    d, m = G.shape
+    W = _guess(active, m)
+    q = len(W)
+    if q > d:
+        return None
+    # the columns map theta, the last one is the constant
+    Fs = _tri_solve(L, np.column_stack([F, np.zeros(d)]), lower=True)
+    Bb = np.column_stack([B, b0])
+    if q:
+        Q, R = factor.working_qr(W)
+        G_w = G[:, W]
+        if _dependent(R, G_w).size:
+            return None
+        R1 = R[:q]
+        lam = _tri_solve(R1, Q[:, :q].T @ Fs - _tri_solve(R1, Bb[W], trans=1))
+        y = G_w @ lam - Fs
+    else:
+        lam, y = np.zeros((0, Fs.shape[1])), -Fs
+    z = _tri_solve(L, y, lower=True, trans=1)
+    outside = np.ones(m, bool)
+    outside[W] = False
+    rows = np.vstack([z, lam, (A @ z - Bb)[outside], Bb, np.column_stack([F, np.zeros(d)])])
+    M, c = np.ascontiguousarray(rows[:, :-1]), rows[:, -1].copy()
+    M.flags.writeable = c.flags.writeable = False
+    return AffineLaw(tuple(W), M, c, (d, d + q, d + m, d + 2 * m))
+
+
 def solve_qp(H, f, A=None, b=None, *,
              factor: QpFactor | None = None, warm=()) -> QpSolution:
     """Solve the inequality-constrained QP; H must be positive definite.
@@ -191,7 +286,7 @@ def solve_qp(H, f, A=None, b=None, *,
     max_iter = 50 * (d + m)
 
     # internal >= form: n_j' x >= beta_j with n_j = -a_j, beta_j = -b_j
-    tol_feas = 1e-10 * (1.0 + np.max(np.abs(b)))
+    tol_feas = _tol_feas(b)
 
     iters = 0
     # warm start: x is still the unconstrained minimiser x0; on a working
@@ -201,8 +296,7 @@ def solve_qp(H, f, A=None, b=None, *,
         G_w = G[:, active]
         Q, R = factor.working_qr(active)
         q = len(active)
-        dep = np.flatnonzero(np.diag(R) ** 2 <= _DEP_TOL * np.maximum(
-            np.sum(G_w[:, :d] ** 2, axis=0), 1e-300))
+        dep = _dependent(R, G_w)
         if dep.size or q > d:
             active.pop(int(dep[0]) if dep.size else d)
             continue

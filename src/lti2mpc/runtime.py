@@ -80,6 +80,7 @@ class MpcStepResult:
     u: np.ndarray
     solution: QpSolution
     fallback: bool
+    from_law: bool = False  # served by the warm set's affine law, no solve
 
     @property
     def status(self):
@@ -102,7 +103,15 @@ def mpc_step(
 
     ``x_r`` is the reference state (None regulates to 0), ``w`` the known
     input and ``warm`` the guessed working set, normally the previous
-    step's active set; the QP factor is the one cached on ``qp``.
+    step's active set (empty for a QP without constraint rows).
+
+    The step first evaluates the warm set's affine law (``qp.law(warm)``,
+    memoised on ``qp``): when the set is optimal at this estimate by the
+    solver's own tests the law's optimum is returned with 0 iterations and
+    ``from_law`` set, and no QP is solved.  Otherwise, or when the set has
+    no law, ``solve_qp`` runs warm-started from ``warm`` with the factor
+    cached on ``qp``.  Which of the two serves a step depends only on
+    ``warm`` and the estimate, not on what the memo held.
 
     A non-optimal solve falls back to the saturated unconstrained law
     u = K_c (x - x_r), with the gain ``qp.K_c`` the QP's cost matches,
@@ -110,6 +119,11 @@ def mpc_step(
     flagged so traces record the event.
     """
     x_hat = np.asarray(x_hat, float).ravel()
+    law = qp.law(warm)
+    sol = law.solve(qp.H, qp.theta(x_hat, x_r, w)) if law is not None else None
+    if sol is not None:
+        return MpcStepResult(u=sol.x_star[:qp.n_u], solution=sol, fallback=False,
+                             from_law=True)
     f = qp.f(x_hat, x_r=x_r, w=w)
     A = qp.A_ineq if qp.A_ineq.shape[0] else None
     b = qp.b(x_hat, w=w) if A is not None else None

@@ -125,6 +125,7 @@ class Trace:
     qp_iters: np.ndarray
     qp_ms: np.ndarray  # wall time of mpc_step alone, observer excluded
     qp_warm: np.ndarray  # the previous step's active set was optimal
+    qp_law: np.ndarray  # served by that set's cached affine law, no solve
     diverged: bool = False
 
     def __len__(self):
@@ -318,7 +319,8 @@ def simulate(scenario: Scenario) -> Trace:
             raise ValueError(f"noise_sigma has {sigma.size} entries, not 1 or n_y = {n_y}")
         if not np.all(np.isfinite(sigma)):
             raise ValueError("noise_sigma entries must be finite")
-    for f_time, idx, value in scenario.faults:
+    faults = tuple(scenario.faults)
+    for f_time, idx, value in faults:
         if isinstance(idx, bool) or not isinstance(idx, numbers.Integral) or not 0 <= idx < n_u:
             raise ValueError(f"fault names actuator {idx!r}, not an integer in [0, {n_u})")
         if not (math.isfinite(f_time) and f_time >= 0.0):
@@ -354,6 +356,7 @@ def simulate(scenario: Scenario) -> Trace:
     IT = np.zeros(steps, dtype=int)
     MS = np.zeros(steps)
     QW = np.zeros(steps, dtype=bool)
+    QL = np.zeros(steps, dtype=bool)
     warm = ()  # working-set guess: the last optimal step's active set
     diverged = False
 
@@ -387,6 +390,7 @@ def simulate(scenario: Scenario) -> Trace:
             x_ref_row = x_ref if x_ref is not None else np.zeros(n_xh)
             IT[k] = res.solution.iterations
             QW[k] = res.solution.warm_start
+            QL[k] = res.from_law
             ST.append(res.status)
             obj = res.solution.objective
             nact = res.active_count
@@ -397,7 +401,7 @@ def simulate(scenario: Scenario) -> Trace:
             else:
                 slack_row = np.zeros(n_slack_q)
 
-        u_app = inject_fault(u_cmd, t, scenario.faults)
+        u_app = inject_fault(u_cmd, t, faults) if faults else u_cmd
 
         T[k] = t
         Y[k] = y
@@ -413,7 +417,7 @@ def simulate(scenario: Scenario) -> Trace:
             SL[k] = slack_row
 
         with np.errstate(over="ignore", invalid="ignore"):
-            x = advance(x, inject_fault(u_prev, t, scenario.faults), u_app)
+            x = advance(x, inject_fault(u_prev, t, faults) if faults else u_prev, u_app)
         u_prev = u_app
         if not np.all(np.isfinite(x)):
             diverged = True
@@ -422,7 +426,7 @@ def simulate(scenario: Scenario) -> Trace:
 
     n = k if diverged else steps
     return Trace(T[:n], Y[:n], U[:n], UA[:n], X[:n], XH[:n], XR[:n], ST[:n],
-                 OBJ[:n], NACT[:n], SL[:n], IT[:n], MS[:n], QW[:n],
+                 OBJ[:n], NACT[:n], SL[:n], IT[:n], MS[:n], QW[:n], QL[:n],
                  diverged=diverged)
 
 

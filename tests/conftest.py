@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from lti2mpc.statespace import DtStateSpace
@@ -34,6 +35,26 @@ def brute_force_qp(H, f, A, b):
             if best is None or obj < best[1] - 1e-12:
                 best = (x, obj)
     return best
+
+
+def record_steps(scenario):
+    """Replay ``scenario`` and return (trace, steps), one step per MPC
+    control step: (qp, f, b, warm, result), with f and b the step's QP
+    data, ``warm`` the working set the step was handed and ``result`` its
+    ``runtime.MpcStepResult``."""
+    from lti2mpc import sim
+
+    steps, step = [], sim.mpc_step
+
+    def spy(qp, x_hat, x_r=None, w=None, *, warm=()):
+        res = step(qp, x_hat, x_r=x_r, w=w, warm=warm)
+        steps.append((qp, qp.f(x_hat, x_r=x_r, w=w), qp.b(x_hat, w=w), warm, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "mpc_step", spy)
+        trace = sim.simulate(scenario)
+    return trace, steps
 
 
 def condensation_gaps(G, K_c, W, cfg, qp, x0, x_r=None, w=None, trials=5, seed=0):

@@ -111,6 +111,9 @@ def test_simulate_writes_trace_and_summary(tmp_path):
     assert summary["max_constraint_violation"]["input"] <= 1e-7
     assert "mean_iterations" in summary["qp"]
     assert 0 < summary["qp"]["warm_start_hits"] < 20  # the bound binds from step 8
+    # steps served by the previous set's law: every warm-start hit and the
+    # unconstrained steps before the bound binds
+    assert summary["qp"]["warm_start_hits"] < summary["qp"]["law_hits"] < 20
     assert summary["tracking_rms_vs_baseline"] is not None
 
 

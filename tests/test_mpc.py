@@ -143,6 +143,35 @@ def test_known_input_enters_the_prediction():
     assert sol.objective < 1e-12
 
 
+def test_a_condensed_qps_law_is_its_optimum_on_the_solvers_active_set():
+    # a known input, hard input bounds and a softened output: on the set the
+    # solver ends on, the memoised law reproduces the solve from theta
+    rng = np.random.default_rng(47)
+    G, K_c = _random_plant_gain(rng, n=3, m=1)
+    G = dataclasses.replace(G, D_K=rng.standard_normal((1, 1)))
+    qp = build_condensed_qp(G, K_c, MpcConfig(N=5, u_bounds=([-0.3], [0.3]),
+                                              y_bounds=([-0.5], [0.5])))
+    assert qp.law_memo is None
+    assert_allclose(qp.theta([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0])
+    sets = set()
+    for _ in range(40):
+        x0, x_r, w = rng.choice([0.01, 3.0]) * rng.standard_normal((3, 3))
+        w = w[:1]
+        sol = solve_qp(qp.H, qp.f(x0, x_r, w), qp.A_ineq, qp.b(x0, w), factor=qp.factor)
+        law = qp.law(sol.active_set)
+        assert qp.law_memo == (sol.active_set, law) and qp.law(sol.active_set) is law
+        hit = law.solve(qp.H, qp.theta(x0, x_r, w))
+        assert hit is not None and hit.active_set == sol.active_set
+        assert_allclose(hit.x_star, sol.x_star, atol=1e-9 * (1.0 + np.abs(sol.x_star).max()))
+        sets.add(sol.active_set)
+    assert () in sets and len(sets) > 2
+    with pytest.raises(ValueError, match="read-only"):
+        qp.b_const[0] = 0.0
+    # without a known input, w is no part of theta
+    plain = build_condensed_qp(dataclasses.replace(G, D_K=None), K_c, MpcConfig(N=5))
+    assert plain.theta(np.ones(3), w=np.ones(1)).size == 6
+
+
 def _pd_weight(rng, m):
     """A random m x m weight with a positive definite symmetric part, not
     itself symmetric."""

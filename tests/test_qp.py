@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import brute_force_qp
-from lti2mpc.qp import factor_qp, solve_qp
+from conftest import brute_force_qp, record_steps
+from lti2mpc.qp import affine_law, factor_qp, solve_qp
 
 
 def assert_kkt(H, f, A, b, sol):
@@ -240,23 +240,19 @@ def test_bad_warm_rows_and_non_finite_data_raise():
 
 @pytest.fixture(scope="module")
 def satellite_case_5_solves():
-    """(arguments, memo hit, solution, memo after) of every solve_qp call
-    a satellite-case-5 replay makes, on a controller fresh from the library."""
-    from lti2mpc import runtime
-    from lti2mpc.sim import scenario_library, simulate
+    """(arguments, memo hit, solution, memo after) of solve_qp fed, in
+    order, every control step's (f, b, warm) of a satellite-case-5 replay,
+    on the factor of the controller fresh from the library that ran it."""
+    from lti2mpc.sim import scenario_library
 
+    _, steps = record_steps(scenario_library("satellite")["satellite-case-5"])
     calls = []
-
-    def spy(H, f, A=None, b=None, *, factor=None, warm=()):
+    for qp, f, b, warm, _ in steps:
+        factor = qp.factor
         memo = factor.qr_memo
         hit = bool(warm) and memo is not None and memo[0] == tuple(warm)
-        sol = solve_qp(H, f, A, b, factor=factor, warm=warm)
-        calls.append(((H, f, A, b, factor, warm), hit, sol, factor.qr_memo))
-        return sol
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runtime, "solve_qp", spy)
-        simulate(scenario_library("satellite")["satellite-case-5"])
+        sol = solve_qp(qp.H, f, qp.A_ineq, b, factor=factor, warm=warm)
+        calls.append(((qp.H, f, qp.A_ineq, b, factor, warm), hit, sol, factor.qr_memo))
     return calls
 
 
@@ -304,3 +300,57 @@ def test_a_permuted_working_set_misses_the_memo(monkeypatch):
     # one slot: the permuted set replaced the first, which now misses too
     factor.working_qr([3, 1, 4])
     assert len(calls) == 3
+
+
+def _parametric_qp(seed, d=6, m=10, p=3):
+    """H, A and the maps F, B, b0 of f = F theta, b = b0 + B theta."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((d, d))
+    H = M @ M.T + 0.5 * np.eye(d)
+    A = rng.standard_normal((m, d))
+    return H, A, rng.standard_normal((d, p)), rng.standard_normal((m, p)), np.abs(
+        rng.standard_normal(m)) + 0.1
+
+
+def test_an_affine_law_reproduces_the_solver_on_its_own_region():
+    H, A, F, B, b0 = _parametric_qp(5)
+    factor = factor_qp(H, A)
+    rng = np.random.default_rng(6)
+    served = refused = 0
+    for _ in range(200):
+        theta = 2.0 * rng.standard_normal(F.shape[1])
+        f, b = F @ theta, b0 + B @ theta
+        sol = solve_qp(H, f, A, b, factor=factor)
+        assert sol.status == "optimal"
+        law = affine_law(factor, A, sol.active_set, F, B, b0)
+        assert law.active == sol.active_set
+        assert not (law.M.flags.writeable or law.c.flags.writeable)
+        hit = law.solve(H, theta)
+        assert hit is not None  # the solver's optimal set is optimal
+        assert_kkt(H, f, A, b, hit)
+        assert (hit.iterations, hit.warm_start) == (0, bool(sol.active_set))
+        assert_allclose(hit.x_star, sol.x_star, atol=1e-9)
+        assert_allclose(hit.multipliers, sol.multipliers, atol=1e-9)
+        assert_allclose(hit.objective, sol.objective, rtol=1e-9, atol=1e-12)
+        # the unconstrained law serves theta exactly when no row binds
+        free = affine_law(factor, A, (), F, B, b0).solve(H, theta)
+        if free is None:
+            refused += 1
+            assert sol.active_set
+        else:
+            served += 1
+            assert sol.active_set == ()
+            assert_allclose(free.x_star, sol.x_star, atol=1e-9)
+    assert served and refused
+
+
+def test_an_affine_law_refuses_what_a_warm_start_would_prune():
+    H, A, F, B, b0 = _parametric_qp(8, d=3, m=6)
+    A[4] = 2.0 * A[1]  # a dependent pair
+    factor = factor_qp(H, A)
+    assert affine_law(factor, A, (1, 4), F, B, b0) is None
+    assert affine_law(factor, A, (0, 1, 2, 3), F, B, b0) is None  # more rows than d
+    assert affine_law(factor, A, (2, 2), F, B, b0).active == (2,)
+    for bad in ((6,), (-1,)):
+        with pytest.raises(ValueError, match="warm-start row"):
+            affine_law(factor, A, bad, F, B, b0)

@@ -2,6 +2,7 @@
 MPC call."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
@@ -228,9 +229,21 @@ def test_mpc_step_unconstrained_returns_the_linear_law():
     for _ in range(5):
         x = rng.standard_normal(2)
         res = mpc_step(qp, x)
-        assert not res.fallback
+        assert not res.fallback and res.from_law  # no rows: the empty set's law
         assert res.status == "optimal"
         npt.assert_allclose(res.u, K_c @ x, atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mpc_step_refuses_a_non_finite_estimate_with_or_without_rows(bad):
+    # the affine law does not serve it; the solver refuses it
+    G = _sys([[0.9, 0.2], [0.0, 0.7]], [[0.0], [1.0]], [[1.0, 0.0]])
+    K_c = np.array([[-0.4, -0.6]])
+    for cfg in (MpcConfig(N=4), MpcConfig(N=4, u_bounds=([-1.0], [1.0]))):
+        qp = build_condensed_qp(G, K_c, cfg)
+        assert mpc_step(qp, np.zeros(2)).from_law
+        with pytest.raises(ValueError, match="finite"):
+            mpc_step(qp, np.array([bad, 0.0]))
 
 
 def test_mpc_step_tracking_offsets_the_law():
@@ -253,7 +266,9 @@ def test_mpc_step_falls_back_on_an_infeasible_qp():
     K_c = np.array([[-0.9]])
     qp = build_condensed_qp(G, K_c, MpcConfig(N=3, u_bounds=([0.2], [0.4])))
     # shift the lower bound above the upper to force infeasibility
-    qp.b_const[qp.b_const.size // 2:] = -1.0
+    b_const = qp.b_const.copy()
+    b_const[b_const.size // 2:] = -1.0
+    qp = dataclasses.replace(qp, b_const=b_const)
     res = mpc_step(qp, np.array([2.0]))
     assert res.fallback
     assert res.status == "fallback"

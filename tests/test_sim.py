@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lti2mpc import runtime, sim
+from lti2mpc import sim
 from lti2mpc.models import (
     SATELLITE_TS,
     PendulumParams,
@@ -23,7 +23,7 @@ from lti2mpc.models import (
     satellite_plant_ct,
 )
 from lti2mpc.mpc import MpcConfig, build_condensed_qp
-from lti2mpc.qp import solve_qp
+from lti2mpc.qp import factor_qp, solve_qp
 from lti2mpc.realisation import ObserverState, search_realisations
 from lti2mpc.sim import (
     BaselineController,
@@ -37,6 +37,9 @@ from lti2mpc.sim import (
     simulate,
 )
 from lti2mpc.statespace import DtStateSpace, add_dipole, c2d_zoh, loop_shift
+
+from conftest import record_steps
+from test_qp import assert_kkt
 
 
 @pytest.fixture(scope="module")
@@ -643,13 +646,22 @@ def test_concurrent_replays_share_one_controller_safely(library, traces):
 
 
 def test_a_replay_reuses_its_warm_start_qr(library, monkeypatch):
-    # satellite-case-5 on a copy of its controller, so the QP and its QR
-    # memo are fresh: 155 complete QRs without the memo
+    # satellite-case-5 on a copy of its controller, so the QP, its law memo
+    # and its factor's QR memo are fresh: 155 complete QRs without the QR
+    # memo.  The replay's law builds and solves share the QR memo and take
+    # 29, and solve_qp fed every step's (f, b, warm) on a fresh factor,
+    # the work the replay did before it kept laws, takes as many.
     sc = library["satellite-case-5"]
     sc = dataclasses.replace(sc, controller=dataclasses.replace(sc.controller))
     qr, calls = np.linalg.qr, []
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
-    simulate(sc)
+    _, steps = record_steps(sc)
+    assert len(calls) == 29
+    qp = sc.controller.qp
+    factor = factor_qp(qp.H, qp.A_ineq)
+    calls.clear()
+    for _, f, b, warm, _ in steps:
+        solve_qp(qp.H, f, qp.A_ineq, b, factor=factor, warm=warm)
     assert len(calls) == 29
 
 
@@ -694,20 +706,59 @@ def test_scenario_library_runs_one_search_per_loop(monkeypatch):
     assert sorted(c["form"] for c in calls) == ["filter", "predictor"]
 
 
-def test_warm_started_replays_match_cold_solves(monkeypatch, library, traces):
-    def cold(H, f, A=None, b=None, *, factor=None, warm=()):
-        return solve_qp(H, f, A, b, factor=factor)
+@pytest.fixture(scope="module")
+def recorded(library):
+    """(trace, steps) of every library MPC replay, from ``record_steps``."""
+    return {name: record_steps(sc) for name, sc in library.items()
+            if isinstance(sc.controller, MpcController)}
 
-    monkeypatch.setattr(runtime, "solve_qp", cold)
+
+def test_warm_started_replays_match_cold_solves(recorded):
+    # every control step's QP data solved again, warm-started from the set
+    # the step was handed and cold: the step's own answer (from its law or
+    # from solve_qp) and the warm re-solve both match the cold solve
     hits = warm_iters = cold_iters = 0
-    for name, warm in traces.items():
-        ref = simulate(library[name])
-        scale = max(float(np.max(np.abs(ref.u_applied))), 1e-300)
-        assert np.max(np.abs(warm.u_applied - ref.u_applied)) <= 1e-9 * scale, name
-        assert warm.qp_status == ref.qp_status, name
-        assert np.array_equal(warm.qp_nact, ref.qp_nact), name
-        assert not ref.qp_warm.any()
-        hits += int(warm.qp_warm.sum())
-        warm_iters += int(warm.qp_iters.sum())
-        cold_iters += int(ref.qp_iters.sum())
+    for name, (_, steps) in recorded.items():
+        gaps, scale = [], 1e-300
+        for qp, f, b, warm, res in steps:
+            A, b = (qp.A_ineq, b) if qp.A_ineq.shape[0] else (None, None)
+            again = solve_qp(qp.H, f, A, b, factor=qp.factor, warm=warm)
+            cold = solve_qp(qp.H, f, A, b, factor=qp.factor)
+            assert (res.solution.iterations, res.solution.warm_start) == (
+                again.iterations, again.warm_start), name
+            for sol in (res.solution, again):
+                assert sol.status == cold.status, name
+                assert len(sol.active_set) == len(cold.active_set), name
+                gaps.append(np.max(np.abs(sol.x_star[:qp.n_u] - cold.x_star[:qp.n_u])))
+            scale = max(scale, float(np.max(np.abs(cold.x_star[:qp.n_u]))))
+            assert not cold.warm_start
+            hits += again.warm_start
+            warm_iters += again.iterations
+            cold_iters += cold.iterations
+        assert max(gaps) <= 1e-9 * scale, name
     assert hits >= 100 and warm_iters < cold_iters
+
+
+def test_every_law_served_step_meets_the_kkt_conditions(recorded):
+    served = 0
+    for name, (tr, steps) in recorded.items():
+        for qp, f, b, warm, res in steps:
+            if res.from_law:
+                served += 1
+                assert res.solution.status == "optimal" and res.solution.iterations == 0
+                assert_kkt(qp.H, f, qp.A_ineq, b, res.solution)
+        assert np.array_equal(tr.qp_law, [res.from_law for *_, res in steps]), name
+    assert served >= 1000
+
+
+def test_a_scenario_without_faults_injects_none(library, traces, monkeypatch):
+    # a fault that never fires gives the fault-free trace bit for bit, and a
+    # scenario without faults never calls inject_fault
+    for name in ("satellite-case-2", "pendulum-case-2"):
+        sc = library[name]
+        late = simulate(dataclasses.replace(sc, faults=((1e3, 0, 0.0),)))
+        for field in ("u_applied", "x", "y", "qp_obj"):
+            assert np.array_equal(getattr(late, field), getattr(traces[name], field)), name
+    monkeypatch.setattr(sim, "inject_fault", None)
+    tr = simulate(library["satellite-case-2"])
+    assert np.array_equal(tr.u_applied, traces["satellite-case-2"].u_applied)
