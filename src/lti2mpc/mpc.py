@@ -162,13 +162,10 @@ class CondensedQp:
     known input w (the setpoint of a loop-shifted model), with the matrices
     below precomputed so each control step is a few mat-vecs.
 
-    On a fixed working set the whole optimum is affine in
-    theta = [x0; x_r; w] (``theta``).  ``law`` returns that
-    ``qp.AffineLaw`` and keeps the last one it returned in a one-slot memo,
-    ``law_memo``: None or (working set, law or None), one tuple replaced
-    whole, so a reader never pairs a key with another set's law, and the
-    law's arrays are read-only.  Like the factor's QR memo it changes no
-    bits: a law is a function of its working set alone.
+    On a fixed working set the optimum is affine in theta = [x0; x_r; w]
+    (``theta``); ``law`` returns that ``qp.AffineLaw`` and keeps the last
+    one in ``law_memo``: None or (working set, law or None), one tuple
+    replaced whole, so a reader never pairs a key with another set's law.
     """
 
     H: np.ndarray

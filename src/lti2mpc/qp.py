@@ -226,8 +226,8 @@ def affine_law(factor: QpFactor, A, active, F, B, b0) -> AffineLaw | None:
     if q > d:
         return None
     # the columns map theta, the last one is the constant
-    Fs = _tri_solve(L, np.column_stack([F, np.zeros(d)]), lower=True)
-    Bb = np.column_stack([B, b0])
+    Ff, Bb = np.column_stack([F, np.zeros(d)]), np.column_stack([B, b0])
+    Fs = _tri_solve(L, Ff, lower=True)
     if q:
         Q, R = factor.working_qr(W)
         G_w = G[:, W]
@@ -241,7 +241,7 @@ def affine_law(factor: QpFactor, A, active, F, B, b0) -> AffineLaw | None:
     z = _tri_solve(L, y, lower=True, trans=1)
     outside = np.ones(m, bool)
     outside[W] = False
-    rows = np.vstack([z, lam, (A @ z - Bb)[outside], Bb, np.column_stack([F, np.zeros(d)])])
+    rows = np.vstack([z, lam, (A @ z - Bb)[outside], Bb, Ff])
     M, c = np.ascontiguousarray(rows[:, :-1]), rows[:, -1].copy()
     M.flags.writeable = c.flags.writeable = False
     return AffineLaw(tuple(W), M, c, (d, d + q, d + m, d + 2 * m))

@@ -124,10 +124,8 @@ def mpc_step(
     if sol is not None:
         return MpcStepResult(u=sol.x_star[:qp.n_u], solution=sol, fallback=False,
                              from_law=True)
-    f = qp.f(x_hat, x_r=x_r, w=w)
-    A = qp.A_ineq if qp.A_ineq.shape[0] else None
-    b = qp.b(x_hat, w=w) if A is not None else None
-    sol = solve_qp(qp.H, f, A, b, factor=qp.factor, warm=warm)
+    sol = solve_qp(qp.H, qp.f(x_hat, x_r=x_r, w=w), qp.A_ineq, qp.b(x_hat, w=w),
+                   factor=qp.factor, warm=warm)
     if sol.status == "optimal":
         return MpcStepResult(u=sol.x_star[:qp.n_u], solution=sol, fallback=False)
     e = x_hat if x_r is None else x_hat - np.asarray(x_r, float).ravel()

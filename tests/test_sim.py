@@ -721,9 +721,8 @@ def test_warm_started_replays_match_cold_solves(recorded):
     for name, (_, steps) in recorded.items():
         gaps, scale = [], 1e-300
         for qp, f, b, warm, res in steps:
-            A, b = (qp.A_ineq, b) if qp.A_ineq.shape[0] else (None, None)
-            again = solve_qp(qp.H, f, A, b, factor=qp.factor, warm=warm)
-            cold = solve_qp(qp.H, f, A, b, factor=qp.factor)
+            again = solve_qp(qp.H, f, qp.A_ineq, b, factor=qp.factor, warm=warm)
+            cold = solve_qp(qp.H, f, qp.A_ineq, b, factor=qp.factor)
             assert (res.solution.iterations, res.solution.warm_start) == (
                 again.iterations, again.warm_start), name
             for sol in (res.solution, again):
