@@ -17,7 +17,6 @@ exactly from T (:func:`equivalence_residual`).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from collections import Counter
@@ -73,7 +72,7 @@ class RealisationChoice:
 @dataclass(frozen=True)
 class ObserverRealisation:
     """A split's gains and bases; a search hands them out as read-only
-    arrays (see :func:`_owned`)."""
+    arrays (see :func:`search_realisations`)."""
 
     form: str  # "filter" | "predictor"
     T: np.ndarray
@@ -152,48 +151,63 @@ def _value_groups(eig: EigenStructure) -> list:
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def enumerate_choices(
-    eig: EigenStructure, n: int, n_K: int, forced_S=()
-) -> list:
-    """All admissible S/O splits of the closed-loop spectrum.
+def _splits(eig: EigenStructure, n: int, n_K: int, forced_S=()):
+    """All admissible S/O splits of the closed-loop spectrum, as two integer
+    arrays S (k, n) and O (k, n_K), each row ascending and the rows in
+    lexicographic order of S.
 
-    Conjugate pairs and repeated eigenvalues travel as blocks; any block
-    touching a forced-S index is placed in S unconditionally.  Output is
-    ordered lexicographically by the S index tuple.
+    Conjugate pairs and repeated eigenvalues travel as the atoms of
+    :func:`_value_groups`; any atom touching a forced-S index is placed in
+    S unconditionally.  A forced_S entry that is a bool or not an integer,
+    or that is out of range, and a forced block larger than n raise
+    ValueError.
     """
     if eig.n != n + n_K:
         raise ValueError(f"spectrum has {eig.n} values, expected n + n_K = {n + n_K}")
-    forced = set(forced_S)
+    forced = set()
+    for i in forced_S:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise ValueError(f"forced_S entry {i!r} is not an integer")
+        forced.add(int(i))
     if not forced <= set(range(eig.n)):
         raise ValueError("forced_S contains out-of-range indices")
 
-    atoms = _value_groups(eig)
-    forced_atoms = [a for a in atoms if forced & set(a)]
-    free_atoms = [a for a in atoms if not (forced & set(a))]
-    base = [i for a in forced_atoms for i in a]
-    need = n - len(base)
+    in_S = np.zeros((1, eig.n), dtype=bool)
+    free = []
+    for a in _value_groups(eig):
+        if forced.isdisjoint(a):
+            free.append(list(a))
+        else:
+            in_S[0, list(a)] = True
+    need = n - int(in_S.sum())
     if need < 0:
-        raise ValueError(
-            f"forced-S block of size {len(base)} exceeds |S| = {n}"
-        )
+        raise ValueError(f"forced-S block of size {n - need} exceeds |S| = {n}")
 
-    # a split takes m_s of the free atoms of each size s, with sum s m_s = need
-    by_size: dict = {}
-    for a in free_atoms:
-        by_size.setdefault(len(a), []).append(a)
-    sizes = sorted(by_size)
-    all_idx = set(range(eig.n))
-    choices = []
-    for counts in itertools.product(*(range(len(by_size[s]) + 1) for s in sizes)):
-        if sum(s * m for s, m in zip(sizes, counts)) != need:
-            continue
-        for picked in itertools.product(
-            *(itertools.combinations(by_size[s], m) for s, m in zip(sizes, counts))
-        ):
-            s = sorted(base + [i for group in picked for a in group for i in a])
-            choices.append(RealisationChoice(tuple(s), tuple(sorted(all_idx.difference(s)))))
-    choices.sort(key=lambda c: c.state_feedback_set)
-    return choices
+    # Each free atom is taken or skipped on every partial split that can still
+    # reach |S| = n.  Going last to first, takes stacked above skips, orders
+    # the rows by the first atom taken, then the second, ...: the order of
+    # the S tuples, since two splits first differ at the smallest index of
+    # the first atom they differ on.
+    mask, size = in_S, np.zeros(1, dtype=int)
+    before = np.cumsum([0] + [len(a) for a in free])  # sizes of the atoms before each
+    for j in reversed(range(len(free))):
+        take = size + len(free[j]) <= need
+        skip = size + before[j] >= need
+        mask = np.concatenate([mask[take], mask[skip]])
+        size = np.concatenate([size[take] + len(free[j]), size[skip]])
+        mask[: np.count_nonzero(take), free[j]] = True
+    mask = mask[size == need]
+    # 4-byte indices: a search holds its splits until it returns
+    index = np.broadcast_to(np.arange(eig.n, dtype=np.int32), mask.shape)
+    return index[mask].reshape(len(mask), n), index[~mask].reshape(len(mask), n_K)
+
+
+def enumerate_choices(eig: EigenStructure, n: int, n_K: int, forced_S=()) -> list:
+    """All admissible S/O splits of the closed-loop spectrum, as
+    RealisationChoices: the rows of :func:`_splits`, in its order (by the
+    S index tuple) and with its refusals."""
+    S, O = _splits(eig, n, n_K, forced_S)
+    return [RealisationChoice(tuple(s), tuple(o)) for s, o in zip(S.tolist(), O.tolist())]
 
 
 class _Eigenbasis:
@@ -221,17 +235,16 @@ class _Eigenbasis:
         self.owner = np.array(owner)
         self.partner = np.array([i if j is None else j for i, j in enumerate(eig.pair_index)])
 
-    def subspaces(self, selections) -> np.ndarray:
-        """(k, n + n_K, s) real bases of k index selections of size s each."""
-        sizes = [len(indices) for indices in selections]
-        chosen = np.zeros((len(selections), len(self.partner)), dtype=bool)
-        chosen[np.repeat(np.arange(len(sizes)), sizes),
-               np.fromiter(itertools.chain.from_iterable(selections), int, sum(sizes))] = True
+    def subspaces(self, S) -> np.ndarray:
+        """(k, n + n_K, s) real bases of the k index rows of S (k, s)."""
+        S = np.asarray(S)
+        chosen = np.zeros((len(S), len(self.partner)), dtype=bool)
+        chosen[np.arange(len(S))[:, np.newaxis], S] = True
         split = np.argwhere(chosen & ~chosen[:, self.partner])
         if split.size:
             i = int(split[0, 1])
             raise ValueError(f"conjugate pair ({i}, {self.partner[i]}) split by the selection")
-        cols = np.nonzero(chosen[:, self.owner])[1].reshape(len(selections), -1)
+        cols = np.nonzero(chosen[:, self.owner])[1].reshape(len(S), -1)
         return self.basis.T[cols].transpose(0, 2, 1)
 
 
@@ -275,10 +288,9 @@ def _solve_T_stack(A_cl: np.ndarray, U: np.ndarray, sigma_min: float):
     del X
     T[ok] = T_ok
     resid[ok] = _riccati_residuals(A_cl, T_ok)
-    bound = _RESID_TOL * np.linalg.norm(A_cl)
-    reasons = [
-        "" if r <= bound else f"residual {r:.2e} above {bound:.2e}" for r in resid
-    ]
+    bound = float(_RESID_TOL * np.linalg.norm(A_cl))
+    above = f"above {bound:.2e}"
+    reasons = ["" if r <= bound else f"residual {r:.2e} {above}" for r in resid.tolist()]
     for i in np.flatnonzero(~ok):
         reasons[i] = "U1 ill conditioned"
     return T, resid, reasons
@@ -466,23 +478,6 @@ def _check_orders(G, K):
             f"controller order {K.n} exceeds plant order {G.n}; an observer "
             "realisation needs n_K <= n, so augment the plant first"
         )
-
-
-def _owned(kept) -> list:
-    """One chunk's kept (realisation, score) pairs with their arrays copied
-    out of the chunk's stacks that _Search.evaluate views: each array
-    (T, T_perp, X, K_c, K_f) is copied once per chunk into one stack,
-    allocated by the calling thread and free of the chunk's stacks, and
-    each realisation holds row views of those.  The copies are read-only:
-    a controller built from a realisation (its prefilter, its observer)
-    cannot go out of step with an edited gain."""
-    stacks = []
-    for name in ("T", "T_perp", "X", "K_c", "K_f"):
-        a = np.array([getattr(r, name) for r, _ in kept])
-        a.flags.writeable = False
-        stacks.append(a)
-    return [(ObserverRealisation(r.form, *(a[i] for a in stacks), r.choice, r.riccati_residual),
-             score) for i, (r, score) in enumerate(kept)]
 
 
 def margin_loop(
@@ -729,7 +724,8 @@ _CHUNK = 128
 class _Search:
     """One search over (G, K): the constants every split shares, checked and
     computed once, and the stacked kernel that solves, designs, builds and
-    scores its splits a chunk at a time."""
+    scores its splits a chunk of (S, O) rows at a time.  The kernel returns
+    reasons and array stacks only; it builds no per-split object."""
 
     def __init__(self, G, K, form, Qn, Rn):
         self.G, self.K, self.form = G, K, form
@@ -797,10 +793,13 @@ class _Search:
                 errors[i] = e
         return X, errors
 
-    def evaluate(self, choices) -> list:
-        """Per choice, (ObserverRealisation, RealisationScore) or the
-        reason the split was rejected; the realisations' arrays are views
-        of this chunk's stacks (see :func:`_owned`).
+    def evaluate(self, S, O):
+        """(reasons, kept) of the chunk of split rows S (k, n), O (k, n_K):
+        per split the reason it was rejected or "" if kept, and None if no
+        split reached the scores, else (at, stacks, residuals, h2).  The
+        kept splits, in chunk order, are the ``at`` members of ``stacks``
+        (T, T_perp, X, K_c, K_f) and ``residuals`` (Riccati), and the rows
+        of ``h2``.
 
         A split is rejected for the first of these that applies: an
         infeasible T (see :func:`_solve_T_stack`), a failed free-pole
@@ -814,12 +813,10 @@ class _Search:
         """
         G, K, f = self.G, self.K, self.f
         # passed on directly, so that _solve_T_stack can drop the bases
-        T, resid, out = _solve_T_stack(
-            self.A_cl, self.basis.subspaces([c.state_feedback_set for c in choices]),
-            self.sigma_min)
+        T, resid, out = _solve_T_stack(self.A_cl, self.basis.subspaces(S), self.sigma_min)
         live = np.flatnonzero([not reason for reason in out])
         if not live.size:
-            return out
+            return out, None
         T, resid = T[live], resid[live]
         deficient, T_perp, T_pinv = _t_qr(T)
         X, errors = self.free_pole_gains(T_perp)
@@ -827,7 +824,7 @@ class _Search:
             out[i] = str(errors[m] or ("T is rank deficient" if deficient[m] else ""))
         keep = [m for m, i in enumerate(live) if not out[i]]
         if not keep:
-            return out
+            return out, None
         live, T, T_perp, T_pinv, X, resid = (a[keep] for a in (live, T, T_perp, T_pinv, X, resid))
         K_c, K_f = f.gains(G, K, T, T_pinv + T_perp @ X)
         observer = f.observer(G, K_f)  # read by the feedthrough check and the scores
@@ -843,25 +840,20 @@ class _Search:
         for m in np.flatnonzero(err > 1e-8 * (1.0 + np.linalg.norm(K.D))):
             out[live[m]] = out[live[m]] or f"K_c K_f - D_K = {err[m]:.2e}, expected 0"
 
-        built = [m for m, i in enumerate(live) if not out[i]]
-        if built:
-            modal = None
-            if self.modal is not None:
-                O = np.array([choices[live[m]].observer_set for m in built])
-                modal = functools.partial(self.modal.scores, O, T[built], T_perp[built],
-                                          T_pinv[built])
-            if len(built) < len(live):  # a 2-d matrix (the predictor's C_o) is shared
-                observer = tuple(M[built] if M.ndim == 3 else M for M in observer)
-            for m, row in zip(built, _h2_scores(G, observer, modal)):
-                if np.isnan(row).any():
-                    out[live[m]] = "H2 norm not certified"
-                    continue
-                r = ObserverRealisation(
-                    form=self.form, T=T[m], T_perp=T_perp[m], X=X[m], K_c=K_c[m],
-                    K_f=K_f[m], choice=choices[live[m]], riccati_residual=float(resid[m]),
-                )
-                out[live[m]] = (r, RealisationScore(float(row[0]), float(row[1])))
-        return out
+        built = np.array([m for m, i in enumerate(live) if not out[i]], dtype=int)
+        if not built.size:
+            return out, None
+        modal = None
+        if self.modal is not None:
+            modal = functools.partial(self.modal.scores, O[live[built]], T[built],
+                                      T_perp[built], T_pinv[built])
+        if len(built) < len(live):  # a 2-d matrix (the predictor's C_o) is shared
+            observer = tuple(M[built] if M.ndim == 3 else M for M in observer)
+        h2 = _h2_scores(G, observer, modal)
+        certified = ~np.isnan(h2).any(axis=1)
+        for m in built[~certified]:
+            out[live[m]] = "H2 norm not certified"
+        return out, (built[certified], (T, T_perp, X, K_c, K_f), resid, h2[certified])
 
 
 def _run_chunks(evaluate, chunks, workers, merge):
@@ -911,19 +903,24 @@ def search_realisations(
     UnstableSystemError, a closed loop with a pole outside the unit
     circle; with ValueError, a loop that fails the form's preconditions
     (the message names the fix: add a dipole, loop-shift the feedthrough),
-    then a given forced_S out of range or whose blocks outnumber n; with
+    then a given forced_S with an entry that is a bool or not an integer
+    (numpy integers are integers), out of range or whose blocks outnumber
+    n; with
     NumericalError, a spectrum with no admissible split (the default forced
     set's blocks outnumbering n among them), and, once every split is
     evaluated, no feasible split.
 
-    The splits are evaluated in stacked chunks of 128.  ``workers`` None or
-    1 evaluates them on the calling thread; an int k > 1 evaluates them on
-    a pool of k threads, joined before the call returns, which overlap the
-    stacked LAPACK and BLAS calls that release the GIL, while the calling
-    thread merges them.  The chunks, and so every number and message of
-    the result, are the same for every ``workers``.  Pool threads and BLAS
-    threads multiply: pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) when
-    the search runs on more than one.
+    The splits (the rows of :func:`_splits`) are evaluated in stacked
+    chunks of 128.  ``workers`` None or 1 evaluates them on the calling
+    thread; an int k > 1 evaluates them on a pool of k threads, joined
+    before the call returns, which overlap the stacked LAPACK and BLAS
+    calls that release the GIL.  The calling thread merges the chunks in
+    order, builds each split's objects once and copies each kept stack
+    once, read-only, so that a controller built from a realisation cannot
+    go out of step with an edited gain.  The chunks, and so every number
+    and message of the result, are the same for every ``workers``.  Pool
+    threads and BLAS threads multiply: pin BLAS to one thread
+    (OPENBLAS_NUM_THREADS=1) when the search runs on more than one.
     """
     if workers is not None and (
         not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
@@ -948,12 +945,12 @@ def search_realisations(
         forced_S = unobservable_modes(search.A_cl.T, B_cl.T, search.eig.values)
         forced_by = "input-uncontrollable modes"
     try:
-        choices = enumerate_choices(search.eig, G.n, K.n, forced_S)
+        S, O = _splits(search.eig, G.n, K.n, forced_S)
     except ValueError:
         if forced_by == "forced_S indices":
             raise
-        choices = []  # the uncontrollable modes' blocks alone outnumber n
-    if not choices:
+        S = ()  # the uncontrollable modes' blocks alone outnumber n
+    if not len(S):
         forced = sorted({int(i) for i in forced_S})
         among = f", the {forced_by} {forced} among them," if forced else ""
         raise NumericalError(
@@ -963,17 +960,26 @@ def search_realisations(
 
     result = SearchResult()
 
-    def merge(chunk, outcomes):
-        kept = []
-        for choice, outcome in zip(chunk, outcomes):
-            if isinstance(outcome, str):
-                result.rejected.append((choice, outcome))
-            else:
-                kept.append(outcome)
-        result.ranked += _owned(kept)
+    def merge(chunk, outcome):
+        # the copies are allocated on this thread, not in a pool thread's
+        # malloc arena, and hold none of the chunk's stacks
+        reasons, kept = outcome
+        choices = [RealisationChoice(tuple(s), tuple(o)) for s, o in
+                   zip(chunk[0].tolist(), chunk[1].tolist())]
+        result.rejected += [(c, reason) for c, reason in zip(choices, reasons) if reason]
+        if kept is not None:
+            at, stacks, resid, h2 = kept
+            stacks = [a[at] for a in stacks]
+            for a in stacks:
+                a.flags.writeable = False
+            ranked = (c for c, reason in zip(choices, reasons) if not reason)
+            result.ranked += [(ObserverRealisation(form, *arrays, c, r), RealisationScore(*h))
+                              for c, r, h, *arrays in zip(ranked, resid[at].tolist(),
+                                                          h2.tolist(), *stacks)]
 
-    chunks = [choices[start : start + _CHUNK] for start in range(0, len(choices), _CHUNK)]
-    _run_chunks(search.evaluate, chunks, workers or 1, merge)
+    chunks = [(S[start : start + _CHUNK], O[start : start + _CHUNK])
+              for start in range(0, len(S), _CHUNK)]
+    _run_chunks(lambda chunk: search.evaluate(*chunk), chunks, workers or 1, merge)
     if not result.ranked:
         counts = Counter(reason for _, reason in result.rejected)
         detail = "; ".join(f"{v} x {k}" for k, v in sorted(counts.items()))

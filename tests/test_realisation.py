@@ -289,6 +289,15 @@ def _random_spectrum(rng):
     return eig_paired(Q @ M @ Q.T)
 
 
+def _assert_split_arrays(eig, n, n_K, forced, expect):
+    """_splits gives the rows of ``expect`` as S (k, n) and O (k, n_K)."""
+    S, O = realisation._splits(eig, n, n_K, forced)
+    assert S.shape == (len(expect), n) and O.shape == (len(expect), n_K)
+    assert S.dtype.kind == O.dtype.kind == "i"
+    assert S.tolist() == [list(c.state_feedback_set) for c in expect]
+    assert O.tolist() == [list(c.observer_set) for c in expect]
+
+
 def test_iterative_enumeration_matches_the_recursive_one():
     G, K = scale_surrogate(0)
     A_cl = closed_loop_matrix(G, K)
@@ -300,6 +309,7 @@ def test_iterative_enumeration_matches_the_recursive_one():
         expect = _recursive_choices(eig, G.n, K.n, forced)
         assert len(expect) > 100
         assert enumerate_choices(eig, G.n, K.n, forced) == expect
+        _assert_split_arrays(eig, G.n, K.n, forced, expect)
     rng = np.random.default_rng(31)
     fused = 0
     for _ in range(40):
@@ -313,9 +323,32 @@ def test_iterative_enumeration_matches_the_recursive_one():
                 got = enumerate_choices(eig, n, eig.n - n, forced)
             except ValueError as exc:  # the forced block alone is larger than S
                 assert "exceeds" in str(exc) and not expect
+                with pytest.raises(ValueError, match="exceeds"):
+                    realisation._splits(eig, n, eig.n - n, forced)
                 continue
             assert got == expect
+            _assert_split_arrays(eig, n, eig.n - n, forced, expect)
     assert fused >= 20
+
+
+@pytest.mark.parametrize("entry", [True, np.True_, 1.0, 1.5, "1", None])
+def test_a_forced_S_entry_that_is_not_an_integer_is_refused(entry):
+    # True and 1.0 would otherwise force index 1 (the pendulum's pair (0, 1))
+    Gs, Ks = loop_shift(pendulum_plant(), pendulum_controller())
+    message = rf"forced_S entry {re.escape(repr(entry))} is not an integer"
+    with pytest.raises(ValueError, match=message):
+        search_realisations(Gs, Ks, form="predictor", forced_S=[entry])
+    with pytest.raises(ValueError, match=message):
+        enumerate_choices(eig_paired(closed_loop_matrix(Gs, Ks)), Gs.n, Ks.n, [3, entry])
+
+
+def test_a_forced_S_of_numpy_integers_is_accepted():
+    Gs, Ks = loop_shift(pendulum_plant(), pendulum_controller())
+    assert len(search_realisations(Gs, Ks, form="predictor").ranked) == 3
+    for forced in ([1], [np.int64(1)], np.array([1], dtype=np.int32)):
+        out = search_realisations(Gs, Ks, form="predictor", forced_S=forced)
+        assert sorted(r.choice.state_feedback_set for r, _ in out.ranked) == [(0, 1, 2, 3),
+                                                                             (0, 1, 4, 5)]
 
 
 def test_overlapping_split_rejected():
@@ -743,14 +776,14 @@ def test_closed_margin_loop_has_the_separation_spectrum(name):
 
 
 def _default_forced_S(monkeypatch, G, K, form):
-    """forced_S that search_realisations hands to enumerate_choices."""
+    """forced_S that search_realisations hands to the split enumeration."""
     seen = []
 
     def spy(eig, n, n_K, forced_S=()):
         seen.append(list(forced_S))
-        return []
+        return np.zeros((0, n), dtype=int), np.zeros((0, n_K), dtype=int)
 
-    monkeypatch.setattr(realisation, "enumerate_choices", spy)
+    monkeypatch.setattr(realisation, "_splits", spy)
     with pytest.raises(NumericalError, match="no feasible realisation"):
         search_realisations(G, K, form=form)
     return seen[0]
@@ -1415,20 +1448,40 @@ def test_the_search_is_bitwise_the_same_for_every_chunk_size_and_workers(monkeyp
         assert out == outputs[0]
 
 
+def test_each_split_object_is_built_once(monkeypatch):
+    # every split's RealisationChoice once, every ranked row's
+    # ObserverRealisation once, and the result holds exactly those objects
+    built = {RealisationChoice: [], ObserverRealisation: []}
+    for cls, seen in built.items():
+        def spy(self, *args, __init__=cls.__init__, seen=seen, **kwargs):
+            __init__(self, *args, **kwargs)
+            seen.append(self)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    G, K = scale_surrogate(0)
+    out = search_realisations(G, K, form="predictor", rank_by="product",
+                              forced_S=_smoke_forced_S(G, K))
+    choices = [r.choice for r, _ in out.ranked] + [c for c, _ in out.rejected]
+    assert len(choices) == 170 and out.ranked and out.rejected
+    assert sorted(map(id, built[RealisationChoice])) == sorted(map(id, choices))
+    assert sorted(map(id, built[ObserverRealisation])) == sorted(id(r) for r, _ in out.ranked)
+
+
 def test_one_128_split_chunk_stays_within_its_traced_memory_peak():
     # 2.95 MB once _solve_T_stack drops the subspace bases and X early and
     # _riccati_residuals never holds [-T I] and [I; T] together (4.43 MB before)
     G, K = scale_surrogate(0)
     search = realisation._Search(G, K, "predictor", 1.0, 1e7)
-    chunk = enumerate_choices(search.eig, G.n, K.n, _smoke_forced_S(G, K))[:128]
-    search.evaluate(chunk)  # lazy imports
+    S, O = realisation._splits(search.eig, G.n, K.n, _smoke_forced_S(G, K))
+    chunk = S[:128], O[:128]
+    search.evaluate(*chunk)  # lazy imports
     tracemalloc.start()
     try:
-        out = search.evaluate(chunk)
+        reasons, kept = search.evaluate(*chunk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(out) == 128 and not all(isinstance(o, str) for o in out)
+    assert len(reasons) == 128 and not all(reasons) and kept is not None
     assert peak <= 1.25 * 2.95e6, f"{peak / 1e6:.2f} MB"
 
 
@@ -1438,16 +1491,16 @@ def test_the_densest_benchmark_chunk_stays_within_its_traced_memory_peak():
     # they are used (8.98 MB when they do not; 7.43 MB for the doubling alone)
     G, K = scale_surrogate(0)
     search = realisation._Search(G, K, "predictor", 1.0, 1e7)
-    chunk = enumerate_choices(search.eig, G.n, K.n, _smoke_forced_S(G, K, pairs=2))[
-        33 * 128 : 34 * 128]
-    search.evaluate(chunk)  # lazy imports
+    S, O = realisation._splits(search.eig, G.n, K.n, _smoke_forced_S(G, K, pairs=2))
+    chunk = S[33 * 128 : 34 * 128], O[33 * 128 : 34 * 128]
+    search.evaluate(*chunk)  # lazy imports
     tracemalloc.start()
     try:
-        out = search.evaluate(chunk)
+        reasons, kept = search.evaluate(*chunk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(not isinstance(o, str) for o in out) == 108
+    assert sum(not reason for reason in reasons) == 108 == len(kept[0])
     assert peak <= 1.1 * 6.92e6, f"{peak / 1e6:.2f} MB"
 
 
@@ -1492,16 +1545,16 @@ def test_a_failing_chunk_is_raised_once_every_pool_thread_is_joined(monkeypatch)
     monkeypatch.setattr(realisation, "_CHUNK", 32)  # at least three pool chunks
     G, K = scale_surrogate(0)
     forced = _smoke_forced_S(G, K)
-    choices = enumerate_choices(eig_paired(closed_loop_matrix(G, K)), G.n, K.n, forced)
-    second, third = choices[realisation._CHUNK], choices[2 * realisation._CHUNK]
+    S, _ = realisation._splits(eig_paired(closed_loop_matrix(G, K)), G.n, K.n, forced)
+    second, third = S[realisation._CHUNK], S[2 * realisation._CHUNK]
     evaluate = realisation._Search.evaluate
 
-    def failing(self, chunk):
-        if chunk[0] == second:
+    def failing(self, S, O):
+        if np.array_equal(S[0], second):
             raise RuntimeError("chunk 2 failed")
-        if chunk[0] == third:
+        if np.array_equal(S[0], third):
             raise KeyError("chunk 3 failed")
-        return evaluate(self, chunk)
+        return evaluate(self, S, O)
 
     monkeypatch.setattr(realisation._Search, "evaluate", failing)
     before = threading.active_count()
