@@ -26,8 +26,9 @@ def main():
     x0 = np.array([1.0, 0.0])
 
     print("== the condensed optimisation ==")
+    # f = F theta and b = b0 + B theta, theta = [x0; x_r; w] (here x_r = 0)
     qp = build_condensed_qp(G, K_c, MpcConfig(N=20))
-    sol = solve_qp(qp.H, qp.f(x0))
+    sol = solve_qp(qp.H, qp.F @ qp.theta(x0))
     print(f"cond(H) = {np.linalg.cond(qp.H):9.2e}, "
           f"u(0) = {qp.input_sequence(sol.x_star)[0, 0]: .6f}")
     print(f"unconstrained feedback law gives  u(0) = {float((K_c @ x0)[0]): .6f}")
@@ -39,7 +40,8 @@ def main():
     for bound in (1.0, 0.6, 0.4, 0.2, 0.1, 0.05):
         cfg = MpcConfig(N=20, u_bounds=(np.array([-bound]), np.array([bound])))
         qp = build_condensed_qp(G, K_c, cfg)
-        sol = solve_qp(qp.H, qp.f(x0), qp.A_ineq, qp.b(x0))
+        theta = qp.theta(x0)
+        sol = solve_qp(qp.H, qp.F @ theta, qp.A_ineq, qp.b0 + qp.B @ theta)
         u = qp.input_sequence(sol.x_star)
         print(f"{bound:7.2f} {sol.status:>9} {sol.iterations:6d} "
               f"{len(sol.active_set):7d} {u[0, 0]:9.5f} "

@@ -9,8 +9,10 @@ unconstrained behaviour.  The QP is built from the gain it serves
 (``build_condensed_qp(G, K_c, cfg)``), so the cost cannot follow another
 gain than the fallback's.  A reference state x_r, when a control step
 passes one, shifts the state argument to x - x_r; the quadratic blocks
-are unchanged and the shift only adds a linear term, which the condensed
-builder folds into the parametric f map.
+are unchanged and the shift only adds a linear term.  The condensed QP
+depends on a step's data through one parameter theta = [x0; x_r; w]
+(state estimate, reference state, known input): f = F theta and
+b = b0 + B theta.
 """
 
 from __future__ import annotations
@@ -157,27 +159,25 @@ class CondensedQp:
     fixed, and so is their QP factor, computed on first use and shared by
     every control step.  A
     ``sim.MpcController`` builds its QP once, so that factor, with its
-    warm-start QR memo, serves every run of the controller.  f and b are
-    affine in the current state estimate, the reference state and the
-    known input w (the setpoint of a loop-shifted model), with the matrices
-    below precomputed so each control step is a few mat-vecs.
+    warm-start QR memo, serves every run of the controller.
 
-    On a fixed working set the optimum is affine in theta = [x0; x_r; w]
-    (``theta``); ``law`` returns that ``qp.AffineLaw`` and keeps the last
-    one in ``law_memo``: None or (working set, law or None), one tuple
-    replaced whole, so a reader never pairs a key with another set's law.
+    f = F theta and b = b0 + B theta are affine in theta = [x0; x_r; w]
+    (``theta``): the state estimate, the reference state and the known
+    input w (the setpoint of a loop-shifted model), whose width
+    F.shape[1] - 2n is 0 when the model has no known input.  On a fixed
+    working set the optimum is affine in theta too; ``law`` returns that
+    ``qp.AffineLaw`` and keeps the last one in ``law_memo``: None or
+    (working set, law or None), one tuple replaced whole, so a reader
+    never pairs a key with another set's law.
     """
 
     H: np.ndarray
     A_ineq: np.ndarray
     N: int
     n_u: int
-    f_x: np.ndarray
-    f_r: np.ndarray
-    f_w: np.ndarray
-    b_const: np.ndarray
-    b_x: np.ndarray
-    b_w: np.ndarray
+    F: np.ndarray
+    B: np.ndarray
+    b0: np.ndarray
     K_c: np.ndarray
     u_bounds: tuple | None
 
@@ -191,25 +191,11 @@ class CondensedQp:
     def factor(self) -> QpFactor:
         return factor_qp(self.H, self.A_ineq)
 
-    def f(self, x0, x_r=None, w=None) -> np.ndarray:
-        out = self.f_x @ np.asarray(x0, float).ravel()
-        if x_r is not None:
-            out = out + self.f_r @ np.asarray(x_r, float).ravel()
-        if w is not None and self.f_w.size:
-            out = out + self.f_w @ np.asarray(w, float).ravel()
-        return out
-
-    def b(self, x0, w=None) -> np.ndarray:
-        out = self.b_const + self.b_x @ np.asarray(x0, float).ravel()
-        if w is not None and self.b_w.size:
-            out = out + self.b_w @ np.asarray(w, float).ravel()
-        return out
-
     def theta(self, x0, x_r=None, w=None) -> np.ndarray:
-        """The parameter [x0; x_r; w] of ``law``, a missing x_r or w as 0;
-        w is left out when the model has no known input, as ``f`` and
-        ``b`` leave it out."""
-        n, n_w = self.f_r.shape[1], self.f_w.shape[1]
+        """The parameter [x0; x_r; w] of F, B and ``law``, a missing x_r or
+        w as 0; w is left out when the model has no known input."""
+        n = self.K_c.shape[1]
+        n_w = self.F.shape[1] - 2 * n
         parts = [np.asarray(x0, float).ravel(),
                  np.zeros(n) if x_r is None else np.asarray(x_r, float).ravel()]
         if n_w:
@@ -217,16 +203,13 @@ class CondensedQp:
         return np.concatenate(parts)
 
     def law(self, active) -> AffineLaw | None:
-        """``qp.affine_law`` of working set ``active`` in ``theta``'s
-        parameter, reused while ``active`` repeats."""
+        """``qp.affine_law`` of working set ``active`` for the stored F, B
+        and b0, reused while ``active`` repeats."""
         key = tuple(active)
         memo = self.law_memo
         if memo is not None and memo[0] == key:
             return memo[1]
-        m, n = self.b_x.shape
-        law = affine_law(self.factor, self.A_ineq, key,
-                         np.hstack([self.f_x, self.f_r, self.f_w]),
-                         np.hstack([self.b_x, np.zeros((m, n)), self.b_w]), self.b_const)
+        law = affine_law(self.factor, self.A_ineq, key, self.F, self.B, self.b0)
         self.law_memo = (key, law)
         return law
 
@@ -239,20 +222,20 @@ class CondensedQp:
 
 
 def _prediction_matrices(A, B, B_w, N):
-    """Phi, Gamma, Omega with x_k = Phi_k x0 + Gamma_k U + Omega_k w for
-    k = 0 .. N (N+1 block rows; the k = 0 row is [I, 0, 0])."""
+    """Gamma, P with x_k = Gamma_k U + P_k theta, theta = [x0; x_r; w], for
+    k = 0 .. N (N+1 block rows).  P's x_r columns are zero and its k = 0
+    row is [I, 0, 0]."""
     n, m = B.shape
-    Phi = np.zeros(((N + 1) * n, n))
     Gamma = np.zeros(((N + 1) * n, N * m))
-    Omega = np.zeros(((N + 1) * n, B_w.shape[1]))
-    Phi[:n] = np.eye(n)
+    P = np.zeros(((N + 1) * n, 2 * n + B_w.shape[1]))
+    P[:n, :n] = np.eye(n)
     for k in range(1, N + 1):
         r, p = k * n, (k - 1) * n
-        Phi[r:r + n] = A @ Phi[p:p + n]
         Gamma[r:r + n] = A @ Gamma[p:p + n]
         Gamma[r:r + n, (k - 1) * m:k * m] = B
-        Omega[r:r + n] = A @ Omega[p:p + n] + B_w
-    return Phi, Gamma, Omega
+        P[r:r + n] = A @ P[p:p + n]
+        P[r:r + n, 2 * n:] += B_w
+    return Gamma, P
 
 
 def _per_step(M, X, N):
@@ -261,11 +244,11 @@ def _per_step(M, X, N):
     return (M @ Xk).reshape(N * M.shape[0], X.shape[1])
 
 
-def _inequality_rows(N, lo, hi, Z_u, Z_x, Z_w, E):
-    """Rows (A, b_const, b_x, b_w) of  lo - s_k <= z_k <= hi + s_k  for a
-    quantity z = Z_u U + Z_x x0 + Z_w w stacked over N steps, with slack
-    columns E (zero for hard bounds; one slack serves both sides): per
-    step the finite upper rows, then the finite lower ones."""
+def _inequality_rows(N, lo, hi, Z_u, Z_th, E):
+    """Rows (A, b0, B) of  lo - s_k <= z_k <= hi + s_k  for a quantity
+    z = Z_u U + Z_th theta stacked over N steps, with slack columns E
+    (zero for hard bounds; one slack serves both sides): per step the
+    finite upper rows, then the finite lower ones."""
     q, rows = lo.size, []
     for k in range(N):
         blk = slice(k * q, (k + 1) * q)
@@ -273,7 +256,7 @@ def _inequality_rows(N, lo, hi, Z_u, Z_x, Z_w, E):
             fin = np.isfinite(bound)
             if fin.any():
                 rows.append((np.hstack([sgn * Z_u[blk], E[blk]])[fin], (sgn * bound)[fin],
-                             (-sgn * Z_x[blk])[fin], (-sgn * Z_w[blk])[fin]))
+                             (-sgn * Z_th[blk])[fin]))
     return rows
 
 
@@ -300,18 +283,17 @@ def build_condensed_qp(G: DtStateSpace, K_c, cfg: MpcConfig) -> CondensedQp:
     Q, S, R = K_c.T @ W @ K_c, -K_c.T @ W, W
     B_w = np.zeros((n, 0)) if G.D_K is None else -G.B @ G.D_K
 
-    Phi, Gamma, Omega = _prediction_matrices(G.A, G.B, B_w, N)
-    # rows 0 .. N-1 of the stacks enter the stage cost
-    Pm, Gj, Om = Phi[:N * n], Gamma[:N * n], Omega[:N * n]
+    Gamma, P = _prediction_matrices(G.A, G.B, B_w, N)
+    n_th = P.shape[1]
+    # rows 0 .. N-1 enter the stage cost, whose state argument is
+    # x_k - x_r = Gj U + E theta
+    Gj = Gamma[:N * n]
+    E = P[:N * n] - np.kron(np.ones((N, 1)), np.eye(n, n_th, n))
 
     Qb, Sb, Rb = (np.kron(np.eye(N), M) for M in (Q, S, R))
     H_u = 2.0 * (Gj.T @ Qb @ Gj + Gj.T @ Sb + Sb.T @ Gj + Rb)
     # gradient of the cost in U through the states
-    Mx = (Qb @ Gj + Sb).T
-    f_x, f_w = 2.0 * (Mx @ Pm), 2.0 * (Mx @ Om)
-    # the reference shift x -> x - x_r adds -2(Gj'(1(x)Q) + 1(x)S') x_r
-    ones = np.ones((N, 1))
-    f_r = -2.0 * (Gj.T @ np.kron(ones, Q) + np.kron(ones, S.T))
+    F_u = 2.0 * ((Qb @ Gj + Sb).T @ E)
 
     Cz, z_lo, z_hi = _constrained_output(G, cfg)
     n_z = Cz.shape[0]
@@ -322,19 +304,18 @@ def build_condensed_qp(G: DtStateSpace, K_c, cfg: MpcConfig) -> CondensedQp:
     if cond > 1e12:
         raise NumericalError(f"condensed Hessian is near singular: cond(H) = {cond:.1e}")
 
-    rows = [(np.zeros((0, n_dec)), np.zeros(0), np.zeros((0, n)), np.zeros((0, B_w.shape[1])))]
+    rows = [(np.zeros((0, n_dec)), np.zeros(0), np.zeros((0, n_th)))]
     if cfg.u_bounds is not None:
         sel, u_lo, u_hi = _bounded_rows(cfg.u_bounds, np.eye(m), "u_bounds")
         q = N * sel.shape[0]
-        rows += _inequality_rows(N, u_lo, u_hi, np.kron(np.eye(N), sel), np.zeros((q, n)),
-                                 np.zeros((q, B_w.shape[1])), np.zeros((q, N * n_z)))
+        rows += _inequality_rows(N, u_lo, u_hi, np.kron(np.eye(N), sel), np.zeros((q, n_th)),
+                                 np.zeros((q, N * n_z)))
     # softened quantities at steps 1 .. N, one slack each
-    z_maps = (_per_step(Cz, X[n:], N) for X in (Gamma, Phi, Omega))
+    z_maps = (_per_step(Cz, X[n:], N) for X in (Gamma, P))
     rows += _inequality_rows(N, z_lo, z_hi, *z_maps, -np.eye(N * n_z))
-    A_ineq, b_const, b_x, b_w = (np.concatenate(c) for c in zip(*rows))
+    A_ineq, b0, B = (np.concatenate(c) for c in zip(*rows))
 
-    f_x, f_r, f_w = (np.vstack([f, np.zeros((N * n_z, f.shape[1]))]) for f in (f_x, f_r, f_w))
-    H, A_ineq, f_x, f_r, f_w, b_const, b_x, b_w = map(
-        _read_only, (H, A_ineq, f_x, f_r, f_w, b_const, b_x, b_w))
-    return CondensedQp(H=H, A_ineq=A_ineq, N=N, n_u=m, f_x=f_x, f_r=f_r, f_w=f_w,
-                       b_const=b_const, b_x=b_x, b_w=b_w, K_c=K_c, u_bounds=cfg.u_bounds)
+    F = np.vstack([F_u, np.zeros((N * n_z, n_th))])
+    H, A_ineq, F, B, b0 = map(_read_only, (H, A_ineq, F, B, b0))
+    return CondensedQp(H=H, A_ineq=A_ineq, N=N, n_u=m, F=F, B=B, b0=b0, K_c=K_c,
+                       u_bounds=cfg.u_bounds)

@@ -46,7 +46,6 @@ __all__ = [
     "SearchResult",
     "closed_loop_matrix",
     "make_observer",
-    "enumerate_choices",
     "margin_loop",
     "equivalence_residual",
     "search_realisations",
@@ -63,10 +62,6 @@ class RealisationChoice:
 
     state_feedback_set: tuple
     observer_set: tuple
-
-    def __post_init__(self):
-        if not set(self.state_feedback_set).isdisjoint(self.observer_set):
-            raise ValueError("S and O overlap")
 
 
 @dataclass(frozen=True)
@@ -200,14 +195,6 @@ def _splits(eig: EigenStructure, n: int, n_K: int, forced_S=()):
     # 4-byte indices: a search holds its splits until it returns
     index = np.broadcast_to(np.arange(eig.n, dtype=np.int32), mask.shape)
     return index[mask].reshape(len(mask), n), index[~mask].reshape(len(mask), n_K)
-
-
-def enumerate_choices(eig: EigenStructure, n: int, n_K: int, forced_S=()) -> list:
-    """All admissible S/O splits of the closed-loop spectrum, as
-    RealisationChoices: the rows of :func:`_splits`, in its order (by the
-    S index tuple) and with its refusals."""
-    S, O = _splits(eig, n, n_K, forced_S)
-    return [RealisationChoice(tuple(s), tuple(o)) for s, o in zip(S.tolist(), O.tolist())]
 
 
 class _Eigenbasis:

@@ -105,13 +105,15 @@ def mpc_step(
     input and ``warm`` the guessed working set, normally the previous
     step's active set (empty for a QP without constraint rows).
 
-    The step first evaluates the warm set's affine law (``qp.law(warm)``,
-    memoised on ``qp``): when the set is optimal at this estimate by the
-    solver's own tests the law's optimum is returned with 0 iterations and
-    ``from_law`` set, and no QP is solved.  Otherwise, or when the set has
-    no law, ``solve_qp`` runs warm-started from ``warm`` with the factor
-    cached on ``qp``.  Which of the two serves a step depends only on
-    ``warm`` and the estimate, not on what the memo held.
+    The step forms the QP's parameter theta = ``qp.theta(x_hat, x_r, w)``
+    once, and both paths read it.  It first evaluates the warm set's
+    affine law (``qp.law(warm)``, memoised on ``qp``): when the set is
+    optimal at theta by the solver's own tests the law's optimum is
+    returned with 0 iterations and ``from_law`` set, and no QP is solved.
+    Otherwise, or when the set has no law, ``solve_qp`` runs on
+    f = F theta and b = b0 + B theta, warm-started from ``warm`` with the
+    factor cached on ``qp``.  Which of the two serves a step depends only
+    on ``warm`` and theta, not on what the memo held.
 
     A non-optimal solve falls back to the saturated unconstrained law
     u = K_c (x - x_r), with the gain ``qp.K_c`` the QP's cost matches,
@@ -119,12 +121,13 @@ def mpc_step(
     flagged so traces record the event.
     """
     x_hat = np.asarray(x_hat, float).ravel()
+    theta = qp.theta(x_hat, x_r, w)
     law = qp.law(warm)
-    sol = law.solve(qp.H, qp.theta(x_hat, x_r, w)) if law is not None else None
+    sol = law.solve(qp.H, theta) if law is not None else None
     if sol is not None:
         return MpcStepResult(u=sol.x_star[:qp.n_u], solution=sol, fallback=False,
                              from_law=True)
-    sol = solve_qp(qp.H, qp.f(x_hat, x_r=x_r, w=w), qp.A_ineq, qp.b(x_hat, w=w),
+    sol = solve_qp(qp.H, qp.F @ theta, qp.A_ineq, qp.b0 + qp.B @ theta,
                    factor=qp.factor, warm=warm)
     if sol.status == "optimal":
         return MpcStepResult(u=sol.x_star[:qp.n_u], solution=sol, fallback=False)

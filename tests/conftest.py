@@ -48,7 +48,8 @@ def record_steps(scenario):
 
     def spy(qp, x_hat, x_r=None, w=None, *, warm=()):
         res = step(qp, x_hat, x_r=x_r, w=w, warm=warm)
-        steps.append((qp, qp.f(x_hat, x_r=x_r, w=w), qp.b(x_hat, w=w), warm, res))
+        theta = qp.theta(x_hat, x_r, w)
+        steps.append((qp, qp.F @ theta, qp.b0 + qp.B @ theta, warm, res))
         return res
 
     with pytest.MonkeyPatch.context() as mp:
@@ -81,7 +82,8 @@ def condensation_gaps(G, K_c, W, cfg, qp, x0, x_r=None, w=None, trials=5, seed=0
     B_w = np.zeros((n, 1)) if G.D_K is None else -G.B @ G.D_K
     drive = B_w @ (np.zeros(B_w.shape[1]) if w is None else np.ravel(w))
     x_r = np.zeros(n) if x_r is None else np.ravel(x_r)
-    f, b = qp.f(x0, x_r, w), qp.b(x0, w)
+    theta = qp.theta(x0, x_r, w)
+    f, b = qp.F @ theta, qp.b0 + qp.B @ theta
 
     def sides(bounds):
         if bounds is None:

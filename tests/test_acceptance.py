@@ -433,7 +433,7 @@ def test_criterion_07_zero_value_cost_identity():
         cfg = MpcConfig(N=10, W=W)
         qp = build_condensed_qp(G, K_c, cfg)
         x0 = rng.normal(size=n)
-        ud = qp.input_sequence(solve_qp(qp.H, qp.f(x0)).x_star)
+        ud = qp.input_sequence(solve_qp(qp.H, qp.F @ qp.theta(x0)).x_star)
 
         gap = max(condensation_gaps(G, K_c, W, cfg, qp, x0))
         u0_err = float(np.max(np.abs(ud[0] - K_c @ x0)))

@@ -36,8 +36,8 @@ def test_matching_cost_blocks():
     G = DtStateSpace(np.eye(2), np.ones((2, 1)), np.eye(1, 2), np.zeros((1, 1)), 1.0)
     qp = build_condensed_qp(G, K_c, MpcConfig(N=1, W=W))
     assert_allclose(qp.H, 2.0 * W, atol=1e-14)
-    assert_allclose(qp.f_x, -2.0 * W @ K_c, atol=1e-14)
-    assert_allclose(qp.f_r, 2.0 * W @ K_c, atol=1e-14)
+    assert_allclose(qp.F[:, :2], -2.0 * W @ K_c, atol=1e-14)
+    assert_allclose(qp.F[:, 2:], 2.0 * W @ K_c, atol=1e-14)
     assert np.array_equal(qp.K_c, K_c) and qp.u_bounds is None
 
 
@@ -56,7 +56,7 @@ def test_a_weight_counts_by_its_symmetric_part():
     assert np.array_equal(cfg.W, [[1.0, 0.4], [0.4, 1.0]])
     qp = build_condensed_qp(G, K_c, cfg)
     x0 = rng.standard_normal(3)
-    assert_allclose(-np.linalg.solve(qp.H, qp.f(x0))[:2], K_c @ x0, atol=1e-12)
+    assert_allclose(-np.linalg.solve(qp.H, qp.F @ qp.theta(x0))[:2], K_c @ x0, atol=1e-12)
 
 
 def test_config_rejects_a_weight_that_is_not_square():
@@ -92,7 +92,7 @@ def test_unconstrained_optimum_is_the_linear_law():
         qp = build_condensed_qp(G, K_c, MpcConfig(N=8))
         assert qp.A_ineq.shape == (0, 8 * 2)
         x0 = rng.standard_normal(3)
-        sol = solve_qp(qp.H, qp.f(x0))
+        sol = solve_qp(qp.H, qp.F @ qp.theta(x0))
         assert sol.status == "optimal"
         # objective offset: the condensation drops the x-only constant
         U = qp.input_sequence(sol.x_star)
@@ -116,7 +116,7 @@ def test_tracking_optimum_follows_the_reference_state():
     qp = build_condensed_qp(G, K_c, MpcConfig(N=6))
     x0 = rng.standard_normal(4)
     x_r = rng.standard_normal(4)
-    sol = solve_qp(qp.H, qp.f(x0, x_r=x_r))
+    sol = solve_qp(qp.H, qp.F @ qp.theta(x0, x_r=x_r))
     U = qp.input_sequence(sol.x_star)
     x = x0.copy()
     for k in range(6):
@@ -134,7 +134,7 @@ def test_known_input_enters_the_prediction():
     x0 = rng.standard_normal(3)
     x_r = np.zeros(3)
     w = np.array([0.7])
-    sol = solve_qp(qp.H, qp.f(x0, x_r=x_r, w=w))
+    sol = solve_qp(qp.H, qp.F @ qp.theta(x0, x_r=x_r, w=w))
     U = qp.input_sequence(sol.x_star)
     x = x0.copy()
     for k in range(5):
@@ -153,20 +153,26 @@ def test_a_condensed_qps_law_is_its_optimum_on_the_solvers_active_set():
                                               y_bounds=([-0.5], [0.5])))
     assert qp.law_memo is None
     assert_allclose(qp.theta([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0])
+    # the bounds act on the states themselves, so no row sees x_r, and the
+    # slacks carry no linear cost
+    assert qp.F.shape[1] == qp.B.shape[1] == 7 and qp.A_ineq.shape[0] > 0
+    assert not qp.B[:, 3:6].any() and not qp.F[qp.N * qp.n_u:].any()
     sets = set()
     for _ in range(40):
         x0, x_r, w = rng.choice([0.01, 3.0]) * rng.standard_normal((3, 3))
         w = w[:1]
-        sol = solve_qp(qp.H, qp.f(x0, x_r, w), qp.A_ineq, qp.b(x0, w), factor=qp.factor)
+        theta = qp.theta(x0, x_r, w)
+        sol = solve_qp(qp.H, qp.F @ theta, qp.A_ineq, qp.b0 + qp.B @ theta,
+                       factor=qp.factor)
         law = qp.law(sol.active_set)
         assert qp.law_memo == (sol.active_set, law) and qp.law(sol.active_set) is law
-        hit = law.solve(qp.H, qp.theta(x0, x_r, w))
+        hit = law.solve(qp.H, theta)
         assert hit is not None and hit.active_set == sol.active_set
         assert_allclose(hit.x_star, sol.x_star, atol=1e-9 * (1.0 + np.abs(sol.x_star).max()))
         sets.add(sol.active_set)
     assert () in sets and len(sets) > 2
     with pytest.raises(ValueError, match="read-only"):
-        qp.b_const[0] = 0.0
+        qp.b0[0] = 0.0
     # without a known input, w is no part of theta
     plain = build_condensed_qp(dataclasses.replace(G, D_K=None), K_c, MpcConfig(N=5))
     assert plain.theta(np.ones(3), w=np.ones(1)).size == 6
@@ -205,7 +211,8 @@ def test_condensation_matches_plain_simulation():
         obj_gap, row_gap = condensation_gaps(G, K_c, W, cfg, qp, x0, x_r, w)
         assert obj_gap <= 1e-9 and row_gap <= 1e-9, \
             f"{kind} cost on {m} inputs, extra terms {extra}: gaps {obj_gap:.1e}, {row_gap:.1e}"
-        sol = solve_qp(qp.H, qp.f(x0, x_r, w), qp.A_ineq, qp.b(x0, w))
+        theta = qp.theta(x0, x_r, w)
+        sol = solve_qp(qp.H, qp.F @ theta, qp.A_ineq, qp.b0 + qp.B @ theta)
         assert sol.status == "optimal"
         assert np.max(np.abs(qp.input_sequence(sol.x_star))) <= 0.4 + 1e-9
 
@@ -233,7 +240,7 @@ def test_single_step_constraint_rows_by_hand():
     assert_allclose(qp.H[1, 1], 2e4, atol=1e-9)
     assert_allclose(qp.A_ineq, [[c * bq, -1.0], [-c * bq, -1.0]], atol=1e-12)
     x0 = np.array([0.9])
-    assert_allclose(qp.b(x0), [1.0 - c * a * 0.9, 1.0 + c * a * 0.9], atol=1e-12)
+    assert_allclose(qp.b0 + qp.B @ qp.theta(x0), [1.0 - c * a * 0.9, 1.0 + c * a * 0.9], atol=1e-12)
 
 
 def test_soft_constraint_matches_oracle():
@@ -243,9 +250,10 @@ def test_soft_constraint_matches_oracle():
                     y_bounds=([-0.2], [0.2]), soft_output_weight=1e3)
     qp = build_condensed_qp(G, np.array([[-0.5]]), cfg)
     x0 = np.array([1.0])  # cannot reach |x| <= 0.2 with |u| <= 0.1 in 2 steps
-    sol = solve_qp(qp.H, qp.f(x0), qp.A_ineq, qp.b(x0))
+    f, b = qp.F @ qp.theta(x0), qp.b0 + qp.B @ qp.theta(x0)
+    sol = solve_qp(qp.H, f, qp.A_ineq, b)
     assert sol.status == "optimal"
-    ref = brute_force_qp(qp.H, qp.f(x0), qp.A_ineq, qp.b(x0))
+    ref = brute_force_qp(qp.H, f, qp.A_ineq, b)
     assert_allclose(sol.objective, ref[1], rtol=1e-9, atol=1e-9)
     s = qp.slack_values(sol.x_star)
     assert np.all(s >= -1e-9)

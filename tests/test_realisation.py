@@ -52,7 +52,6 @@ from lti2mpc.realisation import (
     _noise_matrices,
     _t_qr,
     closed_loop_matrix,
-    enumerate_choices,
     equivalence_residual,
     margin_loop,
     search_realisations,
@@ -153,6 +152,13 @@ def _assert_exactly_equivalent(r, G, K):
     assert equivalence_residual(dataclasses.replace(r, K_f=r.K_f * (1.0 + 1e-6)), G, K) >= 1e-8
 
 
+def _split_choices(eig, n, n_K, forced_S=()):
+    """The rows of ``realisation._splits`` as RealisationChoices, in its
+    order and with its refusals, as the search builds them."""
+    S, O = realisation._splits(eig, n, n_K, forced_S)
+    return [RealisationChoice(tuple(s), tuple(o)) for s, o in zip(S.tolist(), O.tolist())]
+
+
 # -- scalar oracles ----------------------------------------------------------
 
 def test_scalar_predictor_both_splits():
@@ -162,7 +168,7 @@ def test_scalar_predictor_both_splits():
     eig = eig_paired(A_cl)
     assert_allclose(eig.values, [-0.027492, 0.727492], atol=1e-6)
 
-    choices = enumerate_choices(eig, 1, 1)
+    choices = _split_choices(eig, 1, 1)
     assert [c.state_feedback_set for c in choices] == [(0,), (1,)]
 
     # roots of 0.4 T^2 + 0.3 T - 0.3 = 0
@@ -194,7 +200,7 @@ def test_scalar_filter_both_splits_and_feedthrough_identity():
 
     expect = {(1,): (0.589454, 0.208945, 0.717891),
               (0,): (-5.089454, -0.358945, -0.417891)}
-    for c in enumerate_choices(eig, 1, 1):
+    for c in _split_choices(eig, 1, 1):
         r, _ = _one_split(G, K, "filter", c.state_feedback_set)
         assert r.choice == c
         T_ref, Kc_ref, Kf_ref = expect[c.state_feedback_set]
@@ -213,7 +219,7 @@ def test_enumerate_keeps_conjugate_pairs_together():
     M[:2, :2] = [[0.4, 0.3], [-0.3, 0.4]]
     M[2, 2], M[3, 3] = 0.2, -0.5
     eig = eig_paired(M)
-    choices = enumerate_choices(eig, 2, 2)
+    choices = _split_choices(eig, 2, 2)
     sets = {c.state_feedback_set for c in choices}
     # pair as one atom: either both pair members or both reals go to S
     assert len(choices) == 2
@@ -228,7 +234,7 @@ def test_enumerate_keeps_conjugate_pairs_together():
 
 def test_enumerate_fuses_repeated_eigenvalues():
     eig = eig_paired(np.diag([0.5, 0.5, 0.3, 0.2]))
-    choices = enumerate_choices(eig, 2, 2)
+    choices = _split_choices(eig, 2, 2)
     assert len(choices) == 2  # {0.5, 0.5} or {0.3, 0.2}
 
 
@@ -238,14 +244,15 @@ def test_enumerate_honours_forced_modes():
     M[2, 2], M[3, 3] = 0.2, -0.5
     eig = eig_paired(M)
     forced = [i for i in range(4) if abs(eig.values[i] - 0.2) < 1e-9]
-    choices = enumerate_choices(eig, 2, 2, forced_S=forced)
+    choices = _split_choices(eig, 2, 2, forced_S=forced)
     assert len(choices) == 1
     assert forced[0] in choices[0].state_feedback_set
 
 
 def _recursive_choices(eig, n, n_K, forced_S=()):
-    """enumerate_choices as a recursion over the free atoms that copies the
-    picked list at every level, as it was first written."""
+    """The admissible splits as RealisationChoices, by a recursion over the
+    free atoms that copies the picked list at every level, as the
+    enumeration was first written."""
     forced = set(forced_S)
     atoms = realisation._value_groups(eig)
     free = [a for a in atoms if not forced & set(a)]
@@ -308,7 +315,7 @@ def test_iterative_enumeration_matches_the_recursive_one():
     for forced in (sorted(set(uncontrollable) | set(pairs[:k])) for k in (4, 8)):
         expect = _recursive_choices(eig, G.n, K.n, forced)
         assert len(expect) > 100
-        assert enumerate_choices(eig, G.n, K.n, forced) == expect
+        assert _split_choices(eig, G.n, K.n, forced) == expect
         _assert_split_arrays(eig, G.n, K.n, forced, expect)
     rng = np.random.default_rng(31)
     fused = 0
@@ -320,7 +327,7 @@ def test_iterative_enumeration_matches_the_recursive_one():
         for n in range(eig.n + 1):
             expect = _recursive_choices(eig, n, eig.n - n, forced)
             try:
-                got = enumerate_choices(eig, n, eig.n - n, forced)
+                got = _split_choices(eig, n, eig.n - n, forced)
             except ValueError as exc:  # the forced block alone is larger than S
                 assert "exceeds" in str(exc) and not expect
                 with pytest.raises(ValueError, match="exceeds"):
@@ -339,7 +346,7 @@ def test_a_forced_S_entry_that_is_not_an_integer_is_refused(entry):
     with pytest.raises(ValueError, match=message):
         search_realisations(Gs, Ks, form="predictor", forced_S=[entry])
     with pytest.raises(ValueError, match=message):
-        enumerate_choices(eig_paired(closed_loop_matrix(Gs, Ks)), Gs.n, Ks.n, [3, entry])
+        realisation._splits(eig_paired(closed_loop_matrix(Gs, Ks)), Gs.n, Ks.n, [3, entry])
 
 
 def test_a_forced_S_of_numpy_integers_is_accepted():
@@ -349,11 +356,6 @@ def test_a_forced_S_of_numpy_integers_is_accepted():
         out = search_realisations(Gs, Ks, form="predictor", forced_S=forced)
         assert sorted(r.choice.state_feedback_set for r, _ in out.ranked) == [(0, 1, 2, 3),
                                                                              (0, 1, 4, 5)]
-
-
-def test_overlapping_split_rejected():
-    with pytest.raises(ValueError):
-        RealisationChoice((0, 1), (1, 2))
 
 
 def test_solve_T_reports_infeasible_direction():
@@ -440,7 +442,7 @@ def test_equivalence_check_catches_a_wrong_gain():
     K = _scalar(0.2, 0.3, 0.4)
     A_cl = closed_loop_matrix(G, K)
     eig = eig_paired(A_cl)
-    r, _ = _one_split(G, K, "predictor", enumerate_choices(eig, 1, 1)[1].state_feedback_set)
+    r, _ = _one_split(G, K, "predictor", _split_choices(eig, 1, 1)[1].state_feedback_set)
     # rebuild the observer controller with a perturbed injection gain
     A_obs = G.A + G.B @ r.K_c - np.array([[1.1 * r.K_f[0, 0]]]) @ G.C
     wrong = DtStateSpace(A_obs, [[1.1 * r.K_f[0, 0]]], r.K_c, [[0.0]], 1.0)
@@ -1120,7 +1122,7 @@ def _per_split_search(G, K, forced_S, Qn=1.0, Rn=1e7):
     n, n_K = G.n, K.n
     bound = 1e-8 * np.linalg.norm(A_cl)
     rows, rejected = [], []
-    for c in enumerate_choices(eig, n, n_K, forced_S):
+    for c in _split_choices(eig, n, n_K, forced_S):
         U = _per_split_basis(eig, c.state_feedback_set)
         U1, U2 = U[:n], U[n:]
         cond = np.linalg.cond(U1)

@@ -266,9 +266,9 @@ def test_mpc_step_falls_back_on_an_infeasible_qp():
     K_c = np.array([[-0.9]])
     qp = build_condensed_qp(G, K_c, MpcConfig(N=3, u_bounds=([0.2], [0.4])))
     # shift the lower bound above the upper to force infeasibility
-    b_const = qp.b_const.copy()
-    b_const[b_const.size // 2:] = -1.0
-    qp = dataclasses.replace(qp, b_const=b_const)
+    b0 = qp.b0.copy()
+    b0[b0.size // 2:] = -1.0
+    qp = dataclasses.replace(qp, b0=b0)
     res = mpc_step(qp, np.array([2.0]))
     assert res.fallback
     assert res.status == "fallback"

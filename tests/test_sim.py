@@ -287,13 +287,14 @@ def test_a_sample_time_within_1e_12_of_the_plants_is_accepted():
 
 
 def test_an_mpc_moves_first_by_its_own_realisations_gain(library, traces):
-    # the unconstrained first move (the first n_u rows of -H^-1 f_x) is the
-    # realisation's K_c, for every library MPC and for case 1 re-served by
-    # each ranked satellite realisation; the QP used to keep the gain of the
-    # realisation its cost was built for, 120 % off rank 3's, without a word
+    # the unconstrained first move (the first n_u rows of -H^-1 F's x0
+    # columns) is the realisation's K_c, for every library MPC and for case
+    # 1 re-served by each ranked satellite realisation; the QP used to keep
+    # the gain of the realisation its cost was built for, 120 % off rank
+    # 3's, without a word
     def first_move_gap(ctrl):
         qp, K_c = ctrl.qp, ctrl.realisation.K_c
-        move = -np.linalg.solve(qp.H, qp.f_x)[:qp.n_u]
+        move = -np.linalg.solve(qp.H, qp.F[:, :K_c.shape[1]])[:qp.n_u]
         return float(np.max(np.abs(move - K_c)) / np.max(np.abs(K_c)))
 
     case_1 = library["satellite-case-1"]
@@ -321,7 +322,8 @@ def test_loop_shift_records_its_feedthrough_on_the_design_model(library):
     for name, columns in (("pendulum-case-2", G.n_y), ("satellite-case-2", 0)):
         ctrl = library[name].controller
         qp = build_condensed_qp(ctrl.design_model, ctrl.realisation.K_c, ctrl.config)
-        assert qp.f_w.shape[1] == qp.b_w.shape[1] == columns, name
+        n = ctrl.design_model.n
+        assert qp.F.shape[1] - 2 * n == qp.B.shape[1] - 2 * n == columns, name
     # refused: a feedthrough the shift would drop, and a second shift
     with pytest.raises(ValueError, match="strictly proper"):
         loop_shift(dataclasses.replace(G, D=np.full((G.n_y, G.n_u), 1e-9)), K)
@@ -739,6 +741,14 @@ def test_warm_started_replays_match_cold_solves(recorded):
 
 
 def test_every_law_served_step_meets_the_kkt_conditions(recorded):
+    # which path serves each step, per scenario: (law hits, summed solver
+    # iterations, largest active set); a change to the QP's representation
+    # that moves a step between the law and the solver fails here
+    paths = {"satellite-case-1": (160, 0, 0), "satellite-case-2": (151, 16, 15),
+             "satellite-case-3": (155, 15, 15), "satellite-case-4": (160, 0, 0),
+             "satellite-case-5": (139, 53, 26), "pendulum-case-1": (200, 0, 0),
+             "pendulum-case-2": (195, 6, 5)}
+    assert sorted(recorded) == sorted(paths)
     served = 0
     for name, (tr, steps) in recorded.items():
         for qp, f, b, warm, res in steps:
@@ -747,6 +757,8 @@ def test_every_law_served_step_meets_the_kkt_conditions(recorded):
                 assert res.solution.status == "optimal" and res.solution.iterations == 0
                 assert_kkt(qp.H, f, qp.A_ineq, b, res.solution)
         assert np.array_equal(tr.qp_law, [res.from_law for *_, res in steps]), name
+        got = (int(tr.qp_law.sum()), int(tr.qp_iters.sum()), int(tr.qp_nact.max()))
+        assert got == paths[name], name
     assert served >= 1000
 
 
