@@ -358,6 +358,21 @@ def test_a_forced_S_of_numpy_integers_is_accepted():
                                                                              (0, 1, 4, 5)]
 
 
+def test_every_searched_split_partitions_the_spectrum():
+    # RealisationChoice checks nothing itself: each one the search returns,
+    # ranked or rejected, must put every closed-loop mode in exactly one of
+    # S (n modes) and O (n_K modes)
+    G, K = scale_surrogate(0)
+    forced = _smoke_forced_S(G, K)
+    out = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
+    choices = [r.choice for r, _ in out.ranked] + [c for c, _ in out.rejected]
+    assert len(choices) == 170 and out.ranked and out.rejected
+    for c in choices:
+        assert len(c.state_feedback_set) == G.n and len(c.observer_set) == K.n
+        assert sorted(c.state_feedback_set + c.observer_set) == list(range(G.n + K.n))
+        assert set(forced) <= set(c.state_feedback_set)
+
+
 def test_solve_T_reports_infeasible_direction():
     # eigenvector of 0.2 has no component on the plant state: U1 singular
     G, K = _scalar(0.5, 1.0, 1.0), _scalar(0.2, 1.0, 0.0)
