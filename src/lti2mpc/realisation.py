@@ -63,6 +63,10 @@ class RealisationChoice:
     state_feedback_set: tuple
     observer_set: tuple
 
+    def __post_init__(self):
+        if not set(self.state_feedback_set).isdisjoint(self.observer_set):
+            raise ValueError("S and O overlap")
+
 
 @dataclass(frozen=True)
 class ObserverRealisation:

@@ -358,10 +358,15 @@ def test_a_forced_S_of_numpy_integers_is_accepted():
                                                                              (0, 1, 4, 5)]
 
 
+def test_overlapping_split_rejected():
+    with pytest.raises(ValueError):
+        RealisationChoice((0, 1), (1, 2))
+
+
 def test_every_searched_split_partitions_the_spectrum():
-    # RealisationChoice checks nothing itself: each one the search returns,
-    # ranked or rejected, must put every closed-loop mode in exactly one of
-    # S (n modes) and O (n_K modes)
+    # RealisationChoice checks only that S and O are disjoint: each one the
+    # search returns, ranked or rejected, must put every closed-loop mode in
+    # exactly one of S (n modes) and O (n_K modes)
     G, K = scale_surrogate(0)
     forced = _smoke_forced_S(G, K)
     out = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
