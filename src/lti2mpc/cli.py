@@ -541,17 +541,14 @@ def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed) -> int:
         "max_slack": float(np.max(tr.slack, initial=0.0)),
         "fallback_steps": int(sum(1 for s in tr.qp_status if s == "fallback")),
     }
-    is_mpc = [s != "" for s in tr.qp_status]
-    if any(is_mpc):
-        iters = tr.qp_iters[is_mpc]
-        ms = tr.qp_ms[is_mpc]
+    if isinstance(sc.controller, MpcController) and len(tr):
         summary["qp"] = {
-            "mean_iterations": float(np.mean(iters)),
-            "max_iterations": int(np.max(iters)),
-            "mean_solve_ms": float(np.mean(ms)),
-            "max_solve_ms": float(np.max(ms)),
-            "warm_start_hits": int(np.count_nonzero(tr.qp_warm[is_mpc])),
-            "law_hits": int(np.count_nonzero(tr.qp_law[is_mpc])),
+            "mean_iterations": float(np.mean(tr.qp_iters)),
+            "max_iterations": int(np.max(tr.qp_iters)),
+            "mean_solve_ms": float(np.mean(tr.qp_ms)),
+            "max_solve_ms": float(np.max(tr.qp_ms)),
+            "warm_start_hits": int(np.count_nonzero(tr.qp_warm)),
+            "law_hits": int(np.count_nonzero(tr.qp_law)),
         }
     base_sc = _baseline_counterpart(sc)
     if base_sc is not None and len(tr):

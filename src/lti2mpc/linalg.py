@@ -1,9 +1,10 @@
 """Dense matrix numerics shared across the toolkit.
 
-Eigenstructure with conjugate-pair bookkeeping, a discrete Lyapunov solver,
-H2 norms, a self-contained Kalman DARE iteration and frequency-domain loop
-margins.  Everything works on plain numpy arrays; dynamic systems enter as
-:class:`~lti2mpc.statespace.DtStateSpace`.
+Eigenstructure with conjugate-pair bookkeeping, a stacked discrete
+Lyapunov solver and the H2 norms on it (private: the realisation search
+scores its splits with them), a self-contained Kalman DARE iteration and
+frequency-domain loop margins.  Everything works on plain numpy arrays;
+dynamic systems enter as :class:`~lti2mpc.statespace.DtStateSpace`.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ __all__ = [
     "LoopMargins",
     "eig_paired",
     "spectral_radius",
-    "solve_discrete_lyapunov",
-    "h2_norm",
     "loop_margins",
 ]
 
@@ -137,31 +136,6 @@ def eig_paired(M: np.ndarray) -> EigenStructure:
     return EigenStructure(values=vals, vectors=vecs, pair_index=tuple(pair))
 
 
-def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve A P A^T - P + Q = 0 for symmetric P, given a symmetric Q: the
-    one-member :func:`_stein_stack`, on numpy alone.
-
-    Raises UnstableSystemError if the spectral radius of A is >= 1, and
-    NumericalError if the doubling certifies no P or its residual exceeds
-    1e-9 (||Q|| + ||P||).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    if A.size == 0:
-        return np.zeros_like(Q)
-    rho = spectral_radius(A)
-    if rho >= 1.0:
-        raise UnstableSystemError(f"spectral radius {rho:.6g} >= 1")
-    P, (status,) = _stein_stack(A[np.newaxis], Q[np.newaxis, np.newaxis])
-    if status != 1:
-        raise NumericalError("Stein doubling certified no Lyapunov solution within "
-                             f"2^{_STEIN_MAX_DOUBLINGS} terms")
-    resid, bound = _lyapunov_residual(A, P[0, 0], Q)
-    if resid > bound:
-        raise NumericalError(f"Lyapunov residual {resid:.3e} exceeds bound {bound:.3e}")
-    return P[0, 0]
-
-
 def _lyapunov_residual(A, P, Q):
     """||A P A^T - P + Q|| and the bound 1e-9 (||Q|| + ||P||) it must meet;
     on stacks (leading axes) one pair per member."""
@@ -170,23 +144,6 @@ def _lyapunov_residual(A, P, Q):
     resid = fro(A @ P @ np.ascontiguousarray(np.swapaxes(A, -1, -2)) - P + Q)
     bound = 1e-9 * (fro(Q) + fro(P))
     return resid, np.maximum(bound, 1e-300)
-
-
-def h2_norm(sys: DtStateSpace) -> float:
-    """H2 norm sqrt(trace(C P C^T + D D^T)) of a stable discrete-time
-    system, P its controllability Gramian (D is the k = 0 impulse-response
-    sample): the one-member :func:`_h2_stack`.
-
-    Raises UnstableSystemError for a pole on or outside the unit circle,
-    and NumericalError for a norm that :func:`_h2_stack` does not certify.
-    """
-    A, B, C, D = (M[np.newaxis] for M in (sys.A, sys.B, sys.C, sys.D))
-    val = float(_h2_stack(A, [(B, C, D)])[0, 0])
-    if val == math.inf:
-        raise UnstableSystemError("a pole is on or outside the unit circle")
-    if math.isnan(val):
-        raise NumericalError("H2 norm not certified: the Stein doubling certified no Gramian")
-    return val
 
 
 def _inner(M, N):
@@ -237,7 +194,7 @@ def _h2_stack(A, maps) -> np.ndarray:
     sqrt(trace(C P C^T + D D^T)), P each map's Gramian from one
     :func:`_stein_stack` per member.  A norm is NaN, not certified, where
     the Gramian misses the residual bound 1e-9 (||Q|| + ||P||) of
-    :func:`solve_discrete_lyapunov`, or the trace is below -1e-12 times its
+    :func:`_lyapunov_residual`, or the trace is below -1e-12 times its
     terms' scale ||C||_F^2 ||P||_F + ||D||_F^2 (a Gramian that far from
     positive semidefinite certifies no norm).  A member the doubling does
     not certify scores inf where an eigenvalue of A is on or outside the

@@ -54,6 +54,9 @@ __all__ = [
 _COND_LIMIT = 1e10
 _RESID_TOL = 1e-8
 _OBSERVABILITY_COND = 1e8  # above it, O_K does not determine T (see _recovered_T)
+# Most splits a search enumerates: 12 times the full surrogate's 41958, and
+# 76 MB of its int32 S and O rows (see _splits)
+_MAX_SPLITS = 500_000
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,9 @@ def _splits(eig: EigenStructure, n: int, n_K: int, forced_S=()):
     :func:`_value_groups`; any atom touching a forced-S index is placed in
     S unconditionally.  A forced_S entry that is a bool or not an integer,
     or that is out of range, and a forced block larger than n raise
-    ValueError.
+    ValueError.  The splits are counted before any row is built; more than
+    _MAX_SPLITS raise NumericalError naming the count and the bytes its
+    rows would need.
     """
     if eig.n != n + n_K:
         raise ValueError(f"spectrum has {eig.n} values, expected n + n_K = {n + n_K}")
@@ -181,6 +186,15 @@ def _splits(eig: EigenStructure, n: int, n_K: int, forced_S=()):
     need = n - int(in_S.sum())
     if need < 0:
         raise ValueError(f"forced-S block of size {n - need} exceeds |S| = {n}")
+    count = [1] + [0] * need  # count[m]: ways to fill m places of S with free atoms
+    for a in free:
+        for m in range(need, len(a) - 1, -1):
+            count[m] += count[m - len(a)]
+    if count[need] > _MAX_SPLITS:
+        raise NumericalError(
+            f"{count[need]} splits of the closed-loop spectrum, more than the {_MAX_SPLITS} "
+            f"a search enumerates: their S and O rows alone would need "
+            f"{4 * eig.n * count[need]} bytes")
 
     # Each free atom is taken or skipped on every partial split that can still
     # reach |S| = n.  Going last to first, takes stacked above skips, orders
@@ -897,9 +911,10 @@ def search_realisations(
     then a given forced_S with an entry that is a bool or not an integer
     (numpy integers are integers), out of range or whose blocks outnumber
     n; with
-    NumericalError, a spectrum with no admissible split (the default forced
-    set's blocks outnumbering n among them), and, once every split is
-    evaluated, no feasible split.
+    NumericalError, a spectrum with more admissible splits than
+    ``_MAX_SPLITS`` (counted, never built), a spectrum with no admissible
+    split (the default forced set's blocks outnumbering n among them), and,
+    once every split is evaluated, no feasible split.
 
     The splits (the rows of :func:`_splits`) are evaluated in stacked
     chunks of 128.  ``workers`` None or 1 evaluates them on the calling

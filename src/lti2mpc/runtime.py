@@ -2,8 +2,10 @@
 per-sample MPC control step.
 
 The observer is an ``ObserverState`` from ``realisation.make_observer``,
-which steps itself; ``sim.simulate`` calls the four in order each sample:
-prefilter, observer ``estimate``, ``mpc_step``, observer ``advance``.
+which steps itself.  ``sim.simulate`` runs an MPC through a step object
+built for the run, which holds a fresh observer and ``Prefilter`` and the
+warm set, and calls the four in order each sample: prefilter, observer
+``estimate``, ``mpc_step``, observer ``advance``.
 """
 
 from __future__ import annotations

@@ -240,35 +240,102 @@ def _initial_state(scenario, n):
     return x0.copy()
 
 
+def _check_sample_time(ctrl_Ts, Ts):
+    if abs(ctrl_Ts - Ts) > 1e-12:
+        raise ValueError(f"controller sample time {ctrl_Ts} is not the plant's {Ts}")
+
+
+def _controller_columns(steps, n_est, n_slack):
+    """The trace's columns x_hat to qp_law, in field order, at the values a
+    baseline run leaves them."""
+    return (np.zeros((steps, n_est)), np.zeros((steps, n_est)), [""] * steps, np.zeros(steps),
+            np.zeros(steps, dtype=int), np.zeros((steps, n_slack)), np.zeros(steps, dtype=int),
+            np.zeros(steps), np.zeros(steps, dtype=bool), np.zeros(steps, dtype=bool))
+
+
+class _BaselineStep:
+    """One run of the baseline u = K(y - r) on its own state xi."""
+
+    takes_setpoint = True
+
+    def __init__(self, ctrl, Ts, steps):
+        _check_sample_time(ctrl.K.Ts, Ts)
+        self.K, self.xi = ctrl.K, np.zeros(ctrl.K.n)
+        self.columns = _controller_columns(steps, 0, 0)
+
+    def __call__(self, k, y, r):
+        K, e = self.K, y - r
+        u = K.C @ self.xi + K.D @ e
+        self.xi = K.A @ self.xi + K.B @ e
+        return u
+
+
+class _MpcStep:
+    """One run of an MPC: a fresh observer and prefilter and the run's warm
+    set, so the shared controller is never written.  Each sample steps the
+    prefilter, takes the observer's estimate, runs ``mpc_step`` (timed alone
+    into qp_ms) and advances the observer; a loop-shift D_K commands
+    u_mpc - D_K r + D_K y.  It fills x_hat, x_ref and the QP columns."""
+
+    def __init__(self, ctrl, Ts, steps):
+        G_d = ctrl.design_model
+        _check_sample_time(G_d.Ts, Ts)
+        self.qp, self.N, self.D_K = ctrl.qp, ctrl.config.N, G_d.D_K
+        self.warm = ()  # working-set guess: the last optimal step's active set
+        self.obs = make_observer(ctrl.realisation, G_d)
+        self.pre = None if ctrl.prefilter is None else Prefilter(ctrl.prefilter)
+        self.takes_setpoint = self.pre is not None
+        self.columns = _controller_columns(steps, G_d.n, self.qp.n_slack // self.N)
+
+    def __call__(self, k, y, r):
+        qp, D_K = self.qp, self.D_K
+        XH, XR, ST, OBJ, NACT, SL, IT, MS, QW, QL = self.columns
+        x_ref = None
+        if self.pre is not None:
+            XR[k] = x_ref = self.pre.step(r)
+        XH[k] = x_hat = self.obs.estimate(y)
+        t_solve = time.perf_counter()
+        res = mpc_step(qp, x_hat, x_r=x_ref, w=r, warm=self.warm)
+        MS[k] = 1e3 * (time.perf_counter() - t_solve)
+        self.warm = res.solution.active_set if res.status == "optimal" else ()
+        u = res.u - D_K @ r if D_K is not None else res.u
+        self.obs.advance(u, y)
+        ST[k], OBJ[k], NACT[k] = res.status, res.solution.objective, res.active_count
+        IT[k], QW[k], QL[k] = res.solution.iterations, res.solution.warm_start, res.from_law
+        if SL.shape[1] and not res.fallback:
+            SL[k] = qp.slack_values(res.solution.x_star).reshape(self.N, -1).max(axis=0)
+        return u + D_K @ y if D_K is not None else u
+
+
 def simulate(scenario: Scenario) -> Trace:
     """Run one closed-loop experiment and capture the full trace.
 
     The truth is the plant's discrete model stepped as A x + B u, except
     the named pendulum (integrated nonlinearly) and the named satellite
-    under an MPC (its input lagged by Ts/10).  An MPC whose design model
-    records a loop-shift D_K commands u_mpc - D_K r + D_K y.  Refused
-    (ValueError) before the first step: a duration that is not finite and
-    >= 0; a controller (the baseline's K, an MPC's design model) whose
-    sample time is not the plant's within 1e-12; a mis-sized or non-finite
-    x0, noise_sigma or setpoint; a
-    setpoint for an MPC without a prefilter; a fault whose actuator index
-    is not an integer in [0, n_u), whose time is not finite and >= 0, or
+    under an MPC (its input lagged by Ts/10).  Before the first step the
+    controller becomes one run's step object (``_BaselineStep`` or
+    ``_MpcStep``), which holds the run's controller state and fills the
+    trace's estimate, reference and QP columns; ``simulate`` keeps the
+    truth, disturbances, noise, faults and divergence.  Refused
+    (ValueError) before the first step, in this order: a duration that is
+    not finite and >= 0; a controller (the baseline's K, an MPC's design
+    model) whose sample time is not the plant's within 1e-12; a mis-sized
+    or non-finite setpoint, or a setpoint for an MPC without a prefilter;
+    a mis-sized or non-finite noise_sigma; a fault whose actuator index is
+    not an integer in [0, n_u), whose time is not finite and >= 0, or
     whose value is not finite; a disturbance whose time is not finite and
-    >= 0, or whose state jump is not n_x finite entries.
+    >= 0, or whose state jump is not n_x finite entries; a mis-sized or
+    non-finite x0.
     """
     if not (math.isfinite(scenario.duration) and scenario.duration >= 0.0):
         raise ValueError(f"duration must be finite and at least 0, not {scenario.duration}")
     Ts = scenario.sample_time()
     steps = int(round(scenario.duration / Ts))
     rng = np.random.default_rng(scenario.seed)
+    is_mpc = isinstance(scenario.controller, MpcController)
+    ctrl_step = (_MpcStep if is_mpc else _BaselineStep)(scenario.controller, Ts, steps)
 
-    ctrl = scenario.controller
-    is_mpc = isinstance(ctrl, MpcController)
-    ctrl_Ts = ctrl.design_model.Ts if is_mpc else ctrl.K.Ts
-    if abs(ctrl_Ts - Ts) > 1e-12:
-        raise ValueError(f"controller sample time {ctrl_Ts} is not the plant's {Ts}")
-
-    # plant-side setup: a built-in's design model sizes and measures its truth
+    # a built-in's design model sizes and measures its truth
     G_true: DtStateSpace = (CASE_STUDIES[scenario.plant].plant()
                             if isinstance(scenario.plant, str) else scenario.plant)
     n_x, n_y, n_u, C_true = G_true.n, G_true.n_y, G_true.n_u, G_true.C
@@ -287,21 +354,6 @@ def simulate(scenario: Scenario) -> Trace:
         def advance(x, u_prev, u_now):
             return G_true.A @ x + G_true.B @ u_now
 
-    # controller-side setup ------------------------------------------------
-    if is_mpc:
-        G_d = ctrl.design_model
-        qp = ctrl.qp
-        obs = make_observer(ctrl.realisation, G_d)
-        D_K = G_d.D_K
-        pre = None if ctrl.prefilter is None else Prefilter(ctrl.prefilter)
-        n_slack_q = qp.n_slack // ctrl.config.N
-        n_xh = G_d.n
-    else:
-        K = ctrl.K
-        xi = np.zeros(K.n)
-        n_slack_q = 0
-        n_xh = 0
-
     if scenario.setpoint is None:
         r = np.zeros(n_y)
     else:
@@ -310,7 +362,7 @@ def simulate(scenario: Scenario) -> Trace:
             raise ValueError(f"setpoint has {r.size} entries, not n_y = {n_y}")
         if not np.all(np.isfinite(r)):
             raise ValueError("setpoint entries must be finite")
-        if is_mpc and ctrl.prefilter is None:
+        if not ctrl_step.takes_setpoint:
             raise ValueError("a setpoint needs an MPC controller with a prefilter")
     sigma = None
     if scenario.noise_sigma is not None:
@@ -341,23 +393,8 @@ def simulate(scenario: Scenario) -> Trace:
 
     x = _initial_state(scenario, n_x)
     u_prev = np.zeros(n_u)
-
     T = np.zeros(steps)
-    Y = np.zeros((steps, n_y))
-    U = np.zeros((steps, n_u))
-    UA = np.zeros((steps, n_u))
-    X = np.zeros((steps, n_x))
-    XH = np.zeros((steps, n_xh))
-    XR = np.zeros((steps, n_xh))
-    ST: list = []
-    OBJ = np.zeros(steps)
-    NACT = np.zeros(steps, dtype=int)
-    SL = np.zeros((steps, n_slack_q))
-    IT = np.zeros(steps, dtype=int)
-    MS = np.zeros(steps)
-    QW = np.zeros(steps, dtype=bool)
-    QL = np.zeros(steps, dtype=bool)
-    warm = ()  # working-set guess: the last optimal step's active set
+    Y, U, UA, X = (np.zeros((steps, m)) for m in (n_y, n_u, n_u, n_x))
     diverged = False
 
     for k in range(steps):
@@ -369,52 +406,9 @@ def simulate(scenario: Scenario) -> Trace:
         y = C_true @ x
         if sigma is not None:
             y = y + sigma * rng.standard_normal(n_y)
-
-        if not is_mpc:
-            e = y - r
-            u_cmd = K.C @ xi + K.D @ e
-            xi = K.A @ xi + K.B @ e
-            ST.append("")
-            obj, nact = 0.0, 0
-        else:
-            x_ref = pre.step(r) if pre is not None else None
-            x_hat_row = obs.estimate(y)
-            t_solve = time.perf_counter()
-            res = mpc_step(qp, x_hat_row, x_r=x_ref, w=r, warm=warm)
-            MS[k] = 1e3 * (time.perf_counter() - t_solve)
-            warm = res.solution.active_set if res.status == "optimal" else ()
-            u_cmd = res.u - D_K @ r if D_K is not None else res.u
-            obs.advance(u_cmd, y)
-            if D_K is not None:
-                u_cmd = u_cmd + D_K @ y
-            x_ref_row = x_ref if x_ref is not None else np.zeros(n_xh)
-            IT[k] = res.solution.iterations
-            QW[k] = res.solution.warm_start
-            QL[k] = res.from_law
-            ST.append(res.status)
-            obj = res.solution.objective
-            nact = res.active_count
-            if n_slack_q and not res.fallback:
-                s_all = qp.slack_values(res.solution.x_star).reshape(
-                    ctrl.config.N, n_slack_q)
-                slack_row = s_all.max(axis=0)
-            else:
-                slack_row = np.zeros(n_slack_q)
-
+        u_cmd = ctrl_step(k, y, r)
         u_app = inject_fault(u_cmd, t, faults) if faults else u_cmd
-
-        T[k] = t
-        Y[k] = y
-        U[k] = u_cmd
-        UA[k] = u_app
-        X[k] = x
-        if n_xh:
-            XH[k] = x_hat_row
-            XR[k] = x_ref_row
-        OBJ[k] = obj
-        NACT[k] = nact
-        if n_slack_q:
-            SL[k] = slack_row
+        T[k], Y[k], U[k], UA[k], X[k] = t, y, u_cmd, u_app, x
 
         with np.errstate(over="ignore", invalid="ignore"):
             x = advance(x, inject_fault(u_prev, t, faults) if faults else u_prev, u_app)
@@ -425,8 +419,7 @@ def simulate(scenario: Scenario) -> Trace:
             break
 
     n = k if diverged else steps
-    return Trace(T[:n], Y[:n], U[:n], UA[:n], X[:n], XH[:n], XR[:n], ST[:n],
-                 OBJ[:n], NACT[:n], SL[:n], IT[:n], MS[:n], QW[:n], QL[:n],
+    return Trace(T[:n], Y[:n], U[:n], UA[:n], X[:n], *(c[:n] for c in ctrl_step.columns),
                  diverged=diverged)
 
 

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lti2mpc import linalg
 from lti2mpc.statespace import DtStateSpace
+
+
+def stacked_h2(sys):
+    """H2 norm of one DtStateSpace, a one-member ``linalg._h2_stack``: NaN
+    where the Stein doubling certifies no norm, inf for a pole on or outside
+    the unit circle."""
+    A, B, C, D = (M[np.newaxis] for M in (sys.A, sys.B, sys.C, sys.D))
+    return float(linalg._h2_stack(A, [(B, C, D)])[0, 0])
 
 
 def brute_force_qp(H, f, A, b):

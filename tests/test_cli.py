@@ -136,6 +136,20 @@ def test_simulate_zero_duration_writes_header_only(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("t,y.0,")
+    # an MPC that takes no step has no QP counters to summarise
+    assert "qp" not in json.loads((tmp_path / "empty.summary.json").read_text())
+
+
+def test_a_baseline_run_reports_no_qp_counters(tmp_path):
+    cfg = _write(tmp_path, "sat.json", {
+        "plant": "satellite",
+        "scenarios": {"base": {"base": "satellite-baseline", "duration": 5.0}},
+    })
+    out = tmp_path / "base.csv"
+    assert main(["simulate", "--config", cfg, "--scenario", "base", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "base.summary.json").read_text())
+    assert summary["steps"] == 20 and summary["fallback_steps"] == 0
+    assert "qp" not in summary and summary["tracking_rms_vs_baseline"] is None
 
 
 def test_seed_flag_controls_noise_reproducibility(tmp_path):

@@ -24,13 +24,12 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
-from conftest import ORACLE_GRID, check_decoupling, with_narrow_resonance
+from conftest import ORACLE_GRID, check_decoupling, stacked_h2, with_narrow_resonance
 from lti2mpc import linalg, realisation
 from lti2mpc.linalg import (
     NumericalError,
     UnstableSystemError,
     eig_paired,
-    h2_norm,
     loop_margins,
     spectral_radius,
 )
@@ -699,8 +698,7 @@ def test_unstable_error_dynamics_score_infinite():
     s = _score_one(r, G)
     assert not s.stable
     assert s.h2_noise == s.h2_dist == s.product == np.inf
-    with pytest.raises(UnstableSystemError):
-        h2_norm(_form(r.form).noise_system(r, G))
+    assert stacked_h2(_form(r.form).noise_system(r, G)) == np.inf
 
 
 def test_unexcited_unstable_mode_still_scores_infinite():
@@ -741,8 +739,7 @@ def test_stable_error_dynamics_the_doubling_does_not_certify_score_nan(monkeypat
     assert spectral_radius(A) < 1.0
     s = _score_one(r, G)
     assert np.isnan(s.h2_noise) and np.isnan(s.h2_dist)
-    with pytest.raises(NumericalError, match="^H2 norm not certified"):
-        h2_norm(_form(r.form).noise_system(r, G))
+    assert np.isnan(stacked_h2(_form(r.form).noise_system(r, G)))
 
 
 # -- pinned case studies -----------------------------------------------------
@@ -1413,20 +1410,21 @@ def test_check_decoupling():
 def test_importing_the_search_loads_no_online_machinery():
     # the form table steps the observer itself, so the search module needs
     # neither the MPC nor the QP nor the runtime; and a search that needs no
-    # discretisation, and the H2 norm and Lyapunov solver, run on numpy
-    # alone, without scipy
+    # discretisation, and the stacked H2 norm and Lyapunov solver, run on
+    # numpy alone, without scipy
     src = os.path.dirname(os.path.dirname(realisation.__file__))
     forced = _smoke_forced_S(*scale_surrogate(0))
     code = ("import sys, lti2mpc.realisation, lti2mpc.models; "
-            "from lti2mpc.linalg import h2_norm, solve_discrete_lyapunov; "
-            "from lti2mpc.statespace import DtStateSpace; "
+            "import numpy as np; from lti2mpc.linalg import _h2_stack, _stein_stack; "
             "G, K = lti2mpc.models.scale_surrogate(0); "
             "out = lti2mpc.realisation.search_realisations(G, K, form='predictor', "
             "rank_by='product', "
             f"forced_S={forced!r}); "
             "A = [[0.5, 0.2], [0.0, -0.3]]; "
-            "h2 = h2_norm(DtStateSpace(A, [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]], 1.0)); "
-            "P = solve_discrete_lyapunov(A, [[1.0, 0.0], [0.0, 1.0]]); "
+            "h2 = float(_h2_stack(np.array([A]), [(np.ones((1, 2, 1)), np.eye(1, 2)[None], "
+            "np.zeros((1, 1, 1)))])[0, 0]); "
+            "P, status = _stein_stack(np.array([A]), np.eye(2)[None, None]); "
+            "assert status.tolist() == [1]; P = P[0, 0]; "
             "print(sorted(m for m in sys.modules if m.startswith(('lti2mpc', 'scipy')))); "
             "print(len(out.ranked)); print(repr(h2)); print(P.tolist())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1487,6 +1485,29 @@ def test_each_split_object_is_built_once(monkeypatch):
     assert len(choices) == 170 and out.ranked and out.rejected
     assert sorted(map(id, built[RealisationChoice])) == sorted(map(id, choices))
     assert sorted(map(id, built[ObserverRealisation])) == sorted(id(r) for r, _ in out.ranked)
+
+
+def test_a_split_count_past_the_bound_is_refused_before_any_row_is_built(monkeypatch):
+    # forced_S=() lifts the forcing of the surrogate's uncontrollable modes:
+    # 49,314,072 splits, whose int32 S and O rows alone would take 7.5 GB
+    G, K = scale_surrogate(0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match=r"^49314072 splits of the closed-loop spectrum, "
+                           r"more than the 500000 .* would need 7495738944 bytes$"):
+            search_realisations(G, K, form="predictor", forced_S=())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, f"{peak / 1e6:.2f} MB"
+    # the count is exact: a bound of 170 admits the smoke set's 170 splits
+    search = realisation._Search(G, K, "predictor", 1.0, 1e7)
+    forced = _smoke_forced_S(G, K)
+    monkeypatch.setattr(realisation, "_MAX_SPLITS", 170)
+    assert len(realisation._splits(search.eig, G.n, K.n, forced)[0]) == 170
+    monkeypatch.setattr(realisation, "_MAX_SPLITS", 169)
+    with pytest.raises(NumericalError, match="^170 splits"):
+        realisation._splits(search.eig, G.n, K.n, forced)
 
 
 def test_one_128_split_chunk_stays_within_its_traced_memory_peak():

@@ -279,6 +279,32 @@ def test_a_controller_of_another_sample_time_is_refused(library, monkeypatch, ki
         simulate(sc)
 
 
+@pytest.mark.parametrize("name, edits, match", [
+    ("satellite-baseline", {"sample_time": 0.1, "setpoint": [0.1, 5.0]},
+     "controller sample time 0.1"),
+    ("satellite-case-1", {"setpoint": [0.1], "faults": ((1.0, 7, 0.0),)}, "prefilter"),
+    ("satellite-baseline", {"noise_sigma": [1e-3, 1e-3, 1e-3], "disturbances": ((1.0, [0.5]),)},
+     "noise_sigma has 3 entries"),
+], ids=["sample time before setpoint", "prefilter before fault",
+        "noise before disturbance"])
+def test_of_two_defects_the_first_refusal_in_the_docstring_wins(
+        library, monkeypatch, name, edits, match):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was simulated")
+
+    monkeypatch.setattr(sim, "inject_fault", no_step)
+    monkeypatch.setattr(sim, "mpc_step", no_step)
+    sc, edits = library[name], dict(edits)
+    if "sample_time" in edits:
+        K = sc.controller.K
+        sc = dataclasses.replace(sc, controller=BaselineController(
+            dataclasses.replace(K, Ts=edits.pop("sample_time"))))
+    if "setpoint" in edits:
+        edits["setpoint"] = np.array(edits["setpoint"])
+    with pytest.raises(ValueError, match=match):
+        simulate(dataclasses.replace(sc, **edits))
+
+
 def test_a_sample_time_within_1e_12_of_the_plants_is_accepted():
     K = satellite_controller()
     ctrl = BaselineController(dataclasses.replace(K, Ts=K.Ts + 5e-13))
