@@ -605,10 +605,8 @@ def cmd_verify(cfg: ProjectConfig, out_path) -> int:
                                       ("T", "n_K x n", (K_d.n, n))):
                 if vg[key] is not None and np.shape(vg[key]) != shape:
                     raise ValueError(f"{key} must be {names} = {shape}, got {np.shape(vg[key])}")
-            r = ObserverRealisation(
-                form=vg["form"], T=T, T_perp=np.zeros((n, 0)), X=np.zeros((0, 0)), K_c=K_c,
-                K_f=K_f, choice=None, riccati_residual=riccati_residual(
-                    closed_loop_matrix(G_d, K_d), T) if T.size else math.nan)
+            resid = riccati_residual(closed_loop_matrix(G_d, K_d), T) if T.size else math.nan
+            r = ObserverRealisation(vg["form"], T, K_c, K_f, None, resid)
             all_ok = _verify_one("supplied gains", r, G_d, K_d, lines)
         except ValueError as exc:
             raise ConfigError(f"verify_gains: {exc}") from None

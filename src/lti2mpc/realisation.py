@@ -73,13 +73,12 @@ class RealisationChoice:
 
 @dataclass(frozen=True)
 class ObserverRealisation:
-    """A split's gains and bases; a search hands them out as read-only
-    arrays (see :func:`search_realisations`)."""
+    """A split's T (n_K x n), K_c (n_u x n) and K_f (n x n_y), read-only from a search.
+    The free-pole T_perp and X stay in the search: T_perp is any orthonormal basis
+    of null(T), so only T_perp X, which K_f carries, is determined by the design."""
 
     form: str  # "filter" | "predictor"
     T: np.ndarray
-    T_perp: np.ndarray
-    X: np.ndarray
     K_c: np.ndarray
     K_f: np.ndarray
     choice: RealisationChoice | None
@@ -803,8 +802,7 @@ class _Search:
         per split the reason it was rejected or "" if kept, and None if no
         split reached the scores, else (at, stacks, residuals, h2).  The
         kept splits, in chunk order, are the ``at`` members of ``stacks``
-        (T, T_perp, X, K_c, K_f) and ``residuals`` (Riccati), and the rows
-        of ``h2``.
+        (T, K_c, K_f) and ``residuals`` (Riccati), and the rows of ``h2``.
 
         A split is rejected for the first of these that applies: an
         infeasible T (see :func:`_solve_T_stack`), a failed free-pole
@@ -858,7 +856,7 @@ class _Search:
         certified = ~np.isnan(h2).any(axis=1)
         for m in built[~certified]:
             out[live[m]] = "H2 norm not certified"
-        return out, (built[certified], (T, T_perp, X, K_c, K_f), resid, h2[certified])
+        return out, (built[certified], (T, K_c, K_f), resid, h2[certified])
 
 
 def _run_chunks(evaluate, chunks, workers, merge):
@@ -900,7 +898,7 @@ def search_realisations(
     the S index tuple.
 
     Refused, in this order and before any split is solved unless said:
-    with ValueError, a ``workers`` that is not None or an int >= 1, a bad
+    with ValueError, a ``workers`` that is not None or an integer >= 1, a bad
     ``rank_by`` or ``form``, a static controller or one of higher order
     than the plant, a ``Qn`` or ``Rn`` that is not a scalar (the free-pole
     basis is arbitrary, see :meth:`_Search.free_pole_gains`), that is not
@@ -921,15 +919,15 @@ def search_realisations(
     thread; an int k > 1 evaluates them on a pool of k threads, joined
     before the call returns, which overlap the stacked LAPACK and BLAS
     calls that release the GIL.  The calling thread merges the chunks in
-    order, builds each split's objects once and copies each kept stack
-    once, read-only, so that a controller built from a realisation cannot
-    go out of step with an edited gain.  The chunks, and so every number
-    and message of the result, are the same for every ``workers``.  Pool
-    threads and BLAS threads multiply: pin BLAS to one thread
-    (OPENBLAS_NUM_THREADS=1) when the search runs on more than one.
+    order, builds each split's objects once and copies each kept T, K_c and
+    K_f once, read-only (T_perp and X stay in the chunk), so that a controller
+    built from a realisation cannot go out of step with an edited gain.  The
+    chunks, and so every number and message of the result, are the same for
+    every ``workers``.  Pool threads and BLAS threads multiply: pin BLAS to
+    one thread (OPENBLAS_NUM_THREADS=1) when the search runs on more than one.
     """
     if workers is not None and (
-        not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
+        not isinstance(workers, numbers.Integral) or isinstance(workers, bool) or workers < 1
     ):
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     if rank_by not in ("product", "noise"):

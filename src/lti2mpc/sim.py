@@ -195,13 +195,17 @@ def _rk4(x, u, h, nsub):
     return np.array([p, v, th, w])
 
 
+def _check_actuator(idx, n_u):
+    if isinstance(idx, bool) or not isinstance(idx, numbers.Integral) or not 0 <= idx < n_u:
+        raise ValueError(f"fault names actuator {idx!r}, not an integer in [0, {n_u})")
+
+
 def inject_fault(u_applied: np.ndarray, t: float, faults) -> np.ndarray:
-    """Override actuator channels that are locked at time t."""
+    """Override actuator channels locked at time t; a bad actuator index is a ValueError."""
     out = np.asarray(u_applied, float).copy()
     for f_time, idx, value in faults:
+        _check_actuator(idx, out.size)
         if t >= f_time:
-            if not 0 <= idx < out.size:
-                raise ValueError(f"fault names unknown actuator {idx}")
             out[idx] = value
     return out
 
@@ -373,8 +377,7 @@ def simulate(scenario: Scenario) -> Trace:
             raise ValueError("noise_sigma entries must be finite")
     faults = tuple(scenario.faults)
     for f_time, idx, value in faults:
-        if isinstance(idx, bool) or not isinstance(idx, numbers.Integral) or not 0 <= idx < n_u:
-            raise ValueError(f"fault names actuator {idx!r}, not an integer in [0, {n_u})")
+        _check_actuator(idx, n_u)
         if not (math.isfinite(f_time) and f_time >= 0.0):
             raise ValueError(f"fault time must be finite and at least 0, not {f_time}")
         if not math.isfinite(value):

@@ -119,6 +119,31 @@ def _random_free_poles(monkeypatch, rng):
     monkeypatch.setattr(realisation._Search, "free_pole_gains", gains)
 
 
+def _spy_free_poles(monkeypatch):
+    """Record the free-pole basis T_perp and gains X of every split the
+    search designs, where the kernel forms them: the basis _t_qr gives for
+    a stack T, and the gains free_pole_gains (as patched so far) returns
+    for that basis.  Returns the lookup r -> (T_perp, X) of a ranked row,
+    found by its T."""
+    t_qr, gains = realisation._t_qr, realisation._Search.free_pole_gains
+    of_basis, designed = {}, {}
+
+    def spy_t_qr(T):
+        out = t_qr(T)
+        of_basis[id(out[1])] = T
+        return out
+
+    def spy_gains(self, T_perp):
+        X, errors = gains(self, T_perp)
+        for T, basis, x in zip(of_basis.pop(id(T_perp)), T_perp, X):
+            designed[T.tobytes()] = basis, x
+        return X, errors
+
+    monkeypatch.setattr(realisation, "_t_qr", spy_t_qr)
+    monkeypatch.setattr(realisation._Search, "free_pole_gains", spy_gains)
+    return lambda r: designed[r.T.tobytes()]
+
+
 def _score_one(r, G):
     """The search's scores of one realisation."""
     observer = _form(r.form).observer(G, r.K_f[np.newaxis])
@@ -516,11 +541,12 @@ def test_free_poles_follow_reduced_pair_spectrum(monkeypatch):
     rng = np.random.default_rng(23)
     G, K = _random_stable_pair(rng, 4, 2)
     _random_free_poles(monkeypatch, rng)
+    free_poles = _spy_free_poles(monkeypatch)
     eig = eig_paired(closed_loop_matrix(G, K))
     found = _feasible(G, K, "predictor")
     assert found, "no feasible choice in fixture"
     for r, _ in found:
-        Tp, X = r.T_perp, r.X
+        Tp, X = free_poles(r)
         A_red = Tp.T @ G.A @ Tp
         C_red = K.B @ G.C @ Tp
         Ae = G.A - r.K_f @ G.C
@@ -532,25 +558,28 @@ def test_free_poles_follow_reduced_pair_spectrum(monkeypatch):
         assert_allclose(np.sort_complex(got), np.sort_complex(want), atol=1e-7)
 
 
-def test_design_free_poles_quiet_measurements_keep_reduced_dynamics():
+def test_design_free_poles_quiet_measurements_keep_reduced_dynamics(monkeypatch):
     rng = np.random.default_rng(24)
     G, K = _random_stable_pair(rng, 4, 2)
+    free_poles = _spy_free_poles(monkeypatch)
     found = search_realisations(G, K, form="predictor", forced_S=(), Qn=1.0, Rn=1e7)
     for r, _ in found.ranked:
-        assert np.linalg.norm(r.X) < 1e-3
-        Tp = r.T_perp
+        Tp, X = free_poles(r)
+        assert np.linalg.norm(X) < 1e-3
         A_red = Tp.T @ G.A @ Tp
-        got = np.sort_complex(np.linalg.eigvals(A_red - r.X @ (K.B @ G.C @ Tp)))
+        got = np.sort_complex(np.linalg.eigvals(A_red - X @ (K.B @ G.C @ Tp)))
         assert_allclose(got, np.sort_complex(np.linalg.eigvals(A_red)), atol=1e-3)
 
 
-def test_design_free_poles_without_free_poles_is_empty_and_checks_the_covariances():
+def test_design_free_poles_without_free_poles_is_empty_and_checks_the_covariances(monkeypatch):
     # n_K = n (satellite): no free pole, an empty X, and the covariances
     # judged as for any search
     G, K = satellite_plant(), add_dipole(satellite_controller(), W=50.0)
     assert K.n == G.n
+    free_poles = _spy_free_poles(monkeypatch)
     found = search_realisations(G, K, form="filter")
-    assert found.ranked and all(r.X.shape == (0, K.n) for r, _ in found.ranked)
+    assert found.ranked and all(free_poles(r)[1].shape == (0, K.n) for r, _ in found.ranked)
+    monkeypatch.undo()  # the call below takes its basis from no _t_qr
     X, errors = realisation._Search(G, K, "filter", 1.0, 1e7).free_pole_gains(
         np.zeros((2, G.n, 0)))
     assert X.shape == (2, 0, K.n) and errors == [None, None]
@@ -677,8 +706,7 @@ def _hand_realisation(A):
     """Predictor-form realisation with K_f = 0, so its error dynamics are A."""
     n = A.shape[0]
     G = DtStateSpace(A, np.ones((n, 1)), np.eye(1, n), [[0.0]], 1.0)
-    r = ObserverRealisation(form="predictor", T=np.ones((1, n)), T_perp=np.zeros((n, 0)),
-                            X=np.zeros((0, 1)), K_c=np.zeros((1, n)),
+    r = ObserverRealisation(form="predictor", T=np.ones((1, n)), K_c=np.zeros((1, n)),
                             K_f=np.zeros((n, 1)), choice=None, riccati_residual=0.0)
     return r, G
 
@@ -1079,9 +1107,8 @@ def test_stacked_scores_match_one_member_calls():
     stacked = _h2_scores(G, _form("predictor").observer(G, K_f))
 
     for i, gain in enumerate(K_f):
-        r = ObserverRealisation(form="predictor", T=np.ones((1, 2)), T_perp=np.zeros((2, 0)),
-                                X=np.zeros((0, 1)), K_c=np.zeros((1, 2)), K_f=gain,
-                                choice=None, riccati_residual=0.0)
+        r = ObserverRealisation(form="predictor", T=np.ones((1, 2)), K_c=np.zeros((1, 2)),
+                                K_f=gain, choice=None, riccati_residual=0.0)
         s, one = RealisationScore(*map(float, stacked[i])), _score_one(r, G)
         assert s.stable == one.stable == (i != 3)
         if i == 3:
@@ -1269,11 +1296,13 @@ def test_a_free_pole_near_an_observer_eigenvalue_falls_back_to_the_doubling(monk
     G, K = scale_surrogate(0)
     S = (4, 5, 6, 8, 11, 12, 13, 14, 15, 16, 19, 21, 25, 26, 27, 29, 32, 33, 34, 35, 37)
     doubled = _spy_doubling(monkeypatch)
+    free_poles = _spy_free_poles(monkeypatch)
     ((r, s),) = search_realisations(G, K, form="predictor", forced_S=S).ranked
     assert [len(A) for A in doubled] == [1]
     f = _form("predictor")
     Ae, maps = _maps(f, G, r.K_f)
-    free = np.linalg.eigvals(r.T_perp.T @ Ae @ r.T_perp)
+    Tp, _ = free_poles(r)
+    free = np.linalg.eigvals(Tp.T @ Ae @ Tp)
     observer = eig_paired(closed_loop_matrix(G, K)).values[list(r.choice.observer_set)]
     assert np.abs(observer[:, np.newaxis] - free).min() < 2e-4
     assert (s.h2_noise, s.h2_dist) == tuple(linalg._h2_stack(Ae[np.newaxis], maps)[0])
@@ -1306,11 +1335,13 @@ def test_an_unstable_free_pole_scores_inf_by_the_doubling(monkeypatch):
 
     monkeypatch.setattr(realisation._Search, "free_pole_gains", ones)
     doubled = _spy_doubling(monkeypatch)
+    free_poles = _spy_free_poles(monkeypatch)
     out = search_realisations(G, K, form="predictor", rank_by="noise")
     assert [len(A) for A in doubled] == [2] and len(out.ranked) == 3
     for r, s in out.ranked:
         Ae, maps = _maps(f, G, r.K_f)
-        unstable = np.abs(np.linalg.eigvals(r.T_perp.T @ Ae @ r.T_perp)).max() > 1.0
+        Tp, _ = free_poles(r)
+        unstable = np.abs(np.linalg.eigvals(Tp.T @ Ae @ Tp)).max() > 1.0
         assert s.stable != unstable
         if unstable:
             assert s.h2_noise == s.h2_dist == np.inf
@@ -1335,7 +1366,7 @@ def test_a_one_split_search_reproduces_that_splits_row_of_the_full_search(case):
             G, K, form=form, forced_S=r.choice.state_feedback_set, rank_by=rank_by).ranked
         assert (one.form, one.choice, one.riccati_residual) == (r.form, r.choice,
                                                                 r.riccati_residual)
-        for name in ("T", "T_perp", "X", "K_c", "K_f"):
+        for name in ("T", "K_c", "K_f"):
             assert np.array_equal(getattr(one, name), getattr(r, name)), name
         assert one_score == score
 
@@ -1344,10 +1375,13 @@ def test_the_search_is_the_same_in_every_free_pole_basis(monkeypatch):
     # K_f depends on T_perp only through T_perp X, which a scalar Qn makes
     # the same in every orthonormal basis of null(T): turn every T_perp by
     # one fixed orthogonal matrix, and the search keeps its rejections,
-    # its order and its scores
+    # its order, its scores and its gains K_f
     G, K = scale_surrogate(0)
     forced = _smoke_forced_S(G, K)
+    free_poles = _spy_free_poles(monkeypatch)
     plain = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
+    plain_poles = [free_poles(r) for r, _ in plain.ranked]
+    monkeypatch.undo()
     W = np.linalg.qr(np.random.default_rng(27).standard_normal((G.n - K.n,) * 2))[0]
     t_qr = realisation._t_qr
 
@@ -1356,14 +1390,20 @@ def test_the_search_is_the_same_in_every_free_pole_basis(monkeypatch):
         return deficient, T_perp @ W, T_pinv
 
     monkeypatch.setattr(realisation, "_t_qr", turned)
+    free_poles = _spy_free_poles(monkeypatch)
     out = search_realisations(G, K, form="predictor", rank_by="product", forced_S=forced)
     assert len(plain.ranked) >= 10 and plain.rejected
     assert [(c.state_feedback_set, reason) for c, reason in out.rejected] == \
            [(c.state_feedback_set, reason) for c, reason in plain.rejected]
     assert [r.choice.state_feedback_set for r, _ in out.ranked] == \
            [r.choice.state_feedback_set for r, _ in plain.ranked]
-    for (r1, s1), (r2, s2) in zip(plain.ranked, out.ranked):
-        assert_allclose(r2.T_perp, r1.T_perp @ W, rtol=0, atol=1e-15)
+    for (r1, s1), (r2, s2), (basis, X) in zip(plain.ranked, out.ranked, plain_poles):
+        turned_basis, turned_X = free_poles(r2)
+        assert_allclose(turned_basis, basis @ W, rtol=0, atol=1e-15)
+        # only the product T_perp X reaches K_f
+        P = basis @ X
+        assert_allclose(turned_basis @ turned_X, P, rtol=0, atol=1e-12 * np.abs(P).max())
+        assert_allclose(r2.K_f, r1.K_f, rtol=0, atol=1e-12 * np.abs(r1.K_f).max())
         assert_allclose([s2.h2_noise, s2.h2_dist, s2.product],
                         [s1.h2_noise, s1.h2_dist, s1.product], rtol=1e-12)
 
@@ -1388,12 +1428,27 @@ def test_a_searched_realisation_is_read_only():
     # on every run, so an edited gain would put the two out of step
     (r, _), *_ = search_realisations(satellite_plant(), add_dipole(satellite_controller(), W=50.0),
                                      form="filter").ranked
-    for a in (r.T, r.T_perp, r.X, r.K_c, r.K_f):
+    for a in (r.T, r.K_c, r.K_f):
         assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         r.K_f *= 1.05
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.K_f = 1.05 * r.K_f
+
+
+def test_a_ranked_row_holds_no_array_but_T_and_the_gains():
+    # T_perp and X stay inside the search: a ranked row keeps only the
+    # arrays its readers use, each read-only
+    G, K = scale_surrogate(0)
+    out = search_realisations(G, K, form="predictor", rank_by="product",
+                              forced_S=_smoke_forced_S(G, K))
+    assert len(out.ranked) >= 10
+    shapes = {"T": (K.n, G.n), "K_c": (G.n_u, G.n), "K_f": (G.n, G.n_y)}
+    for r, _ in out.ranked:
+        arrays = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)
+                  if isinstance(getattr(r, f.name), np.ndarray)}
+        assert {name: a.shape for name, a in arrays.items()} == shapes
+        assert not any(a.flags.writeable for a in arrays.values())
 
 
 # -- structure check ---------------------------------------------------------
@@ -1448,7 +1503,7 @@ def test_importing_the_search_loads_no_online_machinery():
 def _search_outputs(out):
     """Every number and message of a search result, arrays as raw bytes."""
     ranked = [(r.choice.state_feedback_set, r.riccati_residual, s.h2_noise, s.h2_dist,
-               s.product, *((a.shape, a.tobytes()) for a in (r.T, r.T_perp, r.X, r.K_c, r.K_f)))
+               s.product, *((a.shape, a.tobytes()) for a in (r.T, r.K_c, r.K_f)))
               for r, s in out.ranked]
     return ranked, [(c.state_feedback_set, reason) for c, reason in out.rejected]
 
@@ -1459,7 +1514,7 @@ def test_the_search_is_bitwise_the_same_for_every_chunk_size_and_workers(monkeyp
     outputs = []
     for chunk in (16, 64, 128):
         monkeypatch.setattr(realisation, "_CHUNK", chunk)
-        for workers in (None, 2):
+        for workers in (None, 2, np.int64(2)):  # a numpy integer is an integer
             outputs.append(_search_outputs(search_realisations(
                 G, K, form="predictor", rank_by="product", forced_S=forced, workers=workers)))
     ranked, rejected = outputs[0]
@@ -1565,7 +1620,7 @@ def test_threaded_search_equals_the_serial_search(monkeypatch):
     for (r1, s1), (r2, s2) in zip(serial.ranked, threaded.ranked):
         assert (s1.h2_noise, s1.h2_dist, s1.product) == (s2.h2_noise, s2.h2_dist, s2.product)
         assert r1.riccati_residual == r2.riccati_residual
-        for name in ("T", "T_perp", "X", "K_c", "K_f"):
+        for name in ("T", "K_c", "K_f"):
             a, b = getattr(r1, name), getattr(r2, name)
             assert np.array_equal(a, b), name
             # a row of the read-only copy merged on this thread, not a view
@@ -1573,7 +1628,7 @@ def test_threaded_search_equals_the_serial_search(monkeypatch):
             assert b.base is not None and b.base.base is None and not b.base.flags.writeable
 
 
-@pytest.mark.parametrize("workers", [0, -1, True, 1.5])
+@pytest.mark.parametrize("workers", [0, -1, True, 1.5, np.int64(0)])
 def test_a_bad_workers_value_is_refused_before_any_split_is_solved(monkeypatch, workers):
     def no_solve(*args):
         raise AssertionError("a split was solved")

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import re
 import sys
 import threading
 import time
@@ -170,6 +171,12 @@ def test_inject_fault_locks_channels_from_the_fault_time():
     npt.assert_allclose(u, [0.4, 0.6])  # input untouched
     with pytest.raises(ValueError):
         inject_fault(u, 10.0, ((1.0, 5, 0.0),))
+    # a bool would index as a mask and lock every actuator; a float index
+    # is no actuator either
+    for idx in (True, 1.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"fault names actuator {idx!r}, not an integer in [0, 2)")):
+            inject_fault(u, 10.0, ((0.0, idx, 0.0),))
 
 
 def test_lagged_satellite_truth_composes_to_the_zoh_model():
