@@ -502,13 +502,10 @@ def _baseline_counterpart(sc: Scenario) -> Scenario | None:
 def _bound_violation(vals, bounds):
     if bounds is None or vals.size == 0:
         return 0.0
-    lo, hi = bounds  # MpcConfig's float vectors
+    lo, hi = bounds  # MpcConfig's: no NaN, and an infinite side gives -inf here
     over = np.maximum(vals - hi[None, :], 0.0)
     under = np.maximum(lo[None, :] - vals, 0.0)
-    finite = np.isfinite(np.vstack([lo, hi]))
-    mask = finite[0] | finite[1]
-    return float(np.max(np.where(mask[None, :], np.maximum(over, under), 0.0),
-                        initial=0.0))
+    return float(np.max(np.maximum(over, under), initial=0.0))
 
 
 def cmd_simulate(cfg: ProjectConfig, scenario_name, out_path, seed) -> int:

@@ -30,12 +30,11 @@ no step.  A cold solve is the same code with an empty guess, which starts
 from the unconstrained minimiser.  All ties are broken by lowest
 constraint index, so the solve path is deterministic.
 
-Every complete QR a solve takes (the warm start's, and the dual loop's
-first column on an empty working set) goes through a one-slot memo on the
-factor: the last working set so factored, with its read-only (Q, R).  A
-solve whose ordered working set equals it reuses that QR, which is the one
-it would take (the same columns in the same order give the same bits), so
-a run of control steps whose active set holds still factors it once.
+Every complete QR (a warm start's, the dual loop's first on an empty working
+set, an ``affine_law``'s) goes through a one-slot memo on the factor, which
+returns the last set's read-only (Q, R) for the same ordered set: the same
+bits a fresh QR gives.  In an MPC run it serves a warm start right after the
+set's law missed, and a law built on the set a warm start has just factored.
 
 On exit with status "optimal" the iterate satisfies the KKT conditions
     H x* + f + A_act' lam = 0,   lam >= 0,   A x* <= b,
@@ -54,7 +53,7 @@ Rawlings & Wright's partial enumeration (2007) with one stored region.
 
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,10 +169,11 @@ def _tri_solve(T, v, lower=False, trans=0):
 
 def _guess(warm, m) -> list:
     """Warm-start rows in the given order, repeats removed."""
-    rows = [operator.index(i) for i in warm]
-    if any(not 0 <= i < m for i in rows):
-        raise ValueError(f"warm-start row out of range for {m} constraints")
-    return list(dict.fromkeys(rows))
+    rows = tuple(warm)
+    if not all((type(i) is int or isinstance(i, numbers.Integral) and not isinstance(i, bool))
+               and 0 <= i < m for i in rows):  # a plain int skips the slow ABC check
+        raise ValueError(f"warm-start rows must be integers in [0, {m}), not {rows}")
+    return list(dict.fromkeys(map(int, rows)))
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def affine_law(factor: QpFactor, A, active, F, B, b0) -> AffineLaw | None:
     lam = R1^-1 (Q1' L^-1 f - R1^-T b_W) from the factor's QR G_W = Q1 R1,
     which ``working_qr`` memoises.  None when W has more rows than there
     are variables or its R diagonal shows a dependent row, the sets a warm
-    start would prune.  ValueError for a row outside A.
+    start would prune.  ValueError for a row not an integer in [0, m).
     """
     L, G = factor.L, factor.G
     d, m = G.shape
@@ -252,8 +252,8 @@ def solve_qp(H, f, A=None, b=None, *,
     """Solve the inequality-constrained QP; H must be positive definite.
 
     ``factor`` must be ``factor_qp(H, A)``; it is built here when omitted.
-    ``warm`` is a guessed working set (row indices of A).  A solve that
-    needs more than 50 (d + m) iterations stops with "iteration-limit".
+    ``warm`` is a guessed working set: integer row indices of A, not bools.
+    A solve that needs more than 50 (d + m) iterations stops with "iteration-limit".
     """
     H = np.atleast_2d(np.asarray(H, float))
     f = np.asarray(f, float).ravel()

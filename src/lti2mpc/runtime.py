@@ -1,16 +1,16 @@
 """Online controller machinery: the reference prefilter and the
 per-sample MPC control step.
 
-The observer is an ``ObserverState`` from ``realisation.make_observer``,
-which steps itself.  ``sim.simulate`` runs an MPC through a step object
-built for the run, which holds a fresh observer and ``Prefilter`` and the
-warm set, and calls the four in order each sample: prefilter, observer
-``estimate``, ``mpc_step``, observer ``advance``.
+The observer is an ``ObserverState`` from ``realisation.make_observer``, which
+steps itself.  ``sim.simulate`` runs an MPC through a step object built for
+the run, which holds the warm set and an observer and ``Prefilter`` on the
+controller's realisation, and calls the four in order each sample: prefilter,
+observer ``estimate``, ``mpc_step``, observer ``advance``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +37,7 @@ class Prefilter:
     """
 
     sys: DtStateSpace
-    x: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.x is None:
-            self.x = np.zeros(self.sys.n)
+    x: np.ndarray
 
     def step(self, r) -> np.ndarray:
         """Emit x_r(k) for the current reference sample, then advance."""
@@ -54,11 +50,11 @@ class Prefilter:
 def build_prefilter(realisation, G_d: DtStateSpace, L1, L2) -> Prefilter:
     """Assemble the shaped reference prefilter.
 
-    Its state runs ``make_observer(realisation, G_d)`` driven by y = r and
-    u = -D_K r, as ``sim.simulate`` drives the real observer, where G_d is
-    the design model and D_K the feedthrough it records (``G_d.D_K``, set
-    by ``loop_shift``; None drives u = 0).  Its output is
-    Mc estimate + Ml r, with Mc = [L1; K_c]^-1 [0; K_c] and
+    Its state, started from 0, runs ``make_observer(realisation, G_d)``
+    driven by y = r and u = -D_K r, as ``sim.simulate`` drives the real
+    observer, where G_d is the design model and D_K the feedthrough it
+    records (``G_d.D_K``, set by ``loop_shift``; None drives u = 0).  Its
+    output is Mc estimate + Ml r, with Mc = [L1; K_c]^-1 [0; K_c] and
     Ml = [L1; K_c]^-1 [L2; 0].
     """
     obs = make_observer(realisation, G_d)
@@ -74,7 +70,8 @@ def build_prefilter(realisation, G_d: DtStateSpace, L1, L2) -> Prefilter:
     Mc = np.linalg.solve(M, np.vstack([np.zeros_like(L1), K_c]))
     Ml = np.linalg.solve(M, np.vstack([L2, np.zeros((K_c.shape[0], G_d.n_y))]))
     B_r = obs.B_y if G_d.D_K is None else obs.B_y - obs.B @ G_d.D_K
-    return Prefilter(DtStateSpace(obs.A_o, B_r, Mc @ obs.C_o, Mc @ obs.D_y + Ml, G_d.Ts))
+    return Prefilter(DtStateSpace(obs.A_o, B_r, Mc @ obs.C_o, Mc @ obs.D_y + Ml, G_d.Ts),
+                     x=np.zeros(G_d.n))
 
 
 @dataclass

@@ -20,9 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .models import CASE_STUDIES, PendulumParams, satellite_plant_ct
-from .mpc import CondensedQp, MpcConfig, build_condensed_qp, effect_weight
+from .mpc import CondensedQp, MpcConfig, _read_only, build_condensed_qp, effect_weight
 from .realisation import make_observer, search_realisations
-from .runtime import Prefilter, build_prefilter, mpc_step
+from .runtime import build_prefilter, mpc_step
 from .statespace import DtStateSpace, c2d_zoh
 
 __all__ = [
@@ -62,22 +62,27 @@ class MpcController:
     disturbance-augmented plant for the filter form, the loop-shifted plant
     for the predictor form.  When it records a loop-shift feedthrough D_K
     (``design_model.D_K``) the simulation wires u_plant = u_mpc - D_K r +
-    D_K y.  With a ``prefilter`` (the system ``runtime.build_prefilter``
-    builds from ``realisation`` on ``design_model``, stepped afresh each
-    run) the MPC tracks the state reference it emits for the scenario's
-    setpoint; without one it regulates to 0 and takes no setpoint.  The
-    condensed QP (``qp``) is the matching cost of ``realisation.K_c``
-    under ``config.W``, so while no constraint binds the MPC reproduces
-    the realisation's own law, and ``dataclasses.replace(controller,
-    realisation=r)`` is the same MPC serving realisation r.  It is built on
-    first use and serves every run; the arrays it is built from are
-    read-only copies, so it cannot go stale.
+    D_K y.  ``prefilter`` is None or the pair (L1, L2), kept as read-only float
+    copies: each run builds its prefilter from them with
+    ``runtime.build_prefilter(realisation, design_model, L1, L2)``, as it builds
+    its observer, and tracks the state reference it emits for the setpoint;
+    without one the MPC regulates to 0 and takes no setpoint.  The condensed QP
+    (``qp``) is the matching cost of ``realisation.K_c`` under ``config.W``, so
+    while no constraint binds the MPC reproduces the realisation's own law, and
+    ``dataclasses.replace(controller, realisation=r)`` is the same MPC serving
+    realisation r.  The QP is built on first use and serves every run; the
+    arrays it is built from are read-only copies, so it cannot go stale.
     """
 
     realisation: object
     design_model: DtStateSpace
     config: MpcConfig
-    prefilter: DtStateSpace | None = None
+    prefilter: tuple | None = None
+
+    def __post_init__(self):
+        if self.prefilter is not None:
+            L1, L2 = (_read_only(np.array(L, dtype=float)) for L in self.prefilter)
+            object.__setattr__(self, "prefilter", (L1, L2))
 
     @cached_property
     def qp(self) -> CondensedQp:
@@ -275,11 +280,12 @@ class _BaselineStep:
 
 
 class _MpcStep:
-    """One run of an MPC: a fresh observer and prefilter and the run's warm
-    set, so the shared controller is never written.  Each sample steps the
-    prefilter, takes the observer's estimate, runs ``mpc_step`` (timed alone
-    into qp_ms) and advances the observer; a loop-shift D_K commands
-    u_mpc - D_K r + D_K y.  It fills x_hat, x_ref and the QP columns."""
+    """One run of an MPC: its own warm set, observer and prefilter (the last
+    two built from the controller's realisation), so the shared controller
+    is never written.  Each sample steps the prefilter, takes the observer's
+    estimate, runs ``mpc_step`` (timed alone into qp_ms) and advances the
+    observer; a loop-shift D_K commands u_mpc - D_K r + D_K y.  It fills
+    x_hat, x_ref and the QP columns."""
 
     def __init__(self, ctrl, Ts, steps):
         G_d = ctrl.design_model
@@ -287,7 +293,8 @@ class _MpcStep:
         self.qp, self.N, self.D_K = ctrl.qp, ctrl.config.N, G_d.D_K
         self.warm = ()  # working-set guess: the last optimal step's active set
         self.obs = make_observer(ctrl.realisation, G_d)
-        self.pre = None if ctrl.prefilter is None else Prefilter(ctrl.prefilter)
+        self.pre = (None if ctrl.prefilter is None
+                    else build_prefilter(ctrl.realisation, G_d, *ctrl.prefilter))
         self.takes_setpoint = self.pre is not None
         self.columns = _controller_columns(steps, G_d.n, self.qp.n_slack // self.N)
 
@@ -320,16 +327,16 @@ def simulate(scenario: Scenario) -> Trace:
     controller becomes one run's step object (``_BaselineStep`` or
     ``_MpcStep``), which holds the run's controller state and fills the
     trace's estimate, reference and QP columns; ``simulate`` keeps the
-    truth, disturbances, noise, faults and divergence.  Refused
-    (ValueError) before the first step, in this order: a duration that is
-    not finite and >= 0; a controller (the baseline's K, an MPC's design
-    model) whose sample time is not the plant's within 1e-12; a mis-sized
-    or non-finite setpoint, or a setpoint for an MPC without a prefilter;
-    a mis-sized or non-finite noise_sigma; a fault whose actuator index is
-    not an integer in [0, n_u), whose time is not finite and >= 0, or
-    whose value is not finite; a disturbance whose time is not finite and
-    >= 0, or whose state jump is not n_x finite entries; a mis-sized or
-    non-finite x0.
+    truth, disturbances, noise, faults and divergence.  Refused (ValueError)
+    before the first step, in this order: a duration that is not finite and
+    >= 0; a controller (the baseline's K, an MPC's design model) whose sample
+    time is not the plant's within 1e-12; an MPC prefilter (L1, L2) that
+    ``runtime.build_prefilter`` refuses; a mis-sized or non-finite setpoint,
+    or a setpoint for an MPC without a prefilter; a mis-sized or non-finite
+    noise_sigma; a fault whose actuator index is not an integer in [0, n_u),
+    whose time is not finite and >= 0, or whose value is not finite; a
+    disturbance whose time is not finite and >= 0, or whose state jump is not
+    n_x finite entries; a mis-sized or non-finite x0.
     """
     if not (math.isfinite(scenario.duration) and scenario.duration >= 0.0):
         raise ValueError(f"duration must be finite and at least 0, not {scenario.duration}")
@@ -463,8 +470,7 @@ def _pendulum_mpc(real, G_d, bounded: bool):
     L1 = np.array([[0.0, 1.0, 0.0, 0.0],
                    [0.0, 0.0, 1.0, 0.0],
                    [0.0, 0.0, 0.0, 1.0]])
-    pre = build_prefilter(real, G_d, L1, np.zeros((3, 2)))
-    return MpcController(realisation=real, design_model=G_d, config=cfg, prefilter=pre.sys)
+    return MpcController(real, G_d, cfg, prefilter=(L1, np.zeros((3, 2))))
 
 
 # satellite Cases 1-5: (rank of the realisation, cost, input bound, output

@@ -568,6 +568,18 @@ def test_infinite_json_bounds_disable_a_row(tmp_path):
     with open(out) as fh:
         u1 = [float(row["u.1"]) for row in csv.DictReader(fh)]
     assert max(abs(v) for v in u1) <= 0.01 + 1e-12
+    # an output row whose lower side is off: x0 breaks the soft upper side,
+    # and only that side counts
+    cfg = _write(tmp_path, "y.json", {
+        "plant": "satellite", "mpc": {"y_bounds": [[-np.inf], [1e-3]]},
+        "scenarios": {"a": {"duration": 2.0, "x0": [0.1, 0, 0]}}})
+    out = tmp_path / "y.csv"
+    assert main(["simulate", "--config", cfg, "--scenario", "a", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "y.summary.json").read_text())
+    with open(out) as fh:
+        y0 = [float(row["y.0"]) for row in csv.DictReader(fh)]
+    assert max(y0) > 1e-3
+    assert summary["max_constraint_violation"]["output"] == max(y0) - 1e-3
 
 
 @pytest.mark.parametrize("key, value, message", [

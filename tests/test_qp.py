@@ -219,7 +219,7 @@ def test_shared_factor_gives_the_same_solution():
 def test_bad_warm_rows_and_non_finite_data_raise():
     H, f = np.eye(2), np.zeros(2)
     A, b = np.eye(2), np.ones(2)
-    for warm in [(2,), (-1,), (0, 5)]:
+    for warm in [(2,), (-1,), (0, 5), (True,), (1.0,)]:
         with pytest.raises(ValueError, match="warm-start row"):
             solve_qp(H, f, A, b, warm=warm)
     with pytest.raises(ValueError, match="warm-start row"):
@@ -351,6 +351,6 @@ def test_an_affine_law_refuses_what_a_warm_start_would_prune():
     assert affine_law(factor, A, (1, 4), F, B, b0) is None
     assert affine_law(factor, A, (0, 1, 2, 3), F, B, b0) is None  # more rows than d
     assert affine_law(factor, A, (2, 2), F, B, b0).active == (2,)
-    for bad in ((6,), (-1,)):
+    for bad in ((6,), (-1,), (True,), (1.0,)):
         with pytest.raises(ValueError, match="warm-start row"):
             affine_law(factor, A, bad, F, B, b0)

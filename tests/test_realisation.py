@@ -1424,8 +1424,9 @@ def test_the_search_takes_no_singular_vectors_of_T(monkeypatch):
 
 
 def test_a_searched_realisation_is_read_only():
-    # a controller's prefilter is built once from the gains and its observer
-    # on every run, so an edited gain would put the two out of step
+    # a controller's QP is built once from K_c, and each run builds its
+    # observer and prefilter from the gains, so an edited gain would put
+    # them out of step
     (r, _), *_ = search_realisations(satellite_plant(), add_dipole(satellite_controller(), W=50.0),
                                      form="filter").ranked
     for a in (r.T, r.K_c, r.K_f):

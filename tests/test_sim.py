@@ -292,8 +292,10 @@ def test_a_controller_of_another_sample_time_is_refused(library, monkeypatch, ki
     ("satellite-case-1", {"setpoint": [0.1], "faults": ((1.0, 7, 0.0),)}, "prefilter"),
     ("satellite-baseline", {"noise_sigma": [1e-3, 1e-3, 1e-3], "disturbances": ((1.0, [0.5]),)},
      "noise_sigma has 3 entries"),
+    ("pendulum-case-1", {"prefilter": (np.eye(4)[1:], np.zeros((3, 1))), "setpoint": [1.0]},
+     "L2 must be 3 x 2"),
 ], ids=["sample time before setpoint", "prefilter before fault",
-        "noise before disturbance"])
+        "noise before disturbance", "prefilter design before setpoint"])
 def test_of_two_defects_the_first_refusal_in_the_docstring_wins(
         library, monkeypatch, name, edits, match):
     def no_step(*args, **kwargs):
@@ -306,6 +308,9 @@ def test_of_two_defects_the_first_refusal_in_the_docstring_wins(
         K = sc.controller.K
         sc = dataclasses.replace(sc, controller=BaselineController(
             dataclasses.replace(K, Ts=edits.pop("sample_time"))))
+    if "prefilter" in edits:
+        sc = dataclasses.replace(sc, controller=dataclasses.replace(
+            sc.controller, prefilter=edits.pop("prefilter")))
     if "setpoint" in edits:
         edits["setpoint"] = np.array(edits["setpoint"])
     with pytest.raises(ValueError, match=match):
@@ -344,6 +349,46 @@ def test_an_mpc_moves_first_by_its_own_realisations_gain(library, traces):
         traces["satellite-case-1"],
         simulate(dataclasses.replace(case_1, controller=swapped[2])))]
     assert rms[1] <= 1.01 * rms[0], rms
+
+
+@pytest.fixture(scope="module")
+def ranked():
+    """Each built-in's design model G_d and ranked realisations."""
+    return {family: (found[2], [r for r, _ in found[3].ranked])
+            for family, found in ((f, sim._case_search(f)) for f in ("satellite", "pendulum"))}
+
+
+@pytest.mark.parametrize("name", ["satellite-case-1", "pendulum-case-1"])
+def test_every_ranked_realisation_applies_the_library_inputs_while_no_bound_binds(
+        library, traces, ranked, name):
+    # the paper's claim, end to end: with no bound the MPC serves the
+    # baseline's law whichever realisation it runs on, so the swap the
+    # docs name applies the library trace's inputs.  The pendulum's
+    # prefilter used to stay built on rank 1's observer: ranks 2 and 3
+    # applied inputs 1.12 and 4.10 times max|u| off
+    sc, want = library[name], traces[name].u_applied
+    reals = ranked[name.split("-")[0]][1]
+    assert len(reals) >= 3
+    for i, r in enumerate(reals):
+        tr = simulate(dataclasses.replace(
+            sc, controller=dataclasses.replace(sc.controller, realisation=r)))
+        gap = np.max(np.abs(tr.u_applied - want)) / np.max(np.abs(want))
+        assert gap <= 1e-9, (i, gap)
+
+
+def test_a_swapped_realisation_is_the_controller_built_on_it(library, ranked):
+    # under the pendulum's bounds the realisations differ, and the swapped
+    # controller is _pendulum_mpc's on the same realisation, bit for bit
+    sc = library["pendulum-case-2"]
+    G_d, reals = ranked["pendulum"]
+    for i, r in enumerate(reals):
+        swapped = simulate(dataclasses.replace(
+            sc, controller=dataclasses.replace(sc.controller, realisation=r)))
+        built = simulate(dataclasses.replace(sc, controller=sim._pendulum_mpc(r, G_d, True)))
+        for field in dataclasses.fields(swapped):
+            if field.name != "qp_ms":
+                assert np.array_equal(getattr(swapped, field.name),
+                                      getattr(built, field.name)), (i, field.name)
 
 
 def test_loop_shift_records_its_feedthrough_on_the_design_model(library):
@@ -585,10 +630,11 @@ def test_noisy_simulation_is_deterministic_per_seed(library):
 
 
 def test_a_library_scenario_replays_identically(library, traces):
-    # the controller holds the prefilter's system, not a running filter:
-    # each simulate steps a fresh one, and its QP (factor and warm-start QR
-    # memo included) is shared by every run, so a second run repeats the
-    # first, and so does a run on a copy of the controller with a fresh QP
+    # the controller holds the prefilter's (L1, L2), not a running filter:
+    # each simulate builds a fresh one on its realisation, and its QP
+    # (factor and warm-start QR memo included) is shared by every run, so a
+    # second run repeats the first, and so does a run on a copy of the
+    # controller with a fresh QP
     assert np.any(traces["pendulum-case-2"].x_ref)
     for name, sc in library.items():
         if not isinstance(sc.controller, MpcController):
@@ -626,8 +672,13 @@ def test_a_controller_is_frozen_and_builds_its_qp_once(library, monkeypatch):
 
 def test_a_controllers_arrays_are_read_only(library):
     sat, pend = library["satellite-case-3"].controller, library["pendulum-case-2"].controller
+    assert [f.name for f in dataclasses.fields(MpcController)] == [
+        "realisation", "design_model", "config", "prefilter"]
+    assert sat.prefilter is None and len(pend.prefilter) == 2
     for M in (sat.config.u_bounds[0], sat.design_model.A, sat.config.W, sat.qp.K_c,
-              pend.config.x_bounds[1], pend.design_model.D_K, pendulum_plant_ct().B):
+              pend.config.x_bounds[1], pend.design_model.D_K, pendulum_plant_ct().B,
+              *pend.prefilter):
+        assert M.dtype == float
         with pytest.raises(ValueError, match="read-only"):
             M[0] = 0.0
 
@@ -635,23 +686,29 @@ def test_a_controllers_arrays_are_read_only(library):
 def test_edits_of_the_callers_arrays_reach_neither_the_qp_nor_a_replay(library, traces):
     # a controller built from arrays its caller keeps, which the caller then
     # edits before the first run: the QP and the replay are those of the
-    # library's own controller with the same numbers
-    base = library["satellite-case-3"]
-    ctrl = base.controller
-    G, cfg = ctrl.design_model, ctrl.config
-    A, W = G.A.copy(), cfg.W.copy()
-    lo, hi = (v.copy() for v in cfg.u_bounds)
-    mine = MpcController(ctrl.realisation, dataclasses.replace(G, A=A),
-                         MpcConfig(cfg.N, W, u_bounds=(lo, hi),
-                                   soft_output_weight=cfg.soft_output_weight))
-    for M in (A, W, lo, hi):
-        M *= 2.0
-    for field in dataclasses.fields(ctrl.qp):
-        assert np.array_equal(getattr(mine.qp, field.name), getattr(ctrl.qp, field.name))
-    tr, want = simulate(dataclasses.replace(base, controller=mine)), traces[base.name]
-    for field in ("y", "u_applied", "x", "x_hat", "qp_obj", "qp_nact"):
-        assert np.array_equal(getattr(tr, field), getattr(want, field)), field
-    assert tr.qp_status == want.qp_status
+    # library's own controller with the same numbers.  The pendulum's are
+    # its bounds and prefilter pair (L1, L2)
+    for name in ("satellite-case-3", "pendulum-case-2"):
+        base = library[name]
+        ctrl = base.controller
+        G, cfg = ctrl.design_model, ctrl.config
+        A = G.A.copy()
+        W = None if cfg.W is None else cfg.W.copy()
+        bounds = {k: tuple(v.copy() for v in getattr(cfg, k))
+                  for k in ("u_bounds", "y_bounds", "x_bounds") if getattr(cfg, k) is not None}
+        pre = None if ctrl.prefilter is None else tuple(L.copy() for L in ctrl.prefilter)
+        mine = MpcController(ctrl.realisation, dataclasses.replace(G, A=A),
+                             MpcConfig(cfg.N, W, **bounds,
+                                       soft_output_weight=cfg.soft_output_weight), pre)
+        for M in (A, W, *(v for b in bounds.values() for v in b), *(pre or ())):
+            if M is not None:
+                M += 1.0
+        for field in dataclasses.fields(ctrl.qp):
+            assert np.array_equal(getattr(mine.qp, field.name), getattr(ctrl.qp, field.name))
+        tr, want = simulate(dataclasses.replace(base, controller=mine)), traces[name]
+        for field in ("y", "u_applied", "x", "x_hat", "x_ref", "qp_obj", "qp_nact"):
+            assert np.array_equal(getattr(tr, field), getattr(want, field)), (name, field)
+        assert tr.qp_status == want.qp_status, name
 
 
 def test_concurrent_replays_share_one_controller_safely(library, traces):
